@@ -19,11 +19,12 @@ rather than silently losing exactness.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 from numbers import Rational
-from typing import Union
+from typing import Optional, Union
 
 ExactLike = Union[int, Fraction, "SqrtSum"]
 
@@ -36,6 +37,7 @@ _RHO_ROUNDS = 64
 # prime factor p, so this covers factors up to roughly 10^13 in a couple of
 # seconds while guaranteeing termination on adversarial radicands.
 _RHO_BUDGET = 6_000_000
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -325,36 +327,75 @@ class SqrtSum:
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
 
-        Zero falls out of the canonical representation.  Otherwise bracket
-        each sqrt(d) with integer square roots at doubling precision until
-        the enclosing interval excludes zero; nonzero values guarantee
-        termination.
+        Zero falls out of the canonical representation.  Otherwise a float
+        sum decides whenever it exceeds its proven rounding-error bound;
+        failing that, bracket each sqrt(d) with integer square roots at
+        doubling precision until the enclosing interval excludes zero;
+        nonzero values guarantee termination.
         """
         if not self._terms:
             return 0
         if len(self._terms) == 1:
             ((_, c),) = self._terms.items()
             return 1 if c > 0 else -1
+        estimate = self._float_estimate()
+        if estimate is not None:
+            approx, err = estimate
+            if abs(approx) > err:
+                return 1 if approx > 0 else -1
         prec = 64
         while True:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            scale = 1 << prec
-            for d, c in self._terms.items():
-                root_lo = isqrt(d << (2 * prec))
-                term_lo = Fraction(root_lo, scale)
-                term_hi = Fraction(root_lo + 1, scale)
-                if c >= 0:
-                    lo += c * term_lo
-                    hi += c * term_hi
-                else:
-                    lo += c * term_hi
-                    hi += c * term_lo
+            lo, hi = self._interval(prec)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             prec *= 2
+
+    def _float_estimate(self) -> Optional[tuple[float, float]]:
+        """``(approx, err)``: the float sum of the terms and a bound on its
+        distance from the exact value, or None where no bound is proven.
+
+        Each of ``float(c)``, ``float(d)``, ``sqrt``, the product and each
+        addition is correctly rounded, so with ``u = 2^-53`` a term is off by
+        at most ``3.5u`` of its size and summing m terms adds at most
+        ``(m-1)u`` of ``S = sum|terms|`` (Shewchuk-style bound); ``(m+4)*2^-52*S``
+        covers both with room to spare.  The bound assumes no underflow or
+        overflow, so a coefficient that is not a normal float, an
+        ``OverflowError``, or ``S`` outside ``(1e-290, 1e290)`` yields None.
+        """
+        approx = size = 0.0
+        try:
+            for d, c in self._terms.items():
+                fc = float(c)
+                if not abs(fc) >= _FLOAT_MIN:
+                    return None
+                term = fc * sqrt(d)
+                approx += term
+                size += abs(term)
+        except OverflowError:
+            return None
+        if not 1e-290 < size < 1e290:
+            return None
+        return approx, (len(self._terms) + 4) * 2.0**-52 * size
+
+    def _interval(self, prec: int) -> tuple[Fraction, Fraction]:
+        """Rational ``(lo, hi)`` around the value from ``isqrt`` brackets of
+        each ``sqrt(d)`` at ``prec`` fractional bits."""
+        lo = Fraction(0)
+        hi = Fraction(0)
+        scale = 1 << prec
+        for d, c in self._terms.items():
+            root_lo = isqrt(d << (2 * prec))
+            term_lo = Fraction(root_lo, scale)
+            term_hi = Fraction(root_lo + 1, scale)
+            if c >= 0:
+                lo += c * term_lo
+                hi += c * term_hi
+            else:
+                lo += c * term_hi
+                hi += c * term_lo
+        return lo, hi
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -399,10 +440,26 @@ class SqrtSum:
     # -- conversion --------------------------------------------------------
 
     def __float__(self) -> float:
-        total = 0.0
-        for d, c in self._terms.items():
-            total += float(c) * (d ** 0.5 if d != 1 else 1.0)
-        return total
+        """The value to a relative error below 2^-48.
+
+        The plain float sum is returned when its error bound allows it;
+        cancelling terms (coefficients far larger than the value) instead
+        refine the ``isqrt`` interval until its relative width is below
+        2^-60 and round its midpoint.
+        """
+        if not self._terms:
+            return 0.0
+        estimate = self._float_estimate()
+        if estimate is not None:
+            approx, err = estimate
+            if err <= 2.0**-48 * abs(approx):
+                return approx
+        prec = 64
+        while True:
+            lo, hi = self._interval(prec)
+            if (lo > 0 or hi < 0) and hi - lo < min(abs(lo), abs(hi)) / (1 << 60):
+                return float((lo + hi) / 2)
+            prec *= 2
 
     def __str__(self) -> str:
         if not self._terms:

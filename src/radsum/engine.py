@@ -10,14 +10,20 @@ Enumeration strategies:
   once a branch's event index is decided, its subtree resolves through a
   precomputed tail-sum distribution instead of being expanded.
 
-Numeric behavior: in exact mode every comparison is tie-exact (integers
-after common-denominator scaling when all weights are rational, exact
-radical arithmetic otherwise).  In float mode a signed sum is evaluated as
-``fl(left_half + right_half)`` with each half accumulated in index order,
-comparisons are exact float comparisons with no epsilon, and the partition
-report flags sums within 1e-12 of a decision boundary so tie-sensitive
-results are visible.  Results are deterministic and independent of the
-worker count: all reductions are integer counts over a fixed block order.
+Numeric behavior: in exact mode every comparison is tie-exact.  When all
+weights share one radicand - ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``,
+``D = 1`` for rational weights - every signed sum is ``s*sqrt(D)/L`` for an
+integer ``s``, and ``|s|*sqrt(D)/L <= t`` becomes ``|s| <= c`` with an
+integer cut-off ``c`` from ``isqrt``; the meet-in-the-middle count then runs
+on int64 arrays (Python ints past 2^62).  Only weights spanning several
+radicands, or a radical threshold, compare exact ``SqrtSum`` values.
+
+In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
+with each half accumulated in index order, comparisons are exact float
+comparisons with no epsilon, and the partition report flags sums within
+1e-12 of a decision boundary so tie-sensitive results are visible.  Results
+are deterministic and independent of the worker count: all reductions are
+integer counts over a fixed block order.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .algebraic import SqrtSum
-from .errors import InputError, SizeLimitError, WrongCaseError
+from .errors import InputError, SizeLimitError, SoundnessError, WrongCaseError
 from .weights import CaseTag, EXACT, FLOAT, Value, WeightVector, case_of
 
 DEFAULT_FULL_LIMIT = 24
@@ -106,25 +112,52 @@ def _check_t_nonnegative(t):
         raise InputError("invalid input: threshold t must be >= 0")
 
 
-# -- integer scaling of rational weight lists -------------------------------
+# -- shared-radicand reduction ------------------------------------------------
 
 
-def _int_scaling(values: Sequence[Value]) -> Optional[tuple[list[int], int]]:
-    """Common-denominator scaling when every value is rational, else None."""
-    fracs = []
+def _common_radical(values: Sequence[Value]) -> Optional[tuple[list[int], int, int]]:
+    """``(ints, L, D)`` with ``values[i] == ints[i]*sqrt(D)/L`` and ``D``
+    squarefree, or None when the values span more than one radicand.
+
+    ``D == 1`` is the all-rational case; ``D > 1`` covers every vector whose
+    nonzero entries are one-term radicals over the same ``D`` (for example
+    ``canonicalize(ints, "exact")`` with an irrational norm).  Every signed
+    sum of such values is ``s*sqrt(D)/L`` for an integer ``s``.
+    """
+    radicand = None
+    coeffs = []
     for v in values:
         if isinstance(v, SqrtSum):
-            if not v.is_rational:
+            terms = v.terms
+            if len(terms) > 1:
                 return None
-            fracs.append(v.as_fraction())
+            d, c = next(iter(terms.items()), (1, Fraction(0)))
         elif isinstance(v, (int, Fraction)):
-            fracs.append(Fraction(v))
+            d, c = 1, Fraction(v)
         else:
             return None
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    return [int(f * denom) for f in fracs], denom
+        if c:
+            if radicand is None:
+                radicand = d
+            elif d != radicand:
+                return None
+        coeffs.append(c)
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (denom // c.denominator) for c in coeffs], denom, radicand or 1
+
+
+def _int_cutoff(t: Fraction, denom: int, radicand: int, strict: bool) -> int:
+    """The largest ``c`` with ``|s|*sqrt(radicand)/denom <= t`` (``< t`` when
+    strict) iff ``|s| <= c``, for integers ``s``; -1 when no ``s`` qualifies.
+
+    Squaring gives ``s^2 * radicand * td^2 <= (tn*denom)^2`` for ``t = tn/td
+    >= 0``, so the cut-off is an integer square root.
+    """
+    x = (t.numerator * denom) ** 2
+    y = radicand * t.denominator ** 2
+    if strict:
+        return math.isqrt(-(-x // y) - 1) if x else -1
+    return math.isqrt(x // y)
 
 
 def _as_exact(value) -> Union[Fraction, SqrtSum]:
@@ -136,22 +169,9 @@ def _as_exact(value) -> Union[Fraction, SqrtSum]:
 # -- half-sum generation -----------------------------------------------------
 
 
-def _half_sums_int(weights: Sequence[int]) -> list[int]:
-    sums = [0]
-    for w in weights:
-        sums = [s - w for s in sums] + [s + w for s in sums]
-    return sums
-
-
-def _half_sums_exact(values: Sequence) -> list:
-    sums = [Fraction(0)]
-    for v in values:
-        sums = [s - v for s in sums] + [s + v for s in sums]
-    return sums
-
-
-def _half_sums_float(values: Sequence[float]) -> np.ndarray:
-    sums = np.zeros(1, dtype=np.float64)
+def _half_sums(values: Sequence, dtype) -> np.ndarray:
+    """All 2^len(values) signed sums, each accumulated in index order."""
+    sums = np.zeros(1, dtype=dtype)
     for v in values:
         sums = np.concatenate([sums - v, sums + v])
     return sums
@@ -160,21 +180,25 @@ def _half_sums_float(values: Sequence[float]) -> np.ndarray:
 # -- pair counting -----------------------------------------------------------
 
 
-def _count_pairs_int(left, right_sorted, tn: int, td: int, scale: int, strict: bool) -> int:
-    """Pairs with |(sl+sr)/scale| <= tn/td (or < when strict), all integers."""
-    c = tn * scale
-    total = 0
-    for sl in left:
-        base = sl * td
-        if strict:
-            hi = -((base - c) // td) - 1  # sr*td <  c - base
-            lo = (-c - base) // td + 1    # sr*td > -c - base
-        else:
-            hi = (c - base) // td         # sr*td <=  c - base
-            lo = -((c + base) // td)      # sr*td >= -c - base
-        if lo <= hi:
-            total += bisect_right(right_sorted, hi) - bisect_left(right_sorted, lo)
-    return total
+def _count_within(ints: Sequence[int], split: int, cutoff: int) -> int:
+    """Sign patterns with ``|eps . ints| <= cutoff``: the right half's sums
+    sorted once, two ``searchsorted`` calls for all left sums.
+
+    Every partial sum is bounded by ``sum|ints|``, so int64 is exact while
+    that bound plus the cut-off stays below 2^62; beyond it the same code
+    runs on Python ints in object arrays.
+    """
+    if cutoff < 0:
+        return 0
+    bound = sum(abs(a) for a in ints)
+    cutoff = min(cutoff, bound)
+    dtype = np.int64 if bound + cutoff < 1 << 62 else object
+    # Sorted needles keep successive binary searches in the same cache lines.
+    left = np.sort(_half_sums(ints[:split], dtype))
+    right = np.sort(_half_sums(ints[split:], dtype))
+    hi = np.searchsorted(right, cutoff - left, side="right")
+    lo = np.searchsorted(right, -cutoff - left, side="left")
+    return int(np.sum(hi - lo))
 
 
 def _count_pairs_exact(left, right_sorted, t, strict: bool) -> int:
@@ -291,21 +315,18 @@ def signed_sum_count(
 
     if mode == FLOAT:
         vals = [float(v) for v in values]
-        left = _half_sums_float(vals[:split])
-        right = _half_sums_float(vals[split:])
+        left = _half_sums(vals[:split], np.float64)
+        right = _half_sums(vals[split:], np.float64)
         hits = _count_pairs_float(left, right, t, strict, workers)
         return hits, total
 
-    scaling = _int_scaling(values)
-    if scaling is not None and isinstance(t, Fraction):
-        ints, denom = scaling
-        left = _half_sums_int(ints[:split])
-        right = sorted(_half_sums_int(ints[split:]))
-        hits = _count_pairs_int(left, right, t.numerator, t.denominator, denom, strict)
-        return hits, total
+    reduced = _common_radical(values) if isinstance(t, Fraction) else None
+    if reduced is not None:
+        ints, denom, radicand = reduced
+        return _count_within(ints, split, _int_cutoff(t, denom, radicand, strict)), total
     exact_vals = [_as_exact(v) for v in values]
-    left = _half_sums_exact(exact_vals[:split])
-    right = sorted(_half_sums_exact(exact_vals[split:]))
+    left = _half_sums(exact_vals[:split], object)
+    right = sorted(_half_sums(exact_vals[split:], object))
     hits = _count_pairs_exact(left, right, t, strict)
     return hits, total
 
@@ -359,15 +380,18 @@ def threshold_probability_naive(
     if w.mode == FLOAT:
         vals = [float(v) for v in w.values]
         split = n - n // 2
-        left = _half_sums_float(vals[:split])
-        right = _half_sums_float(vals[split:])
+        left = _half_sums(vals[:split], np.float64)
+        right = _half_sums(vals[split:], np.float64)
         sums = np.abs(np.add.outer(left, right)).ravel()
         hits = int(np.count_nonzero(sums < t if strict else sums <= t))
         return hits / total
 
-    scaling = _int_scaling(w.values)
-    if scaling is not None and isinstance(t, Fraction):
-        ints, denom = scaling
+    # Only rational weights take the integer walk: it compares with t
+    # directly, never through the square-root cut-off of the MITM path, so
+    # one-radicand weights are checked against radical arithmetic below.
+    reduced = _common_radical(w.values) if isinstance(t, Fraction) else None
+    if reduced is not None and reduced[2] == 1:
+        ints, denom, _ = reduced
         c = t.numerator * denom
         td = t.denominator
         signs = [1] * n
@@ -440,16 +464,16 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     if w.mode == FLOAT:
         vals = [float(v) for v in w.values]
         split = n - n // 2
-        left = _half_sums_float(vals[:split])
-        right = _half_sums_float(vals[split:])
+        left = _half_sums(vals[:split], np.float64)
+        right = _half_sums(vals[split:], np.float64)
         sums = np.add.outer(left, right).ravel()
         uniq, counts = np.unique(sums, return_counts=True)
         entries = tuple((float(v), int(c)) for v, c in zip(uniq, counts))
         return SumDistribution(entries=entries, n=n, mode=FLOAT)
 
-    scaling = _int_scaling(w.values)
-    if scaling is not None:
-        ints, denom = scaling
+    reduced = _common_radical(w.values)
+    if reduced is not None:
+        ints, denom, radicand = reduced
         dist: dict[int, int] = {0: 1}
         for a in ints:
             nxt: dict[int, int] = {}
@@ -457,9 +481,12 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
                 nxt[s - a] = nxt.get(s - a, 0) + c
                 nxt[s + a] = nxt.get(s + a, 0) + c
             dist = nxt
-        entries = tuple(
-            (Fraction(s, denom), dist[s]) for s in sorted(dist)
-        )
+
+        def value(s: int) -> Value:  # s*sqrt(D)/L
+            q = Fraction(s, denom)
+            return q if radicand == 1 or not s else SqrtSum({radicand: q})
+
+        entries = tuple((value(s), dist[s]) for s in sorted(dist))
         return SumDistribution(entries=entries, n=n, mode=EXACT)
 
     gen: dict[SqrtSum, int] = {SqrtSum(): 1}
@@ -550,11 +577,13 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         raise WrongCaseError("not case 2: x1 + x2 > 1, events A_2..A_n do not cover")
 
     exact = w.mode == EXACT
-    scaling = _int_scaling(w.values) if exact else None
+    reduced = _common_radical(w.values) if exact else None
+    # The cut-offs 1 - x_{k+1} mix rational and radical parts unless D == 1.
+    scaling = reduced if reduced is not None and reduced[2] == 1 else None
     ties: list = []
 
     if scaling is not None:
-        ints, denom = scaling
+        ints, denom, _ = scaling
         vals: Sequence = ints
         one = denom
     elif exact:
@@ -617,7 +646,9 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         stack.append((depth + 1, s + v))
 
     total = 1 << n
-    assert 2 * sum(prob_count.values()) == total
+    mass = 2 * sum(prob_count.values())
+    if mass != total:
+        raise SoundnessError(f"partition mass {mass} != 2^{n}: events A_2..A_n do not cover")
     ks = tuple(range(2, n + 1))
     if exact:
         probs = tuple(Fraction(2 * prob_count[k], total) for k in ks)

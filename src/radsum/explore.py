@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import crossing_point, g, h, minmax_bound
 from .engine import DEFAULT_MITM_LIMIT, admissible_count
-from .errors import InputError
+from .errors import InputError, SoundnessError
 from .weights import EXACT, FLOAT, WeightVector, canonicalize
 
 _MC_BLOCK = 1 << 16
@@ -381,10 +381,14 @@ def minimize_probability(
                 step /= 2
         restart += 1
 
-    assert best_w is not None and best_p is not None
+    if best_w is None or best_p is None:
+        raise SoundnessError(f"search evaluated no valid candidate in {evals} steps")
     hits, total = admissible_count(best_w, 1.0, limit=lim, workers=workers)
     recomputed = Fraction(hits, total)
-    assert recomputed == best_p  # search never trusts a stale objective
+    if recomputed != best_p:  # search never trusts a stale objective
+        raise SoundnessError(
+            f"search objective {best_p} does not match its recomputation {recomputed}"
+        )
     return SearchResult(
         best_w=best_w,
         best_prob=recomputed,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .algebraic import SqrtSum
-from .errors import DegenerateVectorError, InputError
+from .errors import DegenerateVectorError, InputError, SoundnessError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -138,7 +138,9 @@ def canonicalize(raw: Sequence, mode: str = FLOAT) -> WeightVector:
             r_norm = math.sqrt(math.fsum(v * v for v in ratios))
             scaled = sorted((v / r_norm for v in ratios), reverse=True)
             norm = top * r_norm
-        assert abs(math.fsum(v * v for v in scaled) - 1.0) <= FLOAT_NORM_TOL
+        norm_err = abs(math.fsum(v * v for v in scaled) - 1.0)
+        if not norm_err <= FLOAT_NORM_TOL:
+            raise SoundnessError(f"float renormalization left |x|^2 off 1 by {norm_err}")
         return WeightVector(
             values=tuple(scaled),
             squares=tuple(v * v for v in scaled),

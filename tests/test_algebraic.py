@@ -1,6 +1,7 @@
 """Exact radical arithmetic: representation, field ops, ordering."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -172,3 +173,137 @@ class TestEqualityAndHashing:
         v = Fraction(1, 2) + 3 * exact_sqrt(2) - exact_sqrt(5)
         s = str(v)
         assert "1/2" in s and "sqrt(2)" in s and "sqrt(5)" in s
+
+
+def interval_sign(v: SqrtSum) -> int:
+    """Sign from isqrt brackets alone, at doubling precision: the reference
+    for the float filter in SqrtSum.sign."""
+    terms = v.terms
+    if not terms:
+        return 0
+    prec = 32
+    while True:
+        lo = hi = Fraction(0)
+        for d, c in terms.items():
+            r = math.isqrt(d << (2 * prec))
+            below, above = Fraction(r, 1 << prec), Fraction(r + 1, 1 << prec)
+            lo += c * (below if c > 0 else above)
+            hi += c * (above if c > 0 else below)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+
+
+def decimal_value(v: SqrtSum, digits: int = 200) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = Decimal(0)
+        for d, c in v.terms.items():
+            total += Decimal(c.numerator) / Decimal(c.denominator) * Decimal(d).sqrt()
+        return total
+
+
+def rounded(value: Decimal, digits: int) -> Fraction:
+    """``value`` rounded to ``digits`` decimal places, as a Fraction."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        return Fraction(value.quantize(Decimal(1).scaleb(-digits)))
+
+
+def assert_float_close(v: SqrtSum) -> None:
+    exact = decimal_value(v)
+    assert abs(Decimal(float(v)) - exact) <= abs(exact) * Decimal(2) ** -48
+
+
+def pell_pairs(limit: int):
+    """(p, q) with p^2 - 2q^2 = +-1, q up to ``limit``."""
+    p, q = 1, 1
+    while q <= limit:
+        yield p, q
+        p, q = p + 2 * q, p + q
+
+
+MERSENNE_521 = 2**521 - 1  # prime, so squarefree; sqrt ~ 2.6e78
+
+
+class TestFloatFilter:
+    """SqrtSum.sign decides from a float sum when its error bound allows and
+    must agree with the interval sign everywhere."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 9699690, 2**61 - 1]),
+                st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**12),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sign_matches_interval_sign(self, terms, digits):
+        v = SqrtSum()
+        for d, c in terms:
+            v = v + c * exact_sqrt(d)
+        # Subtracting a `digits`-place rational approximation leaves a value
+        # far below its terms' size, the regime where the filter must abstain.
+        w = v - rounded(decimal_value(v), digits)
+        for x in (v, w):
+            assert x.sign() == interval_sign(x)
+
+    def test_pell_near_cancellations(self):
+        for p, q in pell_pairs(10**30):
+            for pp in (p - 1, p, p + 1):
+                v = q * exact_sqrt(2) - pp
+                expected = (2 * q * q > pp * pp) - (2 * q * q < pp * pp)
+                assert v.sign() == expected == interval_sign(v)
+                if pp == p and q > 10**6:
+                    assert_float_close(v)
+
+    def test_huge_and_tiny_coefficients_fall_through(self):
+        big, tiny = Fraction(10**400), Fraction(1, 10**400)
+        p, q = 886731088897, 627013566048  # p/q - sqrt(2) ~ 1e-24
+        cases = [
+            big * (exact_sqrt(2) - exact_sqrt(3)),
+            tiny * (exact_sqrt(3) - exact_sqrt(2)),
+            big * exact_sqrt(2) - big * Fraction(p, q),
+            tiny * exact_sqrt(2) - tiny * Fraction(p, q),
+            big * exact_sqrt(2) - tiny,
+            tiny * exact_sqrt(2) - tiny * exact_sqrt(3) + Fraction(1, 10**10),
+            SqrtSum({MERSENNE_521: Fraction(1), 1: -Fraction(10**79)}),
+        ]
+        for v in cases[:4]:
+            assert v._float_estimate() is None  # overflow, or a zero float coefficient
+        for v in cases:
+            assert v.sign() == interval_sign(v)
+        assert_float_close(tiny * 10**400 * exact_sqrt(2) - Fraction(p, q))
+
+    def test_subnormal_coefficient_is_not_trusted(self):
+        # float(c) for c = 1e-320 is subnormal and off by ~5e-4 of c, while
+        # c*sqrt(M) ~ 2.6e-242 sits well inside the filter's range.  Choose
+        # r between c*sqrt(M) and float(c)*sqrt(M): the float sum has the
+        # wrong sign by a margin far above the (m+4)*2^-52 bound.
+        c = Fraction(1, 10**320)
+        rel = Fraction(float(c)) / c - 1
+        assert abs(rel) > Fraction(1, 10**5)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            root = Decimal(MERSENNE_521).sqrt()
+        r = c * Fraction(root) * (1 + rel / 2)
+        v = SqrtSum({MERSENNE_521: c, 1: -r})
+        assert v.sign() == interval_sign(v) == (-1 if rel > 0 else 1)
+
+    def test_cancelling_sum_of_many_terms(self):
+        radicands = [d for d in range(2, 200) if all(d % (k * k) for k in range(2, 15))][:40]
+        v = SqrtSum()
+        for i, d in enumerate(radicands):
+            v = v + Fraction((-1) ** i * (i + 1), 7 + i) * exact_sqrt(d)
+        exact = decimal_value(v)
+        for digits in (10, 30, 60, 90):
+            approx = rounded(exact, digits)
+            for w in (v - approx, approx - v, v - approx - Fraction(1, 10 ** (digits + 5))):
+                assert w.sign() == interval_sign(w)
+                assert_float_close(w)

@@ -1,11 +1,15 @@
 """CLI: subcommand behavior, schemas, exit codes, determinism."""
 
+import builtins
+import itertools
 import json
+import math
+import types
 from fractions import Fraction
 
 import pytest
 
-from radsum import cli
+from radsum import InputError, cli
 from radsum.cli import RunConfig, main
 
 
@@ -43,6 +47,15 @@ class TestCertify:
         assert doc["result"]["case"] == "case1"
         assert doc["result"]["final_bound"]["decimal"] == "0.5"
         assert "exact" not in doc["result"]["final_bound"]
+
+
+    def test_cancelling_radical_bound_renders_faithfully(self, capsys):
+        # final_bound's coefficients reach ~1e23 and cancel to ~0.4; a plain
+        # float sum of the terms printed 0.4375.
+        code, doc, _ = run_json(capsys, "certify", "sq:208,673,158,354,295,383", "--no-timestamp")
+        assert code == 0
+        assert doc["result"]["case"] == "case1"
+        assert abs(float(doc["result"]["final_bound"]["decimal"]) - 0.39650994018157496) < 1e-15
 
 
 class TestExact:
@@ -200,6 +213,44 @@ class TestErrorsAndExitCodes:
         )
         assert code == 0
         assert float(doc["result"]["probability"]["decimal"]) == 0.875
+
+
+class TestInvariantViolations:
+    """Internal invariants raise SoundnessError, which survives python -O
+    and maps to exit code 3.  Each case injects the fault it guards against."""
+
+    @pytest.mark.parametrize(
+        "site", ["partition_mass", "float_norm", "search_no_candidate", "search_recomputed"]
+    )
+    def test_forced_violation_exits_3(self, capsys, monkeypatch, site):
+        from radsum import engine, explore, weights
+
+        if site == "partition_mass":
+            # One extra pattern in the event masses.
+            monkeypatch.setattr(engine, "sum", lambda xs: builtins.sum(xs) + 1, raising=False)
+            argv = ["partition", "sq:1/4,1/4,1/4,1/4"]
+        elif site == "float_norm":
+            # A renormalization that divides by twice the norm.
+            fake_math = types.SimpleNamespace(**vars(math))
+            fake_math.sqrt = lambda x: 2 * math.sqrt(x)
+            monkeypatch.setattr(weights, "math", fake_math)
+            argv = ["mc", "3,4", "--samples", "100"]
+        elif site == "search_no_candidate":
+            def reject(*args, **kwargs):
+                raise InputError("rejected")
+
+            monkeypatch.setattr(explore, "canonicalize", reject)
+            argv = ["search", "--n", "3", "--budget", "2", "--seed", "0"]
+        else:
+            calls = itertools.count()
+            monkeypatch.setattr(
+                explore, "admissible_count", lambda w, t, **kw: (next(calls), 1 << w.n)
+            )
+            argv = ["search", "--n", "3", "--budget", "1", "--seed", "0"]
+        code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 3
+        assert out == ""
+        assert "SOUNDNESS FAILURE" in err
 
 
 class TestDeterminismAndConfig:

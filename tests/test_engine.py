@@ -173,14 +173,16 @@ class TestOracleEquivalence:
         # these scales float arithmetic is exact, so the float searchsorted
         # refinement must agree bit for bit with brute force AND with the
         # exact engine.
-        from radsum.engine import _half_sums_float, signed_sum_count
+        from radsum.engine import _half_sums, signed_sum_count
 
         for _ in range(30):
             n = int(rng.integers(1, 11))
             vals = [float(v) / 8.0 for v in rng.integers(-8, 9, size=n)]
             split = n - n // 2
             sums = np.abs(
-                np.add.outer(_half_sums_float(vals[:split]), _half_sums_float(vals[split:]))
+                np.add.outer(
+                    _half_sums(vals[:split], np.float64), _half_sums(vals[split:], np.float64)
+                )
             ).ravel()
             fracs = [Fraction(v) for v in vals]
             for t in (0.0, 0.25, 0.5, 1.0, 1.125):
@@ -370,3 +372,117 @@ class TestPrefixPartition:
         rf = prefix_partition(canonicalize([0.5] * 4, FLOAT))
         assert [float(p) for p in re_.probs] == list(rf.probs)
         assert float(re_.total_prob) == rf.total_prob
+
+
+def one_radicand_vector(rng, n: int, hi: int = 30):
+    """canonicalize(ints, "exact") with an irrational norm (n >= 2): every
+    weight is a rational multiple of one shared sqrt(D), D > 1."""
+    while True:
+        a = [int(v) for v in rng.integers(1, hi, size=n)]
+        norm_sq = sum(v * v for v in a)
+        if math.isqrt(norm_sq) ** 2 != norm_sq:
+            return canonicalize(a, EXACT)
+
+
+class TestSharedRadicandReduction:
+    """The integer path (x_i = a_i*sqrt(D)/L, cut-off from isqrt) against
+    SqrtSum pair counting and the naive enumeration."""
+
+    @staticmethod
+    def _radical_pairs(values, t, strict):
+        from radsum.engine import _count_pairs_exact, _half_sums
+
+        split = len(values) - len(values) // 2
+        left = _half_sums(values[:split], object)
+        right = sorted(_half_sums(values[split:], object))
+        return _count_pairs_exact(left, right, t, strict)
+
+    def test_reduction_recovers_values(self, rng):
+        from radsum.engine import _common_radical
+
+        w = one_radicand_vector(rng, 7)
+        ints, denom, radicand = _common_radical(w.values)
+        assert radicand > 1
+        assert [exact_sqrt(radicand) * Fraction(a, denom) for a in ints] == list(w.values)
+        ints, denom, radicand = _common_radical(rational_unit_vector(rng, 6).values)
+        assert radicand == 1
+        # zeros fit any radicand; a rational and a radical entry do not mix
+        assert _common_radical([Fraction(0), exact_sqrt(2), 3 * exact_sqrt(2)]) == ([0, 1, 3], 1, 2)
+        assert _common_radical([Fraction(1), exact_sqrt(2)]) is None
+        assert _common_radical(from_squares([1, 2, 3]).values) is None
+
+    @pytest.mark.parametrize("kind", ["rational", "one_radicand"])
+    def test_matches_radical_pairs_and_naive(self, rng, kind):
+        for n in (1 if kind == "rational" else 2, 3, 5, 8, 11, 14):
+            if kind == "rational":
+                w = rational_unit_vector(rng, n)
+            else:
+                w = one_radicand_vector(rng, n)
+            ts = [Fraction(1)]
+            if n < 14:  # the radical naive walk takes about a second at n = 14
+                ts += [Fraction(0), Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 17)))]
+            if kind == "rational":
+                # an achieved |sum| makes the boundary a tie
+                dist = sum_distribution(w)
+                ts.append(abs(dist.entries[int(rng.integers(0, len(dist.entries)))][0]))
+            for t in ts:
+                for strict in (False, True):
+                    p = threshold_probability(w, t, strict)
+                    assert p == Fraction(self._radical_pairs(list(w.values), t, strict), 2**n)
+                    assert p == threshold_probability_naive(w, t, strict)
+
+    def test_zero_threshold_counts_only_exact_cancellation(self):
+        # x = (2, 1, 1)*sqrt(6)/6: a signed sum is zero only for +-(2 - 1 - 1),
+        # and no nonzero sum s*sqrt(6)/6 can equal a rational t.
+        w = canonicalize([1, 1, 2], EXACT)
+        assert threshold_probability(w, 0) == Fraction(2, 8)
+        assert threshold_probability(w, 0) == threshold_probability_naive(w, 0)
+        assert threshold_probability(w, 0, strict=True) == 0
+
+    @staticmethod
+    def _brute(values, cutoff):
+        return sum(
+            1
+            for signs in itertools.product((-1, 1), repeat=len(values))
+            if abs(sum(s * v for s, v in zip(signs, values))) <= cutoff
+        )
+
+    @pytest.mark.parametrize("scale, dtype", [(2**62, object), (2**57, np.int64)])
+    def test_big_magnitudes_take_the_right_dtype(self, rng, monkeypatch, scale, dtype):
+        from radsum import engine
+
+        seen = set()
+        real = engine._half_sums
+
+        def spy(values, dt):
+            seen.add(dt)
+            return real(values, dt)
+
+        monkeypatch.setattr(engine, "_half_sums", spy)
+        for _ in range(8):
+            n = int(rng.integers(1, 11))
+            vals = [scale + int(v) for v in rng.integers(-50, 50, size=n)]
+            vals[0] = -vals[0]
+            for t in (Fraction(0), Fraction(100), Fraction(scale), Fraction(3 * scale + 7)):
+                for strict in (False, True):
+                    hits, total = engine.signed_sum_count(vals, t, EXACT, strict)
+                    cutoff = t - 1 if strict and t.denominator == 1 else t
+                    expected = self._brute(vals, cutoff) if (t or not strict) else 0
+                    assert (hits, total) == (expected, 2**n)
+        assert seen == {dtype}
+
+    def test_one_radicand_distribution_matches_radical_enumeration(self, rng):
+        from radsum.algebraic import SqrtSum
+
+        for _ in range(5):
+            w = one_radicand_vector(rng, int(rng.integers(2, 9)))
+            counts = {}
+            for signs in itertools.product((-1, 1), repeat=w.n):
+                s = SqrtSum()
+                for sg, v in zip(signs, w.values):
+                    s = s + sg * v
+                counts[s] = counts.get(s, 0) + 1
+            expected = tuple(
+                (s.as_fraction() if s.is_rational else s, counts[s]) for s in sorted(counts)
+            )
+            assert sum_distribution(w).entries == expected
