@@ -96,20 +96,19 @@ def crossing_point(k: int, *, check: bool = True) -> Fraction:
     return cp
 
 
-def minmax_bound(k: int, *, verify_grid: int = 0, tol: Optional[float] = None) -> Fraction:
+def minmax_bound(k: int, *, verify_grid: int = 0) -> Fraction:
     """min over [0,1] of max(g_k, h_k), attained at the crossing: g_k(1/(k+1)).
 
     ``verify_grid > 0`` additionally grid-minimizes max(g, h) in float and
     checks agreement.  The minimum sits at a kink, so the grid overshoots by
-    up to |slope| * cell; the default tolerance is one cell width (slopes of
-    g and h near the crossing are below 1).
+    up to |slope| * cell; the tolerance is one cell width (slopes of g and h
+    near the crossing are below 1).
     """
     value = g(k, crossing_point(k, check=False))
     if verify_grid:
         if verify_grid < 3:
             raise InputError("invalid input: verify_grid must be >= 3")
-        if tol is None:
-            tol = 1.0 / (verify_grid - 1)
+        tol = 1.0 / (verify_grid - 1)
         import numpy as np
 
         xs = np.linspace(0.0, 1.0, verify_grid)

@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -26,27 +25,13 @@ from typing import Optional
 
 from . import bounds, engine, explore
 from .errors import InputError, RadsumError, SizeLimitError, SoundnessError
-from .render import render_number
+from .render import exact_str, render_number
 from .weights import EXACT, FLOAT, WeightVector, canonicalize, parse_weights
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SIZE = 2
 EXIT_SOUNDNESS = 3
-
-SUBCOMMANDS = (
-    "exact",
-    "distribution",
-    "partition",
-    "certify",
-    "hybrid",
-    "decomp-check",
-    "mc",
-    "lemmas",
-    "search",
-)
-
-_WEIGHT_COMMANDS = ("exact", "distribution", "partition", "certify", "hybrid", "decomp-check", "mc")
 
 _GRAMMAR_HELP = (
     "weight vector: decimal list '0.8,0.6' (float mode) or squared rationals "
@@ -74,7 +59,6 @@ class RunConfig:
     confidence: float = 0.99
     full_limit: int = engine.DEFAULT_FULL_LIMIT
     mitm_limit: int = engine.DEFAULT_MITM_LIMIT
-    workers: int = 1
     output: Optional[str] = None
     fmt: Optional[str] = None
     timestamp: bool = True
@@ -94,14 +78,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("RADSUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="radsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="|".join(SUBCOMMANDS))
@@ -115,8 +91,6 @@ def build_parser() -> _Parser:
                        help="full-enumeration size limit")
         p.add_argument("--mitm-limit", type=int, default=engine.DEFAULT_MITM_LIMIT,
                        help="meet-in-the-middle size limit")
-        p.add_argument("--workers", type=int, default=_default_workers(),
-                       help="worker threads (default from RADSUM_THREADS)")
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
         p.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                        help="suppress the timestamp field for diff-able output")
@@ -172,21 +146,13 @@ def parse_config(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
     if not ns.subcommand:
         raise InputError(f"missing subcommand; expected one of: {', '.join(SUBCOMMANDS)}")
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for field in (
-        "weights", "mode", "strict", "exact_check", "samples", "seed", "budget",
-        "n", "k_max", "grid_points", "confidence", "full_limit", "mitm_limit",
-        "workers", "output", "timestamp",
-    ):
-        if hasattr(ns, field):
-            setattr(cfg, field, getattr(ns, field))
-    if hasattr(ns, "threshold"):
-        cfg.t = ns.threshold
-    if hasattr(ns, "format"):
-        cfg.fmt = ns.format
-    if cfg.workers < 1:
-        raise InputError("invalid input: --workers must be >= 1")
-    return cfg
+    args = vars(ns)
+    # Two fields are named differently from their flags.
+    for flag, field in (("threshold", "t"), ("format", "fmt")):
+        if flag in args:
+            args[field] = args.pop(flag)
+    fields = (f.name for f in dataclasses.fields(RunConfig))
+    return RunConfig(**{name: args[name] for name in fields if name in args})
 
 
 def _resolve_weights(cfg: RunConfig) -> WeightVector:
@@ -221,215 +187,246 @@ def _weights_json(w: WeightVector) -> list:
     return [render_number(v, w.mode) for v in w.values]
 
 
+def _csv(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# Each handler returns (result, exit code, warning text): a dict result is
+# wrapped in the JSON envelope by ``execute``, a str result is CSV text.
+# Handlers call engine, bounds and explore functions through their modules,
+# so rebinding a module attribute (as tracing and tests do) reaches every
+# call; the table holds the handlers, never those functions.
+
+
+def _exact(cfg: RunConfig):
+    w = _resolve_weights(cfg)
+    t = _parse_threshold(cfg, w.mode)
+    p = engine.threshold_probability(w, t, cfg.strict, limit=cfg.mitm_limit)
+    result = {
+        "n": w.n,
+        "weights": _weights_json(w),
+        "t": render_number(t, w.mode),
+        "strict": cfg.strict,
+        "probability": render_number(p, w.mode),
+    }
+    return result, EXIT_OK, ""
+
+
+def _distribution(cfg: RunConfig):
+    w = _resolve_weights(cfg)
+    dist = engine.sum_distribution(w, limit=cfg.full_limit)
+    if cfg.fmt == "json":
+        result = {
+            "n": dist.n,
+            "weights": _weights_json(w),
+            "entries": [
+                {
+                    "value": render_number(v, w.mode),
+                    "count": c,
+                    "probability": render_number(
+                        Fraction(c, dist.total) if w.mode == EXACT else c / dist.total,
+                        w.mode,
+                    ),
+                }
+                for v, c in dist.entries
+            ],
+        }
+        return result, EXIT_OK, ""
+    if w.mode == EXACT:
+        header = ["value", "value_exact", "count", "probability", "probability_exact"]
+        probs = (Fraction(c, dist.total) for _, c in dist.entries)
+        rows = (
+            [repr(float(v)), exact_str(v), c, repr(float(p)), str(p)]
+            for (v, c), p in zip(dist.entries, probs)
+        )
+    else:
+        header = ["value", "count", "probability"]
+        rows = ([repr(float(v)), c, repr(c / dist.total)] for v, c in dist.entries)
+    return _csv(header, rows), EXIT_OK, ""
+
+
+def _partition(cfg: RunConfig):
+    w = _resolve_weights(cfg)
+    report = engine.prefix_partition(w, limit=cfg.full_limit)
+    result = {
+        "n": report.n,
+        "weights": _weights_json(w),
+        "total_prob": render_number(report.total_prob, w.mode),
+        "events": [
+            {
+                "k": k,
+                "prob": render_number(report.probs[i], w.mode),
+                "joint": render_number(report.joints[i], w.mode),
+                "cond": (
+                    render_number(report.conds[i], w.mode)
+                    if report.conds[i] is not None
+                    else None
+                ),
+            }
+            for i, k in enumerate(report.ks)
+        ],
+        "boundary_ties": [list(tie) for tie in report.boundary_ties],
+    }
+    return result, EXIT_OK, ""
+
+
+def _certify(cfg: RunConfig):
+    w = _resolve_weights(cfg)
+    cert = bounds.theorem_bound(
+        w, exact_check=True if cfg.exact_check else "auto", limit=cfg.mitm_limit
+    )
+    bounds.verify_certificate(cert)
+    result = cert.to_json_dict()
+    result["weights"] = _weights_json(w)
+    return result, EXIT_OK, ""
+
+
+def _hybrid(cfg: RunConfig):
+    w = _resolve_weights(cfg)
+    hb = bounds.hybrid_bound(w, limit=cfg.full_limit)
+    cert = bounds.case2_certificate(w)
+    result = {
+        "weights": _weights_json(w),
+        "hybrid_bound": render_number(hb, w.mode),
+        "certificate_bound": render_number(cert.final_bound, w.mode),
+    }
+    return result, EXIT_OK, ""
+
+
+def _decomp_check(cfg: RunConfig):
+    w = _resolve_weights(cfg)
+    report = bounds.decomposition_check(w, limit=cfg.mitm_limit)
+    result = report.to_json_dict()
+    result["weights"] = _weights_json(w)
+    result["holds"] = True
+    return result, EXIT_OK, ""
+
+
+def _mc(cfg: RunConfig):
+    w = _resolve_weights(cfg)
+    t = _parse_threshold(cfg, FLOAT)
+    est = explore.monte_carlo(
+        w, t, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence
+    )
+    lo, hi = est.interval
+    result = {
+        "weights": _weights_json(w),
+        "t": render_number(t, FLOAT),
+        "estimate": render_number(est.estimate, FLOAT),
+        "half_width": render_number(est.half_width, FLOAT),
+        "center": render_number(est.center, FLOAT),
+        "interval": [render_number(lo, FLOAT), render_number(hi, FLOAT)],
+        "confidence": est.confidence,
+        "samples": est.samples,
+        "seed": est.seed,
+    }
+    return result, EXIT_OK, ""
+
+
+def _lemmas(cfg: RunConfig):
+    cfg.mode = cfg.mode or FLOAT
+    report = explore.lemma_sweep(cfg.k_max, cfg.grid_points, mode=cfg.mode)
+    code, warn = EXIT_OK, ""
+    if not report.ok:
+        code = EXIT_SOUNDNESS
+        warn = "\n".join(f"lemma violation: {v}" for v in report.violations)
+    if cfg.fmt == "json":
+        result = {
+            "k_max": report.k_max,
+            "grid_points": report.grid_points,
+            "mode": report.mode,
+            "ok": report.ok,
+            "minmax_nondecreasing": report.minmax_nondecreasing,
+            "violations": list(report.violations),
+            "rows": [
+                {
+                    "k": r.k,
+                    "crossing_x": render_number(r.crossing_x, EXACT),
+                    "g_at_crossing": render_number(r.g_at_crossing, EXACT),
+                    "h_at_crossing": render_number(r.h_at_crossing, EXACT),
+                    "minmax": render_number(r.minmax, EXACT),
+                    "monotone_g_ok": r.monotone_g_ok,
+                    "monotone_h_ok": r.monotone_h_ok,
+                    "min_location_ok": r.min_location_ok,
+                }
+                for r in report.rows
+            ],
+        }
+        return result, code, warn
+    header = ["k", "crossing_x", "g_at_crossing", "h_at_crossing", "minmax",
+              "monotone_g_ok", "monotone_h_ok"]
+    rows = (
+        [
+            r.k,
+            repr(float(r.crossing_x)),
+            repr(float(r.g_at_crossing)),
+            repr(float(r.h_at_crossing)),
+            repr(float(r.minmax)),
+            str(r.monotone_g_ok).lower(),
+            str(r.monotone_h_ok).lower(),
+        ]
+        for r in report.rows
+    )
+    return _csv(header, rows), code, warn
+
+
+def _search(cfg: RunConfig):
+    cfg.mode = cfg.mode or FLOAT
+    res = explore.minimize_probability(cfg.n, cfg.budget, cfg.seed, limit=cfg.mitm_limit)
+    code, warn = EXIT_OK, ""
+    if res.counterexample_candidate:
+        code = EXIT_SOUNDNESS
+        warn = (
+            "COUNTEREXAMPLE CANDIDATE: search found probability "
+            f"{float(res.best_prob)!r} = {res.best_prob} below the 0.36 floor; "
+            "verify independently before trusting either the search or the bound"
+        )
+    result = {
+        "n": res.n,
+        "seed": res.seed,
+        "budget_used": res.budget_used,
+        "best_prob": render_number(res.best_prob, FLOAT),
+        "best_prob_exact": str(res.best_prob),
+        "best_w": _weights_json(res.best_w),
+        "counterexample_candidate": res.counterexample_candidate,
+        "trajectory": [
+            {"evaluations": e, "probability": render_number(p, FLOAT)}
+            for e, p in res.trajectory
+        ],
+    }
+    return result, code, warn
+
+
+_HANDLERS = {
+    "exact": _exact,
+    "distribution": _distribution,
+    "partition": _partition,
+    "certify": _certify,
+    "hybrid": _hybrid,
+    "decomp-check": _decomp_check,
+    "mc": _mc,
+    "lemmas": _lemmas,
+    "search": _search,
+}
+
+SUBCOMMANDS = tuple(_HANDLERS)
+
+
 def execute(cfg: RunConfig) -> tuple[int, str, str]:
     """Run the configured command.
 
     Returns (exit code, output text, warning text for stderr).
     """
-    code = EXIT_OK
-    warn = ""
-
-    if cfg.subcommand in _WEIGHT_COMMANDS:
-        w = _resolve_weights(cfg)
-    else:
-        w = None
-        cfg.mode = cfg.mode or FLOAT
-
-    if cfg.subcommand == "exact":
-        t = _parse_threshold(cfg, w.mode)
-        p = engine.threshold_probability(
-            w, t, cfg.strict, limit=cfg.mitm_limit, workers=cfg.workers
-        )
-        result = {
-            "n": w.n,
-            "weights": _weights_json(w),
-            "t": render_number(t, w.mode),
-            "strict": cfg.strict,
-            "probability": render_number(p, w.mode),
-        }
-        return code, _json_doc(cfg, result), warn
-
-    if cfg.subcommand == "distribution":
-        dist = engine.sum_distribution(w, limit=cfg.full_limit)
-        if cfg.fmt == "json":
-            result = {
-                "n": dist.n,
-                "weights": _weights_json(w),
-                "entries": [
-                    {
-                        "value": render_number(v, w.mode),
-                        "count": c,
-                        "probability": render_number(
-                            Fraction(c, dist.total) if w.mode == EXACT else c / dist.total,
-                            w.mode,
-                        ),
-                    }
-                    for v, c in dist.entries
-                ],
-            }
-            return code, _json_doc(cfg, result), warn
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if w.mode == EXACT:
-            writer.writerow(["value", "value_exact", "count", "probability", "probability_exact"])
-            for v, c in dist.entries:
-                p = Fraction(c, dist.total)
-                writer.writerow([repr(float(v)), _exact_text(v), c, repr(float(p)), str(p)])
-        else:
-            writer.writerow(["value", "count", "probability"])
-            for v, c in dist.entries:
-                writer.writerow([repr(float(v)), c, repr(c / dist.total)])
-        return code, buf.getvalue(), warn
-
-    if cfg.subcommand == "partition":
-        report = engine.prefix_partition(w, limit=cfg.full_limit)
-        result = {
-            "n": report.n,
-            "weights": _weights_json(w),
-            "total_prob": render_number(report.total_prob, w.mode),
-            "events": [
-                {
-                    "k": k,
-                    "prob": render_number(report.probs[i], w.mode),
-                    "joint": render_number(report.joints[i], w.mode),
-                    "cond": (
-                        render_number(report.conds[i], w.mode)
-                        if report.conds[i] is not None
-                        else None
-                    ),
-                }
-                for i, k in enumerate(report.ks)
-            ],
-            "boundary_ties": [list(tie) for tie in report.boundary_ties],
-        }
-        return code, _json_doc(cfg, result), warn
-
-    if cfg.subcommand == "certify":
-        cert = bounds.theorem_bound(
-            w, exact_check=True if cfg.exact_check else "auto", limit=cfg.mitm_limit
-        )
-        bounds.verify_certificate(cert)
-        result = cert.to_json_dict()
-        result["weights"] = _weights_json(w)
-        return code, _json_doc(cfg, result), warn
-
-    if cfg.subcommand == "hybrid":
-        hb = bounds.hybrid_bound(w, limit=cfg.full_limit)
-        cert = bounds.case2_certificate(w)
-        result = {
-            "weights": _weights_json(w),
-            "hybrid_bound": render_number(hb, w.mode),
-            "certificate_bound": render_number(cert.final_bound, w.mode),
-        }
-        return code, _json_doc(cfg, result), warn
-
-    if cfg.subcommand == "decomp-check":
-        report = bounds.decomposition_check(w, limit=cfg.mitm_limit)
-        result = report.to_json_dict()
-        result["weights"] = _weights_json(w)
-        result["holds"] = True
-        return code, _json_doc(cfg, result), warn
-
-    if cfg.subcommand == "mc":
-        t = _parse_threshold(cfg, FLOAT)
-        est = explore.monte_carlo(
-            w, t, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence
-        )
-        lo, hi = est.interval
-        result = {
-            "weights": _weights_json(w),
-            "t": render_number(t, FLOAT),
-            "estimate": render_number(est.estimate, FLOAT),
-            "half_width": render_number(est.half_width, FLOAT),
-            "center": render_number(est.center, FLOAT),
-            "interval": [render_number(lo, FLOAT), render_number(hi, FLOAT)],
-            "confidence": est.confidence,
-            "samples": est.samples,
-            "seed": est.seed,
-        }
-        return code, _json_doc(cfg, result), warn
-
-    if cfg.subcommand == "lemmas":
-        report = explore.lemma_sweep(cfg.k_max, cfg.grid_points, mode=cfg.mode)
-        if not report.ok:
-            code = EXIT_SOUNDNESS
-            warn = "\n".join(f"lemma violation: {v}" for v in report.violations)
-        if cfg.fmt == "json":
-            result = {
-                "k_max": report.k_max,
-                "grid_points": report.grid_points,
-                "mode": report.mode,
-                "ok": report.ok,
-                "minmax_nondecreasing": report.minmax_nondecreasing,
-                "violations": list(report.violations),
-                "rows": [
-                    {
-                        "k": r.k,
-                        "crossing_x": render_number(r.crossing_x, EXACT),
-                        "g_at_crossing": render_number(r.g_at_crossing, EXACT),
-                        "h_at_crossing": render_number(r.h_at_crossing, EXACT),
-                        "minmax": render_number(r.minmax, EXACT),
-                        "monotone_g_ok": r.monotone_g_ok,
-                        "monotone_h_ok": r.monotone_h_ok,
-                        "min_location_ok": r.min_location_ok,
-                    }
-                    for r in report.rows
-                ],
-            }
-            return code, _json_doc(cfg, result), warn
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["k", "crossing_x", "g_at_crossing", "h_at_crossing", "minmax",
-             "monotone_g_ok", "monotone_h_ok"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.k,
-                    repr(float(r.crossing_x)),
-                    repr(float(r.g_at_crossing)),
-                    repr(float(r.h_at_crossing)),
-                    repr(float(r.minmax)),
-                    str(r.monotone_g_ok).lower(),
-                    str(r.monotone_h_ok).lower(),
-                ]
-            )
-        return code, buf.getvalue(), warn
-
-    if cfg.subcommand == "search":
-        res = explore.minimize_probability(
-            cfg.n, cfg.budget, cfg.seed, limit=cfg.mitm_limit, workers=cfg.workers
-        )
-        if res.counterexample_candidate:
-            code = EXIT_SOUNDNESS
-            warn = (
-                "COUNTEREXAMPLE CANDIDATE: search found probability "
-                f"{float(res.best_prob)!r} = {res.best_prob} below the 0.36 floor; "
-                "verify independently before trusting either the search or the bound"
-            )
-        result = {
-            "n": res.n,
-            "seed": res.seed,
-            "budget_used": res.budget_used,
-            "best_prob": render_number(res.best_prob, FLOAT),
-            "best_prob_exact": str(res.best_prob),
-            "best_w": _weights_json(res.best_w),
-            "counterexample_candidate": res.counterexample_candidate,
-            "trajectory": [
-                {"evaluations": e, "probability": render_number(p, FLOAT)}
-                for e, p in res.trajectory
-            ],
-        }
-        return code, _json_doc(cfg, result), warn
-
-    raise InputError(f"unknown subcommand {cfg.subcommand!r}")
-
-
-def _exact_text(v) -> str:
-    from .render import exact_str
-
-    return exact_str(v)
+    handler = _HANDLERS.get(cfg.subcommand)
+    if handler is None:
+        raise InputError(f"unknown subcommand {cfg.subcommand!r}")
+    result, code, warn = handler(cfg)
+    text = result if isinstance(result, str) else _json_doc(cfg, result)
+    return code, text, warn
 
 
 def _json_doc(cfg: RunConfig, result: dict) -> str:

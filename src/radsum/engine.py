@@ -15,22 +15,22 @@ weights share one radicand - ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``,
 ``D = 1`` for rational weights - every signed sum is ``s*sqrt(D)/L`` for an
 integer ``s``, and ``|s|*sqrt(D)/L <= t`` becomes ``|s| <= c`` with an
 integer cut-off ``c`` from ``isqrt``; the meet-in-the-middle count then runs
-on int64 arrays (Python ints past 2^62).  Only weights spanning several
-radicands, or a radical threshold, compare exact ``SqrtSum`` values.
+on int64 arrays (Python ints past 2^62), and the partition walk's test
+``|s_k| > 1 - x_{k+1}`` becomes ``|s| + a_{k+1} > isqrt(L^2 // D)``.  Only
+weights spanning several radicands, or a radical threshold, compare exact
+``SqrtSum`` values.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
 with each half accumulated in index order, comparisons are exact float
 comparisons with no epsilon, and the partition report flags sums within
 1e-12 of a decision boundary so tie-sensitive results are visible.  Results
-are deterministic and independent of the worker count: all reductions are
-integer counts over a fixed block order.
+are deterministic: every reduction is an integer count.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -249,23 +249,13 @@ def _refine_prefix_len(uniq: np.ndarray, a: np.ndarray, bound: float, inclusive:
             return idx
 
 
-def _count_pairs_float(
-    left: np.ndarray, right: np.ndarray, t: float, strict: bool, workers: int
-) -> int:
+def _count_pairs_float(left: np.ndarray, right: np.ndarray, t: float, strict: bool) -> int:
     uniq, counts = np.unique(right, return_counts=True)
     cum = np.concatenate([[0], np.cumsum(counts)])
-
-    def block(a: np.ndarray) -> int:
-        hi_idx = _refine_prefix_len(uniq, a, t, inclusive=not strict)
-        lo_idx = _refine_prefix_len(uniq, a, -t, inclusive=strict)
-        # strict t == 0 makes the window empty; clamp the per-element count
-        return int(np.sum(np.maximum(cum[hi_idx] - cum[lo_idx], 0)))
-
-    if workers <= 1 or len(left) < 4096:
-        return block(left)
-    blocks = np.array_split(left, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(block, blocks))
+    hi_idx = _refine_prefix_len(uniq, left, t, inclusive=not strict)
+    lo_idx = _refine_prefix_len(uniq, left, -t, inclusive=strict)
+    # strict t == 0 makes the window empty; clamp the per-element count
+    return int(np.sum(np.maximum(cum[hi_idx] - cum[lo_idx], 0)))
 
 
 # -- public operations -------------------------------------------------------
@@ -278,14 +268,13 @@ def signed_sum_probability(
     strict: bool = False,
     *,
     limit: Optional[int] = None,
-    workers: int = 1,
 ):
     """Pr(|sum of +-values| <= t) for a raw (not necessarily canonical) list.
 
     Meet-in-the-middle; exact rational result in exact mode, float quotient
     of exact integer counts in float mode.
     """
-    hits, total = signed_sum_count(values, t, mode, strict, limit=limit, workers=workers)
+    hits, total = signed_sum_count(values, t, mode, strict, limit=limit)
     if mode == EXACT:
         return Fraction(hits, total)
     return hits / total
@@ -298,7 +287,6 @@ def signed_sum_count(
     strict: bool = False,
     *,
     limit: Optional[int] = None,
-    workers: int = 1,
 ) -> tuple[int, int]:
     """(admissible count, 2^n) behind :func:`signed_sum_probability`."""
     n = len(values)
@@ -317,7 +305,7 @@ def signed_sum_count(
         vals = [float(v) for v in values]
         left = _half_sums(vals[:split], np.float64)
         right = _half_sums(vals[split:], np.float64)
-        hits = _count_pairs_float(left, right, t, strict, workers)
+        hits = _count_pairs_float(left, right, t, strict)
         return hits, total
 
     reduced = _common_radical(values) if isinstance(t, Fraction) else None
@@ -337,15 +325,12 @@ def threshold_probability(
     strict: bool = False,
     *,
     limit: Optional[int] = None,
-    workers: int = 1,
 ):
     """Pr(|eps . x| <= t), or < t when strict, by meet-in-the-middle.
 
     Exact rational in exact mode; in float mode an exact dyadic count/2^n.
     """
-    return signed_sum_probability(
-        w.values, t, w.mode, strict, limit=limit, workers=workers
-    )
+    return signed_sum_probability(w.values, t, w.mode, strict, limit=limit)
 
 
 def admissible_count(
@@ -354,10 +339,9 @@ def admissible_count(
     strict: bool = False,
     *,
     limit: Optional[int] = None,
-    workers: int = 1,
 ) -> tuple[int, int]:
     """(number of admissible sign patterns, 2^n)."""
-    return signed_sum_count(w.values, t, w.mode, strict, limit=limit, workers=workers)
+    return signed_sum_count(w.values, t, w.mode, strict, limit=limit)
 
 
 def threshold_probability_naive(
@@ -422,6 +406,16 @@ def threshold_probability_naive(
 # -- full sum distribution ----------------------------------------------------
 
 
+def _convolve(dist: dict, v) -> dict:
+    """Counts of ``s - v`` and ``s + v`` over the sums ``s`` of ``dist``: the
+    distribution after one more signed coordinate."""
+    nxt: dict = {}
+    for s, c in dist.items():
+        for cand in (s - v, s + v):
+            nxt[cand] = nxt.get(cand, 0) + c
+    return nxt
+
+
 @dataclass(frozen=True)
 class SumDistribution:
     """Complete distribution of eps . x: strictly increasing values with
@@ -476,11 +470,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
         ints, denom, radicand = reduced
         dist: dict[int, int] = {0: 1}
         for a in ints:
-            nxt: dict[int, int] = {}
-            for s, c in dist.items():
-                nxt[s - a] = nxt.get(s - a, 0) + c
-                nxt[s + a] = nxt.get(s + a, 0) + c
-            dist = nxt
+            dist = _convolve(dist, a)
 
         def value(s: int) -> Value:  # s*sqrt(D)/L
             q = Fraction(s, denom)
@@ -491,11 +481,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
 
     gen: dict[SqrtSum, int] = {SqrtSum(): 1}
     for v in w.values:
-        nxt2: dict[SqrtSum, int] = {}
-        for s, c in gen.items():
-            for cand in (s - v, s + v):
-                nxt2[cand] = nxt2.get(cand, 0) + c
-        gen = nxt2
+        gen = _convolve(gen, v)
     ordered = sorted(gen)
     entries = tuple(
         (s.as_fraction() if s.is_rational else s, gen[s]) for s in ordered
@@ -578,20 +564,23 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
 
     exact = w.mode == EXACT
     reduced = _common_radical(w.values) if exact else None
-    # The cut-offs 1 - x_{k+1} mix rational and radical parts unless D == 1.
-    scaling = reduced if reduced is not None and reduced[2] == 1 else None
     ties: list = []
 
-    if scaling is not None:
-        ints, denom, _ = scaling
-        vals: Sequence = ints
-        one = denom
+    if reduced is not None:
+        # x_i = a_i*sqrt(D)/L, and for an integer m >= 0, m*sqrt(D)/L > 1 iff
+        # m > isqrt(L^2 // D): both the prefix test |s| + a_{k+1} > one and
+        # the final window |s + tail| <= one stay integer comparisons.
+        vals, denom, radicand = reduced
+        one = _int_cutoff(Fraction(1), denom, radicand, False)
+        zero = 0
     elif exact:
         vals = [_as_exact(v) for v in w.values]
         one = Fraction(1)
+        zero = SqrtSum()
     else:
         vals = [float(v) for v in w.values]
         one = 1.0
+        zero = 0.0
 
     # bounds[j] is the cutoff for |s_j| at depth j (1-based), j in 2..n-1
     bounds = {j: one - vals[j] for j in range(2, n)}
@@ -599,16 +588,9 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     # tail distributions: tails[k] covers coordinates k+1..n (0-based vals[k:])
     k_min = 1 if n == 2 else 2
     tails: dict[int, _TailCounter] = {}
-    dist: dict = {(0 if scaling is not None else (Fraction(0) if exact else 0.0)): 1}
-    if exact and scaling is None:
-        dist = {SqrtSum(): 1}
+    dist: dict = {zero: 1}
     for k in range(n - 1, k_min - 1, -1):
-        v = vals[k]
-        nxt: dict = {}
-        for s, c in dist.items():
-            for cand in (s - v, s + v):
-                nxt[cand] = nxt.get(cand, 0) + c
-        dist = nxt
+        dist = _convolve(dist, vals[k])
         tails[k] = _TailCounter(dist)
 
     prob_count = {k: 0 for k in range(2, n + 1)}

@@ -26,6 +26,8 @@ from .weights import EXACT, FLOAT, WeightVector, canonicalize
 
 _MC_BLOCK = 1 << 16
 _SEARCH_FLOOR = Fraction(9, 25)
+_INITIAL_STEP = 0.25
+_MIN_STEP = 1e-6
 
 
 # -- Monte Carlo --------------------------------------------------------------
@@ -300,10 +302,7 @@ def minimize_probability(
     budget: int,
     seed: int,
     *,
-    initial_step: float = 0.25,
-    min_step: float = 1e-6,
     limit: Optional[int] = None,
-    workers: int = 1,
 ) -> SearchResult:
     """Random-restart pattern search for low Pr(|eps . x| <= 1) over the
     canonical unit sphere.
@@ -312,7 +311,7 @@ def minimize_probability(
     probabilities are exact dyadics).  Moves perturb one coordinate by the
     current step, re-canonicalize (abs, sort, renormalize), and are taken
     only on strict improvement, best neighbor first; the step halves when no
-    neighbor improves and the walk restarts below ``min_step``.
+    neighbor improves and the walk restarts below ``_MIN_STEP``.
     """
     lim = DEFAULT_MITM_LIMIT if limit is None else limit
     if not 2 <= n <= lim:
@@ -335,7 +334,7 @@ def minimize_probability(
             wv = canonicalize([float(v) for v in vec], FLOAT)
         except InputError:
             return None
-        hits, total = admissible_count(wv, 1.0, limit=lim, workers=workers)
+        hits, total = admissible_count(wv, 1.0, limit=lim)
         return Fraction(hits, total), wv
 
     def consider(p: Fraction, wv: WeightVector) -> None:
@@ -358,8 +357,8 @@ def minimize_probability(
             continue
         cur_p, cur_w = out
         consider(cur_p, cur_w)
-        step = initial_step
-        while step >= min_step and evals < budget:
+        step = _INITIAL_STEP
+        while step >= _MIN_STEP and evals < budget:
             nb_p, nb_w = None, None
             cur = np.asarray(cur_w.as_floats())
             for i in range(n):
@@ -383,7 +382,7 @@ def minimize_probability(
 
     if best_w is None or best_p is None:
         raise SoundnessError(f"search evaluated no valid candidate in {evals} steps")
-    hits, total = admissible_count(best_w, 1.0, limit=lim, workers=workers)
+    hits, total = admissible_count(best_w, 1.0, limit=lim)
     recomputed = Fraction(hits, total)
     if recomputed != best_p:  # search never trusts a stale objective
         raise SoundnessError(

@@ -191,6 +191,14 @@ class TestErrorsAndExitCodes:
     def test_unknown_subcommand_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
+        with pytest.raises(InputError, match="unknown subcommand"):
+            cli.execute(RunConfig(subcommand="frobnicate"))
+
+    def test_workers_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "sq:1/2,1/2", "--workers", "2")
+        assert code == 1
+        assert out == ""
+        assert "--workers" in err
 
     def test_missing_subcommand_exit_1(self, capsys):
         code, _, err = run_cli(capsys)
@@ -282,7 +290,16 @@ class TestDeterminismAndConfig:
         cfg = RunConfig(subcommand="exact", weights="sq:1/2,1/2", strict=True, seed=5)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_workers_env_default(self, capsys, monkeypatch):
+    def test_thread_env_ignored(self, capsys, monkeypatch):
+        monkeypatch.delenv("RADSUM_THREADS", raising=False)
+        _, plain, _ = run_cli(capsys, "exact", "sq:1/2,1/2", "--no-timestamp")
         monkeypatch.setenv("RADSUM_THREADS", "3")
-        _, doc, _ = run_json(capsys, "exact", "sq:1/2,1/2", "--no-timestamp")
-        assert doc["config"]["workers"] == 3
+        _, out, _ = run_cli(capsys, "exact", "sq:1/2,1/2", "--no-timestamp")
+        assert out == plain
+        assert "workers" not in json.loads(out)["config"]
+
+    def test_every_subcommand_has_handler_and_parser(self):
+        subparsers = next(
+            a for a in cli.build_parser()._actions if a.dest == "subcommand"
+        )
+        assert set(cli.SUBCOMMANDS) == set(cli._HANDLERS) == set(subparsers.choices)

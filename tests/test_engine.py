@@ -18,11 +18,13 @@ from conftest import random_case2, rational_unit_vector
 from radsum import (
     EXACT,
     FLOAT,
+    CaseTag,
     InputError,
     SignPattern,
     SizeLimitError,
     WrongCaseError,
     canonicalize,
+    case_of,
     exact_sqrt,
     from_squares,
     prefix_partition,
@@ -154,13 +156,6 @@ class TestOracleEquivalence:
             w = canonicalize(list(v), FLOAT)
             t = float(rng.uniform(0, 2))
             assert threshold_probability(w, t) == threshold_probability_naive(w, t)
-
-    def test_workers_bit_identical(self, rng):
-        v = rng.standard_normal(14)
-        w = canonicalize(list(v), FLOAT)
-        p1 = threshold_probability(w, 1.0, workers=1)
-        p3 = threshold_probability(w, 1.0, workers=3)
-        assert p1 == p3
 
     def test_exact_vs_float_on_dyadic_weights(self):
         we = from_squares([Fraction(1, 4)] * 4)
@@ -354,6 +349,12 @@ class TestPrefixPartition:
         instances.append(
             from_squares([Fraction(1, 4)] * 3 + [Fraction(1, 8)] * 2)
         )
+        # One shared radicand D > 1: the walk's integer cut-off isqrt(L^2 // D).
+        instances += [canonicalize([1] * 5, EXACT), canonicalize([3, 2, 2, 2, 2, 2], EXACT)]
+        while len(instances) < 13:
+            w = one_radicand_vector(rng, int(rng.integers(3, 9)), hi=6)
+            if case_of(w) is CaseTag.CASE2:
+                instances.append(w)
         for w in instances:
             probs, joints = self._partition_oracle(w)
             rep = prefix_partition(w)
