@@ -270,6 +270,7 @@ def _partition(cfg: RunConfig):
             for i, k in enumerate(report.ks)
         ],
         "boundary_ties": [list(tie) for tie in report.boundary_ties],
+        "stats": dataclasses.asdict(report.stats),
     }
     return result, EXIT_OK, ""
 

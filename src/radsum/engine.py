@@ -6,19 +6,18 @@ Enumeration strategies:
   of each half, sort one half, count admissible pairs with binary searches.
 * ``threshold_probability_naive`` - plain 2^n sweep (Gray-code incremental);
   kept as the independent oracle for the meet-in-the-middle path.
-* ``prefix_partition`` - prefix-tree walk over sign sequences with pruning:
-  once a branch's event index is decided, its subtree resolves through a
-  precomputed tail-sum distribution instead of being expanded.
+* ``sum_distribution`` and ``prefix_partition`` - a breadth-first frontier of
+  numpy arrays: each depth tests all undecided prefix sums in one vector
+  operation, settles the crossing ones in bulk by ``searchsorted`` into that
+  depth's sorted tail sums and cumulative counts, and extends the rest by
+  ``s - v`` and ``s + v`` (exact mode merges equal sums, with counts).
 
 Numeric behavior: in exact mode every comparison is tie-exact.  When all
 weights share one radicand - ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``,
 ``D = 1`` for rational weights - every signed sum is ``s*sqrt(D)/L`` for an
-integer ``s``, and ``|s|*sqrt(D)/L <= t`` becomes ``|s| <= c`` with an
-integer cut-off ``c`` from ``isqrt``; the meet-in-the-middle count then runs
-on int64 arrays (Python ints past 2^62), and the partition walk's test
-``|s_k| > 1 - x_{k+1}`` becomes ``|s| + a_{k+1} > isqrt(L^2 // D)``.  Only
-weights spanning several radicands, or a radical threshold, compare exact
-``SqrtSum`` values.
+integer ``s`` (int64 keys, Python ints past 2^62), and ``|s|*sqrt(D)/L <=
+t`` becomes ``|s| <= c`` with an integer cut-off ``c`` from ``isqrt``, also
+for ``t = r + q*sqrt(D)``.  Other weights and thresholds use ``SqrtSum``.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
 with each half accumulated in index order, comparisons are exact float
@@ -32,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -146,18 +146,27 @@ def _common_radical(values: Sequence[Value]) -> Optional[tuple[list[int], int, i
     return [c.numerator * (denom // c.denominator) for c in coeffs], denom, radicand or 1
 
 
-def _int_cutoff(t: Fraction, denom: int, radicand: int, strict: bool) -> int:
+def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> Optional[int]:
     """The largest ``c`` with ``|s|*sqrt(radicand)/denom <= t`` (``< t`` when
-    strict) iff ``|s| <= c``, for integers ``s``; -1 when no ``s`` qualifies.
+    strict) iff ``|s| <= c``, for integers ``s``; -1 when no ``s`` qualifies,
+    None unless ``t = r + q*sqrt(radicand)`` with rationals ``r >= 0, q``.
 
-    Squaring gives ``s^2 * radicand * td^2 <= (tn*denom)^2`` for ``t = tn/td
-    >= 0``, so the cut-off is an integer square root.
+    Over a common denominator ``m`` of ``r, q`` the bound on ``|s|`` is ``y =
+    (a + b/sqrt(radicand))/m`` for integers ``a`` and ``b >= 0``, so ``floor(y)
+    = (a + isqrt(b^2 // radicand)) // m``, one less when strict and ``y`` is
+    an integer.
     """
-    x = (t.numerator * denom) ** 2
-    y = radicand * t.denominator ** 2
-    if strict:
-        return math.isqrt(-(-x // y) - 1) if x else -1
-    return math.isqrt(x // y)
+    terms = t.terms if isinstance(t, SqrtSum) else {1: t}
+    r = Fraction(terms.get(1, 0))
+    q = Fraction(terms.get(radicand, 0)) if radicand != 1 else Fraction(0)
+    if not terms.keys() <= {1, radicand} or r < 0:
+        return None
+    m = math.lcm(r.denominator, q.denominator)
+    a = q.numerator * (m // q.denominator) * denom
+    b = r.numerator * (m // r.denominator) * denom
+    root = math.isqrt(b * b // radicand)
+    c, rem = divmod(a + root, m)
+    return c - 1 if strict and not rem and root * root * radicand == b * b else c
 
 
 def _as_exact(value) -> Union[Fraction, SqrtSum]:
@@ -308,10 +317,12 @@ def signed_sum_count(
         hits = _count_pairs_float(left, right, t, strict)
         return hits, total
 
-    reduced = _common_radical(values) if isinstance(t, Fraction) else None
+    reduced = _common_radical(values)
     if reduced is not None:
         ints, denom, radicand = reduced
-        return _count_within(ints, split, _int_cutoff(t, denom, radicand, strict)), total
+        cutoff = _int_cutoff(t, denom, radicand, strict)
+        if cutoff is not None:
+            return _count_within(ints, split, cutoff), total
     exact_vals = [_as_exact(v) for v in values]
     left = _half_sums(exact_vals[:split], object)
     right = sorted(_half_sums(exact_vals[split:], object))
@@ -403,45 +414,99 @@ def threshold_probability_naive(
     return Fraction(hits, total)
 
 
-# -- full sum distribution ----------------------------------------------------
+# -- signed-sum distributions -------------------------------------------------
 
 
-def _convolve(dist: dict, v) -> dict:
-    """Counts of ``s - v`` and ``s + v`` over the sums ``s`` of ``dist``: the
-    distribution after one more signed coordinate."""
-    nxt: dict = {}
-    for s, c in dist.items():
-        for cand in (s - v, s + v):
-            nxt[cand] = nxt.get(cand, 0) + c
-    return nxt
+def _walk_setup(w: WeightVector):
+    """``(vals, one, zero, path, scale)``: the weights and 1 as keys, a zero
+    key array, the key dtype's name and ``(L, D)`` for keys ``a_i`` of
+    ``x_i = a_i*sqrt(D)/L``."""
+    if w.mode == FLOAT:
+        return [float(v) for v in w.values], 1.0, np.zeros(1), "float64", None
+    reduced = _common_radical(w.values)
+    if reduced is None:
+        vals = [_as_exact(v) for v in w.values]
+        return vals, Fraction(1), np.array([SqrtSum()], dtype=object), "SqrtSum", None
+    ints, denom, radicand = reduced
+    # For an integer m >= 0, m*sqrt(D)/L > 1 iff m > isqrt(L^2 // D).
+    one = _int_cutoff(Fraction(1), denom, radicand, False)
+    # Partial sums and the window ends +-one - s stay below 2^62 in int64.
+    path = "int64" if sum(abs(a) for a in ints) + one < 1 << 62 else "object"
+    return ints, one, np.zeros(1, dtype=path), path, (denom, radicand)
 
 
-@dataclass(frozen=True)
+def _merge_equal(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``keys``, adding up the counts of equal keys (linear on two runs)."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[first], np.add.reduceat(counts[order], first)
+
+
+def _tail_distributions(vals: Sequence, zero: np.ndarray):
+    """For k = len(vals)-1 down to 0: the sorted distinct signed sums of
+    ``vals[k:]``, accumulated from the end, and their cumulative counts."""
+    # pattern counts reach 2^len(vals): int64 below 2^63
+    keys, counts = zero, np.ones(1, dtype=np.int64 if len(vals) < 63 else object)
+    for v in reversed(vals):
+        keys, counts = _merge_equal(np.concatenate([keys - v, keys + v]), np.concatenate([counts, counts]))
+        yield keys, np.concatenate([[0], np.cumsum(counts)])
+
+
+def _window_count(keys: np.ndarray, cum: np.ndarray, lo, hi, strict: bool = False):
+    """Patterns whose sum lies in ``[lo, hi]`` (``(lo, hi)`` when strict),
+    elementwise for arrays ``lo`` and ``hi``."""
+    i = np.searchsorted(keys, hi, side="left" if strict else "right")
+    j = np.searchsorted(keys, lo, side="right" if strict else "left")
+    return cum[i] - cum[j]
+
+
+@dataclass(frozen=True, eq=False)
 class SumDistribution:
-    """Complete distribution of eps . x: strictly increasing values with
-    pattern counts summing to 2^n; symmetric about zero."""
+    """Complete distribution of eps . x: strictly increasing ``values`` with
+    pattern ``counts`` summing to 2^n; symmetric about zero.  With ``scale =
+    (L, D)`` a value is an integer ``s`` standing for ``s*sqrt(D)/L``;
+    without, it is the float64 or ``SqrtSum`` sum itself."""
 
-    entries: tuple[tuple[Value, int], ...]
+    values: np.ndarray
+    counts: np.ndarray
     n: int
     mode: str
+    scale: Optional[tuple[int, int]] = None
 
     @property
     def total(self) -> int:
         return 1 << self.n
 
+    @cached_property
+    def entries(self) -> tuple[tuple[Value, int], ...]:
+        """``(value, count)`` pairs, rendered from the arrays on first use."""
+        if self.mode == FLOAT:
+            values = self.values.tolist()
+        elif self.scale is None:
+            values = [s.as_fraction() if s.is_rational else s for s in self.values]
+        else:
+            denom, rad = self.scale
+            values = [
+                SqrtSum({rad: Fraction(s, denom)}) if rad > 1 and s else Fraction(s, denom)
+                for s in self.values.tolist()
+            ]
+        return tuple(zip(values, self.counts.tolist()))
+
     def probability(self, t, strict: bool = False):
-        """Pr(|value| <= t) (or <) recomputed from the table; used to
-        cross-check the counting engines."""
+        """Pr(|value| <= t) (or <) from two binary searches into the table;
+        used to cross-check the counting engines."""
         t = _normalize_threshold(t, self.mode)
         _check_t_nonnegative(t)
-        hits = 0
-        for v, c in self.entries:
-            av = -v if v < 0 else v
-            if (av < t) if strict else (av <= t):
-                hits += c
-        if self.mode == EXACT:
-            return Fraction(hits, self.total)
-        return hits / self.total
+        keys = self.values
+        cutoff = _int_cutoff(t, *self.scale, strict) if self.scale else None
+        if cutoff is not None:  # |s| <= cutoff, clamped into int64
+            t, strict = min(cutoff, int(keys[-1])), False
+        elif self.scale:
+            keys = np.array([v for v, _ in self.entries], dtype=object)
+        cum = np.concatenate([[0], np.cumsum(self.counts)])
+        hits = max(int(_window_count(keys, cum, -t, t, strict)), 0)
+        return Fraction(hits, self.total) if self.mode == EXACT else hits / self.total
 
 
 def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDistribution:
@@ -460,36 +525,29 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
         split = n - n // 2
         left = _half_sums(vals[:split], np.float64)
         right = _half_sums(vals[split:], np.float64)
-        sums = np.add.outer(left, right).ravel()
-        uniq, counts = np.unique(sums, return_counts=True)
-        entries = tuple((float(v), int(c)) for v, c in zip(uniq, counts))
-        return SumDistribution(entries=entries, n=n, mode=FLOAT)
+        values, counts = np.unique(np.add.outer(left, right).ravel(), return_counts=True)
+        return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
 
-    reduced = _common_radical(w.values)
-    if reduced is not None:
-        ints, denom, radicand = reduced
-        dist: dict[int, int] = {0: 1}
-        for a in ints:
-            dist = _convolve(dist, a)
-
-        def value(s: int) -> Value:  # s*sqrt(D)/L
-            q = Fraction(s, denom)
-            return q if radicand == 1 or not s else SqrtSum({radicand: q})
-
-        entries = tuple((value(s), dist[s]) for s in sorted(dist))
-        return SumDistribution(entries=entries, n=n, mode=EXACT)
-
-    gen: dict[SqrtSum, int] = {SqrtSum(): 1}
-    for v in w.values:
-        gen = _convolve(gen, v)
-    ordered = sorted(gen)
-    entries = tuple(
-        (s.as_fraction() if s.is_rational else s, gen[s]) for s in ordered
-    )
-    return SumDistribution(entries=entries, n=n, mode=EXACT)
+    vals, _, zero, _, scale = _walk_setup(w)
+    for keys, cum in _tail_distributions(vals, zero):
+        pass
+    return SumDistribution(keys, np.diff(cum), n, EXACT, scale)
 
 
 # -- Case-2 event partition ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PartitionStats:
+    """How a partition was computed.  ``path`` is the key dtype: "int64",
+    "object" (Python ints), "float64" or "SqrtSum".  ``frontier[d - 1]`` is
+    the number of prefix sums at depth d = 1..n-1 (distinct sums in exact
+    mode, sign prefixes in float mode) and ``settled[d - 1]`` how many of
+    them were decided there.  Deterministic: no timings."""
+
+    path: str
+    frontier: tuple[int, ...]
+    settled: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -510,6 +568,7 @@ class PartitionReport:
     conds: tuple
     total_prob: Union[Fraction, float]
     boundary_ties: tuple = ()
+    stats: Optional[PartitionStats] = None
 
     def prob(self, k: int):
         return self.probs[self.ks.index(k)]
@@ -521,37 +580,14 @@ class PartitionReport:
         return self.conds[self.ks.index(k)]
 
 
-class _TailCounter:
-    """Sorted tail-sum values with cumulative counts for O(log) range counts."""
-
-    __slots__ = ("values", "cum")
-
-    def __init__(self, dist: dict):
-        self.values = sorted(dist)
-        self.cum = [0]
-        for v in self.values:
-            self.cum.append(self.cum[-1] + dist[v])
-
-    def count_range(self, lo, hi) -> int:
-        return self.cum[bisect_right(self.values, hi)] - self.cum[bisect_left(self.values, lo)]
-
-    def near(self, point, tol: float) -> list:
-        out = []
-        i = bisect_left(self.values, point - tol)
-        while i < len(self.values) and self.values[i] <= point + tol:
-            out.append(self.values[i])
-            i += 1
-        return out
-
-
 def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> PartitionReport:
     """Partition all 2^n sign sequences by the first prefix k in {2..n-1}
     with |s_k| > 1 - x_{k+1} (event A_k), defaulting to A_n.
 
     Requires Case 2 (x1 + x2 <= 1): only then does |s_1| <= 1 - x_2 hold
-    surely and A_2..A_n cover the space.  Branches are pruned as soon as an
-    event index is decided; the surviving joint mass is counted through the
-    tail-sum distribution of the remaining coordinates.
+    surely and A_2..A_n cover the space.  A prefix sum leaves the frontier
+    at the first depth that decides its event; the joint mass of everything
+    settled at one depth is counted through that depth's tail distribution.
     """
     n = w.n
     limit = DEFAULT_FULL_LIMIT if limit is None else limit
@@ -563,93 +599,78 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         raise WrongCaseError("not case 2: x1 + x2 > 1, events A_2..A_n do not cover")
 
     exact = w.mode == EXACT
-    reduced = _common_radical(w.values) if exact else None
-    ties: list = []
-
-    if reduced is not None:
-        # x_i = a_i*sqrt(D)/L, and for an integer m >= 0, m*sqrt(D)/L > 1 iff
-        # m > isqrt(L^2 // D): both the prefix test |s| + a_{k+1} > one and
-        # the final window |s + tail| <= one stay integer comparisons.
-        vals, denom, radicand = reduced
-        one = _int_cutoff(Fraction(1), denom, radicand, False)
-        zero = 0
-    elif exact:
-        vals = [_as_exact(v) for v in w.values]
-        one = Fraction(1)
-        zero = SqrtSum()
-    else:
-        vals = [float(v) for v in w.values]
-        one = 1.0
-        zero = 0.0
-
-    # bounds[j] is the cutoff for |s_j| at depth j (1-based), j in 2..n-1
-    bounds = {j: one - vals[j] for j in range(2, n)}
-
-    # tail distributions: tails[k] covers coordinates k+1..n (0-based vals[k:])
+    vals, one, zero, path, _ = _walk_setup(w)
+    # tails[k] covers coordinates k+1..n (0-based vals[k:])
     k_min = 1 if n == 2 else 2
-    tails: dict[int, _TailCounter] = {}
-    dist: dict = {zero: 1}
-    for k in range(n - 1, k_min - 1, -1):
-        dist = _convolve(dist, vals[k])
-        tails[k] = _TailCounter(dist)
+    tails = dict(zip(range(n - 1, k_min - 1, -1), _tail_distributions(vals[k_min:], zero)))
 
-    prob_count = {k: 0 for k in range(2, n + 1)}
-    joint_count = {k: 0 for k in range(2, n + 1)}
-
-    def settle(event_k: int, depth: int, s) -> None:
-        prob_count[event_k] += 1 << (n - depth)
-        tc = tails[depth]
-        lo = -one - s
-        hi = one - s
-        joint_count[event_k] += tc.count_range(lo, hi)
-        if not exact and len(ties) < _MAX_TIE_RECORDS:
-            for endpoint in (lo, hi):
-                for v in tc.near(endpoint, BOUNDARY_TIE_TOL):
-                    ties.append(("final", depth, float(s + v)))
+    prob_count, joint_count = [0] * (n + 1), [0] * (n + 1)
+    frontier, settled, groups = [], [], []
 
     # Global sign flip maps each event onto itself, so fix eps_1 = +1 and
-    # double every count.
-    stack: list[tuple[int, object]] = [(1, vals[0])]
-    while stack:
-        depth, s = stack.pop()
+    # double every count.  ``mult`` counts the sign prefixes behind each sum;
+    # in float mode ``code`` holds each prefix's later signs (a set bit is a
+    # minus), which orders the tie records.
+    s = zero + vals[0]
+    mult = np.ones(1, dtype=np.int64 if n < 63 else object)
+    code = np.zeros(1, dtype=np.int64)
+    for depth in range(1, n):
+        frontier.append(len(s))
+        cross = np.zeros(len(s), dtype=bool)
         if depth >= 2:
-            b = bounds[depth]
-            mag = -s if s < 0 else s
-            if not exact and len(ties) < _MAX_TIE_RECORDS and abs(mag - b) <= BOUNDARY_TIE_TOL:
-                ties.append(("prefix", depth, float(s)))
-            if mag > b:
-                settle(depth, depth, s)
-                continue
+            b = one - vals[depth]
+            cross = np.abs(s) > b
+            if not exact:
+                # only the first records of each kind, in tree order, can be kept
+                tie = np.flatnonzero(np.abs(np.abs(s) - b) <= BOUNDARY_TIE_TOL)
+                for i in tie[np.argsort(code[tie])[:_MAX_TIE_RECORDS]]:
+                    groups.append((int(code[i]) << (n - 1 - depth), depth, 0, [("prefix", depth, float(s[i]))]))
+        done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
+        settled.append(int(np.count_nonzero(done)))
+        if done.any():
+            tkeys, cum = tails[depth]
+            ss, mm = s[done], mult[done]
+            joints = mm * _window_count(tkeys, cum, -one - ss, one - ss)
+            for k, sel in ((depth, cross[done]), (n, ~cross[done])):
+                prob_count[k] += int(mm[sel].sum()) << (n - depth)
+                joint_count[k] += int(joints[sel].sum())
+            if not exact:
+                near = [
+                    (np.searchsorted(tkeys, end - BOUNDARY_TIE_TOL, side="left"),
+                     np.searchsorted(tkeys, end + BOUNDARY_TIE_TOL, side="right"))
+                    for end in (-one - ss, one - ss)
+                ]
+                codes = code[done]
+                tie = np.flatnonzero(sum(hi - lo for lo, hi in near))
+                for i in tie[np.argsort(codes[tie])[:_MAX_TIE_RECORDS]]:
+                    records = [("final", depth, float(ss[i] + v)) for lo, hi in near for v in tkeys[lo[i]:hi[i]]]
+                    groups.append((int(codes[i]) << (n - 1 - depth), depth, 1, records))
         if depth == n - 1:
-            settle(n, depth, s)
-            continue
+            break
+        keep = ~cross
         v = vals[depth]
-        stack.append((depth + 1, s - v))
-        stack.append((depth + 1, s + v))
+        s = np.concatenate([s[keep] - v, s[keep] + v])
+        mult = np.concatenate([mult[keep], mult[keep]])
+        if exact:
+            s, mult = _merge_equal(s, mult)
+        else:
+            code = np.concatenate([2 * code[keep] + 1, 2 * code[keep]])
 
     total = 1 << n
-    mass = 2 * sum(prob_count.values())
+    mass = 2 * sum(prob_count)
     if mass != total:
         raise SoundnessError(f"partition mass {mass} != 2^{n}: events A_2..A_n do not cover")
+    # Tie records in the depth-first preorder of the sign tree, + branch
+    # first; a node's records are kept whole while the cap is not reached.
+    ties: list = []
+    for *_, records in sorted(groups, key=lambda g: g[:3]):
+        ties += records if len(ties) < _MAX_TIE_RECORDS else []
     ks = tuple(range(2, n + 1))
-    if exact:
-        probs = tuple(Fraction(2 * prob_count[k], total) for k in ks)
-        joints = tuple(Fraction(2 * joint_count[k], total) for k in ks)
-    else:
-        probs = tuple(2 * prob_count[k] / total for k in ks)
-        joints = tuple(2 * joint_count[k] / total for k in ks)
-    conds = tuple(
-        (j / p if p else None) for p, j in zip(probs, joints)
-    )
-    total_joint = 2 * sum(joint_count.values())
-    total_prob = Fraction(total_joint, total) if exact else total_joint / total
+    ratio = (lambda c: Fraction(2 * c, total)) if exact else (lambda c: 2 * c / total)
+    probs = tuple(ratio(prob_count[k]) for k in ks)
+    joints = tuple(ratio(joint_count[k]) for k in ks)
+    conds = tuple((j / p if p else None) for p, j in zip(probs, joints))
     return PartitionReport(
-        n=n,
-        mode=w.mode,
-        ks=ks,
-        probs=probs,
-        joints=joints,
-        conds=conds,
-        total_prob=total_prob,
-        boundary_ties=tuple(ties),
+        n, w.mode, ks, probs, joints, conds, ratio(sum(joint_count)), tuple(ties),
+        PartitionStats(path, tuple(frontier), tuple(settled)),
     )

@@ -6,8 +6,11 @@ engine paths.
 """
 
 import itertools
+import json
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from radsum import (
     FLOAT,
     CaseTag,
     InputError,
+    PartitionStats,
     SignPattern,
     SizeLimitError,
     WrongCaseError,
@@ -266,6 +270,56 @@ class TestSumDistribution:
         assert [c for _, c in d.entries] == [1, 4, 6, 4, 1]
         assert [v for v, _ in d.entries] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
+    def test_arrays_and_scale(self):
+        # x = (3, 4)/5: integer keys s stand for s/5
+        d = sum_distribution(canonicalize([3, 4], EXACT))
+        assert d.values.tolist() == [-7, -1, 1, 7] and d.counts.tolist() == [1] * 4
+        assert d.scale == (5, 1)
+        # one shared radicand: x = (1, 1, 1)/sqrt(3) = (1, 1, 1)*sqrt(3)/3
+        d = sum_distribution(canonicalize([1, 1, 1], EXACT))
+        assert d.values.tolist() == [-3, -1, 1, 3] and d.counts.tolist() == [1, 3, 3, 1]
+        assert d.scale == (3, 3)
+        assert d.entries[0] == (-exact_sqrt(3), 1)
+        # several radicands: the values are the SqrtSum sums themselves
+        d = sum_distribution(from_squares([1, 2]))
+        assert d.scale is None and d.values.dtype == object
+        assert sum(d.counts) == 4
+
+
+_RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 7, 10])
+
+
+class TestDistributionProbability:
+    """``SumDistribution.probability`` answers by binary search on the
+    (values, counts) arrays; the meet-in-the-middle count is the reference."""
+
+    @given(
+        mode=st.sampled_from(["float", "shared", "radical"]),
+        raw=st.lists(st.integers(1, 12), min_size=1, max_size=7),
+        squares=st.lists(_RADICANDS, min_size=1, max_size=6),
+        pick=st.integers(0, 10**6),
+        t_num=st.integers(0, 40),
+        t_den=st.integers(1, 16),
+        strict=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_threshold_probability(self, mode, raw, squares, pick, t_num, t_den, strict):
+        if mode == "float":
+            w = canonicalize(raw, FLOAT)
+        elif mode == "shared":
+            w = canonicalize(raw, EXACT)
+        else:
+            w = from_squares(squares)
+        dist = sum_distribution(w)
+        assert sum(dist.counts) == dist.total
+        # an achieved |value| puts sums exactly on the boundary
+        ts = [abs(dist.entries[pick % len(dist.entries)][0]), Fraction(t_num, t_den), 1]
+        if mode != "float":
+            ts.append(1 + w.values[0])  # a radical threshold r + q*sqrt(D)
+        for t in ts:
+            t = float(t) if mode == "float" else t
+            assert dist.probability(t, strict) == threshold_probability(w, t, strict)
+
 
 class TestPrefixPartition:
     def test_uniform_four_worked_example(self):
@@ -355,6 +409,11 @@ class TestPrefixPartition:
             w = one_radicand_vector(rng, int(rng.integers(3, 9)), hi=6)
             if case_of(w) is CaseTag.CASE2:
                 instances.append(w)
+        # Several radicands: the walk keeps SqrtSum keys in object arrays.
+        while len(instances) < 19:
+            w = from_squares([int(v) for v in rng.choice([1, 2, 3, 5, 6, 7], size=int(rng.integers(3, 8)))])
+            if case_of(w) is CaseTag.CASE2 and prefix_partition(w).stats.path == "SqrtSum":
+                instances.append(w)
         for w in instances:
             probs, joints = self._partition_oracle(w)
             rep = prefix_partition(w)
@@ -367,6 +426,69 @@ class TestPrefixPartition:
         rep = prefix_partition(canonicalize([0.5] * 4, FLOAT))
         assert rep.boundary_ties
         assert any(kind == "prefix" for kind, _, _ in rep.boundary_ties)
+
+    @pytest.mark.parametrize("key, raw", [("0.5x4", [0.5] * 4), ("1x9", [1] * 9), ("1x16", [1] * 16)])
+    def test_boundary_tie_records_pinned(self, key, raw):
+        # Recorded from the depth-first walk this enumerator replaced: the
+        # same records in its preorder (+ branch first), and for [1]*16 the
+        # 200-record cap binds.
+        golden = json.loads((Path(__file__).parent / "data" / "partition_ties.json").read_text())
+        expected = tuple(tuple(record) for record in golden[key])
+        assert len(expected) == {"0.5x4": 5, "1x9": 83, "1x16": 200}[key]
+        assert prefix_partition(canonicalize(raw, FLOAT)).boundary_ties == expected
+
+    def test_stats(self):
+        # x = (1, 1, 1, 1)/2: depth 2 holds the sums {0, 2}; 2 crosses the
+        # cut-off 1 - x_3; depth 3 = n - 1 settles the survivors' children.
+        expected = PartitionStats("int64", (1, 2, 2), (0, 1, 2))
+        assert prefix_partition(from_squares([Fraction(1, 4)] * 4)).stats == expected
+        rep = prefix_partition(canonicalize([0.5] * 4, FLOAT))
+        assert rep.stats == PartitionStats("float64", (1, 2, 2), (0, 1, 2))
+        assert prefix_partition(from_squares([1, 1, 2, 2, 3, 3])).stats.path == "SqrtSum"
+
+    @pytest.mark.parametrize(
+        "spread, lo, hi, path", [(2**27, 56, 58, "int64"), (2**32, 62, 80, "object")]
+    )
+    def test_big_magnitudes_switch_key_dtype(self, rng, spread, lo, hi, path):
+        """Rational weights whose integer keys (and L) sit in [2^56, 2^58)
+        stay int64; from 2^62 on, the walk and the distribution switch to
+        Python ints."""
+        from radsum.engine import _common_radical
+
+        checked = 0
+        for _ in range(100):
+            n = int(rng.integers(6, 8))  # large spreads rarely give Case 2 below n = 6
+            w = random_case2(rng, n, spread=spread)
+            ints, denom, _ = _common_radical(w.values)
+            if checked == 3 or not lo <= max(map(abs, ints + [denom])).bit_length() - 1 < hi:
+                continue
+            checked += 1
+            rep = prefix_partition(w)
+            assert rep.stats.path == path
+            probs, joints = self._partition_oracle(w)
+            assert rep.probs == tuple(probs[k] for k in rep.ks)
+            assert rep.joints == tuple(joints[k] for k in rep.ks)
+            dist = sum_distribution(w)
+            assert dist.values.dtype == (np.int64 if path == "int64" else object)
+            sums = Counter(
+                sum(s * v for s, v in zip(signs, w.values))
+                for signs in itertools.product((-1, 1), repeat=n)
+            )
+            assert dist.entries == tuple(sorted(sums.items()))
+        assert checked == 3
+
+    def test_pattern_counts_past_int64(self):
+        # n = 64 equal weights: 2^64 patterns overflow int64 counts, and the
+        # few distinct sums keep the walk small.  |eps . x| <= 1 iff the sign
+        # imbalance is at most sqrt(64) = 8.
+        n = 64
+        w = canonicalize([1] * n, EXACT)
+        expected = Fraction(sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) <= 8), 2**n)
+        rep = prefix_partition(w, limit=n)
+        assert rep.total_prob == expected and sum(rep.probs) == 1
+        dist = sum_distribution(w, limit=n)
+        assert [c for _, c in dist.entries] == [math.comb(n, k) for k in range(n + 1)]
+        assert dist.probability(1) == expected
 
     def test_float_matches_exact_on_dyadic(self):
         re_ = prefix_partition(from_squares([Fraction(1, 4)] * 4))
@@ -431,6 +553,47 @@ class TestSharedRadicandReduction:
                     p = threshold_probability(w, t, strict)
                     assert p == Fraction(self._radical_pairs(list(w.values), t, strict), 2**n)
                     assert p == threshold_probability_naive(w, t, strict)
+
+    def test_radical_threshold_matches_radical_pairs(self, rng):
+        """Thresholds r + q*sqrt(D) over the weights' own radicand - the
+        decomposition_check tail thresholds 1 + x1 +- x2 among them - take the
+        integer cut-off; the SqrtSum pair count is the reference."""
+        from radsum.engine import _common_radical, _int_cutoff, signed_sum_count
+
+        for n in (2, 3, 5, 8, 11, 14):
+            w = one_radicand_vector(rng, n)
+            vals = list(w.values)
+            _, denom, radicand = _common_radical(vals)
+            x1, x2 = vals[0], vals[1]
+            r = Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 7)))
+            q = Fraction(int(rng.integers(-3, 9)), int(rng.integers(1, 7)))
+            tail = vals[2:] or vals
+            t_free = r + q * exact_sqrt(radicand)
+            # (values, threshold, whether the integer cut-off applies)
+            cases = [
+                (tail, 1 + x1 + x2, True),
+                (tail, 1 + x1 - x2, True),
+                (vals, t_free if t_free >= 0 else r, True),
+                (vals, abs(sum(vals[:-1]) - vals[-1]), True),  # an achieved |sum|: a tie
+                (vals, 2 * x1 - Fraction(1, 10**6), False),  # r < 0: the SqrtSum path
+            ]
+            for values, t, integer_path in cases:
+                for strict in (False, True):
+                    assert (_int_cutoff(t, denom, radicand, strict) is not None) == integer_path
+                    hits, total = signed_sum_count(values, t, EXACT, strict)
+                    assert hits == self._radical_pairs(values, t, strict), (n, t, strict)
+                    assert total == 2 ** len(values)
+
+    def test_decomposition_check_one_radicand(self):
+        from radsum import decomposition_check, signed_sum_probability
+
+        w = canonicalize([10, 9] + [2] * 12, EXACT)  # Case 1, one radicand
+        rep = decomposition_check(w)
+        assert 0 < rep.p_minus < 1
+        tail = list(w.values[2:])
+        for t, p in ((rep.t_plus, rep.p_plus), (rep.t_minus, rep.p_minus)):
+            assert p == Fraction(self._radical_pairs(tail, t, False), 2 ** len(tail))
+            assert p == signed_sum_probability(tail, t, EXACT)
 
     def test_zero_threshold_counts_only_exact_cancellation(self):
         # x = (2, 1, 1)*sqrt(6)/6: a signed sum is zero only for +-(2 - 1 - 1),
