@@ -193,6 +193,66 @@ class TestOracleEquivalence:
                     assert (hits, total) == (he, te)
 
 
+class TestMergedHalves:
+    """The meet-in-the-middle counts pairs of merged half distributions:
+    sorted distinct sums with pattern counts."""
+
+    @staticmethod
+    def _tie_heavy_vectors(rng):
+        for n in (1, 2, 7, 12, 17, 20):
+            yield [float(v) / 16 for v in rng.integers(-16, 17, size=n)]  # dyadic
+            yield [float(v) for v in rng.choice([0.1, 0.2, 0.3, 0.7], size=n)]  # repeated
+            yield [1.0] * n
+            half = [float(v) for v in rng.uniform(-3, 3, size=(n + 1) // 2)]
+            cancel = half + [-v for v in half] + [0.0, -0.0]  # sums cancel to +-0.0
+            yield [cancel[i] for i in rng.permutation(len(cancel))[:n]]
+
+    def test_float_count_matches_index_order_brute_force(self, rng):
+        # fl(left + right) of the index-order half sums, counted literally
+        from radsum.engine import _half_sums, signed_sum_count
+
+        for vals in self._tie_heavy_vectors(rng):
+            split = len(vals) - len(vals) // 2
+            sums = np.abs(
+                np.add.outer(_half_sums(vals[:split], np.float64), _half_sums(vals[split:], np.float64))
+            ).ravel()
+            for t in (0.0, 1.0, float(sums[int(rng.integers(0, len(sums)))])):
+                for strict in (False, True):
+                    expected = int(np.count_nonzero(sums < t if strict else sums <= t))
+                    assert signed_sum_count(vals, t, FLOAT, strict) == (expected, 2 ** len(vals)), (vals, t)
+
+    @pytest.mark.parametrize("dtype, one", [(np.int64, 1), (object, 1), (np.float64, 1.0)])
+    def test_merged_half_of_ones_is_binomial(self, dtype, one):
+        from radsum.engine import _merged_sums
+
+        for k in (0, 1, 5, 8, 9, 20, 40):
+            keys, counts = _merged_sums([one] * k, dtype, np.int64)
+            assert keys.tolist() == list(range(-k, k + 1, 2))
+            assert counts.tolist() == [math.comb(k, j) for j in range(k + 1)]
+
+    @pytest.mark.parametrize("mode, one, t", [(EXACT, 1, 1), (FLOAT, 1.0, 1.0)])
+    def test_ones_64_at_limit_64(self, monkeypatch, mode, one, t):
+        # 2^64 patterns over 33 distinct sums per half; the count needs more
+        # than int64.  Materialising a half would need 2^32 sums, so the
+        # guard fails any attempt past 2^20.
+        from radsum import engine
+
+        real = engine._half_sums
+
+        def guarded(values, dtype):
+            assert len(values) <= 20, f"materialises 2^{len(values)} sums"
+            return real(values, dtype)
+
+        monkeypatch.setattr(engine, "_half_sums", guarded)
+        n = 64
+        w = canonicalize([one] * n, mode)  # x_i = 1/8: |eps . x| <= 1 iff |imbalance| <= 8
+        for strict in (False, True):
+            hits = sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) < 8 + (not strict))
+            assert engine.admissible_count(w, t, strict, limit=n) == (hits, 2**n)
+            p = threshold_probability(w, t, strict, limit=n)
+            assert p == (Fraction(hits, 2**n) if mode == EXACT else hits / 2**n)
+
+
 class TestThresholdProperties:
     @given(st.integers(0, 3), st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -616,13 +676,13 @@ class TestSharedRadicandReduction:
         from radsum import engine
 
         seen = set()
-        real = engine._half_sums
+        real = engine._merged_sums
 
-        def spy(values, dt):
+        def spy(values, dt, count_dt):
             seen.add(dt)
-            return real(values, dt)
+            return real(values, dt, count_dt)
 
-        monkeypatch.setattr(engine, "_half_sums", spy)
+        monkeypatch.setattr(engine, "_merged_sums", spy)
         for _ in range(8):
             n = int(rng.integers(1, 11))
             vals = [scale + int(v) for v in rng.integers(-50, 50, size=n)]
