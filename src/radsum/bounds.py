@@ -96,36 +96,10 @@ def crossing_point(k: int, *, check: bool = True) -> Fraction:
     return cp
 
 
-def minmax_bound(k: int, *, verify_grid: int = 0) -> Fraction:
-    """min over [0,1] of max(g_k, h_k), attained at the crossing: g_k(1/(k+1)).
-
-    ``verify_grid > 0`` additionally grid-minimizes max(g, h) in float and
-    checks agreement.  The minimum sits at a kink, so the grid overshoots by
-    up to |slope| * cell; the tolerance is one cell width (slopes of g and h
-    near the crossing are below 1).
-    """
-    value = g(k, crossing_point(k, check=False))
-    if verify_grid:
-        if verify_grid < 3:
-            raise InputError("invalid input: verify_grid must be >= 3")
-        tol = 1.0 / (verify_grid - 1)
-        import numpy as np
-
-        xs = np.linspace(0.0, 1.0, verify_grid)
-        grid_min = float(np.maximum(_g_np(k, xs), _h_np(k, xs)).min())
-        if not -1e-12 <= grid_min - float(value) <= tol:
-            raise SoundnessError(
-                f"min-max grid check failed at k={k}: grid {grid_min} vs {float(value)}"
-            )
-    return value
-
-
-def _g_np(k, xs):
-    return (1.0 - (1.0 - k * xs * xs) / (2.0 - xs) ** 2) / 2.0
-
-
-def _h_np(k, xs):
-    return (1.0 - (1.0 - (1.0 - xs) ** 2 / k) / (2.0 - xs) ** 2) / 2.0
+def minmax_bound(k: int) -> Fraction:
+    """min over [0,1] of max(g_k, h_k) = g_k(1/(k+1)) = 3k(k+1)/(2(2k+1)^2);
+    ``explore.lemma_sweep`` certifies per k that the minimum is there."""
+    return g(k, crossing_point(k, check=False))
 
 
 def clamp01(value):

@@ -130,7 +130,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, default=1000)
     p.add_argument("--grid-points", type=int, default=10_000)
     p.add_argument("--mode", choices=(EXACT, FLOAT), default=FLOAT,
-                   help="grid comparison arithmetic (crossing checks are always exact)")
+                   help="exact: closed-form certificate only; float: adds a float grid "
+                        "cross-check on --grid-points points")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("search", help="search for low-probability weight vectors")
@@ -457,8 +458,13 @@ def main(argv=None) -> int:
     if warn:
         print(warn, file=sys.stderr)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"radsum: error: cannot write {cfg.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return code

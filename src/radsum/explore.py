@@ -1,4 +1,5 @@
-"""Monte Carlo estimation, lemma verification sweeps, extremal search.
+"""Monte Carlo estimation, the bound-function lemma certificate, extremal
+search.
 
 Reproducibility contract: all randomness comes from numpy's PCG64 keyed by
 a 64-bit seed.  Monte Carlo consumes sign bits via ``integers(0, 2)`` in
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import crossing_point, g, h, minmax_bound
-from .engine import DEFAULT_MITM_LIMIT, admissible_count
+from .engine import DEFAULT_MITM_LIMIT, _check_t_nonnegative, _normalize_threshold, admissible_count
 from .errors import InputError, SoundnessError
 from .weights import EXACT, FLOAT, WeightVector, canonicalize
 
@@ -68,8 +69,9 @@ def monte_carlo(
         raise InputError("invalid input: seed must be a 64-bit unsigned integer")
     if not 0 < confidence < 1:
         raise InputError("invalid input: confidence must be in (0, 1)")
+    tf = _normalize_threshold(t, FLOAT)
+    _check_t_nonnegative(tf)
     x = np.asarray(w.as_floats())
-    tf = float(t)
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     done = 0
@@ -125,91 +127,73 @@ class LemmaSweepReport:
         return not self.violations and self.minmax_nondecreasing
 
 
-def _sweep_k_exact(k: int, grid: int) -> tuple[bool, bool, bool, list[str]]:
-    """Exact grid checks for one k via integer cross-multiplication.
+def _certify_k(k: int, cp: Fraction, violations: list[str]) -> tuple[bool, bool, bool]:
+    """Closed-form certificate of the lemma facts for one k and its crossing
+    ``cp``, in exact rational arithmetic; failures are appended to
+    ``violations``.
 
-    The g-grid spans [1/(2k), 1] (where g must be nondecreasing), the h- and
-    min-max grids span [0, 1].  Shared denominators make every comparison a
-    product of integers.
+    With D = (2-x)^2 > 0 on [0, 1], the definitions of g and h read
+    2D g_k = D - 1 + k x^2 and 2D h_k = D - 1 + (1-x)^2/k.  Both sides are
+    quadratics in x, so agreement of the real ``g``/``h`` at three points
+    proves each identity for this k.  The closed forms give
+    g_k' = (2kx - 1)/(2-x)^3, h_k' = -(1 + (1-x)/k)/(2-x)^3 and
+    g_k - h_k = ((k+1)x - 1)(1 + (k-1)x)/(2kD).  Each numerator is linear in
+    x, so its signs at the two ends of an interval fix its sign on all of
+    it: g_k' >= 0 on [1/(2k), 1], h_k' < 0 on [0, 1], and 1 + (k-1)x > 0 on
+    [0, 1], so g_k - h_k changes sign only at the root 1/(k+1) of
+    (k+1)x - 1.  Hence max(g_k, h_k) is h_k, decreasing, up to the crossing
+    and g_k, nondecreasing because 1/(k+1) >= 1/(2k), after it; its minimum
+    over [0, 1] is at the crossing.
     """
-    violations: list[str] = []
+    lo, ends = Fraction(1, 2 * k), (Fraction(0), Fraction(1))
 
-    # g on [1/(2k), 1]: x_j = a_j/b, b = 2k(grid-1), a_j = (grid-1) + j(2k-1)
-    b = 2 * k * (grid - 1)
-    gN = []
-    gD = []
-    for j in range(grid):
-        a = (grid - 1) + j * (2 * k - 1)
-        d = (2 * b - a) ** 2
-        gN.append(d - b * b + k * a * a)
-        gD.append(d)
-    g_ok = True
-    for j in range(grid - 1):
-        if gN[j] * gD[j + 1] > gN[j + 1] * gD[j]:
-            g_ok = False
-            x1 = Fraction((grid - 1) + j * (2 * k - 1), b)
-            violations.append(f"g_{k} decreases between x={x1} and the next grid point")
-            break
+    def holds(fact: str, ok: bool) -> bool:
+        if not ok:
+            violations.append(f"k={k}: {fact} fails")
+        return ok
 
-    # h and max(g,h) on [0, 1]: x_j = j/(grid-1)
-    bb = grid - 1
-    hN = []
-    gN2 = []
-    dd = []
-    for a in range(grid):
-        d = (2 * bb - a) ** 2
-        dd.append(d)
-        hN.append(k * d - k * bb * bb + (bb - a) ** 2)
-        gN2.append(d - bb * bb + k * a * a)
-    h_ok = True
-    for a in range(grid - 1):
-        if hN[a] * dd[a + 1] < hN[a + 1] * dd[a]:
-            h_ok = False
-            violations.append(f"h_{k} increases between x={Fraction(a, bb)} and the next grid point")
-            break
+    def tied(fn, quad) -> bool:
+        points = (Fraction(0), Fraction(1, 2), Fraction(1))
+        return all(2 * (2 - x) ** 2 * fn(k, x) == (2 - x) ** 2 - 1 + quad(x) for x in points)
 
-    # V(a) = max(g, h) = M(a) / (2*kappa(a)*dd[a]) with kappa in {1, k}
-    def vm(a: int) -> tuple[int, int]:
-        if k * gN2[a] >= hN[a]:
-            return gN2[a], 1
-        return hN[a], k
-
-    arg = 0
-    m_best, kap_best = vm(0)
-    for a in range(1, grid):
-        m, kap = vm(a)
-        if m * kap_best * dd[arg] < m_best * kap * dd[a]:
-            arg = a
-            m_best, kap_best = m, kap
-    # within one grid cell of 1/(k+1):  |a*(k+1) - bb| <= k+1
-    min_ok = abs(arg * (k + 1) - bb) <= k + 1
-    if not min_ok:
-        violations.append(
-            f"grid min of max(g_{k},h_{k}) at x={Fraction(arg, bb)}, "
-            f"not within one cell of {Fraction(1, k + 1)}"
-        )
-    return g_ok, h_ok, min_ok, violations
+    g_ok = holds(
+        f"2(2-x)^2 g_{k}(x) = (2-x)^2 - 1 + {k}x^2", tied(g, lambda x: k * x * x)
+    ) and holds(f"g_{k}' >= 0 on [{lo}, 1]", all(2 * k * x - 1 >= 0 for x in (lo, ends[1])))
+    h_ok = holds(
+        f"2(2-x)^2 h_{k}(x) = (2-x)^2 - 1 + (1-x)^2/{k}", tied(h, lambda x: (1 - x) ** 2 / k)
+    ) and holds(f"h_{k}' < 0 on [0, 1]", all(-(1 + (1 - x) / k) < 0 for x in ends))
+    min_ok = g_ok and h_ok and holds(
+        f"g_{k} - h_{k} changes sign only at {cp} >= {lo}",
+        (k + 1) * cp == 1 and cp >= lo and all(1 + (k - 1) * x > 0 for x in ends),
+    )
+    return g_ok, h_ok, min_ok
 
 
-def _sweep_k_float(k: int, grid: int) -> tuple[bool, bool, bool, list[str]]:
-    from .bounds import _g_np, _h_np
+def _g_float(k: int, xs: np.ndarray) -> np.ndarray:
+    return (1.0 - (1.0 - k * xs * xs) / (2.0 - xs) ** 2) / 2.0
 
-    violations: list[str] = []
+
+def _h_float(k: int, xs: np.ndarray) -> np.ndarray:
+    return (1.0 - (1.0 - (1.0 - xs) ** 2 / k) / (2.0 - xs) ** 2) / 2.0
+
+
+def _sweep_k_float(k: int, grid: int, violations: list[str]) -> tuple[bool, bool, bool]:
+    """Float grid cross-check of the facts ``_certify_k`` proves."""
     xs_g = np.linspace(1.0 / (2 * k), 1.0, grid)
-    gv = _g_np(k, xs_g)
+    gv = _g_float(k, xs_g)
     bad = np.flatnonzero(np.diff(gv) < 0)
     g_ok = bad.size == 0
     if not g_ok:
         violations.append(f"g_{k} decreases between x={xs_g[bad[0]]!r} and x={xs_g[bad[0] + 1]!r}")
 
     xs = np.linspace(0.0, 1.0, grid)
-    hv = _h_np(k, xs)
+    hv = _h_float(k, xs)
     bad = np.flatnonzero(np.diff(hv) > 0)
     h_ok = bad.size == 0
     if not h_ok:
         violations.append(f"h_{k} increases between x={xs[bad[0]]!r} and x={xs[bad[0] + 1]!r}")
 
-    mx = np.maximum(_g_np(k, xs), hv)
+    mx = np.maximum(_g_float(k, xs), hv)
     arg = int(np.argmin(mx))
     cell = 1.0 / (grid - 1)
     min_ok = bool(abs(float(xs[arg]) - 1.0 / (k + 1)) <= cell + 1e-15)
@@ -217,21 +201,24 @@ def _sweep_k_float(k: int, grid: int) -> tuple[bool, bool, bool, list[str]]:
         violations.append(
             f"grid min of max(g_{k},h_{k}) at x={xs[arg]!r}, not within one cell of 1/{k + 1}"
         )
-    return g_ok, h_ok, min_ok, violations
+    return g_ok, h_ok, min_ok
 
 
 def lemma_sweep(k_max: int, grid_points: int, *, mode: str = FLOAT) -> LemmaSweepReport:
     """Verify, for each k = 2..k_max: g_k nondecreasing on [1/(2k), 1], h_k
-    nonincreasing on [0, 1], the crossing identity at 1/(k+1) (always exact),
-    the grid min of max(g, h) within one cell of the crossing, and that the
-    per-k min-max values are nondecreasing from 0.36 at k = 2.
+    nonincreasing on [0, 1], the crossing identity at 1/(k+1), the min of
+    max(g_k, h_k) over [0, 1] at the crossing, and that the per-k min-max
+    values are nondecreasing from 0.36 at k = 2.
 
-    Violations are report entries with exact coordinates, not exceptions.
+    Every check is exact; the per-k facts come from the closed-form
+    certificate of ``_certify_k``.  ``FLOAT`` mode adds a float cross-check
+    on ``grid_points``-point grids per k; ``EXACT`` mode uses no floating
+    point.  Violations are report entries, not exceptions.
     """
-    if k_max < 2:
-        raise InputError("invalid input: k_max must be >= 2")
-    if grid_points < 3:
-        raise InputError("invalid input: grid_points must be >= 3")
+    if type(k_max) is not int or k_max < 2:
+        raise InputError(f"invalid input: k_max must be an integer >= 2, got {k_max!r}")
+    if type(grid_points) is not int or grid_points < 3:
+        raise InputError(f"invalid input: grid_points must be an integer >= 3, got {grid_points!r}")
     if mode not in (EXACT, FLOAT):
         raise InputError(f"invalid input: unknown numeric mode {mode!r}")
     rows: list[LemmaRow] = []
@@ -249,11 +236,10 @@ def lemma_sweep(k_max: int, grid_points: int, *, mode: str = FLOAT) -> LemmaSwee
             nondecreasing = False
             violations.append(f"minmax_bound({k}) = {mm} < minmax_bound({k - 1}) = {prev}")
         prev = mm
-        if mode == EXACT:
-            g_ok, h_ok, min_ok, vs = _sweep_k_exact(k, grid_points)
-        else:
-            g_ok, h_ok, min_ok, vs = _sweep_k_float(k, grid_points)
-        violations.extend(vs)
+        g_ok, h_ok, min_ok = _certify_k(k, cp, violations)
+        if mode == FLOAT:
+            fg, fh, fm = _sweep_k_float(k, grid_points, violations)
+            g_ok, h_ok, min_ok = g_ok and fg, h_ok and fh, min_ok and fm
         rows.append(
             LemmaRow(
                 k=k,

@@ -99,10 +99,6 @@ class TestCrossingAndMinmax:
     def test_minmax_large_k_limit(self):
         assert abs(float(minmax_bound(10**6)) - 0.375) < 1e-5
 
-    def test_minmax_grid_verification(self):
-        for k in (2, 3, 10):
-            minmax_bound(k, verify_grid=10_001)
-
     def test_clamp(self):
         assert clamp01(Fraction(3, 2)) == 1
         assert clamp01(Fraction(1, 2)) == Fraction(1, 2)

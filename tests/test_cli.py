@@ -169,6 +169,14 @@ class TestMcAndSearch:
         doc = json.loads(out1)
         assert 0.8 < float(doc["result"]["estimate"]["decimal"]) < 0.95
 
+    @pytest.mark.parametrize("t", ["-1", "nan", "inf", "-inf"])
+    def test_mc_rejects_bad_threshold_like_exact(self, capsys, t):
+        for sub in ("mc", "exact"):
+            code, out, err = run_cli(capsys, sub, "0.6,0.8", f"--threshold={t}", "--no-timestamp")
+            assert code == 1
+            assert out == ""
+            assert "threshold" in err
+
     def test_search(self, capsys):
         code, doc, _ = run_json(
             capsys, "search", "--n", "2", "--budget", "600", "--seed", "0", "--no-timestamp"
@@ -285,6 +293,16 @@ class TestDeterminismAndConfig:
         assert out == ""
         doc = json.loads(path.read_text())
         assert doc["result"]["final_bound"]["exact"] == "1/2"
+
+    def test_unwritable_output_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "cert.json"
+        code, out, err = run_cli(
+            capsys, "certify", "sq:16/25,9/25", "--no-timestamp", "-o", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"radsum: error: cannot write {path}")
+        assert not path.parent.exists()
 
     def test_runconfig_roundtrip(self):
         cfg = RunConfig(subcommand="exact", weights="sq:1/2,1/2", strict=True, seed=5)

@@ -7,6 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+import radsum.explore as explore_mod
 from radsum import (
     g,
     h,
@@ -20,6 +21,7 @@ from radsum import (
     monte_carlo,
     threshold_probability,
 )
+from radsum.cli import main as cli_main
 
 
 class TestMonteCarlo:
@@ -65,6 +67,14 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             monte_carlo(w, 1, samples=10, seed=0, confidence=1.5)
 
+    @pytest.mark.parametrize("t", [-1, -0.5, math.nan, math.inf, -math.inf, "abc", None])
+    def test_threshold_validated_like_the_engine(self, t):
+        w = canonicalize([0.6, 0.8], FLOAT)
+        with pytest.raises(InputError, match="threshold"):
+            monte_carlo(w, t, samples=10, seed=0)
+        with pytest.raises(InputError, match="threshold"):
+            threshold_probability(w, t)
+
 
 class TestLemmaSweep:
     def test_float_sweep_clean(self):
@@ -103,27 +113,74 @@ class TestLemmaSweep:
             if num * floor_den < floor_num * den:
                 pytest.fail(f"minmax_bound({k}) dips below 9/25")
 
-    def test_exact_grid_comparisons_match_fraction_arithmetic(self):
-        # The exact sweep compares g/h values by integer cross-multiplication
-        # over shared grid denominators; spot-check every adjacent-pair
-        # predicate against literal Fraction evaluation.
-        from radsum.explore import _sweep_k_exact
-
+    @pytest.mark.parametrize("mutation", [None, "g", "h"])
+    def test_certificate_flags_match_fraction_grid(self, monkeypatch, mutation):
+        # The closed-form flags against literal Fraction evaluation of g/h on
+        # grids over [1/(2k), 1] and [0, 1], for the real functions and for
+        # ones made to decrease (g - x^2) or increase (h + x^2) somewhere.
+        gf = (lambda k, x: g(k, x) - x * x) if mutation == "g" else g
+        hf = (lambda k, x: h(k, x) + x * x) if mutation == "h" else h
+        monkeypatch.setattr(explore_mod, "g", gf)
+        monkeypatch.setattr(explore_mod, "h", hf)
+        rows = {r.k: r for r in lemma_sweep(11, 3, mode=EXACT).rows}
+        grid = 41
         for k in (2, 5, 11):
-            grid = 41
-            b = 2 * k * (grid - 1)
-            xs_g = [Fraction((grid - 1) + j * (2 * k - 1), b) for j in range(grid)]
-            g_nondec = all(g(k, a) <= g(k, bx) for a, bx in zip(xs_g, xs_g[1:]))
-            xs_h = [Fraction(a, grid - 1) for a in range(grid)]
-            h_noninc = all(h(k, a) >= h(k, bx) for a, bx in zip(xs_h, xs_h[1:]))
-            g_ok, h_ok, _, _ = _sweep_k_exact(k, grid)
-            assert g_ok == g_nondec and h_ok == h_noninc
+            lo = Fraction(1, 2 * k)
+            xs_g = [lo + (1 - lo) * Fraction(j, grid - 1) for j in range(grid)]
+            g_nondec = all(gf(k, a) <= gf(k, b) for a, b in zip(xs_g, xs_g[1:]))
+            xs = [Fraction(j, grid - 1) for j in range(grid)]
+            h_noninc = all(hf(k, a) >= hf(k, b) for a, b in zip(xs, xs[1:]))
+            row = rows[k]
+            assert (row.monotone_g_ok, row.monotone_h_ok) == (g_nondec, h_noninc)
+            assert (g_nondec, h_noninc) == (mutation != "g", mutation != "h")
+            if mutation is None:
+                assert row.min_location_ok
+                assert min(max(g(k, x), h(k, x)) for x in xs) >= row.minmax
+
+    def test_float_grid_disagreement_is_a_violation(self, monkeypatch):
+        # An increasing float h: only the float cross-check sees it, and only
+        # float mode runs that check.
+        monkeypatch.setattr(explore_mod, "_h_float", lambda k, xs: xs)
+        rep = lemma_sweep(4, 51, mode=FLOAT)
+        assert not rep.ok
+        assert not any(r.monotone_h_ok for r in rep.rows)
+        assert lemma_sweep(4, 51, mode=EXACT).ok
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize(
+        "target, mutate, flag",
+        [
+            # Exact at x = 0 and 1, off by at most 1/4000 between, and still
+            # increasing: no grid sees it.
+            pytest.param("g", lambda f: lambda k, x: f(k, x) + x * (1 - x) / 1000,
+                         "monotone_g_ok", id="g_plus_bump"),
+            # h_{k+1} in place of h_k: still decreasing, wrong closed form.
+            pytest.param("h", lambda f: lambda k, x: f(k + 1, x), "monotone_h_ok",
+                         id="h_of_k_plus_1"),
+            pytest.param("g", lambda f: lambda k, x: f(k, x) - x * x, "monotone_g_ok",
+                         id="g_minus_square"),
+        ],
+    )
+    def test_mutated_bound_functions_fail_the_certificate(
+        self, monkeypatch, capsys, mode, target, mutate, flag
+    ):
+        monkeypatch.setattr(explore_mod, target, mutate(getattr(explore_mod, target)))
+        rep = lemma_sweep(6, 51, mode=mode)
+        assert not rep.ok
+        assert not any(getattr(r, flag) for r in rep.rows)
+        assert not any(r.min_location_ok for r in rep.rows)
+        assert cli_main(["lemmas", "--k-max", "6", "--grid-points", "51", "--mode", mode,
+                         "--no-timestamp"]) == 3
+        assert "lemma violation: k=2: 2(2-x)^2" in capsys.readouterr().err
 
     def test_input_validation(self):
         with pytest.raises(InputError):
             lemma_sweep(1, 100)
         with pytest.raises(InputError):
             lemma_sweep(5, 2)
+        for k_max, grid in ((2.5, 10), (True, 10), ("5", 10), (5, 10.0), (5, True), (5, None)):
+            with pytest.raises(InputError, match="must be an integer"):
+                lemma_sweep(k_max, grid)
 
 
 class TestMinimizeProbability:
