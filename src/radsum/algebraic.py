@@ -13,12 +13,17 @@ The set is closed under +, -, * and / (division clears radicals from the
 denominator by conjugating one prime at a time), which covers everything the
 bound formulas need once weights are square roots of rationals.
 
+Signs and comparisons are filtered (Shewchuk 1997): float sums with proven
+error bounds decide them, and an exact difference and sign are computed only
+when two sums agree to within those bounds.
+
 Only exact operands are accepted; mixing in floats raises ``TypeError``
 rather than silently losing exactness.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -154,6 +159,18 @@ def _smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError(f"no prime factor for {n}")
     return min(factorint(n))
+
+
+def _ordering(op):
+    """The ``SqrtSum`` method ``self op other``: ``op(sign(self - other), 0)``."""
+
+    def method(self: "SqrtSum", other) -> bool:
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return op(self._compare(o), 0)
+
+    return method
 
 
 class SqrtSum:
@@ -363,11 +380,12 @@ class SqrtSum:
         covers both with room to spare.  The bound assumes no underflow or
         overflow, so a coefficient that is not a normal float, an
         ``OverflowError``, or ``S`` outside ``(1e-290, 1e290)`` yields None.
+        The empty sum is exactly ``(0.0, 0.0)``.
         """
         approx = size = 0.0
         try:
             for d, c in self._terms.items():
-                fc = float(c)
+                fc = c.numerator / c.denominator  # float(c) without its wrapper
                 if not abs(fc) >= _FLOAT_MIN:
                     return None
                 term = fc * sqrt(d)
@@ -375,7 +393,7 @@ class SqrtSum:
                 size += abs(term)
         except OverflowError:
             return None
-        if not 1e-290 < size < 1e290:
+        if self._terms and not 1e-290 < size < 1e290:
             return None
         return approx, (len(self._terms) + 4) * 2.0**-52 * size
 
@@ -410,29 +428,29 @@ class SqrtSum:
             return hash(self._terms.get(1, Fraction(0)))
         return hash(frozenset(self._terms.items()))
 
-    def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
+    def _compare(self, other: "SqrtSum") -> int:
+        """The sign of ``self - other``: from the float estimates when they
+        are far enough apart, else exact.
 
-    def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        ``_float_estimate`` gives ``|a - A| <= ea`` and ``|b - B| <= eb`` for
+        the exact values ``A, B``, so ``A - B`` is within ``ea + eb`` of ``a -
+        b``.  With ``u = 2^-53``, the correctly rounded ``d = fl(a - b)`` has
+        the sign of ``a - b`` and ``|d| <= (1 + u)|a - b|``, and ``fl(2*(ea +
+        eb)) >= 2(1 - u)(ea + eb)``; all sizes stay below 1e291, so nothing
+        overflows.  So ``|d| > fl(2*(ea + eb))`` gives ``|a - b| > 2(1 - u)/(1
+        + u)*(ea + eb) >= ea + eb``, and ``A - B`` has the sign of ``d``.
+        """
+        x, y = self._float_estimate(), other._float_estimate()
+        if x is not None and y is not None:
+            d = x[0] - y[0]
+            if abs(d) > 2 * (x[1] + y[1]):
+                return 1 if d > 0 else -1
+        return (self - other).sign()
 
-    def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() >= 0
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

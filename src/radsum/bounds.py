@@ -27,6 +27,8 @@ from typing import Optional, Union
 
 from .engine import (
     DEFAULT_FULL_LIMIT,
+    DEFAULT_MITM_LIMIT,
+    _size_limit,
     prefix_partition,
     signed_sum_probability,
     threshold_probability,
@@ -285,11 +287,12 @@ def theorem_bound(
 
     ``exact_check`` may be True, False, or "auto" (check when n is within
     the full-enumeration limit, where the engine is desk-fast in both
-    modes).  When checking, the exact probability is attached as
-    ``sound_against`` and the bound is asserted not to exceed it.
+    modes, and within ``limit``).  When checking, the exact probability is
+    attached as ``sound_against`` and the bound is asserted not to exceed
+    it.
     """
     if exact_check == "auto":
-        do_check = w.n <= DEFAULT_FULL_LIMIT
+        do_check = w.n <= min(DEFAULT_FULL_LIMIT, _size_limit(limit, DEFAULT_MITM_LIMIT))
     else:
         do_check = bool(exact_check)
     if case_of(w) is CaseTag.CASE1:

@@ -14,12 +14,14 @@ Enumeration strategies:
   depth's sorted tail sums and cumulative counts, and extends the rest by
   ``s - v`` and ``s + v`` (exact mode merges equal sums, with counts).
 
-Numeric behavior: in exact mode every comparison is tie-exact.  When all
-weights share one radicand - ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``,
-``D = 1`` for rational weights - every signed sum is ``s*sqrt(D)/L`` for an
-integer ``s`` (int64 keys, Python ints past 2^62), and ``|s|*sqrt(D)/L <=
-t`` becomes ``|s| <= c`` with an integer cut-off ``c`` from ``isqrt``, also
-for ``t = r + q*sqrt(D)``.  Other weights and thresholds use ``SqrtSum``.
+Numeric behavior: in exact mode every comparison is tie-exact, and one key
+setup and one pair counter serve every key type.  When all weights share
+one radicand - ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``, ``D = 1`` for
+rational weights - every signed sum is ``s*sqrt(D)/L`` for an integer ``s``
+(int64 keys, Python ints past 2^62), and ``|s|*sqrt(D)/L <= t`` becomes
+``|s| <= c`` with an integer cut-off ``c`` from ``isqrt``, also for ``t = r
++ q*sqrt(D)``.  Other weights and thresholds take ``SqrtSum`` keys, whose
+comparisons are float-filtered.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
 with each half accumulated in index order, comparisons are exact float
@@ -31,7 +33,6 @@ are deterministic: every reduction is an integer count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -118,6 +119,32 @@ def _check_t_nonnegative(t):
         raise InputError("invalid input: threshold t must be >= 0")
 
 
+def _size_limit(limit, default: int) -> int:
+    """The caller's size limit, ``default`` when None; anything but a plain
+    ``int >= 0`` (bools included) is an ``InputError``."""
+    if limit is None:
+        return default
+    if type(limit) is not int or limit < 0:
+        raise InputError(f"invalid input: size limit must be an integer >= 0, got {limit!r}")
+    return limit
+
+
+def _check_size(n: int, limit, default: int, what: str) -> None:
+    limit = _size_limit(limit, default)
+    if n > limit:
+        raise SizeLimitError(n, limit, what)
+
+
+def _count_dtype(n: int):
+    """Pattern counts, their products and totals reach 2^n: int64 below 2^63."""
+    return np.int64 if n < 63 else object
+
+
+def _probability(hits: int, total: int, mode: str):
+    """``hits/total``: a Fraction in exact mode, a float in float mode."""
+    return Fraction(hits, total) if mode == EXACT else hits / total
+
+
 # -- shared-radicand reduction ------------------------------------------------
 
 
@@ -175,10 +202,26 @@ def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> Optional[int]:
     return c - 1 if strict and not rem and root * root * radicand == b * b else c
 
 
-def _as_exact(value) -> Union[Fraction, SqrtSum]:
-    if isinstance(value, SqrtSum):
-        return value
-    return Fraction(value)
+def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
+    """``(keys, dtype, path, scale, t, strict)``: the values as keys of numpy
+    ``dtype`` and that key type's name, ``(L, D)`` when a key ``a`` stands
+    for ``a*sqrt(D)/L``, and the test ``|s| <= t`` (``< t`` when strict) on
+    signed sums of the keys.  Exact values over one radicand take integer
+    keys and the cut-off ``c`` clamped to ``sum|a_i|``, which bounds every
+    partial sum, so sums and window ends fit int64 while ``sum|a_i| + c <
+    2^62``; other exact input takes ``SqrtSum`` keys.
+    """
+    if mode == FLOAT:
+        return [float(v) for v in values], np.float64, "float64", None, t, strict
+    reduced = _common_radical(values)
+    cutoff = None if reduced is None else _int_cutoff(t, *reduced[1:], strict)
+    if cutoff is None:
+        return [SqrtSum.from_rational(v) for v in values], object, "SqrtSum", None, t, strict
+    ints, denom, radicand = reduced
+    bound = sum(abs(a) for a in ints)
+    cutoff = min(cutoff, bound)
+    dtype = np.int64 if bound + cutoff < 1 << 62 else object
+    return ints, dtype, np.dtype(dtype).name, (denom, radicand), cutoff, False
 
 
 # -- half-sum generation -----------------------------------------------------
@@ -207,22 +250,6 @@ def _merged_sums(values: Sequence, dtype, count_dtype) -> tuple[np.ndarray, np.n
 # -- pair counting -----------------------------------------------------------
 
 
-def _count_pairs_exact(left, right_sorted, t, strict: bool) -> int:
-    total = 0
-    for sl in left:
-        lo = -t - sl
-        hi = t - sl
-        if strict:
-            # (lo, hi) is empty when t == 0; the prefix subtraction would
-            # go negative on sums equal to the endpoint.
-            count = bisect_left(right_sorted, hi) - bisect_right(right_sorted, lo)
-            if count > 0:
-                total += count
-        else:
-            total += bisect_right(right_sorted, hi) - bisect_left(right_sorted, lo)
-    return total
-
-
 def _refine_prefix_len(uniq: np.ndarray, a: np.ndarray, bound: float, inclusive: bool) -> np.ndarray:
     """Per left-sum a_i, the count of unique right values u with
     fl(a_i + u) <= bound (inclusive) or < bound (strict).
@@ -248,18 +275,18 @@ def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
     ``r`` sums of ``values[:split]`` and ``values[split:]``: the sum over
     distinct ``l`` of ``count(l) * window(right, l)``.  Float windows are
     refined so that each pair is tested as ``fl(l + r)``."""
-    # pattern counts, their products and the total reach 2^n
-    count_dtype = np.int64 if len(values) < 63 else object
+    count_dtype = _count_dtype(len(values))
     lkeys, lcounts = _merged_sums(values[:split], dtype, count_dtype)
     rkeys, rcounts = _merged_sums(values[split:], dtype, count_dtype)
     cum = np.concatenate([[0], np.cumsum(rcounts)])
     if dtype is np.float64:
         hi = _refine_prefix_len(rkeys, lkeys, t, inclusive=not strict)
         lo = _refine_prefix_len(rkeys, lkeys, -t, inclusive=strict)
-        window = np.maximum(cum[hi] - cum[lo], 0)  # strict t == 0: empty
+        window = cum[hi] - cum[lo]
     else:
         window = _window_count(rkeys, cum, -t - lkeys, t - lkeys, strict)
-    return int(np.sum(lcounts * window))
+    # an empty window (strict t == 0, cut-off -1) has lo > hi
+    return int(np.sum(lcounts * np.maximum(window, 0)))
 
 
 # -- public operations -------------------------------------------------------
@@ -278,10 +305,7 @@ def signed_sum_probability(
     Meet-in-the-middle; exact rational result in exact mode, float quotient
     of exact integer counts in float mode.
     """
-    hits, total = signed_sum_count(values, t, mode, strict, limit=limit)
-    if mode == EXACT:
-        return Fraction(hits, total)
-    return hits / total
+    return _probability(*signed_sum_count(values, t, mode, strict, limit=limit), mode)
 
 
 def signed_sum_count(
@@ -294,36 +318,11 @@ def signed_sum_count(
 ) -> tuple[int, int]:
     """(admissible count, 2^n) behind :func:`signed_sum_probability`."""
     n = len(values)
-    limit = DEFAULT_MITM_LIMIT if limit is None else limit
-    if n > limit:
-        raise SizeLimitError(n, limit, "meet-in-the-middle")
+    _check_size(n, limit, DEFAULT_MITM_LIMIT, "meet-in-the-middle")
     t = _normalize_threshold(t, mode)
     _check_t_nonnegative(t)
-    total = 1 << n
-    if n == 0:
-        zero_ok = (0 < t) if strict else True  # |0| <= t always for t >= 0
-        return (1 if zero_ok else 0, 1)
-    split = n - n // 2
-
-    if mode == FLOAT:
-        return _count_pairs([float(v) for v in values], split, np.float64, t, strict), total
-
-    reduced = _common_radical(values)
-    if reduced is not None:
-        ints, denom, radicand = reduced
-        cutoff = _int_cutoff(t, denom, radicand, strict)
-        if cutoff is not None:
-            # Every partial sum is bounded by sum|ints|, so int64 is exact
-            # while that bound plus the cut-off stays below 2^62.
-            bound = sum(abs(a) for a in ints)
-            cutoff = min(cutoff, bound)
-            dtype = np.int64 if bound + cutoff < 1 << 62 else object
-            return (_count_pairs(ints, split, dtype, cutoff, False) if cutoff >= 0 else 0), total
-    exact_vals = [_as_exact(v) for v in values]
-    left = _half_sums(exact_vals[:split], object)
-    right = sorted(_half_sums(exact_vals[split:], object))
-    hits = _count_pairs_exact(left, right, t, strict)
-    return hits, total
+    keys, dtype, _, _, t, strict = _key_setup(values, t, mode, strict)
+    return _count_pairs(keys, n - n // 2, dtype, t, strict), 1 << n
 
 
 def threshold_probability(
@@ -361,9 +360,7 @@ def threshold_probability_naive(
     """Full 2^n enumeration; the oracle the meet-in-the-middle path is
     checked against."""
     n = w.n
-    limit = DEFAULT_FULL_LIMIT if limit is None else limit
-    if n > limit:
-        raise SizeLimitError(n, limit, "full-enumeration")
+    _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
     t = _normalize_threshold(t, w.mode)
     _check_t_nonnegative(t)
     total = 1 << n
@@ -400,7 +397,7 @@ def threshold_probability_naive(
 
     # Radical weights take the plain pattern walk; this path only runs for
     # small n, where re-summing per pattern is fine.
-    exact_vals = [_as_exact(v) for v in w.values]
+    exact_vals = [SqrtSum.from_rational(v) for v in w.values]
     hits = 0
     for pattern in SignPattern.all(n):
         s = pattern.signed_sum(exact_vals)
@@ -413,24 +410,6 @@ def threshold_probability_naive(
 # -- signed-sum distributions -------------------------------------------------
 
 
-def _walk_setup(w: WeightVector):
-    """``(vals, one, zero, path, scale)``: the weights and 1 as keys, a zero
-    key array, the key dtype's name and ``(L, D)`` for keys ``a_i`` of
-    ``x_i = a_i*sqrt(D)/L``."""
-    if w.mode == FLOAT:
-        return [float(v) for v in w.values], 1.0, np.zeros(1), "float64", None
-    reduced = _common_radical(w.values)
-    if reduced is None:
-        vals = [_as_exact(v) for v in w.values]
-        return vals, Fraction(1), np.array([SqrtSum()], dtype=object), "SqrtSum", None
-    ints, denom, radicand = reduced
-    # For an integer m >= 0, m*sqrt(D)/L > 1 iff m > isqrt(L^2 // D).
-    one = _int_cutoff(Fraction(1), denom, radicand, False)
-    # Partial sums and the window ends +-one - s stay below 2^62 in int64.
-    path = "int64" if sum(abs(a) for a in ints) + one < 1 << 62 else "object"
-    return ints, one, np.zeros(1, dtype=path), path, (denom, radicand)
-
-
 def _merge_equal(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort ``keys``, adding up the counts of equal keys (linear on two runs)."""
     order = np.argsort(keys, kind="stable")
@@ -441,11 +420,10 @@ def _merge_equal(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return keys[first], np.add.reduceat(counts[order], first)
 
 
-def _tail_distributions(vals: Sequence, zero: np.ndarray):
+def _tail_distributions(vals: Sequence, dtype):
     """For k = len(vals)-1 down to 0: the sorted distinct signed sums of
     ``vals[k:]``, accumulated from the end, and their cumulative counts."""
-    # pattern counts reach 2^len(vals): int64 below 2^63
-    keys, counts = zero, np.ones(1, dtype=np.int64 if len(vals) < 63 else object)
+    keys, counts = np.zeros(1, dtype=dtype), np.ones(1, dtype=_count_dtype(len(vals)))
     for v in reversed(vals):
         keys, counts = _merge_equal(np.concatenate([keys - v, keys + v]), np.concatenate([counts, counts]))
         yield keys, np.concatenate([[0], np.cumsum(counts)])
@@ -504,7 +482,7 @@ class SumDistribution:
             keys = np.array([v for v, _ in self.entries], dtype=object)
         cum = np.concatenate([[0], np.cumsum(self.counts)])
         hits = max(int(_window_count(keys, cum, -t, t, strict)), 0)
-        return Fraction(hits, self.total) if self.mode == EXACT else hits / self.total
+        return _probability(hits, self.total, self.mode)
 
 
 def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDistribution:
@@ -514,9 +492,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     weights), so the full-enumeration limit applies.
     """
     n = w.n
-    limit = DEFAULT_FULL_LIMIT if limit is None else limit
-    if n > limit:
-        raise SizeLimitError(n, limit, "full-enumeration")
+    _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
 
     if w.mode == FLOAT:
         vals = [float(v) for v in w.values]
@@ -526,8 +502,8 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
         values, counts = np.unique(np.add.outer(left, right).ravel(), return_counts=True)
         return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
 
-    vals, _, zero, _, scale = _walk_setup(w)
-    for keys, cum in _tail_distributions(vals, zero):
+    vals, dtype, _, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
+    for keys, cum in _tail_distributions(vals, dtype):
         pass
     return SumDistribution(keys, np.diff(cum), n, EXACT, scale)
 
@@ -588,19 +564,18 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     settled at one depth is counted through that depth's tail distribution.
     """
     n = w.n
-    limit = DEFAULT_FULL_LIMIT if limit is None else limit
-    if n > limit:
-        raise SizeLimitError(n, limit, "full-enumeration")
+    _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
     if n < 2:
         raise InputError("prefix_partition requires n >= 2")
     if case_of(w) is CaseTag.CASE1:
         raise WrongCaseError("not case 2: x1 + x2 > 1, events A_2..A_n do not cover")
 
     exact = w.mode == EXACT
-    vals, one, zero, path, _ = _walk_setup(w)
+    # ``one`` is the threshold 1 in key units
+    vals, dtype, path, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
     # tails[k] covers coordinates k+1..n (0-based vals[k:])
     k_min = 1 if n == 2 else 2
-    tails = dict(zip(range(n - 1, k_min - 1, -1), _tail_distributions(vals[k_min:], zero)))
+    tails = dict(zip(range(n - 1, k_min - 1, -1), _tail_distributions(vals[k_min:], dtype)))
 
     prob_count, joint_count = [0] * (n + 1), [0] * (n + 1)
     frontier, settled, groups = [], [], []
@@ -609,8 +584,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     # double every count.  ``mult`` counts the sign prefixes behind each sum;
     # in float mode ``code`` holds each prefix's later signs (a set bit is a
     # minus), which orders the tie records.
-    s = zero + vals[0]
-    mult = np.ones(1, dtype=np.int64 if n < 63 else object)
+    s = np.array(vals[:1], dtype=dtype)
+    mult = np.ones(1, dtype=_count_dtype(n))
     code = np.zeros(1, dtype=np.int64)
     for depth in range(1, n):
         frontier.append(len(s))
@@ -664,7 +639,7 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     for *_, records in sorted(groups, key=lambda g: g[:3]):
         ties += records if len(ties) < _MAX_TIE_RECORDS else []
     ks = tuple(range(2, n + 1))
-    ratio = (lambda c: Fraction(2 * c, total)) if exact else (lambda c: 2 * c / total)
+    ratio = lambda c: _probability(2 * c, total, w.mode)
     probs = tuple(ratio(prob_count[k]) for k in ks)
     joints = tuple(ratio(joint_count[k]) for k in ks)
     conds = tuple((j / p if p else None) for p, j in zip(probs, joints))

@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
 from .bounds import crossing_point, g, h, minmax_bound
-from .engine import DEFAULT_MITM_LIMIT, _check_t_nonnegative, _normalize_threshold, admissible_count
+from .engine import DEFAULT_MITM_LIMIT, _check_t_nonnegative, _normalize_threshold, _size_limit
+from .engine import admissible_count
 from .errors import InputError, SoundnessError
 from .weights import EXACT, FLOAT, WeightVector, canonicalize
 
@@ -63,11 +65,11 @@ def monte_carlo(
     Evaluation is float64 regardless of the vector's mode; sampling is for
     scales where exact enumeration is off the table.
     """
-    if samples < 1:
-        raise InputError("invalid input: samples must be >= 1")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if type(samples) is not int or samples < 1:
+        raise InputError(f"invalid input: samples must be an integer >= 1, got {samples!r}")
+    if type(seed) is not int or not 0 <= seed < 2**64:
         raise InputError("invalid input: seed must be a 64-bit unsigned integer")
-    if not 0 < confidence < 1:
+    if not isinstance(confidence, Real) or not 0 < confidence < 1:
         raise InputError("invalid input: confidence must be in (0, 1)")
     tf = _normalize_threshold(t, FLOAT)
     _check_t_nonnegative(tf)
@@ -299,12 +301,12 @@ def minimize_probability(
     only on strict improvement, best neighbor first; the step halves when no
     neighbor improves and the walk restarts below ``_MIN_STEP``.
     """
-    lim = DEFAULT_MITM_LIMIT if limit is None else limit
-    if not 2 <= n <= lim:
-        raise InputError(f"invalid input: n must be in [2, {lim}]")
-    if budget < 1:
-        raise InputError("invalid input: budget must be >= 1")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    lim = _size_limit(limit, DEFAULT_MITM_LIMIT)
+    if type(n) is not int or not 2 <= n <= lim:
+        raise InputError(f"invalid input: n must be an integer in [2, {lim}], got {n!r}")
+    if type(budget) is not int or budget < 1:
+        raise InputError(f"invalid input: budget must be an integer >= 1, got {budget!r}")
+    if type(seed) is not int or not 0 <= seed < 2**64:
         raise InputError("invalid input: seed must be a 64-bit unsigned integer")
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -307,3 +307,78 @@ class TestFloatFilter:
             for w in (v - approx, approx - v, v - approx - Fraction(1, 10 ** (digits + 5))):
                 assert w.sign() == interval_sign(w)
                 assert_float_close(w)
+
+
+def build(terms) -> SqrtSum:
+    v = SqrtSum()
+    for d, c in terms:
+        v = v + c * exact_sqrt(d)
+    return v
+
+
+PELL = list(pell_pairs(10**30))
+_TERMS = st.lists(st.tuples(st.sampled_from([1, 2, 3, 5, 6, 7]), st.integers(-50, 50)), max_size=4)
+
+
+@st.composite
+def ordering_pairs(draw):
+    """``(a, b)``: ``q*sqrt(2)`` against ``p`` near ``q*sqrt(2)`` (Pell
+    convergents among them), their difference against zero, equal sums built
+    in two orders, empty sums and general sums, all scaled by one factor."""
+    kind = draw(st.sampled_from(["near_tie", "difference", "equal", "empty", "terms"]))
+    if kind in ("near_tie", "difference"):
+        p = draw(st.one_of(st.integers(1, 10**30), st.sampled_from([p for p, _ in PELL])))
+        q = math.isqrt(p * p // 2) + draw(st.integers(-1, 1))
+        a, b = q * exact_sqrt(2), SqrtSum.from_rational(p)
+        if kind == "difference":
+            a, b = a - b, SqrtSum()
+    else:
+        terms = draw(_TERMS)
+        a = build(terms)
+        if kind == "equal":
+            b = build(reversed(terms))
+        elif kind == "empty":
+            b = SqrtSum()
+        else:
+            b = build(draw(_TERMS))
+    scale = Fraction(10) ** draw(st.sampled_from([0, 0, 300, -300]))
+    scale *= draw(st.sampled_from([1, -1, Fraction(1, 3)]))
+    return a * scale, b * scale
+
+
+class TestOrderingFilter:
+    """<, <=, > and >= first compare the operands' float estimates; every
+    answer must match the isqrt-interval sign of a - b."""
+
+    @staticmethod
+    def check(a: SqrtSum, b: SqrtSum) -> None:
+        expected = interval_sign(a - b)
+        assert a._compare(b) == expected and b._compare(a) == -expected
+        assert (a < b, a <= b, a > b, a >= b) == (expected < 0, expected <= 0, expected > 0, expected >= 0)
+        assert (b < a, b <= a, b > a, b >= a) == (expected > 0, expected >= 0, expected < 0, expected <= 0)
+
+    @given(ordering_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_interval_sign(self, pair):
+        self.check(*pair)
+
+    def test_pell_near_ties(self):
+        # q*sqrt(2) - p = +-1/(p + q*sqrt(2)): past p ~ 1e8 the two float
+        # estimates agree to their last bits, and the difference's own float
+        # sum is rounding noise next to a value of about 1/(2p).
+        for p, q in PELL:
+            for pp in (p - 1, p, p + 1):
+                a = q * exact_sqrt(2)
+                self.check(a, SqrtSum.from_rational(pp))
+                self.check(a - pp, SqrtSum())
+                self.check(a - pp, SqrtSum.from_rational(Fraction(1, 2 * p)))
+
+    def test_estimates_of_empty_and_out_of_range_sums(self):
+        assert SqrtSum()._float_estimate() == (0.0, 0.0)
+        # normal float coefficients whose term sizes leave (1e-290, 1e290)
+        for scale in (Fraction(10**300), Fraction(1, 10**300)):
+            v = scale * (exact_sqrt(2) - exact_sqrt(3))
+            assert v._float_estimate() is None
+            assert v.sign() == interval_sign(v) == -1
+            self.check(v, scale * (exact_sqrt(2) - Fraction(3, 2)))
+        assert (exact_sqrt(2) - 1)._float_estimate() is not None

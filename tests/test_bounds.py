@@ -12,6 +12,7 @@ from radsum import (
     FLOAT,
     CaseTag,
     InputError,
+    SizeLimitError,
     SoundnessError,
     WrongCaseError,
     canonicalize,
@@ -190,6 +191,15 @@ class TestTheoremBound:
     def test_auto_check_attaches_exact_probability(self):
         cert = theorem_bound(from_squares([Fraction(1, 4)] * 4))
         assert cert.sound_against == Fraction(7, 8)
+
+    def test_auto_check_respects_the_limit(self):
+        w = canonicalize([0.3] * 10, FLOAT)
+        assert theorem_bound(w, limit=5).sound_against is None
+        assert theorem_bound(w, limit=10).sound_against == threshold_probability(w, 1.0)
+        with pytest.raises(SizeLimitError):
+            theorem_bound(w, exact_check=True, limit=5)
+        with pytest.raises(InputError, match="size limit"):
+            theorem_bound(w, limit=-1)
 
     def test_no_check_when_disabled(self):
         cert = theorem_bound(from_squares([Fraction(1, 4)] * 4), exact_check=False)

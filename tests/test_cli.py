@@ -116,6 +116,17 @@ class TestDistributionAndLemmas:
         assert len(lines) == 5
         assert lines[1].split(",")[1] == "-7/5"
 
+    def test_distribution_csv_float(self, capsys):
+        code, out, _ = run_cli(capsys, "distribution", "1.0,1.0,1.0", "--no-timestamp")
+        assert code == 0
+        assert out == (
+            "value,count,probability\n"
+            "-1.7320508075688776,1,0.125\n"
+            "-0.5773502691896258,3,0.375\n"
+            "0.5773502691896258,3,0.375\n"
+            "1.7320508075688776,1,0.125\n"
+        )
+
     def test_distribution_json(self, capsys):
         code, doc, _ = run_json(
             capsys, "distribution", "sq:16/25,9/25", "--format", "json", "--no-timestamp"
@@ -211,6 +222,20 @@ class TestErrorsAndExitCodes:
     def test_missing_subcommand_exit_1(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1
+
+    def test_negative_limit_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "0.6,0.8", "--mitm-limit", "-1")
+        assert (code, out) == (1, "")
+        assert "size limit must be an integer >= 0, got -1" in err
+
+    def test_auto_exact_check_within_the_limit_only(self, capsys):
+        weights = ",".join(["0.3"] * 10)
+        code, doc, _ = run_json(capsys, "certify", weights, "--mitm-limit", "5", "--no-timestamp")
+        assert code == 0
+        assert "sound_against" not in doc["result"]
+        code, _, err = run_cli(capsys, "certify", weights, "--mitm-limit", "5", "--exact-check")
+        assert code == 2
+        assert "instance too large" in err
 
     def test_size_limit_exit_2(self, capsys):
         weights = "sq:" + ",".join(["1/30"] * 30)

@@ -381,6 +381,17 @@ class TestDistributionProbability:
             assert dist.probability(t, strict) == threshold_probability(w, t, strict)
 
 
+    def test_threshold_over_another_radicand(self):
+        # Keys are integers over one radicand, but sqrt(2)/2 is not over it:
+        # the table is searched by its exact values instead.
+        for w, expected in ((from_squares([Fraction(1, 4)] * 4), Fraction(6, 16)),
+                            (canonicalize([1, 1, 2], EXACT), Fraction(2, 8))):
+            dist = sum_distribution(w)
+            for strict in (False, True):
+                p = dist.probability(exact_sqrt(2) / 2, strict)
+                assert p == threshold_probability(w, exact_sqrt(2) / 2, strict) == expected
+
+
 class TestPrefixPartition:
     def test_uniform_four_worked_example(self):
         rep = prefix_partition(from_squares([Fraction(1, 4)] * 4))
@@ -573,12 +584,13 @@ class TestSharedRadicandReduction:
 
     @staticmethod
     def _radical_pairs(values, t, strict):
-        from radsum.engine import _count_pairs_exact, _half_sums
+        """The pair count over ``SqrtSum`` keys, which never takes the
+        integer cut-off."""
+        from radsum.algebraic import SqrtSum
+        from radsum.engine import _count_pairs
 
-        split = len(values) - len(values) // 2
-        left = _half_sums(values[:split], object)
-        right = sorted(_half_sums(values[split:], object))
-        return _count_pairs_exact(left, right, t, strict)
+        keys = [SqrtSum.from_rational(v) for v in values]
+        return _count_pairs(keys, len(keys) - len(keys) // 2, object, t, strict)
 
     def test_reduction_recovers_values(self, rng):
         from radsum.engine import _common_radical
@@ -710,3 +722,77 @@ class TestSharedRadicandReduction:
                 (s.as_fraction() if s.is_rational else s, counts[s]) for s in sorted(counts)
             )
             assert sum_distribution(w).entries == expected
+
+
+class TestMultiRadicand:
+    """Weights over several radicands take SqrtSum keys through the one pair
+    counter and the frontier walk; the naive walk is the reference."""
+
+    VECTORS = [
+        [1, 1, 2, 2, 3, 3],
+        [1, 2] * 5,
+        [5, 6, 7, 8, 9, 10, 11, 5, 6, 7],
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37],
+    ]
+
+    @staticmethod
+    def _thresholds(w):
+        vals = list(w.values)
+        # zero, one, an achieved |sum| (a tie) and a radicand of none of the weights
+        return [Fraction(0), Fraction(1), abs(sum(vals[1:]) - vals[0]), exact_sqrt(7) / 3]
+
+    @pytest.mark.parametrize("squares", VECTORS)
+    def test_matches_naive(self, squares):
+        w = from_squares(squares)
+        ts = self._thresholds(w)
+        for t in ts if w.n <= 10 else ts[1:3]:  # the naive radical walk is slow at n = 12
+            for strict in (False, True):
+                p = threshold_probability(w, t, strict)
+                assert p == threshold_probability_naive(w, t, strict), (t, strict)
+
+    def test_unchanged_when_every_comparison_is_exact(self, monkeypatch):
+        """Without float estimates every SqrtSum comparison runs the exact
+        sign; no count may change."""
+        from radsum.algebraic import SqrtSum
+
+        def run(squares):
+            w = from_squares(squares)
+            ts = self._thresholds(w)
+            out = [threshold_probability(w, t, strict) for t in ts for strict in (False, True)]
+            out.append(sum_distribution(w).entries)
+            out.append(prefix_partition(w) if case_of(w) is CaseTag.CASE2 else None)
+            return out
+
+        vectors = self.VECTORS[:3]
+        filtered = [run(v) for v in vectors]
+        monkeypatch.setattr(SqrtSum, "_float_estimate", lambda self: None)
+        assert [run(v) for v in vectors] == filtered
+        w = from_squares(vectors[0])
+        assert threshold_probability(w, 1) == threshold_probability_naive(w, 1)
+
+
+class TestSizeLimits:
+    W = from_squares([Fraction(1, 4)] * 4)  # Case 2, n = 4
+
+    @pytest.mark.parametrize("limit", [-1, 2.5, True, "40", np.int64(40)])
+    def test_invalid_limit_is_input_error(self, limit):
+        for run in (threshold_probability, threshold_probability_naive, sum_distribution, prefix_partition):
+            with pytest.raises(InputError, match="size limit must be an integer"):
+                run(self.W, limit=limit)
+
+    def test_limit_bounds_n(self):
+        for run in (threshold_probability, threshold_probability_naive, sum_distribution, prefix_partition):
+            with pytest.raises(SizeLimitError):
+                run(self.W, limit=3)
+            run(self.W, limit=4)
+
+
+@pytest.mark.parametrize(
+    "mode, t", [(FLOAT, 0.0), (FLOAT, 1.0), (EXACT, Fraction(0)), (EXACT, exact_sqrt(2) - 1)]
+)
+def test_no_values_leave_the_empty_sum(mode, t):
+    from radsum.engine import signed_sum_count
+
+    # |0| <= t always; |0| < t only for t > 0
+    assert signed_sum_count([], t, mode) == (1, 1)
+    assert signed_sum_count([], t, mode, strict=True) == (int(t > 0), 1)

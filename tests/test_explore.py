@@ -66,6 +66,13 @@ class TestMonteCarlo:
             monte_carlo(w, 1, samples=10, seed=-1)
         with pytest.raises(InputError):
             monte_carlo(w, 1, samples=10, seed=0, confidence=1.5)
+        # integers are plain ints: no bools, floats or strings
+        for samples, seed in ((2.5, 0), (True, 0), ("10", 0), (10, True), (10, 1.0)):
+            with pytest.raises(InputError):
+                monte_carlo(w, 1, samples=samples, seed=seed)
+        for confidence in ("0.9", None, math.nan):
+            with pytest.raises(InputError, match="confidence"):
+                monte_carlo(w, 1, samples=10, seed=0, confidence=confidence)
 
     @pytest.mark.parametrize("t", [-1, -0.5, math.nan, math.inf, -math.inf, "abc", None])
     def test_threshold_validated_like_the_engine(self, t):
@@ -223,3 +230,8 @@ class TestMinimizeProbability:
             minimize_probability(2, 0, 0)
         with pytest.raises(InputError):
             minimize_probability(99, 100, 0)
+        for n, budget, seed in ((2.5, 10, 0), (True, 10, 0), (2, 2.5, 0), (2, True, 0), (2, 10, True)):
+            with pytest.raises(InputError):
+                minimize_probability(n, budget, seed)
+        with pytest.raises(InputError, match="size limit"):
+            minimize_probability(2, 10, 0, limit=-1)
