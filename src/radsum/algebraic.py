@@ -15,7 +15,10 @@ bound formulas need once weights are square roots of rationals.
 
 Signs and comparisons are filtered (Shewchuk 1997): float sums with proven
 error bounds decide them, and an exact difference and sign are computed only
-when two sums agree to within those bounds.
+when two sums agree to within those bounds.  The engine applies the same
+filter per array: its radical keys carry each weight's ``_float_estimate``
+into one error band per vector, and only signed sums inside that band are
+rebuilt as ``SqrtSum`` values and compared here.
 
 Only exact operands are accepted; mixing in floats raises ``TypeError``
 rather than silently losing exactness.

@@ -220,6 +220,11 @@ def _exact(cfg: RunConfig):
 def _distribution(cfg: RunConfig):
     w = _resolve_weights(cfg)
     dist = engine.sum_distribution(w, limit=cfg.full_limit)
+    if w.mode == EXACT:
+        pairs = dist.entries
+    else:
+        pairs = zip(dist.values.tolist(), dist.counts.tolist())
+    probability = lambda c: engine._probability(c, dist.total, w.mode)
     if cfg.fmt == "json":
         result = {
             "n": dist.n,
@@ -228,25 +233,21 @@ def _distribution(cfg: RunConfig):
                 {
                     "value": render_number(v, w.mode),
                     "count": c,
-                    "probability": render_number(
-                        Fraction(c, dist.total) if w.mode == EXACT else c / dist.total,
-                        w.mode,
-                    ),
+                    "probability": render_number(probability(c), w.mode),
                 }
-                for v, c in dist.entries
+                for v, c in pairs
             ],
         }
         return result, EXIT_OK, ""
     if w.mode == EXACT:
         header = ["value", "value_exact", "count", "probability", "probability_exact"]
-        probs = (Fraction(c, dist.total) for _, c in dist.entries)
         rows = (
             [repr(float(v)), exact_str(v), c, repr(float(p)), str(p)]
-            for (v, c), p in zip(dist.entries, probs)
+            for (v, c), p in zip(pairs, map(probability, dist.counts.tolist()))
         )
     else:
         header = ["value", "count", "probability"]
-        rows = ([repr(float(v)), c, repr(c / dist.total)] for v, c in dist.entries)
+        rows = ([repr(v), c, repr(probability(c))] for v, c in pairs)
     return _csv(header, rows), EXIT_OK, ""
 
 

@@ -20,8 +20,13 @@ one radicand - ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``, ``D = 1`` for
 rational weights - every signed sum is ``s*sqrt(D)/L`` for an integer ``s``
 (int64 keys, Python ints past 2^62), and ``|s|*sqrt(D)/L <= t`` becomes
 ``|s| <= c`` with an integer cut-off ``c`` from ``isqrt``, also for ``t = r
-+ q*sqrt(D)``.  Other weights and thresholds take ``SqrtSum`` keys, whose
-comparisons are float-filtered.
++ q*sqrt(D)``.  Other exact input - weights over several radicands, or a
+threshold not of that form - takes radical keys: a float64 approximation of
+each signed sum, within one proven bound per vector, paired with an exact
+integer code.  Square roots of distinct squarefree integers are linearly
+independent over Q, so equal codes are equal sums: keys merge by code and
+are searched by float, and a key whose float lies within the bound of a
+decision boundary is decoded and decided exactly.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
 with each half accumulated in index order, comparisons are exact float
@@ -32,7 +37,9 @@ are deterministic: every reduction is an integer count.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,7 +47,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebraic import SqrtSum
+from .algebraic import SqrtSum, exact_sqrt
 from .errors import InputError, SizeLimitError, SoundnessError, WrongCaseError
 from .weights import CaseTag, EXACT, FLOAT, Value, WeightVector, case_of
 
@@ -202,6 +209,156 @@ def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> Optional[int]:
     return c - 1 if strict and not rem and root * root * radicand == b * b else c
 
 
+# -- radical keys --------------------------------------------------------------
+
+
+class _Keys:
+    """Radical keys: float64 approximations ``f`` of signed sums and their
+    exact integer codes ``c``, as parallel arrays (or the two scalars of one
+    weight).  Both parts add like the sums they stand for."""
+
+    __slots__ = ("f", "c")
+
+    def __init__(self, f, c):
+        self.f, self.c = f, c
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    def __getitem__(self, index) -> "_Keys":
+        return _Keys(self.f[index], self.c[index])
+
+    def __add__(self, other: "_Keys") -> "_Keys":
+        return _Keys(self.f + other.f, self.c + other.c)
+
+    def __sub__(self, other: "_Keys") -> "_Keys":
+        return _Keys(self.f - other.f, self.c - other.c)
+
+
+def _band_width(size: float, err: float, n: int) -> float:
+    """A bound on how far a float decision about radical keys over ``n``
+    weights can stray from the exact one.
+
+    The weights' floats ``f_i`` are within ``e_i`` of the exact weights
+    (``SqrtSum._float_estimate``), and a threshold's float ``t~`` within
+    ``e_t``; ``size`` is ``F = sum|f_i|`` plus ``|t~|`` (when there is a
+    threshold) and ``err`` is ``sum e_i`` plus ``e_t``.  With ``u = 2^-53``
+    and ``T = |t~|``:
+
+    * A key over k <= n weights is a chain of k - 1 correctly rounded
+      additions of the ``+-f_i``, starting from an exact 0, so it is within
+      ``gamma_{k-1}*sum|f_i| + sum e_i`` of its exact sum, ``gamma_m =
+      m*u/(1 - m*u) <= 1.01*m*u``.  Two keys over disjoint weights (a left
+      and a right half, a prefix and a tail) are together within ``1.01*n*u*F
+      + sum e_i`` of the sum of their sums, and ``|key| <= 1.01*F``.
+    * A window computes ``a = fl(+-t~ - q~)`` for a query key ``q~`` and then
+      ``fl(a -+ E)``: two more roundings, together within ``u*(T + 1.01*F)*(2
+      + u) + u*E``.
+
+    So a key ``r~`` above ``fl(a + E)`` or below ``fl(a - E)`` has its exact
+    side of the boundary whenever ``E >= err + (1.01*n + 2.1)*u*(F + T) +
+    u*E``.  The returned ``err + (n + 4)*2^-52*(F + T)`` meets it: the
+    rounding term is doubled, and the ``e_i`` of ``_float_estimate`` carry a
+    factor 2 of slack too, which absorbs ``u*E`` and the rounding of this
+    evaluation itself (fewer than n + 8 operations, each off by at most
+    ``u`` relative).  With ``T = 0, e_t = 0`` it bounds a single key's
+    distance from its sum.  Overflow is excluded: ``_float_estimate``
+    proves nothing for sizes past 1e290 and the caller then uses an
+    infinite ``err``, which sends every decision to the exact fallback.
+    """
+    return err + (n + 4) * 2.0**-52 * size
+
+
+def _float_bound(v: SqrtSum) -> tuple[float, float]:
+    """``(approx, err)`` for ``v``; ``(0.0, inf)`` where no bound is proven."""
+    estimate = v._float_estimate()
+    return estimate if estimate is not None else (0.0, math.inf)
+
+
+@dataclass(frozen=True, eq=False)
+class _Radical:
+    """The radicand basis behind one vector's radical keys.
+
+    Value i is ``sum_j a_ij*sqrt(d_j)/L_j`` with integers ``a_ij``; let
+    ``A_j = sum_i |a_ij|`` and ``g_j = gcd_i a_ij``.  A signed sum over a set
+    I of weights has ``S_j = sum_{i in I} eps_i*a_ij``, and its digit ``j``,
+    ``(S_j + A^I_j)/(2*g_j)``, is an integer in ``[0, A_j/g_j]``.  With place
+    values ``M_j = prod_{k<j} (A_k/g_k + 1)`` its code is ``2*sum_j
+    digit_j*M_j - K_I``, ``K_I = sum_{i in I} kappa_i``, ``kappa_i = sum_j
+    |a_ij|/g_j*M_j``; that is ``sum_{i in I} eps_i*sigma_i`` with ``sigma_i
+    = sum_j a_ij/g_j*M_j``.  So codes add across disjoint sets of weights,
+    and, as the radicals are linearly independent over Q (Besicovitch 1940),
+    two sums over one set are equal iff their codes are.  Codes lie in
+    ``[-K, K]`` with ``K = M_m - 1``: int64 below 2^62, Python ints beyond.
+
+    Radicands are listed in order of first appearance from the last weight,
+    the term order of a sum accumulated from the end, on which the float
+    rendering of a decoded sum depends.
+    """
+
+    values: tuple  # the exact weights
+    radicands: tuple  # d_j
+    denoms: tuple  # L_j
+    steps: tuple  # g_j
+    places: tuple  # M_0 .. M_m
+    spreads: tuple  # K of the first k weights, k = 0 .. n
+    dtype: type  # of the codes
+    size: float  # sum of |f_i|
+    err: float  # sum of the proven errors of the f_i
+
+    @property
+    def spread(self) -> int:
+        """K of all the weights."""
+        return self.spreads[-1]
+
+    @property
+    def bound(self) -> float:
+        """Every key's float is within this of its exact sum."""
+        return _band_width(self.size, self.err, len(self.values))
+
+    def band(self, t) -> tuple[float, float]:
+        """``(t~, E)``: the float of the threshold ``t`` and the half-width of
+        the band around a boundary at ``+-t~``."""
+        tf, terr = _float_bound(SqrtSum.from_rational(t))
+        return tf, _band_width(self.size + abs(tf), self.err + terr, len(self.values))
+
+    def value(self, code: int, spread: int) -> SqrtSum:
+        """The exact sum with ``code`` over weights whose kappas add up to
+        ``spread``."""
+        half = (code + spread) // 2
+        terms = {}
+        for d, denom, step, place, radix in zip(
+            self.radicands, self.denoms, self.steps, self.places, self.places[1:]
+        ):
+            coeff = step * (2 * (half % radix // place) - spread % radix // place)
+            if coeff:
+                terms[d] = Fraction(coeff, denom)
+        return SqrtSum(terms)
+
+
+def _radical_keys(values: Sequence[Value]) -> tuple[list[_Keys], _Radical]:
+    """Each value's radical key, and the basis of them all."""
+    exact = [SqrtSum.from_rational(v) for v in values]
+    radicands = list(dict.fromkeys(d for v in reversed(exact) for d in v.terms))
+    columns = [[v.terms.get(d, Fraction(0)) for v in exact] for d in radicands]
+    denoms = [math.lcm(*(c.denominator for c in col)) for col in columns]
+    ints = [[c.numerator * (L // c.denominator) for c in col] for col, L in zip(columns, denoms)]
+    steps = [math.gcd(*col) for col in ints]
+    places = [1]
+    for col, g in zip(ints, steps):
+        places.append(places[-1] * (sum(map(abs, col)) // g + 1))
+    sigma = [sum(col[i] // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
+    kappa = [sum(abs(col[i]) // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
+    floats = [_float_bound(v) for v in exact]
+    radical = _Radical(
+        tuple(exact), tuple(radicands), tuple(denoms), tuple(steps), tuple(places),
+        tuple(itertools.accumulate(kappa, initial=0)),
+        np.int64 if places[-1] < 1 << 62 else object,
+        sum(abs(f) for f, _ in floats), sum(e for _, e in floats),
+    )
+    return [_Keys(f, c) for (f, _), c in zip(floats, sigma)], radical
+
+
 def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     """``(keys, dtype, path, scale, t, strict)``: the values as keys of numpy
     ``dtype`` and that key type's name, ``(L, D)`` when a key ``a`` stands
@@ -209,14 +366,16 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     signed sums of the keys.  Exact values over one radicand take integer
     keys and the cut-off ``c`` clamped to ``sum|a_i|``, which bounds every
     partial sum, so sums and window ends fit int64 while ``sum|a_i| + c <
-    2^62``; other exact input takes ``SqrtSum`` keys.
+    2^62``; other exact input takes radical keys, whose ``dtype`` is their
+    ``_Radical`` basis.
     """
     if mode == FLOAT:
         return [float(v) for v in values], np.float64, "float64", None, t, strict
     reduced = _common_radical(values)
     cutoff = None if reduced is None else _int_cutoff(t, *reduced[1:], strict)
     if cutoff is None:
-        return [SqrtSum.from_rational(v) for v in values], object, "SqrtSum", None, t, strict
+        keys, radical = _radical_keys(values)
+        return keys, radical, "radical", None, t, strict
     ints, denom, radicand = reduced
     bound = sum(abs(a) for a in ints)
     cutoff = min(cutoff, bound)
@@ -224,14 +383,29 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     return ints, dtype, np.dtype(dtype).name, (denom, radicand), cutoff, False
 
 
+def _zero(dtype):
+    """The empty sum as a key array of ``dtype``."""
+    if isinstance(dtype, _Radical):
+        return _Keys(np.zeros(1), np.zeros(1, dtype=dtype.dtype))
+    return np.zeros(1, dtype=dtype)
+
+
+def _extend(keys, v):
+    """The sums ``keys - v`` followed by ``keys + v``."""
+    lo, hi = keys - v, keys + v
+    if isinstance(keys, _Keys):
+        return _Keys(np.concatenate([lo.f, hi.f]), np.concatenate([lo.c, hi.c]))
+    return np.concatenate([lo, hi])
+
+
 # -- half-sum generation -----------------------------------------------------
 
 
 def _half_sums(values: Sequence, dtype) -> np.ndarray:
     """All 2^len(values) signed sums, each accumulated in index order."""
-    sums = np.zeros(1, dtype=dtype)
+    sums = _zero(dtype)
     for v in values:
-        sums = np.concatenate([sums - v, sums + v])
+        sums = _extend(sums, v)
     return sums
 
 
@@ -243,7 +417,7 @@ def _merged_sums(values: Sequence, dtype, count_dtype) -> tuple[np.ndarray, np.n
     k = min(len(values), _RAW_PREFIX)
     keys, counts = _merge_equal(_half_sums(values[:k], dtype), np.ones(1 << k, dtype=count_dtype))
     for v in values[k:]:
-        keys, counts = _merge_equal(np.concatenate([keys - v, keys + v]), np.concatenate([counts, counts]))
+        keys, counts = _merge_equal(_extend(keys, v), np.concatenate([counts, counts]))
     return keys, counts
 
 
@@ -277,12 +451,14 @@ def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
     refined so that each pair is tested as ``fl(l + r)``."""
     count_dtype = _count_dtype(len(values))
     lkeys, lcounts = _merged_sums(values[:split], dtype, count_dtype)
-    rkeys, rcounts = _merged_sums(values[split:], dtype, count_dtype)
+    rkeys, rcounts = _search_order(*_merged_sums(values[split:], dtype, count_dtype))
     cum = np.concatenate([[0], np.cumsum(rcounts)])
     if dtype is np.float64:
         hi = _refine_prefix_len(rkeys, lkeys, t, inclusive=not strict)
         lo = _refine_prefix_len(rkeys, lkeys, -t, inclusive=strict)
         window = cum[hi] - cum[lo]
+    elif isinstance(dtype, _Radical):
+        window, _ = _band_window(rkeys, cum, lkeys, t, strict, dtype, dtype.spread)
     else:
         window = _window_count(rkeys, cum, -t - lkeys, t - lkeys, strict)
     # an empty window (strict t == 0, cut-off -1) has lo > hi
@@ -410,23 +586,36 @@ def threshold_probability_naive(
 # -- signed-sum distributions -------------------------------------------------
 
 
-def _merge_equal(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ``keys``, adding up the counts of equal keys (linear on two runs)."""
-    order = np.argsort(keys, kind="stable")
+def _merge_equal(keys, counts: np.ndarray):
+    """Sort ``keys``, adding up the counts of equal keys (linear on two runs).
+    Radical keys are sorted and merged by code."""
+    radical = isinstance(keys, _Keys)
+    order = np.argsort(keys.c if radical else keys, kind="stable")
     keys = keys[order]
+    same = keys.c if radical else keys
     first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    first[1:] = same[1:] != same[:-1]
     first = np.flatnonzero(first)
     return keys[first], np.add.reduceat(counts[order], first)
 
 
+def _search_order(keys, counts: np.ndarray):
+    """Merged ``keys`` and their counts in the order searches need: radical
+    keys are searched by their floats, other keys are sorted already."""
+    if isinstance(keys, _Keys):
+        order = np.argsort(keys.f, kind="stable")
+        keys, counts = keys[order], counts[order]
+    return keys, counts
+
+
 def _tail_distributions(vals: Sequence, dtype):
-    """For k = len(vals)-1 down to 0: the sorted distinct signed sums of
-    ``vals[k:]``, accumulated from the end, and their cumulative counts."""
-    keys, counts = np.zeros(1, dtype=dtype), np.ones(1, dtype=_count_dtype(len(vals)))
+    """For k = len(vals)-1 down to 0: the distinct signed sums of ``vals[k:]``,
+    accumulated from the end, and their counts, merged as by
+    ``_merge_equal``."""
+    keys, counts = _zero(dtype), np.ones(1, dtype=_count_dtype(len(vals)))
     for v in reversed(vals):
-        keys, counts = _merge_equal(np.concatenate([keys - v, keys + v]), np.concatenate([counts, counts]))
-        yield keys, np.concatenate([[0], np.cumsum(counts)])
+        keys, counts = _merge_equal(_extend(keys, v), np.concatenate([counts, counts]))
+        yield keys, counts
 
 
 def _window_count(keys: np.ndarray, cum: np.ndarray, lo, hi, strict: bool = False):
@@ -437,18 +626,74 @@ def _window_count(keys: np.ndarray, cum: np.ndarray, lo, hi, strict: bool = Fals
     return cum[i] - cum[j]
 
 
+def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, radical: _Radical, spread: int):
+    """``(window, fallbacks)``: for each query key ``q``, the patterns of the
+    float-ordered radical ``keys`` whose sums ``r`` have ``|q + r| <= t``
+    (``< t`` when strict), and the number of keys decided exactly.
+
+    Each boundary ``fl(+-t~ - q~)`` is bracketed by the band half-width
+    ``E`` of ``_band_width``: a key whose float lies outside both brackets
+    is certainly inside or outside, and one within a bracket is decoded and
+    compared with ``t`` exactly (``spread`` is the kappa sum of the query's
+    and the keys' weights together).
+    """
+    tf, width = radical.band(t)
+    f = keys.f
+    order = np.argsort(query.f, kind="stable")  # searchsorted is faster on sorted queries
+    query = query[order]
+    hi, lo = tf - query.f, -tf - query.f
+    i1 = np.searchsorted(f, lo - width, side="left")
+    i2 = np.searchsorted(f, lo + width, side="right")
+    i3 = np.maximum(np.searchsorted(f, hi - width, side="left"), i2)
+    i4 = np.searchsorted(f, hi + width, side="right")
+    window = cum[i3] - cum[i2]
+    fallbacks = 0
+    for q in np.flatnonzero((i2 > i1) | (i4 > i3)):
+        code = int(query.c[q])
+        for k in itertools.chain(range(i1[q], i2[q]), range(i3[q], i4[q])):
+            s = radical.value(code + int(keys.c[k]), spread)
+            if (-t < s < t) if strict else (-t <= s <= t):
+                window[q] += cum[k + 1] - cum[k]
+        fallbacks += int(i2[q] - i1[q] + i4[q] - i3[q])
+    unsorted = np.empty_like(window)
+    unsorted[order] = window
+    return unsorted, fallbacks
+
+
+def _exact_order(keys: _Keys, counts: np.ndarray, radical: _Radical):
+    """Merged radical keys and their counts in the exact order of
+    their sums.  Sums out of float order have floats less than ``2B`` apart,
+    so only runs of such neighbours are sorted by exact value.  The floats
+    are then made nondecreasing by a running maximum, which keeps each
+    within ``B`` of its sum: every earlier sum is smaller."""
+    keys, counts = _search_order(keys, counts)
+    close = np.diff(keys.f) <= 2 * radical.bound
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], close, [False]]).astype(np.int8)))
+    order = np.arange(len(keys))
+    for start, stop in zip(edges[::2], edges[1::2]):  # keys start..stop
+        run = range(start, stop + 1)
+        order[start : stop + 1] = sorted(run, key=lambda i: radical.value(int(keys.c[i]), radical.spread))
+    keys, counts = keys[order], counts[order]
+    return _Keys(np.maximum.accumulate(keys.f), keys.c), counts
+
+
 @dataclass(frozen=True, eq=False)
 class SumDistribution:
-    """Complete distribution of eps . x: strictly increasing ``values`` with
-    pattern ``counts`` summing to 2^n; symmetric about zero.  With ``scale =
-    (L, D)`` a value is an integer ``s`` standing for ``s*sqrt(D)/L``;
-    without, it is the float64 or ``SqrtSum`` sum itself."""
+    """Complete distribution of eps . x: ``values`` in strictly increasing
+    order of the sums, with pattern ``counts`` summing to 2^n; symmetric
+    about zero.  With ``scale = (L, D)`` a value is an integer ``s``
+    standing for ``s*sqrt(D)/L``.  With ``radical`` set, a value is a
+    float64 approximation within ``radical.bound`` of its sum (nondecreasing
+    as floats) and ``codes`` holds the sums' exact codes.  Otherwise a value
+    is the float64 sum itself."""
 
     values: np.ndarray
     counts: np.ndarray
     n: int
     mode: str
     scale: Optional[tuple[int, int]] = None
+    codes: Optional[np.ndarray] = None
+    radical: Optional[_Radical] = None
 
     @property
     def total(self) -> int:
@@ -459,8 +704,9 @@ class SumDistribution:
         """``(value, count)`` pairs, rendered from the arrays on first use."""
         if self.mode == FLOAT:
             values = self.values.tolist()
-        elif self.scale is None:
-            values = [s.as_fraction() if s.is_rational else s for s in self.values]
+        elif self.radical is not None:
+            sums = (self.radical.value(c, self.radical.spread) for c in self.codes.tolist())
+            values = [s.as_fraction() if s.is_rational else s for s in sums]
         else:
             denom, rad = self.scale
             values = [
@@ -470,17 +716,25 @@ class SumDistribution:
         return tuple(zip(values, self.counts.tolist()))
 
     def probability(self, t, strict: bool = False):
-        """Pr(|value| <= t) (or <) from two binary searches into the table;
-        used to cross-check the counting engines."""
+        """Pr(|value| <= t) (or <) from binary searches into the table; used
+        to cross-check the counting engines."""
         t = _normalize_threshold(t, self.mode)
         _check_t_nonnegative(t)
         keys = self.values
+        cum = np.concatenate([[0], np.cumsum(self.counts)])
+        if self.radical is not None:
+            keys = _Keys(keys, self.codes)
+            window, _ = _band_window(keys, cum, _zero(self.radical), t, strict, self.radical, self.radical.spread)
+            return _probability(int(window[0]), self.total, self.mode)
         cutoff = _int_cutoff(t, *self.scale, strict) if self.scale else None
+        if self.scale and cutoff is None:
+            # t is not over the keys' radicand: bisect them by exact value
+            denom, rad = self.scale
+            value = lambda s: exact_sqrt(rad) * Fraction(int(s), denom)
+            i = (bisect_left if strict else bisect_right)(keys, t, key=value)
+            cutoff = int(keys[i - 1]) if i else -1
         if cutoff is not None:  # |s| <= cutoff, clamped into int64
             t, strict = min(cutoff, int(keys[-1])), False
-        elif self.scale:
-            keys = np.array([v for v, _ in self.entries], dtype=object)
-        cum = np.concatenate([[0], np.cumsum(self.counts)])
         hits = max(int(_window_count(keys, cum, -t, t, strict)), 0)
         return _probability(hits, self.total, self.mode)
 
@@ -503,9 +757,12 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
         return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
 
     vals, dtype, _, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
-    for keys, cum in _tail_distributions(vals, dtype):
+    for keys, counts in _tail_distributions(vals, dtype):
         pass
-    return SumDistribution(keys, np.diff(cum), n, EXACT, scale)
+    if isinstance(dtype, _Radical):
+        keys, counts = _exact_order(keys, counts, dtype)
+        return SumDistribution(keys.f, counts, n, EXACT, None, keys.c, dtype)
+    return SumDistribution(keys, counts, n, EXACT, scale)
 
 
 # -- Case-2 event partition ---------------------------------------------------
@@ -513,15 +770,18 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
 
 @dataclass(frozen=True)
 class PartitionStats:
-    """How a partition was computed.  ``path`` is the key dtype: "int64",
-    "object" (Python ints), "float64" or "SqrtSum".  ``frontier[d - 1]`` is
+    """How a partition was computed.  ``path`` is the key type: "int64",
+    "object" (Python ints), "float64" or "radical".  ``frontier[d - 1]`` is
     the number of prefix sums at depth d = 1..n-1 (distinct sums in exact
     mode, sign prefixes in float mode) and ``settled[d - 1]`` how many of
-    them were decided there.  Deterministic: no timings."""
+    them were decided there.  ``fallbacks`` counts the radical keys decided
+    exactly because their floats fell within the error band of a decision
+    boundary (0 on the other paths).  Deterministic: no timings."""
 
     path: str
     frontier: tuple[int, ...]
     settled: tuple[int, ...]
+    fallbacks: int
 
 
 @dataclass(frozen=True)
@@ -573,24 +833,30 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     exact = w.mode == EXACT
     # ``one`` is the threshold 1 in key units
     vals, dtype, path, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
+    radical = dtype if isinstance(dtype, _Radical) else None
     # tails[k] covers coordinates k+1..n (0-based vals[k:])
     k_min = 1 if n == 2 else 2
     tails = dict(zip(range(n - 1, k_min - 1, -1), _tail_distributions(vals[k_min:], dtype)))
 
     prob_count, joint_count = [0] * (n + 1), [0] * (n + 1)
     frontier, settled, groups = [], [], []
+    fallbacks = 0
 
     # Global sign flip maps each event onto itself, so fix eps_1 = +1 and
     # double every count.  ``mult`` counts the sign prefixes behind each sum;
     # in float mode ``code`` holds each prefix's later signs (a set bit is a
     # minus), which orders the tie records.
-    s = np.array(vals[:1], dtype=dtype)
+    s = _zero(dtype) + vals[0]
     mult = np.ones(1, dtype=_count_dtype(n))
     code = np.zeros(1, dtype=np.int64)
     for depth in range(1, n):
         frontier.append(len(s))
         cross = np.zeros(len(s), dtype=bool)
-        if depth >= 2:
+        if depth >= 2 and radical:  # |s| > b iff the empty tail is outside its window
+            b = one - radical.values[depth]
+            inside, decided = _band_window(_zero(dtype), np.arange(2), s, b, False, radical, radical.spreads[depth])
+            cross, fallbacks = inside == 0, fallbacks + decided
+        elif depth >= 2:
             b = one - vals[depth]
             cross = np.abs(s) > b
             if not exact:
@@ -601,9 +867,15 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
         settled.append(int(np.count_nonzero(done)))
         if done.any():
-            tkeys, cum = tails[depth]
+            tkeys, tcounts = _search_order(*tails[depth])
+            cum = np.concatenate([[0], np.cumsum(tcounts)])
             ss, mm = s[done], mult[done]
-            joints = mm * _window_count(tkeys, cum, -one - ss, one - ss)
+            if radical:
+                window, decided = _band_window(tkeys, cum, ss, one, False, radical, radical.spread)
+                fallbacks += decided
+            else:
+                window = _window_count(tkeys, cum, -one - ss, one - ss)
+            joints = mm * window
             for k, sel in ((depth, cross[done]), (n, ~cross[done])):
                 prob_count[k] += int(mm[sel].sum()) << (n - depth)
                 joint_count[k] += int(joints[sel].sum())
@@ -622,7 +894,7 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
             break
         keep = ~cross
         v = vals[depth]
-        s = np.concatenate([s[keep] - v, s[keep] + v])
+        s = _extend(s[keep], v)
         mult = np.concatenate([mult[keep], mult[keep]])
         if exact:
             s, mult = _merge_equal(s, mult)
@@ -645,5 +917,5 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     conds = tuple((j / p if p else None) for p, j in zip(probs, joints))
     return PartitionReport(
         n, w.mode, ks, probs, joints, conds, ratio(sum(joint_count)), tuple(ties),
-        PartitionStats(path, tuple(frontier), tuple(settled)),
+        PartitionStats(path, tuple(frontier), tuple(settled), fallbacks),
     )

@@ -6,6 +6,7 @@ import json
 import math
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,17 @@ class TestPartitionHybridDecomp:
         assert events[3]["cond"] is None
         assert events[4]["cond"]["exact"] == "1"
         assert doc["result"]["total_prob"]["exact"] == "7/8"
+        assert doc["result"]["stats"] == {
+            "path": "int64", "frontier": [1, 2, 2], "settled": [0, 1, 2], "fallbacks": 0
+        }
+
+    def test_partition_radical_stats(self, capsys):
+        # x = (3, 3, sqrt(6), sqrt(6), sqrt(3), sqrt(3))/6: one tail sum lies
+        # on the boundary of its window and is decided exactly
+        code, doc, _ = run_json(capsys, "partition", "sq:3,3,2,2,1,1", "--no-timestamp")
+        assert code == 0
+        assert doc["result"]["stats"]["path"] == "radical"
+        assert doc["result"]["stats"]["fallbacks"] == 1
 
     def test_hybrid(self, capsys):
         code, doc, _ = run_json(capsys, "hybrid", "sq:1/4,1/4,1/4,1/4", "--no-timestamp")
@@ -126,6 +138,16 @@ class TestDistributionAndLemmas:
             "0.5773502691896258,3,0.375\n"
             "1.7320508075688776,1,0.125\n"
         )
+
+    @pytest.mark.parametrize("weights", ["0.3,0.4,0.5,0.2,0.3", "sq:9,16,144", "sq:1,1,2,3,5,6"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_distribution_output_pinned(self, capsys, weights, fmt):
+        # float, rational and multi-radicand (repeated radicands) output,
+        # recorded from the engine that kept SqrtSum objects in its arrays
+        golden = json.loads((Path(__file__).parent / "data" / "distribution_cli.json").read_text())
+        code, out, _ = run_cli(capsys, "distribution", weights, "--format", fmt, "--no-timestamp")
+        assert code == 0
+        assert out == golden[f"{weights} {fmt}"]
 
     def test_distribution_json(self, capsys):
         code, doc, _ = run_json(

@@ -340,9 +340,13 @@ class TestSumDistribution:
         assert d.values.tolist() == [-3, -1, 1, 3] and d.counts.tolist() == [1, 3, 3, 1]
         assert d.scale == (3, 3)
         assert d.entries[0] == (-exact_sqrt(3), 1)
-        # several radicands: the values are the SqrtSum sums themselves
+        # several radicands: float64 approximations of the sums in exact
+        # order, with their integer codes; x = (sqrt(6), sqrt(3))/3
         d = sum_distribution(from_squares([1, 2]))
-        assert d.scale is None and d.values.dtype == object
+        assert d.scale is None and d.values.dtype == np.float64 and d.codes.dtype == np.int64
+        x1, x2 = exact_sqrt(6) / 3, exact_sqrt(3) / 3
+        assert [v for v, _ in d.entries] == [-x1 - x2, x2 - x1, x1 - x2, x1 + x2]
+        assert np.allclose(d.values, [float(v) for v, _ in d.entries], rtol=0, atol=d.radical.bound)
         assert sum(d.counts) == 4
 
 
@@ -390,6 +394,14 @@ class TestDistributionProbability:
             for strict in (False, True):
                 p = dist.probability(exact_sqrt(2) / 2, strict)
                 assert p == threshold_probability(w, exact_sqrt(2) / 2, strict) == expected
+        # a larger table is bisected by exact value, without rendering its entries
+        w = canonicalize(list(range(1, 19)), EXACT)  # one radicand, sqrt(2109)
+        dist = sum_distribution(w)
+        for t in (exact_sqrt(2) / 2, exact_sqrt(3) / 5, 3 - exact_sqrt(2), dist.entries[-7][0]):
+            dist.__dict__.pop("entries", None)
+            for strict in (False, True):
+                assert dist.probability(t, strict) == threshold_probability(w, t, strict), (t, strict)
+            assert "entries" not in dist.__dict__
 
 
 class TestPrefixPartition:
@@ -480,10 +492,10 @@ class TestPrefixPartition:
             w = one_radicand_vector(rng, int(rng.integers(3, 9)), hi=6)
             if case_of(w) is CaseTag.CASE2:
                 instances.append(w)
-        # Several radicands: the walk keeps SqrtSum keys in object arrays.
+        # Several radicands: the walk takes radical keys.
         while len(instances) < 19:
             w = from_squares([int(v) for v in rng.choice([1, 2, 3, 5, 6, 7], size=int(rng.integers(3, 8)))])
-            if case_of(w) is CaseTag.CASE2 and prefix_partition(w).stats.path == "SqrtSum":
+            if case_of(w) is CaseTag.CASE2 and prefix_partition(w).stats.path == "radical":
                 instances.append(w)
         for w in instances:
             probs, joints = self._partition_oracle(w)
@@ -511,11 +523,15 @@ class TestPrefixPartition:
     def test_stats(self):
         # x = (1, 1, 1, 1)/2: depth 2 holds the sums {0, 2}; 2 crosses the
         # cut-off 1 - x_3; depth 3 = n - 1 settles the survivors' children.
-        expected = PartitionStats("int64", (1, 2, 2), (0, 1, 2))
+        expected = PartitionStats("int64", (1, 2, 2), (0, 1, 2), 0)
         assert prefix_partition(from_squares([Fraction(1, 4)] * 4)).stats == expected
         rep = prefix_partition(canonicalize([0.5] * 4, FLOAT))
-        assert rep.stats == PartitionStats("float64", (1, 2, 2), (0, 1, 2))
-        assert prefix_partition(from_squares([1, 1, 2, 2, 3, 3])).stats.path == "SqrtSum"
+        assert rep.stats == PartitionStats("float64", (1, 2, 2), (0, 1, 2), 0)
+        # x = (3, 3, sqrt(6), sqrt(6), sqrt(3), sqrt(3))/6: the prefix x1 + x2
+        # = 1 settles at depth 2, and its window |1 + r| <= 1 over the tail
+        # sums r has the sum r = 0 on its boundary, the one key decided exactly
+        rep = prefix_partition(from_squares([1, 1, 2, 2, 3, 3]))
+        assert rep.stats == PartitionStats("radical", (1, 2, 2, 3, 2), (0, 1, 0, 2, 2), 1)
 
     @pytest.mark.parametrize(
         "spread, lo, hi, path", [(2**27, 56, 58, "int64"), (2**32, 62, 80, "object")]
@@ -584,13 +600,12 @@ class TestSharedRadicandReduction:
 
     @staticmethod
     def _radical_pairs(values, t, strict):
-        """The pair count over ``SqrtSum`` keys, which never takes the
-        integer cut-off."""
-        from radsum.algebraic import SqrtSum
-        from radsum.engine import _count_pairs
+        """The pair count over radical keys, which never takes the integer
+        cut-off."""
+        from radsum.engine import _count_pairs, _radical_keys
 
-        keys = [SqrtSum.from_rational(v) for v in values]
-        return _count_pairs(keys, len(keys) - len(keys) // 2, object, t, strict)
+        keys, radical = _radical_keys(values)
+        return _count_pairs(keys, len(keys) - len(keys) // 2, radical, t, strict)
 
     def test_reduction_recovers_values(self, rng):
         from radsum.engine import _common_radical
@@ -724,49 +739,150 @@ class TestSharedRadicandReduction:
             assert sum_distribution(w).entries == expected
 
 
-class TestMultiRadicand:
-    """Weights over several radicands take SqrtSum keys through the one pair
-    counter and the frontier walk; the naive walk is the reference."""
+def _pell_solution(limit):
+    """The largest p < limit with p^2 - 2q^2 = 1 (so p/q is a convergent of
+    sqrt(2)), and its q."""
+    p, q = 3, 2
+    while 3 * p + 4 * q < limit:
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+    return p, q
 
+
+def _pell_squares(*squares):
+    """``squares`` plus one entry making their total a perfect square, so
+    that the weights are rational multiples of 1 and sqrt(2) (and of the
+    added entry's root)."""
+    total = sum(squares)
+    return [*squares, (math.isqrt(total) + 1) ** 2 - total]
+
+
+class TestMultiRadicand:
+    """Weights over several radicands take radical keys (float64
+    approximations with exact integer codes) through the one pair counter
+    and the frontier walk; the naive walk over SqrtSum patterns and the
+    literal partition classification are the references."""
+
+    P, Q = _pell_solution(10**16)
     VECTORS = [
         [1, 1, 2, 2, 3, 3],
         [1, 2] * 5,
         [5, 6, 7, 8, 9, 10, 11, 5, 6, 7],
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37],
+        # Pell-type: x1 - x2 = (q*sqrt(2) - p)/m is about 1e-32, which no
+        # float tells from 0; x1 + x2 = 1 exactly in the second (Case 2)
+        _pell_squares(2 * Q * Q, P * P),
+        _pell_squares(2 * Q * Q, P * P, 2 * Q * Q, P * P),
+        _pell_squares(2 * Q * Q, P * P, 3, 5, 7),
     ]
 
-    @staticmethod
-    def _thresholds(w):
+    @classmethod
+    def _thresholds(cls, w):
         vals = list(w.values)
-        # zero, one, an achieved |sum| (a tie) and a radicand of none of the weights
-        return [Fraction(0), Fraction(1), abs(sum(vals[1:]) - vals[0]), exact_sqrt(7) / 3]
+        # zero, one, an achieved |sum| (a tie), a radicand of none of the
+        # weights, and 1 + (p - q*sqrt(2))/3, whose float is 0.75
+        return [
+            Fraction(0), Fraction(1), abs(sum(vals[1:]) - vals[0]), exact_sqrt(7) / 3,
+            1 + (cls.P - cls.Q * exact_sqrt(2)) / 3,
+        ]
 
     @pytest.mark.parametrize("squares", VECTORS)
     def test_matches_naive(self, squares):
         w = from_squares(squares)
+        dist = sum_distribution(w)
         ts = self._thresholds(w)
         for t in ts if w.n <= 10 else ts[1:3]:  # the naive radical walk is slow at n = 12
             for strict in (False, True):
                 p = threshold_probability(w, t, strict)
                 assert p == threshold_probability_naive(w, t, strict), (t, strict)
+                assert dist.probability(t, strict) == p, (t, strict)
+
+    @pytest.mark.parametrize("squares", [v for v in VECTORS if len(v) <= 10])
+    def test_distribution_matches_enumeration(self, squares):
+        from radsum.algebraic import SqrtSum
+
+        w = from_squares(squares)
+        sums = Counter()
+        for signs in itertools.product((-1, 1), repeat=w.n):
+            sums[sum((sg * v for sg, v in zip(signs, w.values)), SqrtSum())] += 1
+        expected = tuple((s.as_fraction() if s.is_rational else s, sums[s]) for s in sorted(sums))
+        dist = sum_distribution(w)
+        assert dist.entries == expected
+        assert np.all(np.diff(dist.values) >= 0)
+
+    def test_partition_matches_literal_classification(self):
+        for squares in self.VECTORS:
+            w = from_squares(squares)
+            if case_of(w) is not CaseTag.CASE2 or w.n > 10:
+                continue
+            probs, joints = TestPrefixPartition._partition_oracle(w)
+            rep = prefix_partition(w)
+            assert rep.stats.path == "radical"
+            assert rep.probs == tuple(probs[k] for k in rep.ks), squares
+            assert rep.joints == tuple(joints[k] for k in rep.ks), squares
+
+    def test_pell_prefix_tie_decided_exactly(self):
+        # x = (1/2, 1/2, q*sqrt(2)/(2p), q*sqrt(2)/(2p), sqrt(2)/(2p)): x3 = x4
+        # lies below 1/2 by about 1e-32, so |s_3| = x3 against the cut-off 1 -
+        # x4 is in the band
+        w = from_squares(self.VECTORS[5])
+        assert w.values[:2] == (Fraction(1, 2), Fraction(1, 2))
+        assert prefix_partition(w).stats.fallbacks > 0
+
+    def test_large_n_against_float_counts(self):
+        """n = 32 without 2^n enumeration: when the float engine's counts at
+        1 - 1e-12 and 1 + 1e-12 agree, no sum lies near +-1 (float sums are
+        within 1e-14 of the exact ones), so the exact count must equal
+        them."""
+        from radsum import admissible_count
+        from radsum.algebraic import squarefree_decompose
+
+        rng = np.random.default_rng(32)
+        squarefree = [d for d in range(2, 500) if squarefree_decompose(d)[0] == 1]
+        checked = 0
+        while checked < 2:
+            q = [int(v) for v in rng.choice(squarefree, size=32, replace=False)]
+            lo, hi = (admissible_count(from_squares(q, FLOAT), t)[0] for t in (1 - 1e-12, 1 + 1e-12))
+            if lo == hi:
+                checked += 1
+                w = from_squares(q)
+                for strict in (False, True):
+                    assert admissible_count(w, 1, strict) == (lo, 2**32)
+
+    def test_codes_past_int64(self, rng):
+        # coefficient sums past 2^62 make the codes Python ints
+        from radsum.engine import _radical_keys, signed_sum_count
+
+        for n in (4, 5, 7):
+            vals = [(2**64 + int(a)) * exact_sqrt(2 + i % 2) / 3 for i, a in enumerate(rng.integers(-9, 9, size=n))]
+            assert _radical_keys(vals)[1].dtype is object
+            for t in (Fraction(0), abs(sum(vals[1:]) - vals[0]), 2**64 * exact_sqrt(7) / 3):
+                for strict in (False, True):
+                    expected = product_oracle(vals, t, strict) * 2**n
+                    assert signed_sum_count(vals, t, EXACT, strict) == (expected, 2**n), (n, t, strict)
 
     def test_unchanged_when_every_comparison_is_exact(self, monkeypatch):
-        """Without float estimates every SqrtSum comparison runs the exact
-        sign; no count may change."""
-        from radsum.algebraic import SqrtSum
+        """With a band wider than any sum every radical key is decoded and
+        decided exactly, and every distribution is sorted by exact value; no
+        count, distribution or partition may change."""
+        from radsum import engine
 
         def run(squares):
             w = from_squares(squares)
             ts = self._thresholds(w)
             out = [threshold_probability(w, t, strict) for t in ts for strict in (False, True)]
-            out.append(sum_distribution(w).entries)
-            out.append(prefix_partition(w) if case_of(w) is CaseTag.CASE2 else None)
+            dist = sum_distribution(w)
+            out += [dist.entries, [dist.probability(t, strict) for t in ts for strict in (False, True)]]
+            if case_of(w) is CaseTag.CASE2:
+                rep = prefix_partition(w)
+                out.append((rep.probs, rep.joints, rep.total_prob, rep.stats.frontier, rep.stats.settled))
             return out
 
-        vectors = self.VECTORS[:3]
+        vectors = self.VECTORS[:3] + self.VECTORS[4:6]
         filtered = [run(v) for v in vectors]
-        monkeypatch.setattr(SqrtSum, "_float_estimate", lambda self: None)
+        fallbacks = prefix_partition(from_squares(vectors[0])).stats.fallbacks
+        monkeypatch.setattr(engine, "_band_width", lambda size, err, n: 2.0**900)
         assert [run(v) for v in vectors] == filtered
+        assert prefix_partition(from_squares(vectors[0])).stats.fallbacks > fallbacks
         w = from_squares(vectors[0])
         assert threshold_probability(w, 1) == threshold_probability_naive(w, 1)
 
