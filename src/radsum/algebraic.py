@@ -293,15 +293,21 @@ class SqrtSum:
     def __pow__(self, exponent: int) -> "SqrtSum":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = SqrtSum({1: Fraction(1)})
+        if not exponent:
+            return SqrtSum({1: Fraction(1)})
+        # Square-and-multiply with no squaring past the top bit.  The result
+        # starts at the first factor, not at 1: 1 * p builds the same terms
+        # in the same order, so only the wasted products go.
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def _conjugate_by_prime(self, p: int) -> "SqrtSum":
         """Negate every term whose radicand is divisible by the prime p."""

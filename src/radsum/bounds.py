@@ -10,7 +10,11 @@ Two proof routes, dispatched on whether x1 + x2 > 1:
   1 - x_{k+1}.  The conditional success probability given a crossing at k is
   at least max(g_k, h_k) evaluated at x_{k+1}, where g_k comes from the
   sortedness bound on prefix mass and h_k from the Cauchy bound; both are
-  floored by g_2(1/3) = 9/25 = 0.36.
+  floored by g_2(1/3) = 9/25 = 0.36.  An exact weight x = c*sqrt(d) has a
+  rational square q, and (2-x)^2 (2+x)^2 = (4-q)^2 makes g_k and h_k affine
+  in x over Q, so radical weights take them in closed form (``_g_h``)
+  rather than through SqrtSum division.  In exact mode the larger of the
+  two is g_k iff (k+1)^2 q >= 1, a rational test (``_max_g_h``).
 
 ``hybrid_bound`` sharpens Case 2 with the exact event probabilities, and
 ``decomposition_check`` re-derives every Case-1 chain link against the exact
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .algebraic import SqrtSum
 from .engine import (
     DEFAULT_FULL_LIMIT,
     DEFAULT_MITM_LIMIT,
@@ -83,6 +88,49 @@ def h(k: int, x):
         raise InputError(f"domain error: x must be in [0, 1], got {x}")
     den = (2 - x) ** 2
     return (1 - (1 - (1 - x) ** 2 / k) / den) / 2
+
+
+def _g_h(k: int, x, q):
+    """``(g(k, x), h(k, x))`` for a canonical weight x with square q = x^2.
+
+    An exact irrational weight is x = c*sqrt(d) with q = c^2 d rational, and
+    (2-x)^2 (2+x)^2 = (4-q)^2, so 1/(2-x)^2 = (4 + q + 4x)/(4-q)^2 with
+    4 - q >= 3.  With (1-x)^2 = 1 + q - 2x the definitions become
+
+        g_k = 1/2 - (1 - kq)(4 + q + 4x) / (2(4-q)^2),
+        h_k = 1/2 - (1 - (1 + q - 2x)/k)(4 + q + 4x) / (2(4-q)^2),
+
+    each affine in x over Q: r + s*x with rational r, s, built as the
+    canonical SqrtSum({1: r, d: s*c}) that the literal definitions also
+    produce.  Rational and float weights keep the literal ``g``/``h``,
+    which already run at field speed there.
+    """
+    if not isinstance(x, SqrtSum) or x.is_rational:
+        return g(k, x), h(k, x)
+    ((d, c),) = x.terms.items()
+    b0 = 4 + q  # (4-q)^2 (2-x)^-2 = b0 + 4x
+    den = 2 * (4 - q) ** 2
+    a0 = 1 - (1 + q) / k  # 1 - (1-x)^2/k = a0 + (2/k)x
+    g_r, g_s = Fraction(1, 2) - (1 - k * q) * b0 / den, -4 * (1 - k * q) / den
+    h_r = Fraction(1, 2) - (a0 * b0 + 8 * q / k) / den
+    h_s = -(4 * a0 + 2 * b0 / k) / den
+    return tuple(
+        SqrtSum({t: v for t, v in ((1, r), (d, s * c)) if v})
+        for r, s in ((g_r, g_s), (h_r, h_s))
+    )
+
+
+def _max_g_h(k: int, x, q, mode: str):
+    """``(g_k, h_k, max(g_k, h_k))`` at the weight x with square q.
+
+    g_k - h_k = ((k+1)x - 1)(1 + (k-1)x)/(2k(2-x)^2) (``explore._certify_k``
+    proves it), which has the sign of (k+1)x - 1 on [0, 1]; in exact mode
+    that is the rational test (k+1)^2 q >= 1.  At the crossing g_k = h_k,
+    so either side of the test picks the same value.
+    """
+    gv, hv = _g_h(k, x, q)
+    pick_g = (k + 1) ** 2 * q >= 1 if mode == EXACT else gv >= hv
+    return gv, hv, gv if pick_g else hv
 
 
 def crossing_point(k: int, *, check: bool = True) -> Fraction:
@@ -259,10 +307,10 @@ def case2_certificate(
         entries = []
         for k in range(2, w.n):
             x_next = w.values[k]
-            gv = g(k, x_next)
-            hv = h(k, x_next)
-            mv = clamp01(gv if gv >= hv else hv)
-            entries.append(Case2Entry(k=k, x_next=x_next, g_value=gv, h_value=hv, max_value=mv))
+            gv, hv, mv = _max_g_h(k, x_next, w.squares[k], w.mode)
+            entries.append(
+                Case2Entry(k=k, x_next=x_next, g_value=gv, h_value=hv, max_value=clamp01(mv))
+            )
         argmin = min(entries, key=lambda e: (e.max_value, e.k))
         final = argmin.max_value if argmin.max_value < one else one
         cert = Certificate(
@@ -318,9 +366,7 @@ def hybrid_bound(w: WeightVector, *, limit: Optional[int] = None):
         p = report.prob(k)
         if p == 0:
             continue
-        gv = g(k, w.values[k])
-        hv = h(k, w.values[k])
-        total = total + p * clamp01(gv if gv >= hv else hv)
+        total = total + p * clamp01(_max_g_h(k, w.values[k], w.squares[k], w.mode)[2])
     total = total + report.prob(w.n) * one
     return total
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -78,7 +79,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process: ``parse_args`` leaves the
+    parser unchanged, so every ``main`` call shares it."""
     parser = _Parser(prog="radsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="|".join(SUBCOMMANDS))
 

@@ -94,6 +94,41 @@ class TestFieldOperations:
     @given(
         st.lists(
             st.tuples(
+                st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15]),
+                st.fractions(min_value=-50, max_value=50, max_denominator=9),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pow_matches_repeated_multiplication(self, terms):
+        # Same value, same term order and so the same float() summation.
+        v = SqrtSum()
+        for d, c in terms:
+            v = v + c * exact_sqrt(d)
+        expected = SqrtSum({1: Fraction(1)})
+        for e in range(10):
+            got = v**e
+            assert got == expected
+            assert list(got.terms.items()) == list(expected.terms.items())
+            assert float(got) == float(expected)
+            expected = expected * v
+
+    def test_pow_squares_no_further_than_the_top_bit(self, monkeypatch):
+        calls = []
+        mul = SqrtSum.__mul__
+        monkeypatch.setattr(SqrtSum, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        v = 1 + exact_sqrt(2) + exact_sqrt(3)
+        for e in range(1, 10):
+            calls.clear()
+            v**e
+            # one squaring per bit below the top, one product per extra set bit
+            assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1)
+
+    @given(
+        st.lists(
+            st.tuples(
                 st.sampled_from([1, 2, 3, 5, 6, 7]),
                 st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
             ),

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_case1, random_case2, rational_unit_vector
 from radsum import (
@@ -32,6 +34,8 @@ from radsum import (
     threshold_probability,
     verify_certificate,
 )
+from radsum import bounds
+from radsum.algebraic import SqrtSum
 
 
 class TestBoundFunctions:
@@ -239,6 +243,74 @@ class TestHybridBound:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError):
             hybrid_bound(canonicalize([3, 4], EXACT))
+
+
+@st.composite
+def radical_weights(draw):
+    """``(x, q)``: a canonical exact weight and its square, from a
+    multi-radicand ``from_squares`` draw, a one-radicand ``canonicalize``
+    draw, x = 0 or x = 1 (as Fraction and as SqrtSum)."""
+    kind = draw(st.sampled_from(["multi", "one", "zero", "one_point"]))
+    if kind in ("multi", "one"):
+        ints = draw(st.lists(st.integers(1, 999), min_size=2, max_size=12))
+        w = from_squares(ints) if kind == "multi" else canonicalize(ints, EXACT)
+        i = draw(st.integers(0, w.n - 1))
+        return w.values[i], w.squares[i]
+    v = Fraction(0) if kind == "zero" else Fraction(1)
+    return draw(st.sampled_from([v, SqrtSum.from_rational(v)])), v * v
+
+
+def _same(a, b) -> bool:
+    """Equal value, equal SqrtSum term order and equal float rendering."""
+    if type(a) is not type(b) or a != b or float(a) != float(b):
+        return False
+    return not isinstance(a, SqrtSum) or list(a.terms.items()) == list(b.terms.items())
+
+
+class TestClosedFormGH:
+    """``bounds._g_h`` evaluates g_k, h_k in closed form on radical weights;
+    the literal ``g``/``h`` are the oracle."""
+
+    @given(st.integers(2, 60), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_definitions(self, k, data):
+        if data.draw(st.booleans()):
+            x, q = data.draw(radical_weights())
+        else:
+            x = Fraction(1, k + 1)
+            q = x * x
+        gv, hv = bounds._g_h(k, x, q)
+        assert _same(gv, g(k, x)) and _same(hv, h(k, x))
+
+    def test_pick_rule_matches_comparison(self, monkeypatch):
+        # In exact mode (k+1)^2 q >= 1 picks g exactly where g >= h does,
+        # the crossing x = 1/(k+1), where the two are equal, included.
+        monkeypatch.setattr(bounds, "_g_h", lambda k, x, q: ("g", "h"))
+        for k in range(2, 40):
+            cp = Fraction(1, k + 1)
+            eps = Fraction(1, 10**6)
+            for x in (Fraction(0), cp - eps, cp, cp + eps, Fraction(1)):
+                want = "g" if g(k, x) >= h(k, x) else "h"
+                assert bounds._max_g_h(k, x, x * x, EXACT)[2] == want
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            from_squares([977, 901, 305, 437, 899, 165, 984, 52, 613]),
+            canonicalize([27, 7, 29, 18, 17, 3, 29, 24, 2], EXACT),
+        ],
+        ids=["multi_radicand", "one_radicand"],
+    )
+    def test_certificate_never_inverts(self, monkeypatch, w):
+        assert case_is(w) == "case2"
+        assert all(isinstance(v, SqrtSum) for v in w.values)
+        want = case2_certificate(w).to_json_dict()
+
+        def no_inverse(self):
+            raise AssertionError("SqrtSum.inverse called")
+
+        monkeypatch.setattr(SqrtSum, "inverse", no_inverse)
+        assert case2_certificate(w).to_json_dict() == want
 
 
 class TestConditionalLink:

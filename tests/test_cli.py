@@ -4,6 +4,9 @@ import builtins
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +15,9 @@ import pytest
 
 from radsum import InputError, cli
 from radsum.cli import RunConfig, main
+
+
+CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +118,16 @@ class TestPartitionHybridDecomp:
         assert code == 0
         assert doc["result"]["lhs"]["exact"] == "1/2"
         assert doc["result"]["holds"] is True
+
+    @pytest.mark.parametrize("label", list(CERTIFY_GOLDEN))
+    def test_certificate_output_pinned(self, capsys, label):
+        # certify and hybrid on radical, rational, float and Case-1 vectors,
+        # recorded when g_k, h_k were evaluated only through the literal
+        # definitions
+        case = CERTIFY_GOLDEN[label]
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert (code, err) == (0, "")
+        assert out == case["stdout"]
 
     def test_partition_wrong_case_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "partition", "sq:16/25,9/25")
@@ -350,6 +366,43 @@ class TestDeterminismAndConfig:
         assert out == ""
         assert err.startswith(f"radsum: error: cannot write {path}")
         assert not path.parent.exists()
+
+    def test_shared_parser_matches_fresh_processes(self, capsys, tmp_path):
+        # main() reuses one parser per process; interleaved subcommands with
+        # different --mode defaults, a rejected flag and -o must each match
+        # the same argv run in a fresh interpreter.
+        out_file = tmp_path / "cert.json"
+        argvs = [
+            ["certify", "sq:3,2,2,1,1", "--no-timestamp"],
+            ["lemmas", "--k-max", "5", "--grid-points", "50", "--no-timestamp"],
+            ["mc", "0.5,0.5,0.5,0.5", "--samples", "500", "--no-timestamp"],
+            ["certify", "sq:1,1,1", "--frobnicate"],
+            ["lemmas", "--mode", "exact", "--k-max", "4", "--format", "json", "--no-timestamp"],
+            ["certify", "0.6,0.5,0.4", "--no-timestamp", "-o", str(out_file)],
+            ["lemmas", "--k-max", "3", "--grid-points", "20", "--format", "json", "--no-timestamp"],
+        ]
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "radsum.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, written))
+        shared = []
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            shared.append((code, out, err, written))
+        assert shared == fresh
+        assert [r[0] for r in shared] == [0, 0, 0, 1, 0, 0, 0]
+        assert shared[5][3] is not None
+        assert cli.build_parser() is cli.build_parser()
 
     def test_runconfig_roundtrip(self):
         cfg = RunConfig(subcommand="exact", weights="sq:1/2,1/2", strict=True, seed=5)
