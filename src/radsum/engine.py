@@ -2,17 +2,24 @@
 
 Enumeration strategies:
 
-* ``threshold_probability`` - meet-in-the-middle: each half becomes its
-  sorted distinct signed sums with pattern counts (equal sums merged as they
-  arise), and every distinct left sum counts its window of right sums with
-  two binary searches, weighted by its pattern count.
+* Signed-sum tables - every table of signed sums (a half, a tail) is
+  symmetric about zero, so it is built in nonnegative form: its sorted
+  distinct sums ``>= 0`` with their full-table pattern counts, one value at
+  a time by merging three sorted runs (``_nonneg_step``; equal sums merged
+  as they arise).  ``_mirror`` unfolds the full table where a search needs
+  it.
+* ``threshold_probability`` - meet-in-the-middle: every distinct
+  nonnegative left sum counts its window of the full right table with two
+  binary searches, weighted by its pattern count, doubled for the mirror
+  sum, whose window is the same.
 * ``threshold_probability_naive`` - plain 2^n sweep (Gray-code incremental);
   kept as the independent oracle for the meet-in-the-middle path.
 * ``sum_distribution`` and ``prefix_partition`` - a breadth-first frontier of
   numpy arrays: each depth tests all undecided prefix sums in one vector
   operation, settles the crossing ones in bulk by ``searchsorted`` into that
-  depth's sorted tail sums and cumulative counts, and extends the rest by
-  ``s - v`` and ``s + v`` (exact mode merges equal sums, with counts).
+  depth's tail table, mirrored, and its cumulative counts, and extends the
+  rest by ``s - v`` and ``s + v`` (exact mode merges equal sums, with
+  counts).  ``sum_distribution`` mirrors the last tail table.
 
 Numeric behavior: in exact mode every comparison is tie-exact, and one key
 setup and one pair counter serve every key type.  When all weights share
@@ -41,7 +48,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -55,10 +62,18 @@ DEFAULT_FULL_LIMIT = 24
 DEFAULT_MITM_LIMIT = 40
 BOUNDARY_TIE_TOL = 1e-12
 _MAX_TIE_RECORDS = 200
-# A merged half starts from the raw sums of its first _RAW_PREFIX values:
-# merging at every step made float admissible_count 1.8x slower at n = 8 and
-# 2x at n = 16 (185 vs 105 us, 350 vs 175 us); 4 to 12 measured alike.
+# A nonnegative half table starts from the raw sums of its first _RAW_PREFIX
+# values.  Stepping from [0] instead made admissible_count 2.5-3x slower at
+# n = 8 and 16 (float 333 vs 119 us and 650 vs 217 us, int64 368 vs 150 us
+# and 731 vs 270 us; medians of 30 alternating runs) and up to 15% slower
+# at n = 38 (float 81.6 vs 81.1 ms, int64 3.01 vs 2.63 ms); 12 measured
+# alike at n = 16, 24 and 38.
 _RAW_PREFIX = 8
+# Raw sums start with the running sums of the first _SIGN_ROWS values down a
+# cached sign matrix, one numpy call where doubling takes three per value:
+# _half_sums of 4 values took 8 us against 18-22 us (float and int64), of 8
+# values 24-26 us against 32-38 us; 6 rows made Python-int keys slower.
+_SIGN_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -234,6 +249,9 @@ class _Keys:
     def __sub__(self, other: "_Keys") -> "_Keys":
         return _Keys(self.f - other.f, self.c - other.c)
 
+    def __neg__(self) -> "_Keys":
+        return _Keys(-self.f, -self.c)
+
 
 def _band_width(size: float, err: float, n: int) -> float:
     """A bound on how far a float decision about radical keys over ``n``
@@ -390,35 +408,123 @@ def _zero(dtype):
     return np.zeros(1, dtype=dtype)
 
 
+def _sign_key(keys):
+    """What a key's sign is read from: the code of radical keys, the key
+    itself otherwise.  Negating a sum negates it too."""
+    return keys.c if isinstance(keys, _Keys) else keys
+
+
+def _concat(parts):
+    """The key arrays ``parts`` one after the other."""
+    if isinstance(parts[0], _Keys):
+        return _Keys(np.concatenate([p.f for p in parts]), np.concatenate([p.c for p in parts]))
+    return np.concatenate(parts)
+
+
 def _extend(keys, v):
     """The sums ``keys - v`` followed by ``keys + v``."""
-    lo, hi = keys - v, keys + v
-    if isinstance(keys, _Keys):
-        return _Keys(np.concatenate([lo.f, hi.f]), np.concatenate([lo.c, hi.c]))
-    return np.concatenate([lo, hi])
+    return _concat([keys - v, keys + v])
 
 
 # -- half-sum generation -----------------------------------------------------
 
 
-def _half_sums(values: Sequence, dtype) -> np.ndarray:
-    """All 2^len(values) signed sums, each accumulated in index order."""
-    sums = _zero(dtype)
-    for v in values:
+@cache
+def _sign_matrix(k: int) -> np.ndarray:
+    """Row 0 all +1 (it takes the starting +0), row j + 1 the sign of value
+    j in each of the 2^k sign patterns: +1 where bit j of the column index
+    is set, the order repeated ``_extend`` gives."""
+    signs = 2 * ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1) - 1
+    signs = np.vstack([np.ones((1, 1 << k), dtype=signs.dtype), signs])
+    signs.setflags(write=False)
+    return signs
+
+
+def _half_sums(values: Sequence, dtype):
+    """All 2^len(values) signed sums, each accumulated in index order from
+    +0: the first ``_SIGN_ROWS`` values as running sums down the columns of
+    a sign matrix (``fl(s + (-v))`` is ``fl(s - v)``), the rest by
+    ``_extend``."""
+    if isinstance(dtype, _Radical):
+        return _Keys(_half_sums([v.f for v in values], np.float64), _half_sums([v.c for v in values], dtype.dtype))
+    k = min(len(values), _SIGN_ROWS)
+    sums = (_sign_matrix(k) * np.array([0, *values[:k]], dtype=dtype)[:, None]).cumsum(axis=0)[-1]
+    for v in values[k:]:
         sums = _extend(sums, v)
     return sums
+
+
+def _has_zero(keys) -> int:
+    """1 when a nonnegative table starts with the zero sum, which is its own
+    mirror image, else 0."""
+    return int(_sign_key(keys)[0] == 0)
+
+
+def _check_mass(keys, counts: np.ndarray, k: int) -> None:
+    """A nonnegative table of signed sums over ``k`` values stands for all
+    2^k sign patterns: each key's count twice, for it and its mirror image,
+    except the zero sum's."""
+    mass = 2 * int(counts.sum()) - _has_zero(keys) * int(counts[0])
+    if mass != 1 << k:
+        raise SoundnessError(f"signed-sum table mass {mass} != 2^{k}")
+
+
+def _nonneg_step(keys, counts: np.ndarray, v):
+    """The nonnegative table one value ``v`` longer.
+
+    Every signed-sum table is symmetric about zero, so it is kept in
+    nonnegative form: its distinct sums ``p >= 0`` (by ``_sign_key``) in
+    sorted order, each with its full-table pattern count.  The sums ``+-p
+    +- v`` that are >= 0 come in three sorted runs, with ``v`` taken as
+    ``|v|``: ``p + v``, the nonnegative ``p - v``, and the negative ``p -
+    v`` reversed and negated (that is ``-p + v``, for ``p > 0`` only: the
+    zero sum is its own mirror).  A ``p - v`` that lands on 0 is reached
+    from ``p`` and ``-p``, so its count doubles; a zero ``v`` doubles every
+    count through the first two runs.  In float mode the negated sums are
+    exact: ``fl(-a - b) = -fl(a + b)``, and no sum is -0.0, as none starts
+    from one.
+    """
+    if _sign_key(v) < 0:
+        v = -v
+    lo, hi = keys - v, keys + v
+    sign = _sign_key(lo)
+    m = int(np.searchsorted(sign, 0))  # lo[:m] is negative
+    z = _has_zero(keys)
+    rest = counts[m:]
+    if m < len(sign) and sign[m] == 0 and _sign_key(v) != 0:
+        rest = rest.copy()
+        rest[0] *= 2
+    return _merge_equal(
+        _concat([-lo[z:m][::-1], lo[m:], hi]),
+        np.concatenate([counts[z:m][::-1], rest, counts]),
+    )
+
+
+def _nonneg_sums(values: Sequence, dtype, count_dtype):
+    """The nonnegative table (see ``_nonneg_step``) of the signed sums of
+    ``values``, each accumulated in index order."""
+    k = min(len(values), _RAW_PREFIX)
+    sums = _half_sums(values[:k], dtype)
+    sums = sums[_sign_key(sums) >= 0]
+    keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
+    for v in values[k:]:
+        keys, counts = _nonneg_step(keys, counts, v)
+    _check_mass(keys, counts, len(values))
+    return keys, counts
+
+
+def _mirror(keys, counts: np.ndarray):
+    """The full table from its nonnegative form: the nonzero keys negated,
+    in reverse order, then the nonnegative keys."""
+    z = _has_zero(keys)
+    return _concat([-keys[z:][::-1], keys]), np.concatenate([counts[z:][::-1], counts])
 
 
 def _merged_sums(values: Sequence, dtype, count_dtype) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct signed sums of ``values``, each accumulated in
     index order, and their pattern counts.  Float sums merge only when they
-    compare equal (+0.0 with -0.0, whose later sums differ at most in the
-    sign of a zero), so no later comparison of ``fl(l + r)`` changes."""
-    k = min(len(values), _RAW_PREFIX)
-    keys, counts = _merge_equal(_half_sums(values[:k], dtype), np.ones(1 << k, dtype=count_dtype))
-    for v in values[k:]:
-        keys, counts = _merge_equal(_extend(keys, v), np.concatenate([counts, counts]))
-    return keys, counts
+    compare equal, so no later comparison of ``fl(l + r)`` changes."""
+    return _mirror(*_nonneg_sums(values, dtype, count_dtype))
 
 
 # -- pair counting -----------------------------------------------------------
@@ -447,10 +553,13 @@ def _refine_prefix_len(uniq: np.ndarray, a: np.ndarray, bound: float, inclusive:
 def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
     """Sign patterns with ``|l + r| <= t`` (``< t`` when strict), ``l`` and
     ``r`` sums of ``values[:split]`` and ``values[split:]``: the sum over
-    distinct ``l`` of ``count(l) * window(right, l)``.  Float windows are
-    refined so that each pair is tested as ``fl(l + r)``."""
+    distinct ``l`` of ``count(l) * window(right, l)``.  Only the ``l >= 0``
+    are searched, and each ``l > 0`` counts for ``-l`` too: the right sums
+    are symmetric and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window
+    of ``l``.  Float windows are refined so that each pair is tested as
+    ``fl(l + r)``."""
     count_dtype = _count_dtype(len(values))
-    lkeys, lcounts = _merged_sums(values[:split], dtype, count_dtype)
+    lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
     rkeys, rcounts = _search_order(*_merged_sums(values[split:], dtype, count_dtype))
     cum = np.concatenate([[0], np.cumsum(rcounts)])
     if dtype is np.float64:
@@ -462,7 +571,8 @@ def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
     else:
         window = _window_count(rkeys, cum, -t - lkeys, t - lkeys, strict)
     # an empty window (strict t == 0, cut-off -1) has lo > hi
-    return int(np.sum(lcounts * np.maximum(window, 0)))
+    hits = lcounts * np.maximum(window, 0)
+    return 2 * int(hits.sum()) - _has_zero(lkeys) * int(hits[0])
 
 
 # -- public operations -------------------------------------------------------
@@ -587,8 +697,9 @@ def threshold_probability_naive(
 
 
 def _merge_equal(keys, counts: np.ndarray):
-    """Sort ``keys``, adding up the counts of equal keys (linear on two runs).
-    Radical keys are sorted and merged by code."""
+    """Sort ``keys``, adding up the counts of equal keys (linear on the
+    three sorted runs of ``_nonneg_step``).  Radical keys are sorted and
+    merged by code."""
     radical = isinstance(keys, _Keys)
     order = np.argsort(keys.c if radical else keys, kind="stable")
     keys = keys[order]
@@ -609,12 +720,13 @@ def _search_order(keys, counts: np.ndarray):
 
 
 def _tail_distributions(vals: Sequence, dtype):
-    """For k = len(vals)-1 down to 0: the distinct signed sums of ``vals[k:]``,
-    accumulated from the end, and their counts, merged as by
-    ``_merge_equal``."""
+    """For k = len(vals)-1 down to 0: the nonnegative table (see
+    ``_nonneg_step``) of the signed sums of ``vals[k:]``, accumulated from
+    the end."""
     keys, counts = _zero(dtype), np.ones(1, dtype=_count_dtype(len(vals)))
-    for v in reversed(vals):
-        keys, counts = _merge_equal(_extend(keys, v), np.concatenate([counts, counts]))
+    for size, v in enumerate(reversed(vals), 1):
+        keys, counts = _nonneg_step(keys, counts, v)
+        _check_mass(keys, counts, size)
         yield keys, counts
 
 
@@ -759,6 +871,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     vals, dtype, _, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
     for keys, counts in _tail_distributions(vals, dtype):
         pass
+    keys, counts = _mirror(keys, counts)
     if isinstance(dtype, _Radical):
         keys, counts = _exact_order(keys, counts, dtype)
         return SumDistribution(keys.f, counts, n, EXACT, None, keys.c, dtype)
@@ -834,7 +947,7 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     # ``one`` is the threshold 1 in key units
     vals, dtype, path, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
     radical = dtype if isinstance(dtype, _Radical) else None
-    # tails[k] covers coordinates k+1..n (0-based vals[k:])
+    # tails[k] covers coordinates k+1..n (0-based vals[k:]), in nonnegative form
     k_min = 1 if n == 2 else 2
     tails = dict(zip(range(n - 1, k_min - 1, -1), _tail_distributions(vals[k_min:], dtype)))
 
@@ -867,7 +980,7 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
         settled.append(int(np.count_nonzero(done)))
         if done.any():
-            tkeys, tcounts = _search_order(*tails[depth])
+            tkeys, tcounts = _search_order(*_mirror(*tails[depth]))
             cum = np.concatenate([[0], np.cumsum(tcounts)])
             ss, mm = s[done], mult[done]
             if radical:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .algebraic import SqrtSum
+from .algebraic import SqrtSum, squarefree_decompose
 from .errors import DegenerateVectorError, InputError, SoundnessError
 
 EXACT = "exact"
@@ -183,6 +183,27 @@ def canonicalize(raw: Sequence, mode: str = FLOAT) -> WeightVector:
     )
 
 
+def _squarefree_pair(a: int, b: int) -> tuple[int, int]:
+    """``(s, d)`` with ``a*b == s*s*d`` and ``d`` squarefree, from the
+    decompositions of ``a`` and ``b``: a product of squarefree ``d1*d2`` is
+    ``g^2*(d1/g)*(d2/g)`` with ``g = gcd(d1, d2)``."""
+    (s1, d1), (s2, d2) = squarefree_decompose(a), squarefree_decompose(b)
+    return _squarefree_times(s1 * s2, d1, d2)
+
+
+def _squarefree_times(s: int, d1: int, d2: int) -> tuple[int, int]:
+    """``(s*g, (d1/g)*(d2/g))``, ``g = gcd(d1, d2)``: ``s^2*d1*d2`` as a
+    square times a squarefree part, for squarefree ``d1`` and ``d2``."""
+    g = math.gcd(d1, d2)
+    return s * g, (d1 // g) * (d2 // g)
+
+
+def _root(s: int, d: int, denom: int) -> ExactValue:
+    """``s*sqrt(d)/denom`` for squarefree ``d``, a Fraction when ``d == 1``."""
+    c = Fraction(s, denom)
+    return c if d == 1 else SqrtSum({d: c})
+
+
 def from_squares(squares: Iterable, mode: str = EXACT) -> WeightVector:
     """Build a canonical vector from squared weights (normalized by their sum).
 
@@ -198,29 +219,31 @@ def from_squares(squares: Iterable, mode: str = EXACT) -> WeightVector:
     total = sum(qs)
     if total == 0:
         raise DegenerateVectorError("degenerate vector: all entries are zero")
-    qs = sorted((q / total for q in qs), reverse=True)
+    qs.sort(reverse=True)
+    squares = tuple(q / total for q in qs)
     if mode == FLOAT:
-        vals = [math.sqrt(float(q)) for q in qs]
+        vals = [math.sqrt(float(q)) for q in squares]
         return WeightVector(
             values=tuple(vals),
             squares=tuple(v * v for v in vals),
             mode=FLOAT,
             scale=math.sqrt(float(total)),
         )
+    # sqrt(q/total) = sqrt(q.num*q.den * total.num*total.den)/(q.den*total.num),
+    # with each numerator and denominator factored once
     values = []
     try:
+        ts, td = _squarefree_pair(total.numerator, total.denominator)
         for q in qs:
-            x = SqrtSum.sqrt_rational(q)
-            values.append(x.as_fraction() if x.is_rational else x)
-        norm = SqrtSum.sqrt_rational(total)
+            if not q:
+                values.append(Fraction(0))
+                continue
+            s, d = _squarefree_pair(q.numerator, q.denominator)
+            values.append(_root(*_squarefree_times(s * ts, d, td), q.denominator * total.numerator))
+        norm = _root(ts, td, total.denominator)
     except ValueError as exc:
         raise InputError(f"invalid input: {exc}; use float mode") from None
-    return WeightVector(
-        values=tuple(values),
-        squares=tuple(qs),
-        mode=EXACT,
-        scale=norm.as_fraction() if norm.is_rational else norm,
-    )
+    return WeightVector(values=tuple(values), squares=squares, mode=EXACT, scale=norm)
 
 
 def case_of(w: WeightVector) -> CaseTag:

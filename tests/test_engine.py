@@ -253,6 +253,149 @@ class TestMergedHalves:
             assert p == (Fraction(hits, 2**n) if mode == EXACT else hits / 2**n)
 
 
+def _full_table(values, dtype):
+    """The full-table recurrence the nonnegative tables replaced, kept as
+    their oracle: both halves of every table, sorted and merged."""
+    from radsum.engine import _extend, _merge_equal, _zero
+
+    keys, counts = _zero(dtype), np.ones(1, dtype=np.int64)
+    for v in values:
+        keys, counts = _merge_equal(_extend(keys, v), np.concatenate([counts, counts]))
+    return keys, counts
+
+
+KEY_KINDS = ("float64", "int64", "object", "radical")
+
+
+def _edge_values(kind, signs):
+    """Raw values of one key type, entry i times ``signs[i]`` in {-1, 0, 1}:
+    zero and negative weights, and -0.0 among the floats."""
+    if kind == "float64":
+        base = [0.5, 1.25, 0.125, 3.0, 0.75, 0.25, 1.0, 0.375]  # dyadic: exact sums
+        return [-0.0 if s == 0 and i % 2 else s * base[i % len(base)] for i, s in enumerate(signs)]
+    if kind == "int64":
+        return [s * (1 + i % 5) for i, s in enumerate(signs)]
+    if kind == "object":
+        return [s * (2**62 + 7 * i) for i, s in enumerate(signs)]
+    roots = from_squares([2, 3, 5, 2, 7, 6, 3, 10, 11, 5, 13, 1, 14, 15]).values
+    return [s * roots[i] for i, s in enumerate(signs)]
+
+
+def _keys_of(kind, values):
+    """``(keys, dtype)`` of raw ``values`` as keys of ``kind``."""
+    from radsum.engine import _radical_keys
+
+    if kind == "radical":
+        return _radical_keys(values)
+    return values, {"float64": np.float64, "int64": np.int64, "object": object}[kind]
+
+
+class TestNonnegativeTables:
+    """Every signed-sum table is built in nonnegative form and mirrored;
+    the full-table recurrence and brute force are the references."""
+
+    @staticmethod
+    def _assert_same_table(table, expected, dtype):
+        from radsum.engine import _Keys
+
+        (keys, counts), (want, want_counts) = table, expected
+        assert counts.tolist() == want_counts.tolist()
+        if isinstance(keys, _Keys):
+            assert keys.c.tolist() == want.c.tolist()
+            bound = Fraction(dtype.bound)
+            for f, c in zip(keys.f.tolist(), keys.c.tolist()):
+                assert abs(dtype.value(c, dtype.spread) - Fraction(f)) <= bound
+        elif dtype is np.float64:
+            assert keys.view(np.int64).tolist() == want.view(np.int64).tolist()
+        else:
+            assert keys.tolist() == want.tolist()
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tables_match_full_recurrence(self, data):
+        from radsum.engine import _merged_sums, _mirror, _tail_distributions
+
+        kind = data.draw(st.sampled_from(KEY_KINDS))
+        n = data.draw(st.integers(0, 9 if kind == "radical" else 14))
+        if kind == "float64":
+            generic = st.integers(-(10**6), 10**6).map(lambda i: math.copysign(math.sqrt(abs(i)), i))
+            pick = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25]), st.floats(-3, 3), generic)
+            values = data.draw(st.lists(pick, min_size=n, max_size=n))
+        else:
+            signs = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+            values = _edge_values(kind, signs)
+        keys, dtype = _keys_of(kind, values)
+        self._assert_same_table(_merged_sums(keys, dtype, np.int64), _full_table(keys, dtype), dtype)
+        if n:
+            *_, last = _tail_distributions(keys, dtype)
+            self._assert_same_table(_mirror(*last), _full_table(keys[::-1], dtype), dtype)
+
+    @pytest.mark.parametrize("raw_prefix", [0, 8])
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    def test_edge_weight_counts(self, monkeypatch, rng, kind, raw_prefix):
+        # zero, negative and -0.0 raw weights; with no raw prefix every
+        # table is built by nonnegative steps
+        from radsum import engine
+
+        monkeypatch.setattr(engine, "_RAW_PREFIX", raw_prefix)
+        mode = FLOAT if kind == "float64" else EXACT
+        one = 1.0 if mode == FLOAT else Fraction(1)
+        for n in (2, 5, 10):
+            # two nonzero entries over distinct radicands keep radical keys
+            signs = [1, -1] + [int(s) for s in rng.integers(-1, 2, size=n - 2)]
+            values = _edge_values(kind, signs)
+            assert engine._key_setup(values, one, mode)[2] == kind
+            for t in (0 * one, one):
+                for strict in (False, True):
+                    expected = product_oracle(values, t, strict) * 2**n  # dyadic floats sum exactly
+                    assert engine.signed_sum_count(values, t, mode, strict) == (expected, 2**n), (values, t, strict)
+
+    @pytest.mark.parametrize("raw_prefix", [0, 8])
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    def test_no_negative_key_is_merged(self, monkeypatch, rng, kind, raw_prefix):
+        """The halved work: every merge while a table is built sees only
+        keys >= 0 by their sign key (and no float -0.0)."""
+        from radsum import engine
+
+        monkeypatch.setattr(engine, "_RAW_PREFIX", raw_prefix)
+        real = engine._merge_equal
+        merged = []
+
+        def spy(keys, counts):
+            sign = engine._sign_key(keys)
+            assert np.all(sign >= 0)
+            if kind == "float64":
+                assert not np.any(np.signbit(keys))
+            merged.append(len(sign))
+            return real(keys, counts)
+
+        monkeypatch.setattr(engine, "_merge_equal", spy)
+        signs = [int(s) for s in rng.integers(-1, 2, size=12)]
+        keys, dtype = _keys_of(kind, _edge_values(kind, signs))
+        engine._nonneg_sums(keys, dtype, np.int64)
+        list(engine._tail_distributions(keys, dtype))
+        assert len(merged) == (1 + 12 - min(12, raw_prefix)) + 12
+
+    def test_mass_slip_is_soundness_error(self, monkeypatch):
+        # a bookkeeping slip in one step (a count lost) raises, which
+        # python -O does not strip as it would an assert
+        from radsum import SoundnessError, engine
+
+        real = engine._nonneg_step
+
+        def slip(keys, counts, v):
+            keys, counts = real(keys, counts, v)
+            counts[-1] -= 1
+            return keys, counts
+
+        monkeypatch.setattr(engine, "_nonneg_step", slip)
+        w = canonicalize([1.0] * 20, FLOAT)
+        with pytest.raises(SoundnessError, match="mass"):
+            threshold_probability(w, 1.0, limit=20)
+        with pytest.raises(SoundnessError, match="mass"):
+            sum_distribution(canonicalize([3, 1, 2], EXACT))
+
+
 class TestThresholdProperties:
     @given(st.integers(0, 3), st.booleans())
     @settings(max_examples=20, deadline=None)

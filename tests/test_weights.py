@@ -141,6 +141,34 @@ class TestFromSquares:
         with pytest.raises(InputError):
             from_squares([Fraction(1, 2), Fraction(-1, 2)])
 
+    @given(st.lists(st.fractions(min_value=0, max_value=60, max_denominator=50), min_size=1, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_token_square_roots(self, qs):
+        # the literal construction: each normalized square's root on its own
+        from radsum.algebraic import SqrtSum
+
+        total = sum(qs)
+        if not total:
+            return
+        w = from_squares(qs)
+        squares = sorted((q / total for q in qs), reverse=True)
+        assert w.squares == tuple(squares)
+        for got, q in zip((*w.values, w.scale), (*squares, total)):
+            x = SqrtSum.sqrt_rational(q)
+            want = x.as_fraction() if x.is_rational else x
+            assert type(got) is type(want) and got == want
+            if isinstance(got, SqrtSum):
+                assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_factors_each_numerator_and_denominator_once(self, monkeypatch):
+        from radsum import weights
+
+        real, seen = weights.squarefree_decompose, []
+        monkeypatch.setattr(weights, "squarefree_decompose", lambda n: seen.append(n) or real(n))
+        qs = [Fraction(3, 7), 5, Fraction(11, 2), 0, 13]  # total 335/14
+        from_squares(qs)
+        assert sorted(seen) == sorted([335, 14, 3, 7, 5, 1, 11, 2, 13, 1])
+
 
 class TestCaseOf:
     def test_examples(self):
