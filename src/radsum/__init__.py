@@ -38,7 +38,6 @@ from .engine import (
     SumDistribution,
     admissible_count,
     prefix_partition,
-    signed_sum_probability,
     sum_distribution,
     threshold_probability,
     threshold_probability_naive,
@@ -124,7 +123,6 @@ __all__ = [
     "monte_carlo",
     "parse_weights",
     "prefix_partition",
-    "signed_sum_probability",
     "squarefree_decompose",
     "sum_distribution",
     "tail_moments",

@@ -33,9 +33,10 @@ from .algebraic import SqrtSum
 from .engine import (
     DEFAULT_FULL_LIMIT,
     DEFAULT_MITM_LIMIT,
+    _probability,
     _size_limit,
     prefix_partition,
-    signed_sum_probability,
+    signed_sum_count,
     threshold_probability,
 )
 from .errors import InputError, SoundnessError, WrongCaseError
@@ -409,8 +410,8 @@ def decomposition_check(w: WeightVector, *, limit: Optional[int] = None) -> Deco
     tail = w.values[2:]
     one = Fraction(1) if w.mode == EXACT else 1.0
     lhs = threshold_probability(w, one, limit=limit)
-    p_plus = signed_sum_probability(tail, t_plus, w.mode, limit=limit)
-    p_minus = signed_sum_probability(tail, t_minus, w.mode, limit=limit)
+    p_plus = _probability(*signed_sum_count(tail, t_plus, w.mode, limit=limit), w.mode)
+    p_minus = _probability(*signed_sum_count(tail, t_minus, w.mode, limit=limit), w.mode)
     rhs = (p_plus + p_minus) / 4
     report = DecompositionReport(
         lhs=lhs,

@@ -43,7 +43,8 @@ _GRAMMAR_HELP = (
 
 @dataclass
 class RunConfig:
-    """Parsed run configuration; round-trips through to_dict/from_dict."""
+    """Parsed run configuration, and the one place CLI defaults are
+    declared; round-trips through to_dict/from_dict."""
 
     subcommand: str
     weights: Optional[str] = None
@@ -82,67 +83,64 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> _Parser:
     """The argparse tree, built once per process: ``parse_args`` leaves the
-    parser unchanged, so every ``main`` call shares it."""
+    parser unchanged, so every ``main`` call shares it.
+
+    Flags declare no defaults: an omitted flag leaves no attribute, so the
+    ``RunConfig`` field default applies.  Each subcommand takes only the
+    size limit its handler reads."""
     parser = _Parser(prog="radsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="|".join(SUBCOMMANDS))
 
-    def add_common(p, *, weights: bool):
+    def add(name, summary, *, weights=True, limit=None):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if weights:
             p.add_argument("weights", help=_GRAMMAR_HELP)
-            p.add_argument("--mode", choices=(EXACT, FLOAT), default=None,
+            p.add_argument("--mode", choices=(EXACT, FLOAT),
                            help="override the numeric mode implied by the grammar")
-        p.add_argument("--full-limit", type=int, default=engine.DEFAULT_FULL_LIMIT,
-                       help="full-enumeration size limit")
-        p.add_argument("--mitm-limit", type=int, default=engine.DEFAULT_MITM_LIMIT,
-                       help="meet-in-the-middle size limit")
-        p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+        if limit == "full":
+            p.add_argument("--full-limit", type=int, help="full-enumeration size limit")
+        elif limit == "mitm":
+            p.add_argument("--mitm-limit", type=int, help="meet-in-the-middle size limit")
+        p.add_argument("-o", "--output", help="write to file instead of stdout")
         p.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                        help="suppress the timestamp field for diff-able output")
+        return p
 
-    p = sub.add_parser("exact", help="exact threshold probability Pr(|eps.x| <= t)")
-    add_common(p, weights=True)
-    p.add_argument("-t", "--threshold", default="1", help="threshold t (rational in exact mode)")
+    p = add("exact", "exact threshold probability Pr(|eps.x| <= t)", limit="mitm")
+    p.add_argument("-t", "--threshold", dest="t", metavar="THRESHOLD",
+                   help="threshold t (rational in exact mode)")
     p.add_argument("--strict", action="store_true", help="strict inequality Pr(|eps.x| < t)")
 
-    p = sub.add_parser("distribution", help="full distribution of eps.x")
-    add_common(p, weights=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p = add("distribution", "full distribution of eps.x", limit="full")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    p = sub.add_parser("partition", help="Case-2 stopping-time event partition")
-    add_common(p, weights=True)
+    add("partition", "Case-2 stopping-time event partition", limit="full")
 
-    p = sub.add_parser("certify", help="theorem certificate for the instance")
-    add_common(p, weights=True)
+    p = add("certify", "theorem certificate for the instance", limit="mitm")
     p.add_argument("--exact-check", action="store_true",
                    help="attach and verify the exact probability")
 
-    p = sub.add_parser("hybrid", help="partition-refined Case-2 lower bound")
-    add_common(p, weights=True)
+    add("hybrid", "partition-refined Case-2 lower bound", limit="full")
+    add("decomp-check", "verify the Case-1 chain exactly", limit="mitm")
 
-    p = sub.add_parser("decomp-check", help="verify the Case-1 chain exactly")
-    add_common(p, weights=True)
+    p = add("mc", "Monte Carlo estimate with Wilson interval")
+    p.add_argument("-t", "--threshold", dest="t", metavar="THRESHOLD")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--confidence", type=float)
 
-    p = sub.add_parser("mc", help="Monte Carlo estimate with Wilson interval")
-    add_common(p, weights=True)
-    p.add_argument("-t", "--threshold", default="1")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--confidence", type=float, default=0.99)
-
-    p = sub.add_parser("lemmas", help="bound-function lemma verification sweep")
-    add_common(p, weights=False)
-    p.add_argument("--k-max", type=int, default=1000)
-    p.add_argument("--grid-points", type=int, default=10_000)
-    p.add_argument("--mode", choices=(EXACT, FLOAT), default=FLOAT,
+    p = add("lemmas", "bound-function lemma verification sweep", weights=False)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--mode", choices=(EXACT, FLOAT),
                    help="exact: closed-form certificate only; float: adds a float grid "
                         "cross-check on --grid-points points")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    p = sub.add_parser("search", help="search for low-probability weight vectors")
-    add_common(p, weights=False)
+    p = add("search", "search for low-probability weight vectors", weights=False, limit="mitm")
     p.add_argument("--n", type=int, required=True, help="dimension, 2..meet-in-the-middle limit")
-    p.add_argument("--budget", type=int, default=10_000, help="objective evaluations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, help="objective evaluations")
+    p.add_argument("--seed", type=int)
 
     return parser
 
@@ -151,13 +149,7 @@ def parse_config(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
     if not ns.subcommand:
         raise InputError(f"missing subcommand; expected one of: {', '.join(SUBCOMMANDS)}")
-    args = vars(ns)
-    # Two fields are named differently from their flags.
-    for flag, field in (("threshold", "t"), ("format", "fmt")):
-        if flag in args:
-            args[field] = args.pop(flag)
-    fields = (f.name for f in dataclasses.fields(RunConfig))
-    return RunConfig(**{name: args[name] for name in fields if name in args})
+    return RunConfig(**vars(ns))
 
 
 def _resolve_weights(cfg: RunConfig) -> WeightVector:
@@ -174,18 +166,22 @@ def _resolve_weights(cfg: RunConfig) -> WeightVector:
 
 
 def _parse_threshold(cfg: RunConfig, mode: str):
-    if mode == EXACT:
-        try:
-            return Fraction(cfg.t)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"invalid input: bad exact threshold {cfg.t!r} ({exc})") from None
     try:
-        return float(Fraction(cfg.t))
-    except (ValueError, ZeroDivisionError):
+        t = Fraction(cfg.t)
+    except (ValueError, ZeroDivisionError) as exc:
+        if mode == EXACT:
+            raise InputError(f"invalid input: bad exact threshold {cfg.t!r} ({exc})") from None
         try:
             return float(cfg.t)
         except ValueError as exc:
             raise InputError(f"invalid input: bad threshold {cfg.t!r} ({exc})") from None
+    # the float is the computed threshold in float mode and the rendered
+    # decimal in both modes
+    try:
+        tf = float(t)
+    except OverflowError:
+        raise InputError(f"invalid input: threshold {cfg.t!r} exceeds the float range") from None
+    return t if mode == EXACT else tf
 
 
 def _weights_json(w: WeightVector) -> list:

@@ -122,6 +122,8 @@ def _normalize_threshold(t, mode: str):
             tf = float(t)
         except (TypeError, ValueError):
             raise InputError(f"invalid input: threshold {t!r} is not a number") from None
+        except OverflowError:
+            raise InputError("invalid input: threshold exceeds the float range") from None
         if not math.isfinite(tf):
             raise InputError("invalid input: threshold must be finite")
         return tf
@@ -578,22 +580,6 @@ def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
 # -- public operations -------------------------------------------------------
 
 
-def signed_sum_probability(
-    values: Sequence[Value],
-    t,
-    mode: str,
-    strict: bool = False,
-    *,
-    limit: Optional[int] = None,
-):
-    """Pr(|sum of +-values| <= t) for a raw (not necessarily canonical) list.
-
-    Meet-in-the-middle; exact rational result in exact mode, float quotient
-    of exact integer counts in float mode.
-    """
-    return _probability(*signed_sum_count(values, t, mode, strict, limit=limit), mode)
-
-
 def signed_sum_count(
     values: Sequence[Value],
     t,
@@ -602,7 +588,9 @@ def signed_sum_count(
     *,
     limit: Optional[int] = None,
 ) -> tuple[int, int]:
-    """(admissible count, 2^n) behind :func:`signed_sum_probability`."""
+    """(number of sign patterns with |sum of +-values| <= t, or < t when
+    strict, 2^n) for a raw (not necessarily canonical) list, by
+    meet-in-the-middle."""
     n = len(values)
     _check_size(n, limit, DEFAULT_MITM_LIMIT, "meet-in-the-middle")
     t = _normalize_threshold(t, mode)
@@ -622,7 +610,7 @@ def threshold_probability(
 
     Exact rational in exact mode; in float mode an exact dyadic count/2^n.
     """
-    return signed_sum_probability(w.values, t, w.mode, strict, limit=limit)
+    return _probability(*signed_sum_count(w.values, t, w.mode, strict, limit=limit), w.mode)
 
 
 def admissible_count(

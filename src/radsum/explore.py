@@ -21,14 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import crossing_point, g, h, minmax_bound
+from .bounds import THEOREM_FLOOR, crossing_point, g, h, minmax_bound
 from .engine import DEFAULT_MITM_LIMIT, _check_t_nonnegative, _normalize_threshold, _size_limit
 from .engine import admissible_count
 from .errors import InputError, SoundnessError
 from .weights import EXACT, FLOAT, WeightVector, canonicalize
 
 _MC_BLOCK = 1 << 16
-_SEARCH_FLOOR = Fraction(9, 25)
 _INITIAL_STEP = 0.25
 _MIN_STEP = 1e-6
 
@@ -381,7 +380,7 @@ def minimize_probability(
         best_prob=recomputed,
         trajectory=tuple(trajectory),
         budget_used=evals,
-        counterexample_candidate=recomputed < _SEARCH_FLOOR,
+        counterexample_candidate=recomputed < THEOREM_FLOOR,
         n=n,
         seed=seed,
     )

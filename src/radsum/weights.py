@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .algebraic import SqrtSum, squarefree_decompose
 from .errors import DegenerateVectorError, InputError, SoundnessError
@@ -85,7 +85,8 @@ def _validate_mode(mode: str) -> str:
     return mode
 
 
-def _exact_value(entry, index: int) -> SqrtSum | Fraction:
+def _exact_term(entry, index: int) -> tuple[Fraction, int]:
+    """``(c, d)`` with ``entry == c*sqrt(d)`` and ``d`` squarefree."""
     if isinstance(entry, bool):
         raise InputError(f"invalid input: bool entry at index {index}")
     if isinstance(entry, float):
@@ -94,14 +95,16 @@ def _exact_value(entry, index: int) -> SqrtSum | Fraction:
             "pass ints/Fractions (or use float mode)"
         )
     if isinstance(entry, SqrtSum):
-        if len(entry.terms) > 1:
+        terms = entry.terms or {1: Fraction(0)}
+        if len(terms) > 1:
             raise InputError(
                 "invalid input: exact weights must have rational squares "
                 f"(entry at index {index} has multiple radical terms)"
             )
-        return entry
+        ((d, c),) = terms.items()
+        return Fraction(c), d
     if isinstance(entry, (int, Fraction)):
-        return Fraction(entry)
+        return Fraction(entry), 1
     raise InputError(f"invalid input: unsupported exact entry type {type(entry).__name__}")
 
 
@@ -148,39 +151,12 @@ def canonicalize(raw: Sequence, mode: str = FLOAT) -> WeightVector:
             scale=norm,
         )
 
-    entries = [_exact_value(e, i) for i, e in enumerate(raw)]
-    norm_sq = Fraction(0)
-    for e in entries:
-        sq = e * e
-        norm_sq += sq.as_fraction() if isinstance(sq, SqrtSum) else sq
-    if norm_sq == 0:
-        raise DegenerateVectorError("degenerate vector: all entries are zero")
-    try:
-        norm = SqrtSum.sqrt_rational(norm_sq)
-    except ValueError as exc:
-        raise InputError(f"invalid input: {exc}; use float mode") from None
-    values: list[ExactValue] = []
-    squares: list[Fraction] = []
-    if norm.is_rational and all(isinstance(e, Fraction) for e in entries):
-        nf = norm.as_fraction()
-        for e in entries:
-            x = abs(e) / nf
-            values.append(x)
-            squares.append(x * x)
-    else:
-        for e in entries:
-            v = abs(SqrtSum.from_rational(e) if not isinstance(e, SqrtSum) else e)
-            x = v / norm
-            sq = (x * x).as_fraction()
-            values.append(x.as_fraction() if x.is_rational else x)
-            squares.append(sq)
-    order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
-    return WeightVector(
-        values=tuple(values[i] for i in order),
-        squares=tuple(squares[i] for i in order),
-        mode=EXACT,
-        scale=norm.as_fraction() if norm.is_rational else norm,
-    )
+    qs, roots = [], []
+    for i, entry in enumerate(raw):
+        c, d = _exact_term(entry, i)
+        qs.append(c * c * d)
+        roots.append((abs(c.numerator), d, c.denominator))
+    return _exact_vector(qs, roots.__getitem__)
 
 
 def _squarefree_pair(a: int, b: int) -> tuple[int, int]:
@@ -204,6 +180,43 @@ def _root(s: int, d: int, denom: int) -> ExactValue:
     return c if d == 1 else SqrtSum({d: c})
 
 
+def _exact_vector(qs: list[Fraction], root: Callable[[int], tuple[int, int, int]]) -> WeightVector:
+    """The canonical vector of the weights ``sqrt(q_i / total)``: sorted by
+    ``q_i``, with the total factored once.
+
+    ``root(i)`` is ``(s, d, den)`` with ``sqrt(qs[i]) == s*sqrt(d)/den`` and
+    ``d`` squarefree; it is called for the nonzero squares only, in sorted
+    order, after the total is factored.
+    """
+    total = sum(qs)
+    if total == 0:
+        raise DegenerateVectorError("degenerate vector: all entries are zero")
+    # the integers q*lcm(denominators) sort like the qs, and compare in C
+    lcm = math.lcm(*(q.denominator for q in qs))
+    keys = [q.numerator * (lcm // q.denominator) for q in qs]
+    order = sorted(range(len(qs)), key=keys.__getitem__, reverse=True)
+    # sqrt(q/total) = sqrt(q)*sqrt(total.num*total.den)/total.num
+    tn = total.numerator
+    values = []
+    try:
+        ts, td = _squarefree_pair(tn, total.denominator)
+        for i in order:
+            if not qs[i]:
+                values.append(Fraction(0))
+                continue
+            s, d, den = root(i)
+            values.append(_root(*_squarefree_times(s * ts, d, td), den * tn))
+        norm = _root(ts, td, total.denominator)
+    except ValueError as exc:
+        raise InputError(f"invalid input: {exc}; use float mode") from None
+    return WeightVector(
+        values=tuple(values),
+        squares=tuple(qs[i] / total for i in order),
+        mode=EXACT,
+        scale=norm,
+    )
+
+
 def from_squares(squares: Iterable, mode: str = EXACT) -> WeightVector:
     """Build a canonical vector from squared weights (normalized by their sum).
 
@@ -216,34 +229,23 @@ def from_squares(squares: Iterable, mode: str = EXACT) -> WeightVector:
         raise InputError("invalid input: empty squared-weight list")
     if any(q < 0 for q in qs):
         raise InputError("invalid input: squared weights must be nonnegative")
+    if mode == EXACT:
+
+        def root(i):  # sqrt(q) = sqrt(q.num*q.den)/q.den
+            q = qs[i]
+            return (*_squarefree_pair(q.numerator, q.denominator), q.denominator)
+
+        return _exact_vector(qs, root)
     total = sum(qs)
     if total == 0:
         raise DegenerateVectorError("degenerate vector: all entries are zero")
-    qs.sort(reverse=True)
-    squares = tuple(q / total for q in qs)
-    if mode == FLOAT:
-        vals = [math.sqrt(float(q)) for q in squares]
-        return WeightVector(
-            values=tuple(vals),
-            squares=tuple(v * v for v in vals),
-            mode=FLOAT,
-            scale=math.sqrt(float(total)),
-        )
-    # sqrt(q/total) = sqrt(q.num*q.den * total.num*total.den)/(q.den*total.num),
-    # with each numerator and denominator factored once
-    values = []
-    try:
-        ts, td = _squarefree_pair(total.numerator, total.denominator)
-        for q in qs:
-            if not q:
-                values.append(Fraction(0))
-                continue
-            s, d = _squarefree_pair(q.numerator, q.denominator)
-            values.append(_root(*_squarefree_times(s * ts, d, td), q.denominator * total.numerator))
-        norm = _root(ts, td, total.denominator)
-    except ValueError as exc:
-        raise InputError(f"invalid input: {exc}; use float mode") from None
-    return WeightVector(values=tuple(values), squares=squares, mode=EXACT, scale=norm)
+    vals = [math.sqrt(float(q / total)) for q in sorted(qs, reverse=True)]
+    return WeightVector(
+        values=tuple(vals),
+        squares=tuple(v * v for v in vals),
+        mode=FLOAT,
+        scale=math.sqrt(float(total)),
+    )
 
 
 def case_of(w: WeightVector) -> CaseTag:

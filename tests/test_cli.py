@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, schemas, exit codes, determinism."""
 
+import argparse
 import builtins
 import itertools
 import json
@@ -233,6 +234,90 @@ class TestMcAndSearch:
         assert code == 0
         assert doc["result"]["best_prob_exact"] == "1/2"
         assert doc["result"]["counterexample_candidate"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["exact", "0.6,0.8"], ["mc", "0.6,0.8"], ["exact", "sq:1,1"]],
+        ids=["exact-float", "mc", "exact-exact"],
+    )
+    def test_threshold_past_float_range_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "-t", "1e400", "--no-timestamp")
+        assert (code, out) == (1, "")
+        assert err == "radsum: error: invalid input: threshold '1e400' exceeds the float range\n"
+
+    def test_search_counterexample_exits_3(self, capsys, monkeypatch):
+        from radsum import canonicalize, explore
+
+        best = Fraction(1, 4)
+        w = canonicalize([1, 1, 1, 1], "float")
+        found = explore.SearchResult(
+            best_w=w, best_prob=best, trajectory=((1, best),), budget_used=1,
+            counterexample_candidate=True, n=4, seed=0,
+        )
+        monkeypatch.setattr(explore, "minimize_probability", lambda *a, **kw: found)
+        code, doc, err = run_json(capsys, "search", "--n", "4", "--no-timestamp")
+        assert code == 3
+        assert err.startswith("COUNTEREXAMPLE CANDIDATE: search found probability 0.25 = 1/4 ")
+        assert doc["result"]["counterexample_candidate"] is True
+        assert doc["result"]["best_prob_exact"] == "1/4"
+
+
+_WEIGHTED = ("exact", "distribution", "partition", "certify", "hybrid", "decomp-check", "mc")
+# each subcommand's required arguments, and the RunConfig fields they set
+_REQUIRED = {sub: (["sq:1,1"], {"weights": "sq:1,1"}) for sub in _WEIGHTED}
+_REQUIRED["lemmas"] = ([], {})
+_REQUIRED["search"] = (["--n", "3"], {"n": 3})
+_LIMIT = {
+    "exact": "--mitm-limit", "certify": "--mitm-limit", "decomp-check": "--mitm-limit",
+    "search": "--mitm-limit", "distribution": "--full-limit", "partition": "--full-limit",
+    "hybrid": "--full-limit", "mc": None, "lemmas": None,
+}
+_UNREAD_LIMITS = [
+    (sub, flag) for sub, keep in _LIMIT.items()
+    for flag in ("--full-limit", "--mitm-limit") if flag != keep
+]
+
+
+class TestParserContract:
+    """``RunConfig`` holds every default; each subcommand takes only the size
+    limit its handler reads."""
+
+    @pytest.mark.parametrize("sub", list(_REQUIRED))
+    def test_required_arguments_only_give_runconfig_defaults(self, sub):
+        argv, fields = _REQUIRED[sub]
+        assert cli.parse_config([sub, *argv]) == RunConfig(subcommand=sub, **fields)
+
+    @pytest.mark.parametrize("sub,flag", _UNREAD_LIMITS)
+    def test_unread_limits_rejected(self, capsys, sub, flag):
+        code, out, err = run_cli(capsys, sub, *_REQUIRED[sub][0], flag, "30")
+        assert (code, out) == (1, "")
+        assert err == f"radsum: error: unrecognized arguments: {flag} 30\n"
+
+    @pytest.mark.parametrize("sub", [sub for sub, flag in _LIMIT.items() if flag])
+    def test_read_limit_reaches_config(self, sub):
+        flag = _LIMIT[sub]
+        cfg = cli.parse_config([sub, *_REQUIRED[sub][0], flag, "7"])
+        assert getattr(cfg, flag[2:].replace("-", "_")) == 7
+
+    def test_settable_values(self):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+        settable = [
+            a for p in subparsers.choices.values() for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert len(settable) == 54
+        assert len(_UNREAD_LIMITS) == 11
+        assert {a.default for a in settable} == {argparse.SUPPRESS}
+
+    def test_benchmark_argv_shapes(self):
+        cfg = cli.parse_config(
+            ["lemmas", "--mode", "exact", "--k-max", "40", "--grid-points", "500", "--format", "json"]
+        )
+        assert (cfg.mode, cfg.k_max, cfg.grid_points, cfg.fmt) == ("exact", 40, 500, "json")
+        cfg = cli.parse_config(["mc", "0.5,0.5", "--samples", "4096", "--seed", "11"])
+        assert (cfg.weights, cfg.samples, cfg.seed, cfg.t) == ("0.5,0.5", 4096, 11, "1")
+        cfg = cli.parse_config(["search", "--n", "8", "--budget", "40", "--seed", "2"])
+        assert (cfg.n, cfg.budget, cfg.seed, cfg.mode) == (8, 40, 2, None)
 
 
 class TestErrorsAndExitCodes:

@@ -815,7 +815,8 @@ class TestSharedRadicandReduction:
                     assert total == 2 ** len(values)
 
     def test_decomposition_check_one_radicand(self):
-        from radsum import decomposition_check, signed_sum_probability
+        from radsum import decomposition_check
+        from radsum.engine import signed_sum_count
 
         w = canonicalize([10, 9] + [2] * 12, EXACT)  # Case 1, one radicand
         rep = decomposition_check(w)
@@ -823,7 +824,7 @@ class TestSharedRadicandReduction:
         tail = list(w.values[2:])
         for t, p in ((rep.t_plus, rep.p_plus), (rep.t_minus, rep.p_minus)):
             assert p == Fraction(self._radical_pairs(tail, t, False), 2 ** len(tail))
-            assert p == signed_sum_probability(tail, t, EXACT)
+            assert p == Fraction(*signed_sum_count(tail, t, EXACT))
 
     def test_zero_threshold_counts_only_exact_cancellation(self):
         # x = (2, 1, 1)*sqrt(6)/6: a signed sum is zero only for +-(2 - 1 - 1),

@@ -82,6 +82,16 @@ class TestMonteCarlo:
         with pytest.raises(InputError, match="threshold"):
             threshold_probability(w, t)
 
+    @pytest.mark.parametrize("t", [10**400, Fraction(10**400, 3)])
+    def test_threshold_past_float_range(self, t):
+        w = canonicalize([0.6, 0.8], FLOAT)
+        with pytest.raises(InputError, match="exceeds the float range"):
+            monte_carlo(w, t, samples=10, seed=0)
+        with pytest.raises(InputError, match="exceeds the float range"):
+            threshold_probability(w, t)
+        # exact mode counts against the rational itself
+        assert threshold_probability(canonicalize([3, 4], EXACT), t) == 1
+
 
 class TestLemmaSweep:
     def test_float_sweep_clean(self):

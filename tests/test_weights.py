@@ -127,6 +127,98 @@ class TestCanonicalizeProperties:
         assert w.values[0] == pytest.approx(1 / math.sqrt(2))
 
 
+def literal_exact(raw):
+    """Exact canonicalization by its literal construction: divide each entry
+    by the ``SqrtSum`` square root of the norm, sort by ``SqrtSum``
+    comparison.  Error types and messages are the library's."""
+    from radsum.algebraic import SqrtSum
+
+    if len(raw) == 0:
+        raise InputError("invalid input: empty weight list")
+    entries = []
+    for i, e in enumerate(raw):
+        if isinstance(e, bool):
+            raise InputError(f"invalid input: bool entry at index {i}")
+        if isinstance(e, float):
+            raise InputError(
+                "invalid input: float values are not allowed in exact mode; "
+                "pass ints/Fractions (or use float mode)"
+            )
+        if isinstance(e, SqrtSum) and len(e.terms) > 1:
+            raise InputError(
+                "invalid input: exact weights must have rational squares "
+                f"(entry at index {i} has multiple radical terms)"
+            )
+        entries.append(SqrtSum.from_rational(e))
+    norm_sq = sum((e * e).as_fraction() for e in entries)
+    if norm_sq == 0:
+        raise DegenerateVectorError("degenerate vector: all entries are zero")
+    norm = SqrtSum.sqrt_rational(norm_sq)
+    xs = sorted((abs(e) / norm for e in entries), reverse=True)
+    rational = lambda x: x.as_fraction() if x.is_rational else x
+    return [rational(x) for x in xs], [(x * x).as_fraction() for x in xs], rational(norm)
+
+
+def assert_same_exact(got, want):
+    from radsum.algebraic import SqrtSum
+
+    assert type(got) is type(want) and got == want
+    if isinstance(got, SqrtSum):
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+_exact_entries = st.one_of(
+    st.integers(-1000, 1000),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+    st.builds(
+        lambda c, q: c * exact_sqrt(q),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        st.fractions(min_value=0, max_value=60, max_denominator=12),
+    ),
+    st.sampled_from([0, Fraction(0), exact_sqrt(0), exact_sqrt(4), -exact_sqrt(Fraction(1, 9))]),
+)
+
+
+class TestExactConstructor:
+    @given(st.lists(_exact_entries, min_size=1, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_construction(self, raw):
+        try:
+            values, squares, scale = literal_exact(raw)
+        except DegenerateVectorError:
+            with pytest.raises(DegenerateVectorError):
+                canonicalize(raw, EXACT)
+            return
+        w = canonicalize(raw, EXACT)
+        assert len(w.values) == len(values)
+        for got, want in zip((*w.values, w.scale), (*values, scale)):
+            assert_same_exact(got, want)
+        assert w.squares == tuple(squares)
+        assert all(type(q) is Fraction for q in w.squares)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[], [0, Fraction(0), exact_sqrt(0)], [1, 0.5], [3, True], [1, 1 + exact_sqrt(2)]],
+        ids=["empty", "all-zero", "float", "bool", "multi-term"],
+    )
+    def test_error_parity(self, raw):
+        with pytest.raises((InputError, DegenerateVectorError)) as want:
+            literal_exact(raw)
+        with pytest.raises(want.type) as got:
+            canonicalize(raw, EXACT)
+        assert str(got.value) == str(want.value)
+
+    def test_factors_only_the_total(self, monkeypatch):
+        from radsum import weights
+
+        real, seen = weights.squarefree_decompose, []
+        monkeypatch.setattr(weights, "squarefree_decompose", lambda n: seen.append(n) or real(n))
+        w = canonicalize([Fraction(3, 7), 2 * exact_sqrt(6), 0, -5, exact_sqrt(Fraction(1, 3))], EXACT)
+        # total 9/49 + 24 + 25 + 1/3 = 7279/147
+        assert sum(w.squares) == 1
+        assert sorted(seen) == [147, 7279]
+
+
 class TestFromSquares:
     def test_normalizes_square_sum(self):
         w = from_squares([16, 9])
