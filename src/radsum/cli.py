@@ -181,7 +181,11 @@ def _parse_threshold(cfg: RunConfig, mode: str):
         tf = float(t)
     except OverflowError:
         raise InputError(f"invalid input: threshold {cfg.t!r} exceeds the float range") from None
-    return t if mode == EXACT else tf
+    if mode == EXACT:
+        return t
+    if t and not tf:
+        raise InputError(f"invalid input: threshold {cfg.t!r} underflows to 0 in float mode")
+    return tf
 
 
 def _weights_json(w: WeightVector) -> list:

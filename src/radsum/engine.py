@@ -14,12 +14,23 @@ Enumeration strategies:
   sum, whose window is the same.
 * ``threshold_probability_naive`` - plain 2^n sweep (Gray-code incremental);
   kept as the independent oracle for the meet-in-the-middle path.
-* ``sum_distribution`` and ``prefix_partition`` - a breadth-first frontier of
-  numpy arrays: each depth tests all undecided prefix sums in one vector
-  operation, settles the crossing ones in bulk by ``searchsorted`` into that
-  depth's tail table, mirrored, and its cumulative counts, and extends the
-  rest by ``s - v`` and ``s + v`` (exact mode merges equal sums, with
-  counts).  ``sum_distribution`` mirrors the last tail table.
+* ``sum_distribution`` - the tail tables built from the end
+  (``_tail_distributions``), the last one mirrored.
+* ``prefix_partition`` - two phases.  Phase 1 walks a breadth-first frontier
+  of numpy arrays: each depth tests all undecided prefix sums in one vector
+  operation, sets the crossing ones aside as settled, with their pattern
+  counts, and extends the rest by ``s - v`` and ``s + v`` (exact mode
+  merges equal sums, with counts).  Phase 2 builds tail tables only from a
+  balanced depth D on, the D minimising ``sum_{d<D} settled_d*2^(D-d) +
+  2^(n-D)`` (Horowitz and Sahni's meet-in-the-middle balance).  A sum
+  settled at a depth ``d >= D`` is counted in bulk by ``searchsorted`` into
+  the table at d, mirrored, and its cumulative counts; one settled at
+  ``d < D`` is counted against the table at D over every sign pattern of
+  the weights between d and D.  Exact sums are extended by those weights.
+  Float tails are pulled back through them instead: each extension of a
+  tail sum is a chain of monotone roundings, so the tail sums that land in
+  a window form one interval of the table at D, and counts and tie records
+  are exactly those of the table at d.
 
 Numeric behavior: in exact mode every comparison is tie-exact, and one key
 setup and one pair counter serve every key type.  When all weights share
@@ -126,6 +137,8 @@ def _normalize_threshold(t, mode: str):
             raise InputError("invalid input: threshold exceeds the float range") from None
         if not math.isfinite(tf):
             raise InputError("invalid input: threshold must be finite")
+        if not tf and (Fraction(t) if isinstance(t, str) else t) != 0:
+            raise InputError("invalid input: nonzero threshold underflows to 0 in float mode")
         return tf
     if isinstance(t, float):
         raise InputError(
@@ -532,20 +545,22 @@ def _merged_sums(values: Sequence, dtype, count_dtype) -> tuple[np.ndarray, np.n
 # -- pair counting -----------------------------------------------------------
 
 
-def _refine_prefix_len(uniq: np.ndarray, a: np.ndarray, bound: float, inclusive: bool) -> np.ndarray:
-    """Per left-sum a_i, the count of unique right values u with
-    fl(a_i + u) <= bound (inclusive) or < bound (strict).
+def _refine_prefix_len(uniq: np.ndarray, image, bound, guess, inclusive: bool) -> np.ndarray:
+    """Per query, the count of sorted unique values u with ``image(u) <=
+    bound`` (inclusive) or ``< bound`` (strict), for an ``image`` weakly
+    increasing in u and applied elementwise to an array of u shaped like
+    the queries.
 
-    searchsorted against fl(bound - a) can be off by a few distinct values
-    because of rounding; since u -> fl(a+u) is weakly increasing the target
-    set is a prefix, so local adjustment converges.
+    searchsorted against ``guess``, a float estimate of where ``image``
+    crosses ``bound``, can be off by a few distinct values because of
+    rounding; since the target set is a prefix, local adjustment converges.
     """
     below = np.less_equal if inclusive else np.less
     m = len(uniq)
-    idx = np.searchsorted(uniq, bound - a, side="right" if inclusive else "left")
+    idx = np.searchsorted(uniq, guess, side="right" if inclusive else "left")
     while True:
-        up = (idx < m) & below(a + uniq[np.minimum(idx, m - 1)], bound)
-        down = (idx > 0) & ~below(a + uniq[idx - (idx > 0)], bound)
+        up = (idx < m) & below(image(uniq[np.minimum(idx, m - 1)]), bound)
+        down = (idx > 0) & ~below(image(uniq[idx - (idx > 0)]), bound)
         if not (up.any() or down.any()):
             return idx
         idx += up
@@ -565,8 +580,9 @@ def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
     rkeys, rcounts = _search_order(*_merged_sums(values[split:], dtype, count_dtype))
     cum = np.concatenate([[0], np.cumsum(rcounts)])
     if dtype is np.float64:
-        hi = _refine_prefix_len(rkeys, lkeys, t, inclusive=not strict)
-        lo = _refine_prefix_len(rkeys, lkeys, -t, inclusive=strict)
+        image = lambda u: lkeys + u
+        hi = _refine_prefix_len(rkeys, image, t, t - lkeys, inclusive=not strict)
+        lo = _refine_prefix_len(rkeys, image, -t, -t - lkeys, inclusive=strict)
         window = cum[hi] - cum[lo]
     elif isinstance(dtype, _Radical):
         window, _ = _band_window(rkeys, cum, lkeys, t, strict, dtype, dtype.spread)
@@ -915,14 +931,104 @@ class PartitionReport:
         return self.conds[self.ks.index(k)]
 
 
+def _balanced_depth(settled: Sequence[int], n: int, k_min: int) -> int:
+    """The depth D from which ``prefix_partition`` builds tail tables.
+
+    The tables are built from the end, so those for depths D..n-1 cost
+    about 2^(n-D), the size of the largest; a prefix settled at a depth
+    d < D is counted instead against the table at D, over the 2^(D-d) sign
+    patterns of the weights in between.  D minimises ``sum_{d<D}
+    settled_d*2^(D-d) + 2^(n-D)`` over ``k_min <= D <= n-1`` (the smallest
+    on a tie): the balance of Horowitz and Sahni's meet-in-the-middle,
+    taken over the settled counts (``settled[d - 1]``) of the walk."""
+
+    def cost(depth: int) -> int:
+        deferred = sum(c << (depth - d) for d, c in enumerate(settled[: depth - 1], 1))
+        return deferred + (1 << (n - depth))
+
+    return min(range(k_min, n), key=cost)
+
+
+def _chain(u, steps: np.ndarray):
+    """``fl(...fl(u + steps[-1]) ... + steps[0])``: tail sums ``u`` extended
+    by the weights before them, accumulated from the end as the tail tables
+    are.  Rows of ``steps`` are signed weights, broadcast against ``u``."""
+    for row in steps[::-1]:
+        u = u + row
+    return u
+
+
+def _pull_back(keys: np.ndarray, steps: np.ndarray, bound: np.ndarray, inclusive: bool) -> np.ndarray:
+    """``[i, m]``: how many of the sorted float tail sums ``keys`` extend,
+    by the signed weights in column m of ``steps``, to a sum ``<= bound[i,
+    0]`` (``<`` when not inclusive).
+
+    Each rounding is monotone, so the extension ``_chain`` is weakly
+    increasing in the tail sum and the keys it sends below a bound are a
+    prefix of ``keys``: it is bracketed by searching ``bound`` minus the
+    chain from 0 and stepped to its exact end.  Without weights in between
+    the search is exact."""
+    if not len(steps):
+        return np.searchsorted(keys, bound, side="right" if inclusive else "left")
+    image = lambda u: _chain(u, steps)
+    return _refine_prefix_len(keys, image, bound, bound - image(0.0), inclusive)
+
+
+def _float_window(keys: np.ndarray, cum: np.ndarray, steps: np.ndarray, ss: np.ndarray, one: float):
+    """``(window, near)`` for float prefix sums ``ss`` against the tail table
+    that ``steps`` (see ``_pull_back``) pulls back from the searched
+    ``keys`` with cumulative counts ``cum``: per sum s, the tail patterns
+    whose sum r has ``fl(-1 - s) <= r <= fl(1 - s)``, and whether some r is
+    within ``BOUNDARY_TIE_TOL`` of either end.  The r nearest an end from
+    either side are the extensions of the keys next to the searched end, as
+    the extension is monotone."""
+    lo, hi = (-one - ss)[:, None], (one - ss)[:, None]
+    start, stop = _pull_back(keys, steps, lo, False), _pull_back(keys, steps, hi, True)
+    window = (cum[stop] - cum[start]).sum(axis=1)
+    # padded[i + 1] is keys[i]; the infinite ends are never near
+    padded = np.concatenate([[-np.inf], keys, [np.inf]])
+    at = lambda i: _chain(padded[i], steps)
+    tol = BOUNDARY_TIE_TOL
+    near = (at(start + 1) <= lo + tol) | (at(start) >= lo - tol) | (at(stop) >= hi - tol) | (at(stop + 1) <= hi + tol)
+    return window, near.any(axis=1)
+
+
+def _near_tails(keys: np.ndarray, steps: np.ndarray, ends: np.ndarray) -> list:
+    """Per end, the sorted distinct tail sums within ``BOUNDARY_TIE_TOL`` of
+    it, of the table ``steps`` pulls back from ``keys``."""
+    ends = ends[:, None]
+    lo = _pull_back(keys, steps, ends - BOUNDARY_TIE_TOL, False)
+    hi = _pull_back(keys, steps, ends + BOUNDARY_TIE_TOL, True)
+    return [
+        np.unique(np.concatenate([_chain(keys[a:b], steps[:, m]) for m, (a, b) in enumerate(zip(*row))]))
+        for row in zip(lo, hi)
+    ]
+
+
 def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> PartitionReport:
     """Partition all 2^n sign sequences by the first prefix k in {2..n-1}
     with |s_k| > 1 - x_{k+1} (event A_k), defaulting to A_n.
 
     Requires Case 2 (x1 + x2 <= 1): only then does |s_1| <= 1 - x_2 hold
-    surely and A_2..A_n cover the space.  A prefix sum leaves the frontier
-    at the first depth that decides its event; the joint mass of everything
-    settled at one depth is counted through that depth's tail distribution.
+    surely and A_2..A_n cover the space.
+
+    Phase 1 walks the frontier of prefix sums: each depth d settles the
+    sums whose event it decides and keeps them, with their pattern counts,
+    for phase 2.  Phase 2 counts the joint mass ``|s + r| <= 1`` of each
+    settled sum ``s`` over the tail sums ``r`` of the weights after it.  It
+    builds tail tables only for the depths from ``_balanced_depth``'s D on:
+    a sum settled at ``d >= D`` searches the table at d, and one settled at
+    ``d < D`` is counted against the table at D over every sign pattern m
+    of the weights ``x_{d+1}..x_D`` in between.  With exact keys the sum is
+    extended by those weights, merged as the frontier merges; a radical
+    key extended so is still a chain of correctly rounded additions from 0
+    over weights disjoint from the tail, which ``_band_width`` covers.  In
+    float mode the table at d holds ``G_m(u) = fl(...fl(u +- x_D) ... +-
+    x_{d+1})`` for the sums u of the table at D, so the tail is pulled back
+    instead (``_pull_back``): G_m is monotone in u, so the u that land in
+    the window ``[fl(-1 - s), fl(1 - s)]``, or within 1e-12 of its ends
+    for the tie records, form one interval of the table at D.  Counts and
+    tie records are those of the table at d.
     """
     n = w.n
     _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
@@ -935,12 +1041,11 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     # ``one`` is the threshold 1 in key units
     vals, dtype, path, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
     radical = dtype if isinstance(dtype, _Radical) else None
-    # tails[k] covers coordinates k+1..n (0-based vals[k:]), in nonnegative form
     k_min = 1 if n == 2 else 2
-    tails = dict(zip(range(n - 1, k_min - 1, -1), _tail_distributions(vals[k_min:], dtype)))
 
     prob_count, joint_count = [0] * (n + 1), [0] * (n + 1)
     frontier, settled, groups = [], [], []
+    prefixes = {}  # depth -> the sums settled there, their counts, codes, crossings
     fallbacks = 0
 
     # Global sign flip maps each event onto itself, so fix eps_1 = +1 and
@@ -968,29 +1073,10 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
         settled.append(int(np.count_nonzero(done)))
         if done.any():
-            tkeys, tcounts = _search_order(*_mirror(*tails[depth]))
-            cum = np.concatenate([[0], np.cumsum(tcounts)])
-            ss, mm = s[done], mult[done]
-            if radical:
-                window, decided = _band_window(tkeys, cum, ss, one, False, radical, radical.spread)
-                fallbacks += decided
-            else:
-                window = _window_count(tkeys, cum, -one - ss, one - ss)
-            joints = mm * window
-            for k, sel in ((depth, cross[done]), (n, ~cross[done])):
+            mm, crossed = mult[done], cross[done]
+            prefixes[depth] = (s[done], mm, None if exact else code[done], crossed)
+            for k, sel in ((depth, crossed), (n, ~crossed)):
                 prob_count[k] += int(mm[sel].sum()) << (n - depth)
-                joint_count[k] += int(joints[sel].sum())
-            if not exact:
-                near = [
-                    (np.searchsorted(tkeys, end - BOUNDARY_TIE_TOL, side="left"),
-                     np.searchsorted(tkeys, end + BOUNDARY_TIE_TOL, side="right"))
-                    for end in (-one - ss, one - ss)
-                ]
-                codes = code[done]
-                tie = np.flatnonzero(sum(hi - lo for lo, hi in near))
-                for i in tie[np.argsort(codes[tie])[:_MAX_TIE_RECORDS]]:
-                    records = [("final", depth, float(ss[i] + v)) for lo, hi in near for v in tkeys[lo[i]:hi[i]]]
-                    groups.append((int(codes[i]) << (n - 1 - depth), depth, 1, records))
         if depth == n - 1:
             break
         keep = ~cross
@@ -1001,6 +1087,47 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
             s, mult = _merge_equal(s, mult)
         else:
             code = np.concatenate([2 * code[keep] + 1, 2 * code[keep]])
+
+    # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
+    balanced = _balanced_depth(settled, n, k_min)
+    tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype))
+    for depth, table in tables:
+        tkeys, tcounts = _search_order(*_mirror(*table))
+        cum = np.concatenate([[0], np.cumsum(tcounts)])
+        for d in range(k_min if depth == balanced else depth, depth + 1):
+            if d not in prefixes:
+                continue
+            ss, mm, codes, crossed = prefixes.pop(d)
+            if exact:
+                for v in vals[d:depth]:
+                    ss, mm = _merge_equal(_extend(ss, v), np.concatenate([mm, mm]))
+                # only depth n - 1 settles uncrossed sums, and it is never deferred
+                crossed = np.ones(len(ss), dtype=bool) if d < depth else crossed
+                if radical:
+                    window, decided = _band_window(tkeys, cum, ss, one, False, radical, radical.spread)
+                    fallbacks += decided
+                else:
+                    window = _window_count(tkeys, cum, -one - ss, one - ss)
+                reach = n - depth
+            else:
+                steps = _sign_matrix(depth - d)[1:] * np.array(vals[d:depth])[:, None]
+                window, near = _float_window(tkeys, cum, steps, ss, one)
+                tie = np.flatnonzero(near)
+                tie = tie[np.argsort(codes[tie])[:_MAX_TIE_RECORDS]]
+                if len(tie):
+                    tails = [_near_tails(tkeys, steps, end[tie]) for end in (-one - ss, one - ss)]
+                    for j, i in enumerate(tie):
+                        records = [("final", d, float(ss[i] + v)) for near_end in tails for v in near_end[j]]
+                        groups.append((int(codes[i]) << (n - 1 - d), d, 1, records))
+                reach = n - d
+            # each query stands for mm sign prefixes with 2^reach tails apiece
+            if window.min() < 0 or window.max() > 1 << reach:
+                raise SoundnessError(f"a window of {window.max()} tails at depth {d} exceeds 2^{reach}")
+            joints = mm * window
+            for k, sel in ((d, crossed), (n, ~crossed)):
+                joint_count[k] += int(joints[sel].sum())
+    if prefixes:
+        raise SoundnessError(f"sums settled at depths {sorted(prefixes)} were never counted")
 
     total = 1 << n
     mass = 2 * sum(prob_count)

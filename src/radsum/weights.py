@@ -69,9 +69,11 @@ class WeightVector:
         return Fraction(0) if self.mode == EXACT else 0.0
 
     def __post_init__(self):
-        for a, b in zip(self.values, self.values[1:]):
-            if b > a:
-                raise InputError("weights must be sorted descending")
+        # Exact squares are Fractions, ordered as the nonnegative weights are
+        # but compared without radical arithmetic.
+        keys = self.squares if self.mode == EXACT else self.values
+        if any(b > a for a, b in zip(keys, keys[1:])):
+            raise InputError("weights must be sorted descending")
         if self.n == 0:
             raise InputError("weight vector must have n >= 1")
 

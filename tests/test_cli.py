@@ -245,6 +245,25 @@ class TestMcAndSearch:
         assert (code, out) == (1, "")
         assert err == "radsum: error: invalid input: threshold '1e400' exceeds the float range\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["exact", "0.6,0.6", "--strict"], ["mc", "0.6,0.8"]], ids=["exact-float", "mc"]
+    )
+    def test_threshold_underflowing_to_zero_exit_1(self, capsys, argv):
+        # a strict count at t = 0 would drop the zero sums every t > 0 keeps
+        code, out, err = run_cli(capsys, *argv, "-t", "1e-400", "--no-timestamp")
+        assert (code, out) == (1, "")
+        assert err == "radsum: error: invalid input: threshold '1e-400' underflows to 0 in float mode\n"
+
+    def test_tiny_exact_threshold_and_zero_float_threshold(self, capsys):
+        code, doc, _ = run_json(capsys, "exact", "sq:1,1", "-t", "1e-400", "--strict", "--no-timestamp")
+        assert code == 0
+        assert doc["result"]["probability"] == {"decimal": "0.5", "exact": "1/2"}
+        for strict, p in (([], "0.5"), (["--strict"], "0.0")):
+            code, doc, _ = run_json(capsys, "exact", "0.6,0.6", "-t", "0", *strict, "--no-timestamp")
+            assert code == 0
+            assert doc["result"]["t"] == {"decimal": "0.0"}
+            assert doc["result"]["probability"] == {"decimal": p}
+
     def test_search_counterexample_exits_3(self, capsys, monkeypatch):
         from radsum import canonicalize, explore
 

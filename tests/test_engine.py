@@ -671,10 +671,99 @@ class TestPrefixPartition:
         rep = prefix_partition(canonicalize([0.5] * 4, FLOAT))
         assert rep.stats == PartitionStats("float64", (1, 2, 2), (0, 1, 2), 0)
         # x = (3, 3, sqrt(6), sqrt(6), sqrt(3), sqrt(3))/6: the prefix x1 + x2
-        # = 1 settles at depth 2, and its window |1 + r| <= 1 over the tail
-        # sums r has the sum r = 0 on its boundary, the one key decided exactly
+        # = 1 settles at depth 2.  The tables start at depth D = 4 (cost 1*4
+        # + 2^2 = 8 against 16, 10 and 14 at D = 2, 3, 5), so it is extended
+        # by +-x3 +-x4 to the queries 1 - 2x3, 1 (twice, merged by code) and
+        # 1 + 2x3, each counted over the sums r in {0, +-0.577} of x5 +- x6.
+        # The query 1 has r = 0 on the boundary of |1 + r| <= 1, the one key
+        # decided exactly; 1 +- 2x3 = 1 +- 0.816 keep every r at least 0.23
+        # from their boundaries, and no other test of the walk comes within
+        # the band either.
         rep = prefix_partition(from_squares([1, 1, 2, 2, 3, 3]))
         assert rep.stats == PartitionStats("radical", (1, 2, 2, 3, 2), (0, 1, 0, 2, 2), 1)
+
+    @staticmethod
+    def _partition_at(w, depth=None):
+        """``(report, sizes)``: ``prefix_partition(w)`` with its tail tables
+        built from ``depth`` on (the balanced depth when None), and the
+        number of weights of each tail ``_tail_distributions`` was asked
+        for."""
+        from unittest import mock
+
+        from radsum import engine
+
+        sizes, real = [], engine._tail_distributions
+
+        def spy(vals, dtype):
+            sizes.append(len(vals))
+            return real(vals, dtype)
+
+        with mock.patch.object(engine, "_tail_distributions", spy):
+            if depth is None:
+                return prefix_partition(w), sizes
+            with mock.patch.object(engine, "_balanced_depth", lambda settled, n, k_min: depth):
+                return prefix_partition(w), sizes
+
+    @staticmethod
+    def _case2_vector(kind, n, seed):
+        """A Case-2 vector of one input class, or None."""
+        gen = np.random.default_rng(seed)
+        if kind == "float":
+            w = canonicalize([int(v) for v in gen.integers(70000, 100000, size=n)], FLOAT)
+        elif kind == "float-ties":
+            w = canonicalize([int(v) for v in gen.integers(1, 5, size=n)], FLOAT)
+        elif kind == "rational":
+            w = rational_unit_vector(gen, n, spread=int(gen.choice([9, 1000])))
+        elif kind == "one-radicand":
+            w = one_radicand_vector(gen, n, hi=int(gen.choice([6, 1000])))
+        else:
+            w = from_squares([int(v) for v in gen.choice([1, 2, 3, 5, 6, 7], size=n)])
+        return w if case_of(w) is CaseTag.CASE2 else None
+
+    @given(
+        st.sampled_from(["float", "float-ties", "rational", "one-radicand", "multi-radicand"]),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_result_does_not_depend_on_table_depth(self, kind, n, seed):
+        """Every depth D the tail tables may start from gives the same
+        report; D = k_min defers nothing and is the plain walk."""
+        w = self._case2_vector(kind, n, seed)
+        vectors = [w] if w is not None else []
+        if kind == "float-ties":
+            vectors += [canonicalize([1.0] * 9, FLOAT), canonicalize([0.5] * 4, FLOAT)]
+        for w in vectors:
+            k_min = 1 if w.n == 2 else 2
+            reports = []
+            for depth in range(k_min, w.n):
+                rep, sizes = self._partition_at(w, depth)
+                assert sizes == [w.n - depth]
+                reports.append(rep)
+            first = reports[0]
+            for rep in reports[1:]:
+                for field in ("probs", "joints", "conds", "total_prob", "boundary_ties"):
+                    assert getattr(rep, field) == getattr(first, field), (w.values, field)
+                assert (rep.stats.frontier, rep.stats.settled) == (first.stats.frontier, first.stats.settled)
+
+    @pytest.mark.parametrize("kind", ["float", "rational"])
+    def test_tail_tables_stay_short(self, kind):
+        # Generic Case-2 vectors settle only a few sums at shallow depths, so
+        # the balanced walk never builds the large tables near the root.
+        n = 20
+        w = self._case2_vector(kind, n, 2026)
+        rep, sizes = self._partition_at(w)
+        assert sizes and max(sizes) <= math.ceil(n / 2), sizes
+        assert rep.total_prob == threshold_probability(w, 1)
+
+    def test_window_slip_is_soundness_error(self, monkeypatch):
+        # a window larger than the tails behind a settled prefix raises
+        from radsum import SoundnessError, engine
+
+        real = engine._window_count
+        monkeypatch.setattr(engine, "_window_count", lambda *a: real(*a) + 2**20)
+        with pytest.raises(SoundnessError, match="exceeds"):
+            prefix_partition(random_case2(np.random.default_rng(0), 10))
 
     @pytest.mark.parametrize(
         "spread, lo, hi, path", [(2**27, 56, 58, "int64"), (2**32, 62, 80, "object")]

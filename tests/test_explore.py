@@ -92,6 +92,22 @@ class TestMonteCarlo:
         # exact mode counts against the rational itself
         assert threshold_probability(canonicalize([3, 4], EXACT), t) == 1
 
+    @pytest.mark.parametrize("t", [Fraction(1, 10**400), -Fraction(1, 10**400), "1e-400"])
+    def test_threshold_underflowing_to_zero(self, t):
+        w = canonicalize([0.6, 0.6], FLOAT)
+        with pytest.raises(InputError, match="underflows to 0"):
+            monte_carlo(w, t, samples=10, seed=0)
+        with pytest.raises(InputError, match="underflows to 0"):
+            threshold_probability(w, t, strict=True)
+
+    def test_zero_and_exact_tiny_thresholds(self):
+        w = canonicalize([0.6, 0.6], FLOAT)
+        for t in (0, 0.0, Fraction(0), "0"):
+            assert threshold_probability(w, t) == 0.5
+            assert threshold_probability(w, t, strict=True) == 0.0
+        # exact mode counts against the rational itself
+        assert threshold_probability(canonicalize([1, 1], EXACT), Fraction(1, 10**400), strict=True) == Fraction(1, 2)
+
 
 class TestLemmaSweep:
     def test_float_sweep_clean(self):

@@ -13,6 +13,7 @@ from radsum import (
     CaseTag,
     DegenerateVectorError,
     InputError,
+    WeightVector,
     canonicalize,
     case_of,
     exact_sqrt,
@@ -217,6 +218,18 @@ class TestExactConstructor:
         # total 9/49 + 24 + 25 + 1/3 = 7279/147
         assert sum(w.squares) == 1
         assert sorted(seen) == [147, 7279]
+
+
+class TestWeightVectorOrder:
+    @pytest.mark.parametrize(
+        "w",
+        [from_squares([16, 9]), from_squares([3, 2, 2, 1]), canonicalize([4, 3], FLOAT)],
+        ids=["rational", "radical", "float"],
+    )
+    def test_direct_construction_checks_the_order(self, w):
+        assert WeightVector(w.values, w.squares, w.mode, w.scale) == w
+        with pytest.raises(InputError, match="sorted descending"):
+            WeightVector(w.values[::-1], w.squares[::-1], w.mode, w.scale)
 
 
 class TestFromSquares:
