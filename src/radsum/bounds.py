@@ -16,10 +16,12 @@ Two proof routes, dispatched on whether x1 + x2 > 1:
   rather than through SqrtSum division.  In exact mode the larger of the
   two is g_k iff (k+1)^2 q >= 1, a rational test (``_max_g_h``).
 
-``hybrid_bound`` sharpens Case 2 with the exact event probabilities, and
-``decomposition_check`` re-derives every Case-1 chain link against the exact
-engine.  Certificates never self-claim soundness: ``sound_against`` is the
-recomputed exact probability attached when the engine runs.
+``hybrid_bound`` sharpens Case 2 with the exact event probabilities
+``Pr(A_k)``, which the engine's partition walk gives without the joint
+counts of ``prefix_partition``, and ``decomposition_check`` re-derives every
+Case-1 chain link against the exact engine.  Certificates never self-claim
+soundness: ``sound_against`` is the recomputed exact probability attached
+when the engine runs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .engine import (
     DEFAULT_MITM_LIMIT,
     _probability,
     _size_limit,
-    prefix_partition,
+    _walk,
     signed_sum_count,
     threshold_probability,
 )
@@ -354,21 +356,23 @@ def hybrid_bound(w: WeightVector, *, limit: Optional[int] = None):
 
         sum_k Pr(A_k) * clamp(max(g_k, h_k)(x_{k+1})) + Pr(A_n) * 1
 
-    Sits between the O(n) certificate and the exact probability.
+    Sits between the O(n) certificate and the exact probability.  Only the
+    event probabilities are needed, so only the partition walk runs, not
+    the joint counts of ``prefix_partition``.
     """
+    _size_limit(limit, DEFAULT_FULL_LIMIT)
     if case_of(w) is not CaseTag.CASE2:
         raise WrongCaseError("not case 2: x1 + x2 > 1")
     one = Fraction(1) if w.mode == EXACT else 1.0
     if w.n == 1:
         return one
-    report = prefix_partition(w, limit=limit)
+    probs = _walk(w, limit).probs  # Pr(A_k) for k = 2..n
     total = one - one  # typed zero
-    for k in range(2, w.n):
-        p = report.prob(k)
+    for k, p in zip(range(2, w.n), probs):
         if p == 0:
             continue
         total = total + p * clamp01(_max_g_h(k, w.values[k], w.squares[k], w.mode)[2])
-    total = total + report.prob(w.n) * one
+    total = total + probs[-1] * one
     return total
 
 

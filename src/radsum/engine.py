@@ -16,21 +16,23 @@ Enumeration strategies:
   kept as the independent oracle for the meet-in-the-middle path.
 * ``sum_distribution`` - the tail tables built from the end
   (``_tail_distributions``), the last one mirrored.
-* ``prefix_partition`` - two phases.  Phase 1 walks a breadth-first frontier
-  of numpy arrays: each depth tests all undecided prefix sums in one vector
-  operation, sets the crossing ones aside as settled, with their pattern
-  counts, and extends the rest by ``s - v`` and ``s + v`` (exact mode
-  merges equal sums, with counts).  Phase 2 builds tail tables only from a
-  balanced depth D on, the D minimising ``sum_{d<D} settled_d*2^(D-d) +
-  2^(n-D)`` (Horowitz and Sahni's meet-in-the-middle balance).  A sum
-  settled at a depth ``d >= D`` is counted in bulk by ``searchsorted`` into
-  the table at d, mirrored, and its cumulative counts; one settled at
-  ``d < D`` is counted against the table at D over every sign pattern of
-  the weights between d and D.  Exact sums are extended by those weights.
-  Float tails are pulled back through them instead: each extension of a
-  tail sum is a chain of monotone roundings, so the tail sums that land in
-  a window form one interval of the table at D, and counts and tie records
-  are exactly those of the table at d.
+* ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
+  breadth-first frontier of numpy arrays: each depth tests all undecided
+  prefix sums in one vector operation, sets the crossing ones aside as
+  settled, with their pattern counts, and extends the rest by ``s - v`` and
+  ``s + v`` (exact mode merges equal sums, with counts; a float sum is one
+  sign prefix).  Phase 1 stands alone for the event probabilities
+  ``Pr(A_k)``, all that ``hybrid_bound`` reads.  Phase 2 builds tail tables
+  only from a balanced depth D on, the D minimising ``sum_{d<D}
+  settled_d*2^(D-d) + 2^(n-D)`` (Horowitz and Sahni's meet-in-the-middle
+  balance).  A sum settled at a depth ``d >= D`` is counted in bulk by
+  ``searchsorted`` into the table at d, mirrored, and its cumulative counts;
+  one settled at ``d < D`` is counted against the table at D over every
+  sign pattern of the weights between d and D.  Exact sums are extended by
+  those weights.  Float tails are pulled back through them instead: each
+  extension of a tail sum is a chain of monotone roundings, so the tail
+  sums that land in a window form one interval of the table at D, and
+  counts and tie records are exactly those of the table at d.
 
 Numeric behavior: in exact mode every comparison is tie-exact, and one key
 setup and one pair counter serve every key type.  When all weights share
@@ -58,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -921,15 +923,6 @@ class PartitionReport:
     boundary_ties: tuple = ()
     stats: Optional[PartitionStats] = None
 
-    def prob(self, k: int):
-        return self.probs[self.ks.index(k)]
-
-    def joint(self, k: int):
-        return self.joints[self.ks.index(k)]
-
-    def cond(self, k: int):
-        return self.conds[self.ks.index(k)]
-
 
 def _balanced_depth(settled: Sequence[int], n: int, k_min: int) -> int:
     """The depth D from which ``prefix_partition`` builds tail tables.
@@ -1005,31 +998,30 @@ def _near_tails(keys: np.ndarray, steps: np.ndarray, ends: np.ndarray) -> list:
     ]
 
 
-def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> PartitionReport:
-    """Partition all 2^n sign sequences by the first prefix k in {2..n-1}
-    with |s_k| > 1 - x_{k+1} (event A_k), defaulting to A_n.
+@dataclass
+class _Walk:
+    """Phase 1 of ``prefix_partition``: the weights as keys (``one`` is the
+    threshold 1 in key units) and what the walk of the prefix sums found.
 
-    Requires Case 2 (x1 + x2 <= 1): only then does |s_1| <= 1 - x_2 hold
-    surely and A_2..A_n cover the space.
+    ``probs`` are ``Pr(A_k)`` for k = 2..n.  ``prefixes[d]`` holds the sums
+    settled at depth d: the sums, their pattern counts (None in float mode,
+    where each sum is one sign prefix), their sign codes (None in exact
+    mode) and whether each crossed.  ``groups`` are the prefix tie records,
+    and phase 2 adds its own fallbacks to those of ``stats``."""
 
-    Phase 1 walks the frontier of prefix sums: each depth d settles the
-    sums whose event it decides and keeps them, with their pattern counts,
-    for phase 2.  Phase 2 counts the joint mass ``|s + r| <= 1`` of each
-    settled sum ``s`` over the tail sums ``r`` of the weights after it.  It
-    builds tail tables only for the depths from ``_balanced_depth``'s D on:
-    a sum settled at ``d >= D`` searches the table at d, and one settled at
-    ``d < D`` is counted against the table at D over every sign pattern m
-    of the weights ``x_{d+1}..x_D`` in between.  With exact keys the sum is
-    extended by those weights, merged as the frontier merges; a radical
-    key extended so is still a chain of correctly rounded additions from 0
-    over weights disjoint from the tail, which ``_band_width`` covers.  In
-    float mode the table at d holds ``G_m(u) = fl(...fl(u +- x_D) ... +-
-    x_{d+1})`` for the sums u of the table at D, so the tail is pulled back
-    instead (``_pull_back``): G_m is monotone in u, so the u that land in
-    the window ``[fl(-1 - s), fl(1 - s)]``, or within 1e-12 of its ends
-    for the tie records, form one interval of the table at D.  Counts and
-    tie records are those of the table at d.
-    """
+    vals: list
+    dtype: object
+    one: object
+    probs: tuple
+    prefixes: dict
+    groups: list
+    stats: PartitionStats
+
+
+def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
+    """Phase 1 of ``prefix_partition``, which alone gives the event
+    probabilities ``Pr(A_k)``: the frontier of prefix sums walked depth by
+    depth, each depth settling the sums whose event it decides."""
     n = w.n
     _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
     if n < 2:
@@ -1038,23 +1030,22 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         raise WrongCaseError("not case 2: x1 + x2 > 1, events A_2..A_n do not cover")
 
     exact = w.mode == EXACT
-    # ``one`` is the threshold 1 in key units
     vals, dtype, path, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
     radical = dtype if isinstance(dtype, _Radical) else None
-    k_min = 1 if n == 2 else 2
 
-    prob_count, joint_count = [0] * (n + 1), [0] * (n + 1)
+    counts = [0] * (n + 1)
     frontier, settled, groups = [], [], []
-    prefixes = {}  # depth -> the sums settled there, their counts, codes, crossings
+    prefixes = {}
     fallbacks = 0
 
     # Global sign flip maps each event onto itself, so fix eps_1 = +1 and
-    # double every count.  ``mult`` counts the sign prefixes behind each sum;
-    # in float mode ``code`` holds each prefix's later signs (a set bit is a
-    # minus), which orders the tie records.
+    # double every count.  In exact mode ``mult`` counts the sign prefixes
+    # merged into each sum; in float mode sums are never merged, and
+    # ``code`` holds each prefix's later signs (a set bit is a minus),
+    # which orders the tie records.
     s = _zero(dtype) + vals[0]
-    mult = np.ones(1, dtype=_count_dtype(n))
-    code = np.zeros(1, dtype=np.int64)
+    mult = np.ones(1, dtype=_count_dtype(n)) if exact else None
+    code = None if exact else np.zeros(1, dtype=np.int64)
     for depth in range(1, n):
         frontier.append(len(s))
         cross = np.zeros(len(s), dtype=bool)
@@ -1064,32 +1055,74 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
             cross, fallbacks = inside == 0, fallbacks + decided
         elif depth >= 2:
             b = one - vals[depth]
-            cross = np.abs(s) > b
+            size = np.abs(s)
+            cross = size > b
             if not exact:
                 # only the first records of each kind, in tree order, can be kept
-                tie = np.flatnonzero(np.abs(np.abs(s) - b) <= BOUNDARY_TIE_TOL)
+                tie = np.flatnonzero(np.abs(size - b) <= BOUNDARY_TIE_TOL)
                 for i in tie[np.argsort(code[tie])[:_MAX_TIE_RECORDS]]:
                     groups.append((int(code[i]) << (n - 1 - depth), depth, 0, [("prefix", depth, float(s[i]))]))
         done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
         settled.append(int(np.count_nonzero(done)))
-        if done.any():
-            mm, crossed = mult[done], cross[done]
+        if settled[-1]:
+            crossed = cross[done]
+            mm = mult[done] if exact else None
             prefixes[depth] = (s[done], mm, None if exact else code[done], crossed)
             for k, sel in ((depth, crossed), (n, ~crossed)):
-                prob_count[k] += int(mm[sel].sum()) << (n - depth)
+                hits = int(mm[sel].sum()) if exact else int(np.count_nonzero(sel))
+                counts[k] += hits << (n - depth)
         if depth == n - 1:
             break
         keep = ~cross
-        v = vals[depth]
-        s = _extend(s[keep], v)
-        mult = np.concatenate([mult[keep], mult[keep]])
+        s = _extend(s[keep], vals[depth])
         if exact:
-            s, mult = _merge_equal(s, mult)
+            s, mult = _merge_equal(s, np.concatenate([mult[keep], mult[keep]]))
         else:
-            code = np.concatenate([2 * code[keep] + 1, 2 * code[keep]])
+            kept = 2 * code[keep]
+            code = np.concatenate([kept + 1, kept])
+
+    mass = 2 * sum(counts)
+    if mass != 1 << n:
+        raise SoundnessError(f"partition mass {mass} != 2^{n}: events A_2..A_n do not cover")
+    probs = tuple(_probability(2 * counts[k], 1 << n, w.mode) for k in range(2, n + 1))
+    stats = PartitionStats(path, tuple(frontier), tuple(settled), fallbacks)
+    return _Walk(vals, dtype, one, probs, prefixes, groups, stats)
+
+
+def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> PartitionReport:
+    """Partition all 2^n sign sequences by the first prefix k in {2..n-1}
+    with |s_k| > 1 - x_{k+1} (event A_k), defaulting to A_n.
+
+    Requires Case 2 (x1 + x2 <= 1): only then does |s_1| <= 1 - x_2 hold
+    surely and A_2..A_n cover the space.
+
+    Phase 1 (``_walk``) walks the frontier of prefix sums: each depth d
+    settles the sums whose event it decides, counts their events and keeps
+    them, with their pattern counts, for phase 2.  Phase 2 counts the joint
+    mass ``|s + r| <= 1`` of each settled sum ``s`` over the tail sums ``r``
+    of the weights after it.  It builds tail tables only for the depths from
+    ``_balanced_depth``'s D on: a sum settled at ``d >= D`` searches the
+    table at d, and one settled at ``d < D`` is counted against the table at
+    D over every sign pattern m of the weights ``x_{d+1}..x_D`` in between.
+    With exact keys the sum is extended by those weights, merged as the
+    frontier merges; a radical key extended so is still a chain of correctly
+    rounded additions from 0 over weights disjoint from the tail, which
+    ``_band_width`` covers.  In float mode the table at d holds ``G_m(u) =
+    fl(...fl(u +- x_D) ... +- x_{d+1})`` for the sums u of the table at D,
+    so the tail is pulled back instead (``_pull_back``): G_m is monotone in
+    u, so the u that land in the window ``[fl(-1 - s), fl(1 - s)]``, or
+    within 1e-12 of its ends for the tie records, form one interval of the
+    table at D.  Counts and tie records are those of the table at d.
+    """
+    walk = _walk(w, limit)
+    n, exact, one, prefixes = w.n, w.mode == EXACT, walk.one, walk.prefixes
+    vals, dtype, groups, fallbacks = walk.vals, walk.dtype, walk.groups, walk.stats.fallbacks
+    radical = dtype if isinstance(dtype, _Radical) else None
+    k_min = 1 if n == 2 else 2
+    joint_count = [0] * (n + 1)
 
     # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
-    balanced = _balanced_depth(settled, n, k_min)
+    balanced = _balanced_depth(walk.stats.settled, n, k_min)
     tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype))
     for depth, table in tables:
         tkeys, tcounts = _search_order(*_mirror(*table))
@@ -1120,30 +1153,25 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
                         records = [("final", d, float(ss[i] + v)) for near_end in tails for v in near_end[j]]
                         groups.append((int(codes[i]) << (n - 1 - d), d, 1, records))
                 reach = n - d
-            # each query stands for mm sign prefixes with 2^reach tails apiece
+            # each query has 2^reach tails; an exact one stands for mm sign prefixes
             if window.min() < 0 or window.max() > 1 << reach:
                 raise SoundnessError(f"a window of {window.max()} tails at depth {d} exceeds 2^{reach}")
-            joints = mm * window
+            joints = mm * window if exact else window
             for k, sel in ((d, crossed), (n, ~crossed)):
                 joint_count[k] += int(joints[sel].sum())
     if prefixes:
         raise SoundnessError(f"sums settled at depths {sorted(prefixes)} were never counted")
 
-    total = 1 << n
-    mass = 2 * sum(prob_count)
-    if mass != total:
-        raise SoundnessError(f"partition mass {mass} != 2^{n}: events A_2..A_n do not cover")
     # Tie records in the depth-first preorder of the sign tree, + branch
     # first; a node's records are kept whole while the cap is not reached.
     ties: list = []
     for *_, records in sorted(groups, key=lambda g: g[:3]):
         ties += records if len(ties) < _MAX_TIE_RECORDS else []
     ks = tuple(range(2, n + 1))
-    ratio = lambda c: _probability(2 * c, total, w.mode)
-    probs = tuple(ratio(prob_count[k]) for k in ks)
+    ratio = lambda c: _probability(2 * c, 1 << n, w.mode)
     joints = tuple(ratio(joint_count[k]) for k in ks)
-    conds = tuple((j / p if p else None) for p, j in zip(probs, joints))
+    conds = tuple((j / p if p else None) for p, j in zip(walk.probs, joints))
     return PartitionReport(
-        n, w.mode, ks, probs, joints, conds, ratio(sum(joint_count)), tuple(ties),
-        PartitionStats(path, tuple(frontier), tuple(settled), fallbacks),
+        n, w.mode, ks, walk.probs, joints, conds, ratio(sum(joint_count)), tuple(ties),
+        replace(walk.stats, fallbacks=fallbacks),
     )

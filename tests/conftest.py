@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radsum import EXACT, CaseTag, WeightVector, canonicalize, case_of
+from radsum import EXACT, FLOAT, CaseTag, WeightVector, canonicalize, case_of, from_squares
 
 
 def rational_unit_vector(rng: np.random.Generator, n: int, spread: int = 9) -> WeightVector:
@@ -58,6 +58,35 @@ def random_case2(rng: np.random.Generator, n: int, spread: int = 9) -> WeightVec
         w = rational_unit_vector(rng, n, spread)
         if case_of(w) is CaseTag.CASE2:
             return w
+
+
+def one_radicand_vector(rng, n: int, hi: int = 30):
+    """canonicalize(ints, "exact") with an irrational norm (n >= 2): every
+    weight is a rational multiple of one shared sqrt(D), D > 1."""
+    while True:
+        a = [int(v) for v in rng.integers(1, hi, size=n)]
+        norm_sq = sum(v * v for v in a)
+        if math.isqrt(norm_sq) ** 2 != norm_sq:
+            return canonicalize(a, EXACT)
+
+
+CASE2_KINDS = ["float", "float-ties", "rational", "one-radicand", "multi-radicand"]
+
+
+def case2_vector(kind: str, n: int, seed: int):
+    """A Case-2 vector of one input class (see ``CASE2_KINDS``), or None."""
+    gen = np.random.default_rng(seed)
+    if kind == "float":
+        w = canonicalize([int(v) for v in gen.integers(70000, 100000, size=n)], FLOAT)
+    elif kind == "float-ties":
+        w = canonicalize([int(v) for v in gen.integers(1, 5, size=n)], FLOAT)
+    elif kind == "rational":
+        w = rational_unit_vector(gen, n, spread=int(gen.choice([9, 1000])))
+    elif kind == "one-radicand":
+        w = one_radicand_vector(gen, n, hi=int(gen.choice([6, 1000])))
+    else:
+        w = from_squares([int(v) for v in gen.choice([1, 2, 3, 5, 6, 7], size=n)])
+    return w if case_of(w) is CaseTag.CASE2 else None
 
 
 def random_float_vector(rng: np.random.Generator, n: int) -> WeightVector:

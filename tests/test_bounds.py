@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_case1, random_case2, rational_unit_vector
+from conftest import CASE2_KINDS, case2_vector, random_case1, random_case2, rational_unit_vector
 from radsum import (
     CASE1_FLOOR,
     CASE2_FLOOR,
@@ -19,6 +20,7 @@ from radsum import (
     WrongCaseError,
     canonicalize,
     case1_certificate,
+    case_of,
     case2_certificate,
     clamp01,
     crossing_point,
@@ -243,6 +245,72 @@ class TestHybridBound:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError):
             hybrid_bound(canonicalize([3, 4], EXACT))
+
+    @pytest.mark.parametrize("limit", [-1, True, 2.5])
+    def test_invalid_limit_is_input_error_at_n_1(self, limit):
+        # n = 1 enumerates nothing, but the limit is still checked first
+        with pytest.raises(InputError, match="size limit must be an integer"):
+            hybrid_bound(canonicalize([3], EXACT), limit=limit)
+
+    @staticmethod
+    def _partition_formula(w):
+        """The oracle: the bound over the event probabilities of the full
+        partition report, summed in the same order as hybrid_bound."""
+        one = Fraction(1) if w.mode == EXACT else 1.0
+        report = prefix_partition(w)
+        total = one - one
+        for k, p in zip(report.ks[:-1], report.probs):
+            if p == 0:
+                continue
+            total = total + p * clamp01(bounds._max_g_h(k, w.values[k], w.squares[k], w.mode)[2])
+        return total + report.probs[-1] * one
+
+    @given(st.sampled_from(CASE2_KINDS), st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_partition_formula(self, kind, n, seed):
+        w = case2_vector(kind, n, seed)
+        vectors = [w] if w is not None else []
+        if kind == "float-ties":
+            vectors += [canonicalize([1.0] * 9, FLOAT), canonicalize([0.5] * 4, FLOAT)]
+        for w in vectors:
+            got, want = hybrid_bound(w), self._partition_formula(w)
+            assert type(got) is type(want) and got == want, (w.values, got, want)
+            if w.mode == FLOAT:
+                assert got.hex() == want.hex()
+
+    def test_builds_no_tail_table(self, monkeypatch):
+        from radsum import engine
+
+        calls, real = [], engine._tail_distributions
+        monkeypatch.setattr(engine, "_tail_distributions", lambda *a: calls.append(a) or real(*a))
+        vectors = [w for kind in CASE2_KINDS if (w := case2_vector(kind, 12, 7)) is not None]
+        assert len(vectors) >= 4
+        for w in vectors:
+            hybrid_bound(w)
+        assert calls == []
+        prefix_partition(vectors[0])
+        assert calls
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            random_case2(np.random.default_rng(3), 10),
+            canonicalize([27, 7, 29, 18, 17, 3, 29, 24, 2], EXACT),
+            from_squares([1, 2, 3, 5, 6, 7, 1, 2, 3, 5]),
+        ],
+        ids=["rational", "one_radicand", "multi_radicand"],
+    )
+    def test_walk_slip_is_soundness_error(self, monkeypatch, w):
+        # a frontier merge that loses one sum's count breaks the partition
+        # mass, which the walk checks for hybrid_bound as for prefix_partition
+        from radsum import engine
+
+        assert case_of(w) is CaseTag.CASE2
+        real = engine._merge_equal
+        monkeypatch.setattr(engine, "_merge_equal", lambda keys, counts: tuple(x[:-1] for x in real(keys, counts)))
+        for run in (hybrid_bound, prefix_partition):
+            with pytest.raises(SoundnessError, match="partition mass"):
+                run(w)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from radsum.cli import RunConfig, main
 
 
 CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_cli.json").read_text())
+HYBRID_GOLDEN = json.loads((Path(__file__).parent / "data" / "hybrid_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,16 @@ class TestPartitionHybridDecomp:
         # recorded when g_k, h_k were evaluated only through the literal
         # definitions
         case = CERTIFY_GOLDEN[label]
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert (code, err) == (0, "")
+        assert out == case["stdout"]
+
+    @pytest.mark.parametrize("label", list(HYBRID_GOLDEN))
+    def test_hybrid_output_pinned(self, capsys, label):
+        # float (generic, small-integer, [1.0]*9, ties), rational,
+        # one-radicand and multi-radicand vectors, recorded when hybrid_bound
+        # read the event probabilities off the whole partition report
+        case = HYBRID_GOLDEN[label]
         code, out, err = run_cli(capsys, *case["argv"])
         assert (code, err) == (0, "")
         assert out == case["stdout"]
@@ -367,6 +378,11 @@ class TestErrorsAndExitCodes:
 
     def test_negative_limit_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "exact", "0.6,0.8", "--mitm-limit", "-1")
+        assert (code, out) == (1, "")
+        assert "size limit must be an integer >= 0, got -1" in err
+
+    def test_negative_limit_exit_1_when_nothing_is_enumerated(self, capsys):
+        code, out, err = run_cli(capsys, "hybrid", "3", "--full-limit", "-1", "--no-timestamp")
         assert (code, out) == (1, "")
         assert "size limit must be an integer >= 0, got -1" in err
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_case2, rational_unit_vector
+from conftest import CASE2_KINDS, case2_vector, one_radicand_vector, random_case2, rational_unit_vector
 from radsum import (
     EXACT,
     FLOAT,
@@ -704,24 +704,8 @@ class TestPrefixPartition:
             with mock.patch.object(engine, "_balanced_depth", lambda settled, n, k_min: depth):
                 return prefix_partition(w), sizes
 
-    @staticmethod
-    def _case2_vector(kind, n, seed):
-        """A Case-2 vector of one input class, or None."""
-        gen = np.random.default_rng(seed)
-        if kind == "float":
-            w = canonicalize([int(v) for v in gen.integers(70000, 100000, size=n)], FLOAT)
-        elif kind == "float-ties":
-            w = canonicalize([int(v) for v in gen.integers(1, 5, size=n)], FLOAT)
-        elif kind == "rational":
-            w = rational_unit_vector(gen, n, spread=int(gen.choice([9, 1000])))
-        elif kind == "one-radicand":
-            w = one_radicand_vector(gen, n, hi=int(gen.choice([6, 1000])))
-        else:
-            w = from_squares([int(v) for v in gen.choice([1, 2, 3, 5, 6, 7], size=n)])
-        return w if case_of(w) is CaseTag.CASE2 else None
-
     @given(
-        st.sampled_from(["float", "float-ties", "rational", "one-radicand", "multi-radicand"]),
+        st.sampled_from(CASE2_KINDS),
         st.integers(2, 12),
         st.integers(0, 2**32 - 1),
     )
@@ -729,7 +713,7 @@ class TestPrefixPartition:
     def test_result_does_not_depend_on_table_depth(self, kind, n, seed):
         """Every depth D the tail tables may start from gives the same
         report; D = k_min defers nothing and is the plain walk."""
-        w = self._case2_vector(kind, n, seed)
+        w = case2_vector(kind, n, seed)
         vectors = [w] if w is not None else []
         if kind == "float-ties":
             vectors += [canonicalize([1.0] * 9, FLOAT), canonicalize([0.5] * 4, FLOAT)]
@@ -751,7 +735,7 @@ class TestPrefixPartition:
         # Generic Case-2 vectors settle only a few sums at shallow depths, so
         # the balanced walk never builds the large tables near the root.
         n = 20
-        w = self._case2_vector(kind, n, 2026)
+        w = case2_vector(kind, n, 2026)
         rep, sizes = self._partition_at(w)
         assert sizes and max(sizes) <= math.ceil(n / 2), sizes
         assert rep.total_prob == threshold_probability(w, 1)
@@ -814,16 +798,6 @@ class TestPrefixPartition:
         rf = prefix_partition(canonicalize([0.5] * 4, FLOAT))
         assert [float(p) for p in re_.probs] == list(rf.probs)
         assert float(re_.total_prob) == rf.total_prob
-
-
-def one_radicand_vector(rng, n: int, hi: int = 30):
-    """canonicalize(ints, "exact") with an irrational norm (n >= 2): every
-    weight is a rational multiple of one shared sqrt(D), D > 1."""
-    while True:
-        a = [int(v) for v in rng.integers(1, hi, size=n)]
-        norm_sq = sum(v * v for v in a)
-        if math.isqrt(norm_sq) ** 2 != norm_sq:
-            return canonicalize(a, EXACT)
 
 
 class TestSharedRadicandReduction:
