@@ -34,6 +34,8 @@ from math import gcd, isqrt, sqrt
 from numbers import Rational
 from typing import Optional, Union
 
+from .errors import _check_int
+
 ExactLike = Union[int, Fraction, "SqrtSum"]
 
 # Deterministic Miller-Rabin witness sets (the first covers all n < 3.3e24;
@@ -291,8 +293,7 @@ class SqrtSum:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "SqrtSum":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
+        _check_int(exponent, "exponent", 0)
         if not exponent:
             return SqrtSum({1: Fraction(1)})
         # Square-and-multiply with no squaring past the top bit.  The result

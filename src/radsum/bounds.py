@@ -41,7 +41,7 @@ from .engine import (
     signed_sum_count,
     threshold_probability,
 )
-from .errors import InputError, SoundnessError, WrongCaseError
+from .errors import InputError, SoundnessError, WrongCaseError, _check_int
 from .moments import tail_moments
 from .render import render_number
 from .weights import EXACT, CaseTag, Value, WeightVector, case_of
@@ -49,11 +49,6 @@ from .weights import EXACT, CaseTag, Value, WeightVector, case_of
 CASE1_FLOOR = Fraction(93, 256)
 CASE2_FLOOR = Fraction(9, 25)
 THEOREM_FLOOR = Fraction(9, 25)
-
-
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise InputError(f"invalid input: k must be an integer >= 2, got {k!r}")
 
 
 def _coerce_x(x):
@@ -71,7 +66,7 @@ def g(k: int, x):
     second moment bounded by 1 - k x^2 (prefix weights all >= x_{k+1}).
     Exceeds 1 for large x; certificates clamp it.
     """
-    _check_k(k)
+    _check_int(k, "k", 2)
     x = _coerce_x(x)
     if x < 0 or x > 1:
         raise InputError(f"domain error: x must be in [0, 1], got {x}")
@@ -85,7 +80,7 @@ def h(k: int, x):
     Same shape with the tail second moment bounded by 1 - (1-x)^2/k (Cauchy
     bound on the prefix mass forced by the crossing).
     """
-    _check_k(k)
+    _check_int(k, "k", 2)
     x = _coerce_x(x)
     if x < 0 or x > 1:
         raise InputError(f"domain error: x must be in [0, 1], got {x}")
@@ -142,7 +137,7 @@ def crossing_point(k: int, *, check: bool = True) -> Fraction:
     With ``check`` the identity is re-evaluated exactly; failure would mean
     a broken formula, not a data problem.
     """
-    _check_k(k)
+    _check_int(k, "k", 2)
     cp = Fraction(1, k + 1)
     if check and g(k, cp) != h(k, cp):
         raise SoundnessError(f"crossing identity failed at k={k}")
@@ -336,16 +331,20 @@ def theorem_bound(
     """Dispatch on the case of w; the resulting bound is >= 0.36 for every
     valid weight vector.
 
-    ``exact_check`` may be True, False, or "auto" (check when n is within
+    ``exact_check`` is True, False, or "auto" (check when n is within
     the full-enumeration limit, where the engine is desk-fast in both
     modes, and within ``limit``).  When checking, the exact probability is
     attached as ``sound_against`` and the bound is asserted not to exceed
     it.
     """
-    if exact_check == "auto":
+    if isinstance(exact_check, str) and exact_check == "auto":
         do_check = w.n <= min(DEFAULT_FULL_LIMIT, _size_limit(limit, DEFAULT_MITM_LIMIT))
+    elif exact_check is True or exact_check is False:
+        do_check = exact_check
     else:
-        do_check = bool(exact_check)
+        raise InputError(
+            f"invalid input: exact_check must be True, False or 'auto', got {exact_check!r}"
+        )
     if case_of(w) is CaseTag.CASE1:
         return case1_certificate(w, exact_check=do_check, limit=limit)
     return case2_certificate(w, exact_check=do_check, limit=limit)

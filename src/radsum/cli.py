@@ -21,7 +21,6 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Optional
 
 from . import bounds, engine, explore
@@ -166,26 +165,14 @@ def _resolve_weights(cfg: RunConfig) -> WeightVector:
 
 
 def _parse_threshold(cfg: RunConfig, mode: str):
-    try:
-        t = Fraction(cfg.t)
-    except (ValueError, ZeroDivisionError) as exc:
-        if mode == EXACT:
-            raise InputError(f"invalid input: bad exact threshold {cfg.t!r} ({exc})") from None
-        try:
-            return float(cfg.t)
-        except ValueError as exc:
-            raise InputError(f"invalid input: bad threshold {cfg.t!r} ({exc})") from None
-    # the float is the computed threshold in float mode and the rendered
-    # decimal in both modes
-    try:
-        tf = float(t)
-    except OverflowError:
-        raise InputError(f"invalid input: threshold {cfg.t!r} exceeds the float range") from None
+    t = engine._normalize_threshold(cfg.t, mode)
+    # the document renders t as a decimal in exact mode too
     if mode == EXACT:
-        return t
-    if t and not tf:
-        raise InputError(f"invalid input: threshold {cfg.t!r} underflows to 0 in float mode")
-    return tf
+        try:
+            float(t)
+        except OverflowError:
+            raise InputError(f"invalid input: threshold {cfg.t!r} exceeds the float range") from None
+    return t
 
 
 def _weights_json(w: WeightVector) -> list:
@@ -224,10 +211,6 @@ def _exact(cfg: RunConfig):
 def _distribution(cfg: RunConfig):
     w = _resolve_weights(cfg)
     dist = engine.sum_distribution(w, limit=cfg.full_limit)
-    if w.mode == EXACT:
-        pairs = dist.entries
-    else:
-        pairs = zip(dist.values.tolist(), dist.counts.tolist())
     probability = lambda c: engine._probability(c, dist.total, w.mode)
     if cfg.fmt == "json":
         result = {
@@ -239,7 +222,7 @@ def _distribution(cfg: RunConfig):
                     "count": c,
                     "probability": render_number(probability(c), w.mode),
                 }
-                for v, c in pairs
+                for v, c in dist.entries
             ],
         }
         return result, EXIT_OK, ""
@@ -247,11 +230,11 @@ def _distribution(cfg: RunConfig):
         header = ["value", "value_exact", "count", "probability", "probability_exact"]
         rows = (
             [repr(float(v)), exact_str(v), c, repr(float(p)), str(p)]
-            for (v, c), p in zip(pairs, map(probability, dist.counts.tolist()))
+            for (v, c), p in zip(dist.entries, map(probability, dist.counts.tolist()))
         )
     else:
         header = ["value", "count", "probability"]
-        rows = ([repr(v), c, repr(probability(c))] for v, c in pairs)
+        rows = ([repr(v), c, repr(probability(c))] for v, c in dist.entries)
     return _csv(header, rows), EXIT_OK, ""
 
 

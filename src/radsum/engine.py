@@ -68,7 +68,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .algebraic import SqrtSum, exact_sqrt
-from .errors import InputError, SizeLimitError, SoundnessError, WrongCaseError
+from .errors import InputError, SizeLimitError, SoundnessError, WrongCaseError, _check_int
 from .weights import CaseTag, EXACT, FLOAT, Value, WeightVector, case_of
 
 DEFAULT_FULL_LIMIT = 24
@@ -130,42 +130,47 @@ class SignPattern:
 
 
 def _normalize_threshold(t, mode: str):
+    """The threshold ``t`` as the engines compare with it: a float in float
+    mode, a Fraction or SqrtSum in exact mode.  A string (the CLI's token)
+    reads as a rational, and in float mode as any float literal.  Every
+    threshold rule is checked here: parseable, no float in exact mode,
+    finite, within the float range and not underflowing to 0.0 in float
+    mode, and nonnegative."""
+    value = t
+    if isinstance(t, str):
+        try:
+            value = Fraction(t)
+        except (ValueError, ZeroDivisionError) as exc:
+            if mode == EXACT:
+                raise InputError(f"invalid input: bad exact threshold {t!r} ({exc})") from None
     if mode == FLOAT:
         try:
-            tf = float(t)
-        except (TypeError, ValueError):
-            raise InputError(f"invalid input: threshold {t!r} is not a number") from None
+            tf = float(value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"invalid input: bad threshold {t!r} ({exc})") from None
         except OverflowError:
-            raise InputError("invalid input: threshold exceeds the float range") from None
+            raise InputError(f"invalid input: threshold {t!r} exceeds the float range") from None
         if not math.isfinite(tf):
             raise InputError("invalid input: threshold must be finite")
-        if not tf and (Fraction(t) if isinstance(t, str) else t) != 0:
-            raise InputError("invalid input: nonzero threshold underflows to 0 in float mode")
-        return tf
-    if isinstance(t, float):
+        if not tf and value != 0:
+            raise InputError(f"invalid input: threshold {t!r} underflows to 0 in float mode")
+        value = tf
+    elif isinstance(value, float):
         raise InputError(
             "invalid input: float threshold in exact mode; pass an int/Fraction"
         )
-    if isinstance(t, SqrtSum):
-        return t
-    if isinstance(t, (int, Fraction)):
-        return Fraction(t)
-    raise InputError(f"invalid input: unsupported threshold type {type(t).__name__}")
-
-
-def _check_t_nonnegative(t):
-    if t < 0:
+    elif isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    elif not isinstance(value, SqrtSum):
+        raise InputError(f"invalid input: unsupported threshold type {type(t).__name__}")
+    if value < 0:
         raise InputError("invalid input: threshold t must be >= 0")
+    return value
 
 
 def _size_limit(limit, default: int) -> int:
-    """The caller's size limit, ``default`` when None; anything but a plain
-    ``int >= 0`` (bools included) is an ``InputError``."""
-    if limit is None:
-        return default
-    if type(limit) is not int or limit < 0:
-        raise InputError(f"invalid input: size limit must be an integer >= 0, got {limit!r}")
-    return limit
+    """The caller's size limit, ``default`` when None."""
+    return default if limit is None else _check_int(limit, "size limit", 0)
 
 
 def _check_size(n: int, limit, default: int, what: str) -> None:
@@ -612,7 +617,6 @@ def signed_sum_count(
     n = len(values)
     _check_size(n, limit, DEFAULT_MITM_LIMIT, "meet-in-the-middle")
     t = _normalize_threshold(t, mode)
-    _check_t_nonnegative(t)
     keys, dtype, _, _, t, strict = _key_setup(values, t, mode, strict)
     return _count_pairs(keys, n - n // 2, dtype, t, strict), 1 << n
 
@@ -654,7 +658,6 @@ def threshold_probability_naive(
     n = w.n
     _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
     t = _normalize_threshold(t, w.mode)
-    _check_t_nonnegative(t)
     total = 1 << n
 
     if w.mode == FLOAT:
@@ -837,7 +840,6 @@ class SumDistribution:
         """Pr(|value| <= t) (or <) from binary searches into the table; used
         to cross-check the counting engines."""
         t = _normalize_threshold(t, self.mode)
-        _check_t_nonnegative(t)
         keys = self.values
         cum = np.concatenate([[0], np.cumsum(self.counts)])
         if self.radical is not None:

@@ -1,10 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one check for integer arguments.
 
 The split mirrors the CLI exit codes: input problems (1), enumeration size
 limits (2), and mathematical-soundness failures (3).  Soundness failures are
 kept distinct so pipelines can tell "bug in the bound machinery" apart from
 plain misuse.
 """
+
+from typing import Optional
 
 
 class RadsumError(Exception):
@@ -34,3 +36,13 @@ class SizeLimitError(RadsumError):
 
 class SoundnessError(RadsumError):
     """A certified bound or verified lemma failed its mathematical guarantee."""
+
+
+def _check_int(value, name: str, lo: int, hi: Optional[int] = None) -> int:
+    """``value`` when it is a plain ``int`` (bools rejected) in ``[lo, hi]``
+    (no upper end when ``hi`` is None); otherwise an ``InputError``.  The one
+    check for every integer argument taken from outside."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InputError(f"invalid input: {name} must be an integer {span}, got {value!r}")
+    return value

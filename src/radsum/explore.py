@@ -22,14 +22,15 @@ from typing import Optional
 import numpy as np
 
 from .bounds import THEOREM_FLOOR, crossing_point, g, h, minmax_bound
-from .engine import DEFAULT_MITM_LIMIT, _check_t_nonnegative, _normalize_threshold, _size_limit
+from .engine import DEFAULT_MITM_LIMIT, _normalize_threshold, _size_limit
 from .engine import admissible_count
-from .errors import InputError, SoundnessError
-from .weights import EXACT, FLOAT, WeightVector, canonicalize
+from .errors import InputError, SoundnessError, _check_int
+from .weights import FLOAT, WeightVector, _validate_mode, canonicalize
 
 _MC_BLOCK = 1 << 16
 _INITIAL_STEP = 0.25
 _MIN_STEP = 1e-6
+_MAX_SEED = 2**64 - 1  # PCG64 takes a 64-bit unsigned seed
 
 
 # -- Monte Carlo --------------------------------------------------------------
@@ -64,14 +65,11 @@ def monte_carlo(
     Evaluation is float64 regardless of the vector's mode; sampling is for
     scales where exact enumeration is off the table.
     """
-    if type(samples) is not int or samples < 1:
-        raise InputError(f"invalid input: samples must be an integer >= 1, got {samples!r}")
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise InputError("invalid input: seed must be a 64-bit unsigned integer")
+    _check_int(samples, "samples", 1)
+    _check_int(seed, "seed", 0, _MAX_SEED)
     if not isinstance(confidence, Real) or not 0 < confidence < 1:
         raise InputError("invalid input: confidence must be in (0, 1)")
     tf = _normalize_threshold(t, FLOAT)
-    _check_t_nonnegative(tf)
     x = np.asarray(w.as_floats())
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
@@ -216,12 +214,9 @@ def lemma_sweep(k_max: int, grid_points: int, *, mode: str = FLOAT) -> LemmaSwee
     on ``grid_points``-point grids per k; ``EXACT`` mode uses no floating
     point.  Violations are report entries, not exceptions.
     """
-    if type(k_max) is not int or k_max < 2:
-        raise InputError(f"invalid input: k_max must be an integer >= 2, got {k_max!r}")
-    if type(grid_points) is not int or grid_points < 3:
-        raise InputError(f"invalid input: grid_points must be an integer >= 3, got {grid_points!r}")
-    if mode not in (EXACT, FLOAT):
-        raise InputError(f"invalid input: unknown numeric mode {mode!r}")
+    _check_int(k_max, "k_max", 2)
+    _check_int(grid_points, "grid_points", 3)
+    _validate_mode(mode)
     rows: list[LemmaRow] = []
     violations: list[str] = []
     nondecreasing = True
@@ -301,12 +296,9 @@ def minimize_probability(
     neighbor improves and the walk restarts below ``_MIN_STEP``.
     """
     lim = _size_limit(limit, DEFAULT_MITM_LIMIT)
-    if type(n) is not int or not 2 <= n <= lim:
-        raise InputError(f"invalid input: n must be an integer in [2, {lim}], got {n!r}")
-    if type(budget) is not int or budget < 1:
-        raise InputError(f"invalid input: budget must be an integer >= 1, got {budget!r}")
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise InputError("invalid input: seed must be a 64-bit unsigned integer")
+    _check_int(n, "n", 2, lim)
+    _check_int(budget, "budget", 1)
+    _check_int(seed, "seed", 0, _MAX_SEED)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     evals = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError
+from .errors import _check_int
 from .weights import EXACT, WeightVector
 
 
@@ -33,8 +33,7 @@ class TailMoments:
 
 def tail_moments(w: WeightVector, k: int) -> TailMoments:
     """Exact tail moments for prefix length k, 0 <= k <= n."""
-    if not isinstance(k, int) or not 0 <= k <= w.n:
-        raise InputError(f"invalid input: k={k} out of range [0, {w.n}]")
+    _check_int(k, "k", 0, w.n)
     qs = w.squares[k:]
     if w.mode == EXACT:
         m2 = sum(qs, Fraction(0))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -238,16 +238,10 @@ def from_squares(squares: Iterable, mode: str = EXACT) -> WeightVector:
             return (*_squarefree_pair(q.numerator, q.denominator), q.denominator)
 
         return _exact_vector(qs, root)
+    # a zero total means all zeros: canonicalize raises the degenerate error
     total = sum(qs)
-    if total == 0:
-        raise DegenerateVectorError("degenerate vector: all entries are zero")
-    vals = [math.sqrt(float(q / total)) for q in sorted(qs, reverse=True)]
-    return WeightVector(
-        values=tuple(vals),
-        squares=tuple(v * v for v in vals),
-        mode=FLOAT,
-        scale=math.sqrt(float(total)),
-    )
+    w = canonicalize([math.sqrt(float(q / (total or 1))) for q in qs], FLOAT)
+    return replace(w, scale=math.sqrt(float(total)))
 
 
 def case_of(w: WeightVector) -> CaseTag:

@@ -211,6 +211,12 @@ class TestTheoremBound:
         cert = theorem_bound(from_squares([Fraction(1, 4)] * 4), exact_check=False)
         assert cert.sound_against is None
 
+    @pytest.mark.parametrize("exact_check", ["no", "", 1, 0, None, np.bool_(True), "AUTO"])
+    def test_exact_check_is_true_false_or_auto(self, exact_check):
+        # read by truthiness, "no" would run the check and attach 7/8
+        with pytest.raises(InputError, match="exact_check must be True, False or 'auto'"):
+            theorem_bound(from_squares([Fraction(1, 4)] * 4), exact_check=exact_check)
+
     def test_universality_random_mixed(self, rng):
         for _ in range(80):
             n = int(rng.integers(1, 15))

@@ -653,6 +653,27 @@ class TestPrefixPartition:
         assert rep.boundary_ties
         assert any(kind == "prefix" for kind, _, _ in rep.boundary_ties)
 
+    def test_float_total_differs_only_with_boundary_ties(self):
+        # Float prefix_partition adds prefix sums (from x_1) to tail sums
+        # (from x_n); the meet-in-the-middle adds two index-order halves.
+        # The rounding differs, so the totals may differ, but only where a
+        # sum sits at a decision boundary, which the tie records flag.
+        w = canonicalize([1, 2, 2, 2, 2, 2, 2], FLOAT)
+        rep = prefix_partition(w)
+        assert (rep.total_prob, threshold_probability(w)) == (0.59375, 0.75)
+        assert rep.boundary_ties
+        gen = np.random.default_rng(1515)
+        differ = 0
+        for _ in range(600):
+            w = canonicalize([int(v) for v in gen.integers(1, 4, size=int(gen.integers(4, 11)))], FLOAT)
+            if case_of(w) is not CaseTag.CASE2:
+                continue
+            rep = prefix_partition(w)
+            if rep.total_prob != threshold_probability(w):
+                differ += 1
+                assert rep.boundary_ties, w.values
+        assert differ  # the draw holds tie-sensitive vectors
+
     @pytest.mark.parametrize("key, raw", [("0.5x4", [0.5] * 4), ("1x9", [1] * 9), ("1x16", [1] * 16)])
     def test_boundary_tie_records_pinned(self, key, raw):
         # Recorded from the depth-first walk this enumerator replaced: the
