@@ -43,9 +43,13 @@ ExactLike = Union[int, Fraction, "SqrtSum"]
 # far below any practical concern).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 _RHO_ROUNDS = 64
-# Total rho iterations before giving up; factoring effort ~ p^(1/4) per
-# prime factor p, so this covers factors up to roughly 10^13 in a couple of
-# seconds while guaranteeing termination on adversarial radicands.
+# Rho effort of one factor search before giving up, in steps on a
+# word-sized n.  Finding a prime factor p takes ~p^(1/2) steps, so this
+# covers factors up to roughly 10^13 in a couple of seconds while
+# guaranteeing termination on adversarial radicands.  A step squares and
+# reduces numbers as long as n, so it is charged 1 + bits(n)^2/2^16: with
+# every step charged 1, a refusal took 5-7 s on 40-digit (133-bit) numbers,
+# about 1 us a step, and 58 s on a 300-digit one, 9.7 us a step.
 _RHO_BUDGET = 6_000_000
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
@@ -81,6 +85,7 @@ def _brent_rho(n: int) -> int:
     deterministic parameter schedule, bounded total effort)."""
     if n % 2 == 0:
         return 2
+    cost = 1 + n.bit_length() ** 2 // 65536
     spent = 0
     for c in range(1, _RHO_ROUNDS):
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -97,7 +102,7 @@ def _brent_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 k += m
                 g = gcd(q, n)
-            spent += 2 * r
+            spent += 2 * r * cost
             r *= 2
         if g == n:
             g = 1
@@ -109,7 +114,7 @@ def _brent_rho(n: int) -> int:
         if spent >= _RHO_BUDGET:
             break
     raise ValueError(
-        f"cannot factor {n} within the effort budget; "
+        f"cannot factor a {n.bit_length()}-bit integer within the effort budget; "
         "the radicand is too hard for exact arithmetic"
     )
 

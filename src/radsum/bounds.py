@@ -20,8 +20,8 @@ Two proof routes, dispatched on whether x1 + x2 > 1:
 ``Pr(A_k)``, which the engine's partition walk gives without the joint
 counts of ``prefix_partition``, and ``decomposition_check`` re-derives every
 Case-1 chain link against the exact engine.  Certificates never self-claim
-soundness: ``sound_against`` is the recomputed exact probability attached
-when the engine runs.
+soundness: ``sound_against`` is the recomputed exact probability, which
+``theorem_bound`` attaches when it runs the engine.
 """
 
 from __future__ import annotations
@@ -257,33 +257,16 @@ def _case1_terms(w: WeightVector) -> Case1Data:
     )
 
 
-def _attach_exact(cert: Certificate, w: WeightVector, limit: Optional[int]) -> Certificate:
-    p = threshold_probability(w, Fraction(1) if w.mode == EXACT else 1.0, limit=limit)
-    cert = dataclasses.replace(cert, sound_against=p)
-    if cert.final_bound > p:
-        raise SoundnessError(
-            f"certified bound {cert.final_bound} exceeds the exact probability {p}"
-        )
-    return cert
-
-
-def case1_certificate(
-    w: WeightVector, *, exact_check: bool = False, limit: Optional[int] = None
-) -> Certificate:
+def case1_certificate(w: WeightVector) -> Certificate:
     """Certificate for x1 + x2 > 1: final_bound = (term2 + term4)/4 >= 93/256."""
     if case_of(w) is not CaseTag.CASE1:
         raise WrongCaseError("not case 1: x1 + x2 <= 1")
     data = _case1_terms(w)
     final = (data.term2 + data.term4) / 4
-    cert = Certificate(case=CaseTag.CASE1, final_bound=final, intermediates=data, mode=w.mode)
-    if exact_check:
-        cert = _attach_exact(cert, w, limit)
-    return cert
+    return Certificate(case=CaseTag.CASE1, final_bound=final, intermediates=data, mode=w.mode)
 
 
-def case2_certificate(
-    w: WeightVector, *, exact_check: bool = False, limit: Optional[int] = None
-) -> Certificate:
+def case2_certificate(w: WeightVector) -> Certificate:
     """Certificate for x1 + x2 <= 1.
 
     For n <= 2 the sum can never leave [-1, 1], so the bound is 1.  Otherwise
@@ -295,31 +278,27 @@ def case2_certificate(
         raise WrongCaseError("not case 2: x1 + x2 > 1")
     one = Fraction(1) if w.mode == EXACT else 1.0
     if w.n <= 2:
-        cert = Certificate(
+        return Certificate(
             case=CaseTag.CASE2,
             final_bound=one,
             intermediates=Case2Data(per_k=(), argmin_k=None),
             mode=w.mode,
         )
-    else:
-        entries = []
-        for k in range(2, w.n):
-            x_next = w.values[k]
-            gv, hv, mv = _max_g_h(k, x_next, w.squares[k], w.mode)
-            entries.append(
-                Case2Entry(k=k, x_next=x_next, g_value=gv, h_value=hv, max_value=clamp01(mv))
-            )
-        argmin = min(entries, key=lambda e: (e.max_value, e.k))
-        final = argmin.max_value if argmin.max_value < one else one
-        cert = Certificate(
-            case=CaseTag.CASE2,
-            final_bound=final,
-            intermediates=Case2Data(per_k=tuple(entries), argmin_k=argmin.k),
-            mode=w.mode,
+    entries = []
+    for k in range(2, w.n):
+        x_next = w.values[k]
+        gv, hv, mv = _max_g_h(k, x_next, w.squares[k], w.mode)
+        entries.append(
+            Case2Entry(k=k, x_next=x_next, g_value=gv, h_value=hv, max_value=clamp01(mv))
         )
-    if exact_check:
-        cert = _attach_exact(cert, w, limit)
-    return cert
+    argmin = min(entries, key=lambda e: (e.max_value, e.k))
+    final = argmin.max_value if argmin.max_value < one else one
+    return Certificate(
+        case=CaseTag.CASE2,
+        final_bound=final,
+        intermediates=Case2Data(per_k=tuple(entries), argmin_k=argmin.k),
+        mode=w.mode,
+    )
 
 
 def theorem_bound(
@@ -334,8 +313,8 @@ def theorem_bound(
     ``exact_check`` is True, False, or "auto" (check when n is within
     the full-enumeration limit, where the engine is desk-fast in both
     modes, and within ``limit``).  When checking, the exact probability is
-    attached as ``sound_against`` and the bound is asserted not to exceed
-    it.
+    attached as ``sound_against``.  The certificate is returned only when
+    ``verify_certificate`` accepts it.
     """
     if isinstance(exact_check, str) and exact_check == "auto":
         do_check = w.n <= min(DEFAULT_FULL_LIMIT, _size_limit(limit, DEFAULT_MITM_LIMIT))
@@ -345,9 +324,12 @@ def theorem_bound(
         raise InputError(
             f"invalid input: exact_check must be True, False or 'auto', got {exact_check!r}"
         )
-    if case_of(w) is CaseTag.CASE1:
-        return case1_certificate(w, exact_check=do_check, limit=limit)
-    return case2_certificate(w, exact_check=do_check, limit=limit)
+    cert = case1_certificate(w) if case_of(w) is CaseTag.CASE1 else case2_certificate(w)
+    if do_check:
+        p = threshold_probability(w, Fraction(1) if w.mode == EXACT else 1.0, limit=limit)
+        cert = dataclasses.replace(cert, sound_against=p)
+    verify_certificate(cert)
+    return cert
 
 
 def hybrid_bound(w: WeightVector, *, limit: Optional[int] = None):

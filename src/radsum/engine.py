@@ -60,6 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
@@ -911,8 +912,13 @@ class PartitionReport:
 
     ``probs[i]``, ``joints[i]`` and ``conds[i]`` belong to event A_{ks[i]};
     ``conds[i]`` is None when the event has probability zero.  In float mode
-    ``boundary_ties`` lists (kind, depth, value) for sums within 1e-12 of a
-    decision boundary - those assignments are tie-sensitive.
+    ``boundary_ties`` flags the tie-sensitive sums, within 1e-12 of a
+    decision boundary, as distinct ``(kind, depth, value, count)`` rows: a
+    "prefix" row counts the undecided sign prefixes (eps_1 = +1) with sum
+    ``value`` at ``depth``, a "final" row the pairs of a prefix settled at
+    ``depth``, with sum s, and a distinct tail sum r near ``+-1 - s`` with
+    ``fl(s + r) == value``.  Rows are sorted by depth, kind and value; the
+    first 200 are kept.
     """
 
     n: int
@@ -1007,16 +1013,16 @@ class _Walk:
 
     ``probs`` are ``Pr(A_k)`` for k = 2..n.  ``prefixes[d]`` holds the sums
     settled at depth d: the sums, their pattern counts (None in float mode,
-    where each sum is one sign prefix), their sign codes (None in exact
-    mode) and whether each crossed.  ``groups`` are the prefix tie records,
-    and phase 2 adds its own fallbacks to those of ``stats``."""
+    where each sum is one sign prefix) and whether each crossed.  ``ties``
+    counts the float tie rows by ``(depth, kind, value)``; phase 2 adds its
+    own rows, and its own fallbacks to those of ``stats``."""
 
     vals: list
     dtype: object
     one: object
     probs: tuple
     prefixes: dict
-    groups: list
+    ties: Counter
     stats: PartitionStats
 
 
@@ -1036,18 +1042,16 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     radical = dtype if isinstance(dtype, _Radical) else None
 
     counts = [0] * (n + 1)
-    frontier, settled, groups = [], [], []
+    frontier, settled = [], []
     prefixes = {}
+    ties = Counter()
     fallbacks = 0
 
     # Global sign flip maps each event onto itself, so fix eps_1 = +1 and
     # double every count.  In exact mode ``mult`` counts the sign prefixes
-    # merged into each sum; in float mode sums are never merged, and
-    # ``code`` holds each prefix's later signs (a set bit is a minus),
-    # which orders the tie records.
+    # merged into each sum; in float mode sums are never merged.
     s = _zero(dtype) + vals[0]
     mult = np.ones(1, dtype=_count_dtype(n)) if exact else None
-    code = None if exact else np.zeros(1, dtype=np.int64)
     for depth in range(1, n):
         frontier.append(len(s))
         cross = np.zeros(len(s), dtype=bool)
@@ -1060,16 +1064,15 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
             size = np.abs(s)
             cross = size > b
             if not exact:
-                # only the first records of each kind, in tree order, can be kept
-                tie = np.flatnonzero(np.abs(size - b) <= BOUNDARY_TIE_TOL)
-                for i in tie[np.argsort(code[tie])[:_MAX_TIE_RECORDS]]:
-                    groups.append((int(code[i]) << (n - 1 - depth), depth, 0, [("prefix", depth, float(s[i]))]))
+                tie = s[np.abs(size - b) <= BOUNDARY_TIE_TOL]
+                for v, c in zip(*np.unique(tie, return_counts=True)):
+                    ties[depth, "prefix", float(v)] = int(c)
         done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
         settled.append(int(np.count_nonzero(done)))
         if settled[-1]:
             crossed = cross[done]
             mm = mult[done] if exact else None
-            prefixes[depth] = (s[done], mm, None if exact else code[done], crossed)
+            prefixes[depth] = (s[done], mm, crossed)
             for k, sel in ((depth, crossed), (n, ~crossed)):
                 hits = int(mm[sel].sum()) if exact else int(np.count_nonzero(sel))
                 counts[k] += hits << (n - depth)
@@ -1079,16 +1082,13 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
         s = _extend(s[keep], vals[depth])
         if exact:
             s, mult = _merge_equal(s, np.concatenate([mult[keep], mult[keep]]))
-        else:
-            kept = 2 * code[keep]
-            code = np.concatenate([kept + 1, kept])
 
     mass = 2 * sum(counts)
     if mass != 1 << n:
         raise SoundnessError(f"partition mass {mass} != 2^{n}: events A_2..A_n do not cover")
     probs = tuple(_probability(2 * counts[k], 1 << n, w.mode) for k in range(2, n + 1))
     stats = PartitionStats(path, tuple(frontier), tuple(settled), fallbacks)
-    return _Walk(vals, dtype, one, probs, prefixes, groups, stats)
+    return _Walk(vals, dtype, one, probs, prefixes, ties, stats)
 
 
 def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> PartitionReport:
@@ -1118,7 +1118,7 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     """
     walk = _walk(w, limit)
     n, exact, one, prefixes = w.n, w.mode == EXACT, walk.one, walk.prefixes
-    vals, dtype, groups, fallbacks = walk.vals, walk.dtype, walk.groups, walk.stats.fallbacks
+    vals, dtype, ties, fallbacks = walk.vals, walk.dtype, walk.ties, walk.stats.fallbacks
     radical = dtype if isinstance(dtype, _Radical) else None
     k_min = 1 if n == 2 else 2
     joint_count = [0] * (n + 1)
@@ -1132,7 +1132,7 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
         for d in range(k_min if depth == balanced else depth, depth + 1):
             if d not in prefixes:
                 continue
-            ss, mm, codes, crossed = prefixes.pop(d)
+            ss, mm, crossed = prefixes.pop(d)
             if exact:
                 for v in vals[d:depth]:
                     ss, mm = _merge_equal(_extend(ss, v), np.concatenate([mm, mm]))
@@ -1147,13 +1147,13 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
             else:
                 steps = _sign_matrix(depth - d)[1:] * np.array(vals[d:depth])[:, None]
                 window, near = _float_window(tkeys, cum, steps, ss, one)
-                tie = np.flatnonzero(near)
-                tie = tie[np.argsort(codes[tie])[:_MAX_TIE_RECORDS]]
-                if len(tie):
-                    tails = [_near_tails(tkeys, steps, end[tie]) for end in (-one - ss, one - ss)]
-                    for j, i in enumerate(tie):
-                        records = [("final", d, float(ss[i] + v)) for near_end in tails for v in near_end[j]]
-                        groups.append((int(codes[i]) << (n - 1 - d), d, 1, records))
+                # the near tails of a sum depend only on its value
+                sums, copies = np.unique(ss[near], return_counts=True)
+                if len(sums):
+                    tails = [_near_tails(tkeys, steps, end) for end in (-one - sums, one - sums)]
+                    for s, c, lo, hi in zip(sums, copies.tolist(), *tails):
+                        for v in (s + np.concatenate([lo, hi])).tolist():
+                            ties[d, "final", v] += c
                 reach = n - d
             # each query has 2^reach tails; an exact one stands for mm sign prefixes
             if window.min() < 0 or window.max() > 1 << reach:
@@ -1164,16 +1164,12 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     if prefixes:
         raise SoundnessError(f"sums settled at depths {sorted(prefixes)} were never counted")
 
-    # Tie records in the depth-first preorder of the sign tree, + branch
-    # first; a node's records are kept whole while the cap is not reached.
-    ties: list = []
-    for *_, records in sorted(groups, key=lambda g: g[:3]):
-        ties += records if len(ties) < _MAX_TIE_RECORDS else []
+    rows = tuple((kind, d, v, c) for (d, kind, v), c in sorted(ties.items())[:_MAX_TIE_RECORDS])
     ks = tuple(range(2, n + 1))
     ratio = lambda c: _probability(2 * c, 1 << n, w.mode)
     joints = tuple(ratio(joint_count[k]) for k in ks)
     conds = tuple((j / p if p else None) for p, j in zip(walk.probs, joints))
     return PartitionReport(
-        n, w.mode, ks, walk.probs, joints, conds, ratio(sum(joint_count)), tuple(ties),
+        n, w.mode, ks, walk.probs, joints, conds, ratio(sum(joint_count)), rows,
         replace(walk.stats, fallbacks=fallbacks),
     )

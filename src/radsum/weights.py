@@ -279,8 +279,14 @@ def parse_weights(text: str) -> WeightVector:
                     f"invalid input: bad squared-weight token {tok.strip()!r} "
                     "(expected a nonnegative rational like 9/25)"
                 )
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
+            try:
+                num = int(m.group(1))
+                den = int(m.group(2)) if m.group(2) else 1
+            except ValueError:  # past Python's int-to-string digit limit
+                raise InputError(
+                    f"invalid input: squared-weight token of {len(tok.strip())} characters "
+                    "has too many digits"
+                ) from None
             if den == 0:
                 raise InputError(f"invalid input: zero denominator in {tok.strip()!r}")
             squares.append(Fraction(num, den))

@@ -22,7 +22,6 @@ from radsum import (
     FLOAT,
     CaseTag,
     canonicalize,
-    case1_certificate,
     case_of,
     crossing_point,
     from_squares,
@@ -70,7 +69,7 @@ def test_criterion_02_case1_floor_93_256():
     for i in range(1000):
         n = int(rng.integers(2, 21))
         w = random_case1(rng, n)
-        cert = case1_certificate(w, exact_check=True)
+        cert = theorem_bound(w, exact_check=True)
         assert cert.final_bound >= CASE1_FLOOR, (i, w.values)
         assert cert.final_bound <= cert.sound_against, (i, w.values)
     assert CASE1_FLOOR == Fraction(93, 256)

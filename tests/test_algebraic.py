@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radsum.algebraic import SqrtSum, exact_sqrt, squarefree_decompose
+from radsum import algebraic
+from radsum.algebraic import SqrtSum, exact_sqrt, factorint, squarefree_decompose
 
 
 class TestSquarefreeDecompose:
@@ -43,6 +44,33 @@ class TestSquarefreeDecompose:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             squarefree_decompose(0)
+
+    def test_factors_a_13_digit_prime_within_the_budget(self):
+        n = 9439773459413196600373401704310476485109  # a random odd 40-digit number
+        assert factorint(n) == {521: 1, 2691191449643: 1, 6732544837345059049297703: 1}
+
+    def test_rho_steps_are_charged_by_size(self, monkeypatch):
+        # Under one budget, a 300-digit semiprime is refused after far fewer
+        # rho steps than a 40-digit one: each step on it costs ~10x more.
+        # Brent's rho takes one gcd per block of at most 128 steps.
+        def semiprime(digits):
+            p, q = 10 ** (digits // 2 - 1) + 1, 10 ** (digits // 2) + 1
+            while not algebraic._is_probable_prime(p):
+                p += 2
+            while not algebraic._is_probable_prime(q):
+                q += 2
+            return p * q
+
+        calls = []
+        monkeypatch.setattr(algebraic, "_RHO_BUDGET", 120_000)
+        monkeypatch.setattr(algebraic, "gcd", lambda a, b: calls.append(a) or math.gcd(a, b))
+        blocks = []
+        for digits in (40, 300):
+            calls.clear()
+            with pytest.raises(ValueError, match="effort budget"):
+                factorint(semiprime(digits))
+            blocks.append(len(calls))
+        assert blocks[1] * 10 < blocks[0], blocks
 
 
 class TestConstruction:

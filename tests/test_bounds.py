@@ -114,7 +114,7 @@ class TestCrossingAndMinmax:
 
 class TestCase1Certificate:
     def test_empty_tail(self):
-        cert = case1_certificate(canonicalize([3, 4], EXACT), exact_check=True)
+        cert = theorem_bound(canonicalize([3, 4], EXACT), exact_check=True)
         d = cert.intermediates
         assert (d.m2, d.m4, d.term2, d.term4) == (0, 0, 1, 1)
         assert cert.final_bound == Fraction(1, 2)
@@ -125,7 +125,7 @@ class TestCase1Certificate:
         # x = (4/5, 1/2, sqrt(11)/10): replicate the chain with literal
         # Fraction arithmetic and compare.
         w = from_squares([Fraction(16, 25), Fraction(1, 4), Fraction(11, 100)])
-        cert = case1_certificate(w, exact_check=True)
+        cert = theorem_bound(w, exact_check=True)
         m2 = Fraction(11, 100)
         m4 = m2 * m2
         term2 = 1 - m2 / Fraction(13, 10) ** 2
@@ -140,7 +140,7 @@ class TestCase1Certificate:
         for _ in range(60):
             n = int(rng.integers(2, 15))
             w = random_case1(rng, n)
-            cert = case1_certificate(w, exact_check=True)
+            cert = theorem_bound(w, exact_check=True)
             assert cert.final_bound >= CASE1_FLOOR
             assert cert.final_bound <= cert.sound_against
             assert cert.intermediates.term2 >= Fraction(1, 2)
@@ -153,7 +153,7 @@ class TestCase1Certificate:
 
 class TestCase2Certificate:
     def test_uniform_four_worked_example(self):
-        cert = case2_certificate(from_squares([Fraction(1, 4)] * 4), exact_check=True)
+        cert = theorem_bound(from_squares([Fraction(1, 4)] * 4), exact_check=True)
         per = {e.k: e.max_value for e in cert.intermediates.per_k}
         assert per == {2: Fraction(7, 18), 3: Fraction(4, 9)}
         assert cert.intermediates.argmin_k == 2
@@ -169,7 +169,7 @@ class TestCase2Certificate:
         for _ in range(60):
             n = int(rng.integers(2, 15))
             w = random_case2(rng, n)
-            cert = case2_certificate(w, exact_check=True)
+            cert = theorem_bound(w, exact_check=True)
             assert cert.final_bound >= CASE2_FLOOR
             assert cert.final_bound <= cert.sound_against
 
@@ -180,6 +180,12 @@ class TestCase2Certificate:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError, match="not case 2"):
             case2_certificate(canonicalize([3, 4], EXACT))
+
+    def test_exact_check_only_in_theorem_bound(self):
+        w = from_squares([Fraction(1, 4)] * 4)
+        for certificate in (case1_certificate, case2_certificate):
+            with pytest.raises(TypeError):
+                certificate(w, exact_check=True)
 
 
 def case_is(w):
@@ -435,7 +441,7 @@ class TestDecompositionCheck:
 
 class TestCertificateSerialization:
     def test_case1_json_fields(self):
-        cert = case1_certificate(canonicalize([3, 4], EXACT), exact_check=True)
+        cert = theorem_bound(canonicalize([3, 4], EXACT), exact_check=True)
         doc = cert.to_json_dict()
         assert doc["case"] == "case1"
         assert doc["final_bound"] == {"decimal": "0.5", "exact": "1/2"}
@@ -460,7 +466,7 @@ class TestCertificateSerialization:
             verify_certificate(bad)
 
     def test_verify_rejects_bound_above_exact(self):
-        cert = case1_certificate(canonicalize([3, 4], EXACT), exact_check=True)
+        cert = theorem_bound(canonicalize([3, 4], EXACT), exact_check=True)
         import dataclasses
 
         bad = dataclasses.replace(cert, final_bound=Fraction(99, 100))

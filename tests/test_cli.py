@@ -256,6 +256,12 @@ class TestMcAndSearch:
         assert (code, out) == (1, "")
         assert err == "radsum: error: invalid input: threshold '1e400' exceeds the float range\n"
 
+    def test_threshold_past_the_digit_limit_exit_1(self, capsys):
+        # 1/10^5000: Python refuses to print an integer of more than 4300 digits
+        code, out, err = run_cli(capsys, "exact", "sq:1,1", "--threshold=1e-5000", "--no-timestamp")
+        assert (code, out) == (1, "")
+        assert err == "radsum: error: invalid input: threshold '1e-5000' has too many digits to render\n"
+
     @pytest.mark.parametrize(
         "argv", [["exact", "0.6,0.6", "--strict"], ["mc", "0.6,0.8"]], ids=["exact-float", "mc"]
     )
@@ -355,6 +361,12 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(capsys, "exact", "sq:oops")
         assert code == 1
         assert "invalid input" in err
+
+    def test_squared_weight_past_the_digit_limit_exit_1(self, capsys):
+        # Python refuses to read an integer of more than 4300 digits
+        code, out, err = run_cli(capsys, "exact", "sq:1," + "9" * 5000, "--no-timestamp")
+        assert (code, out) == (1, "")
+        assert err == "radsum: error: invalid input: squared-weight token of 5000 characters has too many digits\n"
 
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "exact", "sq:1/2,1/2", "--frobnicate")

@@ -8,6 +8,7 @@ engine paths.
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,38 @@ def product_oracle(values, t, strict=False) -> Fraction:
         if (mag < t) if strict else (mag <= t):
             hits += 1
     return Fraction(hits, 2**n)
+
+
+def tie_row_oracle(x, tol=1e-12) -> tuple:
+    """The float partition's boundary-tie rows by a literal walk of the
+    sign tree (eps_1 = +1): prefix sums accumulated in index order, tail
+    sums from the end.  A prefix still undecided at depth d >= 2 with sum s
+    is a "prefix" tie when ``|(|s| - (1 - x_{d+1}))| <= tol``; a prefix
+    settled at d (crossed, or d = n - 1) has one "final" tie ``s + r`` per
+    distinct tail sum r of ``x[d:]`` within tol of ``-1 - s`` or ``1 - s``.
+    Rows ``(kind, d, value, count)`` sorted by depth, kind and value."""
+    n = len(x)
+    tails = {n: {0.0}}
+    for d in range(n - 1, 0, -1):
+        tails[d] = {r + sign * x[d] for r in tails[d + 1] for sign in (-1, 1)}
+    tails = {d: sorted(t) for d, t in tails.items()}
+    rows = Counter()
+
+    def visit(d, s):
+        b = 1.0 - x[d]
+        if d >= 2 and abs(abs(s) - b) <= tol:
+            rows[d, "prefix", s] += 1
+        if d < n - 1 and not (d >= 2 and abs(s) > b):
+            for sign in (-1, 1):
+                visit(d + 1, s + sign * x[d])
+            return
+        for end in (-1.0 - s, 1.0 - s):
+            near = tails[d][bisect_left(tails[d], end - tol) : bisect_right(tails[d], end + tol)]
+            for r in near:
+                rows[d, "final", s + r] += 1
+
+    visit(1, x[0])
+    return tuple((kind, d, v, c) for (d, kind, v), c in sorted(rows.items()))
 
 
 class TestSignPattern:
@@ -651,7 +684,32 @@ class TestPrefixPartition:
         # |s_3| in {1/2, 3/2} and the cutoff 1 - x_4 = 1/2 collide exactly.
         rep = prefix_partition(canonicalize([0.5] * 4, FLOAT))
         assert rep.boundary_ties
-        assert any(kind == "prefix" for kind, _, _ in rep.boundary_ties)
+        assert ("prefix", 3, 0.5, 1) in rep.boundary_ties
+
+    def test_boundary_tie_rows_match_oracle(self):
+        gen = np.random.default_rng(1616)
+        vectors = [canonicalize([1.0] * n, FLOAT) for n in range(4, 11)]
+        # the dyadic unit vectors with n <= 10: split a weight x into four x/2
+        vectors += [
+            canonicalize(raw, FLOAT)
+            for raw in ([4.0] * 4, [4.0] * 3 + [2.0] * 4, [4.0] * 2 + [2.0] * 8, [4.0] * 3 + [2.0] * 3 + [1.0] * 4)
+        ]
+        while len(vectors) < 131:
+            n = int(gen.integers(4, 11))
+            kind = len(vectors) % 3
+            if kind == 0:  # generic
+                raw = list(gen.uniform(0.3, 1.0, size=n))
+            else:  # small integers
+                raw = [float(v) for v in gen.integers(1, 3 + 2 * (kind == 2), size=n)]
+            w = canonicalize(raw, FLOAT)
+            if case_of(w) is CaseTag.CASE2:
+                vectors.append(w)
+        tied = 0
+        for w in vectors:
+            expected = tie_row_oracle(w.values)
+            assert prefix_partition(w).boundary_ties == expected, w.values
+            tied += bool(expected)
+        assert tied > 20  # the corpus holds tie-sensitive vectors
 
     def test_float_total_differs_only_with_boundary_ties(self):
         # Float prefix_partition adds prefix sums (from x_1) to tail sums
@@ -676,13 +734,15 @@ class TestPrefixPartition:
 
     @pytest.mark.parametrize("key, raw", [("0.5x4", [0.5] * 4), ("1x9", [1] * 9), ("1x16", [1] * 16)])
     def test_boundary_tie_records_pinned(self, key, raw):
-        # Recorded from the depth-first walk this enumerator replaced: the
-        # same records in its preorder (+ branch first), and for [1]*16 the
-        # 200-record cap binds.
+        # The rows of [0.5]*4 and [1]*9 merge the 5 and 83 tie records pinned
+        # when each record was listed on its own; [1]*16 has 5425 records,
+        # which that list cut to 200, in 27 rows.
         golden = json.loads((Path(__file__).parent / "data" / "partition_ties.json").read_text())
-        expected = tuple(tuple(record) for record in golden[key])
-        assert len(expected) == {"0.5x4": 5, "1x9": 83, "1x16": 200}[key]
-        assert prefix_partition(canonicalize(raw, FLOAT)).boundary_ties == expected
+        expected = tuple(tuple(row) for row in golden[key])
+        assert sum(row[3] for row in expected) == {"0.5x4": 5, "1x9": 83, "1x16": 5425}[key]
+        w = canonicalize(raw, FLOAT)
+        assert prefix_partition(w).boundary_ties == expected
+        assert tie_row_oracle(w.values) == expected
 
     def test_stats(self):
         # x = (1, 1, 1, 1)/2: depth 2 holds the sums {0, 2}; 2 crosses the
