@@ -34,7 +34,6 @@ from .engine import (
     DEFAULT_MITM_LIMIT,
     PartitionReport,
     PartitionStats,
-    SignPattern,
     SumDistribution,
     admissible_count,
     prefix_partition,
@@ -96,7 +95,6 @@ __all__ = [
     "PartitionStats",
     "RadsumError",
     "SearchResult",
-    "SignPattern",
     "SizeLimitError",
     "SoundnessError",
     "SqrtSum",

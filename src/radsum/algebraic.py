@@ -30,7 +30,7 @@ import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from numbers import Rational
 from typing import Optional, Union
 
@@ -43,18 +43,38 @@ ExactLike = Union[int, Fraction, "SqrtSum"]
 # far below any practical concern).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 _RHO_ROUNDS = 64
-# Rho effort of one factor search before giving up, in steps on a
-# word-sized n.  Finding a prime factor p takes ~p^(1/2) steps, so this
-# covers factors up to roughly 10^13 in a couple of seconds while
-# guaranteeing termination on adversarial radicands.  A step squares and
-# reduces numbers as long as n, so it is charged 1 + bits(n)^2/2^16: with
-# every step charged 1, a refusal took 5-7 s on 40-digit (133-bit) numbers,
-# about 1 us a step, and 58 s on a 300-digit one, 9.7 us a step.
+# Effort of one factorint call, shared by its rho searches and primality
+# tests, in rho steps on a word-sized n.  Finding a prime factor p takes
+# ~p^(1/2) steps, so this covers factors up to roughly 10^13 in a couple of
+# seconds while guaranteeing termination on adversarial radicands.  A step
+# on numbers as long as n is charged 1 + bits(n)^2/2^16 (charged 1, refusals
+# took 5-7 s at 40 digits and 58 s at 300), and a Miller-Rabin witness, one
+# modular power, bits(n) steps (measured at 1,000-10,000 bits).
 _RHO_BUDGET = 6_000_000
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
-def _is_probable_prime(n: int) -> bool:
+class _Budget:
+    """What one ``factorint`` call may still spend (see ``_RHO_BUDGET``)."""
+
+    def __init__(self):
+        self.left = _RHO_BUDGET
+
+    def spend(self, n: int, steps: int) -> None:
+        """Charge ``steps`` modular squarings of numbers as long as ``n``."""
+        self.left -= steps * (1 + n.bit_length() ** 2 // 65536)
+
+
+def _over_budget(n: int) -> ValueError:
+    return ValueError(
+        f"cannot factor a {n.bit_length()}-bit integer within the effort budget; "
+        "the radicand is too hard for exact arithmetic"
+    )
+
+
+def _is_probable_prime(n: int, budget: _Budget) -> bool:
+    """Miller-Rabin over ``_MR_BASES``.  Each witness is paid for from
+    ``budget`` before it runs, and one the budget cannot cover raises."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -68,6 +88,9 @@ def _is_probable_prime(n: int) -> bool:
     for a in _MR_BASES:
         if a % n == 0:
             continue
+        budget.spend(n, n.bit_length())
+        if budget.left < 0:
+            raise _over_budget(n)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -80,17 +103,16 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
+def _brent_rho(n: int, budget: _Budget) -> int:
     """One nontrivial factor of composite odd n (Brent's cycle variant,
-    deterministic parameter schedule, bounded total effort)."""
+    deterministic parameter schedule), spending from ``budget``: a block
+    of steps starts while some budget is left."""
     if n % 2 == 0:
         return 2
-    cost = 1 + n.bit_length() ** 2 // 65536
-    spent = 0
     for c in range(1, _RHO_ROUNDS):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
-        while g == 1 and spent < _RHO_BUDGET:
+        while g == 1 and budget.left > 0:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -102,7 +124,7 @@ def _brent_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 k += m
                 g = gcd(q, n)
-            spent += 2 * r * cost
+            budget.spend(n, 2 * r)
             r *= 2
         if g == n:
             g = 1
@@ -111,32 +133,29 @@ def _brent_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
-        if spent >= _RHO_BUDGET:
+        if budget.left <= 0:
             break
-    raise ValueError(
-        f"cannot factor a {n.bit_length()}-bit integer within the effort budget; "
-        "the radicand is too hard for exact arithmetic"
-    )
+    raise _over_budget(n)
 
 
-def _factor(n: int, out: dict[int, int]) -> None:
+def _factor(n: int, out: dict[int, int], budget: _Budget) -> None:
     if n == 1:
         return
-    if _is_probable_prime(n):
+    if _is_probable_prime(n, budget):
         out[n] = out.get(n, 0) + 1
         return
     r = isqrt(n)
     if r * r == n:
-        _factor(r, out)
-        _factor(r, out)
+        _factor(r, out, budget)
+        _factor(r, out, budget)
         return
-    d = _brent_rho(n)
-    _factor(d, out)
-    _factor(n // d, out)
+    d = _brent_rho(n, budget)
+    _factor(d, out, budget)
+    _factor(n // d, out, budget)
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}; ValueError past the effort budget."""
     if n < 1:
         raise ValueError(f"factorint requires n >= 1, got {n}")
     out: dict[int, int] = {}
@@ -144,7 +163,7 @@ def factorint(n: int) -> dict[int, int]:
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
-    _factor(n, out)
+    _factor(n, out, _Budget())
     return out
 
 
@@ -414,21 +433,20 @@ class SqrtSum:
 
     def _interval(self, prec: int) -> tuple[Fraction, Fraction]:
         """Rational ``(lo, hi)`` around the value from ``isqrt`` brackets of
-        each ``sqrt(d)`` at ``prec`` fractional bits."""
-        lo = Fraction(0)
-        hi = Fraction(0)
-        scale = 1 << prec
+        each ``sqrt(d)`` at ``prec`` fractional bits, summed as integers over
+        the common denominator of the coefficients."""
+        denom = lcm(*(c.denominator for c in self._terms.values()))
+        lo = hi = 0
         for d, c in self._terms.items():
-            root_lo = isqrt(d << (2 * prec))
-            term_lo = Fraction(root_lo, scale)
-            term_hi = Fraction(root_lo + 1, scale)
-            if c >= 0:
-                lo += c * term_lo
-                hi += c * term_hi
+            root = isqrt(d << (2 * prec))
+            a = c.numerator * (denom // c.denominator)
+            if a >= 0:
+                lo += a * root
+                hi += a * (root + 1)
             else:
-                lo += c * term_hi
-                hi += c * term_lo
-        return lo, hi
+                lo += a * (root + 1)
+                hi += a * root
+        return Fraction(lo, denom << prec), Fraction(hi, denom << prec)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import bounds, engine, explore
 from .errors import InputError, RadsumError, SizeLimitError, SoundnessError
-from .render import exact_str, render_number
+from .render import render_number
 from .weights import EXACT, FLOAT, WeightVector, canonicalize, parse_weights
 
 EXIT_OK = 0
@@ -180,11 +180,25 @@ def _weights_json(w: WeightVector) -> list:
     return [render_number(v, w.mode) for v in w.values]
 
 
-def _csv(header: list, rows) -> str:
+def _csv(rows: list, exact: bool) -> str:
+    """The JSON ``rows`` as CSV, one column per key: a rendered number gives
+    its decimal, followed by its exact string in a ``*_exact`` column when
+    ``exact``; a boolean is written as in JSON."""
+
+    def cells(row: dict):
+        for key, value in row.items():
+            if isinstance(value, dict):
+                yield key, value["decimal"]
+                if exact:
+                    yield f"{key}_exact", value["exact"]
+            else:
+                yield key, json.dumps(value) if isinstance(value, bool) else value
+
+    flat = [dict(cells(row)) for row in rows]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(flat[0])
+    writer.writerows(row.values() for row in flat)
     return buf.getvalue()
 
 
@@ -212,31 +226,17 @@ def _exact(cfg: RunConfig):
 def _distribution(cfg: RunConfig):
     w = _resolve_weights(cfg)
     dist = engine.sum_distribution(w, limit=cfg.full_limit)
-    probability = lambda c: engine._probability(c, dist.total, w.mode)
-    if cfg.fmt == "json":
-        result = {
-            "n": dist.n,
-            "weights": _weights_json(w),
-            "entries": [
-                {
-                    "value": render_number(v, w.mode),
-                    "count": c,
-                    "probability": render_number(probability(c), w.mode),
-                }
-                for v, c in dist.entries
-            ],
+    entries = [
+        {
+            "value": render_number(v, w.mode),
+            "count": c,
+            "probability": render_number(engine._probability(c, dist.total, w.mode), w.mode),
         }
-        return result, EXIT_OK, ""
-    if w.mode == EXACT:
-        header = ["value", "value_exact", "count", "probability", "probability_exact"]
-        rows = (
-            [repr(float(v)), exact_str(v), c, repr(float(p)), str(p)]
-            for (v, c), p in zip(dist.entries, map(probability, dist.counts.tolist()))
-        )
-    else:
-        header = ["value", "count", "probability"]
-        rows = ([repr(v), c, repr(probability(c))] for v, c in dist.entries)
-    return _csv(header, rows), EXIT_OK, ""
+        for v, c in dist.entries
+    ]
+    if cfg.fmt == "json":
+        return {"n": dist.n, "weights": _weights_json(w), "entries": entries}, EXIT_OK, ""
+    return _csv(entries, exact=w.mode == EXACT), EXIT_OK, ""
 
 
 def _partition(cfg: RunConfig):
@@ -324,6 +324,11 @@ def _lemmas(cfg: RunConfig):
     if not report.ok:
         code = EXIT_SOUNDNESS
         warn = "\n".join(f"lemma violation: {v}" for v in report.violations)
+    # every LemmaRow field in order; k and the flags (bools are ints) stay as they are
+    rows = [
+        {key: v if isinstance(v, int) else render_number(v, EXACT) for key, v in vars(r).items()}
+        for r in report.rows
+    ]
     if cfg.fmt == "json":
         result = {
             "k_max": report.k_max,
@@ -332,36 +337,10 @@ def _lemmas(cfg: RunConfig):
             "ok": report.ok,
             "minmax_nondecreasing": report.minmax_nondecreasing,
             "violations": list(report.violations),
-            "rows": [
-                {
-                    "k": r.k,
-                    "crossing_x": render_number(r.crossing_x, EXACT),
-                    "g_at_crossing": render_number(r.g_at_crossing, EXACT),
-                    "h_at_crossing": render_number(r.h_at_crossing, EXACT),
-                    "minmax": render_number(r.minmax, EXACT),
-                    "monotone_g_ok": r.monotone_g_ok,
-                    "monotone_h_ok": r.monotone_h_ok,
-                    "min_location_ok": r.min_location_ok,
-                }
-                for r in report.rows
-            ],
+            "rows": rows,
         }
         return result, code, warn
-    header = ["k", "crossing_x", "g_at_crossing", "h_at_crossing", "minmax",
-              "monotone_g_ok", "monotone_h_ok"]
-    rows = (
-        [
-            r.k,
-            repr(float(r.crossing_x)),
-            repr(float(r.g_at_crossing)),
-            repr(float(r.h_at_crossing)),
-            repr(float(r.minmax)),
-            str(r.monotone_g_ok).lower(),
-            str(r.monotone_h_ok).lower(),
-        ]
-        for r in report.rows
-    )
-    return _csv(header, rows), code, warn
+    return _csv(rows, exact=False), code, warn
 
 
 def _search(cfg: RunConfig):

@@ -12,10 +12,11 @@ Enumeration strategies:
   nonnegative left sum counts its window of the full right table with two
   binary searches, weighted by its pattern count, doubled for the mirror
   sum, whose window is the same.
-* ``threshold_probability_naive`` - plain 2^n sweep (Gray-code incremental);
-  kept as the independent oracle for the meet-in-the-middle path.
-* ``sum_distribution`` - the tail tables built from the end
-  (``_tail_distributions``), the last one mirrored.
+* ``threshold_probability_naive`` - plain 2^n sweep: one Gray-code walk of
+  the exact sums (scaled integers or ``SqrtSum`` values), kept as the
+  independent oracle for the meet-in-the-middle path.
+* ``sum_distribution`` - in exact mode the table the meet-in-the-middle
+  halves use (``_merged_sums``), over all the weights.
 * ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
   breadth-first frontier of numpy arrays: each depth tests all undecided
   prefix sums in one vector operation, sets the crossing ones aside as
@@ -88,43 +89,6 @@ _RAW_PREFIX = 8
 # _half_sums of 4 values took 8 us against 18-22 us (float and int64), of 8
 # values 24-26 us against 32-38 us; 6 rows made Python-int keys slower.
 _SIGN_ROWS = 4
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """One sign assignment eps in {-1,+1}^n packed as a bit mask: bit i set
-    means eps_i = +1."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n):
-            raise InputError(f"mask {self.mask} does not fit in {self.n} bits")
-
-    def sign(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise InputError(f"index {i} out of range for n={self.n}")
-        return 1 if (self.mask >> i) & 1 else -1
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(1 if (self.mask >> i) & 1 else -1 for i in range(self.n))
-
-    def signed_sum(self, values: Sequence):
-        """eps . values for this assignment (exact when values are exact)."""
-        if len(values) != self.n:
-            raise InputError(f"expected {self.n} values, got {len(values)}")
-        total = values[0] - values[0]  # typed zero
-        for i, v in enumerate(values):
-            total = total + v if (self.mask >> i) & 1 else total - v
-        return total
-
-    @classmethod
-    def all(cls, n: int):
-        """Iterate all 2^n patterns, each exactly once."""
-        for mask in range(1 << n):
-            yield cls(mask=mask, n=n)
 
 
 # -- threshold normalization ------------------------------------------------
@@ -670,35 +634,27 @@ def threshold_probability_naive(
         hits = int(np.count_nonzero(sums < t if strict else sums <= t))
         return hits / total
 
-    # Only rational weights take the integer walk: it compares with t
-    # directly, never through the square-root cut-off of the MITM path, so
-    # one-radicand weights are checked against radical arithmetic below.
+    # The walk compares with t directly, never through the square-root
+    # cut-off of the MITM path: rational weights as integers scaled by t's
+    # denominator against its numerator, every other weight as a SqrtSum.
     reduced = _common_radical(w.values) if isinstance(t, Fraction) else None
     if reduced is not None and reduced[2] == 1:
         ints, denom, _ = reduced
-        c = t.numerator * denom
-        td = t.denominator
-        signs = [1] * n
-        s = sum(ints)
-        hits = 0
-        for i in range(total):
-            if i:
-                j = (i & -i).bit_length() - 1
-                signs[j] = -signs[j]
-                s += 2 * signs[j] * ints[j]
-            v = s * td
-            if (-c < v < c) if strict else (-c <= v <= c):
-                hits += 1
-        return Fraction(hits, total)
-
-    # Radical weights take the plain pattern walk; this path only runs for
-    # small n, where re-summing per pattern is fine.
-    exact_vals = [SqrtSum.from_rational(v) for v in w.values]
+        vals = [a * t.denominator for a in ints]
+        t = t.numerator * denom
+    else:
+        vals = [SqrtSum.from_rational(v) for v in w.values]
+    twice = [2 * v for v in vals]
+    signs = [1] * n
+    s = sum(vals[1:], vals[0])
+    lo = -t
     hits = 0
-    for pattern in SignPattern.all(n):
-        s = pattern.signed_sum(exact_vals)
-        inside = (-t < s < t) if strict else (-t <= s <= t)
-        if inside:
+    for i in range(total):
+        if i:
+            j = (i & -i).bit_length() - 1
+            signs[j] = -signs[j]
+            s = s + twice[j] if signs[j] > 0 else s - twice[j]
+        if (lo < s < t) if strict else (lo <= s <= t):
             hits += 1
     return Fraction(hits, total)
 
@@ -732,7 +688,7 @@ def _search_order(keys, counts: np.ndarray):
 def _tail_distributions(vals: Sequence, dtype):
     """For k = len(vals)-1 down to 0: the nonnegative table (see
     ``_nonneg_step``) of the signed sums of ``vals[k:]``, accumulated from
-    the end."""
+    the end; the tail tables of ``prefix_partition``, one per depth."""
     keys, counts = _zero(dtype), np.ones(1, dtype=_count_dtype(len(vals)))
     for size, v in enumerate(reversed(vals), 1):
         keys, counts = _nonneg_step(keys, counts, v)
@@ -878,9 +834,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
         return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
 
     vals, dtype, _, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
-    for keys, counts in _tail_distributions(vals, dtype):
-        pass
-    keys, counts = _mirror(keys, counts)
+    keys, counts = _merged_sums(vals, dtype, _count_dtype(n))
     if isinstance(dtype, _Radical):
         keys, counts = _exact_order(keys, counts, dtype)
         return SumDistribution(keys.f, counts, n, EXACT, None, keys.c, dtype)

@@ -55,9 +55,9 @@ class TestSquarefreeDecompose:
         # Brent's rho takes one gcd per block of at most 128 steps.
         def semiprime(digits):
             p, q = 10 ** (digits // 2 - 1) + 1, 10 ** (digits // 2) + 1
-            while not algebraic._is_probable_prime(p):
+            while not algebraic._is_probable_prime(p, algebraic._Budget()):
                 p += 2
-            while not algebraic._is_probable_prime(q):
+            while not algebraic._is_probable_prime(q, algebraic._Budget()):
                 q += 2
             return p * q
 
@@ -71,6 +71,41 @@ class TestSquarefreeDecompose:
                 factorint(semiprime(digits))
             blocks.append(len(calls))
         assert blocks[1] * 10 < blocks[0], blocks
+
+    def test_one_budget_covers_every_rho_search(self, monkeypatch):
+        # Twelve primes just above 10^6 are peeled off by rho searches of
+        # under 5*10^3 units each.  They share one budget: 2*10^4 units
+        # cover any one search, but not all of them.
+        primes = []
+        p = 10**6 + 1
+        while len(primes) < 12:
+            if algebraic._is_probable_prime(p, algebraic._Budget()):
+                primes.append(p)
+            p += 2
+        n = math.prod(primes)
+        assert factorint(n) == {p: 1 for p in primes}
+        searches = []
+        real = algebraic._brent_rho
+        monkeypatch.setattr(algebraic, "_brent_rho", lambda *a: searches.append(a) or real(*a))
+        monkeypatch.setattr(algebraic, "_RHO_BUDGET", 20_000)
+        with pytest.raises(ValueError, match="effort budget"):
+            factorint(n)
+        assert len(searches) < 11, len(searches)
+
+    def test_primality_tests_are_charged_by_size(self, monkeypatch):
+        # A Miller-Rabin witness on the 1279-bit Mersenne prime costs about
+        # 1279 steps of 25 units each, so 10^5 units pay for 3 of the 17
+        # witnesses, and the fourth is refused before it runs.
+        m = 2**1279 - 1
+        powers = []
+        monkeypatch.setattr(algebraic, "pow", lambda *a: powers.append(a) or pow(*a), raising=False)
+        assert factorint(m) == {m: 1}
+        assert len(powers) == len(algebraic._MR_BASES)
+        powers.clear()
+        monkeypatch.setattr(algebraic, "_RHO_BUDGET", 100_000)
+        with pytest.raises(ValueError, match="effort budget"):
+            factorint(m)
+        assert len(powers) == 3, len(powers)
 
 
 class TestConstruction:

@@ -190,7 +190,7 @@ class TestDistributionAndLemmas:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "k,crossing_x,g_at_crossing,h_at_crossing,minmax,monotone_g_ok,monotone_h_ok"
+        assert lines[0] == "k,crossing_x,g_at_crossing,h_at_crossing,minmax,monotone_g_ok,monotone_h_ok,min_location_ok"
         assert len(lines) == 5
         first = lines[1].split(",")
         assert first[0] == "2" and first[4] == "0.36" and first[5] == "true"
@@ -218,6 +218,25 @@ class TestDistributionAndLemmas:
         )
         assert code == 3
         assert "lemma violation" in err
+
+    def test_failed_min_location_shows_in_csv(self, capsys, monkeypatch):
+        import radsum.explore as explore_mod
+
+        real = explore_mod._certify_k
+
+        def rigged(k, cp, violations):
+            g_ok, h_ok, min_ok = real(k, cp, violations)
+            if k == 3:
+                violations.append("k=3: min of max(g, h) is not at the crossing")
+                min_ok = False
+            return g_ok, h_ok, min_ok
+
+        monkeypatch.setattr(explore_mod, "_certify_k", rigged)
+        code, out, err = run_cli(
+            capsys, "lemmas", "--k-max", "4", "--grid-points", "51", "--no-timestamp"
+        )
+        assert code == 3
+        assert [line.rsplit(",", 1)[1] for line in out.splitlines()] == ["min_location_ok", "true", "false", "true"]
 
 
 class TestMcAndSearch:

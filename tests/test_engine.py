@@ -25,7 +25,6 @@ from radsum import (
     CaseTag,
     InputError,
     PartitionStats,
-    SignPattern,
     SizeLimitError,
     WrongCaseError,
     canonicalize,
@@ -81,29 +80,6 @@ def tie_row_oracle(x, tol=1e-12) -> tuple:
 
     visit(1, x[0])
     return tuple((kind, d, v, c) for (d, kind, v), c in sorted(rows.items()))
-
-
-class TestSignPattern:
-    def test_iteration_covers_each_exactly_once(self):
-        pats = list(SignPattern.all(5))
-        assert len(pats) == 32
-        assert len({p.mask for p in pats}) == 32
-        assert all(p.n == 5 for p in pats)
-
-    def test_bit_convention(self):
-        p = SignPattern(mask=0b011, n=3)
-        assert p.signs == (1, 1, -1)
-        assert p.sign(0) == 1 and p.sign(2) == -1
-
-    def test_signed_sum_exact(self):
-        p = SignPattern(mask=0b01, n=2)
-        assert p.signed_sum([Fraction(4, 5), Fraction(3, 5)]) == Fraction(1, 5)
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            SignPattern(mask=4, n=2)
-        with pytest.raises(InputError):
-            SignPattern(mask=0, n=2).sign(2)
 
 
 class TestThresholdExamples:
@@ -425,8 +401,9 @@ class TestNonnegativeTables:
         w = canonicalize([1.0] * 20, FLOAT)
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(w, 1.0, limit=20)
+        # the first _RAW_PREFIX (8) weights take no step
         with pytest.raises(SoundnessError, match="mass"):
-            sum_distribution(canonicalize([3, 1, 2], EXACT))
+            sum_distribution(canonicalize([3, 1, 2, 5, 4, 1, 2, 6, 3], EXACT))
 
 
 class TestThresholdProperties:
@@ -915,9 +892,7 @@ class TestSharedRadicandReduction:
                 w = rational_unit_vector(rng, n)
             else:
                 w = one_radicand_vector(rng, n)
-            ts = [Fraction(1)]
-            if n < 14:  # the radical naive walk takes about a second at n = 14
-                ts += [Fraction(0), Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 17)))]
+            ts = [Fraction(1), Fraction(0), Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 17)))]
             if kind == "rational":
                 # an achieved |sum| makes the boundary a tie
                 dist = sum_distribution(w)
@@ -1077,8 +1052,7 @@ class TestMultiRadicand:
     def test_matches_naive(self, squares):
         w = from_squares(squares)
         dist = sum_distribution(w)
-        ts = self._thresholds(w)
-        for t in ts if w.n <= 10 else ts[1:3]:  # the naive radical walk is slow at n = 12
+        for t in self._thresholds(w):
             for strict in (False, True):
                 p = threshold_probability(w, t, strict)
                 assert p == threshold_probability_naive(w, t, strict), (t, strict)
