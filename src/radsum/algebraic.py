@@ -30,7 +30,7 @@ import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, sqrt
+from math import floor, gcd, isqrt, lcm, sqrt
 from numbers import Rational
 from typing import Optional, Union
 
@@ -394,14 +394,8 @@ class SqrtSum:
             approx, err = estimate
             if abs(approx) > err:
                 return 1 if approx > 0 else -1
-        prec = 64
-        while True:
-            lo, hi = self._interval(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
+        lo, _, _ = next(b for b in self._intervals() if b[0] > 0 or b[1] < 0)
+        return 1 if lo > 0 else -1
 
     def _float_estimate(self) -> Optional[tuple[float, float]]:
         """``(approx, err)``: the float sum of the terms and a bound on its
@@ -431,22 +425,27 @@ class SqrtSum:
             return None
         return approx, (len(self._terms) + 4) * 2.0**-52 * size
 
-    def _interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational ``(lo, hi)`` around the value from ``isqrt`` brackets of
-        each ``sqrt(d)`` at ``prec`` fractional bits, summed as integers over
-        the common denominator of the coefficients."""
+    def _intervals(self):
+        """Integers ``(lo, hi, scale)`` with ``lo/scale <= value <=
+        hi/scale`` at 64, 128, 256, ... fractional bits: ``isqrt`` brackets
+        of each ``sqrt(d)`` summed over the common denominator of the
+        coefficients.  The one refinement loop of ``sign``, ``__float__``
+        and ``__floor__``."""
         denom = lcm(*(c.denominator for c in self._terms.values()))
-        lo = hi = 0
-        for d, c in self._terms.items():
-            root = isqrt(d << (2 * prec))
-            a = c.numerator * (denom // c.denominator)
-            if a >= 0:
-                lo += a * root
-                hi += a * (root + 1)
-            else:
-                lo += a * (root + 1)
-                hi += a * root
-        return Fraction(lo, denom << prec), Fraction(hi, denom << prec)
+        prec = 64
+        while True:
+            lo = hi = 0
+            for d, c in self._terms.items():
+                root = isqrt(d << (2 * prec))
+                a = c.numerator * (denom // c.denominator)
+                if a >= 0:
+                    lo += a * root
+                    hi += a * (root + 1)
+                else:
+                    lo += a * (root + 1)
+                    hi += a * root
+            yield lo, hi, denom << prec
+            prec *= 2
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -498,19 +497,24 @@ class SqrtSum:
         refine the ``isqrt`` interval until its relative width is below
         2^-60 and round its midpoint.
         """
-        if not self._terms:
-            return 0.0
-        estimate = self._float_estimate()
+        estimate = self._float_estimate()  # the empty sum's is (0.0, 0.0)
         if estimate is not None:
             approx, err = estimate
             if err <= 2.0**-48 * abs(approx):
                 return approx
-        prec = 64
-        while True:
-            lo, hi = self._interval(prec)
-            if (lo > 0 or hi < 0) and hi - lo < min(abs(lo), abs(hi)) / (1 << 60):
-                return float((lo + hi) / 2)
-            prec *= 2
+        lo, hi, scale = next(
+            (lo, hi, s) for lo, hi, s in self._intervals()
+            if (lo > 0 or hi < 0) and (hi - lo) << 60 < min(abs(lo), abs(hi))
+        )
+        return (lo + hi) / (2 * scale)  # correctly rounded, as float(Fraction) is
+
+    def __floor__(self) -> int:
+        """The largest integer <= the value (``math.floor``): a rational
+        value's own floor, else the floor both ends of a refined interval
+        share, as they do once it is narrow: an irrational is no integer."""
+        if self.is_rational:
+            return floor(self.as_fraction())
+        return next(lo // s for lo, hi, s in self._intervals() if lo // s == hi // s)
 
     def __str__(self) -> str:
         if not self._terms:

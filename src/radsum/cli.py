@@ -33,6 +33,14 @@ EXIT_INPUT = 1
 EXIT_SIZE = 2
 EXIT_SOUNDNESS = 3
 
+# The size-limit flag of each subcommand that enumerates, the one limit its
+# handler reads, and the help of each flag.
+_LIMIT_FLAGS = {
+    **dict.fromkeys(["exact", "certify", "decomp-check", "search"], "--mitm-limit"),
+    **dict.fromkeys(["distribution", "partition", "hybrid"], "--full-limit"),
+}
+_LIMIT_HELP = {"--mitm-limit": "meet-in-the-middle size limit", "--full-limit": "full-enumeration size limit"}
+
 _GRAMMAR_HELP = (
     "weight vector: decimal list '0.8,0.6' (float mode) or squared rationals "
     "'sq:16/25,9/25' meaning x=(4/5,3/5) (exact mode; tokens are x_i^2, "
@@ -90,37 +98,35 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="radsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="|".join(SUBCOMMANDS))
 
-    def add(name, summary, *, weights=True, limit=None):
+    def add(name, summary, *, weights=True):
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if weights:
             p.add_argument("weights", help=_GRAMMAR_HELP)
             p.add_argument("--mode", choices=(EXACT, FLOAT),
                            help="override the numeric mode implied by the grammar")
-        if limit == "full":
-            p.add_argument("--full-limit", type=int, help="full-enumeration size limit")
-        elif limit == "mitm":
-            p.add_argument("--mitm-limit", type=int, help="meet-in-the-middle size limit")
+        if name in _LIMIT_FLAGS:
+            p.add_argument(_LIMIT_FLAGS[name], type=int, help=_LIMIT_HELP[_LIMIT_FLAGS[name]])
         p.add_argument("-o", "--output", help="write to file instead of stdout")
         p.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                        help="suppress the timestamp field for diff-able output")
         return p
 
-    p = add("exact", "exact threshold probability Pr(|eps.x| <= t)", limit="mitm")
+    p = add("exact", "exact threshold probability Pr(|eps.x| <= t)")
     p.add_argument("-t", "--threshold", dest="t", metavar="THRESHOLD",
                    help="threshold t (rational in exact mode)")
     p.add_argument("--strict", action="store_true", help="strict inequality Pr(|eps.x| < t)")
 
-    p = add("distribution", "full distribution of eps.x", limit="full")
+    p = add("distribution", "full distribution of eps.x")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    add("partition", "Case-2 stopping-time event partition", limit="full")
+    add("partition", "Case-2 stopping-time event partition")
 
-    p = add("certify", "theorem certificate for the instance", limit="mitm")
+    p = add("certify", "theorem certificate for the instance")
     p.add_argument("--exact-check", action="store_true",
                    help="attach and verify the exact probability")
 
-    add("hybrid", "partition-refined Case-2 lower bound", limit="full")
-    add("decomp-check", "verify the Case-1 chain exactly", limit="mitm")
+    add("hybrid", "partition-refined Case-2 lower bound")
+    add("decomp-check", "verify the Case-1 chain exactly")
 
     p = add("mc", "Monte Carlo estimate with Wilson interval")
     p.add_argument("-t", "--threshold", dest="t", metavar="THRESHOLD")
@@ -136,7 +142,7 @@ def build_parser() -> _Parser:
                         "cross-check on --grid-points points")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    p = add("search", "search for low-probability weight vectors", weights=False, limit="mitm")
+    p = add("search", "search for low-probability weight vectors", weights=False)
     p.add_argument("--n", type=int, required=True, help="dimension, 2..meet-in-the-middle limit")
     p.add_argument("--budget", type=int, help="objective evaluations")
     p.add_argument("--seed", type=int)
@@ -410,9 +416,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
         code, text, warn = execute(cfg)
-    except InputError as exc:
-        print(f"radsum: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SizeLimitError as exc:
         print(f"radsum: error: {exc}", file=sys.stderr)
         return EXIT_SIZE
@@ -422,6 +425,12 @@ def main(argv=None) -> int:
     except RadsumError as exc:
         print(f"radsum: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:  # a raised size limit can admit tables no machine holds
+        flag = _LIMIT_FLAGS.get(cfg.subcommand)
+        n = cfg.n if cfg.weights is None else parse_weights(cfg.weights).n
+        hint = f" at n={n}; lower {flag}" if flag else ""
+        print(f"radsum: error: out of memory{hint}", file=sys.stderr)
+        return EXIT_SIZE
     if warn:
         print(warn, file=sys.stderr)
     if cfg.output:

@@ -35,15 +35,16 @@ Enumeration strategies:
   sums that land in a window form one interval of the table at D, and
   counts and tie records are exactly those of the table at d.
 
-Numeric behavior: in exact mode every comparison is tie-exact, and one key
-setup and one pair counter serve every key type.  When all weights share
-one radicand - ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``, ``D = 1`` for
-rational weights - every signed sum is ``s*sqrt(D)/L`` for an integer ``s``
-(int64 keys, Python ints past 2^62), and ``|s|*sqrt(D)/L <= t`` becomes
-``|s| <= c`` with an integer cut-off ``c`` from ``isqrt``, also for ``t = r
-+ q*sqrt(D)``.  Other exact input - weights over several radicands, or a
-threshold not of that form - takes radical keys: a float64 approximation of
-each signed sum, within one proven bound per vector, paired with an exact
+Numeric behavior: in exact mode every comparison is tie-exact.  The key
+type depends on the weights alone, and one key setup and one window
+function serve every key type.  When all weights share one radicand -
+``x_i = a_i*sqrt(D)/L`` with integers ``a_i``, ``D = 1`` for rational
+weights - every signed sum is ``s*sqrt(D)/L`` for an integer ``s`` (int64
+keys, Python ints past 2^62), and for any exact threshold ``|s|*sqrt(D)/L
+<= t`` becomes ``|s| <= c`` with the integer cut-off ``c =
+floor(t*L/sqrt(D))``, an exact ``SqrtSum`` floor.  Only weights over
+several radicands take radical keys: a float64 approximation of each
+signed sum, within one proven bound per vector, paired with an exact
 integer code.  Square roots of distinct squarefree integers are linearly
 independent over Q, so equal codes are equal sums: keys merge by code and
 are searched by float, and a key whose float lies within the bound of a
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -69,7 +69,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebraic import SqrtSum, exact_sqrt
+from .algebraic import SqrtSum
 from .errors import InputError, SizeLimitError, SoundnessError, WrongCaseError, _check_int
 from .weights import CaseTag, EXACT, FLOAT, Value, WeightVector, case_of
 
@@ -188,27 +188,15 @@ def _common_radical(values: Sequence[Value]) -> Optional[tuple[list[int], int, i
     return [c.numerator * (denom // c.denominator) for c in coeffs], denom, radicand or 1
 
 
-def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> Optional[int]:
+def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> int:
     """The largest ``c`` with ``|s|*sqrt(radicand)/denom <= t`` (``< t`` when
-    strict) iff ``|s| <= c``, for integers ``s``; -1 when no ``s`` qualifies,
-    None unless ``t = r + q*sqrt(radicand)`` with rationals ``r >= 0, q``.
-
-    Over a common denominator ``m`` of ``r, q`` the bound on ``|s|`` is ``y =
-    (a + b/sqrt(radicand))/m`` for integers ``a`` and ``b >= 0``, so ``floor(y)
-    = (a + isqrt(b^2 // radicand)) // m``, one less when strict and ``y`` is
-    an integer.
-    """
-    terms = t.terms if isinstance(t, SqrtSum) else {1: t}
-    r = Fraction(terms.get(1, 0))
-    q = Fraction(terms.get(radicand, 0)) if radicand != 1 else Fraction(0)
-    if not terms.keys() <= {1, radicand} or r < 0:
-        return None
-    m = math.lcm(r.denominator, q.denominator)
-    a = q.numerator * (m // q.denominator) * denom
-    b = r.numerator * (m // r.denominator) * denom
-    root = math.isqrt(b * b // radicand)
-    c, rem = divmod(a + root, m)
-    return c - 1 if strict and not rem and root * root * radicand == b * b else c
+    strict) iff ``|s| <= c``, for integers ``s`` and any exact ``t >= 0``:
+    ``floor(y)`` for ``y = t*denom/sqrt(radicand)``, an exact ``SqrtSum``
+    floor, one less when strict and ``y`` is an integer; -1 when no ``s``
+    qualifies (strict, ``t == 0``)."""
+    y = SqrtSum.from_rational(t) * SqrtSum({radicand: Fraction(denom, radicand)})
+    c = math.floor(y)
+    return c - 1 if strict and y == c else c
 
 
 # -- radical keys --------------------------------------------------------------
@@ -245,10 +233,10 @@ def _band_width(size: float, err: float, n: int) -> float:
     weights can stray from the exact one.
 
     The weights' floats ``f_i`` are within ``e_i`` of the exact weights
-    (``SqrtSum._float_estimate``), and a threshold's float ``t~`` within
-    ``e_t``; ``size`` is ``F = sum|f_i|`` plus ``|t~|`` (when there is a
-    threshold) and ``err`` is ``sum e_i`` plus ``e_t``.  With ``u = 2^-53``
-    and ``T = |t~|``:
+    (``SqrtSum._float_estimate``), and a threshold's float ``t~ = float(t)``
+    within ``e_t = 2^-48*|t~|``; ``size`` is ``F = sum|f_i|`` plus ``|t~|``
+    (when there is a threshold) and ``err`` is ``sum e_i`` plus ``e_t``.
+    With ``u = 2^-53`` and ``T = |t~|``:
 
     * A key over k <= n weights is a chain of k - 1 correctly rounded
       additions of the ``+-f_i``, starting from an exact 0, so it is within
@@ -267,17 +255,12 @@ def _band_width(size: float, err: float, n: int) -> float:
     factor 2 of slack too, which absorbs ``u*E`` and the rounding of this
     evaluation itself (fewer than n + 8 operations, each off by at most
     ``u`` relative).  With ``T = 0, e_t = 0`` it bounds a single key's
-    distance from its sum.  Overflow is excluded: ``_float_estimate``
-    proves nothing for sizes past 1e290 and the caller then uses an
-    infinite ``err``, which sends every decision to the exact fallback.
+    distance from its sum.  Overflow and underflow are excluded: a weight
+    whose ``_float_estimate`` proves nothing (sizes outside ``(1e-290,
+    1e290)``), or a nonzero ``t~`` outside that range, gets an infinite
+    ``err``, which sends every decision to the exact fallback.
     """
     return err + (n + 4) * 2.0**-52 * size
-
-
-def _float_bound(v: SqrtSum) -> tuple[float, float]:
-    """``(approx, err)`` for ``v``; ``(0.0, inf)`` where no bound is proven."""
-    estimate = v._float_estimate()
-    return estimate if estimate is not None else (0.0, math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,10 +305,16 @@ class _Radical:
         return _band_width(self.size, self.err, len(self.values))
 
     def band(self, t) -> tuple[float, float]:
-        """``(t~, E)``: the float of the threshold ``t`` and the half-width of
-        the band around a boundary at ``+-t~``."""
-        tf, terr = _float_bound(SqrtSum.from_rational(t))
-        return tf, _band_width(self.size + abs(tf), self.err + terr, len(self.values))
+        """``(t~, E)``: ``t~ = float(t)``, within ``2^-48*t~`` of the
+        threshold even where its terms cancel, and the half-width of the band
+        around a boundary at ``+-t~``."""
+        try:
+            tf = float(t)
+        except OverflowError:
+            tf = math.inf
+        if t and not 1e-290 < tf < 1e290:
+            return 0.0, math.inf  # nothing proven: every decision is exact
+        return tf, _band_width(self.size + tf, self.err + 2.0**-48 * tf, len(self.values))
 
     def value(self, code: int, spread: int) -> SqrtSum:
         """The exact sum with ``code`` over weights whose kappas add up to
@@ -354,7 +343,7 @@ def _radical_keys(values: Sequence[Value]) -> tuple[list[_Keys], _Radical]:
         places.append(places[-1] * (sum(map(abs, col)) // g + 1))
     sigma = [sum(col[i] // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
     kappa = [sum(abs(col[i]) // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
-    floats = [_float_bound(v) for v in exact]
+    floats = [v._float_estimate() or (0.0, math.inf) for v in exact]  # inf: nothing proven
     radical = _Radical(
         tuple(exact), tuple(radicands), tuple(denoms), tuple(steps), tuple(places),
         tuple(itertools.accumulate(kappa, initial=0)),
@@ -369,21 +358,20 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     ``dtype`` and that key type's name, ``(L, D)`` when a key ``a`` stands
     for ``a*sqrt(D)/L``, and the test ``|s| <= t`` (``< t`` when strict) on
     signed sums of the keys.  Exact values over one radicand take integer
-    keys and the cut-off ``c`` clamped to ``sum|a_i|``, which bounds every
-    partial sum, so sums and window ends fit int64 while ``sum|a_i| + c <
-    2^62``; other exact input takes radical keys, whose ``dtype`` is their
-    ``_Radical`` basis.
-    """
+    keys, whatever the threshold, and the cut-off ``c`` of ``_int_cutoff``
+    clamped to ``sum|a_i|``, which bounds every partial sum, so sums and
+    window ends fit int64 while ``sum|a_i| + c < 2^62``.  Only weights over
+    several radicands take radical keys, whose ``dtype`` is their
+    ``_Radical`` basis."""
     if mode == FLOAT:
         return [float(v) for v in values], np.float64, "float64", None, t, strict
     reduced = _common_radical(values)
-    cutoff = None if reduced is None else _int_cutoff(t, *reduced[1:], strict)
-    if cutoff is None:
+    if reduced is None:
         keys, radical = _radical_keys(values)
         return keys, radical, "radical", None, t, strict
     ints, denom, radicand = reduced
     bound = sum(abs(a) for a in ints)
-    cutoff = min(cutoff, bound)
+    cutoff = min(_int_cutoff(t, denom, radicand, strict), bound)
     dtype = np.int64 if bound + cutoff < 1 << 62 else object
     return ints, dtype, np.dtype(dtype).name, (denom, radicand), cutoff, False
 
@@ -545,22 +533,12 @@ def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
     distinct ``l`` of ``count(l) * window(right, l)``.  Only the ``l >= 0``
     are searched, and each ``l > 0`` counts for ``-l`` too: the right sums
     are symmetric and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window
-    of ``l``.  Float windows are refined so that each pair is tested as
-    ``fl(l + r)``."""
+    of ``l``."""
     count_dtype = _count_dtype(len(values))
     lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
     rkeys, rcounts = _search_order(*_merged_sums(values[split:], dtype, count_dtype))
     cum = np.concatenate([[0], np.cumsum(rcounts)])
-    if dtype is np.float64:
-        image = lambda u: lkeys + u
-        hi = _refine_prefix_len(rkeys, image, t, t - lkeys, inclusive=not strict)
-        lo = _refine_prefix_len(rkeys, image, -t, -t - lkeys, inclusive=strict)
-        window = cum[hi] - cum[lo]
-    elif isinstance(dtype, _Radical):
-        window, _ = _band_window(rkeys, cum, lkeys, t, strict, dtype, dtype.spread)
-    else:
-        window = _window_count(rkeys, cum, -t - lkeys, t - lkeys, strict)
-    # an empty window (strict t == 0, cut-off -1) has lo > hi
+    window, _ = _window(rkeys, cum, lkeys, t, strict, dtype)
     hits = lcounts * np.maximum(window, 0)
     return 2 * int(hits.sum()) - _has_zero(lkeys) * int(hits[0])
 
@@ -696,12 +674,24 @@ def _tail_distributions(vals: Sequence, dtype):
         yield keys, counts
 
 
-def _window_count(keys: np.ndarray, cum: np.ndarray, lo, hi, strict: bool = False):
-    """Patterns whose sum lies in ``[lo, hi]`` (``(lo, hi)`` when strict),
-    elementwise for arrays ``lo`` and ``hi``."""
-    i = np.searchsorted(keys, hi, side="left" if strict else "right")
-    j = np.searchsorted(keys, lo, side="right" if strict else "left")
-    return cum[i] - cum[j]
+def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype, spread=None):
+    """``(window, fallbacks)``: per query sum ``q``, the patterns of the
+    searched ``keys`` (cumulative counts ``cum``) whose sums ``r`` have ``|q
+    + r| <= t`` (``< t`` when strict), and how many keys were decided
+    exactly: by ``_band_window`` for radical keys (``spread`` defaults to all
+    the weights' kappa sum), by searches refined to test ``fl(q + r)`` for
+    float keys, by plain ``searchsorted`` for exact integer keys.  An empty
+    window (integer cut-off -1) can come out negative."""
+    if isinstance(dtype, _Radical):
+        return _band_window(keys, cum, query, t, strict, dtype, dtype.spread if spread is None else spread)
+    if dtype is np.float64:
+        image = lambda u: query + u
+        hi = _refine_prefix_len(keys, image, t, t - query, inclusive=not strict)
+        lo = _refine_prefix_len(keys, image, -t, -t - query, inclusive=strict)
+    else:
+        hi = np.searchsorted(keys, t - query, side="left" if strict else "right")
+        lo = np.searchsorted(keys, -t - query, side="right" if strict else "left")
+    return cum[hi] - cum[lo], 0
 
 
 def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, radical: _Radical, spread: int):
@@ -794,26 +784,17 @@ class SumDistribution:
         return tuple(zip(values, self.counts.tolist()))
 
     def probability(self, t, strict: bool = False):
-        """Pr(|value| <= t) (or <) from binary searches into the table; used
-        to cross-check the counting engines."""
+        """Pr(|value| <= t) (or <): the window of the empty sum into the
+        table; used to cross-check the counting engines."""
         t = _normalize_threshold(t, self.mode)
-        keys = self.values
-        cum = np.concatenate([[0], np.cumsum(self.counts)])
+        keys, dtype = self.values, self.values.dtype.type
         if self.radical is not None:
-            keys = _Keys(keys, self.codes)
-            window, _ = _band_window(keys, cum, _zero(self.radical), t, strict, self.radical, self.radical.spread)
-            return _probability(int(window[0]), self.total, self.mode)
-        cutoff = _int_cutoff(t, *self.scale, strict) if self.scale else None
-        if self.scale and cutoff is None:
-            # t is not over the keys' radicand: bisect them by exact value
-            denom, rad = self.scale
-            value = lambda s: exact_sqrt(rad) * Fraction(int(s), denom)
-            i = (bisect_left if strict else bisect_right)(keys, t, key=value)
-            cutoff = int(keys[i - 1]) if i else -1
-        if cutoff is not None:  # |s| <= cutoff, clamped into int64
-            t, strict = min(cutoff, int(keys[-1])), False
-        hits = max(int(_window_count(keys, cum, -t, t, strict)), 0)
-        return _probability(hits, self.total, self.mode)
+            keys, dtype = _Keys(keys, self.codes), self.radical
+        elif self.scale:  # |s| <= cut-off, clamped into the keys' range
+            t, strict = min(_int_cutoff(t, *self.scale, strict), int(keys[-1])), False
+        cum = np.concatenate([[0], np.cumsum(self.counts)])
+        window, _ = _window(keys, cum, _zero(dtype), t, strict, dtype)
+        return _probability(max(int(window[0]), 0), self.total, self.mode)
 
 
 def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDistribution:
@@ -1011,7 +992,7 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
         cross = np.zeros(len(s), dtype=bool)
         if depth >= 2 and radical:  # |s| > b iff the empty tail is outside its window
             b = one - radical.values[depth]
-            inside, decided = _band_window(_zero(dtype), np.arange(2), s, b, False, radical, radical.spreads[depth])
+            inside, decided = _window(_zero(dtype), np.arange(2), s, b, False, dtype, radical.spreads[depth])
             cross, fallbacks = inside == 0, fallbacks + decided
         elif depth >= 2:
             b = one - vals[depth]
@@ -1073,7 +1054,6 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     walk = _walk(w, limit)
     n, exact, one, prefixes = w.n, w.mode == EXACT, walk.one, walk.prefixes
     vals, dtype, ties, fallbacks = walk.vals, walk.dtype, walk.ties, walk.stats.fallbacks
-    radical = dtype if isinstance(dtype, _Radical) else None
     k_min = 1 if n == 2 else 2
     joint_count = [0] * (n + 1)
 
@@ -1092,11 +1072,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
                     ss, mm = _merge_equal(_extend(ss, v), np.concatenate([mm, mm]))
                 # only depth n - 1 settles uncrossed sums, and it is never deferred
                 crossed = np.ones(len(ss), dtype=bool) if d < depth else crossed
-                if radical:
-                    window, decided = _band_window(tkeys, cum, ss, one, False, radical, radical.spread)
-                    fallbacks += decided
-                else:
-                    window = _window_count(tkeys, cum, -one - ss, one - ss)
+                window, decided = _window(tkeys, cum, ss, one, False, dtype)
+                fallbacks += decided
                 reach = n - depth
             else:
                 steps = _sign_matrix(depth - d)[1:] * np.array(vals[d:depth])[:, None]

@@ -1,5 +1,6 @@
 """Exact radical arithmetic: representation, field ops, ordering."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -442,6 +443,48 @@ def ordering_pairs(draw):
     scale = Fraction(10) ** draw(st.sampled_from([0, 0, 300, -300]))
     scale *= draw(st.sampled_from([1, -1, Fraction(1, 3)]))
     return a * scale, b * scale
+
+
+class TestFloor:
+    """``math.floor`` of a SqrtSum is exact: rational values, one-term sums
+    and cancelling sums, against a high-precision ``isqrt`` interval."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 3, 5, 6, 7, 10, 2**61 - 1]),
+                st.one_of(
+                    st.integers(-(10**6), 10**6),
+                    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+                ),
+            ),
+            max_size=5,
+        ),
+        st.sampled_from([None, 0, 5, 20, 40]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_high_precision_interval(self, terms, digits):
+        v = build(terms)
+        if digits is not None:
+            # minus a `digits`-place approximation: a value far below its terms
+            v = v - rounded(decimal_value(v), digits)
+        f = math.floor(v)
+        assert type(f) is int
+        lo, hi, scale = next(itertools.islice(v._intervals(), 5, None))  # 2048 bits
+        assert lo // scale <= f <= hi // scale
+        if v.is_rational:
+            assert f == math.floor(v.as_fraction())
+        else:
+            assert lo // scale == hi // scale
+        assert (v - f).sign() >= 0 > (v - (f + 1)).sign()
+
+    def test_single_terms_and_integers(self):
+        for v, f in [
+            (exact_sqrt(2), 1), (-exact_sqrt(2), -2), (Fraction(7, 3) * exact_sqrt(3), 4),
+            (-Fraction(7, 3) * exact_sqrt(3), -5), (SqrtSum.from_rational(-3), -3),
+            (SqrtSum(), 0), (3 - exact_sqrt(2) - exact_sqrt(3), -1), (exact_sqrt(8) - exact_sqrt(2), 1),
+        ]:
+            assert math.floor(v) == f, v
 
 
 class TestOrderingFilter:

@@ -2,17 +2,23 @@
 
 import argparse
 import builtins
+import contextlib
+import csv
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radsum import InputError, cli
 from radsum.cli import RunConfig, main
@@ -432,6 +438,21 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "instance too large" in err
 
+    @pytest.mark.parametrize(
+        "sub, run", [("distribution", "sum_distribution"), ("exact", "threshold_probability")]
+    )
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, sub, run):
+        # a raised limit admits a table the machine cannot hold: numpy raises
+        # MemoryError (42 float weights ask for 32 TiB)
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.engine, run, exhausted)
+        flag = _LIMIT[sub]
+        code, out, err = run_cli(capsys, sub, ",".join(["1"] * 42), flag, "99", "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert err == f"radsum: error: out of memory at n=42; lower {flag}\n"
+
     def test_float_to_exact_promotion_rejected(self, capsys):
         code, _, err = run_cli(capsys, "exact", "0.5,0.5", "--mode", "exact")
         assert code == 1
@@ -572,3 +593,104 @@ class TestDeterminismAndConfig:
             a for a in cli.build_parser()._actions if a.dest == "subcommand"
         )
         assert set(cli.SUBCOMMANDS) == set(cli._HANDLERS) == set(subparsers.choices)
+
+
+# (good, bad) tokens: good ones mostly give a run, bad ones an input error
+_WEIGHT_TOKENS = {
+    "decimal": (["0", "1", "-1", "0.5", "-2.25", "3", "1e300", "1e-300"], ["nan", "inf", "x", ""]),
+    "sq": (["0", "1", "2", "3", "9/25", "1/3", "10000", "1/10000"], ["1/0", "-1", "9" * 5000, "x", ""]),
+}
+_THRESHOLDS = (["1", "0", "3/4", "0.999", "1e-400"], ["-1", "1e400", "1e-5000", "nan", "inf", "abc", "1/0"])
+_LIMITS = (["3", "5", "12"], ["-1", "x"])
+# every value flag, with values small enough that any run takes milliseconds
+_FLAG_VALUES = {
+    "--threshold": _THRESHOLDS, "-t": _THRESHOLDS, "--mode": (["exact", "float"], ["bogus"]),
+    "--format": (["csv", "json"], ["xml"]), "--samples": (["1", "50"], ["0", "-5", "x"]),
+    "--seed": (["0", "7"], ["-1", "x"]), "--confidence": (["0.5", "0.99"], ["1", "0", "x"]),
+    "--k-max": (["2", "4"], ["0", "-1", "x"]), "--grid-points": (["3", "10"], ["2", "x"]),
+    "--budget": (["0", "4", "12"], ["-1", "x"]), "--n": (["2", "3", "5"], ["0", "-1", "x"]),
+    "--full-limit": _LIMITS, "--mitm-limit": _LIMITS,
+}
+_SWITCHES = ["--strict", "--exact-check", "--no-timestamp", "--frobnicate", "--workers"]
+# what keeps each subcommand's default run small
+_SMALL_DEFAULTS = {
+    "mc": ["--samples", "50"],
+    "lemmas": ["--k-max", "3", "--grid-points", "10"],
+    "search": ["--n", "3", "--budget", "4"],
+}
+
+
+def _accepted_flags(sub) -> list:
+    """The flags of ``_FLAG_VALUES`` and ``_SWITCHES`` that ``sub`` takes."""
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    taken = subparsers.choices[sub]._option_string_actions if sub in subparsers.choices else {}
+    return [f for f in [*_FLAG_VALUES, *_SWITCHES] if f in taken]
+
+
+@st.composite
+def _argvs(draw):
+    """``(argv, output)``: a subcommand (or garbage), a weight list of edge
+    tokens, flags with good and bad values, unknown and repeated flags, and
+    whether to add ``-o``.  About one draw in eight is bad."""
+    bad = lambda: draw(st.integers(0, 7)) == 0
+    sub = draw(st.sampled_from(cli.SUBCOMMANDS)) if not bad() else draw(st.sampled_from(["frobnicate", None]))
+    argv = [] if sub is None else [sub]
+    if sub in _WEIGHTED:
+        good, garbage = _WEIGHT_TOKENS[draw(st.sampled_from(sorted(_WEIGHT_TOKENS)))]
+        tokens = draw(st.lists(st.sampled_from(good), min_size=1, max_size=6))
+        if draw(st.booleans()):  # 4-8 equal weights are Case 2, where partition and hybrid run
+            tokens = tokens[:1] * draw(st.integers(4, 8))
+        if bad():
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(garbage)))
+        argv.append(("sq:" if good is _WEIGHT_TOKENS["sq"][0] else "") + ",".join(tokens))
+    argv += _SMALL_DEFAULTS.get(sub, [])
+    own = _accepted_flags(sub)
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(own if own and not bad() else [*_FLAG_VALUES, *_SWITCHES]))
+        if flag in _FLAG_VALUES:
+            good, garbage = _FLAG_VALUES[flag]
+            argv += [flag, draw(st.sampled_from(garbage if bad() else good))]
+        else:
+            argv.append(flag)
+    return argv + ["--no-timestamp"], draw(st.booleans())
+
+
+class TestGeneratedArgv:
+    """Any argv ends in an exit code, never a traceback: 0 with a parseable
+    document, or 1-3 with one ``radsum:`` line on stderr."""
+
+    @staticmethod
+    def _run(argv, path):
+        out, err = io.StringIO(), io.StringIO()
+        path.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        written = path.read_text() if path.exists() else None
+        return code, out.getvalue(), err.getvalue(), written
+
+    @given(_argvs())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_exit_codes_and_documents(self, case):
+        argv, output = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.txt"
+            if output:
+                argv = [*argv, "-o", str(path)]
+            first = self._run(argv, path)
+            assert self._run(argv, path) == first
+        code, out, err, written = first
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == "" and written is None
+            assert len(err.splitlines()) == 1 and err.startswith("radsum: "), err
+            return
+        assert err == ""
+        text = written if output else out
+        assert (out == "") == output
+        formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+        if argv[0] in ("distribution", "lemmas") and formats[-1:] != ["json"]:
+            rows = list(csv.reader(io.StringIO(text)))
+            assert rows[0][0] == ("value" if argv[0] == "distribution" else "k")
+            assert len(rows) > 1 and {len(r) for r in rows} == {len(rows[0])}
+        else:
+            assert json.loads(text)["command"] == argv[0]

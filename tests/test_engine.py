@@ -802,8 +802,8 @@ class TestPrefixPartition:
         # a window larger than the tails behind a settled prefix raises
         from radsum import SoundnessError, engine
 
-        real = engine._window_count
-        monkeypatch.setattr(engine, "_window_count", lambda *a: real(*a) + 2**20)
+        real = engine._window
+        monkeypatch.setattr(engine, "_window", lambda *a: (real(*a)[0] + 2**20, 0))
         with pytest.raises(SoundnessError, match="exceeds"):
             prefix_partition(random_case2(np.random.default_rng(0), 10))
 
@@ -905,33 +905,58 @@ class TestSharedRadicandReduction:
 
     def test_radical_threshold_matches_radical_pairs(self, rng):
         """Thresholds r + q*sqrt(D) over the weights' own radicand - the
-        decomposition_check tail thresholds 1 + x1 +- x2 among them - take the
-        integer cut-off; the SqrtSum pair count is the reference."""
-        from radsum.engine import _common_radical, _int_cutoff, signed_sum_count
+        decomposition_check tail thresholds 1 + x1 +- x2 among them - and
+        ones with r < 0 take the integer cut-off; the SqrtSum pair count is
+        the reference."""
+        from radsum.engine import _common_radical, signed_sum_count
 
         for n in (2, 3, 5, 8, 11, 14):
             w = one_radicand_vector(rng, n)
             vals = list(w.values)
-            _, denom, radicand = _common_radical(vals)
+            radicand = _common_radical(vals)[2]
             x1, x2 = vals[0], vals[1]
             r = Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 7)))
             q = Fraction(int(rng.integers(-3, 9)), int(rng.integers(1, 7)))
             tail = vals[2:] or vals
             t_free = r + q * exact_sqrt(radicand)
-            # (values, threshold, whether the integer cut-off applies)
             cases = [
-                (tail, 1 + x1 + x2, True),
-                (tail, 1 + x1 - x2, True),
-                (vals, t_free if t_free >= 0 else r, True),
-                (vals, abs(sum(vals[:-1]) - vals[-1]), True),  # an achieved |sum|: a tie
-                (vals, 2 * x1 - Fraction(1, 10**6), False),  # r < 0: the SqrtSum path
+                (tail, 1 + x1 + x2),
+                (tail, 1 + x1 - x2),
+                (vals, t_free if t_free >= 0 else r),
+                (vals, abs(sum(vals[:-1]) - vals[-1])),  # an achieved |sum|: a tie
+                (vals, 2 * x1 - Fraction(1, 10**6)),  # r < 0
             ]
-            for values, t, integer_path in cases:
+            for values, t in cases:
                 for strict in (False, True):
-                    assert (_int_cutoff(t, denom, radicand, strict) is not None) == integer_path
                     hits, total = signed_sum_count(values, t, EXACT, strict)
                     assert hits == self._radical_pairs(values, t, strict), (n, t, strict)
                     assert total == 2 ** len(values)
+
+    @pytest.mark.parametrize("kind", ["rational", "one_radicand"])
+    def test_every_threshold_takes_integer_keys(self, monkeypatch, rng, kind):
+        """The key type follows the weights alone: a threshold over another
+        radicand, one with a negative rational part and a cancelling one
+        still count over integer keys."""
+        from radsum import engine
+
+        w = rational_unit_vector(rng, 9) if kind == "rational" else one_radicand_vector(rng, 9)
+        ts = [
+            exact_sqrt(7) / 3, 2 * w.values[0] - Fraction(1, 10**6),
+            1 + (TestMultiRadicand.P - TestMultiRadicand.Q * exact_sqrt(2)) / 3,
+        ]
+        expected = [threshold_probability_naive(w, t, strict) for t in ts for strict in (False, True)]
+
+        def radical_keys(values):
+            raise AssertionError("weights over one radicand took radical keys")
+
+        monkeypatch.setattr(engine, "_radical_keys", radical_keys)
+        dist = sum_distribution(w)
+        for run in (
+            lambda t, strict: threshold_probability(w, t, strict),
+            lambda t, strict: Fraction(*engine.signed_sum_count(w.values, t, EXACT, strict)),
+            dist.probability,
+        ):
+            assert [run(t, strict) for t in ts for strict in (False, True)] == expected
 
     def test_decomposition_check_one_radicand(self):
         from radsum import decomposition_check
@@ -1089,6 +1114,16 @@ class TestMultiRadicand:
         w = from_squares(self.VECTORS[5])
         assert w.values[:2] == (Fraction(1, 2), Fraction(1, 2))
         assert prefix_partition(w).stats.fallbacks > 0
+
+    def test_cancelling_threshold_band_is_narrow(self):
+        # the float estimate of 1 + (p - q*sqrt(2))/3 sums terms of about
+        # 1e16 to 0.75; float(t) is 1.0 to within 2^-48
+        from radsum.engine import _radical_keys
+
+        w = from_squares(self.VECTORS[3])
+        t = self._thresholds(w)[-1]
+        tf, width = _radical_keys(w.values)[1].band(t)
+        assert tf == 1.0 and width < 1e-12
 
     def test_large_n_against_float_counts(self):
         """n = 32 without 2^n enumeration: when the float engine's counts at
