@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -26,7 +27,7 @@ from typing import Optional
 from . import bounds, engine, explore
 from .errors import InputError, RadsumError, SizeLimitError, SoundnessError
 from .render import render_number
-from .weights import EXACT, FLOAT, WeightVector, canonicalize, parse_weights
+from .weights import EXACT, FLOAT, WeightVector, parse_weights
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -40,6 +41,10 @@ _LIMIT_FLAGS = {
     **dict.fromkeys(["distribution", "partition", "hybrid"], "--full-limit"),
 }
 _LIMIT_HELP = {"--mitm-limit": "meet-in-the-middle size limit", "--full-limit": "full-enumeration size limit"}
+
+# a weight list that argparse takes for an option: a minus sign, a digit or
+# point, and a comma
+_DASHED_LIST = re.compile(r"-\.?\d.*,")
 
 _GRAMMAR_HELP = (
     "weight vector: decimal list '0.8,0.6' (float mode) or squared rationals "
@@ -151,23 +156,30 @@ def build_parser() -> _Parser:
 
 
 def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except InputError as exc:
+        # argparse reads a decimal list such as -1,0.5 before any '--' as an
+        # unknown option
+        options = argv[: argv.index("--")] if "--" in argv else argv
+        dashed = next((a for a in options if _DASHED_LIST.match(a)), None)
+        if dashed is None:
+            raise
+        sub = argv[0] if argv[0] in SUBCOMMANDS else "exact"
+        raise InputError(
+            f"{exc} (the weight list {dashed!r} starts with '-' and reads as an option; "
+            f"put '--' before it, as in 'radsum {sub} -- {dashed}')"
+        ) from None
     if not ns.subcommand:
         raise InputError(f"missing subcommand; expected one of: {', '.join(SUBCOMMANDS)}")
     return RunConfig(**vars(ns))
 
 
 def _resolve_weights(cfg: RunConfig) -> WeightVector:
-    wv = parse_weights(cfg.weights)
-    if cfg.mode is None or cfg.mode == wv.mode:
-        cfg.mode = wv.mode
-        return wv
-    if cfg.mode == FLOAT:
-        return canonicalize(wv.as_floats(), FLOAT)
-    raise InputError(
-        "invalid input: decimal weights cannot be promoted to exact mode; "
-        "use the sq: grammar"
-    )
+    wv = parse_weights(cfg.weights, cfg.mode)
+    cfg.mode = wv.mode
+    return wv
 
 
 def _parse_threshold(cfg: RunConfig, mode: str):
@@ -427,7 +439,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except MemoryError:  # a raised size limit can admit tables no machine holds
         flag = _LIMIT_FLAGS.get(cfg.subcommand)
-        n = cfg.n if cfg.weights is None else parse_weights(cfg.weights).n
+        n = cfg.n if cfg.weights is None else parse_weights(cfg.weights, cfg.mode).n
         hint = f" at n={n}; lower {flag}" if flag else ""
         print(f"radsum: error: out of memory{hint}", file=sys.stderr)
         return EXIT_SIZE

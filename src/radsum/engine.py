@@ -37,7 +37,9 @@ Enumeration strategies:
 
 Numeric behavior: in exact mode every comparison is tie-exact.  The key
 type depends on the weights alone, and one key setup and one window
-function serve every key type.  When all weights share one radicand -
+function serve every key type.  One decomposition (``_decompose``) writes
+the weights as integer coefficients over their radicands, a coefficient
+only where a weight has the term.  When all weights share one radicand -
 ``x_i = a_i*sqrt(D)/L`` with integers ``a_i``, ``D = 1`` for rational
 weights - every signed sum is ``s*sqrt(D)/L`` for an integer ``s`` (int64
 keys, Python ints past 2^62), and for any exact threshold ``|s|*sqrt(D)/L
@@ -154,38 +156,34 @@ def _probability(hits: int, total: int, mode: str):
     return Fraction(hits, total) if mode == EXACT else hits / total
 
 
-# -- shared-radicand reduction ------------------------------------------------
+# -- radicand decomposition ---------------------------------------------------
 
 
-def _common_radical(values: Sequence[Value]) -> Optional[tuple[list[int], int, int]]:
-    """``(ints, L, D)`` with ``values[i] == ints[i]*sqrt(D)/L`` and ``D``
-    squarefree, or None when the values span more than one radicand.
+def _decompose(values: Sequence[Value]) -> list[tuple[int, int, dict[int, int]]]:
+    """Exact values over their squarefree radicands ``d_j``, in order of
+    first appearance from the last value: one ``(d_j, L_j, {i: a_ij})`` each,
+    with ``values[i] == sum_j a_ij*sqrt(d_j)/L_j`` and only the nonzero
+    integers ``a_ij`` kept.  Each value's terms are read once; an int or
+    Fraction is its own coefficient over ``d = 1``."""
+    columns = {}
+    for i in range(len(values) - 1, -1, -1):
+        v = values[i]  # a float or numpy integer is read exactly, as a SqrtSum
+        terms = ((1, v),) if isinstance(v, (int, Fraction)) else SqrtSum.from_rational(v).terms.items()
+        for d, c in terms:
+            if c:
+                columns.setdefault(d, {})[i] = c
+    parts = []
+    for d, column in columns.items():
+        denom = math.lcm(*(c.denominator for c in column.values()))
+        parts.append((d, denom, {i: c.numerator * (denom // c.denominator) for i, c in column.items()}))
+    return parts
 
-    ``D == 1`` is the all-rational case; ``D > 1`` covers every vector whose
-    nonzero entries are one-term radicals over the same ``D`` (for example
-    ``canonicalize(ints, "exact")`` with an irrational norm).  Every signed
-    sum of such values is ``s*sqrt(D)/L`` for an integer ``s``.
-    """
-    radicand = None
-    coeffs = []
-    for v in values:
-        if isinstance(v, SqrtSum):
-            terms = v.terms
-            if len(terms) > 1:
-                return None
-            d, c = next(iter(terms.items()), (1, Fraction(0)))
-        elif isinstance(v, (int, Fraction)):
-            d, c = 1, Fraction(v)
-        else:
-            return None
-        if c:
-            if radicand is None:
-                radicand = d
-            elif d != radicand:
-                return None
-        coeffs.append(c)
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (denom // c.denominator) for c in coeffs], denom, radicand or 1
+
+def _one_radicand(parts, n: int) -> tuple[list[int], int, int]:
+    """``(a, L, D)`` of ``n`` values decomposed over at most one radicand
+    (``D == 1`` for rational values): value i is ``a[i]*sqrt(D)/L``."""
+    d, denom, column = parts[0] if parts else (1, 1, {})
+    return [column.get(i, 0) for i in range(n)], denom, d
 
 
 def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> int:
@@ -330,23 +328,24 @@ class _Radical:
         return SqrtSum(terms)
 
 
-def _radical_keys(values: Sequence[Value]) -> tuple[list[_Keys], _Radical]:
-    """Each value's radical key, and the basis of them all."""
+def _radical_keys(values: Sequence[Value], parts=None) -> tuple[list[_Keys], _Radical]:
+    """Each value's radical key, and the basis of them all, from the
+    values' ``_decompose`` ``parts`` (decomposed here when None)."""
+    parts = _decompose(values) if parts is None else parts
     exact = [SqrtSum.from_rational(v) for v in values]
-    radicands = list(dict.fromkeys(d for v in reversed(exact) for d in v.terms))
-    columns = [[v.terms.get(d, Fraction(0)) for v in exact] for d in radicands]
-    denoms = [math.lcm(*(c.denominator for c in col)) for col in columns]
-    ints = [[c.numerator * (L // c.denominator) for c in col] for col, L in zip(columns, denoms)]
-    steps = [math.gcd(*col) for col in ints]
+    steps = [math.gcd(*column.values()) for _, _, column in parts]
     places = [1]
-    for col, g in zip(ints, steps):
-        places.append(places[-1] * (sum(map(abs, col)) // g + 1))
-    sigma = [sum(col[i] // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
-    kappa = [sum(abs(col[i]) // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
+    sigma, kappa = [0] * len(exact), [0] * len(exact)
+    for (_, _, column), g in zip(parts, steps):
+        m = places[-1]
+        for i, a in column.items():
+            sigma[i] += a // g * m
+            kappa[i] += abs(a) // g * m
+        places.append(m * (sum(map(abs, column.values())) // g + 1))
     floats = [v._float_estimate() or (0.0, math.inf) for v in exact]  # inf: nothing proven
     radical = _Radical(
-        tuple(exact), tuple(radicands), tuple(denoms), tuple(steps), tuple(places),
-        tuple(itertools.accumulate(kappa, initial=0)),
+        tuple(exact), tuple(d for d, _, _ in parts), tuple(denom for _, denom, _ in parts),
+        tuple(steps), tuple(places), tuple(itertools.accumulate(kappa, initial=0)),
         np.int64 if places[-1] < 1 << 62 else object,
         sum(abs(f) for f, _ in floats), sum(e for _, e in floats),
     )
@@ -365,11 +364,11 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     ``_Radical`` basis."""
     if mode == FLOAT:
         return [float(v) for v in values], np.float64, "float64", None, t, strict
-    reduced = _common_radical(values)
-    if reduced is None:
-        keys, radical = _radical_keys(values)
+    parts = _decompose(values)
+    if len(parts) > 1:
+        keys, radical = _radical_keys(values, parts)
         return keys, radical, "radical", None, t, strict
-    ints, denom, radicand = reduced
+    ints, denom, radicand = _one_radicand(parts, len(values))
     bound = sum(abs(a) for a in ints)
     cutoff = min(_int_cutoff(t, denom, radicand, strict), bound)
     dtype = np.int64 if bound + cutoff < 1 << 62 else object
@@ -427,6 +426,14 @@ def _half_sums(values: Sequence, dtype):
     for v in values[k:]:
         sums = _extend(sums, v)
     return sums
+
+
+def _pair_sums(values: Sequence) -> np.ndarray:
+    """All 2^n float signed sums ``fl(l + r)`` of ``values``, ``l`` a half
+    sum of the first ``n - n//2`` values and ``r`` one of the rest."""
+    vals = [float(v) for v in values]
+    split = len(vals) - len(vals) // 2
+    return np.add.outer(_half_sums(vals[:split], np.float64), _half_sums(vals[split:], np.float64)).ravel()
 
 
 def _has_zero(keys) -> int:
@@ -604,20 +611,16 @@ def threshold_probability_naive(
     total = 1 << n
 
     if w.mode == FLOAT:
-        vals = [float(v) for v in w.values]
-        split = n - n // 2
-        left = _half_sums(vals[:split], np.float64)
-        right = _half_sums(vals[split:], np.float64)
-        sums = np.abs(np.add.outer(left, right)).ravel()
+        sums = np.abs(_pair_sums(w.values))
         hits = int(np.count_nonzero(sums < t if strict else sums <= t))
         return hits / total
 
     # The walk compares with t directly, never through the square-root
     # cut-off of the MITM path: rational weights as integers scaled by t's
     # denominator against its numerator, every other weight as a SqrtSum.
-    reduced = _common_radical(w.values) if isinstance(t, Fraction) else None
-    if reduced is not None and reduced[2] == 1:
-        ints, denom, _ = reduced
+    parts = _decompose(w.values)
+    if isinstance(t, Fraction) and all(d == 1 for d, _, _ in parts):
+        ints, denom, _ = _one_radicand(parts, n)
         vals = [a * t.denominator for a in ints]
         t = t.numerator * denom
     else:
@@ -807,11 +810,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
 
     if w.mode == FLOAT:
-        vals = [float(v) for v in w.values]
-        split = n - n // 2
-        left = _half_sums(vals[:split], np.float64)
-        right = _half_sums(vals[split:], np.float64)
-        values, counts = np.unique(np.add.outer(left, right).ravel(), return_counts=True)
+        values, counts = np.unique(_pair_sums(w.values), return_counts=True)
         return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
 
     vals, dtype, _, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)

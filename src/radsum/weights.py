@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebraic import SqrtSum, squarefree_decompose
 from .errors import DegenerateVectorError, InputError, SoundnessError
@@ -253,7 +253,7 @@ def case_of(w: WeightVector) -> CaseTag:
 _SQ_TOKEN = re.compile(r"^\s*(\d+)\s*(?:/\s*(\d+))?\s*$")
 
 
-def parse_weights(text: str) -> WeightVector:
+def parse_weights(text: str, mode: Optional[str] = None) -> WeightVector:
     """Parse the shared weight-vector grammar.
 
     Two forms:
@@ -262,7 +262,13 @@ def parse_weights(text: str) -> WeightVector:
     * ``"sq:16/25,9/25"`` - squared-weight rationals, exact mode; each token
       is x_i^2 and the list is normalized to sum to 1, so this example means
       x = (4/5, 3/5) and ``sq:1/2,1/2`` means x = (1/sqrt2, 1/sqrt2).
+
+    ``mode`` overrides the mode the form implies: squared weights in float
+    mode are ``from_squares(q, "float")``, never factored; a decimal list
+    cannot be read in exact mode.
     """
+    if mode is not None:
+        mode = _validate_mode(mode)
     text = text.strip()
     if not text:
         raise InputError("invalid input: empty weight string")
@@ -290,7 +296,7 @@ def parse_weights(text: str) -> WeightVector:
             if den == 0:
                 raise InputError(f"invalid input: zero denominator in {tok.strip()!r}")
             squares.append(Fraction(num, den))
-        return from_squares(squares, mode=EXACT)
+        return from_squares(squares, mode=mode or EXACT)
     parts = text.split(",")
     try:
         vals = [float(p) for p in parts]
@@ -298,4 +304,10 @@ def parse_weights(text: str) -> WeightVector:
         raise InputError(
             f"invalid input: bad decimal weight list {text!r} ({exc})"
         ) from None
-    return canonicalize(vals, mode=FLOAT)
+    w = canonicalize(vals, mode=FLOAT)
+    if mode == EXACT:
+        raise InputError(
+            "invalid input: decimal weights cannot be promoted to exact mode; "
+            "use the sq: grammar"
+        )
+    return w

@@ -465,6 +465,37 @@ class TestErrorsAndExitCodes:
         assert code == 0
         assert float(doc["result"]["probability"]["decimal"]) == 0.875
 
+    def test_float_mode_squares_are_never_factored(self, capsys, monkeypatch):
+        # exact mode gives up on these squares: factoring a 131-bit integer
+        # runs past its budget
+        from radsum import algebraic, from_squares
+        from radsum.render import render_number
+
+        def factorint(n):
+            raise AssertionError("float mode factored a square")
+
+        monkeypatch.setattr(algebraic, "factorint", factorint)
+        squares = [1, 0, 1, 2, 10**40]
+        text = "sq:" + ",".join(map(str, squares))
+        code, _, err = run_cli(capsys, "mc", text, "--mode", "float", "--samples", "1", "--no-timestamp")
+        assert (code, err) == (0, "")
+        code, doc, _ = run_json(capsys, "exact", text, "--mode", "float", "--no-timestamp")
+        assert code == 0 and doc["config"]["mode"] == "float"
+        # the weights are the library's float weights of the squares
+        assert doc["result"]["weights"] == [render_number(v, "float") for v in from_squares(squares, "float").values]
+
+    @pytest.mark.parametrize("weights", ["-1,0.5", "-0.5,1", "-.5,1"])
+    def test_weight_list_starting_with_minus(self, capsys, weights):
+        code, out, err = run_cli(capsys, "exact", weights, "--no-timestamp")
+        assert (code, out) == (1, "")
+        assert err.startswith("radsum: error: ") and len(err.splitlines()) == 1
+        assert f"'{weights}'" in err and f"'radsum exact -- {weights}'" in err
+        code, doc, _ = run_json(capsys, "exact", "--no-timestamp", "--", weights)
+        assert code == 0 and doc["config"]["weights"] == weights
+        # after '--' no list reads as an option, so no hint is given
+        code, _, err = run_cli(capsys, "exact", "--", weights, "--no-timestamp")
+        assert code == 1 and "'--'" not in err
+
 
 class TestInvariantViolations:
     """Internal invariants raise SoundnessError, which survives python -O

@@ -18,7 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CASE2_KINDS, case2_vector, one_radicand_vector, random_case2, rational_unit_vector
+from conftest import (
+    CASE2_KINDS,
+    case2_vector,
+    one_radicand_vector,
+    random_case2,
+    random_float_vector,
+    rational_unit_vector,
+)
 from radsum import (
     EXACT,
     FLOAT,
@@ -483,6 +490,29 @@ class TestSumDistribution:
         assert [c for _, c in d.entries] == [1, 4, 6, 4, 1]
         assert [v for v, _ in d.entries] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
+    def test_float_sums_are_literal_half_sums(self, rng):
+        # every float sum is fl(l + r), each half accumulated in index order
+        # from +0.0; the distribution and the naive count read the same sums
+        for n in (1, 2, 5, 9):
+            w = random_float_vector(rng, n)
+            split = n - n // 2
+            halves = []
+            for part in (w.values[:split], w.values[split:]):
+                sums = []
+                for signs in itertools.product((-1, 1), repeat=len(part)):
+                    s = 0.0
+                    for sg, v in zip(signs, part):
+                        s = s + v if sg > 0 else s - v
+                    sums.append(s)
+                halves.append(sums)
+            sums = Counter(l + r for l in halves[0] for r in halves[1])
+            d = sum_distribution(w)
+            assert [(v.hex(), c) for v, c in d.entries] == [(v.hex(), sums[v]) for v in sorted(sums)]
+            for t in (0.5, 1.0, float(abs(d.entries[0][0]))):
+                for strict in (False, True):
+                    hits = sum(c for v, c in sums.items() if (abs(v) < t if strict else abs(v) <= t))
+                    assert threshold_probability_naive(w, t, strict) == hits / 2**n
+
     def test_arrays_and_scale(self):
         # x = (3, 4)/5: integer keys s stand for s/5
         d = sum_distribution(canonicalize([3, 4], EXACT))
@@ -814,14 +844,14 @@ class TestPrefixPartition:
         """Rational weights whose integer keys (and L) sit in [2^56, 2^58)
         stay int64; from 2^62 on, the walk and the distribution switch to
         Python ints."""
-        from radsum.engine import _common_radical
+        from radsum.engine import _decompose
 
         checked = 0
         for _ in range(100):
             n = int(rng.integers(6, 8))  # large spreads rarely give Case 2 below n = 6
             w = random_case2(rng, n, spread=spread)
-            ints, denom, _ = _common_radical(w.values)
-            if checked == 3 or not lo <= max(map(abs, ints + [denom])).bit_length() - 1 < hi:
+            [(_, denom, ints)] = _decompose(w.values)
+            if checked == 3 or not lo <= max(map(abs, [*ints.values(), denom])).bit_length() - 1 < hi:
                 continue
             checked += 1
             rep = prefix_partition(w)
@@ -872,18 +902,19 @@ class TestSharedRadicandReduction:
         return _count_pairs(keys, len(keys) - len(keys) // 2, radical, t, strict)
 
     def test_reduction_recovers_values(self, rng):
-        from radsum.engine import _common_radical
+        from radsum.engine import _decompose
 
         w = one_radicand_vector(rng, 7)
-        ints, denom, radicand = _common_radical(w.values)
+        [(radicand, denom, ints)] = _decompose(w.values)
         assert radicand > 1
-        assert [exact_sqrt(radicand) * Fraction(a, denom) for a in ints] == list(w.values)
-        ints, denom, radicand = _common_radical(rational_unit_vector(rng, 6).values)
+        assert [exact_sqrt(radicand) * Fraction(ints.get(i, 0), denom) for i in range(7)] == list(w.values)
+        [(radicand, denom, ints)] = _decompose(rational_unit_vector(rng, 6).values)
         assert radicand == 1
-        # zeros fit any radicand; a rational and a radical entry do not mix
-        assert _common_radical([Fraction(0), exact_sqrt(2), 3 * exact_sqrt(2)]) == ([0, 1, 3], 1, 2)
-        assert _common_radical([Fraction(1), exact_sqrt(2)]) is None
-        assert _common_radical(from_squares([1, 2, 3]).values) is None
+        # zeros fit any radicand (and take no entry); a rational and a
+        # radical entry do not mix
+        assert _decompose([Fraction(0), exact_sqrt(2), 3 * exact_sqrt(2)]) == [(2, 1, {1: 1, 2: 3})]
+        assert len(_decompose([Fraction(1), exact_sqrt(2)])) == 2
+        assert len(_decompose(from_squares([1, 2, 3]).values)) == 3
 
     @pytest.mark.parametrize("kind", ["rational", "one_radicand"])
     def test_matches_radical_pairs_and_naive(self, rng, kind):
@@ -908,12 +939,12 @@ class TestSharedRadicandReduction:
         decomposition_check tail thresholds 1 + x1 +- x2 among them - and
         ones with r < 0 take the integer cut-off; the SqrtSum pair count is
         the reference."""
-        from radsum.engine import _common_radical, signed_sum_count
+        from radsum.engine import _decompose, signed_sum_count
 
         for n in (2, 3, 5, 8, 11, 14):
             w = one_radicand_vector(rng, n)
             vals = list(w.values)
-            radicand = _common_radical(vals)[2]
+            [(radicand, _, _)] = _decompose(vals)
             x1, x2 = vals[0], vals[1]
             r = Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 7)))
             q = Fraction(int(rng.integers(-3, 9)), int(rng.integers(1, 7)))
@@ -1025,6 +1056,100 @@ class TestSharedRadicandReduction:
                 (s.as_fraction() if s.is_rational else s, counts[s]) for s in sorted(counts)
             )
             assert sum_distribution(w).entries == expected
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def _exact_values(draw, max_size=8):
+    """Raw exact values over a few radicands: ints, Fractions, zeros,
+    negatives and ``SqrtSum`` values of one term or several."""
+    from radsum.algebraic import SqrtSum
+
+    radicands = draw(st.lists(_RADICANDS, min_size=1, max_size=4, unique=True))
+    radical = st.lists(st.tuples(st.sampled_from(radicands), _FRACTIONS), max_size=3).map(
+        lambda terms: sum((c * exact_sqrt(d) for d, c in terms), SqrtSum())
+    )
+    value = st.one_of(st.integers(-9, 9), _FRACTIONS, radical) if 1 in radicands else radical
+    return draw(st.lists(value, max_size=max_size))
+
+
+def _dense_radical_keys(values):
+    """Radical keys and their basis from dense radicand columns, one
+    coefficient per (value, radicand) pair with zeros filled in: the
+    reference construction for ``_radical_keys``."""
+    from radsum.algebraic import SqrtSum
+    from radsum.engine import _Keys, _Radical
+
+    exact = [SqrtSum.from_rational(v) for v in values]
+    radicands = list(dict.fromkeys(d for v in reversed(exact) for d in v.terms))
+    columns = [[v.terms.get(d, Fraction(0)) for v in exact] for d in radicands]
+    denoms = [math.lcm(*(c.denominator for c in col)) for col in columns]
+    ints = [[c.numerator * (L // c.denominator) for c in col] for col, L in zip(columns, denoms)]
+    steps = [math.gcd(*col) for col in ints]
+    places = [1]
+    for col, g in zip(ints, steps):
+        places.append(places[-1] * (sum(map(abs, col)) // g + 1))
+    sigma = [sum(col[i] // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
+    kappa = [sum(abs(col[i]) // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
+    floats = [v._float_estimate() or (0.0, math.inf) for v in exact]
+    radical = _Radical(
+        tuple(exact), tuple(radicands), tuple(denoms), tuple(steps), tuple(places),
+        tuple(itertools.accumulate(kappa, initial=0)),
+        np.int64 if places[-1] < 1 << 62 else object,
+        sum(abs(f) for f, _ in floats), sum(e for _, e in floats),
+    )
+    return [_Keys(f, c) for (f, _), c in zip(floats, sigma)], radical
+
+
+class TestDecomposition:
+    """``_decompose`` writes exact values over their radicands, one entry
+    per term; the integer and radical key setups both read it."""
+
+    @given(_exact_values())
+    @settings(max_examples=150, deadline=None)
+    def test_rebuilds_every_value(self, values):
+        from radsum.algebraic import SqrtSum
+        from radsum.engine import _decompose
+
+        parts = _decompose(values)
+        assert len({d for d, _, _ in parts}) == len(parts)
+        for d, denom, column in parts:
+            assert column and all(type(a) is int and a for a in column.values())
+            assert all(0 <= i < len(values) for i in column) and denom >= 1
+        for i, v in enumerate(values):
+            rebuilt = sum((Fraction(column.get(i, 0), denom) * exact_sqrt(d) for d, denom, column in parts), SqrtSum())
+            assert rebuilt == v, (values, i)
+
+    @given(_exact_values(max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_radical_keys_match_dense_columns(self, values):
+        import dataclasses
+
+        from radsum.engine import _radical_keys
+
+        keys, radical = _radical_keys(values)
+        want_keys, want = _dense_radical_keys(values)
+        assert [(float(k.f).hex(), k.c, type(k.c)) for k in keys] == [
+            (float(k.f).hex(), k.c, type(k.c)) for k in want_keys
+        ]
+        for field in dataclasses.fields(radical):
+            got, expected = getattr(radical, field.name), getattr(want, field.name)
+            assert got == expected, field.name
+            if isinstance(got, tuple):
+                assert [type(x) for x in got] == [type(x) for x in expected], field.name
+
+    def test_key_setup_decomposes_once(self, monkeypatch):
+        from radsum import engine
+
+        calls = []
+        real = engine._decompose
+        monkeypatch.setattr(engine, "_decompose", lambda values: calls.append(1) or real(values))
+        for squares in ([1, 2, 3, 5], [1, 4, 9], [2, 8, 18]):
+            calls.clear()
+            engine._key_setup(from_squares(squares).values, Fraction(1), EXACT)
+            assert len(calls) == 1, squares
 
 
 def _pell_solution(limit):

@@ -312,6 +312,16 @@ class TestGrammar:
         w = parse_weights("sq: 1/4 , 1/4 , 1/4 , 1/4 ")
         assert w.values == (Fraction(1, 2),) * 4
 
+    def test_mode_override(self):
+        # squares in float mode are the float weights of the squares
+        assert parse_weights("sq:1,2,3", FLOAT) == from_squares([1, 2, 3], FLOAT)
+        assert parse_weights("sq:1,2,3", EXACT) == parse_weights("sq:1,2,3")
+        assert parse_weights("0.8,0.6", FLOAT) == parse_weights("0.8,0.6")
+        with pytest.raises(InputError, match="use the sq: grammar"):
+            parse_weights("0.8,0.6", EXACT)
+        with pytest.raises(InputError, match="unknown numeric mode"):
+            parse_weights("0.8,0.6", "fast")
+
     @pytest.mark.parametrize(
         "text", ["", "sq:", "abc", "sq:1/0", "sq:-1/4", "0.5,,0.5", "sq:1/4;1/4"]
     )
