@@ -10,11 +10,13 @@ Two proof routes, dispatched on whether x1 + x2 > 1:
   1 - x_{k+1}.  The conditional success probability given a crossing at k is
   at least max(g_k, h_k) evaluated at x_{k+1}, where g_k comes from the
   sortedness bound on prefix mass and h_k from the Cauchy bound; both are
-  floored by g_2(1/3) = 9/25 = 0.36.  An exact weight x = c*sqrt(d) has a
-  rational square q, and (2-x)^2 (2+x)^2 = (4-q)^2 makes g_k and h_k affine
-  in x over Q, so radical weights take them in closed form (``_g_h``)
-  rather than through SqrtSum division.  In exact mode the larger of the
-  two is g_k iff (k+1)^2 q >= 1, a rational test (``_max_g_h``).
+  floored by g_2(1/3) = 9/25 = 0.36.  Every exact weight x = c*sqrt(d)
+  (d = 1 when rational) has a rational square q, and
+  (2-x)^2 (2+x)^2 = (4-q)^2 makes g_k and h_k affine in x over Q, so exact
+  weights take them in one integer closed form (``_g_h``) rather than
+  through SqrtSum division or a chain of Fraction operations.  In exact
+  mode the larger of the two is g_k iff (k+1)^2 q >= 1, a rational test
+  (``_max_g_h``).
 
 ``hybrid_bound`` sharpens Case 2 with the exact event probabilities
 ``Pr(A_k)``, which the engine's partition walk gives without the joint
@@ -43,7 +45,7 @@ from .engine import (
 )
 from .errors import InputError, SoundnessError, WrongCaseError, _check_int
 from .moments import tail_moments
-from .render import render_number
+from .render import render_number, renderer
 from .weights import EXACT, CaseTag, Value, WeightVector, case_of
 
 CASE1_FLOOR = Fraction(93, 256)
@@ -91,30 +93,44 @@ def h(k: int, x):
 def _g_h(k: int, x, q):
     """``(g(k, x), h(k, x))`` for a canonical weight x with square q = x^2.
 
-    An exact irrational weight is x = c*sqrt(d) with q = c^2 d rational, and
-    (2-x)^2 (2+x)^2 = (4-q)^2, so 1/(2-x)^2 = (4 + q + 4x)/(4-q)^2 with
-    4 - q >= 3.  With (1-x)^2 = 1 + q - 2x the definitions become
+    An exact weight is x = c*sqrt(d) with c = cn/cd rational and d a
+    squarefree integer (d = 1 for a rational weight); its square is
+    q = P/Q.  As (2-x)^2 (2+x)^2 = (4-q)^2 and 4 - q >= 3, the definitions
+    are affine in x over Q: g_k = g_r + g_s*x and h_k = h_r + h_s*x with,
+    writing D2 = (4Q-P)^2,
 
-        g_k = 1/2 - (1 - kq)(4 + q + 4x) / (2(4-q)^2),
-        h_k = 1/2 - (1 - (1 + q - 2x)/k)(4 + q + 4x) / (2(4-q)^2),
+        g_r = (D2 - (Q-kP)(4Q+P)) / (2 D2),
+        g_s*c = -2(Q-kP) Q cn / (D2 cd),
+        h_r = (k D2 - (kQ-Q-P)(4Q+P) - 8PQ) / (2k D2),
+        h_s*c = -(2(k+1)Q - P) Q cn / (k D2 cd),
 
-    each affine in x over Q: r + s*x with rational r, s, built as the
+    each one ``Fraction`` of integers.  An irrational weight takes the
     canonical SqrtSum({1: r, d: s*c}) that the literal definitions also
-    produce.  Rational and float weights keep the literal ``g``/``h``,
-    which already run at field speed there.
+    produce; a rational one folds r + s*c into one ``Fraction`` over
+    2k D2 cd, kept as a SqrtSum when x is one.  Float weights keep the
+    literal ``g``/``h``.
     """
-    if not isinstance(x, SqrtSum) or x.is_rational:
+    if isinstance(x, float):
         return g(k, x), h(k, x)
-    ((d, c),) = x.terms.items()
-    b0 = 4 + q  # (4-q)^2 (2-x)^-2 = b0 + 4x
-    den = 2 * (4 - q) ** 2
-    a0 = 1 - (1 + q) / k  # 1 - (1-x)^2/k = a0 + (2/k)x
-    g_r, g_s = Fraction(1, 2) - (1 - k * q) * b0 / den, -4 * (1 - k * q) / den
-    h_r = Fraction(1, 2) - (a0 * b0 + 8 * q / k) / den
-    h_s = -(4 * a0 + 2 * b0 / k) / den
+    if isinstance(x, SqrtSum) and not x.is_rational:
+        ((d, c),) = x.terms.items()
+    else:
+        d, c = 1, x.as_fraction() if isinstance(x, SqrtSum) else x
+    P, Q, cn, cd = q.numerator, q.denominator, c.numerator, c.denominator
+    D2 = (4 * Q - P) ** 2
+    A, B = Q - k * P, 4 * Q + P
+    # numerators of g_r, g_s*c over g_den (times cd), of h_r, h_s*c over h_den
+    g_den, g_r, g_s = 2 * D2, D2 - A * B, -4 * A * Q * cn
+    h_den, h_r = 2 * k * D2, k * D2 - (k * Q - Q - P) * B - 8 * P * Q
+    h_s = -2 * (2 * (k + 1) * Q - P) * Q * cn
+    if d == 1:
+        gv, hv = Fraction(g_r * cd + g_s, g_den * cd), Fraction(h_r * cd + h_s, h_den * cd)
+        if not isinstance(x, SqrtSum):
+            return gv, hv
+        return SqrtSum.from_rational(gv), SqrtSum.from_rational(hv)
     return tuple(
-        SqrtSum({t: v for t, v in ((1, r), (d, s * c)) if v})
-        for r, s in ((g_r, g_s), (h_r, h_s))
+        SqrtSum({t: v for t, v in ((1, Fraction(r, den)), (d, Fraction(s, den * cd))) if v})
+        for r, s, den in ((g_r, g_s, g_den), (h_r, h_s, h_den))
     )
 
 
@@ -127,7 +143,7 @@ def _max_g_h(k: int, x, q, mode: str):
     so either side of the test picks the same value.
     """
     gv, hv = _g_h(k, x, q)
-    pick_g = (k + 1) ** 2 * q >= 1 if mode == EXACT else gv >= hv
+    pick_g = (k + 1) ** 2 * q.numerator >= q.denominator if mode == EXACT else gv >= hv
     return gv, hv, gv if pick_g else hv
 
 
@@ -202,12 +218,17 @@ class Certificate:
     def floor(self) -> Fraction:
         return CASE1_FLOOR if self.case is CaseTag.CASE1 else CASE2_FLOOR
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, render=None) -> dict:
+        """The certificate as a JSON object.  ``render`` is the document's
+        ``render.renderer``, by default a new one for this certificate: a
+        maximum, the final bound and each ``x_next`` share the rendering of
+        the g, h or weight object they are."""
+        render = render or renderer(self.mode)
         doc: dict = {"case": self.case.value}
         if isinstance(self.intermediates, Case1Data):
             d = self.intermediates
             doc["intermediates"] = {
-                name: render_number(getattr(d, name), self.mode)
+                name: render(getattr(d, name))
                 for name in ("m2", "m4", "denom2", "denom4", "term2", "term4")
             }
         else:
@@ -215,18 +236,18 @@ class Certificate:
                 "per_k": [
                     {
                         "k": e.k,
-                        "x_next": render_number(e.x_next, self.mode),
-                        "g": render_number(e.g_value, self.mode),
-                        "h": render_number(e.h_value, self.mode),
-                        "max": render_number(e.max_value, self.mode),
+                        "x_next": render(e.x_next),
+                        "g": render(e.g_value),
+                        "h": render(e.h_value),
+                        "max": render(e.max_value),
                     }
                     for e in self.intermediates.per_k
                 ],
                 "argmin_k": self.intermediates.argmin_k,
             }
-        doc["final_bound"] = render_number(self.final_bound, self.mode)
+        doc["final_bound"] = render(self.final_bound)
         if self.sound_against is not None:
-            doc["sound_against"] = render_number(self.sound_against, self.mode)
+            doc["sound_against"] = render(self.sound_against)
         return doc
 
 

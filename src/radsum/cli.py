@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import bounds, engine, explore
 from .errors import InputError, RadsumError, SizeLimitError, SoundnessError
-from .render import render_number
+from .render import json_text, render_number, renderer
 from .weights import EXACT, FLOAT, WeightVector, parse_weights
 
 EXIT_OK = 0
@@ -288,8 +288,10 @@ def _certify(cfg: RunConfig):
     cert = bounds.theorem_bound(
         w, exact_check=True if cfg.exact_check else "auto", limit=cfg.mitm_limit
     )
-    result = cert.to_json_dict()
-    result["weights"] = _weights_json(w)
+    render = renderer(w.mode)
+    weights = [render(v) for v in w.values]  # the certificate's x_next reuse these
+    result = cert.to_json_dict(render)
+    result["weights"] = weights
     return result, EXIT_OK, ""
 
 
@@ -421,7 +423,7 @@ def _json_doc(cfg: RunConfig, result: dict) -> str:
     if cfg.timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc["result"] = result
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 def main(argv=None) -> int:

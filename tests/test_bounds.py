@@ -326,18 +326,23 @@ class TestHybridBound:
 
 
 @st.composite
-def radical_weights(draw):
+def exact_weights(draw):
     """``(x, q)``: a canonical exact weight and its square, from a
     multi-radicand ``from_squares`` draw, a one-radicand ``canonicalize``
-    draw, x = 0 or x = 1 (as Fraction and as SqrtSum)."""
-    kind = draw(st.sampled_from(["multi", "one", "zero", "one_point"]))
+    draw, a rational in [0, 1] (as Fraction and as SqrtSum), or x = 0 or
+    x = 1 (as int, Fraction and SqrtSum)."""
+    kind = draw(st.sampled_from(["multi", "one", "rational", "zero", "one_point"]))
     if kind in ("multi", "one"):
         ints = draw(st.lists(st.integers(1, 999), min_size=2, max_size=12))
         w = from_squares(ints) if kind == "multi" else canonicalize(ints, EXACT)
         i = draw(st.integers(0, w.n - 1))
         return w.values[i], w.squares[i]
-    v = Fraction(0) if kind == "zero" else Fraction(1)
-    return draw(st.sampled_from([v, SqrtSum.from_rational(v)])), v * v
+    if kind == "rational":
+        den = draw(st.integers(1, 10**30))
+        v = Fraction(draw(st.integers(0, den)), den)
+        return draw(st.sampled_from([v, SqrtSum.from_rational(v)])), v * v
+    v = 0 if kind == "zero" else 1
+    return draw(st.sampled_from([v, Fraction(v), SqrtSum.from_rational(v)])), v * v
 
 
 def _same(a, b) -> bool:
@@ -348,14 +353,14 @@ def _same(a, b) -> bool:
 
 
 class TestClosedFormGH:
-    """``bounds._g_h`` evaluates g_k, h_k in closed form on radical weights;
-    the literal ``g``/``h`` are the oracle."""
+    """``bounds._g_h`` evaluates g_k, h_k in closed form on every exact
+    weight; the literal ``g``/``h`` are the oracle."""
 
     @given(st.integers(2, 60), st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_matches_literal_definitions(self, k, data):
         if data.draw(st.booleans()):
-            x, q = data.draw(radical_weights())
+            x, q = data.draw(exact_weights())
         else:
             x = Fraction(1, k + 1)
             q = x * x

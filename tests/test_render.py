@@ -1,0 +1,79 @@
+"""Rendering: the indented JSON emitter against ``json.dumps(indent=2)``."""
+
+import json
+import math
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from radsum.render import json_text
+
+DATA = Path(__file__).parent / "data"
+
+# text that needs escaping: quotes, backslashes, control characters,
+# non-ASCII and astral characters
+_text = st.text(
+    st.characters() | st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", " ", "😀"]),
+    max_size=8,
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300])
+    | _text
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_text, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    @given(_values)
+    @example([math.nan, math.inf, -math.inf, -0.0, 5e-324, -(10**50), True, None, [], (), {}, "\u00e9\"\\"])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_matches_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+    def test_pinned_documents(self, path):
+        # each pinned file, and each recorded CLI JSON document inside it,
+        # re-encodes to the same text
+        doc = json.loads(path.read_text())
+        assert json_text(doc) == json.dumps(doc, indent=2)
+        for entry in doc.values():
+            out = entry.get("stdout") if isinstance(entry, dict) else entry
+            if isinstance(out, str) and out.startswith("{"):
+                assert json_text(json.loads(out)) + "\n" == out
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a", 2.5: [], None: {}, True: 0}, [{"a": Fraction(1, 2)}], {"a": {1, 2}}],
+        ids=["non_str_keys", "fraction", "set"],
+    )
+    def test_other_types_go_to_json_dumps(self, value):
+        try:
+            want = json.dumps(value, indent=2)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                json_text(value)
+        else:
+            assert json_text(value) == want
+
+    def test_cycle_raises_as_json_dumps(self):
+        loop: list = []
+        loop.append({"loop": loop})
+        with pytest.raises(ValueError, match="Circular reference"):
+            json_text(loop)
