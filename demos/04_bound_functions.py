@@ -25,20 +25,20 @@ for k in (2, 3, 4, 9, 100):
           f" ~ {float(minmax_bound(k)):.6f}")
 print("  k -> inf: the min-max value climbs toward 3/8 =", 0.375)
 
-# For every k up to k_max the sweep proves the monotonicity claims and the
-# min-max location from closed forms: it ties g and h to
-# 2(2-x)^2 g = (2-x)^2 - 1 + k x^2 (and likewise h), then tests the signs of
-# the linear numerators of g', h' and g - h at the interval ends, in exact
-# rational arithmetic.  Violations, if any, are listed in the report.
-rex = lemma_sweep(1000, 10_000, mode="exact")
-print(f"\nexact certificate k=2..{rex.k_max}: ok={rex.ok}")
+# In closed form the min-max is 3k(k+1)/(2(2k+1)^2) = (3/8)(1 - 1/(2k+1)^2):
+# 9/25 at k=2, strictly increasing, and 3/8 in the limit, so 0.36 at k=2 is
+# the global floor.
+for k in (2, 3, 10, 1000):
+    assert minmax_bound(k) == Fraction(3, 8) * (1 - Fraction(1, (2 * k + 1) ** 2))
+print("  minmax_bound(k) = (3/8)(1 - 1/(2k+1)^2); 3/8 - minmax_bound(1000) =",
+      Fraction(3, 8) - minmax_bound(1000))
 
-# Float mode adds a numeric cross-check on dense float grids:
-rep = lemma_sweep(200, 4001)
-print(f"float cross-check k=2..{rep.k_max} on {rep.grid_points}-point grids:"
-      f" ok={rep.ok}, violations={len(rep.violations)}")
-
-# minmax_bound(k) is nondecreasing in k, so 0.36 at k=2 is the global floor.
-vals = [minmax_bound(k) for k in range(2, 50)]
-assert all(a <= b for a, b in zip(vals, vals[1:]))
-print("\nminmax_bound nondecreasing over k=2..49: True; minimum", vals[0], "at k=2")
+# The sweep proves the monotonicity claims and the min-max location for every
+# k at once: 2(2-x)^2 g_k(x) - ((2-x)^2 - 1 + k x^2) and its h counterpart
+# are polynomials of degree <= 1 in k and <= 2 in x, so vanishing on
+# {2,3} x {0,1/2,1} proves both identities, and the signs of the linear
+# numerators of g', h' and g - h follow.  Each row k=2..k_max then checks
+# g_k = h_k = minmax_bound(k) at the crossing, in exact rational arithmetic.
+rep = lemma_sweep(1000)
+print(f"\nclosed-form certificate, rows k=2..{rep.k_max}: ok={rep.ok},"
+      f" violations={len(rep.violations)}, minmax nondecreasing={rep.minmax_nondecreasing}")

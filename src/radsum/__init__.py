@@ -19,7 +19,6 @@ from .bounds import (
     DecompositionReport,
     case1_certificate,
     case2_certificate,
-    clamp01,
     crossing_point,
     decomposition_check,
     g,
@@ -107,7 +106,6 @@ __all__ = [
     "case1_certificate",
     "case2_certificate",
     "case_of",
-    "clamp01",
     "crossing_point",
     "decomposition_check",
     "exact_sqrt",

@@ -66,7 +66,8 @@ def g(k: int, x):
 
     Lower-bounds the conditional success probability through the tail
     second moment bounded by 1 - k x^2 (prefix weights all >= x_{k+1}).
-    Exceeds 1 for large x; certificates clamp it.
+    Exceeds 1 for large x, but stays below 1/2 wherever k x^2 < 1, as at
+    every x_{k+1} a Case-2 certificate reads.
     """
     _check_int(k, "k", 2)
     x = _coerce_x(x)
@@ -137,10 +138,10 @@ def _g_h(k: int, x, q):
 def _max_g_h(k: int, x, q, mode: str):
     """``(g_k, h_k, max(g_k, h_k))`` at the weight x with square q.
 
-    g_k - h_k = ((k+1)x - 1)(1 + (k-1)x)/(2k(2-x)^2) (``explore._certify_k``
-    proves it), which has the sign of (k+1)x - 1 on [0, 1]; in exact mode
-    that is the rational test (k+1)^2 q >= 1.  At the crossing g_k = h_k,
-    so either side of the test picks the same value.
+    g_k - h_k = ((k+1)x - 1)(1 + (k-1)x)/(2k(2-x)^2) (``explore.lemma_sweep``
+    proves it for every k), which has the sign of (k+1)x - 1 on [0, 1]; in
+    exact mode that is the rational test (k+1)^2 q >= 1.  At the crossing
+    g_k = h_k, so either side of the test picks the same value.
     """
     gv, hv = _g_h(k, x, q)
     pick_g = (k + 1) ** 2 * q.numerator >= q.denominator if mode == EXACT else gv >= hv
@@ -161,18 +162,12 @@ def crossing_point(k: int, *, check: bool = True) -> Fraction:
 
 
 def minmax_bound(k: int) -> Fraction:
-    """min over [0,1] of max(g_k, h_k) = g_k(1/(k+1)) = 3k(k+1)/(2(2k+1)^2);
-    ``explore.lemma_sweep`` certifies per k that the minimum is there."""
-    return g(k, crossing_point(k, check=False))
-
-
-def clamp01(value):
-    """Clamp a bound value into [0, 1]; conditional bounds are probabilities."""
-    if value < 0:
-        return value - value  # typed zero
-    if value > 1:
-        return 1 - (value - value)  # typed one
-    return value
+    """min over [0,1] of max(g_k, h_k) = g_k(1/(k+1)), in closed form
+    3k(k+1)/(2(2k+1)^2) = (3/8)(1 - 1/(2k+1)^2): 9/25 at k = 2, strictly
+    increasing in k, with limit 3/8.  ``explore.lemma_sweep`` proves for
+    every k that the minimum is at the crossing and has this value."""
+    _check_int(k, "k", 2)
+    return Fraction(3 * k * (k + 1), 2 * (2 * k + 1) ** 2)
 
 
 # -- certificates -------------------------------------------------------------
@@ -194,7 +189,7 @@ class Case2Entry:
     x_next: Value
     g_value: Value
     h_value: Value
-    max_value: Value  # clamped to [0, 1]
+    max_value: Value  # in [9/25, 1/2): see case2_certificate
 
 
 @dataclass(frozen=True)
@@ -291,17 +286,19 @@ def case2_certificate(w: WeightVector) -> Certificate:
     """Certificate for x1 + x2 <= 1.
 
     For n <= 2 the sum can never leave [-1, 1], so the bound is 1.  Otherwise
-    the bound is min over ALL k in {2..n-1} of the clamped max(g_k, h_k) at
-    x_{k+1} - conservative whether or not the event A_k has positive
-    probability, which keeps the certificate O(n) with no enumeration.
+    the bound is min over ALL k in {2..n-1} of max(g_k, h_k) at x_{k+1} -
+    conservative whether or not the event A_k has positive probability,
+    which keeps the certificate O(n) with no enumeration.  Each such max
+    lies in [9/25, 1/2): sortedness gives (k+1) x_{k+1}^2 <= 1, so
+    k x_{k+1}^2 < 1 and (1 - x_{k+1})^2/k < 1 keep g_k and h_k below 1/2,
+    and ``minmax_bound`` is at least 9/25.
     """
     if case_of(w) is not CaseTag.CASE2:
         raise WrongCaseError("not case 2: x1 + x2 > 1")
-    one = Fraction(1) if w.mode == EXACT else 1.0
     if w.n <= 2:
         return Certificate(
             case=CaseTag.CASE2,
-            final_bound=one,
+            final_bound=Fraction(1) if w.mode == EXACT else 1.0,
             intermediates=Case2Data(per_k=(), argmin_k=None),
             mode=w.mode,
         )
@@ -309,14 +306,11 @@ def case2_certificate(w: WeightVector) -> Certificate:
     for k in range(2, w.n):
         x_next = w.values[k]
         gv, hv, mv = _max_g_h(k, x_next, w.squares[k], w.mode)
-        entries.append(
-            Case2Entry(k=k, x_next=x_next, g_value=gv, h_value=hv, max_value=clamp01(mv))
-        )
+        entries.append(Case2Entry(k=k, x_next=x_next, g_value=gv, h_value=hv, max_value=mv))
     argmin = min(entries, key=lambda e: (e.max_value, e.k))
-    final = argmin.max_value if argmin.max_value < one else one
     return Certificate(
         case=CaseTag.CASE2,
-        final_bound=final,
+        final_bound=argmin.max_value,
         intermediates=Case2Data(per_k=tuple(entries), argmin_k=argmin.k),
         mode=w.mode,
     )
@@ -356,7 +350,7 @@ def theorem_bound(
 def hybrid_bound(w: WeightVector, *, limit: Optional[int] = None):
     """Exact-partition refinement of the Case-2 certificate:
 
-        sum_k Pr(A_k) * clamp(max(g_k, h_k)(x_{k+1})) + Pr(A_n) * 1
+        sum_k Pr(A_k) * max(g_k, h_k)(x_{k+1}) + Pr(A_n) * 1
 
     Sits between the O(n) certificate and the exact probability.  Only the
     event probabilities are needed, so only the partition walk runs, not
@@ -373,7 +367,7 @@ def hybrid_bound(w: WeightVector, *, limit: Optional[int] = None):
     for k, p in zip(range(2, w.n), probs):
         if p == 0:
             continue
-        total = total + p * clamp01(_max_g_h(k, w.values[k], w.squares[k], w.mode)[2])
+        total = total + p * _max_g_h(k, w.values[k], w.squares[k], w.mode)[2]
     total = total + probs[-1] * one
     return total
 

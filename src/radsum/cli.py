@@ -69,7 +69,6 @@ class RunConfig:
     budget: int = 10_000
     n: Optional[int] = None
     k_max: int = 1000
-    grid_points: int = 10_000
     confidence: float = 0.99
     full_limit: int = engine.DEFAULT_FULL_LIMIT
     mitm_limit: int = engine.DEFAULT_MITM_LIMIT
@@ -90,6 +89,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
+
+
+class _Ignored(argparse.Action):
+    """A flag whose value is type-checked and then dropped."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        pass
 
 
 @functools.cache
@@ -141,10 +147,9 @@ def build_parser() -> _Parser:
 
     p = add("lemmas", "bound-function lemma verification sweep", weights=False)
     p.add_argument("--k-max", type=int)
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--mode", choices=(EXACT, FLOAT),
-                   help="exact: closed-form certificate only; float: adds a float grid "
-                        "cross-check on --grid-points points")
+    p.add_argument("--mode", choices=(EXACT,), help="exact closed-form certificate (the only mode)")
+    # kept, hidden and ignored only while perfbench's certify-cli workload passes it
+    p.add_argument("--grid-points", type=int, action=_Ignored, help=argparse.SUPPRESS)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
     p = add("search", "search for low-probability weight vectors", weights=False)
@@ -338,8 +343,8 @@ def _mc(cfg: RunConfig):
 
 
 def _lemmas(cfg: RunConfig):
-    cfg.mode = cfg.mode or FLOAT
-    report = explore.lemma_sweep(cfg.k_max, cfg.grid_points, mode=cfg.mode)
+    cfg.mode = EXACT
+    report = explore.lemma_sweep(cfg.k_max)
     code, warn = EXIT_OK, ""
     if not report.ok:
         code = EXIT_SOUNDNESS
@@ -352,8 +357,7 @@ def _lemmas(cfg: RunConfig):
     if cfg.fmt == "json":
         result = {
             "k_max": report.k_max,
-            "grid_points": report.grid_points,
-            "mode": report.mode,
+            "mode": EXACT,
             "ok": report.ok,
             "minmax_nondecreasing": report.minmax_nondecreasing,
             "violations": list(report.violations),

@@ -25,7 +25,7 @@ from .bounds import THEOREM_FLOOR, crossing_point, g, h, minmax_bound
 from .engine import DEFAULT_MITM_LIMIT, _normalize_threshold, _size_limit
 from .engine import admissible_count
 from .errors import InputError, SoundnessError, _check_int
-from .weights import FLOAT, WeightVector, _validate_mode, canonicalize
+from .weights import FLOAT, WeightVector, canonicalize
 
 _MC_BLOCK = 1 << 16
 _INITIAL_STEP = 0.25
@@ -115,8 +115,6 @@ class LemmaRow:
 @dataclass(frozen=True)
 class LemmaSweepReport:
     k_max: int
-    grid_points: int
-    mode: str
     rows: tuple[LemmaRow, ...]
     violations: tuple[str, ...]
     minmax_nondecreasing: bool
@@ -126,132 +124,84 @@ class LemmaSweepReport:
         return not self.violations and self.minmax_nondecreasing
 
 
-def _certify_k(k: int, cp: Fraction, violations: list[str]) -> tuple[bool, bool, bool]:
-    """Closed-form certificate of the lemma facts for one k and its crossing
-    ``cp``, in exact rational arithmetic; failures are appended to
-    ``violations``.
+# Two values of k and three of x fix a polynomial of degree <= 1 in k and
+# <= 2 in x; three values of k fix one of degree <= 2 in k.
+_K_GRID = (2, 3)
+_X_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
+_MINMAX_K_GRID = (2, 3, 4)
+
+
+def _certify_all_k(violations: list[str]) -> tuple[bool, bool]:
+    """Closed-form certificate of the lemma facts for every k >= 2 at once,
+    in exact rational arithmetic: whether the g facts and the h facts hold
+    (the min location needs both); failures are appended to ``violations``.
 
     With D = (2-x)^2 > 0 on [0, 1], the definitions of g and h read
-    2D g_k = D - 1 + k x^2 and 2D h_k = D - 1 + (1-x)^2/k.  Both sides are
-    quadratics in x, so agreement of the real ``g``/``h`` at three points
-    proves each identity for this k.  The closed forms give
+    2D g_k = D - 1 + k x^2 and 2kD h_k = kD - k + (1-x)^2.  The residuals
+    2D g_k(x) - (D - 1 + k x^2) and 2kD h_k(x) - (kD - k + (1-x)^2) are
+    polynomials of degree <= 1 in k and <= 2 in x, so vanishing of the real
+    ``g``/``h`` residuals on the grid {2, 3} x {0, 1/2, 1} proves both
+    identities for every k and every x.  They give
     g_k' = (2kx - 1)/(2-x)^3, h_k' = -(1 + (1-x)/k)/(2-x)^3 and
-    g_k - h_k = ((k+1)x - 1)(1 + (k-1)x)/(2kD).  Each numerator is linear in
-    x, so its signs at the two ends of an interval fix its sign on all of
-    it: g_k' >= 0 on [1/(2k), 1], h_k' < 0 on [0, 1], and 1 + (k-1)x > 0 on
-    [0, 1], so g_k - h_k changes sign only at the root 1/(k+1) of
-    (k+1)x - 1.  Hence max(g_k, h_k) is h_k, decreasing, up to the crossing
-    and g_k, nondecreasing because 1/(k+1) >= 1/(2k), after it; its minimum
-    over [0, 1] is at the crossing.
+    g_k - h_k = ((k+1)x - 1)(1 + (k-1)x)/(2kD), whose numerators are linear
+    in x with signs that hold for every k >= 2: 2kx - 1 >= 0 on [1/(2k), 1]
+    (zero at its left end), -(1 + (1-x)/k) < 0 and 1 + (k-1)x > 0 on
+    [0, 1], and (k+1)x - 1 changes sign only at 1/(k+1) >= 1/(2k).  Hence
+    g_k is nondecreasing on [1/(2k), 1], h_k is decreasing on [0, 1], and
+    max(g_k, h_k) is h_k up to the crossing 1/(k+1) and g_k after it, so
+    its minimum over [0, 1] is at the crossing.  There the g identity gives
+    3k(k+1)/(2(2k+1)^2) = (3/8)(1 - 1/(2k+1)^2): 9/25 at k = 2, strictly
+    increasing, with limit 3/8.
     """
-    lo, ends = Fraction(1, 2 * k), (Fraction(0), Fraction(1))
 
-    def holds(fact: str, ok: bool) -> bool:
-        if not ok:
-            violations.append(f"k={k}: {fact} fails")
-        return ok
+    def identity(fact: str, residual) -> bool:
+        for k in _K_GRID:
+            for x in _X_GRID:
+                if residual(k, x):
+                    violations.append(f"{fact} fails at k={k}, x={x}")
+                    return False
+        return True
 
-    def tied(fn, quad) -> bool:
-        points = (Fraction(0), Fraction(1, 2), Fraction(1))
-        return all(2 * (2 - x) ** 2 * fn(k, x) == (2 - x) ** 2 - 1 + quad(x) for x in points)
-
-    g_ok = holds(
-        f"2(2-x)^2 g_{k}(x) = (2-x)^2 - 1 + {k}x^2", tied(g, lambda x: k * x * x)
-    ) and holds(f"g_{k}' >= 0 on [{lo}, 1]", all(2 * k * x - 1 >= 0 for x in (lo, ends[1])))
-    h_ok = holds(
-        f"2(2-x)^2 h_{k}(x) = (2-x)^2 - 1 + (1-x)^2/{k}", tied(h, lambda x: (1 - x) ** 2 / k)
-    ) and holds(f"h_{k}' < 0 on [0, 1]", all(-(1 + (1 - x) / k) < 0 for x in ends))
-    min_ok = g_ok and h_ok and holds(
-        f"g_{k} - h_{k} changes sign only at {cp} >= {lo}",
-        (k + 1) * cp == 1 and cp >= lo and all(1 + (k - 1) * x > 0 for x in ends),
+    return (
+        identity("2(2-x)^2 g_k(x) = (2-x)^2 - 1 + kx^2",
+                 lambda k, x: 2 * (2 - x) ** 2 * g(k, x) - ((2 - x) ** 2 - 1 + k * x * x)),
+        identity("2k(2-x)^2 h_k(x) = k(2-x)^2 - k + (1-x)^2",
+                 lambda k, x: 2 * k * (2 - x) ** 2 * h(k, x) - (k * (2 - x) ** 2 - k + (1 - x) ** 2)),
     )
-    return g_ok, h_ok, min_ok
 
 
-def _g_float(k: int, xs: np.ndarray) -> np.ndarray:
-    return (1.0 - (1.0 - k * xs * xs) / (2.0 - xs) ** 2) / 2.0
+def lemma_sweep(k_max: int) -> LemmaSweepReport:
+    """Verify the bound-function lemma: for every k >= 2, g_k nondecreasing
+    on [1/(2k), 1], h_k nonincreasing on [0, 1], and the min of
+    max(g_k, h_k) over [0, 1] at the crossing 1/(k+1), where it equals
+    ``minmax_bound(k)``, nondecreasing in k from 9/25 at k = 2.
 
-
-def _h_float(k: int, xs: np.ndarray) -> np.ndarray:
-    return (1.0 - (1.0 - (1.0 - xs) ** 2 / k) / (2.0 - xs) ** 2) / 2.0
-
-
-def _sweep_k_float(k: int, grid: int, violations: list[str]) -> tuple[bool, bool, bool]:
-    """Float grid cross-check of the facts ``_certify_k`` proves."""
-    xs_g = np.linspace(1.0 / (2 * k), 1.0, grid)
-    gv = _g_float(k, xs_g)
-    bad = np.flatnonzero(np.diff(gv) < 0)
-    g_ok = bad.size == 0
-    if not g_ok:
-        violations.append(f"g_{k} decreases between x={xs_g[bad[0]]!r} and x={xs_g[bad[0] + 1]!r}")
-
-    xs = np.linspace(0.0, 1.0, grid)
-    hv = _h_float(k, xs)
-    bad = np.flatnonzero(np.diff(hv) > 0)
-    h_ok = bad.size == 0
-    if not h_ok:
-        violations.append(f"h_{k} increases between x={xs[bad[0]]!r} and x={xs[bad[0] + 1]!r}")
-
-    mx = np.maximum(_g_float(k, xs), hv)
-    arg = int(np.argmin(mx))
-    cell = 1.0 / (grid - 1)
-    min_ok = bool(abs(float(xs[arg]) - 1.0 / (k + 1)) <= cell + 1e-15)
-    if not min_ok:
-        violations.append(
-            f"grid min of max(g_{k},h_{k}) at x={xs[arg]!r}, not within one cell of 1/{k + 1}"
-        )
-    return g_ok, h_ok, min_ok
-
-
-def lemma_sweep(k_max: int, grid_points: int, *, mode: str = FLOAT) -> LemmaSweepReport:
-    """Verify, for each k = 2..k_max: g_k nondecreasing on [1/(2k), 1], h_k
-    nonincreasing on [0, 1], the crossing identity at 1/(k+1), the min of
-    max(g_k, h_k) over [0, 1] at the crossing, and that the per-k min-max
-    values are nondecreasing from 0.36 at k = 2.
-
-    Every check is exact; the per-k facts come from the closed-form
-    certificate of ``_certify_k``.  ``FLOAT`` mode adds a float cross-check
-    on ``grid_points``-point grids per k; ``EXACT`` mode uses no floating
-    point.  Violations are report entries, not exceptions.
+    The lemma is proved once for every k by ``_certify_all_k``, and the
+    closed form of ``minmax_bound`` on k = 2, 3, 4 (2(2k+1)^2 m(k) is
+    quadratic in k).  Each row, k = 2..k_max, adds one literal check:
+    g_k and h_k at ``crossing_point(k)`` both equal ``minmax_bound(k)``.
+    Every check is exact; violations are report entries, not exceptions.
     """
     _check_int(k_max, "k_max", 2)
-    _check_int(grid_points, "grid_points", 3)
-    _validate_mode(mode)
-    rows: list[LemmaRow] = []
     violations: list[str] = []
-    nondecreasing = True
-    prev = None
+    g_ok, h_ok = _certify_all_k(violations)
+    nondecreasing = all(
+        2 * (2 * k + 1) ** 2 * minmax_bound(k) == 3 * k * (k + 1) for k in _MINMAX_K_GRID
+    )
+    if not nondecreasing:
+        violations.append("minmax_bound(k) = 3k(k+1)/(2(2k+1)^2) fails on k = 2, 3, 4")
+    rows: list[LemmaRow] = []
     for k in range(2, k_max + 1):
         cp = crossing_point(k, check=False)
-        gc = g(k, cp)
-        hc = h(k, cp)
-        if gc != hc:
-            violations.append(f"crossing g_{k}({cp}) = {gc} != h_{k}({cp}) = {hc}")
-        mm = minmax_bound(k)
-        if prev is not None and mm < prev:
-            nondecreasing = False
-            violations.append(f"minmax_bound({k}) = {mm} < minmax_bound({k - 1}) = {prev}")
-        prev = mm
-        g_ok, h_ok, min_ok = _certify_k(k, cp, violations)
-        if mode == FLOAT:
-            fg, fh, fm = _sweep_k_float(k, grid_points, violations)
-            g_ok, h_ok, min_ok = g_ok and fg, h_ok and fh, min_ok and fm
-        rows.append(
-            LemmaRow(
-                k=k,
-                crossing_x=cp,
-                g_at_crossing=gc,
-                h_at_crossing=hc,
-                minmax=mm,
-                monotone_g_ok=g_ok,
-                monotone_h_ok=h_ok,
-                min_location_ok=min_ok,
+        gc, hc, mm = g(k, cp), h(k, cp), minmax_bound(k)
+        tied = gc == hc == mm
+        if not tied:
+            violations.append(
+                f"k={k}: g_{k}({cp}) = {gc}, h_{k}({cp}) = {hc} and minmax_bound({k}) = {mm} differ"
             )
-        )
+        rows.append(LemmaRow(k, cp, gc, hc, mm, g_ok, h_ok, g_ok and h_ok and tied))
     return LemmaSweepReport(
         k_max=k_max,
-        grid_points=grid_points,
-        mode=mode,
         rows=tuple(rows),
         violations=tuple(violations),
         minmax_nondecreasing=nondecreasing,

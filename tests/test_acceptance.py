@@ -159,7 +159,7 @@ def test_criterion_07_moment_oracle():
 
 
 def test_criterion_08_lemma_sweep():
-    rep = lemma_sweep(1000, 10_000, mode=FLOAT)
+    rep = lemma_sweep(1000)
     assert rep.ok, rep.violations
     assert not rep.violations
     mms = [r.minmax for r in rep.rows]
@@ -168,7 +168,7 @@ def test_criterion_08_lemma_sweep():
     for k in range(2, 10_001):
         cp = crossing_point(k, check=False)
         assert g(k, cp) == h(k, cp), k
-    ok(8, "k=2..1000 sweep on 10^4-point grids: zero violations; minmax nondecreasing "
+    ok(8, "k=2..1000 closed-form sweep: zero violations; minmax nondecreasing "
           "from 0.36; crossing equality exact for k<=10^4")
 
 
@@ -222,7 +222,7 @@ def test_criterion_13_cli_determinism(capsys):
         ("certify", "sq:9/25,4/25,4/25,4/25,4/25", "--exact-check", "--no-timestamp"),
         ("certify", "sq:16/25,9/25", "--exact-check", "--no-timestamp"),
         # criterion 8's CLI face
-        ("lemmas", "--k-max", "1000", "--grid-points", "10000", "--no-timestamp"),
+        ("lemmas", "--k-max", "1000", "--no-timestamp"),
         # criterion 11's CLI face
         ("search", "--n", "2", "--budget", "10000", "--seed", "0", "--no-timestamp"),
     )

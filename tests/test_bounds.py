@@ -22,7 +22,6 @@ from radsum import (
     case1_certificate,
     case_of,
     case2_certificate,
-    clamp01,
     crossing_point,
     decomposition_check,
     exact_sqrt,
@@ -106,11 +105,6 @@ class TestCrossingAndMinmax:
     def test_minmax_large_k_limit(self):
         assert abs(float(minmax_bound(10**6)) - 0.375) < 1e-5
 
-    def test_clamp(self):
-        assert clamp01(Fraction(3, 2)) == 1
-        assert clamp01(Fraction(1, 2)) == Fraction(1, 2)
-        assert clamp01(-0.25) == 0.0
-
 
 class TestCase1Certificate:
     def test_empty_tail(self):
@@ -172,6 +166,32 @@ class TestCase2Certificate:
             cert = theorem_bound(w, exact_check=True)
             assert cert.final_bound >= CASE2_FLOOR
             assert cert.final_bound <= cert.sound_against
+
+    @given(st.sampled_from(CASE2_KINDS), st.integers(3, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_every_max_lies_in_floor_to_half(self, kind, n, seed):
+        # (k+1) x_{k+1}^2 <= 1 keeps g_k and h_k below 1/2 and minmax_bound
+        # keeps their max at least 9/25, so no max leaves [9/25, 1/2); float
+        # rounding can break the floor (test_float_max_near_the_floor)
+        w = case2_vector(kind, n, seed)
+        vectors = [] if w is None else [w]
+        if w is not None and w.mode == EXACT:
+            vectors.append(canonicalize(w.as_floats(), FLOAT))
+        if kind == "float-ties":  # x_3 = 1/3, the min-max point of k = 2
+            vectors += [canonicalize([1.0] * 9, FLOAT), from_squares([1] * 9)]
+        for w in (v for v in vectors if case_of(v) is CaseTag.CASE2):
+            for e in case2_certificate(w).intermediates.per_k:
+                assert CASE2_FLOOR <= e.max_value < Fraction(1, 2), (w.values, e.k, e.max_value)
+
+    @pytest.mark.xfail(raises=SoundnessError, strict=True,
+                       reason="float max(g_2, h_2) rounds to 0.36, one ulp below 9/25")
+    def test_float_max_near_the_floor(self):
+        # x_3 = 0.3333333333333334: the real max(g_2, h_2) is at least 9/25,
+        # but its float is 0.36 < 9/25, so the floor check refuses a valid
+        # instance
+        ws = [1.0, 1.0, 1.0000000000000002, 1.0000000000000002, 1.0000000000000004,
+              1.0000000000000004, 1.0000000000000007, 1.0000000000000007, 1.0000000000000009]
+        theorem_bound(canonicalize(ws, FLOAT), exact_check=False)
 
     def test_zero_tail_weights_no_special_case(self):
         w = canonicalize([3, 4, 0, 0, 0], EXACT)
@@ -274,7 +294,7 @@ class TestHybridBound:
         for k, p in zip(report.ks[:-1], report.probs):
             if p == 0:
                 continue
-            total = total + p * clamp01(bounds._max_g_h(k, w.values[k], w.squares[k], w.mode)[2])
+            total = total + p * bounds._max_g_h(k, w.values[k], w.squares[k], w.mode)[2]
         return total + report.probs[-1] * one
 
     @given(st.sampled_from(CASE2_KINDS), st.integers(2, 12), st.integers(0, 2**32 - 1))

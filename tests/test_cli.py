@@ -192,7 +192,7 @@ class TestDistributionAndLemmas:
 
     def test_lemmas_csv_schema(self, capsys):
         code, out, _ = run_cli(
-            capsys, "lemmas", "--k-max", "5", "--grid-points", "101", "--no-timestamp"
+            capsys, "lemmas", "--k-max", "5", "--no-timestamp"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -203,12 +203,41 @@ class TestDistributionAndLemmas:
 
     def test_lemmas_json(self, capsys):
         code, doc, _ = run_json(
-            capsys, "lemmas", "--k-max", "4", "--grid-points", "101",
-            "--format", "json", "--no-timestamp",
+            capsys, "lemmas", "--k-max", "4", "--format", "json", "--no-timestamp",
         )
         assert code == 0
         assert doc["result"]["ok"] is True
+        assert doc["result"]["mode"] == doc["config"]["mode"] == "exact"
+        assert "grid_points" not in doc["result"] and "grid_points" not in doc["config"]
         assert doc["result"]["rows"][0]["minmax"]["exact"] == "9/25"
+
+    def test_lemmas_benchmark_call(self, capsys):
+        # the argv of perfbench's certify-cli lemmas calls, ignored --grid-points included
+        code, doc, err = run_json(
+            capsys, "lemmas", "--mode", "exact", "--k-max", "18", "--grid-points", "500",
+            "--format", "json",
+        )
+        assert (code, err, doc["result"]["ok"]) == (0, "", True)
+        rows = [(r["crossing_x"]["exact"], r["minmax"]["exact"]) for r in doc["result"]["rows"]]
+        assert rows == [
+            (str(Fraction(1, k + 1)), str(Fraction(3 * k * (k + 1), 2 * (2 * k + 1) ** 2)))
+            for k in range(2, 19)
+        ]
+
+    def test_lemmas_float_mode_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "lemmas", "--mode", "float", "--k-max", "3")
+        assert (code, out) == (1, "")
+        assert err == "radsum: error: argument --mode: invalid choice: 'float' (choose from 'exact')\n"
+
+    def test_grid_points_is_hidden_and_ignored(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["lemmas", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--k-max" in help_text and "grid" not in help_text
+        plain = run_cli(capsys, "lemmas", "--k-max", "3", "--format", "json", "--no-timestamp")
+        assert run_cli(capsys, "lemmas", "--k-max", "3", "--grid-points", "-7", "--format", "json",
+                       "--no-timestamp") == plain
+        assert run_cli(capsys, "lemmas", "--grid-points", "x")[0] == 1
 
     def test_lemma_violation_exits_3(self, capsys, monkeypatch):
         import radsum.explore as explore_mod
@@ -219,28 +248,21 @@ class TestDistributionAndLemmas:
             return Fraction(1, 100) if k == 3 else real(k, **kw)
 
         monkeypatch.setattr(explore_mod, "minmax_bound", rigged)
-        code, out, err = run_cli(
-            capsys, "lemmas", "--k-max", "4", "--grid-points", "51", "--no-timestamp"
-        )
+        code, out, err = run_cli(capsys, "lemmas", "--k-max", "4", "--no-timestamp")
         assert code == 3
         assert "lemma violation" in err
 
     def test_failed_min_location_shows_in_csv(self, capsys, monkeypatch):
         import radsum.explore as explore_mod
 
-        real = explore_mod._certify_k
+        real = explore_mod.g
 
-        def rigged(k, cp, violations):
-            g_ok, h_ok, min_ok = real(k, cp, violations)
-            if k == 3:
-                violations.append("k=3: min of max(g, h) is not at the crossing")
-                min_ok = False
-            return g_ok, h_ok, min_ok
+        def rigged(k, x):
+            # g off only at k = 3's crossing, where each row checks it
+            return real(k, x) + (Fraction(1, 100) if (k, x) == (3, Fraction(1, 4)) else 0)
 
-        monkeypatch.setattr(explore_mod, "_certify_k", rigged)
-        code, out, err = run_cli(
-            capsys, "lemmas", "--k-max", "4", "--grid-points", "51", "--no-timestamp"
-        )
+        monkeypatch.setattr(explore_mod, "g", rigged)
+        code, out, err = run_cli(capsys, "lemmas", "--k-max", "4", "--no-timestamp")
         assert code == 3
         assert [line.rsplit(",", 1)[1] for line in out.splitlines()] == ["min_location_ok", "true", "false", "true"]
 
@@ -371,10 +393,11 @@ class TestParserContract:
         assert {a.default for a in settable} == {argparse.SUPPRESS}
 
     def test_benchmark_argv_shapes(self):
-        cfg = cli.parse_config(
-            ["lemmas", "--mode", "exact", "--k-max", "40", "--grid-points", "500", "--format", "json"]
-        )
-        assert (cfg.mode, cfg.k_max, cfg.grid_points, cfg.fmt) == ("exact", 40, 500, "json")
+        # perfbench's certify-cli lemmas call still passes the ignored --grid-points
+        argv = ["lemmas", "--mode", "exact", "--k-max", "40", "--grid-points", "500", "--format", "json"]
+        cfg = cli.parse_config(argv)
+        assert cfg == RunConfig(subcommand="lemmas", mode="exact", k_max=40, fmt="json")
+        assert cli.parse_config(argv[:5] + argv[7:]) == cfg
         cfg = cli.parse_config(["mc", "0.5,0.5", "--samples", "4096", "--seed", "11"])
         assert (cfg.weights, cfg.samples, cfg.seed, cfg.t) == ("0.5,0.5", 4096, 11, "1")
         cfg = cli.parse_config(["search", "--n", "8", "--budget", "40", "--seed", "2"])
@@ -539,7 +562,7 @@ class TestDeterminismAndConfig:
     def test_byte_identical_reruns(self, capsys):
         for args in (
             ("certify", "sq:16/25,9/25", "--no-timestamp"),
-            ("lemmas", "--k-max", "6", "--grid-points", "101", "--no-timestamp"),
+            ("lemmas", "--k-max", "6", "--no-timestamp"),
             ("search", "--n", "2", "--budget", "300", "--seed", "0", "--no-timestamp"),
         ):
             _, out1, _ = run_cli(capsys, *args)
@@ -577,12 +600,12 @@ class TestDeterminismAndConfig:
         out_file = tmp_path / "cert.json"
         argvs = [
             ["certify", "sq:3,2,2,1,1", "--no-timestamp"],
-            ["lemmas", "--k-max", "5", "--grid-points", "50", "--no-timestamp"],
+            ["lemmas", "--k-max", "5", "--no-timestamp"],
             ["mc", "0.5,0.5,0.5,0.5", "--samples", "500", "--no-timestamp"],
             ["certify", "sq:1,1,1", "--frobnicate"],
             ["lemmas", "--mode", "exact", "--k-max", "4", "--format", "json", "--no-timestamp"],
             ["certify", "0.6,0.5,0.4", "--no-timestamp", "-o", str(out_file)],
-            ["lemmas", "--k-max", "3", "--grid-points", "20", "--format", "json", "--no-timestamp"],
+            ["lemmas", "--k-max", "3", "--format", "json", "--no-timestamp"],
         ]
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -638,15 +661,17 @@ _FLAG_VALUES = {
     "--threshold": _THRESHOLDS, "-t": _THRESHOLDS, "--mode": (["exact", "float"], ["bogus"]),
     "--format": (["csv", "json"], ["xml"]), "--samples": (["1", "50"], ["0", "-5", "x"]),
     "--seed": (["0", "7"], ["-1", "x"]), "--confidence": (["0.5", "0.99"], ["1", "0", "x"]),
-    "--k-max": (["2", "4"], ["0", "-1", "x"]), "--grid-points": (["3", "10"], ["2", "x"]),
+    "--k-max": (["2", "4"], ["0", "-1", "x"]), "--grid-points": (["-1", "0", "3", "10"], ["x", "1.5"]),
     "--budget": (["0", "4", "12"], ["-1", "x"]), "--n": (["2", "3", "5"], ["0", "-1", "x"]),
     "--full-limit": _LIMITS, "--mitm-limit": _LIMITS,
 }
+# lemmas has one mode: exact
+_SUB_FLAG_VALUES = {("lemmas", "--mode"): (["exact"], ["float", "bogus"])}
 _SWITCHES = ["--strict", "--exact-check", "--no-timestamp", "--frobnicate", "--workers"]
 # what keeps each subcommand's default run small
 _SMALL_DEFAULTS = {
     "mc": ["--samples", "50"],
-    "lemmas": ["--k-max", "3", "--grid-points", "10"],
+    "lemmas": ["--k-max", "3"],
     "search": ["--n", "3", "--budget", "4"],
 }
 
@@ -679,7 +704,7 @@ def _argvs(draw):
     for _ in range(draw(st.integers(0, 3))):
         flag = draw(st.sampled_from(own if own and not bad() else [*_FLAG_VALUES, *_SWITCHES]))
         if flag in _FLAG_VALUES:
-            good, garbage = _FLAG_VALUES[flag]
+            good, garbage = _SUB_FLAG_VALUES.get((sub, flag), _FLAG_VALUES[flag])
             argv += [flag, draw(st.sampled_from(garbage if bad() else good))]
         else:
             argv.append(flag)
@@ -711,6 +736,8 @@ class TestGeneratedArgv:
             assert self._run(argv, path) == first
         code, out, err, written = first
         assert code in (0, 1, 2, 3)
+        if argv[0] == "lemmas" and any(a == "--mode" and b != "exact" for a, b in zip(argv, argv[1:])):
+            assert code == 1 and "invalid choice" in err, (argv, err)
         if code:
             assert out == "" and written is None
             assert len(err.splitlines()) == 1 and err.startswith("radsum: "), err

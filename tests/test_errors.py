@@ -51,8 +51,7 @@ INTEGER_ARGS = [
     ("k-tail_moments", lambda v: tail_moments(W, v), [-1, 5]),
     ("samples", lambda v: monte_carlo(W, 1, samples=v, seed=0), [0]),
     ("seed-monte_carlo", lambda v: monte_carlo(W, 1, samples=10, seed=v), [-1, 2**64]),
-    ("k_max", lambda v: lemma_sweep(v, 10), [1]),
-    ("grid_points", lambda v: lemma_sweep(2, v), [2]),
+    ("k_max", lemma_sweep, [1]),
     ("n", lambda v: minimize_probability(v, 5, 0), [1, 41]),
     ("budget", lambda v: minimize_probability(2, v, 0), [0]),
     ("seed-minimize_probability", lambda v: minimize_probability(2, 5, v), [-1, 2**64]),

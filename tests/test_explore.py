@@ -111,7 +111,7 @@ class TestMonteCarlo:
 
 class TestLemmaSweep:
     def test_float_sweep_clean(self):
-        rep = lemma_sweep(60, 1001)
+        rep = lemma_sweep(60)
         assert rep.ok
         assert rep.minmax_nondecreasing
         assert not rep.violations
@@ -119,22 +119,21 @@ class TestLemmaSweep:
         assert rep.rows[0].minmax == Fraction(9, 25)
         assert rep.rows[0].crossing_x == Fraction(1, 3)
         assert all(r.monotone_g_ok and r.monotone_h_ok and r.min_location_ok for r in rep.rows)
+        for r in rep.rows:  # float evaluation of g and h agrees with the exact rows
+            x = float(r.crossing_x)
+            assert g(r.k, x) == pytest.approx(float(r.minmax), rel=1e-12)
+            assert h(r.k, x) == pytest.approx(float(r.minmax), rel=1e-12)
 
     def test_exact_sweep_clean(self):
-        rep = lemma_sweep(12, 101, mode=EXACT)
+        rep = lemma_sweep(60)
         assert rep.ok
-        assert [r.k for r in rep.rows] == list(range(2, 13))
-
-    def test_exact_and_float_agree_on_flags(self):
-        re_ = lemma_sweep(8, 201, mode=EXACT)
-        rf = lemma_sweep(8, 201, mode=FLOAT)
-        for a, b in zip(re_.rows, rf.rows):
-            assert (a.monotone_g_ok, a.monotone_h_ok, a.min_location_ok) == (
-                b.monotone_g_ok,
-                b.monotone_h_ok,
-                b.min_location_ok,
-            )
-            assert a.minmax == b.minmax
+        assert [r.k for r in rep.rows] == list(range(2, 61))
+        for r in rep.rows:  # the closed forms
+            k = r.k
+            assert r.crossing_x == Fraction(1, k + 1)
+            assert r.minmax == Fraction(3 * k * (k + 1), 2 * (2 * k + 1) ** 2)
+            assert r.minmax == Fraction(3, 8) * (1 - Fraction(1, (2 * k + 1) ** 2))
+            assert r.g_at_crossing == r.h_at_crossing == r.minmax
 
     def test_minmax_floor_large_range(self):
         # The unproved step: per-k min-max values never dip below 9/25.
@@ -155,7 +154,7 @@ class TestLemmaSweep:
         hf = (lambda k, x: h(k, x) + x * x) if mutation == "h" else h
         monkeypatch.setattr(explore_mod, "g", gf)
         monkeypatch.setattr(explore_mod, "h", hf)
-        rows = {r.k: r for r in lemma_sweep(11, 3, mode=EXACT).rows}
+        rows = {r.k: r for r in lemma_sweep(11).rows}
         grid = 41
         for k in (2, 5, 11):
             lo = Fraction(1, 2 * k)
@@ -170,16 +169,7 @@ class TestLemmaSweep:
                 assert row.min_location_ok
                 assert min(max(g(k, x), h(k, x)) for x in xs) >= row.minmax
 
-    def test_float_grid_disagreement_is_a_violation(self, monkeypatch):
-        # An increasing float h: only the float cross-check sees it, and only
-        # float mode runs that check.
-        monkeypatch.setattr(explore_mod, "_h_float", lambda k, xs: xs)
-        rep = lemma_sweep(4, 51, mode=FLOAT)
-        assert not rep.ok
-        assert not any(r.monotone_h_ok for r in rep.rows)
-        assert lemma_sweep(4, 51, mode=EXACT).ok
-
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("form", [["--mode", "exact"], []], ids=["exact", "default"])
     @pytest.mark.parametrize(
         "target, mutate, flag",
         [
@@ -192,28 +182,64 @@ class TestLemmaSweep:
                          id="h_of_k_plus_1"),
             pytest.param("g", lambda f: lambda k, x: f(k, x) - x * x, "monotone_g_ok",
                          id="g_minus_square"),
+            # the sign of g's k x^2 term flipped
+            pytest.param("g", lambda f: lambda k, x: (1 - (1 + k * x * x) / (2 - x) ** 2) / 2,
+                         "monotone_g_ok", id="g_sign_flip"),
         ],
     )
     def test_mutated_bound_functions_fail_the_certificate(
-        self, monkeypatch, capsys, mode, target, mutate, flag
+        self, monkeypatch, capsys, form, target, mutate, flag
     ):
         monkeypatch.setattr(explore_mod, target, mutate(getattr(explore_mod, target)))
-        rep = lemma_sweep(6, 51, mode=mode)
+        rep = lemma_sweep(6)
         assert not rep.ok
         assert not any(getattr(r, flag) for r in rep.rows)
         assert not any(r.min_location_ok for r in rep.rows)
-        assert cli_main(["lemmas", "--k-max", "6", "--grid-points", "51", "--mode", mode,
-                         "--no-timestamp"]) == 3
-        assert "lemma violation: k=2: 2(2-x)^2" in capsys.readouterr().err
+        assert cli_main(["lemmas", "--k-max", "6", *form, "--no-timestamp"]) == 3
+        assert f"lemma violation: 2{'k' if target == 'h' else ''}(2-x)^2 {target}_k(x) = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, mutate, bad_ks",
+        [
+            # the crossing 1/k in place of 1/(k+1): g and h differ there
+            pytest.param("crossing_point", lambda f: lambda k, check=True: Fraction(1, k),
+                         range(2, 9), id="crossing_1_over_k"),
+            # 2k+3 for 2k+1 in the min-max closed form
+            pytest.param("minmax_bound",
+                         lambda f: lambda k: Fraction(3 * k * (k + 1), 2 * (2 * k + 3) ** 2),
+                         range(2, 9), id="minmax_off_by_one"),
+            # g wrong only at k = 7's crossing: no closed-form check sees it,
+            # the row of k = 7 does
+            pytest.param("g", lambda f: lambda k, x: f(k, x) + (k == 7 and x == Fraction(1, 8)),
+                         [7], id="g_wrong_at_k7_crossing"),
+        ],
+    )
+    def test_mutated_rows_fail_the_sweep(self, monkeypatch, capsys, target, mutate, bad_ks):
+        monkeypatch.setattr(explore_mod, target, mutate(getattr(explore_mod, target)))
+        rep = lemma_sweep(8)
+        assert not rep.ok
+        assert [r.k for r in rep.rows if not r.min_location_ok] == list(bad_ks)
+        assert cli_main(["lemmas", "--k-max", "8", "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert all(f"lemma violation: k={k}: " in err for k in bad_ks)
+
+    def test_certificate_covers_k_past_k_max(self, monkeypatch):
+        # an h wrong only for k = 3 fails the sweep of k = 2 alone: the
+        # closed-form certificate is for every k, not for the rows
+        real = explore_mod.h
+        monkeypatch.setattr(explore_mod, "h", lambda k, x: real(k, x) + (k == 3) * x * (1 - x))
+        rep = lemma_sweep(2)
+        assert not rep.ok
+        assert [(r.k, r.monotone_h_ok, r.min_location_ok) for r in rep.rows] == [(2, False, False)]
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            lemma_sweep(1, 100)
-        with pytest.raises(InputError):
-            lemma_sweep(5, 2)
-        for k_max, grid in ((2.5, 10), (True, 10), ("5", 10), (5, 10.0), (5, True), (5, None)):
+            lemma_sweep(1)
+        for k_max in (2.5, True, "5", None):
             with pytest.raises(InputError, match="must be an integer"):
-                lemma_sweep(k_max, grid)
+                lemma_sweep(k_max)
+        with pytest.raises(TypeError):
+            lemma_sweep(5, 100)
 
 
 class TestMinimizeProbability:
