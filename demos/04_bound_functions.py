@@ -20,7 +20,7 @@ print("h_2(1/3) =", h(2, Fraction(1, 3)), " (same: the crossing)")
 
 print("\ncrossing points and min-max values:")
 for k in (2, 3, 4, 9, 100):
-    cp = crossing_point(k)  # verifies g(k, cp) == h(k, cp) exactly
+    cp = crossing_point(k)  # lemma_sweep checks g(k, cp) == h(k, cp) exactly
     print(f"  k={k:>3}: crossing at {cp},  min max(g,h) = {minmax_bound(k)}"
           f" ~ {float(minmax_bound(k)):.6f}")
 print("  k -> inf: the min-max value climbs toward 3/8 =", 0.375)

@@ -53,11 +53,14 @@ CASE2_FLOOR = Fraction(9, 25)
 THEOREM_FLOOR = Fraction(9, 25)
 
 
-def _coerce_x(x):
+def _bound_args(k: int, x):
+    _check_int(k, "k", 2)
     if isinstance(x, bool):
         raise InputError("invalid input: bool is not a bound argument")
     if isinstance(x, int):
-        return Fraction(x)
+        x = Fraction(x)
+    if x < 0 or x > 1:
+        raise InputError(f"domain error: x must be in [0, 1], got {x}")
     return x
 
 
@@ -69,10 +72,7 @@ def g(k: int, x):
     Exceeds 1 for large x, but stays below 1/2 wherever k x^2 < 1, as at
     every x_{k+1} a Case-2 certificate reads.
     """
-    _check_int(k, "k", 2)
-    x = _coerce_x(x)
-    if x < 0 or x > 1:
-        raise InputError(f"domain error: x must be in [0, 1], got {x}")
+    x = _bound_args(k, x)
     den = (2 - x) ** 2
     return (1 - (1 - k * x * x) / den) / 2
 
@@ -83,10 +83,7 @@ def h(k: int, x):
     Same shape with the tail second moment bounded by 1 - (1-x)^2/k (Cauchy
     bound on the prefix mass forced by the crossing).
     """
-    _check_int(k, "k", 2)
-    x = _coerce_x(x)
-    if x < 0 or x > 1:
-        raise InputError(f"domain error: x must be in [0, 1], got {x}")
+    x = _bound_args(k, x)
     den = (2 - x) ** 2
     return (1 - (1 - (1 - x) ** 2 / k) / den) / 2
 
@@ -148,17 +145,11 @@ def _max_g_h(k: int, x, q, mode: str):
     return gv, hv, gv if pick_g else hv
 
 
-def crossing_point(k: int, *, check: bool = True) -> Fraction:
-    """The unique x in [0, 1] with g_k(x) = h_k(x): x = 1/(k+1).
-
-    With ``check`` the identity is re-evaluated exactly; failure would mean
-    a broken formula, not a data problem.
-    """
+def crossing_point(k: int) -> Fraction:
+    """The unique x in [0, 1] with g_k(x) = h_k(x): x = 1/(k+1), where
+    ``explore.lemma_sweep`` checks that both equal ``minmax_bound(k)``."""
     _check_int(k, "k", 2)
-    cp = Fraction(1, k + 1)
-    if check and g(k, cp) != h(k, cp):
-        raise SoundnessError(f"crossing identity failed at k={k}")
-    return cp
+    return Fraction(1, k + 1)
 
 
 def minmax_bound(k: int) -> Fraction:
@@ -248,8 +239,10 @@ class Certificate:
 
 def verify_certificate(cert: Certificate) -> None:
     """Raise SoundnessError if the certificate violates its floor or its
-    attached exact probability."""
-    if cert.final_bound < cert.floor:
+    attached exact probability.  A float bound meets its floor as a float:
+    max(g_2, h_2) at x = fl(1/3) can round to 0.36, just below 9/25."""
+    floor = cert.floor if cert.mode == EXACT else float(cert.floor)
+    if cert.final_bound < floor:
         raise SoundnessError(
             f"certified bound {cert.final_bound} below the {cert.case.value} "
             f"floor {cert.floor}"
@@ -307,7 +300,7 @@ def case2_certificate(w: WeightVector) -> Certificate:
         x_next = w.values[k]
         gv, hv, mv = _max_g_h(k, x_next, w.squares[k], w.mode)
         entries.append(Case2Entry(k=k, x_next=x_next, g_value=gv, h_value=hv, max_value=mv))
-    argmin = min(entries, key=lambda e: (e.max_value, e.k))
+    argmin = min(entries, key=lambda e: e.max_value)  # the first, so the smallest k, on a tie
     return Certificate(
         case=CaseTag.CASE2,
         final_bound=argmin.max_value,
@@ -353,12 +346,11 @@ def hybrid_bound(w: WeightVector, *, limit: Optional[int] = None):
         sum_k Pr(A_k) * max(g_k, h_k)(x_{k+1}) + Pr(A_n) * 1
 
     Sits between the O(n) certificate and the exact probability.  Only the
-    event probabilities are needed, so only the partition walk runs, not
-    the joint counts of ``prefix_partition``.
+    event probabilities are needed, so only the partition walk runs (and
+    rejects Case 1), not the joint counts of ``prefix_partition``.  n = 1
+    is Case 2 (x2 = 0), with bound 1.
     """
     _size_limit(limit, DEFAULT_FULL_LIMIT)
-    if case_of(w) is not CaseTag.CASE2:
-        raise WrongCaseError("not case 2: x1 + x2 > 1")
     one = Fraction(1) if w.mode == EXACT else 1.0
     if w.n == 1:
         return one
@@ -368,8 +360,7 @@ def hybrid_bound(w: WeightVector, *, limit: Optional[int] = None):
         if p == 0:
             continue
         total = total + p * _max_g_h(k, w.values[k], w.squares[k], w.mode)[2]
-    total = total + probs[-1] * one
-    return total
+    return total + probs[-1] * one
 
 
 @dataclass(frozen=True)

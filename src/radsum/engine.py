@@ -866,22 +866,23 @@ class PartitionReport:
     stats: Optional[PartitionStats] = None
 
 
-def _balanced_depth(settled: Sequence[int], n: int, k_min: int) -> int:
+def _balanced_depth(settled: Sequence[int], n: int) -> int:
     """The depth D from which ``prefix_partition`` builds tail tables.
 
     The tables are built from the end, so those for depths D..n-1 cost
     about 2^(n-D), the size of the largest; a prefix settled at a depth
     d < D is counted instead against the table at D, over the 2^(D-d) sign
     patterns of the weights in between.  D minimises ``sum_{d<D}
-    settled_d*2^(D-d) + 2^(n-D)`` over ``k_min <= D <= n-1`` (the smallest
-    on a tie): the balance of Horowitz and Sahni's meet-in-the-middle,
-    taken over the settled counts (``settled[d - 1]``) of the walk."""
+    settled_d*2^(D-d) + 2^(n-D)`` over ``1 <= D <= n-1`` (the smallest on a
+    tie): the balance of Horowitz and Sahni's meet-in-the-middle, taken over
+    the settled counts (``settled[d - 1]``) of the walk.  For n > 2 nothing
+    settles at depth 1, so D = 2 costs half of D = 1 and D is never 1."""
 
     def cost(depth: int) -> int:
         deferred = sum(c << (depth - d) for d, c in enumerate(settled[: depth - 1], 1))
         return deferred + (1 << (n - depth))
 
-    return min(range(k_min, n), key=cost)
+    return min(range(1, n), key=cost)
 
 
 def _chain(u, steps: np.ndarray):
@@ -964,12 +965,13 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     """Phase 1 of ``prefix_partition``, which alone gives the event
     probabilities ``Pr(A_k)``: the frontier of prefix sums walked depth by
     depth, each depth settling the sums whose event it decides."""
-    n = w.n
-    _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
+    n, limit = w.n, _size_limit(limit, DEFAULT_FULL_LIMIT)
     if n < 2:
         raise InputError("prefix_partition requires n >= 2")
     if case_of(w) is CaseTag.CASE1:
         raise WrongCaseError("not case 2: x1 + x2 > 1, events A_2..A_n do not cover")
+    if n > limit:
+        raise SizeLimitError(n, limit, "full-enumeration")
 
     exact = w.mode == EXACT
     vals, dtype, path, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
@@ -1029,8 +1031,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     """Partition all 2^n sign sequences by the first prefix k in {2..n-1}
     with |s_k| > 1 - x_{k+1} (event A_k), defaulting to A_n.
 
-    Requires Case 2 (x1 + x2 <= 1): only then does |s_1| <= 1 - x_2 hold
-    surely and A_2..A_n cover the space.
+    Requires Case 2 (x1 + x2 <= 1), tested before the size limit: only
+    then does |s_1| <= 1 - x_2 hold surely and A_2..A_n cover the space.
 
     Phase 1 (``_walk``) walks the frontier of prefix sums: each depth d
     settles the sums whose event it decides, counts their events and keeps
@@ -1053,16 +1055,15 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     walk = _walk(w, limit)
     n, exact, one, prefixes = w.n, w.mode == EXACT, walk.one, walk.prefixes
     vals, dtype, ties, fallbacks = walk.vals, walk.dtype, walk.ties, walk.stats.fallbacks
-    k_min = 1 if n == 2 else 2
     joint_count = [0] * (n + 1)
 
     # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
-    balanced = _balanced_depth(walk.stats.settled, n, k_min)
+    balanced = _balanced_depth(walk.stats.settled, n)
     tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype))
     for depth, table in tables:
         tkeys, tcounts = _search_order(*_mirror(*table))
         cum = np.concatenate([[0], np.cumsum(tcounts)])
-        for d in range(k_min if depth == balanced else depth, depth + 1):
+        for d in range(1 if depth == balanced else depth, depth + 1):
             if d not in prefixes:
                 continue
             ss, mm, crossed = prefixes.pop(d)

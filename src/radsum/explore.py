@@ -192,7 +192,7 @@ def lemma_sweep(k_max: int) -> LemmaSweepReport:
         violations.append("minmax_bound(k) = 3k(k+1)/(2(2k+1)^2) fails on k = 2, 3, 4")
     rows: list[LemmaRow] = []
     for k in range(2, k_max + 1):
-        cp = crossing_point(k, check=False)
+        cp = crossing_point(k)
         gc, hc, mm = g(k, cp), h(k, cp), minmax_bound(k)
         tied = gc == hc == mm
         if not tied:

@@ -166,7 +166,7 @@ def test_criterion_08_lemma_sweep():
     assert all(a <= b for a, b in zip(mms, mms[1:]))  # exact Fractions
     assert mms[0] == Fraction(9, 25) and min(mms) == mms[0]
     for k in range(2, 10_001):
-        cp = crossing_point(k, check=False)
+        cp = crossing_point(k)
         assert g(k, cp) == h(k, cp), k
     ok(8, "k=2..1000 closed-form sweep: zero violations; minmax nondecreasing "
           "from 0.36; crossing equality exact for k<=10^4")

@@ -1,5 +1,6 @@
 """Bound functions, certificates, and the inequality-chain checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,11 @@ class TestCrossingAndMinmax:
             cp = crossing_point(k)
             assert g(k, cp) == h(k, cp)
 
+    def test_crossing_takes_no_check_keyword(self):
+        # the crossing is checked once, by lemma_sweep, not per call
+        with pytest.raises(TypeError):
+            crossing_point(2, check=True)
+
     def test_minmax_values(self):
         assert minmax_bound(2) == Fraction(9, 25)
         assert minmax_bound(3) == Fraction(18, 49)
@@ -172,7 +178,7 @@ class TestCase2Certificate:
     def test_every_max_lies_in_floor_to_half(self, kind, n, seed):
         # (k+1) x_{k+1}^2 <= 1 keeps g_k and h_k below 1/2 and minmax_bound
         # keeps their max at least 9/25, so no max leaves [9/25, 1/2); float
-        # rounding can break the floor (test_float_max_near_the_floor)
+        # rounding can break the exact floor (test_float_max_near_the_floor)
         w = case2_vector(kind, n, seed)
         vectors = [] if w is None else [w]
         if w is not None and w.mode == EXACT:
@@ -183,15 +189,25 @@ class TestCase2Certificate:
             for e in case2_certificate(w).intermediates.per_k:
                 assert CASE2_FLOOR <= e.max_value < Fraction(1, 2), (w.values, e.k, e.max_value)
 
-    @pytest.mark.xfail(raises=SoundnessError, strict=True,
-                       reason="float max(g_2, h_2) rounds to 0.36, one ulp below 9/25")
     def test_float_max_near_the_floor(self):
         # x_3 = 0.3333333333333334: the real max(g_2, h_2) is at least 9/25,
-        # but its float is 0.36 < 9/25, so the floor check refuses a valid
-        # instance
+        # but its float is 0.36 < 9/25; a float bound meets the float floor
         ws = [1.0, 1.0, 1.0000000000000002, 1.0000000000000002, 1.0000000000000004,
               1.0000000000000004, 1.0000000000000007, 1.0000000000000007, 1.0000000000000009]
-        theorem_bound(canonicalize(ws, FLOAT), exact_check=False)
+        cert = theorem_bound(canonicalize(ws, FLOAT), exact_check=False)
+        assert cert.final_bound == 0.36 and cert.final_bound < CASE2_FLOOR
+
+    def test_float_max_near_one_third_meets_the_float_floor(self):
+        # every float within 2000 ulps of 1/3, the min-max point of k = 2
+        x, below = 1 / 3, 0
+        for _ in range(2000):
+            x = math.nextafter(x, 0.0)
+        for _ in range(4001):
+            m = max(g(2, x), h(2, x))
+            assert m >= float(CASE2_FLOOR), x
+            below += m < CASE2_FLOOR
+            x = math.nextafter(x, 1.0)
+        assert below  # some round below the exact 9/25, so the float floor matters
 
     def test_zero_tail_weights_no_special_case(self):
         w = canonicalize([3, 4, 0, 0, 0], EXACT)
@@ -277,6 +293,16 @@ class TestHybridBound:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError):
             hybrid_bound(canonicalize([3, 4], EXACT))
+
+    def test_wrong_case_before_size_limit(self):
+        # x1 + x2 > 1 at n = 30, past the default full-enumeration limit 24
+        w = from_squares([400, 300] + [1] * 28)
+        assert case_of(w) is CaseTag.CASE1
+        for run in (prefix_partition, hybrid_bound):
+            with pytest.raises(WrongCaseError, match="not case 2"):
+                run(w)
+            with pytest.raises(WrongCaseError, match="not case 2"):
+                run(w, limit=2)
 
     @pytest.mark.parametrize("limit", [-1, True, 2.5])
     def test_invalid_limit_is_input_error_at_n_1(self, limit):

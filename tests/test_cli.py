@@ -152,6 +152,14 @@ class TestPartitionHybridDecomp:
         assert code == 1
         assert "not case 2" in err
 
+    @pytest.mark.parametrize("sub", ["partition", "hybrid"])
+    def test_wrong_case_before_size_limit(self, capsys, sub):
+        # Case 1 at n = 30, past the default --full-limit: the case decides
+        weights = "sq:400,300," + ",".join(["1"] * 28)
+        code, out, err = run_cli(capsys, sub, weights)
+        assert (code, out) == (1, "")
+        assert err == "radsum: error: not case 2: x1 + x2 > 1, events A_2..A_n do not cover\n"
+
 
 class TestDistributionAndLemmas:
     def test_distribution_csv(self, capsys):

@@ -789,7 +789,7 @@ class TestPrefixPartition:
         with mock.patch.object(engine, "_tail_distributions", spy):
             if depth is None:
                 return prefix_partition(w), sizes
-            with mock.patch.object(engine, "_balanced_depth", lambda settled, n, k_min: depth):
+            with mock.patch.object(engine, "_balanced_depth", lambda settled, n: depth):
                 return prefix_partition(w), sizes
 
     @given(
@@ -800,15 +800,14 @@ class TestPrefixPartition:
     @settings(max_examples=60, deadline=None)
     def test_result_does_not_depend_on_table_depth(self, kind, n, seed):
         """Every depth D the tail tables may start from gives the same
-        report; D = k_min defers nothing and is the plain walk."""
+        report; D = 2 (D = 1 at n = 2) defers nothing and is the plain walk."""
         w = case2_vector(kind, n, seed)
         vectors = [w] if w is not None else []
         if kind == "float-ties":
             vectors += [canonicalize([1.0] * 9, FLOAT), canonicalize([0.5] * 4, FLOAT)]
         for w in vectors:
-            k_min = 1 if w.n == 2 else 2
             reports = []
-            for depth in range(k_min, w.n):
+            for depth in range(1 if w.n == 2 else 2, w.n):
                 rep, sizes = self._partition_at(w, depth)
                 assert sizes == [w.n - depth]
                 reports.append(rep)

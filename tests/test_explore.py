@@ -202,7 +202,7 @@ class TestLemmaSweep:
         "target, mutate, bad_ks",
         [
             # the crossing 1/k in place of 1/(k+1): g and h differ there
-            pytest.param("crossing_point", lambda f: lambda k, check=True: Fraction(1, k),
+            pytest.param("crossing_point", lambda f: lambda k: Fraction(1, k),
                          range(2, 9), id="crossing_1_over_k"),
             # 2k+3 for 2k+1 in the min-max closed form
             pytest.param("minmax_bound",
