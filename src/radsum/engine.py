@@ -8,10 +8,15 @@ Enumeration strategies:
   a time by merging three sorted runs (``_nonneg_step``; equal sums merged
   as they arise).  ``_mirror`` unfolds the full table where a search needs
   it.
-* ``threshold_probability`` - meet-in-the-middle: every distinct
-  nonnegative left sum counts its window of the full right table with two
-  binary searches, weighted by its pattern count, doubled for the mirror
-  sum, whose window is the same.
+* ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
+  Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
+  pair sum ``l + r`` of the two raw halves (``_half_sums``) is compared
+  with the threshold: 2^14 sums cost less than the merged tables' fixed
+  numpy calls.  Beyond that, and for radical keys at any size, every
+  distinct nonnegative left sum counts its window of the full right table
+  with two binary searches, weighted by its pattern count, doubled for the
+  mirror sum, whose window is the same.  Both ways add the same
+  index-order halves, so their counts agree bit for bit.
 * ``threshold_probability_naive`` - plain 2^n sweep: one Gray-code walk of
   the exact sums (scaled integers or ``SqrtSum`` values), kept as the
   independent oracle for the meet-in-the-middle path.
@@ -44,7 +49,8 @@ only where a weight has the term.  When all weights share one radicand -
 weights - every signed sum is ``s*sqrt(D)/L`` for an integer ``s`` (int64
 keys, Python ints past 2^62), and for any exact threshold ``|s|*sqrt(D)/L
 <= t`` becomes ``|s| <= c`` with the integer cut-off ``c =
-floor(t*L/sqrt(D))``, an exact ``SqrtSum`` floor.  Only weights over
+floor(t*L/sqrt(D))``: an ``isqrt`` for a rational ``t``, an exact ``SqrtSum``
+floor otherwise.  Only weights over
 several radicands take radical keys: a float64 approximation of each
 signed sum, within one proven bound per vector, paired with an exact
 integer code.  Square roots of distinct squarefree integers are linearly
@@ -91,6 +97,14 @@ _RAW_PREFIX = 8
 # _half_sums of 4 values took 8 us against 18-22 us (float and int64), of 8
 # values 24-26 us against 32-38 us; 6 rows made Python-int keys slower.
 _SIGN_ROWS = 4
+# Inputs of at most _RAW_PAIRS_N values are counted over all their 2^n pair
+# sums, larger ones over the merged halves, whose fixed cost is about 60 numpy
+# calls.  admissible_count in us, merged halves -> raw pairs, float keys
+# (int64 keys), medians of 7 rounds of 100 calls on a 2-CPU x86 box, numpy
+# 2.4: n = 4 87 -> 15 (140 -> 56); n = 8 85 -> 17 (91 -> 40); n = 12 101 ->
+# 35 (121 -> 65); n = 14 161 -> 74 (131 -> 96); n = 15 201 -> 341 (211 ->
+# 389); n = 16 212 -> 695 (179 -> 591).
+_RAW_PAIRS_N = 14
 
 
 # -- threshold normalization ------------------------------------------------
@@ -189,12 +203,20 @@ def _one_radicand(parts, n: int) -> tuple[list[int], int, int]:
 def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> int:
     """The largest ``c`` with ``|s|*sqrt(radicand)/denom <= t`` (``< t`` when
     strict) iff ``|s| <= c``, for integers ``s`` and any exact ``t >= 0``:
-    ``floor(y)`` for ``y = t*denom/sqrt(radicand)``, an exact ``SqrtSum``
-    floor, one less when strict and ``y`` is an integer; -1 when no ``s``
-    qualifies (strict, ``t == 0``)."""
-    y = SqrtSum.from_rational(t) * SqrtSum({radicand: Fraction(denom, radicand)})
-    c = math.floor(y)
-    return c - 1 if strict and y == c else c
+    ``floor(y)`` for ``y = t*denom/sqrt(radicand)``, one less when strict
+    and ``y`` is an integer; -1 when no ``s`` qualifies (strict, ``t ==
+    0``).  For a rational ``t = a/b``, ``y^2 = N/M`` with ``N = (a*denom)^2``
+    and ``M = b^2*radicand``, and ``floor(y) = isqrt(N // M)``; any other
+    ``t`` takes an exact ``SqrtSum`` floor."""
+    if isinstance(t, SqrtSum):
+        if not t.is_rational:
+            y = t * SqrtSum({radicand: Fraction(denom, radicand)})
+            c = math.floor(y)
+            return c - 1 if strict and y == c else c
+        t = t.as_fraction()
+    num, den = (t.numerator * denom) ** 2, t.denominator**2 * radicand
+    c = math.isqrt(num // den)
+    return c - 1 if strict and c * c * den == num else c
 
 
 # -- radical keys --------------------------------------------------------------
@@ -428,12 +450,12 @@ def _half_sums(values: Sequence, dtype):
     return sums
 
 
-def _pair_sums(values: Sequence) -> np.ndarray:
-    """All 2^n float signed sums ``fl(l + r)`` of ``values``, ``l`` a half
-    sum of the first ``n - n//2`` values and ``r`` one of the rest."""
-    vals = [float(v) for v in values]
-    split = len(vals) - len(vals) // 2
-    return np.add.outer(_half_sums(vals[:split], np.float64), _half_sums(vals[split:], np.float64)).ravel()
+def _pair_sums(values: Sequence, dtype) -> np.ndarray:
+    """All 2^n signed sums ``l + r`` of ``values`` as keys of ``dtype``
+    (``fl(l + r)`` of floats), ``l`` a half sum of the first ``n - n//2``
+    values and ``r`` one of the rest."""
+    split = len(values) - len(values) // 2
+    return np.add.outer(_half_sums(values[:split], dtype), _half_sums(values[split:], dtype)).ravel()
 
 
 def _has_zero(keys) -> int:
@@ -534,13 +556,32 @@ def _refine_prefix_len(uniq: np.ndarray, image, bound, guess, inclusive: bool) -
         idx -= down
 
 
-def _count_pairs(values: Sequence, split: int, dtype, t, strict: bool) -> int:
-    """Sign patterns with ``|l + r| <= t`` (``< t`` when strict), ``l`` and
-    ``r`` sums of ``values[:split]`` and ``values[split:]``: the sum over
-    distinct ``l`` of ``count(l) * window(right, l)``.  Only the ``l >= 0``
-    are searched, and each ``l > 0`` counts for ``-l`` too: the right sums
-    are symmetric and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window
-    of ``l``."""
+def _count_pairs(values: Sequence, dtype, t, strict: bool) -> int:
+    """Sign patterns with ``|l + r| <= t`` (``< t`` when strict), ``l`` a
+    sum of the first ``n - n//2`` values and ``r`` one of the rest: over the
+    raw pair sums up to ``_RAW_PAIRS_N`` values, else over the merged
+    halves.  Radical keys always take the merged halves, whose windows
+    decide a sum near a boundary exactly."""
+    if len(values) <= _RAW_PAIRS_N and not isinstance(dtype, _Radical):
+        return _count_raw(values, dtype, t, strict)
+    return _count_merged(values, dtype, t, strict)
+
+
+def _count_raw(values: Sequence, dtype, t, strict: bool) -> int:
+    """``_count_pairs`` over every pair sum ``_pair_sums``: ``|fl(l + r)|``
+    of float keys, ``|l + r|`` of integer keys, compared with ``t``.  Each
+    half is accumulated in index order, as the merged halves are, so the
+    count is theirs."""
+    sums = np.abs(_pair_sums(values, dtype))
+    return int(np.count_nonzero(sums < t if strict else sums <= t))
+
+
+def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:
+    """``_count_pairs`` over the merged halves: the sum over distinct ``l``
+    of ``count(l) * window(right, l)``.  Only the ``l >= 0`` are searched,
+    and each ``l > 0`` counts for ``-l`` too: the right sums are symmetric
+    and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window of ``l``."""
+    split = len(values) - len(values) // 2
     count_dtype = _count_dtype(len(values))
     lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
     rkeys, rcounts = _search_order(*_merged_sums(values[split:], dtype, count_dtype))
@@ -568,7 +609,7 @@ def signed_sum_count(
     _check_size(n, limit, DEFAULT_MITM_LIMIT, "meet-in-the-middle")
     t = _normalize_threshold(t, mode)
     keys, dtype, _, _, t, strict = _key_setup(values, t, mode, strict)
-    return _count_pairs(keys, n - n // 2, dtype, t, strict), 1 << n
+    return _count_pairs(keys, dtype, t, strict), 1 << n
 
 
 def threshold_probability(
@@ -611,7 +652,7 @@ def threshold_probability_naive(
     total = 1 << n
 
     if w.mode == FLOAT:
-        sums = np.abs(_pair_sums(w.values))
+        sums = np.abs(_pair_sums(w.values, np.float64))
         hits = int(np.count_nonzero(sums < t if strict else sums <= t))
         return hits / total
 
@@ -810,7 +851,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
 
     if w.mode == FLOAT:
-        values, counts = np.unique(_pair_sums(w.values), return_counts=True)
+        values, counts = np.unique(_pair_sums(w.values, np.float64), return_counts=True)
         return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
 
     vals, dtype, _, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
@@ -1000,9 +1041,10 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
             size = np.abs(s)
             cross = size > b
             if not exact:
-                tie = s[np.abs(size - b) <= BOUNDARY_TIE_TOL]
-                for v, c in zip(*np.unique(tie, return_counts=True)):
-                    ties[depth, "prefix", float(v)] = int(c)
+                tie = np.abs(size - b) <= BOUNDARY_TIE_TOL
+                if tie.any():
+                    for v, c in zip(*np.unique(s[tie], return_counts=True)):
+                        ties[depth, "prefix", float(v)] = int(c)
         done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
         settled.append(int(np.count_nonzero(done)))
         if settled[-1]:
@@ -1079,8 +1121,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
                 steps = _sign_matrix(depth - d)[1:] * np.array(vals[d:depth])[:, None]
                 window, near = _float_window(tkeys, cum, steps, ss, one)
                 # the near tails of a sum depend only on its value
-                sums, copies = np.unique(ss[near], return_counts=True)
-                if len(sums):
+                if near.any():
+                    sums, copies = np.unique(ss[near], return_counts=True)
                     tails = [_near_tails(tkeys, steps, end) for end in (-one - sums, one - sums)]
                     for s, c, lo, hi in zip(sums, copies.tolist(), *tails):
                         for v in (s + np.concatenate([lo, hi])).tolist():

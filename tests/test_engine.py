@@ -57,6 +57,16 @@ def product_oracle(values, t, strict=False) -> Fraction:
     return Fraction(hits, 2**n)
 
 
+def merged_count(values, t, mode, strict=False) -> int:
+    """The meet-in-the-middle count over the merged halves at any n, where
+    ``signed_sum_count`` counts every raw pair sum up to ``_RAW_PAIRS_N``
+    weights."""
+    from radsum.engine import _count_merged, _key_setup, _normalize_threshold
+
+    keys, dtype, _, _, t, strict = _key_setup(list(values), _normalize_threshold(t, mode), mode, strict)
+    return _count_merged(keys, dtype, t, strict)
+
+
 def tie_row_oracle(x, tol=1e-12) -> tuple:
     """The float partition's boundary-tie rows by a literal walk of the
     sign tree (eps_1 = +1): prefix sums accumulated in index order, tail
@@ -157,7 +167,7 @@ class TestOracleEquivalence:
             strict = bool(rng.integers(0, 2))
             a = threshold_probability(w, t, strict)
             b = threshold_probability_naive(w, t, strict)
-            assert a == b
+            assert a == b == Fraction(merged_count(w.values, t, EXACT, strict), 2**n)
 
     def test_mitm_equals_naive_radical(self, rng):
         for _ in range(10):
@@ -175,7 +185,10 @@ class TestOracleEquivalence:
             v = rng.standard_normal(n)
             w = canonicalize(list(v), FLOAT)
             t = float(rng.uniform(0, 2))
-            assert threshold_probability(w, t) == threshold_probability_naive(w, t)
+            # the naive count reads the raw pair sums, as threshold_probability
+            # does up to _RAW_PAIRS_N weights; the merged halves are the check
+            p = threshold_probability_naive(w, t)
+            assert threshold_probability(w, t) == p == merged_count(w.values, t, FLOAT) / 2**n
 
     def test_exact_vs_float_on_dyadic_weights(self):
         we = from_squares([Fraction(1, 4)] * 4)
@@ -204,7 +217,7 @@ class TestOracleEquivalence:
                 for strict in (False, True):
                     expected = int(np.count_nonzero(sums < t if strict else sums <= t))
                     hits, total = signed_sum_count(vals, t, FLOAT, strict)
-                    assert hits == expected
+                    assert hits == expected == merged_count(vals, t, FLOAT, strict)
                     he, te = signed_sum_count(fracs, Fraction(t), EXACT, strict)
                     assert (hits, total) == (he, te)
 
@@ -236,6 +249,7 @@ class TestMergedHalves:
                 for strict in (False, True):
                     expected = int(np.count_nonzero(sums < t if strict else sums <= t))
                     assert signed_sum_count(vals, t, FLOAT, strict) == (expected, 2 ** len(vals)), (vals, t)
+                    assert merged_count(vals, t, FLOAT, strict) == expected, (vals, t)
 
     @pytest.mark.parametrize("dtype, one", [(np.int64, 1), (object, 1), (np.float64, 1.0)])
     def test_merged_half_of_ones_is_binomial(self, dtype, one):
@@ -267,6 +281,56 @@ class TestMergedHalves:
             assert engine.admissible_count(w, t, strict, limit=n) == (hits, 2**n)
             p = threshold_probability(w, t, strict, limit=n)
             assert p == (Fraction(hits, 2**n) if mode == EXACT else hits / 2**n)
+
+
+@st.composite
+def _raw_cut_inputs(draw):
+    """``(values, kind)``: n <= 14 raw weights, generic,
+    integer-valued, dyadic and all-ones floats, and integers that take int64
+    or Python-int keys."""
+    n = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(["generic", "integer", "dyadic", "ones", "int64", "object"]))
+    if kind == "ones":
+        return [1.0] * n, kind
+    pick = {
+        "generic": st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+        "integer": st.integers(-9, 9).map(float),
+        "dyadic": st.integers(-64, 64).map(lambda i: i / 16),
+        "int64": st.integers(-(10**6), 10**6),
+        "object": st.tuples(st.sampled_from([-1, 1]), st.integers(0, 50)).map(lambda p: p[0] * (2**62 + p[1])),
+    }[kind]
+    return draw(st.lists(pick, min_size=n, max_size=n)), kind
+
+
+class TestRawPairs:
+    """Up to ``_RAW_PAIRS_N`` weights, integer and float keys are counted
+    over every raw pair sum, with the merged halves' count."""
+
+    @given(_raw_cut_inputs(), st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_raw_and_merged_counts_agree(self, drawn, data):
+        from radsum.engine import _count_merged, _count_raw, _key_setup, _pair_sums, signed_sum_count
+
+        values, kind = drawn
+        mode = EXACT if kind in ("int64", "object") else FLOAT
+        n = len(values)
+        keys, dtype, path, _, _, _ = _key_setup(values, 1.0 if mode == FLOAT else Fraction(1), mode)
+        assert path == {FLOAT: "float64", EXACT: kind}[mode]
+        sums = _pair_sums(keys, dtype)
+        achieved = abs(sums[data.draw(st.integers(0, len(sums) - 1))])
+        if mode == FLOAT:
+            achieved = float(achieved)
+            ts = [0.0, 1.0, achieved, math.nextafter(achieved, math.inf), math.nextafter(achieved, 0.0)]
+        else:
+            achieved = int(achieved)
+            ts = [Fraction(t) for t in (0, 1, achieved, achieved + 1, max(achieved - 1, 0))]
+            ts.append(Fraction(2 * achieved + 1, 2))
+        for t in ts:
+            for strict in (False, True):
+                _, _, _, _, cut, cut_strict = _key_setup(values, t, mode, strict)
+                raw = _count_raw(keys, dtype, cut, cut_strict)
+                assert raw == _count_merged(keys, dtype, cut, cut_strict), (values, t, strict)
+                assert signed_sum_count(values, t, mode, strict) == (raw, 2**n)
 
 
 def _full_table(values, dtype):
@@ -365,6 +429,7 @@ class TestNonnegativeTables:
                 for strict in (False, True):
                     expected = product_oracle(values, t, strict) * 2**n  # dyadic floats sum exactly
                     assert engine.signed_sum_count(values, t, mode, strict) == (expected, 2**n), (values, t, strict)
+                    assert merged_count(values, t, mode, strict) == expected, (values, t, strict)
 
     @pytest.mark.parametrize("raw_prefix", [0, 8])
     @pytest.mark.parametrize("kind", KEY_KINDS)
@@ -492,8 +557,9 @@ class TestSumDistribution:
 
     def test_float_sums_are_literal_half_sums(self, rng):
         # every float sum is fl(l + r), each half accumulated in index order
-        # from +0.0; the distribution and the naive count read the same sums
-        for n in (1, 2, 5, 9):
+        # from +0.0; the distribution, the naive count and the raw pair count
+        # of threshold_probability (n <= _RAW_PAIRS_N) read the same sums
+        for n in (1, 2, 5, 9, 14):
             w = random_float_vector(rng, n)
             split = n - n // 2
             halves = []
@@ -508,10 +574,11 @@ class TestSumDistribution:
             sums = Counter(l + r for l in halves[0] for r in halves[1])
             d = sum_distribution(w)
             assert [(v.hex(), c) for v, c in d.entries] == [(v.hex(), sums[v]) for v in sorted(sums)]
-            for t in (0.5, 1.0, float(abs(d.entries[0][0]))):
+            for t in (0.5, 1.0, float(abs(d.entries[0][0])), float(abs(d.entries[len(d.entries) // 3][0]))):
                 for strict in (False, True):
                     hits = sum(c for v, c in sums.items() if (abs(v) < t if strict else abs(v) <= t))
                     assert threshold_probability_naive(w, t, strict) == hits / 2**n
+                    assert threshold_probability(w, t, strict) == hits / 2**n
 
     def test_arrays_and_scale(self):
         # x = (3, 4)/5: integer keys s stand for s/5
@@ -898,7 +965,7 @@ class TestSharedRadicandReduction:
         from radsum.engine import _count_pairs, _radical_keys
 
         keys, radical = _radical_keys(values)
-        return _count_pairs(keys, len(keys) - len(keys) // 2, radical, t, strict)
+        return _count_pairs(keys, radical, t, strict)
 
     def test_reduction_recovers_values(self, rng):
         from radsum.engine import _decompose
@@ -1000,6 +1067,38 @@ class TestSharedRadicandReduction:
             assert p == Fraction(self._radical_pairs(tail, t, False), 2 ** len(tail))
             assert p == Fraction(*signed_sum_count(tail, t, EXACT))
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_int_cutoff_matches_sqrtsum_floor(self, data):
+        """The integer cut-off of a rational threshold (an ``isqrt``) equals
+        the exact ``SqrtSum`` floor of ``t*L/sqrt(D)``, at achieved sums, at
+        0, near achieved sums and at thresholds over ``D``, strict or not."""
+        from radsum.algebraic import SqrtSum
+        from radsum.engine import _int_cutoff
+
+        def sqrtsum_cutoff(t, denom, radicand, strict):
+            y = SqrtSum.from_rational(t) * SqrtSum({radicand: Fraction(denom, radicand)})
+            c = math.floor(y)
+            return c - 1 if strict and y == c else c
+
+        radicand = data.draw(_RADICANDS)
+        denom = data.draw(st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
+        ints = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=8))
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(ints), max_size=len(ints)))
+        s = abs(sum(e * a for e, a in zip(signs, ints)))
+        achieved = exact_sqrt(radicand) * Fraction(s, denom)  # |sum| of a_i*sqrt(D)/L
+        other = data.draw(_FRACTIONS.map(abs))
+        nudge = Fraction(1, data.draw(st.integers(1, 10**40)))
+        ts = [Fraction(0), achieved, other, other * exact_sqrt(radicand), SqrtSum.from_rational(other)]
+        if radicand == 1:
+            ts += [achieved + nudge, max(achieved - nudge, Fraction(0))]
+        for t in ts:
+            t = t.as_fraction() if isinstance(t, SqrtSum) and t.is_rational and data.draw(st.booleans()) else t
+            for strict in (False, True):
+                assert _int_cutoff(t, denom, radicand, strict) == sqrtsum_cutoff(t, denom, radicand, strict), (
+                    t, denom, radicand, strict,
+                )
+
     def test_zero_threshold_counts_only_exact_cancellation(self):
         # x = (2, 1, 1)*sqrt(6)/6: a signed sum is zero only for +-(2 - 1 - 1),
         # and no nonzero sum s*sqrt(6)/6 can equal a rational t.
@@ -1009,36 +1108,36 @@ class TestSharedRadicandReduction:
         assert threshold_probability(w, 0, strict=True) == 0
 
     @staticmethod
-    def _brute(values, cutoff):
-        return sum(
-            1
-            for signs in itertools.product((-1, 1), repeat=len(values))
-            if abs(sum(s * v for s, v in zip(signs, values))) <= cutoff
-        )
+    def _brute(sizes, cutoff):
+        return sum(1 for size in sizes if size <= cutoff)
 
     @pytest.mark.parametrize("scale, dtype", [(2**62, object), (2**57, np.int64)])
     def test_big_magnitudes_take_the_right_dtype(self, rng, monkeypatch, scale, dtype):
+        # the raw pair sums (n <= _RAW_PAIRS_N) and the merged halves both
+        # build their sums in _half_sums; n = 15 and 16 take the merged halves
         from radsum import engine
 
-        seen = set()
-        real = engine._merged_sums
+        seen = {}
+        real = engine._half_sums
 
-        def spy(values, dt, count_dt):
-            seen.add(dt)
-            return real(values, dt, count_dt)
+        def spy(values, dt):
+            seen.setdefault(dt, set()).add(n)
+            return real(values, dt)
 
-        monkeypatch.setattr(engine, "_merged_sums", spy)
-        for _ in range(8):
-            n = int(rng.integers(1, 11))
+        monkeypatch.setattr(engine, "_half_sums", spy)
+        for n in [*rng.integers(1, 11, size=6).tolist(), 15, 16]:
             vals = [scale + int(v) for v in rng.integers(-50, 50, size=n)]
             vals[0] = -vals[0]
+            sizes = [
+                abs(sum(s * v for s, v in zip(signs, vals))) for signs in itertools.product((-1, 1), repeat=n)
+            ]
             for t in (Fraction(0), Fraction(100), Fraction(scale), Fraction(3 * scale + 7)):
                 for strict in (False, True):
                     hits, total = engine.signed_sum_count(vals, t, EXACT, strict)
                     cutoff = t - 1 if strict and t.denominator == 1 else t
-                    expected = self._brute(vals, cutoff) if (t or not strict) else 0
+                    expected = self._brute(sizes, cutoff) if (t or not strict) else 0
                     assert (hits, total) == (expected, 2**n)
-        assert seen == {dtype}
+        assert list(seen) == [dtype] and {15, 16} < seen[dtype]
 
     def test_one_radicand_distribution_matches_radical_enumeration(self, rng):
         from radsum.algebraic import SqrtSum
