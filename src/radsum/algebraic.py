@@ -184,12 +184,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError(f"no prime factor for {n}")
-    return min(factorint(n))
-
-
 def _ordering(op):
     """The ``SqrtSum`` method ``self op other``: ``op(sign(self - other), 0)``."""
 
@@ -245,9 +239,6 @@ class SqrtSum:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
         return self._terms.get(1, Fraction(0))
-
-    def radicands(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -347,7 +338,7 @@ class SqrtSum:
         den = self
         while not den.is_rational:
             d = next(r for r in den._terms if r != 1)
-            p = _smallest_prime_factor(d)
+            p = min(factorint(d))  # d >= 2: a radicand other than 1
             conj = den._conjugate_by_prime(p)
             num = num * conj
             den = den * conj  # removes p from every radicand

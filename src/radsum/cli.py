@@ -56,7 +56,8 @@ _GRAMMAR_HELP = (
 @dataclass
 class RunConfig:
     """Parsed run configuration, and the one place CLI defaults are
-    declared; round-trips through to_dict/from_dict."""
+    declared; ``dataclasses.asdict`` gives the document's ``config`` and
+    ``RunConfig(**that)`` rebuilds it."""
 
     subcommand: str
     weights: Optional[str] = None
@@ -75,13 +76,6 @@ class RunConfig:
     output: Optional[str] = None
     fmt: Optional[str] = None
     timestamp: bool = True
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -423,7 +417,7 @@ def execute(cfg: RunConfig) -> tuple[int, str, str]:
 
 
 def _json_doc(cfg: RunConfig, result: dict) -> str:
-    doc = {"command": cfg.subcommand, "config": cfg.to_dict()}
+    doc = {"command": cfg.subcommand, "config": dataclasses.asdict(cfg)}
     if cfg.timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc["result"] = result

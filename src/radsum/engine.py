@@ -18,8 +18,9 @@ Enumeration strategies:
   mirror sum, whose window is the same.  Both ways add the same
   index-order halves, so their counts agree bit for bit.
 * ``threshold_probability_naive`` - plain 2^n sweep: one Gray-code walk of
-  the exact sums (scaled integers or ``SqrtSum`` values), kept as the
-  independent oracle for the meet-in-the-middle path.
+  the exact sums (Fractions as integers over their own common denominator,
+  else ``SqrtSum`` values), the independent oracle for the meet-in-the-middle
+  path: it never reads the weights through ``_decompose``.
 * ``sum_distribution`` - in exact mode the table the meet-in-the-middle
   halves use (``_merged_sums``), over all the weights.
 * ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
@@ -191,13 +192,6 @@ def _decompose(values: Sequence[Value]) -> list[tuple[int, int, dict[int, int]]]
         denom = math.lcm(*(c.denominator for c in column.values()))
         parts.append((d, denom, {i: c.numerator * (denom // c.denominator) for i, c in column.items()}))
     return parts
-
-
-def _one_radicand(parts, n: int) -> tuple[list[int], int, int]:
-    """``(a, L, D)`` of ``n`` values decomposed over at most one radicand
-    (``D == 1`` for rational values): value i is ``a[i]*sqrt(D)/L``."""
-    d, denom, column = parts[0] if parts else (1, 1, {})
-    return [column.get(i, 0) for i in range(n)], denom, d
 
 
 def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> int:
@@ -390,7 +384,8 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     if len(parts) > 1:
         keys, radical = _radical_keys(values, parts)
         return keys, radical, "radical", None, t, strict
-    ints, denom, radicand = _one_radicand(parts, len(values))
+    radicand, denom, column = parts[0] if parts else (1, 1, {})  # value i is ints[i]*sqrt(radicand)/denom
+    ints = [column.get(i, 0) for i in range(len(values))]
     bound = sum(abs(a) for a in ints)
     cutoff = min(_int_cutoff(t, denom, radicand, strict), bound)
     dtype = np.int64 if bound + cutoff < 1 << 62 else object
@@ -656,13 +651,11 @@ def threshold_probability_naive(
         hits = int(np.count_nonzero(sums < t if strict else sums <= t))
         return hits / total
 
-    # The walk compares with t directly, never through the square-root
-    # cut-off of the MITM path: rational weights as integers scaled by t's
-    # denominator against its numerator, every other weight as a SqrtSum.
-    parts = _decompose(w.values)
-    if isinstance(t, Fraction) and all(d == 1 for d, _, _ in parts):
-        ints, denom, _ = _one_radicand(parts, n)
-        vals = [a * t.denominator for a in ints]
+    # No decomposition or cut-off of the MITM path: Fraction weights and t
+    # as integers over their common denominator, else SqrtSums against t.
+    if isinstance(t, Fraction) and all(isinstance(v, Fraction) for v in w.values):
+        denom = math.lcm(*(v.denominator for v in w.values))
+        vals = [v.numerator * (denom // v.denominator) * t.denominator for v in w.values]
         t = t.numerator * denom
     else:
         vals = [SqrtSum.from_rational(v) for v in w.values]
@@ -747,11 +740,12 @@ def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, ra
     ``E`` of ``_band_width``: a key whose float lies outside both brackets
     is certainly inside or outside, and one within a bracket is decoded and
     compared with ``t`` exactly (``spread`` is the kappa sum of the query's
-    and the keys' weights together).
+    and the keys' weights together).  Queries are searched in float order,
+    which is faster, unless ``keys`` is one key (the empty tail of ``_walk``).
     """
     tf, width = radical.band(t)
     f = keys.f
-    order = np.argsort(query.f, kind="stable")  # searchsorted is faster on sorted queries
+    order = np.argsort(query.f, kind="stable") if len(keys) > 1 else slice(None)
     query = query[order]
     hi, lo = tf - query.f, -tf - query.f
     i1 = np.searchsorted(f, lo - width, side="left")

@@ -277,9 +277,7 @@ def minimize_probability(
         if restart == 0:
             start = np.ones(n) / math.sqrt(n)
         else:
-            start = rng.standard_normal(n)
-            if not np.any(start):
-                start = np.ones(n)
+            start = rng.standard_normal(n)  # an all-zero draw is skipped by evaluate
         out = evaluate(start)
         if out is None:
             restart += 1

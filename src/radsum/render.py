@@ -11,25 +11,17 @@ from .algebraic import SqrtSum
 from .weights import EXACT
 
 
-def decimal_str(value) -> str:
-    """Shortest round-trip decimal rendering (deterministic)."""
-    return repr(float(value))
-
-
-def exact_str(value) -> str:
-    if isinstance(value, SqrtSum):
-        return str(value.as_fraction()) if value.is_rational else str(value)
-    if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
-    raise TypeError(f"no exact rendering for {type(value).__name__}")
-
-
 def render_number(value, mode: str) -> dict:
-    """JSON object for one real quantity: always a decimal, plus the exact
-    rational/radical string in exact mode."""
-    out = {"decimal": decimal_str(value)}
+    """JSON object for one real quantity: always the shortest round-trip
+    decimal, plus the exact rational/radical string in exact mode (a
+    rational ``SqrtSum`` prints as its Fraction)."""
+    out = {"decimal": repr(float(value))}
     if mode == EXACT:
-        out["exact"] = exact_str(value)
+        if isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        elif not isinstance(value, SqrtSum):
+            raise TypeError(f"no exact rendering for {type(value).__name__}")
+        out["exact"] = str(value)
     return out
 
 

@@ -4,6 +4,7 @@ import argparse
 import builtins
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -640,7 +641,7 @@ class TestDeterminismAndConfig:
 
     def test_runconfig_roundtrip(self):
         cfg = RunConfig(subcommand="exact", weights="sq:1/2,1/2", strict=True, seed=5)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig(**dataclasses.asdict(cfg)) == cfg
 
     def test_thread_env_ignored(self, capsys, monkeypatch):
         monkeypatch.delenv("RADSUM_THREADS", raising=False)

@@ -1,4 +1,5 @@
-"""Rendering: the indented JSON emitter against ``json.dumps(indent=2)``."""
+"""Rendering: numbers as decimal and exact strings, and the indented JSON
+emitter against ``json.dumps(indent=2)``."""
 
 import json
 import math
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radsum.render import json_text
+from radsum.algebraic import SqrtSum, exact_sqrt
+from radsum.render import json_text, render_number
+from radsum.weights import EXACT, FLOAT
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +41,19 @@ _values = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+class TestRenderNumber:
+    @pytest.mark.parametrize("q", [Fraction(-3, 4), Fraction(0), Fraction(5)])
+    def test_rational_sqrtsum_renders_as_its_fraction(self, q):
+        assert render_number(SqrtSum.from_rational(q), EXACT) == render_number(q, EXACT)
+
+    def test_exact_and_float_renderings(self):
+        assert render_number(exact_sqrt(2) / 2, EXACT) == {"decimal": "0.7071067811865476", "exact": "1/2*sqrt(2)"}
+        assert render_number(3, EXACT) == {"decimal": "3.0", "exact": "3"}
+        assert render_number(0.1, FLOAT) == {"decimal": "0.1"}
+        with pytest.raises(TypeError, match="no exact rendering for float"):
+            render_number(0.1, EXACT)
 
 
 class TestJsonText:
