@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import floor, gcd, isqrt, lcm, sqrt
 from numbers import Rational
 from typing import Optional, Union
@@ -184,16 +184,27 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
+def _operand(method):
+    """The ``SqrtSum`` method ``method(self, other)`` with ``other`` read as a
+    ``SqrtSum``: an int or Fraction is converted, a float raises
+    ``TypeError``, and any other type gets ``NotImplemented``."""
+
+    @wraps(method)
+    def checked(self: "SqrtSum", other):
+        if not isinstance(other, SqrtSum):
+            if isinstance(other, float):
+                raise TypeError("cannot mix floats into exact SqrtSum arithmetic")
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = SqrtSum.from_rational(other)
+        return method(self, other)
+
+    return checked
+
+
 def _ordering(op):
     """The ``SqrtSum`` method ``self op other``: ``op(sign(self - other), 0)``."""
-
-    def method(self: "SqrtSum", other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return op(self._compare(o), 0)
-
-    return method
+    return _operand(lambda self, other: op(self._compare(other), 0))
 
 
 class SqrtSum:
@@ -242,22 +253,10 @@ class SqrtSum:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "SqrtSum":
-        if isinstance(other, SqrtSum):
-            return other
-        if isinstance(other, float):
-            raise TypeError("cannot mix floats into exact SqrtSum arithmetic")
-        if isinstance(other, (int, Fraction)):
-            return SqrtSum.from_rational(other)
-        return NotImplemented  # type: ignore[return-value]
-
+    @_operand
     def __add__(self, other) -> "SqrtSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         terms = dict(self._terms)
-        for d, c in o._terms.items():
+        for d, c in other._terms.items():
             new = terms.get(d, Fraction(0)) + c
             if new:
                 terms[d] = new
@@ -270,25 +269,19 @@ class SqrtSum:
     def __neg__(self) -> "SqrtSum":
         return SqrtSum({d: -c for d, c in self._terms.items()})
 
+    @_operand
     def __sub__(self, other) -> "SqrtSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
+    @_operand
     def __rsub__(self, other) -> "SqrtSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        return other + (-self)
 
+    @_operand
     def __mul__(self, other) -> "SqrtSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         terms: dict[int, Fraction] = {}
         for d1, c1 in self._terms.items():
-            for d2, c2 in o._terms.items():
+            for d2, c2 in other._terms.items():
                 # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd:
                 # both factors squarefree and coprime, so the product radicand
                 # is squarefree without any factoring.
@@ -344,22 +337,18 @@ class SqrtSum:
             den = den * conj  # removes p from every radicand
         return num * SqrtSum({1: 1 / den.as_fraction()})
 
+    @_operand
     def __truediv__(self, other) -> "SqrtSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_rational:
-            q = o.as_fraction()
+        if other.is_rational:
+            q = other.as_fraction()
             if not q:
                 raise ZeroDivisionError("division by zero SqrtSum")
             return self * SqrtSum({1: 1 / q})
-        return self * o.inverse()
+        return self * other.inverse()
 
+    @_operand
     def __rtruediv__(self, other) -> "SqrtSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        return other / self
 
     def __abs__(self) -> "SqrtSum":
         return -self if self.sign() < 0 else self
@@ -438,11 +427,9 @@ class SqrtSum:
             yield lo, hi, denom << prec
             prec *= 2
 
+    @_operand
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._terms == o._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         # Rational values must hash like their Fraction so that mixed

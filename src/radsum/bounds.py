@@ -334,7 +334,7 @@ def theorem_bound(
         )
     cert = case1_certificate(w) if case_of(w) is CaseTag.CASE1 else case2_certificate(w)
     if do_check:
-        p = threshold_probability(w, Fraction(1) if w.mode == EXACT else 1.0, limit=limit)
+        p = threshold_probability(w, limit=limit)
         cert = dataclasses.replace(cert, sound_against=p)
     verify_certificate(cert)
     return cert
@@ -399,8 +399,7 @@ def decomposition_check(w: WeightVector, *, limit: Optional[int] = None) -> Deco
     t_plus = 1 + x1 + x2
     t_minus = 1 + x1 - x2
     tail = w.values[2:]
-    one = Fraction(1) if w.mode == EXACT else 1.0
-    lhs = threshold_probability(w, one, limit=limit)
+    lhs = threshold_probability(w, limit=limit)
     p_plus = _probability(*signed_sum_count(tail, t_plus, w.mode, limit=limit), w.mode)
     p_minus = _probability(*signed_sum_count(tail, t_minus, w.mode, limit=limit), w.mode)
     rhs = (p_plus + p_minus) / 4

@@ -7,7 +7,7 @@ Enumeration strategies:
   distinct sums ``>= 0`` with their full-table pattern counts, one value at
   a time by merging three sorted runs (``_nonneg_step``; equal sums merged
   as they arise).  ``_mirror`` unfolds the full table where a search needs
-  it.
+  it, in search order: by value, and radical keys by their floats.
 * ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
   Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
   pair sum ``l + r`` of the two raw halves (``_half_sums``) is compared
@@ -20,7 +20,8 @@ Enumeration strategies:
 * ``threshold_probability_naive`` - plain 2^n sweep: one Gray-code walk of
   the exact sums (Fractions as integers over their own common denominator,
   else ``SqrtSum`` values), the independent oracle for the meet-in-the-middle
-  path: it never reads the weights through ``_decompose``.
+  path: it never reads the weights through ``_decompose``.  In float mode it
+  sums both halves in plain Python, without the engine's half sums.
 * ``sum_distribution`` - in exact mode the table the meet-in-the-middle
   halves use (``_merged_sums``), over all the weights.
 * ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
@@ -87,11 +88,12 @@ DEFAULT_MITM_LIMIT = 40
 BOUNDARY_TIE_TOL = 1e-12
 _MAX_TIE_RECORDS = 200
 # A nonnegative half table starts from the raw sums of its first _RAW_PREFIX
-# values.  Stepping from [0] instead made admissible_count 2.5-3x slower at
-# n = 8 and 16 (float 333 vs 119 us and 650 vs 217 us, int64 368 vs 150 us
-# and 731 vs 270 us; medians of 30 alternating runs) and up to 15% slower
-# at n = 38 (float 81.6 vs 81.1 ms, int64 3.01 vs 2.63 ms); 12 measured
-# alike at n = 16, 24 and 38.
+# values.  Stepping from [0] instead was slower wherever a half table is still
+# built (0 vs 8, medians of 30 alternating in-process runs, 2-CPU x86, numpy
+# 2.4): admissible_count over merged halves, n = 16, 299 vs 98 us float and
+# 304 vs 106 us int64; n = 38, 48.8 vs 48.5 ms float and 1.65 vs 1.44 ms
+# int64; radical n = 12, 390 vs 175 us; exact sum_distribution, 553 vs 455 us
+# (int64, n = 16) and 562 vs 432 us (radical, n = 12).
 _RAW_PREFIX = 8
 # Raw sums start with the running sums of the first _SIGN_ROWS values down a
 # cached sign matrix, one numpy call where doubling takes three per value:
@@ -298,7 +300,6 @@ class _Radical:
     rendering of a decoded sum depends.
     """
 
-    values: tuple  # the exact weights
     radicands: tuple  # d_j
     denoms: tuple  # L_j
     steps: tuple  # g_j
@@ -316,7 +317,7 @@ class _Radical:
     @property
     def bound(self) -> float:
         """Every key's float is within this of its exact sum."""
-        return _band_width(self.size, self.err, len(self.values))
+        return _band_width(self.size, self.err, len(self.spreads) - 1)
 
     def band(self, t) -> tuple[float, float]:
         """``(t~, E)``: ``t~ = float(t)``, within ``2^-48*t~`` of the
@@ -328,7 +329,7 @@ class _Radical:
             tf = math.inf
         if t and not 1e-290 < tf < 1e290:
             return 0.0, math.inf  # nothing proven: every decision is exact
-        return tf, _band_width(self.size + tf, self.err + 2.0**-48 * tf, len(self.values))
+        return tf, _band_width(self.size + tf, self.err + 2.0**-48 * tf, len(self.spreads) - 1)
 
     def value(self, code: int, spread: int) -> SqrtSum:
         """The exact sum with ``code`` over weights whose kappas add up to
@@ -348,19 +349,18 @@ def _radical_keys(values: Sequence[Value], parts=None) -> tuple[list[_Keys], _Ra
     """Each value's radical key, and the basis of them all, from the
     values' ``_decompose`` ``parts`` (decomposed here when None)."""
     parts = _decompose(values) if parts is None else parts
-    exact = [SqrtSum.from_rational(v) for v in values]
     steps = [math.gcd(*column.values()) for _, _, column in parts]
     places = [1]
-    sigma, kappa = [0] * len(exact), [0] * len(exact)
+    sigma, kappa = [0] * len(values), [0] * len(values)
     for (_, _, column), g in zip(parts, steps):
         m = places[-1]
         for i, a in column.items():
             sigma[i] += a // g * m
             kappa[i] += abs(a) // g * m
         places.append(m * (sum(map(abs, column.values())) // g + 1))
-    floats = [v._float_estimate() or (0.0, math.inf) for v in exact]  # inf: nothing proven
+    floats = [SqrtSum.from_rational(v)._float_estimate() or (0.0, math.inf) for v in values]  # inf: nothing proven
     radical = _Radical(
-        tuple(exact), tuple(d for d, _, _ in parts), tuple(denom for _, denom, _ in parts),
+        tuple(d for d, _, _ in parts), tuple(denom for _, denom, _ in parts),
         tuple(steps), tuple(places), tuple(itertools.accumulate(kappa, initial=0)),
         np.int64 if places[-1] < 1 << 62 else object,
         sum(abs(f) for f, _ in floats), sum(e for _, e in floats),
@@ -369,27 +369,26 @@ def _radical_keys(values: Sequence[Value], parts=None) -> tuple[list[_Keys], _Ra
 
 
 def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
-    """``(keys, dtype, path, scale, t, strict)``: the values as keys of numpy
-    ``dtype`` and that key type's name, ``(L, D)`` when a key ``a`` stands
-    for ``a*sqrt(D)/L``, and the test ``|s| <= t`` (``< t`` when strict) on
-    signed sums of the keys.  Exact values over one radicand take integer
-    keys, whatever the threshold, and the cut-off ``c`` of ``_int_cutoff``
-    clamped to ``sum|a_i|``, which bounds every partial sum, so sums and
-    window ends fit int64 while ``sum|a_i| + c < 2^62``.  Only weights over
-    several radicands take radical keys, whose ``dtype`` is their
-    ``_Radical`` basis."""
+    """``(keys, dtype, scale, t, strict)``: the values as keys of numpy
+    ``dtype``, ``(L, D)`` when a key ``a`` stands for ``a*sqrt(D)/L``, and the
+    test ``|s| <= t`` (``< t`` when strict) on signed sums of the keys.  Exact
+    values over one radicand take integer keys, whatever the threshold, and
+    the cut-off ``c`` of ``_int_cutoff`` clamped to ``sum|a_i|``, which bounds
+    every partial sum, so sums and window ends fit int64 while ``sum|a_i| + c
+    < 2^62``.  Only weights over several radicands take radical keys, whose
+    ``dtype`` is their ``_Radical`` basis."""
     if mode == FLOAT:
-        return [float(v) for v in values], np.float64, "float64", None, t, strict
+        return [float(v) for v in values], np.float64, None, t, strict
     parts = _decompose(values)
     if len(parts) > 1:
         keys, radical = _radical_keys(values, parts)
-        return keys, radical, "radical", None, t, strict
+        return keys, radical, None, t, strict
     radicand, denom, column = parts[0] if parts else (1, 1, {})  # value i is ints[i]*sqrt(radicand)/denom
     ints = [column.get(i, 0) for i in range(len(values))]
     bound = sum(abs(a) for a in ints)
     cutoff = min(_int_cutoff(t, denom, radicand, strict), bound)
     dtype = np.int64 if bound + cutoff < 1 << 62 else object
-    return ints, dtype, np.dtype(dtype).name, (denom, radicand), cutoff, False
+    return ints, dtype, (denom, radicand), cutoff, False
 
 
 def _zero(dtype):
@@ -513,16 +512,22 @@ def _nonneg_sums(values: Sequence, dtype, count_dtype):
 
 
 def _mirror(keys, counts: np.ndarray):
-    """The full table from its nonnegative form: the nonzero keys negated,
-    in reverse order, then the nonnegative keys."""
+    """The full table from its nonnegative form, in search order: the
+    nonzero keys negated, in reverse order, then the nonnegative keys, and
+    radical keys sorted by their floats, which searches read."""
     z = _has_zero(keys)
-    return _concat([-keys[z:][::-1], keys]), np.concatenate([counts[z:][::-1], counts])
+    keys, counts = _concat([-keys[z:][::-1], keys]), np.concatenate([counts[z:][::-1], counts])
+    if isinstance(keys, _Keys):
+        order = np.argsort(keys.f, kind="stable")
+        keys, counts = keys[order], counts[order]
+    return keys, counts
 
 
 def _merged_sums(values: Sequence, dtype, count_dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct signed sums of ``values``, each accumulated in
-    index order, and their pattern counts.  Float sums merge only when they
-    compare equal, so no later comparison of ``fl(l + r)`` changes."""
+    """The distinct signed sums of ``values``, each accumulated in index
+    order, in search order (``_mirror``), and their pattern counts.  Float
+    sums merge only when they compare equal, so no later comparison of
+    ``fl(l + r)`` changes."""
     return _mirror(*_nonneg_sums(values, dtype, count_dtype))
 
 
@@ -579,7 +584,7 @@ def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:
     split = len(values) - len(values) // 2
     count_dtype = _count_dtype(len(values))
     lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
-    rkeys, rcounts = _search_order(*_merged_sums(values[split:], dtype, count_dtype))
+    rkeys, rcounts = _merged_sums(values[split:], dtype, count_dtype)
     cum = np.concatenate([[0], np.cumsum(rcounts)])
     window, _ = _window(rkeys, cum, lkeys, t, strict, dtype)
     hits = lcounts * np.maximum(window, 0)
@@ -603,7 +608,7 @@ def signed_sum_count(
     n = len(values)
     _check_size(n, limit, DEFAULT_MITM_LIMIT, "meet-in-the-middle")
     t = _normalize_threshold(t, mode)
-    keys, dtype, _, _, t, strict = _key_setup(values, t, mode, strict)
+    keys, dtype, _, t, strict = _key_setup(values, t, mode, strict)
     return _count_pairs(keys, dtype, t, strict), 1 << n
 
 
@@ -647,9 +652,15 @@ def threshold_probability_naive(
     total = 1 << n
 
     if w.mode == FLOAT:
-        sums = np.abs(_pair_sums(w.values, np.float64))
-        hits = int(np.count_nonzero(sums < t if strict else sums <= t))
-        return hits / total
+        # fl(l + r) of two halves summed here, each from +0.0 in index order
+        halves = []
+        for part in (w.values[: n - n // 2], w.values[n - n // 2 :]):
+            sums = [0.0]
+            for v in part:
+                sums = [s - v for s in sums] + [s + v for s in sums]
+            halves.append(sums)
+        sums = np.abs(np.add.outer(*halves))
+        return int(np.count_nonzero(sums < t if strict else sums <= t)) / total
 
     # No decomposition or cut-off of the MITM path: Fraction weights and t
     # as integers over their common denominator, else SqrtSums against t.
@@ -678,26 +689,16 @@ def threshold_probability_naive(
 
 
 def _merge_equal(keys, counts: np.ndarray):
-    """Sort ``keys``, adding up the counts of equal keys (linear on the
-    three sorted runs of ``_nonneg_step``).  Radical keys are sorted and
-    merged by code."""
-    radical = isinstance(keys, _Keys)
-    order = np.argsort(keys.c if radical else keys, kind="stable")
+    """Sort ``keys`` by ``_sign_key``, adding up the counts of equal keys
+    (linear on the three sorted runs of ``_nonneg_step``): radical keys are
+    sorted and merged by code."""
+    order = np.argsort(_sign_key(keys), kind="stable")
     keys = keys[order]
-    same = keys.c if radical else keys
+    same = _sign_key(keys)
     first = np.ones(len(keys), dtype=bool)
     first[1:] = same[1:] != same[:-1]
     first = np.flatnonzero(first)
     return keys[first], np.add.reduceat(counts[order], first)
-
-
-def _search_order(keys, counts: np.ndarray):
-    """Merged ``keys`` and their counts in the order searches need: radical
-    keys are searched by their floats, other keys are sorted already."""
-    if isinstance(keys, _Keys):
-        order = np.argsort(keys.f, kind="stable")
-        keys, counts = keys[order], counts[order]
-    return keys, counts
 
 
 def _tail_distributions(vals: Sequence, dtype):
@@ -711,16 +712,16 @@ def _tail_distributions(vals: Sequence, dtype):
         yield keys, counts
 
 
-def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype, spread=None):
+def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
     """``(window, fallbacks)``: per query sum ``q``, the patterns of the
     searched ``keys`` (cumulative counts ``cum``) whose sums ``r`` have ``|q
     + r| <= t`` (``< t`` when strict), and how many keys were decided
-    exactly: by ``_band_window`` for radical keys (``spread`` defaults to all
-    the weights' kappa sum), by searches refined to test ``fl(q + r)`` for
-    float keys, by plain ``searchsorted`` for exact integer keys.  An empty
-    window (integer cut-off -1) can come out negative."""
+    exactly: by ``_band_window`` for radical keys over all the weights, by
+    searches refined to test ``fl(q + r)`` for float keys, by plain
+    ``searchsorted`` for exact integer keys.  An empty window (integer
+    cut-off -1) can come out negative."""
     if isinstance(dtype, _Radical):
-        return _band_window(keys, cum, query, t, strict, dtype, dtype.spread if spread is None else spread)
+        return _band_window(keys, cum, query, t, strict, dtype, dtype.spread)
     if dtype is np.float64:
         image = lambda u: query + u
         hi = _refine_prefix_len(keys, image, t, t - query, inclusive=not strict)
@@ -767,12 +768,11 @@ def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, ra
 
 
 def _exact_order(keys: _Keys, counts: np.ndarray, radical: _Radical):
-    """Merged radical keys and their counts in the exact order of
-    their sums.  Sums out of float order have floats less than ``2B`` apart,
-    so only runs of such neighbours are sorted by exact value.  The floats
-    are then made nondecreasing by a running maximum, which keeps each
-    within ``B`` of its sum: every earlier sum is smaller."""
-    keys, counts = _search_order(keys, counts)
+    """Merged radical keys and their counts, in float order, put in the
+    exact order of their sums.  Sums out of float order have floats less
+    than ``2B`` apart, so only runs of such neighbours are sorted by exact
+    value.  The floats are then made nondecreasing by a running maximum,
+    which keeps each within ``B`` of its sum: every earlier sum is smaller."""
     close = np.diff(keys.f) <= 2 * radical.bound
     edges = np.flatnonzero(np.diff(np.concatenate([[False], close, [False]]).astype(np.int8)))
     order = np.arange(len(keys))
@@ -848,7 +848,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
         values, counts = np.unique(_pair_sums(w.values, np.float64), return_counts=True)
         return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
 
-    vals, dtype, _, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
+    vals, dtype, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
     keys, counts = _merged_sums(vals, dtype, _count_dtype(n))
     if isinstance(dtype, _Radical):
         keys, counts = _exact_order(keys, counts, dtype)
@@ -1009,8 +1009,9 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
         raise SizeLimitError(n, limit, "full-enumeration")
 
     exact = w.mode == EXACT
-    vals, dtype, path, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
+    vals, dtype, _, one, _ = _key_setup(w.values, Fraction(1) if exact else 1.0, w.mode)
     radical = dtype if isinstance(dtype, _Radical) else None
+    path = "radical" if radical else np.dtype(dtype).name
 
     counts = [0] * (n + 1)
     frontier, settled = [], []
@@ -1027,8 +1028,8 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
         frontier.append(len(s))
         cross = np.zeros(len(s), dtype=bool)
         if depth >= 2 and radical:  # |s| > b iff the empty tail is outside its window
-            b = one - radical.values[depth]
-            inside, decided = _window(_zero(dtype), np.arange(2), s, b, False, dtype, radical.spreads[depth])
+            b = one - w.values[depth]
+            inside, decided = _band_window(_zero(dtype), np.arange(2), s, b, False, radical, radical.spreads[depth])
             cross, fallbacks = inside == 0, fallbacks + decided
         elif depth >= 2:
             b = one - vals[depth]
@@ -1097,7 +1098,7 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     balanced = _balanced_depth(walk.stats.settled, n)
     tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype))
     for depth, table in tables:
-        tkeys, tcounts = _search_order(*_mirror(*table))
+        tkeys, tcounts = _mirror(*table)
         cum = np.concatenate([[0], np.cumsum(tcounts)])
         for d in range(1 if depth == balanced else depth, depth + 1):
             if d not in prefixes:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -210,11 +211,31 @@ class TestFieldOperations:
         assert v * v.inverse() == 1
         assert (1 / v) * v == 1
 
-    def test_float_mixing_rejected(self):
-        with pytest.raises(TypeError):
-            exact_sqrt(2) + 0.5
-        with pytest.raises(TypeError):
-            0.5 * exact_sqrt(2)
+    @pytest.mark.parametrize("swap", [False, True], ids=["sqrtsum-first", "sqrtsum-second"])
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.mul, operator.truediv, operator.eq,
+         operator.lt, operator.le, operator.gt, operator.ge],
+        ids=lambda op: op.__name__,
+    )
+    def test_float_mixing_rejected(self, op, swap):
+        # one operand rule for every operator, in both orders: a float
+        # raises, an int or Fraction acts as its SqrtSum, anything else is
+        # left to Python (a TypeError, or False for ==)
+        s = exact_sqrt(2) + Fraction(1, 3)
+        call = (lambda o: op(o, s)) if swap else (lambda o: op(s, o))
+        with pytest.raises(TypeError, match="cannot mix floats"):
+            call(0.5)
+        for q in (3, Fraction(-2, 7), Fraction(1, 3)):
+            exact = SqrtSum.from_rational(q)
+            want = op(exact, s) if swap else op(s, exact)
+            got = call(q)
+            assert got == want and type(got) is type(want), (q, got, want)
+        if op is operator.eq:
+            assert call("x") is False
+        else:
+            with pytest.raises(TypeError):
+                call("x")
 
 
 class TestOrdering:
