@@ -23,7 +23,11 @@ Enumeration strategies:
   path: it never reads the weights through ``_decompose``.  In float mode it
   sums both halves in plain Python, without the engine's half sums.
 * ``sum_distribution`` - in exact mode the table the meet-in-the-middle
-  halves use (``_merged_sums``), over all the weights.
+  halves use (``_merged_sums``), over all the weights.  In float mode the
+  nonnegative table of the sums ``fl(l + r)`` of the two raw halves, folded
+  by sign (``_float_nonneg_sums``): only the pairs with ``l > 0`` are added,
+  as ``fl(-l - r) = -fl(l + r)``, and a zero ``l`` adds the right sums ``r >=
+  0``.
 * ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
   breadth-first frontier of numpy arrays: each depth tests all undecided
   prefix sums in one vector operation, sets the crossing ones aside as
@@ -835,6 +839,27 @@ class SumDistribution:
         return _probability(max(int(window[0]), 0), self.total, self.mode)
 
 
+def _float_nonneg_sums(values: Sequence[float]):
+    """The nonnegative table (see ``_nonneg_step``) of the float sums
+    ``fl(l + r)`` of ``_pair_sums``.  A left sum ``l > 0`` stands for ``-l``
+    too, as ``fl(-l - r) = -fl(l + r)`` and the right sums are symmetric, so
+    only the pairs with ``l > 0`` are added, each counted at ``|fl(l +
+    r)|``, twice where that is 0.  Each zero left sum adds the right sums
+    ``r >= 0`` once."""
+    split = len(values) - len(values) // 2
+    left, right = _half_sums(values[:split], np.float64), _half_sums(values[split:], np.float64)
+    sums = np.add.outer(left[left > 0], right).ravel()
+    keys, counts = np.unique(np.abs(sums, out=sums), return_counts=True)
+    if len(keys) and keys[0] == 0:
+        counts[0] *= 2
+    zeros = int(np.count_nonzero(left == 0))
+    if zeros:
+        tail = right[right >= 0]
+        keys, counts = _merge_equal(np.concatenate([keys, tail]), np.concatenate([counts, np.full(len(tail), zeros)]))
+    _check_mass(keys, counts, len(values))
+    return keys, counts
+
+
 def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDistribution:
     """Explicit distribution of eps . x by full enumeration.
 
@@ -845,8 +870,8 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
 
     if w.mode == FLOAT:
-        values, counts = np.unique(_pair_sums(w.values, np.float64), return_counts=True)
-        return SumDistribution(values, counts.astype(np.int64), n, FLOAT)
+        keys, counts = _mirror(*_float_nonneg_sums(w.values))
+        return SumDistribution(keys, counts, n, FLOAT)
 
     vals, dtype, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
     keys, counts = _merged_sums(vals, dtype, _count_dtype(n))
@@ -952,14 +977,26 @@ def _float_window(keys: np.ndarray, cum: np.ndarray, steps: np.ndarray, ss: np.n
     whose sum r has ``fl(-1 - s) <= r <= fl(1 - s)``, and whether some r is
     within ``BOUNDARY_TIE_TOL`` of either end.  The r nearest an end from
     either side are the extensions of the keys next to the searched end, as
-    the extension is monotone."""
+    the extension is monotone.
+
+    Without steps, a table of at most two keys (the one-weight tail at depth
+    n - 1) is compared with every sum key by key instead: the nearest keys
+    on either side of an end are within the tolerance iff some key is, so
+    the same float tests decide the window and ``near``."""
+    tol = BOUNDARY_TIE_TOL
+    if not len(steps) and len(keys) <= 2:
+        lo, hi = -one - ss, one - ss
+        window, near = np.zeros(len(ss), dtype=cum.dtype), np.zeros(len(ss), dtype=bool)
+        for k, c in zip(keys, np.diff(cum)):
+            window += c * ((lo <= k) & (k <= hi))
+            near |= ((k >= lo - tol) & (k <= lo + tol)) | ((k >= hi - tol) & (k <= hi + tol))
+        return window, near
     lo, hi = (-one - ss)[:, None], (one - ss)[:, None]
     start, stop = _pull_back(keys, steps, lo, False), _pull_back(keys, steps, hi, True)
     window = (cum[stop] - cum[start]).sum(axis=1)
     # padded[i + 1] is keys[i]; the infinite ends are never near
     padded = np.concatenate([[-np.inf], keys, [np.inf]])
     at = lambda i: _chain(padded[i], steps)
-    tol = BOUNDARY_TIE_TOL
     near = (at(start + 1) <= lo + tol) | (at(start) >= lo - tol) | (at(stop) >= hi - tol) | (at(stop + 1) <= hi + tol)
     return window, near.any(axis=1)
 

@@ -475,7 +475,7 @@ class TestErrorsAndExitCodes:
     )
     def test_out_of_memory_exit_2(self, capsys, monkeypatch, sub, run):
         # a raised limit admits a table the machine cannot hold: numpy raises
-        # MemoryError (42 float weights ask for 32 TiB)
+        # MemoryError (42 float weights ask for 16 TiB)
         def exhausted(*args, **kwargs):
             raise MemoryError
 

@@ -67,6 +67,22 @@ def merged_count(values, t, mode, strict=False) -> int:
     return _count_merged(keys, dtype, t, strict)
 
 
+def literal_float_halves(values) -> tuple[list, list]:
+    """The float signed sums of the first ``n - n//2`` values and of the
+    rest, each accumulated in index order from +0.0 by a literal loop."""
+    split = len(values) - len(values) // 2
+    halves = []
+    for part in (values[:split], values[split:]):
+        sums = []
+        for signs in itertools.product((-1, 1), repeat=len(part)):
+            s = 0.0
+            for sg, v in zip(signs, part):
+                s = s + v if sg > 0 else s - v
+            sums.append(s)
+        halves.append(sums)
+    return tuple(halves)
+
+
 def tie_row_oracle(x, tol=1e-12) -> tuple:
     """The float partition's boundary-tie rows by a literal walk of the
     sign tree (eps_1 = +1): prefix sums accumulated in index order, tail
@@ -572,17 +588,7 @@ class TestSumDistribution:
         # of threshold_probability (n <= _RAW_PAIRS_N) read the same sums
         for n in (1, 2, 5, 9, 14):
             w = random_float_vector(rng, n)
-            split = n - n // 2
-            halves = []
-            for part in (w.values[:split], w.values[split:]):
-                sums = []
-                for signs in itertools.product((-1, 1), repeat=len(part)):
-                    s = 0.0
-                    for sg, v in zip(signs, part):
-                        s = s + v if sg > 0 else s - v
-                    sums.append(s)
-                halves.append(sums)
-            sums = Counter(l + r for l in halves[0] for r in halves[1])
+            sums = Counter(l + r for l, r in itertools.product(*literal_float_halves(w.values)))
             d = sum_distribution(w)
             assert [(v.hex(), c) for v, c in d.entries] == [(v.hex(), sums[v]) for v in sorted(sums)]
             for t in (0.5, 1.0, float(abs(d.entries[0][0])), float(abs(d.entries[len(d.entries) // 3][0]))):
@@ -590,6 +596,34 @@ class TestSumDistribution:
                     hits = sum(c for v, c in sums.items() if (abs(v) < t if strict else abs(v) <= t))
                     assert threshold_probability_naive(w, t, strict) == hits / 2**n
                     assert threshold_probability(w, t, strict) == hits / 2**n
+
+    @pytest.mark.parametrize(
+        "raw, zero_left",
+        [
+            ([1.0], False),
+            ([1.0] * 2, False),
+            ([1.0] * 4, True),
+            ([1.0] * 8, True),
+            ([1.0] * 16, True),
+            ([0.5] * 4, True),
+            ([2, 2, 1, 1, 1], False),
+            ([2, 1, 1, 1, 1], True),
+            ([3, 2, 1, 1, 1, 1], True),
+            ([3, 3, 2, 2, 1, 1, 1, 1], True),
+        ],
+    )
+    def test_float_fold_matches_literal_sums(self, raw, zero_left):
+        # The float table is built from the pairs of left sums l > 0, each
+        # counted at |fl(l + r)| (twice at 0), plus the right sums r >= 0 of
+        # each zero left sum; values and counts are still those of every
+        # pair sum fl(l + r), zero left sums or not
+        w = canonicalize(raw, FLOAT)
+        left, right = literal_float_halves(w.values)
+        assert (0.0 in left) == zero_left
+        sums = Counter(l + r for l, r in itertools.product(left, right))
+        d = sum_distribution(w)
+        assert [(v.hex(), c) for v, c in d.entries] == [(v.hex(), sums[v]) for v in sorted(sums)]
+        assert d.values.dtype == np.float64 and d.counts.dtype == np.int64
 
     def test_arrays_and_scale(self):
         # x = (3, 4)/5: integer keys s stand for s/5
@@ -828,6 +862,36 @@ class TestPrefixPartition:
         w = canonicalize(raw, FLOAT)
         assert prefix_partition(w).boundary_ties == expected
         assert tie_row_oracle(w.values) == expected
+
+    @pytest.mark.parametrize("x", [0.0, 0.25, 0.3, 1 / math.sqrt(19), 0.7])
+    def test_one_weight_tail_window(self, x):
+        # Depth n - 1 counts its prefix sums s against the tail table {+-x}
+        # of the last weight without a search.  Queries put a key at, one ulp
+        # either side of, and 1e-12 +- 1 ulp from each end fl(+-1 - s); the
+        # window and the near flag are those of a literal loop over the keys.
+        from radsum.engine import BOUNDARY_TIE_TOL, _float_window, _mirror, _sign_matrix, _tail_distributions
+
+        keys, counts = _mirror(*next(_tail_distributions([x], np.float64)))
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        queries = [0.0, 5.0]
+        for k in keys.tolist():
+            for end in (1.0 - k, -1.0 - k):
+                for off in (0.0, BOUNDARY_TIE_TOL, -BOUNDARY_TIE_TOL):
+                    s = end + off
+                    queries += [np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)]
+        ss = np.array(queries)
+        steps = _sign_matrix(0)[1:] * np.array([])[:, None]  # no weights in between, as in prefix_partition
+        window, near = _float_window(keys, cum, steps, ss, 1.0)
+        tol = BOUNDARY_TIE_TOL
+        expected = []
+        for s in ss.tolist():
+            lo, hi = -1.0 - s, 1.0 - s
+            hits = sum(c for k, c in zip(keys.tolist(), counts.tolist()) if lo <= k <= hi)
+            close = any(lo - tol <= k <= lo + tol or hi - tol <= k <= hi + tol for k in keys.tolist())
+            expected.append((hits, close))
+        assert list(zip(window.tolist(), near.tolist())) == expected
+        assert near.any() and not near.all()
+        assert {0, 2} <= set(window.tolist())
 
     def test_stats(self):
         # x = (1, 1, 1, 1)/2: depth 2 holds the sums {0, 2}; 2 crosses the
