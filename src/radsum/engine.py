@@ -6,8 +6,13 @@ Enumeration strategies:
   symmetric about zero, so it is built in nonnegative form: its sorted
   distinct sums ``>= 0`` with their full-table pattern counts, one value at
   a time by merging three sorted runs (``_nonneg_step``; equal sums merged
-  as they arise).  ``_mirror`` unfolds the full table where a search needs
-  it, in search order: by value, and radical keys by their floats.
+  as they arise).  A half or whole table over int64 keys whose sums fill a
+  short lattice - ``sum|v_i|/gcd(v_i) < 2^k`` for its k values - is
+  instead a dense count per lattice point (``_dense_sums``, Bellman's
+  subset-sum table: two slice operations per value), which is never longer
+  than the 2^k raw sums; the rule reads the input alone.  ``_mirror``
+  unfolds the full table where a search needs it, in search order: by
+  value, and radical keys by their floats.
 * ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
   Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
   pair sum ``l + r`` of the two raw halves (``_half_sums``) is compared
@@ -504,14 +509,50 @@ def _nonneg_step(keys, counts: np.ndarray, v):
 
 def _nonneg_sums(values: Sequence, dtype, count_dtype):
     """The nonnegative table (see ``_nonneg_step``) of the signed sums of
-    ``values``, each accumulated in index order."""
+    ``values``, each accumulated in index order.  Integer keys whose sums
+    fill a short lattice, ``span = sum|v_i|/g < 2^k`` for ``g = gcd(v_i)``
+    and the k values, take the dense table of ``_dense_sums``, which is then
+    never longer than the 2^k raw sums; all other keys merge steps
+    (``_step_sums``)."""
+    step = (math.gcd(*values) or 1) if dtype is np.int64 else 0
+    if step and sum(map(abs, values)) // step < 1 << len(values):
+        keys, counts = _dense_sums(values, step, count_dtype)
+    else:
+        keys, counts = _step_sums(values, dtype, count_dtype)
+    _check_mass(keys, counts, len(values))
+    return keys, counts
+
+
+def _dense_sums(values: Sequence[int], step: int, count_dtype):
+    """The nonnegative table of the signed sums of integers ``values``, all
+    multiples of ``step``, by Bellman's subset-sum recurrence: with ``a_i =
+    |v_i|/step`` and ``span = sum a_i``, ``hist[j]`` counts the sign
+    patterns with sum ``(2j - span)*step``, and each value adds ``hist[j -
+    a]`` into ``hist[j]``.  The upper half of ``hist`` holds the sums >= 0.
+    The counts do not depend on the order of the values, and in increasing
+    order each step touches the fewest entries: one large value among small
+    ones costs one short step, not a sweep over the whole span per value."""
+    hist = np.zeros(sum(map(abs, values)) // step + 1, dtype=count_dtype)
+    hist[0] = 1
+    top = 0
+    for a in sorted(abs(v) // step for v in values):
+        hist[a : top + a + 1] += hist[: top + 1]  # numpy buffers the overlap
+        top += a
+    half = (top + 1) // 2
+    index = np.flatnonzero(hist[half:])
+    return (2 * (index + half) - top) * step, hist[half:][index]
+
+
+def _step_sums(values: Sequence, dtype, count_dtype):
+    """The nonnegative table of the signed sums of ``values``: the raw sums
+    of the first ``_RAW_PREFIX`` values merged, then one ``_nonneg_step``
+    per value."""
     k = min(len(values), _RAW_PREFIX)
     sums = _half_sums(values[:k], dtype)
     sums = sums[_sign_key(sums) >= 0]
     keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
     for v in values[k:]:
         keys, counts = _nonneg_step(keys, counts, v)
-    _check_mass(keys, counts, len(values))
     return keys, counts
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -436,11 +436,82 @@ class TestNonnegativeTables:
             *_, last = _tail_distributions(keys, dtype)
             self._assert_same_table(_mirror(*last), _full_table(keys[::-1], dtype), dtype)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_dense_tables_match_full_recurrence(self, data):
+        # int64 keys on both sides of the dense rule span = sum|v|/g < 2^n:
+        # small entries, entries near 2^n/n, and a common factor g > 1
+        from radsum.engine import _dense_sums, _nonneg_sums, _step_sums
+
+        n = data.draw(st.integers(0, 14))
+        family = data.draw(st.sampled_from(["small", "near", "factor"]))
+        signs = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+        if family == "small":
+            values = _edge_values("int64", signs)
+        elif family == "near":
+            size = (1 << n) // max(n, 1) * data.draw(st.sampled_from([1, 2]))
+            values = [s * (size + data.draw(st.integers(-2, 2))) for s in signs]
+        else:
+            g = data.draw(st.integers(2, 12))
+            values = [s * g * data.draw(st.integers(1, 40)) for s in signs]
+        count_dtype = data.draw(st.sampled_from([np.int64, object]))
+        event("dense" if sum(map(abs, values)) // (math.gcd(*values) or 1) < 1 << n else "merged")
+        keys, counts = _nonneg_sums(values, np.int64, count_dtype)
+        full, full_counts = _full_table(values, np.int64)
+        assert keys.dtype == np.int64 and counts.dtype == np.dtype(count_dtype)
+        assert keys.tolist() == full[full >= 0].tolist()
+        assert counts.tolist() == full_counts[full >= 0].tolist()
+        # the merged builder forced on the same input gives the same table
+        merged = _step_sums(values, np.int64, count_dtype)
+        dense = _dense_sums(values, math.gcd(*values) or 1, count_dtype)
+        for ours, theirs in zip(dense, merged):
+            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+
+    def test_dense_rule(self, monkeypatch):
+        """The dense table is built for int64 keys with span < 2^k alone:
+        never for float, radical or Python-int keys, or a wider span."""
+        from radsum import engine
+
+        real = engine._dense_sums
+        seen = []
+
+        def spy(values, step, count_dtype):
+            keys, counts = real(values, step, count_dtype)
+            seen.append((len(values), counts.dtype))
+            return keys, counts
+
+        monkeypatch.setattr(engine, "_dense_sums", spy)
+        # 64 ones: two halves of 32 ones, span 32, with object counts
+        n = 64
+        hits = sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) <= 8)
+        assert engine.admissible_count(canonicalize([1] * n, EXACT), 1, limit=n) == (hits, 2**n)
+        assert seen == [(32, np.dtype(object))] * 2
+        # span 2^4 - 1 is dense, span 2^4 is not
+        seen.clear()
+        engine._nonneg_sums([12, 1, -1, 1], np.int64, np.int64)
+        engine._nonneg_sums([13, 1, -1, 1], np.int64, np.int64)
+        engine._nonneg_sums([26, 2, -2, 2], np.int64, np.int64)
+        assert seen == [(4, np.dtype(np.int64))]
+        seen.clear()
+        wide = [5000 + 37 * i for i in range(16)]  # span >= 2^16, and >= 2^8 per half
+        radical = from_squares([2, 3, 5, 7, 11, 13, 17, 19])
+        for values, mode, t in (
+            ([1.0] * 16, FLOAT, 1.0),
+            ([2**62 + i for i in range(16)], EXACT, 2**62),
+            (wide, EXACT, 1000),
+            (radical.values, EXACT, 1),
+        ):
+            engine.signed_sum_count(values, t, mode)
+        sum_distribution(canonicalize(wide, EXACT))
+        sum_distribution(radical)
+        assert seen == []
+
     @pytest.mark.parametrize("raw_prefix", [0, 8])
     @pytest.mark.parametrize("kind", KEY_KINDS)
     def test_edge_weight_counts(self, monkeypatch, rng, kind, raw_prefix):
         # zero, negative and -0.0 raw weights; with no raw prefix every
-        # table is built by nonnegative steps
+        # merged table is built by nonnegative steps (the small int64
+        # entries take dense tables either way)
         from radsum import engine
 
         monkeypatch.setattr(engine, "_RAW_PREFIX", raw_prefix)
@@ -479,7 +550,10 @@ class TestNonnegativeTables:
 
         monkeypatch.setattr(engine, "_merge_equal", spy)
         signs = [int(s) for s in rng.integers(-1, 2, size=12)]
-        keys, dtype = _keys_of(kind, _edge_values(kind, signs))
+        values = _edge_values(kind, signs)
+        if kind == "int64":  # entries in the thousands: span >= 2^12, merged
+            values = [s * (2000 + 37 * i) for i, s in enumerate(signs)]
+        keys, dtype = _keys_of(kind, values)
         engine._nonneg_sums(keys, dtype, np.int64)
         list(engine._tail_distributions(keys, dtype))
         assert len(merged) == (1 + 12 - min(12, raw_prefix)) + 12
@@ -500,9 +574,26 @@ class TestNonnegativeTables:
         w = canonicalize([1.0] * 20, FLOAT)
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(w, 1.0, limit=20)
-        # the first _RAW_PREFIX (8) weights take no step
+        # the first _RAW_PREFIX (8) weights take no step; entries in the
+        # hundreds make span >= 2^9, so the table is merged, not dense
+        with pytest.raises(SoundnessError, match="mass"):
+            sum_distribution(canonicalize([301, 103, 207, 509, 401, 107, 211, 601, 307], EXACT))
+
+    def test_dense_mass_slip_is_soundness_error(self, monkeypatch):
+        from radsum import SoundnessError, engine
+
+        real = engine._dense_sums
+
+        def slip(values, step, count_dtype):
+            keys, counts = real(values, step, count_dtype)
+            counts[-1] -= 1
+            return keys, counts
+
+        monkeypatch.setattr(engine, "_dense_sums", slip)
         with pytest.raises(SoundnessError, match="mass"):
             sum_distribution(canonicalize([3, 1, 2, 5, 4, 1, 2, 6, 3], EXACT))
+        with pytest.raises(SoundnessError, match="mass"):
+            threshold_probability(canonicalize([1] * 20, EXACT), 1, limit=20)
 
 
 class TestThresholdProperties:
