@@ -6,13 +6,16 @@ Enumeration strategies:
   symmetric about zero, so it is built in nonnegative form: its sorted
   distinct sums ``>= 0`` with their full-table pattern counts, one value at
   a time by merging three sorted runs (``_nonneg_step``; equal sums merged
-  as they arise).  A half or whole table over int64 keys whose sums fill a
-  short lattice - ``sum|v_i|/gcd(v_i) < 2^k`` for its k values - is
-  instead a dense count per lattice point (``_dense_sums``, Bellman's
-  subset-sum table: two slice operations per value), which is never longer
-  than the 2^k raw sums; the rule reads the input alone.  ``_mirror``
-  unfolds the full table where a search needs it, in search order: by
-  value, and radical keys by their floats.
+  as they arise).  A half or whole table over int64 keys whose sums may
+  fill their lattice - multiples of ``g = gcd(v_i)`` up to ``sum|v_i|`` -
+  is instead a dense count per lattice point (``_dense_sums``, Bellman's
+  subset-sum table: one slice addition per value).  The rule reads the
+  input alone (``_lattice_sizes``): two bounds on the distinct sums must
+  reach the lattice length, so a dense table is never longer than the
+  distinct sums may be, and the ranges of the sums near the middle must
+  leave no gap.
+  ``_mirror`` unfolds the full table where a search needs it, in search
+  order: by value, and radical keys by their floats.
 * ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
   Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
   pair sum ``l + r`` of the two raw halves (``_half_sums``) is compared
@@ -96,12 +99,13 @@ DEFAULT_FULL_LIMIT = 24
 DEFAULT_MITM_LIMIT = 40
 BOUNDARY_TIE_TOL = 1e-12
 _MAX_TIE_RECORDS = 200
-# A nonnegative half table starts from the raw sums of its first _RAW_PREFIX
+# A merged nonnegative table starts from the raw sums of its first _RAW_PREFIX
 # values.  Stepping from [0] instead was slower wherever a half table is still
 # built (0 vs 8, medians of 30 alternating in-process runs, 2-CPU x86, numpy
-# 2.4): admissible_count over merged halves, n = 16, 299 vs 98 us float and
-# 304 vs 106 us int64; n = 38, 48.8 vs 48.5 ms float and 1.65 vs 1.44 ms
-# int64; radical n = 12, 390 vs 175 us; exact sum_distribution, 553 vs 455 us
+# 2.4; int64 entries in [70000, 99999], whose tables are merged, not dense):
+# admissible_count over merged halves, n = 16, 299 vs 98 us float and 347 vs
+# 143 us int64; n = 38, 48.8 vs 48.5 ms float and 32.7 vs 32.5 ms int64;
+# radical n = 12, 390 vs 175 us; exact sum_distribution, 2.22 vs 2.06 ms
 # (int64, n = 16) and 562 vs 432 us (radical, n = 12).
 _RAW_PREFIX = 8
 # Raw sums start with the running sums of the first _SIGN_ROWS values down a
@@ -509,33 +513,82 @@ def _nonneg_step(keys, counts: np.ndarray, v):
 
 def _nonneg_sums(values: Sequence, dtype, count_dtype):
     """The nonnegative table (see ``_nonneg_step``) of the signed sums of
-    ``values``, each accumulated in index order.  Integer keys whose sums
-    fill a short lattice, ``span = sum|v_i|/g < 2^k`` for ``g = gcd(v_i)``
-    and the k values, take the dense table of ``_dense_sums``, which is then
-    never longer than the 2^k raw sums; all other keys merge steps
-    (``_step_sums``)."""
+    ``values``, each accumulated in index order.  Integer keys, all
+    multiples of ``g = gcd(v_i)``, whose sums may fill their lattice (see
+    ``_lattice_sizes``) take the dense table of ``_dense_sums``; all other
+    keys merge steps (``_step_sums``)."""
     step = (math.gcd(*values) or 1) if dtype is np.int64 else 0
-    if step and sum(map(abs, values)) // step < 1 << len(values):
-        keys, counts = _dense_sums(values, step, count_dtype)
+    sizes = _lattice_sizes(values, step) if step else None
+    if sizes is not None:
+        keys, counts = _dense_sums(sizes, step, count_dtype)
     else:
         keys, counts = _step_sums(values, dtype, count_dtype)
     _check_mass(keys, counts, len(values))
     return keys, counts
 
 
-def _dense_sums(values: Sequence[int], step: int, count_dtype):
-    """The nonnegative table of the signed sums of integers ``values``, all
-    multiples of ``step``, by Bellman's subset-sum recurrence: with ``a_i =
-    |v_i|/step`` and ``span = sum a_i``, ``hist[j]`` counts the sign
-    patterns with sum ``(2j - span)*step``, and each value adds ``hist[j -
-    a]`` into ``hist[j]``.  The upper half of ``hist`` holds the sums >= 0.
-    The counts do not depend on the order of the values, and in increasing
-    order each step touches the fewest entries: one large value among small
-    ones costs one short step, not a sweep over the whole span per value."""
-    hist = np.zeros(sum(map(abs, values)) // step + 1, dtype=count_dtype)
+def _lattice_sizes(values: Sequence[int], step: int) -> Optional[list[int]]:
+    """The sorted sizes ``|v_i|/step`` of the integers ``values``, all
+    multiples of ``step``, if their subset sums may fill their lattice
+    ``0..sum(sizes)``, else None; judged by three facts the sizes give
+    directly.
+
+    Two bounds on the distinct sums must each reach the lattice length, so
+    a dense table is never longer than the distinct sums may be.  Taken in increasing order, the sums of the sizes so far are at most
+    the ``S + 1`` points up to their total ``S``, and ``m`` further copies
+    of one size multiply their number by at most ``m + 1`` (so the bound is
+    at most 2^k for k sizes); one large size among small ones fails here.
+    And with each size written as ``q*b + e`` for the smallest nonzero size
+    ``b`` and the nearest ``q``, a subset sums to ``Q*b + E`` for its totals
+    ``Q`` of q and ``E`` of e, so there are at most ``(sum q + 1)*(sum |e|
+    + 1)`` sums; sizes near 1, 2, 3, ... times one size fail here.
+
+    A middle without gaps: split the sizes into the ``j`` smallest, whose
+    sums lie in ``0..S_j``, and the ``r`` others.  The sums of ``s`` of the
+    others lie between the sum of their ``s`` smallest and that of their
+    ``s`` largest, and the gap between these ranges for ``s`` and ``s + 1``
+    sizes shrinks towards ``s = r/2``.  For every ``j``, at ``s = (r -
+    1)//2``, the smallest sum of ``s + 1`` others must be at most ``S_j +
+    1`` above the largest sum of ``s``, so the sums of the first ``j`` can
+    close the gap.  Near-equal sizes, whose sums gather in separate
+    clusters, fail here, with or without a few small sizes before them."""
+    if sum(map(abs, values)) // step >= 1 << len(values):  # the bound never exceeds 2^k
+        return None
+    sizes = sorted(abs(v) // step for v in values)
+    nonzero = sizes[sizes.count(0) :]  # zero sizes add no sums
+    k, sums = len(nonzero), list(itertools.accumulate(nonzero, initial=0))
+    total = sums[k]
+    b = nonzero[0] if k else 1
+    bound, prev, multiples, residues = 1, 0, 0, 0
+    for a, s in zip(nonzero, sums[1:]):
+        if a != prev:  # the next m copies of a multiply the bound before them
+            base, prev, m = bound, a, 0
+        m += 1
+        bound = min(base * (m + 1), s + 1)
+        q = (2 * a + b) // (2 * b)
+        multiples += q
+        residues += abs(a - q * b)
+    if bound <= total or (multiples + 1) * (residues + 1) <= total:
+        return None
+    for j in range(k):
+        s = (k - j - 1) // 2
+        if sums[j + s + 1] - sums[j] > total - sums[k - s] + sums[j] + 1:
+            return None
+    return sizes
+
+
+def _dense_sums(sizes: list[int], step: int, count_dtype):
+    """The nonnegative table of the signed sums of integers ``+-a*step`` for
+    the sorted sizes ``a`` in ``sizes``, by Bellman's subset-sum recurrence:
+    with ``span = sum(sizes)``, ``hist[j]`` counts the sign patterns with
+    sum ``(2j - span)*step``, and each size adds ``hist[j - a]`` into
+    ``hist[j]``.  The upper half of ``hist`` holds the sums >= 0.  The
+    counts do not depend on the order of the sizes, and in increasing order
+    each step touches the fewest entries."""
+    hist = np.zeros(sum(sizes) + 1, dtype=count_dtype)
     hist[0] = 1
     top = 0
-    for a in sorted(abs(v) // step for v in values):
+    for a in sizes:
         hist[a : top + a + 1] += hist[: top + 1]  # numpy buffers the overlap
         top += a
     half = (top + 1) // 2

@@ -383,6 +383,13 @@ def _edge_values(kind, signs):
     return [s * roots[i] for i, s in enumerate(signs)]
 
 
+def _wide_int64(signs):
+    """int64 entries in the thousands, entry i times ``signs[i]``: up to 14
+    of them have fewer sign patterns than lattice points, so their tables
+    are merged, not dense."""
+    return [s * (2000 + 37 * i) for i, s in enumerate(signs)]
+
+
 def _keys_of(kind, values):
     """``(keys, dtype)`` of raw ``values`` as keys of ``kind``."""
     from radsum.engine import _radical_keys
@@ -430,6 +437,8 @@ class TestNonnegativeTables:
         else:
             signs = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
             values = _edge_values(kind, signs)
+            if kind == "int64" and data.draw(st.booleans()):
+                values = _wide_int64(signs)
         keys, dtype = _keys_of(kind, values)
         self._assert_same_table(_merged_sums(keys, dtype, np.int64), _full_table(keys, dtype), dtype)
         if n:
@@ -439,23 +448,30 @@ class TestNonnegativeTables:
     @given(st.data())
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_dense_tables_match_full_recurrence(self, data):
-        # int64 keys on both sides of the dense rule span = sum|v|/g < 2^n:
-        # small entries, entries near 2^n/n, and a common factor g > 1
-        from radsum.engine import _dense_sums, _nonneg_sums, _step_sums
+        # int64 keys on both sides of the dense rule: small entries, entries
+        # near 2^n/n (near-equal sizes), entries near 1-4 times 2^n/(3n),
+        # one large entry among small ones, and a common factor g > 1
+        from radsum.engine import _dense_sums, _lattice_sizes, _nonneg_sums, _step_sums
 
         n = data.draw(st.integers(0, 14))
-        family = data.draw(st.sampled_from(["small", "near", "factor"]))
+        family = data.draw(st.sampled_from(["small", "near", "multiples", "lopsided", "factor"]))
         signs = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
         if family == "small":
             values = _edge_values("int64", signs)
         elif family == "near":
             size = (1 << n) // max(n, 1) * data.draw(st.sampled_from([1, 2]))
             values = [s * (size + data.draw(st.integers(-2, 2))) for s in signs]
+        elif family == "multiples":
+            size = (1 << n) // max(3 * n, 1) + 1
+            values = [s * ((1 + i % 4) * size + data.draw(st.integers(0, 3))) for i, s in enumerate(signs)]
+        elif family == "lopsided":
+            values = [s * (1 << data.draw(st.integers(0, n))) for s in signs[:1]] + _edge_values("int64", signs[1:])
         else:
             g = data.draw(st.integers(2, 12))
             values = [s * g * data.draw(st.integers(1, 40)) for s in signs]
         count_dtype = data.draw(st.sampled_from([np.int64, object]))
-        event("dense" if sum(map(abs, values)) // (math.gcd(*values) or 1) < 1 << n else "merged")
+        step = math.gcd(*values) or 1
+        event("dense" if _lattice_sizes(values, step) is not None else "merged")
         keys, counts = _nonneg_sums(values, np.int64, count_dtype)
         full, full_counts = _full_table(values, np.int64)
         assert keys.dtype == np.int64 and counts.dtype == np.dtype(count_dtype)
@@ -463,21 +479,24 @@ class TestNonnegativeTables:
         assert counts.tolist() == full_counts[full >= 0].tolist()
         # the merged builder forced on the same input gives the same table
         merged = _step_sums(values, np.int64, count_dtype)
-        dense = _dense_sums(values, math.gcd(*values) or 1, count_dtype)
+        dense = _dense_sums(sorted(abs(v) // step for v in values), step, count_dtype)
         for ours, theirs in zip(dense, merged):
             assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
 
     def test_dense_rule(self, monkeypatch):
-        """The dense table is built for int64 keys with span < 2^k alone:
-        never for float, radical or Python-int keys, or a wider span."""
+        """The dense table is built for int64 keys alone, and only where both
+        distinct-sum bounds reach the lattice length and the middle sums
+        leave no gap: never for float, radical or Python-int keys, one large
+        entry among small ones, near-equal entries, or entries near small
+        multiples of one size."""
         from radsum import engine
 
         real = engine._dense_sums
         seen = []
 
-        def spy(values, step, count_dtype):
-            keys, counts = real(values, step, count_dtype)
-            seen.append((len(values), counts.dtype))
+        def spy(sizes, step, count_dtype):
+            keys, counts = real(sizes, step, count_dtype)
+            seen.append((sizes, counts.dtype))
             return keys, counts
 
         monkeypatch.setattr(engine, "_dense_sums", spy)
@@ -485,15 +504,33 @@ class TestNonnegativeTables:
         n = 64
         hits = sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) <= 8)
         assert engine.admissible_count(canonicalize([1] * n, EXACT), 1, limit=n) == (hits, 2**n)
-        assert seen == [(32, np.dtype(object))] * 2
-        # span 2^4 - 1 is dense, span 2^4 is not
+        assert seen == [([1] * 32, np.dtype(object))] * 2
+        # the left half [2^30, 2^30, 1 x 30] has at most 3 * 31 distinct
+        # sums on a lattice of 2^31 + 31 points: merged; only the right half
+        # of 32 ones is dense.  |s| <= |v| = 2^30.5 holds for exactly the
+        # patterns with opposite signs on the two large entries.
         seen.clear()
-        engine._nonneg_sums([12, 1, -1, 1], np.int64, np.int64)
-        engine._nonneg_sums([13, 1, -1, 1], np.int64, np.int64)
-        engine._nonneg_sums([26, 2, -2, 2], np.int64, np.int64)
-        assert seen == [(4, np.dtype(np.int64))]
+        assert engine.admissible_count(canonicalize([2**30] * 2 + [1] * 62, EXACT), 1, limit=n) == (2**63, 2**64)
+        assert seen == [([1] * 32, np.dtype(object))]
+        # sizes 1, 1, 1, a: at most 4 * 2 distinct sums, on a lattice of
+        # a + 4 points; a factor g = 2 changes nothing
         seen.clear()
-        wide = [5000 + 37 * i for i in range(16)]  # span >= 2^16, and >= 2^8 per half
+        for values in ([4, 1, -1, 1], [5, 1, -1, 1], [8, 2, -2, 2], [10, 2, -2, 2]):
+            engine._nonneg_sums(values, np.int64, np.int64)
+        assert seen == [([1, 1, 1, 4], np.dtype(np.int64))] * 2
+        # 19 three times and 30 five times: at most 4 * 6 = 24 distinct sums
+        # (2^8 = 256 patterns) on a lattice of 208 points
+        seen.clear()
+        engine._nonneg_sums([19] * 3 + [30] * 5, np.int64, np.int64)
+        assert seen == []
+        # eight near-equal sizes: the sums of four smallest and of three
+        # largest meet for 10..17 (46 <= 51 + 1), not for 20..27 (86 > 79)
+        seen.clear()
+        engine._nonneg_sums([10 + i for i in range(8)], np.int64, np.int64)
+        engine._nonneg_sums([20 + i for i in range(8)], np.int64, np.int64)
+        assert seen == [([10 + i for i in range(8)], np.dtype(np.int64))]
+        seen.clear()
+        wide = [5000 + 37 * i for i in range(16)]  # more lattice points than patterns
         radical = from_squares([2, 3, 5, 7, 11, 13, 17, 19])
         for values, mode, t in (
             ([1.0] * 16, FLOAT, 1.0),
@@ -504,14 +541,24 @@ class TestNonnegativeTables:
             engine.signed_sum_count(values, t, mode)
         sum_distribution(canonicalize(wide, EXACT))
         sum_distribution(radical)
+        # one large entry among small ones, near-equal entries with and
+        # without small ones before them, and entries just above 1 and just
+        # below 2, 3 and 4 times one size, under the default limits: each
+        # has at most a few thousand distinct sums on a lattice of millions
+        # of points
+        sum_distribution(canonicalize([2**23 - 24] + [1] * 23, EXACT))
+        sum_distribution(canonicalize([699000 + i for i in range(24)], EXACT))
+        sum_distribution(canonicalize([1, 2, 3, 4] + [576000 + i for i in range(20)], EXACT))
+        near = [270000 + i for i in range(6)] + [c * 270000 - 1 - i for c in (2, 3, 4) for i in range(6)]
+        sum_distribution(canonicalize(near, EXACT))
         assert seen == []
 
     @pytest.mark.parametrize("raw_prefix", [0, 8])
     @pytest.mark.parametrize("kind", KEY_KINDS)
     def test_edge_weight_counts(self, monkeypatch, rng, kind, raw_prefix):
         # zero, negative and -0.0 raw weights; with no raw prefix every
-        # merged table is built by nonnegative steps (the small int64
-        # entries take dense tables either way)
+        # merged table is built by nonnegative steps.  The small int64
+        # entries take dense tables, the wide ones merged tables.
         from radsum import engine
 
         monkeypatch.setattr(engine, "_RAW_PREFIX", raw_prefix)
@@ -520,14 +567,14 @@ class TestNonnegativeTables:
         for n in (2, 5, 10):
             # two nonzero entries over distinct radicands keep radical keys
             signs = [1, -1] + [int(s) for s in rng.integers(-1, 2, size=n - 2)]
-            values = _edge_values(kind, signs)
-            dtype = engine._key_setup(values, one, mode)[1]
-            assert ("radical" if isinstance(dtype, engine._Radical) else np.dtype(dtype).name) == kind
-            for t in (0 * one, one):
-                for strict in (False, True):
-                    expected = product_oracle(values, t, strict) * 2**n  # dyadic floats sum exactly
-                    assert engine.signed_sum_count(values, t, mode, strict) == (expected, 2**n), (values, t, strict)
-                    assert merged_count(values, t, mode, strict) == expected, (values, t, strict)
+            for values in [_edge_values(kind, signs)] + [_wide_int64(signs)] * (kind == "int64"):
+                dtype = engine._key_setup(values, one, mode)[1]
+                assert ("radical" if isinstance(dtype, engine._Radical) else np.dtype(dtype).name) == kind
+                for t in (0 * one, one):
+                    for strict in (False, True):
+                        expected = product_oracle(values, t, strict) * 2**n  # dyadic floats sum exactly
+                        assert engine.signed_sum_count(values, t, mode, strict) == (expected, 2**n), (values, t, strict)
+                        assert merged_count(values, t, mode, strict) == expected, (values, t, strict)
 
     @pytest.mark.parametrize("raw_prefix", [0, 8])
     @pytest.mark.parametrize("kind", KEY_KINDS)
@@ -550,9 +597,7 @@ class TestNonnegativeTables:
 
         monkeypatch.setattr(engine, "_merge_equal", spy)
         signs = [int(s) for s in rng.integers(-1, 2, size=12)]
-        values = _edge_values(kind, signs)
-        if kind == "int64":  # entries in the thousands: span >= 2^12, merged
-            values = [s * (2000 + 37 * i) for i, s in enumerate(signs)]
+        values = _wide_int64(signs) if kind == "int64" else _edge_values(kind, signs)
         keys, dtype = _keys_of(kind, values)
         engine._nonneg_sums(keys, dtype, np.int64)
         list(engine._tail_distributions(keys, dtype))
@@ -574,8 +619,9 @@ class TestNonnegativeTables:
         w = canonicalize([1.0] * 20, FLOAT)
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(w, 1.0, limit=20)
-        # the first _RAW_PREFIX (8) weights take no step; entries in the
-        # hundreds make span >= 2^9, so the table is merged, not dense
+        # the first _RAW_PREFIX (8) weights take no step; the 2^9 patterns
+        # of entries in the hundreds cannot fill their lattice, so the table
+        # is merged, not dense
         with pytest.raises(SoundnessError, match="mass"):
             sum_distribution(canonicalize([301, 103, 207, 509, 401, 107, 211, 601, 307], EXACT))
 
@@ -584,8 +630,8 @@ class TestNonnegativeTables:
 
         real = engine._dense_sums
 
-        def slip(values, step, count_dtype):
-            keys, counts = real(values, step, count_dtype)
+        def slip(sizes, step, count_dtype):
+            keys, counts = real(sizes, step, count_dtype)
             counts[-1] -= 1
             return keys, counts
 
