@@ -15,10 +15,11 @@ bound formulas need once weights are square roots of rationals.
 
 Signs and comparisons are filtered (Shewchuk 1997): float sums with proven
 error bounds decide them, and an exact difference and sign are computed only
-when two sums agree to within those bounds.  The engine applies the same
-filter per array: its radical keys carry each weight's ``_float_estimate``
-into one error band per vector, and only signed sums inside that band are
-rebuilt as ``SqrtSum`` values and compared here.
+when two sums agree to within those bounds.  The engine filters whole arrays
+the same way with integers instead (Fortune and Van Wyk 1996): its radical
+keys are fixed-point sums of each term's exact floor, so a key is less than
+one unit per term from its sum, and only signed sums within that many units
+of a decision boundary are rebuilt as ``SqrtSum`` values and compared here.
 
 Only exact operands are accepted; mixing in floats raises ``TypeError``
 rather than silently losing exactness.

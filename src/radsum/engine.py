@@ -15,7 +15,7 @@ Enumeration strategies:
   distinct sums may be, and the ranges of the sums near the middle must
   leave no gap.
   ``_mirror`` unfolds the full table where a search needs it, in search
-  order: by value, and radical keys by their floats.
+  order: by value, and radical keys by their fixed-point parts.
 * ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
   Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
   pair sum ``l + r`` of the two raw halves (``_half_sums``) is compared
@@ -65,12 +65,13 @@ keys, Python ints past 2^62), and for any exact threshold ``|s|*sqrt(D)/L
 <= t`` becomes ``|s| <= c`` with the integer cut-off ``c =
 floor(t*L/sqrt(D))``: an ``isqrt`` for a rational ``t``, an exact ``SqrtSum``
 floor otherwise.  Only weights over
-several radicands take radical keys: a float64 approximation of each
-signed sum, within one proven bound per vector, paired with an exact
-integer code.  Square roots of distinct squarefree integers are linearly
-independent over Q, so equal codes are equal sums: keys merge by code and
-are searched by float, and a key whose float lies within the bound of a
-decision boundary is decoded and decided exactly.
+several radicands take radical keys: an exact integer code of each signed
+sum, and an int64 fixed-point sum of its terms' exact floors, less than one
+unit per term from the sum (a static integer error bound, after Fortune and
+Van Wyk).  Square roots of distinct squarefree integers are linearly
+independent over Q, so equal codes are equal sums: keys merge by code, are
+searched by their fixed-point parts, and are decoded and decided exactly
+within that many units of a decision boundary.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
 with each half accumulated in index order, comparisons are exact float
@@ -232,9 +233,10 @@ def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> int:
 
 
 class _Keys:
-    """Radical keys: float64 approximations ``f`` of signed sums and their
-    exact integer codes ``c``, as parallel arrays (or the two scalars of one
-    weight).  Both parts add like the sums they stand for."""
+    """Radical keys: int64 fixed-point approximations ``f`` of signed sums
+    and their exact integer codes ``c``, as parallel arrays (or the two
+    Python ints of one weight).  Both parts add like the sums they stand
+    for."""
 
     __slots__ = ("f", "c")
 
@@ -257,39 +259,20 @@ class _Keys:
         return _Keys(-self.f, -self.c)
 
 
-def _band_width(size: float, err: float, n: int) -> float:
-    """A bound on how far a float decision about radical keys over ``n``
-    weights can stray from the exact one.
-
-    The weights' floats ``f_i`` are within ``e_i`` of the exact weights
-    (``SqrtSum._float_estimate``), and a threshold's float ``t~ = float(t)``
-    within ``e_t = 2^-48*|t~|``; ``size`` is ``F = sum|f_i|`` plus ``|t~|``
-    (when there is a threshold) and ``err`` is ``sum e_i`` plus ``e_t``.
-    With ``u = 2^-53`` and ``T = |t~|``:
-
-    * A key over k <= n weights is a chain of k - 1 correctly rounded
-      additions of the ``+-f_i``, starting from an exact 0, so it is within
-      ``gamma_{k-1}*sum|f_i| + sum e_i`` of its exact sum, ``gamma_m =
-      m*u/(1 - m*u) <= 1.01*m*u``.  Two keys over disjoint weights (a left
-      and a right half, a prefix and a tail) are together within ``1.01*n*u*F
-      + sum e_i`` of the sum of their sums, and ``|key| <= 1.01*F``.
-    * A window computes ``a = fl(+-t~ - q~)`` for a query key ``q~`` and then
-      ``fl(a -+ E)``: two more roundings, together within ``u*(T + 1.01*F)*(2
-      + u) + u*E``.
-
-    So a key ``r~`` above ``fl(a + E)`` or below ``fl(a - E)`` has its exact
-    side of the boundary whenever ``E >= err + (1.01*n + 2.1)*u*(F + T) +
-    u*E``.  The returned ``err + (n + 4)*2^-52*(F + T)`` meets it: the
-    rounding term is doubled, and the ``e_i`` of ``_float_estimate`` carry a
-    factor 2 of slack too, which absorbs ``u*E`` and the rounding of this
-    evaluation itself (fewer than n + 8 operations, each off by at most
-    ``u`` relative).  With ``T = 0, e_t = 0`` it bounds a single key's
-    distance from its sum.  Overflow and underflow are excluded: a weight
-    whose ``_float_estimate`` proves nothing (sizes outside ``(1e-290,
-    1e290)``), or a nonzero ``t~`` outside that range, gets an infinite
-    ``err``, which sends every decision to the exact fallback.
-    """
-    return err + (n + 4) * 2.0**-52 * size
+def _fixed(a: int, d: int, denom: int, shift: int) -> int:
+    """``floor(a*sqrt(d)*2^shift/denom)``, exactly, for integers ``a``, ``d
+    >= 0`` and ``denom >= 1``.  With ``N = a^2*d*4^shift`` (a negative
+    ``shift`` moves its power into ``denom``) and ``r = isqrt(N)``, it is
+    ``r // denom`` for ``a >= 0``.  For ``a < 0`` it is ``-ceil(sqrt(N)/denom)``:
+    ``-r // denom`` when ``N`` is a square, else ``-(r + 1) // denom``, as no
+    multiple of ``denom`` lies strictly between ``r`` and ``sqrt(N) < r + 1``."""
+    square = a * a * d
+    if shift >= 0:
+        square <<= 2 * shift
+    else:
+        denom <<= -shift
+    root = math.isqrt(square)
+    return (root if a >= 0 else -root - (root * root < square)) // denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +291,12 @@ class _Radical:
     two sums over one set are equal iff their codes are.  Codes lie in
     ``[-K, K]`` with ``K = M_m - 1``: int64 below 2^62, Python ints beyond.
 
+    A key's other part adds up the values' fixed-point parts ``f_i = sum_j
+    _fixed(a_ij, d_j, L_j, shift)``, each less than one unit (``2^-shift``)
+    per term below the value.  So a key over distinct weights is less than
+    ``units`` from its sum, in units, and at most ``size = sum|f_i| < 2^60
+    + units`` in size.
+
     Radicands are listed in order of first appearance from the last weight,
     the term order of a sum accumulated from the end, on which the float
     rendering of a decoded sum depends.
@@ -319,30 +308,24 @@ class _Radical:
     places: tuple  # M_0 .. M_m
     spreads: tuple  # K of the first k weights, k = 0 .. n
     dtype: type  # of the codes
-    size: float  # sum of |f_i|
-    err: float  # sum of the proven errors of the f_i
+    shift: int
+    size: int  # sum of |f_i|
+    units: int  # (weight, radicand) terms, at least 1
 
     @property
     def spread(self) -> int:
         """K of all the weights."""
         return self.spreads[-1]
 
-    @property
-    def bound(self) -> float:
-        """Every key's float is within this of its exact sum."""
-        return _band_width(self.size, self.err, len(self.spreads) - 1)
-
-    def band(self, t) -> tuple[float, float]:
-        """``(t~, E)``: ``t~ = float(t)``, within ``2^-48*t~`` of the
-        threshold even where its terms cancel, and the half-width of the band
-        around a boundary at ``+-t~``."""
-        try:
-            tf = float(t)
-        except OverflowError:
-            tf = math.inf
-        if t and not 1e-290 < tf < 1e290:
-            return 0.0, math.inf  # nothing proven: every decision is exact
-        return tf, _band_width(self.size + tf, self.err + 2.0**-48 * tf, len(self.spreads) - 1)
+    def band(self, t) -> tuple[int, int]:
+        """``(lo, hi)`` for an exact ``t >= 0``: a key ``k`` of a sum ``s``
+        has ``s < t`` if ``k <= lo`` and ``s > t`` if ``k >= hi``.  With ``T =
+        floor(t*2^shift)`` and ``U = units``, ``k <= T - U`` gives
+        ``s*2^shift < k + U <= T``, and ``k >= T + 1 + U`` gives ``s*2^shift
+        > k - U >= T + 1``.  ``T`` is clamped to ``size + U``, above every
+        sum, which leaves every key inside and every bracket end in int64."""
+        fixed = min(math.floor(t * Fraction(2) ** self.shift), self.size + self.units)
+        return fixed - self.units, fixed + 1 + self.units
 
     def value(self, code: int, spread: int) -> SqrtSum:
         """The exact sum with ``code`` over weights whose kappas add up to
@@ -360,25 +343,31 @@ class _Radical:
 
 def _radical_keys(values: Sequence[Value], parts=None) -> tuple[list[_Keys], _Radical]:
     """Each value's radical key, and the basis of them all, from the
-    values' ``_decompose`` ``parts`` (decomposed here when None)."""
+    values' ``_decompose`` ``parts`` (decomposed here when None).  ``2^(60
+    - shift)`` is the least power of 2 above ``total/lcm = sum
+    (isqrt(a^2*d) + 1)/L``, a bound on ``sum|x_i|``."""
     parts = _decompose(values) if parts is None else parts
+    lcm = math.lcm(*(denom for _, denom, _ in parts))
+    total = sum(sum(math.isqrt(a * a * d) + 1 for a in column.values()) * (lcm // denom) for d, denom, column in parts)
+    e = total.bit_length() - lcm.bit_length()  # 2^(e - 1) <= total/lcm < 2^(e + 1)
+    shift = 60 - e - (total << max(-e, 0) >= lcm << max(e, 0))
     steps = [math.gcd(*column.values()) for _, _, column in parts]
     places = [1]
-    sigma, kappa = [0] * len(values), [0] * len(values)
-    for (_, _, column), g in zip(parts, steps):
+    sigma, kappa, fixed = [0] * len(values), [0] * len(values), [0] * len(values)
+    for (d, denom, column), g in zip(parts, steps):
         m = places[-1]
         for i, a in column.items():
             sigma[i] += a // g * m
             kappa[i] += abs(a) // g * m
+            fixed[i] += _fixed(a, d, denom, shift)
         places.append(m * (sum(map(abs, column.values())) // g + 1))
-    floats = [SqrtSum.from_rational(v)._float_estimate() or (0.0, math.inf) for v in values]  # inf: nothing proven
     radical = _Radical(
         tuple(d for d, _, _ in parts), tuple(denom for _, denom, _ in parts),
         tuple(steps), tuple(places), tuple(itertools.accumulate(kappa, initial=0)),
         np.int64 if places[-1] < 1 << 62 else object,
-        sum(abs(f) for f, _ in floats), sum(e for _, e in floats),
+        shift, sum(map(abs, fixed)), max(sum(len(column) for _, _, column in parts), 1),
     )
-    return [_Keys(f, c) for (f, _), c in zip(floats, sigma)], radical
+    return [_Keys(f, c) for f, c in zip(fixed, sigma)], radical
 
 
 def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
@@ -407,7 +396,7 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
 def _zero(dtype):
     """The empty sum as a key array of ``dtype``."""
     if isinstance(dtype, _Radical):
-        return _Keys(np.zeros(1), np.zeros(1, dtype=dtype.dtype))
+        return _Keys(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=dtype.dtype))
     return np.zeros(1, dtype=dtype)
 
 
@@ -449,7 +438,7 @@ def _half_sums(values: Sequence, dtype):
     a sign matrix (``fl(s + (-v))`` is ``fl(s - v)``), the rest by
     ``_extend``."""
     if isinstance(dtype, _Radical):
-        return _Keys(_half_sums([v.f for v in values], np.float64), _half_sums([v.c for v in values], dtype.dtype))
+        return _Keys(_half_sums([v.f for v in values], np.int64), _half_sums([v.c for v in values], dtype.dtype))
     k = min(len(values), _SIGN_ROWS)
     sums = (_sign_matrix(k) * np.array([0, *values[:k]], dtype=dtype)[:, None]).cumsum(axis=0)[-1]
     for v in values[k:]:
@@ -534,10 +523,11 @@ def _lattice_sizes(values: Sequence[int], step: int) -> Optional[list[int]]:
     directly.
 
     Two bounds on the distinct sums must each reach the lattice length, so
-    a dense table is never longer than the distinct sums may be.  Taken in increasing order, the sums of the sizes so far are at most
-    the ``S + 1`` points up to their total ``S``, and ``m`` further copies
-    of one size multiply their number by at most ``m + 1`` (so the bound is
-    at most 2^k for k sizes); one large size among small ones fails here.
+    a dense table is never longer than the distinct sums may be.  Taken in
+    increasing order, the sums of the sizes so far are at most the ``S +
+    1`` points up to their total ``S``, and ``m`` further copies of one size
+    multiply their number by at most ``m + 1`` (so the bound is at most 2^k
+    for k sizes); one large size among small ones fails here.
     And with each size written as ``q*b + e`` for the smallest nonzero size
     ``b`` and the nearest ``q``, a subset sums to ``Q*b + E`` for its totals
     ``Q`` of q and ``E`` of e, so there are at most ``(sum q + 1)*(sum |e|
@@ -612,7 +602,7 @@ def _step_sums(values: Sequence, dtype, count_dtype):
 def _mirror(keys, counts: np.ndarray):
     """The full table from its nonnegative form, in search order: the
     nonzero keys negated, in reverse order, then the nonnegative keys, and
-    radical keys sorted by their floats, which searches read."""
+    radical keys sorted by their fixed-point parts, which searches read."""
     z = _has_zero(keys)
     keys, counts = _concat([-keys[z:][::-1], keys]), np.concatenate([counts[z:][::-1], counts])
     if isinstance(keys, _Keys):
@@ -832,25 +822,25 @@ def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
 
 def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, radical: _Radical, spread: int):
     """``(window, fallbacks)``: for each query key ``q``, the patterns of the
-    float-ordered radical ``keys`` whose sums ``r`` have ``|q + r| <= t``
-    (``< t`` when strict), and the number of keys decided exactly.
+    radical ``keys``, sorted by their fixed-point parts, whose sums ``r`` have
+    ``|q + r| <= t`` (``< t`` when strict), and the number of keys decided
+    exactly.
 
-    Each boundary ``fl(+-t~ - q~)`` is bracketed by the band half-width
-    ``E`` of ``_band_width``: a key whose float lies outside both brackets
-    is certainly inside or outside, and one within a bracket is decoded and
-    compared with ``t`` exactly (``spread`` is the kappa sum of the query's
-    and the keys' weights together).  Queries are searched in float order,
-    which is faster, unless ``keys`` is one key (the empty tail of ``_walk``).
+    ``radical.band`` gives the bracket ends ``(lo, hi)``: a key whose ``q +
+    r`` lies in ``[-lo, lo]`` is certainly inside, one in ``(-hi, -lo)`` or
+    ``(lo, hi)`` is decoded and compared with ``t`` exactly (``spread`` is
+    the kappa sum of the query's and the keys' weights together), and any
+    other is certainly outside.  Queries are searched in key order, which
+    is faster, unless ``keys`` is one key (the empty tail of ``_walk``).
     """
-    tf, width = radical.band(t)
+    lo, hi = radical.band(t)
     f = keys.f
     order = np.argsort(query.f, kind="stable") if len(keys) > 1 else slice(None)
     query = query[order]
-    hi, lo = tf - query.f, -tf - query.f
-    i1 = np.searchsorted(f, lo - width, side="left")
-    i2 = np.searchsorted(f, lo + width, side="right")
-    i3 = np.maximum(np.searchsorted(f, hi - width, side="left"), i2)
-    i4 = np.searchsorted(f, hi + width, side="right")
+    i1 = np.searchsorted(f, -hi - query.f, side="right")
+    i2 = np.searchsorted(f, -lo - query.f, side="left")
+    i3 = np.maximum(np.searchsorted(f, lo - query.f, side="right"), i2)
+    i4 = np.searchsorted(f, hi - query.f, side="left")
     window = cum[i3] - cum[i2]
     fallbacks = 0
     for q in np.flatnonzero((i2 > i1) | (i4 > i3)):
@@ -866,12 +856,13 @@ def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, ra
 
 
 def _exact_order(keys: _Keys, counts: np.ndarray, radical: _Radical):
-    """Merged radical keys and their counts, in float order, put in the
-    exact order of their sums.  Sums out of float order have floats less
-    than ``2B`` apart, so only runs of such neighbours are sorted by exact
-    value.  The floats are then made nondecreasing by a running maximum,
-    which keeps each within ``B`` of its sum: every earlier sum is smaller."""
-    close = np.diff(keys.f) <= 2 * radical.bound
+    """Merged radical keys and their counts, sorted by their fixed-point
+    parts, put in the exact order of their sums.  A key is less than ``U =
+    radical.units`` from its sum, so sums out of order have keys less than
+    ``2U`` apart, and only runs of such neighbours are sorted by exact value.
+    The keys are then made nondecreasing by a running maximum, which keeps
+    each less than ``U`` from its sum: every earlier sum is smaller."""
+    close = np.diff(keys.f) < 2 * radical.units
     edges = np.flatnonzero(np.diff(np.concatenate([[False], close, [False]]).astype(np.int8)))
     order = np.arange(len(keys))
     for start, stop in zip(edges[::2], edges[1::2]):  # keys start..stop
@@ -886,10 +877,10 @@ class SumDistribution:
     """Complete distribution of eps . x: ``values`` in strictly increasing
     order of the sums, with pattern ``counts`` summing to 2^n; symmetric
     about zero.  With ``scale = (L, D)`` a value is an integer ``s``
-    standing for ``s*sqrt(D)/L``.  With ``radical`` set, a value is a
-    float64 approximation within ``radical.bound`` of its sum (nondecreasing
-    as floats) and ``codes`` holds the sums' exact codes.  Otherwise a value
-    is the float64 sum itself."""
+    standing for ``s*sqrt(D)/L``.  With ``radical`` set, a value is an int64
+    fixed-point key, less than ``radical.units`` from ``2^radical.shift``
+    times its sum (nondecreasing), and ``codes`` holds the sums' exact
+    codes.  Otherwise a value is the float64 sum itself."""
 
     values: np.ndarray
     counts: np.ndarray
@@ -985,8 +976,8 @@ class PartitionStats:
     the number of prefix sums at depth d = 1..n-1 (distinct sums in exact
     mode, sign prefixes in float mode) and ``settled[d - 1]`` how many of
     them were decided there.  ``fallbacks`` counts the radical keys decided
-    exactly because their floats fell within the error band of a decision
-    boundary (0 on the other paths).  Deterministic: no timings."""
+    exactly because they fell within the error band of a decision boundary
+    (0 on the other paths).  Deterministic: no timings."""
 
     path: str
     frontier: tuple[int, ...]
@@ -1211,14 +1202,14 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     table at d, and one settled at ``d < D`` is counted against the table at
     D over every sign pattern m of the weights ``x_{d+1}..x_D`` in between.
     With exact keys the sum is extended by those weights, merged as the
-    frontier merges; a radical key extended so is still a chain of correctly
-    rounded additions from 0 over weights disjoint from the tail, which
-    ``_band_width`` covers.  In float mode the table at d holds ``G_m(u) =
-    fl(...fl(u +- x_D) ... +- x_{d+1})`` for the sums u of the table at D,
-    so the tail is pulled back instead (``_pull_back``): G_m is monotone in
-    u, so the u that land in the window ``[fl(-1 - s), fl(1 - s)]``, or
-    within 1e-12 of its ends for the tie records, form one interval of the
-    table at D.  Counts and tie records are those of the table at d.
+    frontier merges; a radical key extended so is still a fixed-point sum
+    over weights disjoint from the tail, which ``_Radical.band`` covers.  In
+    float mode the table at d holds ``G_m(u) = fl(...fl(u +- x_D) ... +-
+    x_{d+1})`` for the sums u of the table at D, so the tail is pulled back
+    instead (``_pull_back``): G_m is monotone in u, so the u that land in
+    the window ``[fl(-1 - s), fl(1 - s)]``, or within 1e-12 of its ends for
+    the tie records, form one interval of the table at D.  Counts and tie
+    records are those of the table at d.
     """
     walk = _walk(w, limit)
     n, exact, one, prefixes = w.n, w.mode == EXACT, walk.one, walk.prefixes

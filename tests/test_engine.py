@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -43,6 +43,7 @@ from radsum import (
     threshold_probability,
     threshold_probability_naive,
 )
+from radsum.algebraic import SqrtSum
 
 
 def product_oracle(values, t, strict=False) -> Fraction:
@@ -409,12 +410,13 @@ class TestNonnegativeTables:
 
         (keys, counts), (want, want_counts) = table, expected
         if isinstance(keys, _Keys):
-            # a full radical table comes in float order, the recurrence's in
-            # code order: compare codes and counts in code order
+            # a full radical table comes in fixed-point order, the
+            # recurrence's in code order: compare codes and counts in code
+            # order
             assert np.all(np.diff(keys.f) >= 0)
-            bound = Fraction(dtype.bound)
+            scale = Fraction(2) ** dtype.shift
             for f, c in zip(keys.f.tolist(), keys.c.tolist()):
-                assert abs(dtype.value(c, dtype.spread) - Fraction(f)) <= bound
+                assert f - dtype.units < dtype.value(c, dtype.spread) * scale < f + dtype.units
             order = np.argsort(keys.c)
             keys, counts, want = keys.c[order], counts[order], want.c
         assert counts.tolist() == want_counts.tolist()
@@ -772,13 +774,17 @@ class TestSumDistribution:
         assert d.values.tolist() == [-3, -1, 1, 3] and d.counts.tolist() == [1, 3, 3, 1]
         assert d.scale == (3, 3)
         assert d.entries[0] == (-exact_sqrt(3), 1)
-        # several radicands: float64 approximations of the sums in exact
-        # order, with their integer codes; x = (sqrt(6), sqrt(3))/3
+        # several radicands: int64 fixed-point keys of the sums in exact
+        # order, less than one unit per term from 2^shift times the sum,
+        # with their integer codes; x = (sqrt(6), sqrt(3))/3
         d = sum_distribution(from_squares([1, 2]))
-        assert d.scale is None and d.values.dtype == np.float64 and d.codes.dtype == np.int64
+        assert d.scale is None and d.values.dtype == np.int64 and d.codes.dtype == np.int64
         x1, x2 = exact_sqrt(6) / 3, exact_sqrt(3) / 3
         assert [v for v, _ in d.entries] == [-x1 - x2, x2 - x1, x1 - x2, x1 + x2]
-        assert np.allclose(d.values, [float(v) for v, _ in d.entries], rtol=0, atol=d.radical.bound)
+        # sum|x_i| < (isqrt(6) + 1)/3 + (isqrt(3) + 1)/3 = 5/3 < 2^(60 - 59)
+        assert d.radical.units == 2 and d.radical.shift == 59
+        for f, (v, _) in zip(d.values.tolist(), d.entries):
+            assert f - 2 < v * 2**59 < f + 2
         assert sum(d.counts) == 4
 
 
@@ -1403,14 +1409,23 @@ def _dense_radical_keys(values):
         places.append(places[-1] * (sum(map(abs, col)) // g + 1))
     sigma = [sum(col[i] // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
     kappa = [sum(abs(col[i]) // g * m for col, g, m in zip(ints, steps, places)) for i in range(len(exact))]
-    floats = [v._float_estimate() or (0.0, math.inf) for v in exact]
+    # sum|x_i| < bound < 2^(60 - shift), the least such power of 2; each
+    # term floored at that shift
+    terms = [(a, d, L) for col, d, L in zip(ints, radicands, denoms) for a in col if a]
+    bound = Fraction(sum(Fraction(math.isqrt(a * a * d) + 1, L) for a, d, L in terms))
+    e = bound.numerator.bit_length() - bound.denominator.bit_length()
+    while bound >= Fraction(2) ** e:
+        e += 1
+    shift = 60 - e
+    scale = Fraction(2) ** shift
+    fixed = [sum(math.floor(SqrtSum({d: c}) * scale) for d, c in v.terms.items()) for v in exact]
     radical = _Radical(
         tuple(radicands), tuple(denoms), tuple(steps), tuple(places),
         tuple(itertools.accumulate(kappa, initial=0)),
         np.int64 if places[-1] < 1 << 62 else object,
-        sum(abs(f) for f, _ in floats), sum(e for _, e in floats),
+        shift, sum(map(abs, fixed)), max(sum(len(v.terms) for v in exact), 1),
     )
-    return [_Keys(f, c) for (f, _), c in zip(floats, sigma)], radical
+    return [_Keys(f, c) for f, c in zip(fixed, sigma)], radical
 
 
 class TestDecomposition:
@@ -1441,8 +1456,8 @@ class TestDecomposition:
 
         keys, radical = _radical_keys(values)
         want_keys, want = _dense_radical_keys(values)
-        assert [(float(k.f).hex(), k.c, type(k.c)) for k in keys] == [
-            (float(k.f).hex(), k.c, type(k.c)) for k in want_keys
+        assert [(k.f, type(k.f), k.c, type(k.c)) for k in keys] == [
+            (k.f, type(k.f), k.c, type(k.c)) for k in want_keys
         ]
         for field in dataclasses.fields(radical):
             got, expected = getattr(radical, field.name), getattr(want, field.name)
@@ -1550,15 +1565,33 @@ class TestMultiRadicand:
         assert w.values[:2] == (Fraction(1, 2), Fraction(1, 2))
         assert prefix_partition(w).stats.fallbacks > 0
 
+    def test_pell_near_tie_decided_without_fallback(self):
+        # p about 2e7: x3 = x4 lie about 5e-16 below 1/2, so |s_3| is that
+        # far from the cut-off 1 - x4, and the band, n units of 2^-shift, is
+        # about 3e-17 wide: no key is decoded
+        p, q = _pell_solution(10**8)
+        w = from_squares(_pell_squares(2 * q * q, p * p, 2 * q * q, p * p))
+        rep = prefix_partition(w)
+        assert rep.stats.fallbacks == 0
+        probs, joints = TestPrefixPartition._partition_oracle(w)
+        assert rep.probs == tuple(probs[k] for k in rep.ks) and rep.joints == tuple(joints[k] for k in rep.ks)
+        for t in self._thresholds(w):
+            for strict in (False, True):
+                assert threshold_probability(w, t, strict) == threshold_probability_naive(w, t, strict)
+
     def test_cancelling_threshold_band_is_narrow(self):
-        # the float estimate of 1 + (p - q*sqrt(2))/3 sums terms of about
-        # 1e16 to 0.75; float(t) is 1.0 to within 2^-48
+        # 1 + (p - q*sqrt(2))/3 has two terms of about 1e16 that cancel to
+        # 0.75; the band is one unit, floor(t*2^shift), widened by one unit
+        # per weight on each side
         from radsum.engine import _radical_keys
 
         w = from_squares(self.VECTORS[3])
         t = self._thresholds(w)[-1]
-        tf, width = _radical_keys(w.values)[1].band(t)
-        assert tf == 1.0 and width < 1e-12
+        radical = _radical_keys(w.values)[1]
+        lo, hi = radical.band(t)
+        fixed = lo + radical.units
+        assert fixed <= t * 2**radical.shift < fixed + 1
+        assert hi - lo == 2 * radical.units + 1 and radical.units == w.n
 
     def test_large_n_against_float_counts(self):
         """n = 32 without 2^n enumeration: when the float engine's counts at
@@ -1596,6 +1629,8 @@ class TestMultiRadicand:
         """With a band wider than any sum every radical key is decoded and
         decided exactly, and every distribution is sorted by exact value; no
         count, distribution or partition may change."""
+        import dataclasses
+
         from radsum import engine
 
         def run(squares):
@@ -1612,11 +1647,186 @@ class TestMultiRadicand:
         vectors = self.VECTORS[:3] + self.VECTORS[4:6]
         filtered = [run(v) for v in vectors]
         fallbacks = prefix_partition(from_squares(vectors[0])).stats.fallbacks
-        monkeypatch.setattr(engine, "_band_width", lambda size, err, n: 2.0**900)
+        real = engine._radical_keys
+
+        def radical_keys(values, parts=None):
+            # 2^61 units: no key is certainly inside or outside, and every
+            # bracket end still fits int64
+            keys, radical = real(values, parts)
+            return keys, dataclasses.replace(radical, units=1 << 61)
+
+        monkeypatch.setattr(engine, "_radical_keys", radical_keys)
         assert [run(v) for v in vectors] == filtered
         assert prefix_partition(from_squares(vectors[0])).stats.fallbacks > fallbacks
         w = from_squares(vectors[0])
         assert threshold_probability(w, 1) == threshold_probability_naive(w, 1)
+
+
+_SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17]
+
+
+@st.composite
+def _radicand_groups(draw):
+    """``(groups, order, signs)``: coefficient lists of 1-6 weights
+    ``c*sqrt(d)`` per radicand d, on 3-8 radicands and at most 40 weights,
+    the order of the weights, and two sign patterns."""
+    radicands = draw(st.lists(st.sampled_from(_SQUAREFREE), min_size=3, max_size=8, unique=True))
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 2, 3]))
+    groups, room = {}, 40
+    for d in radicands:
+        size = draw(st.integers(1, min(6, room - (len(radicands) - len(groups) - 1))))
+        groups[d] = draw(st.lists(coeff, min_size=size, max_size=size))
+        room -= len(groups[d])
+    n = sum(map(len, groups.values()))
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+    return groups, draw(st.permutations(range(n))), (draw(signs), draw(signs))
+
+
+def _pell_units(norm, radicands, limit):
+    """Per radicand d, the ``q`` of a solution of ``p^2 - d*q^2 = norm`` (+1
+    or -1) with ``p >= limit``: the least one, stepped by the square of its
+    unit ``p + q*sqrt(d)``, of norm +1."""
+    out = []
+    for d in radicands:
+        q = 1
+        while math.isqrt(d * q * q + norm) ** 2 != d * q * q + norm:
+            q += 1
+        p = math.isqrt(d * q * q + norm)
+        a, b = p * p + d * q * q, 2 * p * q  # (p + q*sqrt(d))^2, of norm +1
+        while p < limit:
+            p, q = p * a + d * q * b, p * b + q * a
+        out.append(Fraction(q))
+    return out
+
+
+def _group_tie_count(groups, t) -> int:
+    """Sign patterns whose sum is exactly ``+-t``, with each radicand group
+    enumerated alone in integers.  The square roots of distinct squarefree
+    integers are linearly independent over Q, so a sum equals ``t`` iff
+    every group's sum equals ``t``'s term on its radicand."""
+    terms = SqrtSum.from_rational(t).terms
+    if not set(terms) <= set(groups):
+        return 0
+
+    def hits(sign):
+        product = 1
+        for d, cs in groups.items():
+            denom = math.lcm(*(c.denominator for c in cs))
+            want = sign * terms.get(d, Fraction(0)) * denom
+            sums = Counter({0: 1})
+            for c in cs:
+                a = int(c * denom)
+                step = Counter()
+                for s, k in sums.items():
+                    step[s - a] += k
+                    step[s + a] += k
+                sums = step
+            product *= sums[want] if want.denominator == 1 else 0
+        return product
+
+    return hits(1) + (hits(-1) if t else 0)
+
+
+# Weights whose keys are almost one unit below 2^shift times them: q*sqrt(d)
+# just below an integer p (p^2 - d*q^2 = 1) and -q*sqrt(d) just below -p
+# (p^2 - d*q^2 = -1), with p of 1e12 or more.  The sum of all five weights
+# (or its negation) is then a tie whose key is 4 units below floor(t*2^shift)
+# (_BELOW), 5 above it (_ABOVE), or 5 below -floor(t*2^shift), with the
+# positive weights in the half whose sums are searched (_MIXED): each end of
+# the band that a search reaches.
+_BELOW = {d: [q] for d, q in zip((2, 3, 5, 6, 7), _pell_units(1, (2, 3, 5, 6, 7), 10**12))}
+_ABOVE = {d: [-q] for d, q in zip((2, 5, 10, 13, 17), _pell_units(-1, (2, 5, 10, 13, 17), 10**12))}
+_MIXED = {
+    **{d: [q] for d, q in zip((3, 6, 7), _pell_units(1, (3, 6, 7), 10**12))},
+    **{d: [-q] for d, q in zip((10, 13), _pell_units(-1, (10, 13), 10**15))},
+}
+# negative coefficients over denominators: every term's floor rounds away
+# from 0, so the all-plus tie's key lies a few units below its sum
+_NEGATIVE = {
+    2: [Fraction(-1, 3), Fraction(-2, 3)],
+    3: [Fraction(-1, 2)],
+    5: [Fraction(-3, 2), Fraction(-1, 3)],
+    7: [Fraction(-2, 3)],
+}
+
+
+class TestRadicalTieOracle:
+    """Radical keys at n <= 40 against an oracle that reads no engine code:
+    the patterns on ``|sum| = t``, ``count(<= t) - count(< t)``, counted
+    group by group, for ``signed_sum_count`` and, up to 12 weights,
+    ``sum_distribution``.  Thresholds are achieved sums, sums of two of
+    them, and thresholds next to each, moved by ``(p - q*sqrt(2))/9``,
+    about 2e-41, whose two large terms cancel: they leave the counts of
+    ``t`` unchanged and have no pattern on their boundary.  The examples put
+    tie keys on each end of the band."""
+
+    P, Q = _pell_solution(10**40)
+
+    @given(_radicand_groups())
+    @example((_BELOW, range(5), ([1] * 5, [1] * 5)))
+    @example((_ABOVE, range(5), ([-1] * 5, [1] * 5)))
+    @example((_MIXED, range(5), ([1] * 5, [1] * 5)))
+    @example((_NEGATIVE, range(6), ([1] * 6, [1, -1] * 3)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_boundary_patterns_match_group_counts(self, drawn):
+        from radsum.engine import signed_sum_count
+
+        groups, order, patterns = drawn
+        weights = [c * exact_sqrt(d) for d, cs in groups.items() for c in cs]
+        values = [weights[i] for i in order]
+        achieved = [abs(sum((s * v for s, v in zip(signs, values)), SqrtSum())) for signs in patterns]
+        nudge = (self.P - self.Q * exact_sqrt(2)) / 9
+        # the distribution of the canonical vector, values/norm, up to 12 weights
+        norm = exact_sqrt(sum((v * v for v in values), SqrtSum()).as_fraction())
+        dist = sum_distribution(canonicalize(values, EXACT)) if len(values) <= 12 else None
+        for t in (achieved[0], achieved[0] + achieved[1]):
+            counts = {}
+            for moved in (t, t + nudge, t - nudge):
+                if moved < 0:
+                    continue
+                le, _ = signed_sum_count(values, moved, EXACT)
+                lt, _ = signed_sum_count(values, moved, EXACT, strict=True)
+                ties = _group_tie_count(groups, moved)
+                assert le - lt == ties, (moved, le, lt)
+                if dist:
+                    gap = dist.probability(moved / norm) - dist.probability(moved / norm, strict=True)
+                    assert gap * dist.total == ties, moved
+                counts[moved] = le, lt
+            assert counts[t + nudge] == (counts[t][0], counts[t][0])
+            if t - nudge in counts:
+                assert counts[t - nudge] == (counts[t][1], counts[t][1])
+
+
+class TestFixedPoint:
+    """``_fixed``, the exact floor behind every radical key, against 80-digit
+    decimal arithmetic."""
+
+    @given(
+        a=st.integers(-(10**12), 10**12),
+        d=st.one_of(st.sampled_from([1, 4, 9, 2, 3]), st.integers(1, 10**6)),
+        denom=st.one_of(st.integers(1, 12), st.integers(1, 10**9)),
+        shift=st.integers(-60, 80),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_decimal(self, a, d, denom, shift):
+        from decimal import ROUND_FLOOR, Decimal, localcontext
+
+        from radsum.engine import _fixed
+
+        with localcontext() as ctx:
+            ctx.prec = 80
+            value = Decimal(a) * Decimal(d).sqrt() * Decimal(2) ** shift / denom
+            assert _fixed(a, d, denom, shift) == int(value.to_integral_value(ROUND_FLOOR))
+
+    def test_edges(self):
+        from radsum.engine import _fixed
+
+        # negative terms round down, over a denominator and on perfect squares
+        assert [_fixed(a, 1, 2, 0) for a in (-4, -3, -1, 0, 1, 3)] == [-2, -2, -1, 0, 0, 1]
+        assert _fixed(-1, 2, 3, 0) == -1 and _fixed(-3, 4, 2, 0) == -3 and _fixed(-3, 4, 4, 0) == -2
+        # a negative shift divides: sqrt(2)*2^70 / 2^10 and its negation
+        root = math.isqrt(2 << 120)
+        assert _fixed(2**70, 2, 1, -10) == root and _fixed(-(2**70), 2, 1, -10) == -root - 1
 
 
 class TestSizeLimits:
