@@ -23,8 +23,13 @@ Enumeration strategies:
   numpy calls.  Beyond that, and for radical keys at any size, every
   distinct nonnegative left sum counts its window of the full right table
   with two binary searches, weighted by its pattern count, doubled for the
-  mirror sum, whose window is the same.  Both ways add the same
-  index-order halves, so their counts agree bit for bit.
+  mirror sum, whose window is the same.  Float halves merge the floats
+  that differ only by rounding into clusters, intervals with one count
+  (``_count_merged``), and a window is decided for a whole cluster pair
+  when both its end sums fall on one side of the threshold; if one pair
+  straddles it, the count is made again with clusters of equal floats
+  only.  Every way adds the same index-order halves, so the counts agree
+  bit for bit.
 * ``threshold_probability_naive`` - plain 2^n sweep: one Gray-code walk of
   the exact sums (Fractions as integers over their own common denominator,
   else ``SqrtSum`` values), the independent oracle for the meet-in-the-middle
@@ -74,10 +79,14 @@ searched by their fixed-point parts, and are decoded and decided exactly
 within that many units of a decision boundary.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
-with each half accumulated in index order, comparisons are exact float
-comparisons with no epsilon, and the partition report flags sums within
-1e-12 of a decision boundary so tie-sensitive results are visible.  Results
-are deterministic: every reduction is an integer count.
+with each half accumulated in index order, and every decision is that of
+an exact float comparison of this sum with no epsilon.  The merge gap of
+the float clusters only groups the halves' floats: rounding is monotone,
+so a cluster's end sums bound those of all its members, and a pair that
+the ends cannot decide is recounted from equal floats alone.  The
+partition report flags sums within 1e-12 of a decision boundary so
+tie-sensitive results are visible.  Results are deterministic: every
+reduction is an integer count.
 """
 
 from __future__ import annotations
@@ -102,10 +111,12 @@ BOUNDARY_TIE_TOL = 1e-12
 _MAX_TIE_RECORDS = 200
 # A merged nonnegative table starts from the raw sums of its first _RAW_PREFIX
 # values.  Stepping from [0] instead was slower wherever a half table is still
-# built (0 vs 8, medians of 30 alternating in-process runs, 2-CPU x86, numpy
-# 2.4; int64 entries in [70000, 99999], whose tables are merged, not dense):
-# admissible_count over merged halves, n = 16, 299 vs 98 us float and 347 vs
-# 143 us int64; n = 38, 48.8 vs 48.5 ms float and 32.7 vs 32.5 ms int64;
+# built, and level at n = 38 (0 vs 8, medians of 30 alternating in-process
+# runs, 2-CPU x86, numpy 2.4; entries in [70000, 99999], whose int64 tables
+# are merged, not dense, and whose float tables merge rounding copies into
+# clusters): admissible_count over merged halves, n = 16, 337 vs 123 us float
+# and 347 vs 143 us int64; n = 38, 42.6 vs 43.4 ms float and 32.7 vs 32.5 ms
+# int64;
 # radical n = 12, 390 vs 175 us; exact sum_distribution, 2.22 vs 2.06 ms
 # (int64, n = 16) and 562 vs 432 us (radical, n = 12).
 _RAW_PREFIX = 8
@@ -259,6 +270,34 @@ class _Keys:
         return _Keys(-self.f, -self.c)
 
 
+class _Spans:
+    """Float clusters of a nonnegative table (see ``_count_merged``): sorted,
+    disjoint intervals ``[lo, hi]`` of half sums, both ends half sums
+    themselves, as the two rows of ``ends``.  The first may be the zero
+    cluster ``[-hi, hi]``, its own mirror image.  A step or a negation acts
+    on both ends, which keeps every member inside, as rounding is
+    monotone."""
+
+    __slots__ = ("ends",)
+
+    def __init__(self, ends: np.ndarray):
+        self.ends = ends
+
+    lo = property(lambda self: self.ends[0])
+    hi = property(lambda self: self.ends[1])
+
+    def __len__(self) -> int:
+        return self.ends.shape[1]
+
+    def __getitem__(self, index) -> "_Spans":
+        if isinstance(index, slice):
+            return _Spans(self.ends[:, index])
+        return _Spans(self.ends.take(index, axis=1))  # much faster than fancy indexing
+
+    def __neg__(self) -> "_Spans":
+        return _Spans(-self.ends[::-1])
+
+
 def _fixed(a: int, d: int, denom: int, shift: int) -> int:
     """``floor(a*sqrt(d)*2^shift/denom)``, exactly, for integers ``a``, ``d
     >= 0`` and ``denom >= 1``.  With ``N = a^2*d*4^shift`` (a negative
@@ -401,15 +440,26 @@ def _zero(dtype):
 
 
 def _sign_key(keys):
-    """What a key's sign is read from: the code of radical keys, the key
-    itself otherwise.  Negating a sum negates it too."""
-    return keys.c if isinstance(keys, _Keys) else keys
+    """What a key's sign is read from, and keys are sorted by: the code of
+    radical keys, the lower end of float clusters, the key itself
+    otherwise.  Negating a sum negates it too (a cluster's ends swap)."""
+    if isinstance(keys, _Keys):
+        return keys.c
+    return keys.lo if isinstance(keys, _Spans) else keys
+
+
+def _ends(keys):
+    """``(lower, upper)`` sign keys: the two ends of float clusters, the
+    sign key twice otherwise."""
+    return (keys.lo, keys.hi) if isinstance(keys, _Spans) else (_sign_key(keys),) * 2
 
 
 def _concat(parts):
     """The key arrays ``parts`` one after the other."""
     if isinstance(parts[0], _Keys):
         return _Keys(np.concatenate([p.f for p in parts]), np.concatenate([p.c for p in parts]))
+    if isinstance(parts[0], _Spans):
+        return _Spans(np.concatenate([p.ends for p in parts], axis=1))
     return np.concatenate(parts)
 
 
@@ -455,9 +505,9 @@ def _pair_sums(values: Sequence, dtype) -> np.ndarray:
 
 
 def _has_zero(keys) -> int:
-    """1 when a nonnegative table starts with the zero sum, which is its own
-    mirror image, else 0."""
-    return int(_sign_key(keys)[0] == 0)
+    """1 when a nonnegative table starts with the zero sum, or the zero
+    cluster ``[-hi, hi]``, which is its own mirror image, else 0."""
+    return int(_sign_key(keys)[0] <= 0)
 
 
 def _check_mass(keys, counts: np.ndarray, k: int) -> None:
@@ -469,49 +519,81 @@ def _check_mass(keys, counts: np.ndarray, k: int) -> None:
         raise SoundnessError(f"signed-sum table mass {mass} != 2^{k}")
 
 
-def _nonneg_step(keys, counts: np.ndarray, v):
+def _nonneg_step(keys, counts: np.ndarray, v, eps=0.0):
     """The nonnegative table one value ``v`` longer.
 
     Every signed-sum table is symmetric about zero, so it is kept in
     nonnegative form: its distinct sums ``p >= 0`` (by ``_sign_key``) in
-    sorted order, each with its full-table pattern count.  The sums ``+-p
-    +- v`` that are >= 0 come in three sorted runs, with ``v`` taken as
-    ``|v|``: ``p + v``, the nonnegative ``p - v``, and the negative ``p -
-    v`` reversed and negated (that is ``-p + v``, for ``p > 0`` only: the
-    zero sum is its own mirror).  A ``p - v`` that lands on 0 is reached
-    from ``p`` and ``-p``, so its count doubles; a zero ``v`` doubles every
-    count through the first two runs.  In float mode the negated sums are
-    exact: ``fl(-a - b) = -fl(a + b)``, and no sum is -0.0, as none starts
-    from one.
+    sorted order, each with its full-table pattern count.  With ``v`` taken
+    as ``|v|``, the longer table is the mirror closure of the pieces ``p +
+    v``, for every ``p``, and ``p - v``, for ``p > 0`` (the zero sum is its
+    own mirror, so ``-v`` is the image of ``+v``).  A piece below 0 enters
+    negated (``-p + v``), one that reaches 0 joined with its mirror image,
+    with twice its count (a ``p - v`` on 0 is reached from ``p`` and
+    ``-p``; a zero ``v`` doubles ``0 + v``), and the rest as it is: sorted
+    runs that ``_merge_equal`` merges, with the gap ``eps``.  In float mode
+    the negated sums are exact: ``fl(-a - b) = -fl(a + b)``, and no sum is
+    -0.0, as none starts from one.  Float clusters (``_Spans``) step both
+    ends, and the clusters that reach 0 fold into one ``[-M, M]``, ``M``
+    their largest end size.
     """
     if _sign_key(v) < 0:
         v = -v
-    lo, hi = keys - v, keys + v
-    sign = _sign_key(lo)
-    m = int(np.searchsorted(sign, 0))  # lo[:m] is negative
-    z = _has_zero(keys)
-    rest = counts[m:]
-    if m < len(sign) and sign[m] == 0 and _sign_key(v) != 0:
-        rest = rest.copy()
-        rest[0] *= 2
-    return _merge_equal(
-        _concat([-lo[z:m][::-1], lo[m:], hi]),
-        np.concatenate([counts[z:m][::-1], rest, counts]),
-    )
+    z, n, sign = _has_zero(keys), len(keys), _sign_key(v)
+    bottom, top = _ends(keys)
+    m = int(top[z:].searchsorted(sign))  # the pieces p - v < 0
+    k = int(bottom[z:].searchsorted(sign, side="right"))  # ... and those that reach 0
+    # the runs [v - p for p - v < 0, reversed | p - v for the rest | p + v],
+    # written in place; a cluster's negated ends swap
+    parts = _fields(keys)
+    offsets = _fields(v) if isinstance(v, _Keys) else [v]
+    mirrored = [parts[0][::-1]] if isinstance(keys, _Spans) else parts
+    out = [np.empty((*a.shape[:-1], 2 * n - z), dtype=a.dtype) for a in parts]
+    for o, a, b, x in zip(out, parts, mirrored, offsets):
+        np.subtract(x, b[..., z : z + m][..., ::-1], out=o[..., :m])
+        np.subtract(a[..., z + m :], x, out=o[..., m : n - z])
+        np.add(a, x, out=o[..., n - z :])
+    pieces = _like(keys, out)
+    runs = np.concatenate([counts[z : z + m][::-1], counts[z + m :], counts])
+    reach = [slice(m, k)] if k > m else []
+    if z and _sign_key(pieces)[n - z] <= 0:  # the zero sum's piece, 0 + v
+        reach.append(slice(n - z, n - z + 1))
+    for piece in reach:
+        runs[piece] *= 2
+    if reach and isinstance(pieces, _Spans):  # all join the zero cluster
+        size = max(max(-pieces.lo[piece].min(), pieces.hi[piece].max()) for piece in reach)
+        for piece in reach:
+            pieces.lo[piece], pieces.hi[piece] = -size, size
+    return _merge_equal(pieces, runs, eps)
 
 
-def _nonneg_sums(values: Sequence, dtype, count_dtype):
+def _fields(keys) -> list:
+    """The arrays behind a key array: the fixed-point parts and codes of
+    radical keys, the array of both ends of float clusters, the keys
+    themselves."""
+    if isinstance(keys, _Keys):
+        return [keys.f, keys.c]
+    return [keys.ends] if isinstance(keys, _Spans) else [keys]
+
+
+def _like(keys, fields: list):
+    """A key array of the kind of ``keys`` from its ``_fields``."""
+    return type(keys)(*fields) if isinstance(keys, (_Keys, _Spans)) else fields[0]
+
+
+def _nonneg_sums(values: Sequence, dtype, count_dtype, eps=0.0):
     """The nonnegative table (see ``_nonneg_step``) of the signed sums of
     ``values``, each accumulated in index order.  Integer keys, all
     multiples of ``g = gcd(v_i)``, whose sums may fill their lattice (see
     ``_lattice_sizes``) take the dense table of ``_dense_sums``; all other
-    keys merge steps (``_step_sums``)."""
+    keys merge steps (``_step_sums``), float keys into clusters with the gap
+    ``eps``."""
     step = (math.gcd(*values) or 1) if dtype is np.int64 else 0
     sizes = _lattice_sizes(values, step) if step else None
     if sizes is not None:
         keys, counts = _dense_sums(sizes, step, count_dtype)
     else:
-        keys, counts = _step_sums(values, dtype, count_dtype)
+        keys, counts = _step_sums(values, dtype, count_dtype, eps)
     _check_mass(keys, counts, len(values))
     return keys, counts
 
@@ -586,16 +668,16 @@ def _dense_sums(sizes: list[int], step: int, count_dtype):
     return (2 * (index + half) - top) * step, hist[half:][index]
 
 
-def _step_sums(values: Sequence, dtype, count_dtype):
+def _step_sums(values: Sequence, dtype, count_dtype, eps=0.0):
     """The nonnegative table of the signed sums of ``values``: the raw sums
     of the first ``_RAW_PREFIX`` values merged, then one ``_nonneg_step``
-    per value."""
+    per value, with the merge gap ``eps``."""
     k = min(len(values), _RAW_PREFIX)
     sums = _half_sums(values[:k], dtype)
     sums = sums[_sign_key(sums) >= 0]
-    keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
+    keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype), eps)
     for v in values[k:]:
-        keys, counts = _nonneg_step(keys, counts, v)
+        keys, counts = _nonneg_step(keys, counts, v, eps)
     return keys, counts
 
 
@@ -622,26 +704,53 @@ def _merged_sums(values: Sequence, dtype, count_dtype) -> tuple[np.ndarray, np.n
 # -- pair counting -----------------------------------------------------------
 
 
-def _refine_prefix_len(uniq: np.ndarray, image, bound, guess, inclusive: bool) -> np.ndarray:
-    """Per query, the count of sorted unique values u with ``image(u) <=
-    bound`` (inclusive) or ``< bound`` (strict), for an ``image`` weakly
-    increasing in u and applied elementwise to an array of u shaped like
-    the queries.
+def _refine_prefix_len(padded: np.ndarray, steps: np.ndarray, bound, inclusive: bool) -> np.ndarray:
+    """Per query, the count of the sorted unique values u of ``padded[1:-1]``
+    (``padded`` ends in -inf and +inf) with ``_chain(u, steps) <= bound``
+    (inclusive) or ``< bound`` (strict).  The queries are the entries of
+    ``bound`` broadcast against ``steps[0]``, which has their number of
+    dimensions; a query's column of ``steps`` holds its offsets, and its
+    chain is weakly increasing in u.
 
-    searchsorted against ``guess``, a float estimate of where ``image``
-    crosses ``bound``, can be off by a few distinct values because of
-    rounding; since the target set is a prefix, local adjustment converges.
-    """
-    below = np.less_equal if inclusive else np.less
-    m = len(uniq)
-    idx = np.searchsorted(uniq, guess, side="right" if inclusive else "left")
-    while True:
-        up = (idx < m) & below(image(uniq[np.minimum(idx, m - 1)]), bound)
-        down = (idx > 0) & ~below(image(uniq[idx - (idx > 0)]), bound)
-        if not (up.any() or down.any()):
-            return idx
-        idx += up
-        idx -= down
+    searchsorted of ``bound - _chain(0, steps)``, a float estimate of where
+    the chain crosses ``bound``, can be off by a few distinct values
+    because of rounding; since the target set is a prefix, local
+    adjustment converges: a count c below the number of values moves up
+    when the value after it, ``padded[c + 1]``, passes, and a count above 0
+    moves down when the one before it fails.  A query that does not move
+    has converged, so after a first pass over all of them only the queries
+    that moved are stepped again."""
+    below, m = (np.less_equal if inclusive else np.less), len(padded) - 2
+    moves = lambda i, rows, b: (
+        (i < m) & below(_chain(padded[i + 1], rows), b),
+        (i > 0) & ~below(_chain(padded[i], rows), b),
+    )
+    idx = np.searchsorted(padded[1:-1], bound - _chain(0.0, steps), side="right" if inclusive else "left")
+    up, down = moves(idx, steps, bound)
+    idx += up
+    idx -= down
+    at = (up | down).ravel().nonzero()[0]  # the queries that moved, by flat index
+    if len(at):
+        where = np.unravel_index(at, idx.shape)
+        # the moving queries' offsets and bounds; an axis of size 1 broadcasts
+        pick = lambda a: a[(..., *(w * (size > 1) for w, size in zip(where, a.shape[a.ndim - idx.ndim :])))]
+        rows, b = pick(steps), pick(bound) if np.ndim(bound) else np.full(len(at), bound)
+        flat = idx.reshape(-1)
+        i = flat[at]
+        while len(at):
+            up, down = moves(i, rows, b)
+            i += up
+            i -= down
+            flat[at] = i
+            moved = (up | down).nonzero()[0]
+            at, i, rows, b = at[moved], i[moved], rows[:, moved], b[moved]
+    return idx
+
+
+def _padded(keys: np.ndarray) -> np.ndarray:
+    """Sorted float keys between -inf and +inf, as ``_refine_prefix_len``
+    searches them."""
+    return np.concatenate([[-np.inf], keys, [np.inf]])
 
 
 def _count_pairs(values: Sequence, dtype, t, strict: bool) -> int:
@@ -664,19 +773,48 @@ def _count_raw(values: Sequence, dtype, t, strict: bool) -> int:
     return int(np.count_nonzero(sums < t if strict else sums <= t))
 
 
-def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:
+def _count_merged(values: Sequence, dtype, t, strict: bool, widen: bool = True) -> int:
     """``_count_pairs`` over the merged halves: the sum over distinct ``l``
     of ``count(l) * window(right, l)``.  Only the ``l >= 0`` are searched,
     and each ``l > 0`` counts for ``-l`` too: the right sums are symmetric
-    and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window of ``l``."""
+    and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window of ``l``.
+
+    Float halves (when ``widen``) merge into clusters: sorted neighbours at
+    most ``_rounding_bound`` apart share one interval ``[lo, hi]`` and one
+    count (``_merge_equal``).  The count rests only on the monotonicity of
+    rounding, ``a <= b`` implies ``fl(a + c) <= fl(b + c)``: every member
+    of a cluster steps into ``[fl(lo +- v), fl(hi +- v)]``, and every pair
+    of a left and a right member sums into ``[fl(l.lo + r.lo), fl(l.hi +
+    r.hi)]``.  So a pair of clusters is decided for all its members when
+    both ends fall on the same side of ``+-t`` (``_window``), and the
+    decisions are those of ``fl(l + r)``.  If some pair straddles ``+-t``
+    the count is made again without widening, where only equal floats
+    merge and every cluster is one sum."""
     split = len(values) - len(values) // 2
     count_dtype = _count_dtype(len(values))
-    lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
-    rkeys, rcounts = _merged_sums(values[split:], dtype, count_dtype)
+    left, right = values[:split], values[split:]
+    eps = _rounding_bound if widen and dtype is np.float64 else lambda half: 0.0
+    lkeys, lcounts = _nonneg_sums(left, dtype, count_dtype, eps(left))
+    rkeys, rcounts = _mirror(*_nonneg_sums(right, dtype, count_dtype, eps(right)))
     cum = np.concatenate([[0], np.cumsum(rcounts)])
-    window, _ = _window(rkeys, cum, lkeys, t, strict, dtype)
+    del rcounts  # the window searches hold a padded copy of the keys instead
+    window, undecided = _window(rkeys, cum, lkeys, t, strict, dtype)
+    if undecided and dtype is np.float64:
+        return _count_merged(values, dtype, t, strict, widen=False)
     hits = lcounts * np.maximum(window, 0)
     return 2 * int(hits.sum()) - _has_zero(lkeys) * int(hits[0])
+
+
+def _rounding_bound(values: Sequence[float]) -> float:
+    """The merge gap of a float half table: ``k*2^-52*sum|v_i|`` for its
+    ``k`` values.  A sum of ``k`` floats accumulated in index order is
+    within ``(k - 1)*u*sum|v_i|`` of its real value (recursive summation,
+    ``u = 2^-53``), and values that are the roundings of exact weights are
+    within ``u*|v_i|`` of them, so all index-order floats of one exact sum
+    lie in an interval of about ``k*2^-52*sum|v_i|``: they chain into one
+    cluster.  Any gap ``>= 0`` gives the same count; this one decides
+    whole rounding clusters at once."""
+    return len(values) * 2.0**-52 * sum(map(abs, values))
 
 
 # -- public operations -------------------------------------------------------
@@ -776,17 +914,59 @@ def threshold_probability_naive(
 # -- signed-sum distributions -------------------------------------------------
 
 
-def _merge_equal(keys, counts: np.ndarray):
+def _merge_equal(keys, counts: np.ndarray, eps=0.0):
     """Sort ``keys`` by ``_sign_key``, adding up the counts of equal keys
-    (linear on the three sorted runs of ``_nonneg_step``): radical keys are
-    sorted and merged by code."""
-    order = np.argsort(_sign_key(keys), kind="stable")
-    keys = keys[order]
-    same = _sign_key(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = same[1:] != same[:-1]
-    first = np.flatnonzero(first)
-    return keys[first], np.add.reduceat(counts[order], first)
+    (linear on the sorted runs of ``_nonneg_step``): radical keys are
+    sorted and merged by code.
+
+    With a gap ``eps > 0`` the keys are float pieces of a nonnegative
+    table, sums or clusters, and they merge into clusters: a piece joins
+    the cluster before it when its lower end is at most ``eps`` above the
+    largest upper end so far.  The pieces that reach 0 are their own mirror
+    images and come first; the cluster that holds them is the zero cluster
+    ``[-hi, hi]``, and each other piece it takes in brings its mirror
+    image, with its count again.  While only equal sums merge the table
+    stays sums, with no upper ends."""
+    order = _sign_key(keys).argsort(kind="stable")
+    keys, counts = keys[order], counts[order]
+    lo, top = _ends(keys)
+    spans = isinstance(keys, _Spans)
+    if spans:
+        top = _running_max(top)
+    first = np.empty(len(lo), dtype=bool)
+    first[:1] = True
+    if eps:
+        gap = lo[1:] - top[:-1]
+        np.greater(gap, eps, out=first[1:])
+    else:
+        np.not_equal(lo[1:], lo[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    total = np.add.reduceat(counts, first)
+    if not eps or not spans and (len(first) == len(lo) or len(first) == np.count_nonzero(gap) + 1):
+        return keys[first], total  # no distinct sums merged
+    last = np.empty_like(first)
+    last[:-1], last[-1] = first[1:] - 1, len(top) - 1
+    ends = np.empty((2, len(first)))  # the indices are in range: "clip" spares take a checked copy
+    lo.take(first, out=ends[0], mode="clip")
+    top.take(last, out=ends[1], mode="clip")  # a cluster's upper end is its last running maximum
+    if ends[0, 0] <= 0:
+        mirrored = int(lo.searchsorted(0, side="right"))
+        total[0] += counts[mirrored : last[0] + 1].sum()
+        ends[0, 0] = -ends[1, 0]
+    return _Spans(ends), total
+
+
+def _running_max(x: np.ndarray) -> np.ndarray:
+    """``np.maximum.accumulate(x)``, in a few passes when ``x`` is nearly
+    sorted: the maximum over the ``w`` values ending at each place, for ``w
+    = 1, 2, 4, ...``, is the running maximum once no value exceeds all of
+    the ``w`` after it (follow a larger value at most ``w`` places on, up
+    to the window)."""
+    top, w = x, 1
+    while w < len(x) and not (x[:-w] <= top[w:]).all():
+        top = np.concatenate([top[:w], np.maximum(top[w:], top[:-w])])
+        w *= 2
+    return top
 
 
 def _tail_distributions(vals: Sequence, dtype):
@@ -807,17 +987,34 @@ def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
     exactly: by ``_band_window`` for radical keys over all the weights, by
     searches refined to test ``fl(q + r)`` for float keys, by plain
     ``searchsorted`` for exact integer keys.  An empty window (integer
-    cut-off -1) can come out negative."""
+    cut-off -1) can come out negative.
+
+    Float clusters (``_Spans``, on either side) are searched by both ends,
+    as ``_count_merged`` argues: the window counts the keys whose upper
+    ends, added to the query's upper end, are inside and whose lower ends,
+    added to its lower end, are not below ``-t``.  Both end sums grow with
+    the key, so a key whose two end sums fall on different sides of ``t``
+    or ``-t`` exists iff the first key past the window, or the last below
+    it, is one; ``fallbacks`` counts those undecided window ends.  Float
+    sums pay the same two searches, without the end tests."""
     if isinstance(dtype, _Radical):
         return _band_window(keys, cum, query, t, strict, dtype, dtype.spread)
-    if dtype is np.float64:
-        image = lambda u: query + u
-        hi = _refine_prefix_len(keys, image, t, t - query, inclusive=not strict)
-        lo = _refine_prefix_len(keys, image, -t, -t - query, inclusive=strict)
-    else:
+    if dtype is not np.float64:
         hi = np.searchsorted(keys, t - query, side="left" if strict else "right")
         lo = np.searchsorted(keys, -t - query, side="right" if strict else "left")
-    return cum[hi] - cum[lo], 0
+        return cum[hi] - cum[lo], 0
+    (klo, khi), (qlo, qhi) = _ends(keys), _ends(query)
+    plo = _padded(klo)
+    phi = plo if khi is klo else _padded(khi)
+    hi = _refine_prefix_len(phi, qhi[None], t, not strict)  # upper end sums inside
+    lo = _refine_prefix_len(plo, qlo[None], -t, strict)  # lower end sums below -t
+    undecided = 0
+    if khi is not klo or qhi is not qlo:  # the keys just outside may straddle
+        inside, below = (np.less, np.less_equal) if strict else (np.less_equal, np.less)
+        upper = inside(plo[hi + 1] + qlo, t)  # the first key past the window
+        lower = ~below(phi[lo] + qhi, -t)  # the last key below it
+        undecided = int(np.count_nonzero(upper) + np.count_nonzero(lower))
+    return cum[hi] - cum[lo], undecided
 
 
 def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, radical: _Radical, spread: int):
@@ -1039,20 +1236,19 @@ def _chain(u, steps: np.ndarray):
     return u
 
 
-def _pull_back(keys: np.ndarray, steps: np.ndarray, bound: np.ndarray, inclusive: bool) -> np.ndarray:
-    """``[i, m]``: how many of the sorted float tail sums ``keys`` extend,
-    by the signed weights in column m of ``steps``, to a sum ``<= bound[i,
-    0]`` (``<`` when not inclusive).
+def _pull_back(padded: np.ndarray, steps: np.ndarray, bound: np.ndarray, inclusive: bool) -> np.ndarray:
+    """``[i, m]``: how many of the sorted float tail sums ``padded[1:-1]``
+    (see ``_padded``) extend, by the signed weights in column m of
+    ``steps``, to a sum ``<= bound[i, 0]`` (``<`` when not inclusive).
 
     Each rounding is monotone, so the extension ``_chain`` is weakly
     increasing in the tail sum and the keys it sends below a bound are a
-    prefix of ``keys``: it is bracketed by searching ``bound`` minus the
+    prefix of the keys: it is bracketed by searching ``bound`` minus the
     chain from 0 and stepped to its exact end.  Without weights in between
     the search is exact."""
     if not len(steps):
-        return np.searchsorted(keys, bound, side="right" if inclusive else "left")
-    image = lambda u: _chain(u, steps)
-    return _refine_prefix_len(keys, image, bound, bound - image(0.0), inclusive)
+        return np.searchsorted(padded[1:-1], bound, side="right" if inclusive else "left")
+    return _refine_prefix_len(padded, steps[:, None], bound, inclusive)
 
 
 def _float_window(keys: np.ndarray, cum: np.ndarray, steps: np.ndarray, ss: np.ndarray, one: float):
@@ -1077,10 +1273,9 @@ def _float_window(keys: np.ndarray, cum: np.ndarray, steps: np.ndarray, ss: np.n
             near |= ((k >= lo - tol) & (k <= lo + tol)) | ((k >= hi - tol) & (k <= hi + tol))
         return window, near
     lo, hi = (-one - ss)[:, None], (one - ss)[:, None]
-    start, stop = _pull_back(keys, steps, lo, False), _pull_back(keys, steps, hi, True)
+    padded = _padded(keys)  # padded[i + 1] is keys[i]; the infinite ends are never near
+    start, stop = _pull_back(padded, steps, lo, False), _pull_back(padded, steps, hi, True)
     window = (cum[stop] - cum[start]).sum(axis=1)
-    # padded[i + 1] is keys[i]; the infinite ends are never near
-    padded = np.concatenate([[-np.inf], keys, [np.inf]])
     at = lambda i: _chain(padded[i], steps)
     near = (at(start + 1) <= lo + tol) | (at(start) >= lo - tol) | (at(stop) >= hi - tol) | (at(stop + 1) <= hi + tol)
     return window, near.any(axis=1)
@@ -1089,9 +1284,9 @@ def _float_window(keys: np.ndarray, cum: np.ndarray, steps: np.ndarray, ss: np.n
 def _near_tails(keys: np.ndarray, steps: np.ndarray, ends: np.ndarray) -> list:
     """Per end, the sorted distinct tail sums within ``BOUNDARY_TIE_TOL`` of
     it, of the table ``steps`` pulls back from ``keys``."""
-    ends = ends[:, None]
-    lo = _pull_back(keys, steps, ends - BOUNDARY_TIE_TOL, False)
-    hi = _pull_back(keys, steps, ends + BOUNDARY_TIE_TOL, True)
+    ends, padded = ends[:, None], _padded(keys)
+    lo = _pull_back(padded, steps, ends - BOUNDARY_TIE_TOL, False)
+    hi = _pull_back(padded, steps, ends + BOUNDARY_TIE_TOL, True)
     return [
         np.unique(np.concatenate([_chain(keys[a:b], steps[:, m]) for m, (a, b) in enumerate(zip(*row))]))
         for row in zip(lo, hi)

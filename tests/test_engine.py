@@ -589,13 +589,13 @@ class TestNonnegativeTables:
         real = engine._merge_equal
         merged = []
 
-        def spy(keys, counts):
+        def spy(keys, counts, *eps):
             sign = engine._sign_key(keys)
             assert np.all(sign >= 0)
             if kind == "float64":
                 assert not np.any(np.signbit(keys))
             merged.append(len(sign))
-            return real(keys, counts)
+            return real(keys, counts, *eps)
 
         monkeypatch.setattr(engine, "_merge_equal", spy)
         signs = [int(s) for s in rng.integers(-1, 2, size=12)]
@@ -612,12 +612,18 @@ class TestNonnegativeTables:
 
         real = engine._nonneg_step
 
-        def slip(keys, counts, v):
-            keys, counts = real(keys, counts, v)
+        def slip(keys, counts, v, *eps):
+            keys, counts = real(keys, counts, v, *eps)
             counts[-1] -= 1
             return keys, counts
 
+        # a half whose rounding copies merge into float clusters
+        half = list(canonicalize([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3], FLOAT).values)
+        eps = engine._rounding_bound(half)
+        assert isinstance(engine._nonneg_sums(half, np.float64, np.int64, eps)[0], engine._Spans)
         monkeypatch.setattr(engine, "_nonneg_step", slip)
+        with pytest.raises(SoundnessError, match="mass"):
+            engine._nonneg_sums(half, np.float64, np.int64, eps)
         w = canonicalize([1.0] * 20, FLOAT)
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(w, 1.0, limit=20)
@@ -642,6 +648,132 @@ class TestNonnegativeTables:
             sum_distribution(canonicalize([3, 1, 2, 5, 4, 1, 2, 6, 3], EXACT))
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(canonicalize([1] * 20, EXACT), 1, limit=20)
+
+
+def _square_norm(head) -> list:
+    """``head`` and one more integer whose squares sum to a square: with an
+    odd sum ``S`` of squares (the first entry raised by one if not), ``b =
+    (S - 1)/2`` gives ``S + b^2 = (b + 1)^2``."""
+    head = list(head)
+    if sum(a * a for a in head) % 2 == 0:
+        head[0] += 1
+    return head + [(sum(a * a for a in head) - 1) // 2]
+
+
+@st.composite
+def _cluster_inputs(draw):
+    """``(values, kind)``: 15 to 22 float weights of one class: dyadic,
+    canonical small integers (with any norm, or a square norm, where some
+    signed sum is exactly 1 in real arithmetic), ones, cancelling values
+    with +-0.0, and standard-normal draws."""
+    n = draw(st.integers(15, 22))
+    kind = draw(st.sampled_from(["dyadic", "small", "square", "ones", "cancel", "normal"]))
+    if kind == "ones":
+        return [1.0] * n, kind
+    if kind == "dyadic":
+        return draw(st.lists(st.integers(-64, 64).map(lambda i: i / 16), min_size=n, max_size=n)), kind
+    if kind == "normal":
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n).tolist(), kind
+    if kind == "cancel":
+        half = draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=n // 2, max_size=n // 2))
+        return draw(st.permutations(half + [-v for v in half] + [0.0, -0.0]))[:n], kind
+    ints = draw(st.lists(st.integers(1, 9), min_size=n - (kind == "square"), max_size=n - (kind == "square")))
+    return list(canonicalize(_square_norm(ints) if kind == "square" else ints, FLOAT).values), kind
+
+
+class TestRoundingClusters:
+    """Float half tables merge the floats that differ only by rounding into
+    clusters; a cluster pair that straddles the threshold is recounted
+    without merging."""
+
+    @staticmethod
+    def _spy_recounts(monkeypatch) -> list:
+        """Record the ``widen`` flag of every ``_count_merged`` call."""
+        from radsum import engine
+
+        real, flags = engine._count_merged, []
+
+        def spy(values, dtype, t, strict, widen=True):
+            flags.append(widen)
+            return real(values, dtype, t, strict, widen)
+
+        monkeypatch.setattr(engine, "_count_merged", spy)
+        return flags
+
+    def test_interval_count_matches_literal(self, monkeypatch):
+        from radsum import engine
+        from radsum.engine import signed_sum_count
+
+        unmerged = engine._count_merged
+        flags = self._spy_recounts(monkeypatch)
+        branches = Counter()
+
+        @given(_cluster_inputs(), st.data())
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        def check(drawn, data):
+            values, kind = drawn
+            sums = np.abs(np.add.outer(*literal_float_halves(values)))
+            achieved = float(sums.flat[data.draw(st.integers(0, sums.size - 1))])
+            for t in (0.0, 1.0, 0.3, achieved):
+                for strict in (False, True):
+                    expected = int(np.count_nonzero(sums < t if strict else sums <= t))
+                    flags.clear()
+                    assert signed_sum_count(values, t, FLOAT, strict) == (expected, 2 ** len(values)), (values, t)
+                    recount = False in flags
+                    assert merged_count(values, t, FLOAT, strict) == expected, (values, t)
+                    assert unmerged(values, np.float64, t, strict, widen=False) == expected, (values, t)
+                    branches[recount] += 1
+                    event(f"{kind}: {'recount' if recount else 'clusters decide'}")
+
+        check()
+        assert branches[True] and branches[False], branches
+
+    @pytest.mark.parametrize("lo, hi", [(1, 9), (1, 999), (70000, 99999)])
+    def test_clusters_are_the_distinct_integer_sums(self, lo, hi):
+        # the floats of one integer half sum lie within the rounding bound
+        # of each other, and distinct integer sums lie much further apart
+        from radsum import engine
+
+        rng = np.random.default_rng(hi)
+        for n in (16, 29, 40):
+            ints = sorted(rng.integers(lo, hi + 1, size=n).tolist(), reverse=True)
+            values = list(canonicalize(ints, FLOAT).values)  # in the order of ints
+            split = n - n // 2
+            for part, floats in ((ints[:split], values[:split]), (ints[split:], values[split:])):
+                keys, _ = engine._nonneg_sums(floats, np.float64, np.int64, engine._rounding_bound(floats))
+                sums = np.zeros(1, dtype=np.int64)
+                for a in part:
+                    sums = np.concatenate([sums - a, sums + a])
+                assert len(keys) == len(np.unique(sums[sums >= 0])), (lo, hi, n)
+
+    def test_overflowing_sums_match_literal(self):
+        # half sums that overflow to +-inf make inf - inf = nan pair sums;
+        # the refined searches must stay inside the table all the same
+        from radsum.engine import signed_sum_count
+
+        for values in ([1.7e308, -1.7e308] * 8, [1e308] * 16):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = np.abs(np.add.outer(*literal_float_halves(values)))
+                for t in (0.0, 1.0, 1e300):
+                    for strict in (False, True):
+                        expected = int(np.count_nonzero(sums < t if strict else sums <= t))
+                        assert signed_sum_count(values, t, FLOAT, strict) == (expected, 2**16), (values[:2], t)
+
+    def test_square_norm_takes_the_recount(self, monkeypatch):
+        # sum a_i^2 = 297^2, so some signed sum is exactly 1: its rounding
+        # copies straddle t = 1 and the clusters cannot decide it
+        from radsum.engine import signed_sum_count
+
+        ints = _square_norm([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8])
+        assert math.isqrt(sum(a * a for a in ints)) ** 2 == sum(a * a for a in ints)
+        values = list(canonicalize(ints, FLOAT).values)
+        sums = np.abs(np.add.outer(*literal_float_halves(values)))
+        flags = self._spy_recounts(monkeypatch)
+        for strict in (False, True):
+            flags.clear()
+            expected = int(np.count_nonzero(sums < 1 if strict else sums <= 1))
+            assert signed_sum_count(values, 1.0, FLOAT, strict) == (expected, 2**20)
+            assert flags == [True, False]
 
 
 class TestThresholdProperties:
