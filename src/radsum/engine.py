@@ -23,13 +23,13 @@ Enumeration strategies:
   numpy calls.  Beyond that, and for radical keys at any size, every
   distinct nonnegative left sum counts its window of the full right table
   with two binary searches, weighted by its pattern count, doubled for the
-  mirror sum, whose window is the same.  Float halves merge the floats
-  that differ only by rounding into clusters, intervals with one count
-  (``_count_merged``), and a window is decided for a whole cluster pair
-  when both its end sums fall on one side of the threshold; if one pair
-  straddles it, the count is made again with clusters of equal floats
-  only.  Every way adds the same index-order halves, so the counts agree
-  bit for bit.
+  mirror sum, whose window is the same.  Float keys past 14 weights are
+  first read as points of an integer lattice (``_float_lattice``): when a
+  static bound on the rounding of ``fl(l + r)`` leaves no lattice point
+  within reach of the threshold, the count is that of the integer sums up
+  to a cut-off, made on the int64 path; otherwise the merged float halves
+  are counted, equal floats merged.  Every way decides the same
+  index-order sums ``fl(l + r)``, so the counts agree bit for bit.
 * ``threshold_probability_naive`` - plain 2^n sweep: one Gray-code walk of
   the exact sums (Fractions as integers over their own common denominator,
   else ``SqrtSum`` values), the independent oracle for the meet-in-the-middle
@@ -80,13 +80,13 @@ within that many units of a decision boundary.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
 with each half accumulated in index order, and every decision is that of
-an exact float comparison of this sum with no epsilon.  The merge gap of
-the float clusters only groups the halves' floats: rounding is monotone,
-so a cluster's end sums bound those of all its members, and a pair that
-the ends cannot decide is recounted from equal floats alone.  The
-partition report flags sums within 1e-12 of a decision boundary so
-tie-sensitive results are visible.  Results are deterministic: every
-reduction is an integer count.
+an exact float comparison of this sum with no epsilon.  The integer
+lattice only stands in for these comparisons where an exact bound proves
+it decides each of them alike (a static error filter, after Fortune and
+Van Wyk, with Higham's recursive-summation bound); near a lattice point
+the floats are compared themselves.  The partition report flags sums
+within 1e-12 of a decision boundary so tie-sensitive results are
+visible.  Results are deterministic: every reduction is an integer count.
 """
 
 from __future__ import annotations
@@ -112,13 +112,12 @@ _MAX_TIE_RECORDS = 200
 # A merged nonnegative table starts from the raw sums of its first _RAW_PREFIX
 # values.  Stepping from [0] instead was slower wherever a half table is still
 # built, and level at n = 38 (0 vs 8, medians of 30 alternating in-process
-# runs, 2-CPU x86, numpy 2.4; entries in [70000, 99999], whose int64 tables
-# are merged, not dense, and whose float tables merge rounding copies into
-# clusters): admissible_count over merged halves, n = 16, 337 vs 123 us float
-# and 347 vs 143 us int64; n = 38, 42.6 vs 43.4 ms float and 32.7 vs 32.5 ms
-# int64;
-# radical n = 12, 390 vs 175 us; exact sum_distribution, 2.22 vs 2.06 ms
-# (int64, n = 16) and 562 vs 432 us (radical, n = 12).
+# runs, 2-CPU x86, numpy 2.4; float entries standard normal, on no integer
+# lattice, and int64 entries in [70000, 99999], whose tables are merged, not
+# dense): admissible_count over merged halves, n = 16, 341 vs 143 us float
+# and 311 vs 117 us int64; n = 38, 48.3 vs 48.2 ms float and 24.5 vs 24.2 ms
+# int64; radical n = 12, 390 vs 175 us; exact sum_distribution, 2.22 vs 2.06
+# ms (int64, n = 16) and 562 vs 432 us (radical, n = 12).
 _RAW_PREFIX = 8
 # Raw sums start with the running sums of the first _SIGN_ROWS values down a
 # cached sign matrix, one numpy call where doubling takes three per value:
@@ -270,34 +269,6 @@ class _Keys:
         return _Keys(-self.f, -self.c)
 
 
-class _Spans:
-    """Float clusters of a nonnegative table (see ``_count_merged``): sorted,
-    disjoint intervals ``[lo, hi]`` of half sums, both ends half sums
-    themselves, as the two rows of ``ends``.  The first may be the zero
-    cluster ``[-hi, hi]``, its own mirror image.  A step or a negation acts
-    on both ends, which keeps every member inside, as rounding is
-    monotone."""
-
-    __slots__ = ("ends",)
-
-    def __init__(self, ends: np.ndarray):
-        self.ends = ends
-
-    lo = property(lambda self: self.ends[0])
-    hi = property(lambda self: self.ends[1])
-
-    def __len__(self) -> int:
-        return self.ends.shape[1]
-
-    def __getitem__(self, index) -> "_Spans":
-        if isinstance(index, slice):
-            return _Spans(self.ends[:, index])
-        return _Spans(self.ends.take(index, axis=1))  # much faster than fancy indexing
-
-    def __neg__(self) -> "_Spans":
-        return _Spans(-self.ends[::-1])
-
-
 def _fixed(a: int, d: int, denom: int, shift: int) -> int:
     """``floor(a*sqrt(d)*2^shift/denom)``, exactly, for integers ``a``, ``d
     >= 0`` and ``denom >= 1``.  With ``N = a^2*d*4^shift`` (a negative
@@ -441,25 +412,15 @@ def _zero(dtype):
 
 def _sign_key(keys):
     """What a key's sign is read from, and keys are sorted by: the code of
-    radical keys, the lower end of float clusters, the key itself
-    otherwise.  Negating a sum negates it too (a cluster's ends swap)."""
-    if isinstance(keys, _Keys):
-        return keys.c
-    return keys.lo if isinstance(keys, _Spans) else keys
-
-
-def _ends(keys):
-    """``(lower, upper)`` sign keys: the two ends of float clusters, the
-    sign key twice otherwise."""
-    return (keys.lo, keys.hi) if isinstance(keys, _Spans) else (_sign_key(keys),) * 2
+    radical keys, the key itself otherwise.  Negating a sum negates it
+    too."""
+    return keys.c if isinstance(keys, _Keys) else keys
 
 
 def _concat(parts):
     """The key arrays ``parts`` one after the other."""
     if isinstance(parts[0], _Keys):
         return _Keys(np.concatenate([p.f for p in parts]), np.concatenate([p.c for p in parts]))
-    if isinstance(parts[0], _Spans):
-        return _Spans(np.concatenate([p.ends for p in parts], axis=1))
     return np.concatenate(parts)
 
 
@@ -505,9 +466,9 @@ def _pair_sums(values: Sequence, dtype) -> np.ndarray:
 
 
 def _has_zero(keys) -> int:
-    """1 when a nonnegative table starts with the zero sum, or the zero
-    cluster ``[-hi, hi]``, which is its own mirror image, else 0."""
-    return int(_sign_key(keys)[0] <= 0)
+    """1 when a nonnegative table starts with the zero sum, which is its own
+    mirror image, else 0."""
+    return int(_sign_key(keys)[0] == 0)
 
 
 def _check_mass(keys, counts: np.ndarray, k: int) -> None:
@@ -519,81 +480,53 @@ def _check_mass(keys, counts: np.ndarray, k: int) -> None:
         raise SoundnessError(f"signed-sum table mass {mass} != 2^{k}")
 
 
-def _nonneg_step(keys, counts: np.ndarray, v, eps=0.0):
+def _nonneg_step(keys, counts: np.ndarray, v):
     """The nonnegative table one value ``v`` longer.
 
     Every signed-sum table is symmetric about zero, so it is kept in
     nonnegative form: its distinct sums ``p >= 0`` (by ``_sign_key``) in
     sorted order, each with its full-table pattern count.  With ``v`` taken
-    as ``|v|``, the longer table is the mirror closure of the pieces ``p +
+    as ``|v|``, the longer table is the mirror closure of the sums ``p +
     v``, for every ``p``, and ``p - v``, for ``p > 0`` (the zero sum is its
-    own mirror, so ``-v`` is the image of ``+v``).  A piece below 0 enters
-    negated (``-p + v``), one that reaches 0 joined with its mirror image,
-    with twice its count (a ``p - v`` on 0 is reached from ``p`` and
-    ``-p``; a zero ``v`` doubles ``0 + v``), and the rest as it is: sorted
-    runs that ``_merge_equal`` merges, with the gap ``eps``.  In float mode
-    the negated sums are exact: ``fl(-a - b) = -fl(a + b)``, and no sum is
-    -0.0, as none starts from one.  Float clusters (``_Spans``) step both
-    ends, and the clusters that reach 0 fold into one ``[-M, M]``, ``M``
-    their largest end size.
+    own mirror, so ``-v`` is the image of ``+v``): three sorted runs, ``v -
+    p`` for the ``p - v < 0`` reversed, the other ``p - v``, and ``p + v``,
+    which ``_merge_equal`` merges.  A ``p - v`` on 0 is reached from ``p``
+    and ``-p``, so its count doubles, as does that of ``0 + v`` for a zero
+    ``v``.  In float mode the negated sums are exact: ``fl(-a - b) = -fl(a
+    + b)``, and no sum is -0.0, as none starts from one.
     """
     if _sign_key(v) < 0:
         v = -v
     z, n, sign = _has_zero(keys), len(keys), _sign_key(v)
-    bottom, top = _ends(keys)
-    m = int(top[z:].searchsorted(sign))  # the pieces p - v < 0
-    k = int(bottom[z:].searchsorted(sign, side="right"))  # ... and those that reach 0
-    # the runs [v - p for p - v < 0, reversed | p - v for the rest | p + v],
-    # written in place; a cluster's negated ends swap
-    parts = _fields(keys)
-    offsets = _fields(v) if isinstance(v, _Keys) else [v]
-    mirrored = [parts[0][::-1]] if isinstance(keys, _Spans) else parts
-    out = [np.empty((*a.shape[:-1], 2 * n - z), dtype=a.dtype) for a in parts]
-    for o, a, b, x in zip(out, parts, mirrored, offsets):
-        np.subtract(x, b[..., z : z + m][..., ::-1], out=o[..., :m])
-        np.subtract(a[..., z + m :], x, out=o[..., m : n - z])
-        np.add(a, x, out=o[..., n - z :])
-    pieces = _like(keys, out)
+    positive = _sign_key(keys)[z:]
+    m = int(positive.searchsorted(sign))  # the p - v < 0
+    k = int(positive.searchsorted(sign, side="right"))  # ... and those on 0
+    radical = isinstance(keys, _Keys)
+    parts, offsets = ([keys.f, keys.c], [v.f, v.c]) if radical else ([keys], [v])
+    out = [np.empty(2 * n - z, dtype=a.dtype) for a in parts]
+    for o, a, x in zip(out, parts, offsets):  # the three runs, written in place
+        np.subtract(x, a[z : z + m][::-1], out=o[:m])
+        np.subtract(a[z + m :], x, out=o[m : n - z])
+        np.add(a, x, out=o[n - z :])
     runs = np.concatenate([counts[z : z + m][::-1], counts[z + m :], counts])
-    reach = [slice(m, k)] if k > m else []
-    if z and _sign_key(pieces)[n - z] <= 0:  # the zero sum's piece, 0 + v
-        reach.append(slice(n - z, n - z + 1))
-    for piece in reach:
-        runs[piece] *= 2
-    if reach and isinstance(pieces, _Spans):  # all join the zero cluster
-        size = max(max(-pieces.lo[piece].min(), pieces.hi[piece].max()) for piece in reach)
-        for piece in reach:
-            pieces.lo[piece], pieces.hi[piece] = -size, size
-    return _merge_equal(pieces, runs, eps)
+    runs[m:k] *= 2
+    if z and not sign:
+        runs[n - z] *= 2
+    return _merge_equal(_Keys(*out) if radical else out[0], runs)
 
 
-def _fields(keys) -> list:
-    """The arrays behind a key array: the fixed-point parts and codes of
-    radical keys, the array of both ends of float clusters, the keys
-    themselves."""
-    if isinstance(keys, _Keys):
-        return [keys.f, keys.c]
-    return [keys.ends] if isinstance(keys, _Spans) else [keys]
-
-
-def _like(keys, fields: list):
-    """A key array of the kind of ``keys`` from its ``_fields``."""
-    return type(keys)(*fields) if isinstance(keys, (_Keys, _Spans)) else fields[0]
-
-
-def _nonneg_sums(values: Sequence, dtype, count_dtype, eps=0.0):
+def _nonneg_sums(values: Sequence, dtype, count_dtype):
     """The nonnegative table (see ``_nonneg_step``) of the signed sums of
     ``values``, each accumulated in index order.  Integer keys, all
     multiples of ``g = gcd(v_i)``, whose sums may fill their lattice (see
     ``_lattice_sizes``) take the dense table of ``_dense_sums``; all other
-    keys merge steps (``_step_sums``), float keys into clusters with the gap
-    ``eps``."""
+    keys merge steps (``_step_sums``)."""
     step = (math.gcd(*values) or 1) if dtype is np.int64 else 0
     sizes = _lattice_sizes(values, step) if step else None
     if sizes is not None:
         keys, counts = _dense_sums(sizes, step, count_dtype)
     else:
-        keys, counts = _step_sums(values, dtype, count_dtype, eps)
+        keys, counts = _step_sums(values, dtype, count_dtype)
     _check_mass(keys, counts, len(values))
     return keys, counts
 
@@ -668,16 +601,16 @@ def _dense_sums(sizes: list[int], step: int, count_dtype):
     return (2 * (index + half) - top) * step, hist[half:][index]
 
 
-def _step_sums(values: Sequence, dtype, count_dtype, eps=0.0):
+def _step_sums(values: Sequence, dtype, count_dtype):
     """The nonnegative table of the signed sums of ``values``: the raw sums
     of the first ``_RAW_PREFIX`` values merged, then one ``_nonneg_step``
-    per value, with the merge gap ``eps``."""
+    per value."""
     k = min(len(values), _RAW_PREFIX)
     sums = _half_sums(values[:k], dtype)
     sums = sums[_sign_key(sums) >= 0]
-    keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype), eps)
+    keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
     for v in values[k:]:
-        keys, counts = _nonneg_step(keys, counts, v, eps)
+        keys, counts = _nonneg_step(keys, counts, v)
     return keys, counts
 
 
@@ -758,9 +691,15 @@ def _count_pairs(values: Sequence, dtype, t, strict: bool) -> int:
     sum of the first ``n - n//2`` values and ``r`` one of the rest: over the
     raw pair sums up to ``_RAW_PAIRS_N`` values, else over the merged
     halves.  Radical keys always take the merged halves, whose windows
-    decide a sum near a boundary exactly."""
+    decide a sum near a boundary exactly.  Float keys past ``_RAW_PAIRS_N``
+    are counted on the integer lattice of ``_float_lattice`` where it
+    certifies every decision, else over the merged float halves."""
     if len(values) <= _RAW_PAIRS_N and not isinstance(dtype, _Radical):
         return _count_raw(values, dtype, t, strict)
+    lattice = _float_lattice(values, t) if dtype is np.float64 else None
+    if lattice is not None:
+        ints, cutoff = lattice
+        return _count_merged(ints, np.int64, cutoff, False)
     return _count_merged(values, dtype, t, strict)
 
 
@@ -773,48 +712,119 @@ def _count_raw(values: Sequence, dtype, t, strict: bool) -> int:
     return int(np.count_nonzero(sums < t if strict else sums <= t))
 
 
-def _count_merged(values: Sequence, dtype, t, strict: bool, widen: bool = True) -> int:
+def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:
     """``_count_pairs`` over the merged halves: the sum over distinct ``l``
     of ``count(l) * window(right, l)``.  Only the ``l >= 0`` are searched,
     and each ``l > 0`` counts for ``-l`` too: the right sums are symmetric
     and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window of ``l``.
-
-    Float halves (when ``widen``) merge into clusters: sorted neighbours at
-    most ``_rounding_bound`` apart share one interval ``[lo, hi]`` and one
-    count (``_merge_equal``).  The count rests only on the monotonicity of
-    rounding, ``a <= b`` implies ``fl(a + c) <= fl(b + c)``: every member
-    of a cluster steps into ``[fl(lo +- v), fl(hi +- v)]``, and every pair
-    of a left and a right member sums into ``[fl(l.lo + r.lo), fl(l.hi +
-    r.hi)]``.  So a pair of clusters is decided for all its members when
-    both ends fall on the same side of ``+-t`` (``_window``), and the
-    decisions are those of ``fl(l + r)``.  If some pair straddles ``+-t``
-    the count is made again without widening, where only equal floats
-    merge and every cluster is one sum."""
+    Float sums merge only when they compare equal, so every window decides
+    ``fl(l + r)`` itself."""
     split = len(values) - len(values) // 2
     count_dtype = _count_dtype(len(values))
-    left, right = values[:split], values[split:]
-    eps = _rounding_bound if widen and dtype is np.float64 else lambda half: 0.0
-    lkeys, lcounts = _nonneg_sums(left, dtype, count_dtype, eps(left))
-    rkeys, rcounts = _mirror(*_nonneg_sums(right, dtype, count_dtype, eps(right)))
+    lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
+    rkeys, rcounts = _merged_sums(values[split:], dtype, count_dtype)
     cum = np.concatenate([[0], np.cumsum(rcounts)])
-    del rcounts  # the window searches hold a padded copy of the keys instead
-    window, undecided = _window(rkeys, cum, lkeys, t, strict, dtype)
-    if undecided and dtype is np.float64:
-        return _count_merged(values, dtype, t, strict, widen=False)
+    del rcounts  # the float window searches hold a padded copy of the keys instead
+    window, _ = _window(rkeys, cum, lkeys, t, strict, dtype)
     hits = lcounts * np.maximum(window, 0)
     return 2 * int(hits.sum()) - _has_zero(lkeys) * int(hits[0])
 
 
-def _rounding_bound(values: Sequence[float]) -> float:
-    """The merge gap of a float half table: ``k*2^-52*sum|v_i|`` for its
-    ``k`` values.  A sum of ``k`` floats accumulated in index order is
-    within ``(k - 1)*u*sum|v_i|`` of its real value (recursive summation,
-    ``u = 2^-53``), and values that are the roundings of exact weights are
-    within ``u*|v_i|`` of them, so all index-order floats of one exact sum
-    lie in an interval of about ``k*2^-52*sum|v_i|``: they chain into one
-    cluster.  Any gap ``>= 0`` gives the same count; this one decides
-    whole rounding clusters at once."""
-    return len(values) * 2.0**-52 * sum(map(abs, values))
+def _float_lattice(values: Sequence[float], t: float) -> Optional[tuple[list[int], int]]:
+    """``(ints, cutoff)`` when every decision ``|fl(l + r)| <= t`` (or ``<
+    t``) of ``_count_pairs`` on the floats ``values`` is that of ``|S| <=
+    cutoff`` for the signed sums ``S`` of the integers ``ints``, else None.
+
+    Lattice.  Each value is read exactly as ``V_i/D``, ``D`` the largest
+    denominator of ``float.as_integer_ratio`` (a power of 2).  With ``B``
+    the smallest nonzero ``|V_i|`` and ``Q`` the lcm of the denominators
+    found so far (1 at first), a value within ``2^-48`` of ``a/Q`` times
+    ``B``, relatively, for the nearest integer ``a``, lies on the lattice;
+    any other gets the first convergent ``p/q`` of ``|V_i|/B`` within that
+    tolerance (``_convergent``), and ``Q`` grows to ``lcm(Q, q)``.  So a
+    denominator that would not grow the lcm is never searched for: ``p/q``
+    with ``q | Q`` would have put the value on the lattice already.  Then
+    ``c = B/(D*Q)`` and ``a_i = +-p_i*Q/q_i``.  Two roundings of relative
+    error ``2^-53`` apiece (a decimal read, then divided by the norm) put
+    a weight within ``2^-52`` of its lattice point, and a ratio of two
+    within about ``2^-51`` of the integers' ratio: the tolerance leaves
+    that 8 times over, and it is also the largest residual
+    ``|v_i - a_i*c| <= 2^-48*|v_i|`` it admits.  It only picks the lattice;
+    the bound below certifies whatever is picked.
+
+    Bound.  ``sum eps_i*v_i`` is within ``R = sum|v_i - a_i*c|`` of
+    ``S*c``.  ``fl(l + r)``, each half accumulated in index order from
+    +0, is within ``gamma_{n-1}*sum|v_i|`` of ``sum eps_i*v_i`` (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2: no value passes
+    through more than ``n - 1`` roundings), and ``gamma_{n-1} <= 2*(n -
+    1)*2^-53 < n*2^-52``, while no partial sum overflows, which
+    ``sum|v_i| < 2^1023`` ensures.  So ``|fl(l + r) - S*c| <= E = R +
+    n*2^-52*sum|v_i|``, for every sign pattern.
+
+    Cut-off.  If no integer lies in ``[(t - E)/c, (t + E)/c]``, let ``K =
+    floor((t - E)/c)``: ``|S| <= K`` gives ``|fl(l + r)| <= K*c + E < t``
+    and ``|S| > K`` gives ``|fl(l + r)| >= (K + 1)*c - E > t``, so no sum
+    falls on ``t`` and strictness makes no difference.  ``K`` is clamped
+    to ``sum|a_i|``.  ``t = 0`` always returns None, as 0 lies in the
+    interval.  Everything is computed in exact integers, over the common
+    denominator ``td*B*2^52`` of the interval ends.
+
+    Search bound.  The interval is ``2*E/c >= 2*n*2^-52*Q*sum|V_i|/B``
+    wide, so once ``2*n*Q*sum|V_i| >= 2^52*B`` it holds an integer for
+    every ``t`` and the search ends with None.  Below that, ``sum|a_i|``
+    stays below about ``2^52/(2*n)``, so the integer sums fit int64."""
+    if not all(map(math.isfinite, values)):
+        return None
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = max(d for _, d in ratios)
+    nums = [p * (denom // d) for p, d in ratios]  # value i is nums[i]/denom
+    sizes = [abs(x) for x in nums]
+    total, base = sum(sizes), min(filter(None, sizes), default=0)
+    if not base or total >= denom << 1023:
+        return None
+    n = len(values)
+    most = ((base << 52) - 1) // (2 * n * total)  # the largest Q the search may reach
+    lcm, parts = 1, []
+    for x in sizes:
+        a = (2 * x * lcm + base) // (2 * base)  # the nearest multiple of 1/lcm, times base
+        if abs(x * lcm - a * base) << 48 <= x * lcm:
+            parts.append((a, lcm))
+            continue
+        found = _convergent(x, base, most)
+        if found is None:
+            return None
+        parts.append(found)
+        lcm = math.lcm(lcm, found[1])
+        if lcm > most:
+            return None
+    ints = [(p if x >= 0 else -p) * (lcm // q) for x, (p, q) in zip(nums, parts)]
+    residual = sum(abs(x * lcm - abs(a) * base) for x, a in zip(sizes, ints))
+    err = (residual << 52) + n * lcm * total  # E*denom*Q*2^52
+    tn, td = t.as_integer_ratio()
+    centre, unit = (tn * denom * lcm) << 52, (td * base) << 52
+    lo, hi = centre - td * err, centre + td * err
+    cutoff = lo // unit
+    if cutoff * unit == lo or hi // unit != cutoff:  # an integer in [lo, hi]/unit
+        return None
+    return ints, min(cutoff, sum(map(abs, ints)))
+
+
+def _convergent(x: int, y: int, most: int) -> Optional[tuple[int, int]]:
+    """The first convergent ``p/q`` of the continued fraction of ``x/y``
+    (positive integers) within ``2^-48*x/y`` of it, or None once ``q``
+    passes ``most``.  Each step of Euclid's algorithm on ``(x, y)`` leaves
+    the remainder ``|x*q - p*y|`` of the convergent it makes; the algorithm
+    ends, at ``x/y`` itself with remainder 0."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = x, y
+    while True:
+        k, r = divmod(a, b)
+        p0, q0, p1, q1 = p1, q1, k * p1 + p0, k * q1 + q0
+        if q1 > most:
+            return None
+        if r << 48 <= x * q1:
+            return p1, q1
+        a, b = b, r
 
 
 # -- public operations -------------------------------------------------------
@@ -914,59 +924,18 @@ def threshold_probability_naive(
 # -- signed-sum distributions -------------------------------------------------
 
 
-def _merge_equal(keys, counts: np.ndarray, eps=0.0):
+def _merge_equal(keys, counts: np.ndarray):
     """Sort ``keys`` by ``_sign_key``, adding up the counts of equal keys
     (linear on the sorted runs of ``_nonneg_step``): radical keys are
-    sorted and merged by code.
-
-    With a gap ``eps > 0`` the keys are float pieces of a nonnegative
-    table, sums or clusters, and they merge into clusters: a piece joins
-    the cluster before it when its lower end is at most ``eps`` above the
-    largest upper end so far.  The pieces that reach 0 are their own mirror
-    images and come first; the cluster that holds them is the zero cluster
-    ``[-hi, hi]``, and each other piece it takes in brings its mirror
-    image, with its count again.  While only equal sums merge the table
-    stays sums, with no upper ends."""
+    sorted and merged by code."""
     order = _sign_key(keys).argsort(kind="stable")
     keys, counts = keys[order], counts[order]
-    lo, top = _ends(keys)
-    spans = isinstance(keys, _Spans)
-    if spans:
-        top = _running_max(top)
-    first = np.empty(len(lo), dtype=bool)
+    sign = _sign_key(keys)
+    first = np.empty(len(sign), dtype=bool)
     first[:1] = True
-    if eps:
-        gap = lo[1:] - top[:-1]
-        np.greater(gap, eps, out=first[1:])
-    else:
-        np.not_equal(lo[1:], lo[:-1], out=first[1:])
+    np.not_equal(sign[1:], sign[:-1], out=first[1:])
     first = first.nonzero()[0]
-    total = np.add.reduceat(counts, first)
-    if not eps or not spans and (len(first) == len(lo) or len(first) == np.count_nonzero(gap) + 1):
-        return keys[first], total  # no distinct sums merged
-    last = np.empty_like(first)
-    last[:-1], last[-1] = first[1:] - 1, len(top) - 1
-    ends = np.empty((2, len(first)))  # the indices are in range: "clip" spares take a checked copy
-    lo.take(first, out=ends[0], mode="clip")
-    top.take(last, out=ends[1], mode="clip")  # a cluster's upper end is its last running maximum
-    if ends[0, 0] <= 0:
-        mirrored = int(lo.searchsorted(0, side="right"))
-        total[0] += counts[mirrored : last[0] + 1].sum()
-        ends[0, 0] = -ends[1, 0]
-    return _Spans(ends), total
-
-
-def _running_max(x: np.ndarray) -> np.ndarray:
-    """``np.maximum.accumulate(x)``, in a few passes when ``x`` is nearly
-    sorted: the maximum over the ``w`` values ending at each place, for ``w
-    = 1, 2, 4, ...``, is the running maximum once no value exceeds all of
-    the ``w`` after it (follow a larger value at most ``w`` places on, up
-    to the window)."""
-    top, w = x, 1
-    while w < len(x) and not (x[:-w] <= top[w:]).all():
-        top = np.concatenate([top[:w], np.maximum(top[w:], top[:-w])])
-        w *= 2
-    return top
+    return keys[first], np.add.reduceat(counts, first)
 
 
 def _tail_distributions(vals: Sequence, dtype):
@@ -987,34 +956,17 @@ def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
     exactly: by ``_band_window`` for radical keys over all the weights, by
     searches refined to test ``fl(q + r)`` for float keys, by plain
     ``searchsorted`` for exact integer keys.  An empty window (integer
-    cut-off -1) can come out negative.
-
-    Float clusters (``_Spans``, on either side) are searched by both ends,
-    as ``_count_merged`` argues: the window counts the keys whose upper
-    ends, added to the query's upper end, are inside and whose lower ends,
-    added to its lower end, are not below ``-t``.  Both end sums grow with
-    the key, so a key whose two end sums fall on different sides of ``t``
-    or ``-t`` exists iff the first key past the window, or the last below
-    it, is one; ``fallbacks`` counts those undecided window ends.  Float
-    sums pay the same two searches, without the end tests."""
+    cut-off -1) can come out negative."""
     if isinstance(dtype, _Radical):
         return _band_window(keys, cum, query, t, strict, dtype, dtype.spread)
-    if dtype is not np.float64:
+    if dtype is np.float64:
+        padded = _padded(keys)
+        hi = _refine_prefix_len(padded, query[None], t, not strict)
+        lo = _refine_prefix_len(padded, query[None], -t, strict)
+    else:
         hi = np.searchsorted(keys, t - query, side="left" if strict else "right")
         lo = np.searchsorted(keys, -t - query, side="right" if strict else "left")
-        return cum[hi] - cum[lo], 0
-    (klo, khi), (qlo, qhi) = _ends(keys), _ends(query)
-    plo = _padded(klo)
-    phi = plo if khi is klo else _padded(khi)
-    hi = _refine_prefix_len(phi, qhi[None], t, not strict)  # upper end sums inside
-    lo = _refine_prefix_len(plo, qlo[None], -t, strict)  # lower end sums below -t
-    undecided = 0
-    if khi is not klo or qhi is not qlo:  # the keys just outside may straddle
-        inside, below = (np.less, np.less_equal) if strict else (np.less_equal, np.less)
-        upper = inside(plo[hi + 1] + qlo, t)  # the first key past the window
-        lower = ~below(phi[lo] + qhi, -t)  # the last key below it
-        undecided = int(np.count_nonzero(upper) + np.count_nonzero(lower))
-    return cum[hi] - cum[lo], undecided
+    return cum[hi] - cum[lo], 0
 
 
 def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, radical: _Radical, spread: int):

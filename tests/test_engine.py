@@ -589,13 +589,13 @@ class TestNonnegativeTables:
         real = engine._merge_equal
         merged = []
 
-        def spy(keys, counts, *eps):
+        def spy(keys, counts):
             sign = engine._sign_key(keys)
             assert np.all(sign >= 0)
             if kind == "float64":
                 assert not np.any(np.signbit(keys))
             merged.append(len(sign))
-            return real(keys, counts, *eps)
+            return real(keys, counts)
 
         monkeypatch.setattr(engine, "_merge_equal", spy)
         signs = [int(s) for s in rng.integers(-1, 2, size=12)]
@@ -612,19 +612,17 @@ class TestNonnegativeTables:
 
         real = engine._nonneg_step
 
-        def slip(keys, counts, v, *eps):
-            keys, counts = real(keys, counts, v, *eps)
+        def slip(keys, counts, v):
+            keys, counts = real(keys, counts, v)
             counts[-1] -= 1
             return keys, counts
 
-        # a half whose rounding copies merge into float clusters
         half = list(canonicalize([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3], FLOAT).values)
-        eps = engine._rounding_bound(half)
-        assert isinstance(engine._nonneg_sums(half, np.float64, np.int64, eps)[0], engine._Spans)
         monkeypatch.setattr(engine, "_nonneg_step", slip)
         with pytest.raises(SoundnessError, match="mass"):
-            engine._nonneg_sums(half, np.float64, np.int64, eps)
-        w = canonicalize([1.0] * 20, FLOAT)
+            engine._nonneg_sums(half, np.float64, np.int64)
+        # weights on no lattice: the count is made over merged float halves
+        w = canonicalize(np.random.default_rng(0).standard_normal(20).tolist(), FLOAT)
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(w, 1.0, limit=20)
         # the first _RAW_PREFIX (8) weights take no step; the 2^9 patterns
@@ -660,91 +658,154 @@ def _square_norm(head) -> list:
     return head + [(sum(a * a for a in head) - 1) // 2]
 
 
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` units in the last place, up for ``k > 0``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+ROUNDING_KINDS = ("small", "wide", "decimal", "square", "ones", "raw", "ulps", "normal")
+
+
 @st.composite
-def _cluster_inputs(draw):
-    """``(values, kind)``: 15 to 22 float weights of one class: dyadic,
-    canonical small integers (with any norm, or a square norm, where some
-    signed sum is exactly 1 in real arithmetic), ones, cancelling values
-    with +-0.0, and standard-normal draws."""
+def _rounding_inputs(draw, kind: str):
+    """15 to 22 float weights of one class: canonical integers in [1, 9]
+    ("small") or [1, 999] ("wide"), canonical 3-digit decimals (as the CLI
+    reads a decimal list), canonical square norms (some signed sum is
+    exactly 1 in real arithmetic), ones, raw small integers with zeros and
+    negatives, canonical integers in [1, 999] with one weight moved by 1 to
+    1000 ulps, and standard-normal draws."""
     n = draw(st.integers(15, 22))
-    kind = draw(st.sampled_from(["dyadic", "small", "square", "ones", "cancel", "normal"]))
     if kind == "ones":
-        return [1.0] * n, kind
-    if kind == "dyadic":
-        return draw(st.lists(st.integers(-64, 64).map(lambda i: i / 16), min_size=n, max_size=n)), kind
+        return [1.0] * n
+    if kind == "raw":
+        return draw(st.lists(st.integers(-5, 5).map(float), min_size=n, max_size=n))
     if kind == "normal":
-        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n).tolist(), kind
-    if kind == "cancel":
-        half = draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=n // 2, max_size=n // 2))
-        return draw(st.permutations(half + [-v for v in half] + [0.0, -0.0]))[:n], kind
-    ints = draw(st.lists(st.integers(1, 9), min_size=n - (kind == "square"), max_size=n - (kind == "square")))
-    return list(canonicalize(_square_norm(ints) if kind == "square" else ints, FLOAT).values), kind
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n).tolist()
+    if kind == "decimal":
+        digits = draw(st.lists(st.integers(1, 999), min_size=n, max_size=n))
+        return list(canonicalize([float(f"0.{d:03d}") for d in digits], FLOAT).values)
+    top = 9 if kind in ("small", "square") else 999
+    m = n - (kind == "square")
+    ints = draw(st.lists(st.integers(1, top), min_size=m, max_size=m))
+    values = list(canonicalize(_square_norm(ints) if kind == "square" else ints, FLOAT).values)
+    if kind == "ulps":
+        i = draw(st.integers(0, n - 1))
+        values[i] = _ulps(values[i], draw(st.integers(1, 1000)))
+    return values
+
+
+def _canonical_lattice(ints) -> tuple[list, list]:
+    """``(values, expected)``: the canonical float weights of the positive
+    integers ``ints`` and the integers ``_float_lattice`` should find for
+    them, in the same order: ``ints`` sorted descending, over their gcd."""
+    g = math.gcd(*ints)
+    return list(canonicalize(ints, FLOAT).values), sorted((a // g for a in ints), reverse=True)
 
 
 class TestRoundingClusters:
-    """Float half tables merge the floats that differ only by rounding into
-    clusters; a cluster pair that straddles the threshold is recounted
-    without merging."""
+    """Float sums that differ from exact ones only by rounding gather in
+    clusters about the points of an integer lattice: past ``_RAW_PAIRS_N``
+    weights they are counted on that lattice when ``_float_lattice``'s
+    error bound decides every pair, and over merged float halves
+    otherwise."""
 
-    @staticmethod
-    def _spy_recounts(monkeypatch) -> list:
-        """Record the ``widen`` flag of every ``_count_merged`` call."""
-        from radsum import engine
-
-        real, flags = engine._count_merged, []
-
-        def spy(values, dtype, t, strict, widen=True):
-            flags.append(widen)
-            return real(values, dtype, t, strict, widen)
-
-        monkeypatch.setattr(engine, "_count_merged", spy)
-        return flags
-
-    def test_interval_count_matches_literal(self, monkeypatch):
+    def test_lattice_count_matches_literal(self):
         from radsum import engine
         from radsum.engine import signed_sum_count
 
-        unmerged = engine._count_merged
-        flags = self._spy_recounts(monkeypatch)
         branches = Counter()
 
-        @given(_cluster_inputs(), st.data())
-        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-        def check(drawn, data):
-            values, kind = drawn
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        def check(kind, values, data):
             sums = np.abs(np.add.outer(*literal_float_halves(values)))
             achieved = float(sums.flat[data.draw(st.integers(0, sums.size - 1))])
-            for t in (0.0, 1.0, 0.3, achieved):
+            for t in (0.0, 1.0, 0.3, achieved, math.nextafter(achieved, 0), math.nextafter(achieved, math.inf)):
+                branch = "fallback" if engine._float_lattice(values, t) is None else "lattice"
+                branches[branch] += 1
+                event(f"{kind}: {branch}")
                 for strict in (False, True):
                     expected = int(np.count_nonzero(sums < t if strict else sums <= t))
-                    flags.clear()
                     assert signed_sum_count(values, t, FLOAT, strict) == (expected, 2 ** len(values)), (values, t)
-                    recount = False in flags
                     assert merged_count(values, t, FLOAT, strict) == expected, (values, t)
-                    assert unmerged(values, np.float64, t, strict, widen=False) == expected, (values, t)
-                    branches[recount] += 1
-                    event(f"{kind}: {'recount' if recount else 'clusters decide'}")
 
-        check()
-        assert branches[True] and branches[False], branches
+        for kind in ROUNDING_KINDS:
+            given(st.just(kind), _rounding_inputs(kind), st.data())(check)()
+        assert branches["lattice"] and branches["fallback"], branches
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_lattice_decides_sums_near_its_bound(self, data):
+        # a few lattice points moved by up to 40 ulps each, so the residual
+        # sum|v_i - a_i*c| can outweigh the rounding term, and thresholds
+        # within a few error bounds of an achieved sum: whenever the lattice
+        # answers, its integer count is the literal float count
+        from radsum.engine import _float_lattice
+
+        n = data.draw(st.integers(1, 6))
+        scale = 1 / math.sqrt(data.draw(st.integers(2, 999)))
+        ints = data.draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+        values = [_ulps(a * scale, data.draw(st.integers(-40, 40))) for a in ints]
+        sums = np.abs(np.add.outer(*literal_float_halves(values)))
+        size = 2.0**-52 * sum(values)
+        t = float(sums.flat[data.draw(st.integers(0, sums.size - 1))]) + data.draw(st.integers(-4 * n, 4 * n)) * size
+        found = _float_lattice(values, max(t, 0.0))
+        event("lattice" if found else "fallback")
+        if found:
+            lattice, cutoff = found
+            count = sum(abs(sum(e * a for e, a in zip(signs, lattice))) <= cutoff for signs in itertools.product((-1, 1), repeat=n))
+            for strict in (False, True):
+                assert count == np.count_nonzero(sums < t if strict else sums <= t), (values, t)
 
     @pytest.mark.parametrize("lo, hi", [(1, 9), (1, 999), (70000, 99999)])
-    def test_clusters_are_the_distinct_integer_sums(self, lo, hi):
-        # the floats of one integer half sum lie within the rounding bound
-        # of each other, and distinct integer sums lie much further apart
-        from radsum import engine
+    def test_lattice_recovers_the_integers(self, lo, hi):
+        from radsum.engine import _float_lattice
 
         rng = np.random.default_rng(hi)
         for n in (16, 29, 40):
-            ints = sorted(rng.integers(lo, hi + 1, size=n).tolist(), reverse=True)
-            values = list(canonicalize(ints, FLOAT).values)  # in the order of ints
-            split = n - n // 2
-            for part, floats in ((ints[:split], values[:split]), (ints[split:], values[split:])):
-                keys, _ = engine._nonneg_sums(floats, np.float64, np.int64, engine._rounding_bound(floats))
-                sums = np.zeros(1, dtype=np.int64)
-                for a in part:
-                    sums = np.concatenate([sums - a, sums + a])
-                assert len(keys) == len(np.unique(sums[sums >= 0])), (lo, hi, n)
+            ints = rng.integers(lo, hi + 1, size=n).tolist()
+            assert math.isqrt(sum(a * a for a in ints)) ** 2 != sum(a * a for a in ints)
+            values, expected = _canonical_lattice(ints)
+            found = _float_lattice(values, 1.0)
+            assert found is not None and found[0] == expected, (lo, hi, n)
+
+    def test_lattice_of_decimals_and_none(self):
+        from radsum.engine import _float_lattice
+
+        rng = np.random.default_rng(3)
+        digits = rng.integers(1, 1000, size=38).tolist()
+        values = list(canonicalize([float(f"0.{d:03d}") for d in digits], FLOAT).values)
+        g = math.gcd(*digits)
+        assert _float_lattice(values, 1.0)[0] == sorted((d // g for d in digits), reverse=True)
+        for seed in range(5):
+            normal = np.random.default_rng(seed).standard_normal(24).tolist()
+            assert _float_lattice(normal, 1.0) is None and _float_lattice(normal, 0.3) is None
+        # some signed sum of a square norm is exactly 1, and 0 is a lattice point
+        square, _ = _canonical_lattice(_square_norm([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8]))
+        assert _float_lattice(square, 1.0) is None and _float_lattice(square, 0.9) is not None
+        small, _ = _canonical_lattice([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3])
+        assert _float_lattice(small, 0.0) is None and _float_lattice(small, 1.0) is not None
+
+    def test_denominator_in_the_lcm_ends_the_search(self, monkeypatch):
+        # 9/2 sets the lcm to 2, and 6/2, 4/2 and 3/2 lie on it: only the
+        # first ratio runs a continued fraction
+        from radsum import engine
+
+        real, searched = engine._convergent, []
+
+        def spy(x, y, most):
+            searched.append(x / y)
+            return real(x, y, most)
+
+        monkeypatch.setattr(engine, "_convergent", spy)
+        values, expected = _canonical_lattice([9, 6, 4, 3, 2] * 3)
+        found = engine._float_lattice(values, 1.0)
+        assert found is not None and found[0] == expected
+        assert searched == [pytest.approx(4.5)]
+        # pi's convergents reach 2^-48 only past a denominator of 10^6
+        assert real(*math.pi.as_integer_ratio(), 10**6) is None
+        assert real(*math.pi.as_integer_ratio(), 10**12)[1] > 10**6
 
     def test_overflowing_sums_match_literal(self):
         # half sums that overflow to +-inf make inf - inf = nan pair sums;
@@ -761,19 +822,30 @@ class TestRoundingClusters:
 
     def test_square_norm_takes_the_recount(self, monkeypatch):
         # sum a_i^2 = 297^2, so some signed sum is exactly 1: its rounding
-        # copies straddle t = 1 and the clusters cannot decide it
+        # copies may fall on either side of t = 1, the lattice cannot
+        # decide it and the float halves are counted
+        from radsum import engine
         from radsum.engine import signed_sum_count
 
         ints = _square_norm([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8])
         assert math.isqrt(sum(a * a for a in ints)) ** 2 == sum(a * a for a in ints)
         values = list(canonicalize(ints, FLOAT).values)
         sums = np.abs(np.add.outer(*literal_float_halves(values)))
-        flags = self._spy_recounts(monkeypatch)
+        real, dtypes = engine._count_merged, []
+
+        def spy(values, dtype, t, strict):
+            dtypes.append(dtype)
+            return real(values, dtype, t, strict)
+
+        monkeypatch.setattr(engine, "_count_merged", spy)
         for strict in (False, True):
-            flags.clear()
+            dtypes.clear()
             expected = int(np.count_nonzero(sums < 1 if strict else sums <= 1))
             assert signed_sum_count(values, 1.0, FLOAT, strict) == (expected, 2**20)
-            assert flags == [True, False]
+            assert dtypes == [np.float64]
+        # t = 0.9 lies between lattice points: the count is made on integers
+        expected = int(np.count_nonzero(sums <= 0.9))
+        assert signed_sum_count(values, 0.9, FLOAT) == (expected, 2**20) and dtypes == [np.float64, np.int64]
 
 
 class TestThresholdProperties:
