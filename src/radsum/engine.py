@@ -388,9 +388,15 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     the cut-off ``c`` of ``_int_cutoff`` clamped to ``sum|a_i|``, which bounds
     every partial sum, so sums and window ends fit int64 while ``sum|a_i| + c
     < 2^62``.  Only weights over several radicands take radical keys, whose
-    ``dtype`` is their ``_Radical`` basis."""
+    ``dtype`` is their ``_Radical`` basis.  Float values must be finite,
+    with a float sum of ``|v_i|`` below 2^1023: the exact sum is then below
+    ``2^1023*(1 + n*2^-52)``, so no float partial sum or pair sum, each at
+    most ``(1 + n*2^-52)`` times it, overflows."""
     if mode == FLOAT:
-        return [float(v) for v in values], np.float64, None, t, strict
+        keys = [float(v) for v in values]
+        if not sum(map(abs, keys)) < 2.0**1023:
+            raise InputError("invalid input: float signed sums may overflow (sum of |values| must be below 2^1023)")
+        return keys, np.float64, None, t, strict
     parts = _decompose(values)
     if len(parts) > 1:
         keys, radical = _radical_keys(values, parts)
@@ -757,8 +763,8 @@ def _float_lattice(values: Sequence[float], t: float) -> Optional[tuple[list[int
     +0, is within ``gamma_{n-1}*sum|v_i|`` of ``sum eps_i*v_i`` (Higham,
     Accuracy and Stability of Numerical Algorithms, 4.2: no value passes
     through more than ``n - 1`` roundings), and ``gamma_{n-1} <= 2*(n -
-    1)*2^-53 < n*2^-52``, while no partial sum overflows, which
-    ``sum|v_i| < 2^1023`` ensures.  So ``|fl(l + r) - S*c| <= E = R +
+    1)*2^-53 < n*2^-52``, while no partial sum overflows, as
+    ``_key_setup`` ensures.  So ``|fl(l + r) - S*c| <= E = R +
     n*2^-52*sum|v_i|``, for every sign pattern.
 
     Cut-off.  If no integer lies in ``[(t - E)/c, (t + E)/c]``, let ``K =
@@ -773,14 +779,12 @@ def _float_lattice(values: Sequence[float], t: float) -> Optional[tuple[list[int
     wide, so once ``2*n*Q*sum|V_i| >= 2^52*B`` it holds an integer for
     every ``t`` and the search ends with None.  Below that, ``sum|a_i|``
     stays below about ``2^52/(2*n)``, so the integer sums fit int64."""
-    if not all(map(math.isfinite, values)):
-        return None
     ratios = [v.as_integer_ratio() for v in values]
     denom = max(d for _, d in ratios)
     nums = [p * (denom // d) for p, d in ratios]  # value i is nums[i]/denom
     sizes = [abs(x) for x in nums]
     total, base = sum(sizes), min(filter(None, sizes), default=0)
-    if not base or total >= denom << 1023:
+    if not base:
         return None
     n = len(values)
     most = ((base << 52) - 1) // (2 * n * total)  # the largest Q the search may reach

@@ -286,6 +286,22 @@ class TestMcAndSearch:
         doc = json.loads(out1)
         assert 0.8 < float(doc["result"]["estimate"]["decimal"]) < 0.95
 
+    def test_mc_output_independent_of_blas_threads(self):
+        # 0.2 repeated: many sums lie within rounding of t = 1, where a
+        # BLAS-threaded sum would round differently
+        argv = ["mc", ",".join(["0.2"] * 25), "--samples", "50003", "--seed", "2", "--no-timestamp"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+            proc = subprocess.run(
+                [sys.executable, "-m", "radsum.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("t", ["-1", "nan", "inf", "-inf"])
     def test_mc_rejects_bad_threshold_like_exact(self, capsys, t):
         for sub in ("mc", "exact"):

@@ -807,18 +807,35 @@ class TestRoundingClusters:
         assert real(*math.pi.as_integer_ratio(), 10**6) is None
         assert real(*math.pi.as_integer_ratio(), 10**12)[1] > 10**6
 
-    def test_overflowing_sums_match_literal(self):
-        # half sums that overflow to +-inf make inf - inf = nan pair sums;
-        # the refined searches must stay inside the table all the same
+    def test_overflowing_sums_are_refused(self, monkeypatch):
+        # half sums that could overflow to +-inf (and meet as inf - inf =
+        # nan) are refused before any table is built; just below 2^1023 the
+        # count is the literal one
+        from radsum import engine
         from radsum.engine import signed_sum_count
 
-        for values in ([1.7e308, -1.7e308] * 8, [1e308] * 16):
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = np.abs(np.add.outer(*literal_float_halves(values)))
-                for t in (0.0, 1.0, 1e300):
-                    for strict in (False, True):
-                        expected = int(np.count_nonzero(sums < t if strict else sums <= t))
-                        assert signed_sum_count(values, t, FLOAT, strict) == (expected, 2**16), (values[:2], t)
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(engine, "_half_sums", no_table)
+        for values in (
+            [1e308, 3.0, -2e308 / 3, 1.0] * 4,
+            [1.7e308, -1.7e308] * 8,
+            [1e308] * 16,
+            [2.0**1022, -(2.0**1022)],
+            [1.0, math.inf],
+            [math.nan],
+        ):
+            with pytest.raises(InputError, match="overflow"):
+                signed_sum_count(values, 1.0, FLOAT)
+        monkeypatch.undo()
+        values = [2.0**1020, -(2.0**1020), 2.0**1019, 1.0] * 2
+        assert math.fsum(map(abs, values)) < 2.0**1023
+        sums = np.abs(np.add.outer(*literal_float_halves(values)))
+        for t in (0.0, 1.0, 2.0**1021):
+            for strict in (False, True):
+                expected = int(np.count_nonzero(sums < t if strict else sums <= t))
+                assert signed_sum_count(values, t, FLOAT, strict) == (expected, 2**8), (t, strict)
 
     def test_square_norm_takes_the_recount(self, monkeypatch):
         # sum a_i^2 = 297^2, so some signed sum is exactly 1: its rounding

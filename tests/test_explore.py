@@ -1,6 +1,7 @@
 """Monte Carlo estimator, lemma sweeps, and the extremal search."""
 
 import math
+import random
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -22,6 +23,92 @@ from radsum import (
     threshold_probability,
 )
 from radsum.cli import main as cli_main
+
+# Monte Carlo hit counts recorded with the BLAS-summed sampler that the
+# engine-order sums replaced, on inputs with no sample sum near t: n ->
+# (integer hits, generic hits) of the ``pin_vector``s at seed n, over
+# ``pin_samples`` samples.
+MC_PINS = {
+    1: (65537, 70001),
+    2: (35023, 32793),
+    3: (32888, 52320),
+    4: (43901, 41125),
+    5: (44980, 48233),
+    6: (43767, 43063),
+    7: (42933, 48033),
+    8: (45437, 44099),
+    9: (43921, 46587),
+    10: (46111, 43361),
+    11: (43568, 45906),
+    12: (46403, 44215),
+    13: (43837, 46700),
+    14: (46943, 43963),
+    15: (44671, 47547),
+    16: (46953, 43928),
+    17: (43938, 47242),
+    18: (47281, 44126),
+    19: (44273, 47313),
+    20: (47308, 44266),
+    21: (44303, 47075),
+    22: (47288, 44198),
+    23: (44560, 47518),
+    24: (47223, 44371),
+    25: (44380, 47496),
+    26: (47300, 44085),
+    27: (44520, 47353),
+    28: (47601, 44363),
+    29: (44548, 47513),
+    30: (47598, 44594),
+    31: (44649, 47644),
+    32: (47593, 44526),
+    33: (44286, 47300),
+    34: (47382, 44287),
+    35: (44449, 47507),
+    36: (47401, 44409),
+    37: (44479, 47460),
+    38: (47487, 44427),
+    39: (44653, 47669),
+    40: (47704, 44692),
+}
+
+
+def pin_samples(kind, n):
+    """65537 and 70001 in turn, which cross the sampler's old 2^16-sample
+    block edge; both odd, so samples*n is odd for odd n."""
+    return 65537 if (n + (kind == "generic")) % 2 else 70001
+
+
+def pin_vector(kind, n):
+    if kind == "integer":
+        return canonicalize([(i * 37 + n * 11) % 97 + 1 for i in range(n)], EXACT)
+    return canonicalize([((i * 7919 + n * 104729) % 99991 + 1) / 99992 for i in range(n)], FLOAT)
+
+
+def reference_hits(x, t, samples, seed):
+    """Monte Carlo's hit count, one sample at a time: sign j of sample i is
+    + iff bit 31 of 32-bit draw i*n + j is set (each raw PCG64 output two
+    draws, low half first), each half summed in index order from +0, and
+    ``|fl(l + r)| <= t`` decides."""
+    n = len(x)
+    split = n - n // 2
+    draws = []
+    for word in np.random.PCG64(seed).random_raw((samples * n + 1) // 2).tolist():
+        draws += [word & 0xFFFFFFFF, word >> 32]
+    hits = 0
+    for i in range(samples):
+        left = right = 0.0
+        for j, v in enumerate(x):
+            v = v if draws[i * n + j] >> 31 else -v
+            if j < split:
+                left += v
+            else:
+                right += v
+        hits += abs(left + right) <= t
+    return hits
+
+
+def hits_of(est):
+    return round(est.estimate * est.samples)
 
 
 class TestMonteCarlo:
@@ -107,6 +194,50 @@ class TestMonteCarlo:
             assert threshold_probability(w, t, strict=True) == 0.0
         # exact mode counts against the rational itself
         assert threshold_probability(canonicalize([1, 1], EXACT), Fraction(1, 10**400), strict=True) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 17, 25, 33, 45])
+    def test_matches_per_sample_reference(self, monkeypatch, n):
+        # generic weights, and 0.2 repeated, whose sums often round to either
+        # side of t = 1; 1001*n is odd for odd n
+        rnd = random.Random(n)
+        for w in (canonicalize([rnd.random() for _ in range(n)], FLOAT), canonicalize([0.2] * n, FLOAT)):
+            expected = reference_hits(w.as_floats(), 1.0, 1001, n)
+            assert hits_of(monte_carlo(w, 1, samples=1001, seed=n)) == expected
+            # a 3-value table leaves the rest of each half to the column sums
+            monkeypatch.setattr(explore_mod, "_MC_TABLE_BITS", 3)
+            assert hits_of(monte_carlo(w, 1, samples=1001, seed=n)) == expected
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("values", [[0.2] * 25, [1 / 3] * 9, [0.3] * 11, [1.0] * 16])
+    def test_engine_probability_in_wilson_interval_on_ties(self, values):
+        # sums that lie on t = 1 in the reals round to either side of it:
+        # sampling estimates the engine's float probability
+        w = canonicalize(values, FLOAT)
+        p = threshold_probability(w, 1)
+        for seed in (0, 1):
+            lo, hi = monte_carlo(w, 1, samples=400_000, seed=seed).interval
+            assert lo <= p <= hi, (values[0], seed, p, lo, hi)
+
+    def test_exact_mode_counts_boundary_sums_the_float_way(self):
+        w = from_squares([1] * 25)
+        est = monte_carlo(w, 1, samples=200_000, seed=3)
+        lo, hi = est.interval
+        assert lo <= threshold_probability(canonicalize([0.2] * 25, FLOAT), 1) <= hi
+        assert not lo <= threshold_probability(w, 1) <= hi
+
+    def test_estimates_pinned_from_the_blas_sampler(self):
+        assert sorted(MC_PINS) == list(range(1, 41))
+        for n, pinned in MC_PINS.items():
+            for kind, hits in zip(("integer", "generic"), pinned):
+                est = monte_carlo(pin_vector(kind, n), 1, samples=pin_samples(kind, n), seed=n)
+                assert hits_of(est) == hits, (kind, n)
+
+    @pytest.mark.parametrize("draws", [1, 63, 1000, 1 << 20])
+    def test_block_size_is_no_part_of_the_estimate(self, monkeypatch, draws):
+        cases = [(pin_vector("generic", 7), 70001), (pin_vector("integer", 30), 20001), (pin_vector("generic", 40), 3)]
+        expected = [monte_carlo(w, 1, samples=samples, seed=5) for w, samples in cases]
+        monkeypatch.setattr(explore_mod, "_MC_DRAWS", draws)
+        assert [monte_carlo(w, 1, samples=samples, seed=5) for w, samples in cases] == expected
 
 
 class TestLemmaSweep:
