@@ -120,10 +120,12 @@ _MAX_TIE_RECORDS = 200
 # ms (int64, n = 16) and 562 vs 432 us (radical, n = 12).
 _RAW_PREFIX = 8
 # Raw sums start with the running sums of the first _SIGN_ROWS values down a
-# cached sign matrix, one numpy call where doubling takes three per value:
-# _half_sums of 4 values took 8 us against 18-22 us (float and int64), of 8
-# values 24-26 us against 32-38 us; 6 rows made Python-int keys slower.
-_SIGN_ROWS = 4
+# cached sign matrix, one numpy call where doubling in place takes two per
+# value.  _half_sums in us, 4 -> 6 rows, medians of 9 interleaved rounds on a
+# 2-CPU x86 box, numpy 2.4: 6 / 8 values, float 11.3 -> 8.6 / 16.0 -> 13.8,
+# int64 11.4 -> 7.0 / 15.5 -> 12.7; Python-int keys (past 2^62) are slower,
+# 15.6 -> 23.4 / 26.9 -> 36.7.
+_SIGN_ROWS = 6
 # Inputs of at most _RAW_PAIRS_N values are counted over all their 2^n pair
 # sums, larger ones over the merged halves, whose fixed cost is about 60 numpy
 # calls.  admissible_count in us, merged halves -> raw pairs, float keys
@@ -450,25 +452,41 @@ def _sign_matrix(k: int) -> np.ndarray:
 
 
 def _half_sums(values: Sequence, dtype):
-    """All 2^len(values) signed sums, each accumulated in index order from
-    +0: the first ``_SIGN_ROWS`` values as running sums down the columns of
-    a sign matrix (``fl(s + (-v))`` is ``fl(s - v)``), the rest by
-    ``_extend``."""
+    """All 2^k signed sums of the k values on the last axis of ``values``
+    (one vector, or a stack of rows), each accumulated in index order from
+    +0, in the order repeated ``_extend`` gives: the first ``_SIGN_ROWS``
+    values as running sums down the columns of a sign matrix (``fl(s +
+    (-v))`` is ``fl(s - v)``), then each further value doubles the sums in
+    place, ``out[s:2s] = out[:s] + v`` and then ``out[:s] -= v``."""
     if isinstance(dtype, _Radical):
         return _Keys(_half_sums([v.f for v in values], np.int64), _half_sums([v.c for v in values], dtype.dtype))
-    k = min(len(values), _SIGN_ROWS)
-    sums = (_sign_matrix(k) * np.array([0, *values[:k]], dtype=dtype)[:, None]).cumsum(axis=0)[-1]
-    for v in values[k:]:
-        sums = _extend(sums, v)
-    return sums
+    values = np.asarray(values, dtype=dtype)
+    *rows, k = values.shape
+    h = min(k, _SIGN_ROWS)
+    head = np.zeros((*rows, h + 1, 1), dtype=dtype)
+    head[..., 1:, 0] = values[..., :h]
+    sums = (_sign_matrix(h) * head).cumsum(axis=-2)[..., -1, :]
+    if h == k:
+        return sums
+    out = np.empty((*rows, 1 << k), dtype=dtype)
+    out[..., : 1 << h] = sums
+    for j in range(h, k):
+        v, low = values[..., j, None], out[..., : 1 << j]
+        np.add(low, v, out=out[..., 1 << j : 2 << j])
+        low -= v
+    return out
 
 
 def _pair_sums(values: Sequence, dtype) -> np.ndarray:
-    """All 2^n signed sums ``l + r`` of ``values`` as keys of ``dtype``
-    (``fl(l + r)`` of floats), ``l`` a half sum of the first ``n - n//2``
-    values and ``r`` one of the rest."""
-    split = len(values) - len(values) // 2
-    return np.add.outer(_half_sums(values[:split], dtype), _half_sums(values[split:], dtype)).ravel()
+    """All 2^n signed sums ``l + r`` of the n values on the last axis of
+    ``values`` as keys of ``dtype`` (``fl(l + r)`` of floats), ``l`` a half
+    sum of the first ``n - n//2`` values and ``r`` one of the rest, ``l``
+    major."""
+    values = np.asarray(values, dtype=dtype)
+    *rows, n = values.shape
+    split = n - n // 2
+    left, right = _half_sums(values[..., :split], dtype), _half_sums(values[..., split:], dtype)
+    return (left[..., :, None] + right[..., None, :]).reshape(*rows, 1 << n)
 
 
 def _has_zero(keys) -> int:
@@ -701,7 +719,7 @@ def _count_pairs(values: Sequence, dtype, t, strict: bool) -> int:
     are counted on the integer lattice of ``_float_lattice`` where it
     certifies every decision, else over the merged float halves."""
     if len(values) <= _RAW_PAIRS_N and not isinstance(dtype, _Radical):
-        return _count_raw(values, dtype, t, strict)
+        return int(_count_raw(values, dtype, t, strict))
     lattice = _float_lattice(values, t) if dtype is np.float64 else None
     if lattice is not None:
         ints, cutoff = lattice
@@ -709,13 +727,15 @@ def _count_pairs(values: Sequence, dtype, t, strict: bool) -> int:
     return _count_merged(values, dtype, t, strict)
 
 
-def _count_raw(values: Sequence, dtype, t, strict: bool) -> int:
+def _count_raw(values: Sequence, dtype, t, strict: bool):
     """``_count_pairs`` over every pair sum ``_pair_sums``: ``|fl(l + r)|``
-    of float keys, ``|l + r|`` of integer keys, compared with ``t``.  Each
-    half is accumulated in index order, as the merged halves are, so the
-    count is theirs."""
-    sums = np.abs(_pair_sums(values, dtype))
-    return int(np.count_nonzero(sums < t if strict else sums <= t))
+    of float keys, ``|l + r|`` of integer keys, compared with ``t``; one
+    count per row of a stack.  Each half is accumulated in index order, as
+    the merged halves are, so the count is theirs.  Counts fit int32 for
+    n <= 30; summing booleans into int32 is twice as fast as into int64."""
+    sums = _pair_sums(values, dtype)
+    np.abs(sums, out=sums)
+    return (sums < t if strict else sums <= t).sum(axis=-1, dtype=np.int32)
 
 
 def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:

@@ -9,7 +9,10 @@ depends on (w, t, samples, seed) alone: not on the block size, the numpy
 version or the BLAS threading.  The search is derivative-free pattern
 search with random restarts; restart 0 always starts from the uniform
 vector and moves are accepted only on strict improvement, so ties resolve
-to the earliest restart.
+to the earliest restart.  Each step's neighbors are scored together, in
+stacked raw pair counts up to the engine's ``_RAW_PAIRS_N`` weights; each
+row gets the float operations of its own engine call, so the search is as
+deterministic as one count per candidate.
 """
 
 from __future__ import annotations
@@ -19,26 +22,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 from statistics import NormalDist
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import THEOREM_FLOOR, crossing_point, g, h, minmax_bound
-from .engine import DEFAULT_MITM_LIMIT, _half_sums, _normalize_threshold, _size_limit
-from .engine import admissible_count
+from .engine import DEFAULT_MITM_LIMIT, _RAW_PAIRS_N, _count_raw, _half_sums, _key_setup
+from .engine import _normalize_threshold, _size_limit, admissible_count, signed_sum_count
 from .errors import InputError, SoundnessError, _check_int
-from .weights import FLOAT, WeightVector, canonicalize
+from .weights import FLOAT, WeightVector, _canonical_floats, canonicalize
 
-# Monte Carlo reads its signs in blocks of about 1 MB of 32-bit draws; the
-# block size is no part of the estimate.
-_MC_DRAWS = 1 << 18
-# Each half sum of a sample starts at a table of the 2^k sums of the half's
-# first k values (at most 16: the table index is 16 bits).  monte_carlo in ms,
-# k = 12 / 14 / 16, medians of interleaved calls in one process on a 2-CPU
-# x86 box, numpy 2.4, one BLAS thread, integer weights: 20000 samples, n = 30
-# 2.45 / 2.34 / 2.56 and n = 40 3.33 / 3.50 / 3.48; 10^6 samples, n = 40 125
-# / 102 / 96.
+# Monte Carlo reads its signs in blocks of about _MC_DRAWS 32-bit draws (512
+# KB of raw output), and each half sum starts at a table of the 2^k sums of
+# the half's first k values, k at most _MC_TABLE_BITS (the table index is 16
+# bits) and 2^k at most the samples.  Neither is part of the estimate.  On a
+# 2-CPU x86 box, numpy 2.4, at 2^15 / 2^16 / 2^17 / 2^18 draws: in
+# certify-cli's call order, the mc class median 3.17 / 3.18 / 3.27 / 4.25 ms
+# (perfbench, 5 seeds) and 0 / 100 / 232 / 497 minor page faults per call
+# (20000 samples, n = 30); 10^6 samples, n = 40, in process, interleaved,
+# medians of 12 rounds, 130 / 108 / 102 / 97 ms, and at 2^17 draws with k =
+# 12 / 14 / 16, 113 / 108 / 102 ms.  In certify-cli's order k = 14 took 17%
+# less than k = 15 at 20000 samples, n = 30.
+_MC_DRAWS = 1 << 17
 _MC_TABLE_BITS = 16
+# The search counts a step's neighbors in stacked calls of at most
+# _STACK_PAIRS pair sums, whose arrays stay in cache.  minimize_probability
+# at budget 2000 in ms, n = 10 / 12 / 14, in process, interleaved, medians
+# of 6 rounds: one engine call per candidate 81 / 105 / 144; stacks of 2^13
+# 33 / 70 / 140, 2^14 31 / 56 / 137, 2^15 29 / 47 / 100, 2^16 31 / 49 / 87,
+# 2^17 29 / 57 / 105.  With an out-of-place abs in _count_raw, 2^16 sums
+# took 294-314 ms and 111776 minor page faults per search at n = 14.
+_STACK_PAIRS = 1 << 15
 _INITIAL_STEP = 0.25
 _MIN_STEP = 1e-6
 _MAX_SEED = 2**64 - 1  # PCG64 takes a 64-bit unsigned seed
@@ -68,17 +82,22 @@ class EstimateCI:
                 min(1.0, self.center + self.half_width))
 
 
-def _half_block(signs: np.ndarray, table: np.ndarray, tail: list[np.ndarray]) -> np.ndarray:
-    """Each row's half sum, accumulated in index order from +0: ``table``
-    holds the 2^k sums of the half's first ``k`` values, read at the row's
-    first ``k`` signs as the bits of an index, and each pair ``(-v, v)`` of
-    ``tail`` then adds the next value at the sign in the next column."""
+def _half_block(
+    signs: np.ndarray, table: np.ndarray, tail: list[np.ndarray], bits: np.ndarray, sums: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Each row's half sum, accumulated in index order from +0, into
+    ``sums``: ``table`` holds the 2^k sums of the half's first ``k`` values,
+    read at the row's first ``k`` signs, copied into the zeroed 16 columns
+    of ``bits``, as the bits of an index, and each pair ``(-v, v)`` of
+    ``tail`` then adds the next value at the sign in the next column, read
+    into ``tmp``."""
     k = table.size.bit_length() - 1
-    bits = np.zeros((len(signs), 16), dtype=np.uint8)
     bits[:, :k] = signs[:, :k]
-    sums = np.take(table, np.packbits(bits, bitorder="little").view("<u2"))
+    # every index is in range; with out=, the default mode="raise" buffers
+    np.take(table, np.packbits(bits, bitorder="little").view("<u2"), out=sums, mode="clip")
     for j, pair in enumerate(tail, k):
-        sums += np.take(pair, signs[:, j])
+        np.take(pair, signs[:, j], out=tmp, mode="clip")
+        sums += tmp
     return sums
 
 
@@ -111,19 +130,29 @@ def monte_carlo(
     x = w.as_floats()
     n = len(x)
     split = n - n // 2
+    k = min(_MC_TABLE_BITS, samples.bit_length() - 1)  # no more table sums than samples
     halves = [
-        (lo, _half_sums(v[:_MC_TABLE_BITS], np.float64), [np.array([-a, a]) for a in v[_MC_TABLE_BITS:]])
+        (lo, _half_sums(v[:k], np.float64), [np.array([-a, a]) for a in v[k:]])
         for lo, v in ((0, x[:split]), (split, x[split:]))
     ]
     bitgen = np.random.PCG64(seed)
     rows = max(2, _MC_DRAWS // n) & ~1  # an even block takes whole 64-bit outputs
+    # every block reuses the call's arrays, so a call keeps to the same memory
+    size = min(rows, samples)
+    sign_buf = np.empty(size * n, dtype=bool)
+    bufs = [(np.zeros((size, 16), dtype=np.uint8), np.empty(size), np.empty(size)) for _ in halves]
     hits = 0
     for start in range(0, samples, rows):
         m = min(rows, samples - start)
         raw = bitgen.random_raw((m * n + 1) // 2).astype("<u8", copy=False)
-        signs = (raw.view("<u4")[: m * n] >= 1 << 31).view(np.uint8).reshape(m, n)
-        left, right = (_half_block(signs[:, lo:], table, tail) for lo, table, tail in halves)
-        hits += int(np.count_nonzero(np.abs(left + right) <= tf))
+        signs = np.greater_equal(raw.view("<u4")[: m * n], 1 << 31, out=sign_buf[: m * n])
+        signs = signs.view(np.uint8).reshape(m, n)
+        left, right = (
+            _half_block(signs[:, lo:], table, tail, bits[:m], sums[:m], tmp[:m])
+            for (lo, table, tail), (bits, sums, tmp) in zip(halves, bufs)
+        )
+        np.abs(np.add(left, right, out=left), out=left)
+        hits += int(np.count_nonzero(left <= tf))
     phat = hits / samples
     z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     denom = 1.0 + z * z / samples
@@ -273,6 +302,22 @@ class SearchResult:
     seed: int
 
 
+def _hit_counts(rows: list[tuple[float, ...]], limit: int) -> list[int]:
+    """``admissible_count`` hits at t = 1 of each canonical float row, all
+    of one length n: up to ``_RAW_PAIRS_N`` values in stacked ``_count_raw``
+    calls of at most ``_STACK_PAIRS`` pair sums, each row counted with the
+    float operations of its own call; past it one engine call per row."""
+    if not rows or len(rows[0]) > _RAW_PAIRS_N:
+        return [signed_sum_count(row, 1.0, FLOAT, limit=limit)[0] for row in rows]
+    keys = np.array([_key_setup(row, 1.0, FLOAT)[0] for row in rows])
+    per_call = max(1, _STACK_PAIRS >> len(rows[0]))
+    return [
+        int(c)
+        for i in range(0, len(keys), per_call)
+        for c in _count_raw(keys[i : i + per_call], np.float64, 1.0, False)
+    ]
+
+
 def minimize_probability(
     n: int,
     budget: int,
@@ -287,7 +332,9 @@ def minimize_probability(
     probabilities are exact dyadics).  Moves perturb one coordinate by the
     current step, re-canonicalize (abs, sort, renormalize), and are taken
     only on strict improvement, best neighbor first; the step halves when no
-    neighbor improves and the walk restarts below ``_MIN_STEP``.
+    neighbor improves and the walk restarts below ``_MIN_STEP``.  Candidates
+    are compared by hit count, all over 2^n patterns; only the best one
+    becomes a ``WeightVector``, whose count ``admissible_count`` recomputes.
     """
     lim = _size_limit(limit, DEFAULT_MITM_LIMIT)
     _check_int(n, "n", 2, lim)
@@ -297,24 +344,27 @@ def minimize_probability(
     rng = np.random.Generator(np.random.PCG64(seed))
     evals = 0
     trajectory: list[tuple[int, Fraction]] = []
-    best_w: Optional[WeightVector] = None
-    best_p: Optional[Fraction] = None
+    best: Optional[tuple[int, Sequence[float]]] = None  # hit count and raw candidate
 
-    def evaluate(vec: np.ndarray) -> Optional[tuple[Fraction, WeightVector]]:
+    def evaluate(rows: list) -> list[Optional[tuple[int, tuple[float, ...]]]]:
+        """Each raw candidate's hit count and canonical floats, None for a
+        degenerate one; every candidate counts as an evaluation."""
         nonlocal evals
-        evals += 1
-        try:
-            wv = canonicalize([float(v) for v in vec], FLOAT)
-        except InputError:
-            return None
-        hits, total = admissible_count(wv, 1.0, limit=lim)
-        return Fraction(hits, total), wv
+        evals += len(rows)
+        canon = []
+        for row in rows:
+            try:
+                canon.append(_canonical_floats(row)[0])
+            except InputError:
+                canon.append(None)
+        hits = iter(_hit_counts([c for c in canon if c is not None], lim))
+        return [None if c is None else (next(hits), c) for c in canon]
 
-    def consider(p: Fraction, wv: WeightVector) -> None:
-        nonlocal best_w, best_p
-        if best_p is None or p < best_p:
-            best_p, best_w = p, wv
-            trajectory.append((evals, p))
+    def consider(hits: int, raw: Sequence[float]) -> None:
+        nonlocal best
+        if best is None or hits < best[0]:
+            best = hits, raw
+            trajectory.append((evals, Fraction(hits, 1 << n)))
 
     restart = 0
     while evals < budget:
@@ -322,37 +372,36 @@ def minimize_probability(
             start = np.ones(n) / math.sqrt(n)
         else:
             start = rng.standard_normal(n)  # an all-zero draw is skipped by evaluate
-        out = evaluate(start)
+        (out,) = evaluate([start])
         if out is None:
             restart += 1
             continue
-        cur_p, cur_w = out
-        consider(cur_p, cur_w)
+        cur_hits, cur = out
+        consider(cur_hits, start)
         step = _INITIAL_STEP
         while step >= _MIN_STEP and evals < budget:
-            nb_p, nb_w = None, None
-            cur = np.asarray(cur_w.as_floats())
-            for i in range(n):
-                for delta in (step, -step):
-                    if evals >= budget:
-                        break
-                    cand = cur.copy()
-                    cand[i] += delta
-                    out = evaluate(cand)
-                    if out is None:
-                        continue
-                    p, wv = out
-                    if p < cur_p and (nb_p is None or p < nb_p):
-                        nb_p, nb_w = p, wv
-            if nb_p is not None:
-                cur_p, cur_w = nb_p, nb_w
-                consider(cur_p, cur_w)
+            # coordinate i moved by +step, then by -step, up to the budget
+            rows = []
+            for k in range(min(2 * n, budget - evals)):
+                cand = list(cur)
+                cand[k // 2] += -step if k % 2 else step
+                rows.append(cand)
+            nb = None  # the lowest neighbor below the current point, the first of equals
+            for raw, out in zip(rows, evaluate(rows)):
+                if out is not None and out[0] < (cur_hits if nb is None else nb[0]):
+                    nb = *out, raw
+            if nb is not None:
+                cur_hits, cur, raw = nb
+                consider(cur_hits, raw)
             else:
                 step /= 2
         restart += 1
 
-    if best_w is None or best_p is None:
+    if best is None:
         raise SoundnessError(f"search evaluated no valid candidate in {evals} steps")
+    best_hits, best_raw = best
+    best_p = Fraction(best_hits, 1 << n)
+    best_w = canonicalize(best_raw, FLOAT)
     hits, total = admissible_count(best_w, 1.0, limit=lim)
     recomputed = Fraction(hits, total)
     if recomputed != best_p:  # search never trusts a stale objective

@@ -110,6 +110,38 @@ def _exact_term(entry, index: int) -> tuple[Fraction, int]:
     raise InputError(f"invalid input: unsupported exact entry type {type(entry).__name__}")
 
 
+def _canonical_floats(raw: Sequence) -> tuple[tuple[float, ...], float]:
+    """The float-mode canonical values of ``raw`` and the norm divided out,
+    without building a ``WeightVector``; raises as ``canonicalize`` does."""
+    if len(raw) == 0:
+        raise InputError("invalid input: empty weight list")
+    vals = []
+    for i, entry in enumerate(raw):
+        v = float(entry)
+        if not math.isfinite(v):
+            raise InputError(f"invalid input: non-finite entry at index {i}")
+        vals.append(abs(v))
+    top = max(vals)
+    if top == 0.0:
+        raise DegenerateVectorError("degenerate vector: all entries are zero")
+    norm_sq = math.fsum(v * v for v in vals)
+    if abs(norm_sq - 1.0) <= FLOAT_NORM_TOL:
+        # Already unit within tolerance: keep values bit-identical so
+        # canonicalization is an exact fixed point.
+        scaled = sorted(vals, reverse=True)
+        norm = math.sqrt(norm_sq)
+    else:
+        # Pre-scale by the largest entry so the norm never over/underflows.
+        ratios = [v / top for v in vals]
+        r_norm = math.sqrt(math.fsum(v * v for v in ratios))
+        scaled = sorted((v / r_norm for v in ratios), reverse=True)
+        norm = top * r_norm
+    norm_err = abs(math.fsum(v * v for v in scaled) - 1.0)
+    if not norm_err <= FLOAT_NORM_TOL:
+        raise SoundnessError(f"float renormalization left |x|^2 off 1 by {norm_err}")
+    return tuple(scaled), norm
+
+
 def canonicalize(raw: Sequence, mode: str = FLOAT) -> WeightVector:
     """Reduce a raw weight list to canonical form (abs, sort desc, unit norm).
 
@@ -118,40 +150,16 @@ def canonicalize(raw: Sequence, mode: str = FLOAT) -> WeightVector:
     rational.
     """
     mode = _validate_mode(mode)
-    if len(raw) == 0:
-        raise InputError("invalid input: empty weight list")
-
     if mode == FLOAT:
-        vals = []
-        for i, entry in enumerate(raw):
-            v = float(entry)
-            if not math.isfinite(v):
-                raise InputError(f"invalid input: non-finite entry at index {i}")
-            vals.append(abs(v))
-        top = max(vals)
-        if top == 0.0:
-            raise DegenerateVectorError("degenerate vector: all entries are zero")
-        norm_sq = math.fsum(v * v for v in vals)
-        if abs(norm_sq - 1.0) <= FLOAT_NORM_TOL:
-            # Already unit within tolerance: keep values bit-identical so
-            # canonicalization is an exact fixed point.
-            scaled = sorted(vals, reverse=True)
-            norm = math.sqrt(norm_sq)
-        else:
-            # Pre-scale by the largest entry so the norm never over/underflows.
-            ratios = [v / top for v in vals]
-            r_norm = math.sqrt(math.fsum(v * v for v in ratios))
-            scaled = sorted((v / r_norm for v in ratios), reverse=True)
-            norm = top * r_norm
-        norm_err = abs(math.fsum(v * v for v in scaled) - 1.0)
-        if not norm_err <= FLOAT_NORM_TOL:
-            raise SoundnessError(f"float renormalization left |x|^2 off 1 by {norm_err}")
+        scaled, norm = _canonical_floats(raw)
         return WeightVector(
-            values=tuple(scaled),
+            values=scaled,
             squares=tuple(v * v for v in scaled),
             mode=FLOAT,
             scale=norm,
         )
+    if len(raw) == 0:
+        raise InputError("invalid input: empty weight list")
 
     qs, roots = [], []
     for i, entry in enumerate(raw):

@@ -27,6 +27,7 @@ from radsum.cli import RunConfig, main
 
 CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_cli.json").read_text())
 HYBRID_GOLDEN = json.loads((Path(__file__).parent / "data" / "hybrid_cli.json").read_text())
+SEARCH_GOLDEN = json.loads((Path(__file__).parent / "data" / "search_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +354,16 @@ class TestMcAndSearch:
             assert doc["result"]["t"] == {"decimal": "0.0"}
             assert doc["result"]["probability"] == {"decimal": p}
 
+    @pytest.mark.parametrize("label", list(SEARCH_GOLDEN))
+    def test_search_output_pinned(self, capsys, label):
+        # n = 2..20 on both sides of the engine's raw-pair size, budgets that
+        # end in the middle of a step; recorded when every candidate took its
+        # own engine call
+        case = SEARCH_GOLDEN[label]
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert (code, err) == (0, "")
+        assert out == case["stdout"]
+
     def test_search_counterexample_exits_3(self, capsys, monkeypatch):
         from radsum import canonicalize, explore
 
@@ -569,7 +580,7 @@ class TestInvariantViolations:
             def reject(*args, **kwargs):
                 raise InputError("rejected")
 
-            monkeypatch.setattr(explore, "canonicalize", reject)
+            monkeypatch.setattr(explore, "_canonical_floats", reject)
             argv = ["search", "--n", "3", "--budget", "2", "--seed", "0"]
         else:
             calls = itertools.count()

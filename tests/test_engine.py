@@ -356,6 +356,90 @@ class TestRawPairs:
                 assert signed_sum_count(values, t, mode, strict) == (raw, 2**n)
 
 
+def _literal_half_sums(keys, dtype):
+    """The doubling ``_half_sums`` replaced, kept as its oracle: from +0,
+    each value turns the sums ``s`` into ``s - v`` followed by ``s + v``."""
+    from radsum.engine import _extend, _zero
+
+    sums = _zero(dtype)
+    for v in keys:
+        sums = _extend(sums, v)
+    return sums
+
+
+def _stackable_rows(draw, n):
+    """Canonical float rows of length n with many ties and exact sums."""
+    kind = draw(st.sampled_from(["repeated", "dyadic", "small", "generic"]))
+    if kind == "repeated":  # [0.5]*4, [1/3]*9 and [0.2]*10 among them
+        raw = [draw(st.sampled_from([0.5, 1 / 3, 0.2, 0.1, 0.3, 1.0]))] * n
+    elif kind == "dyadic":  # pair sums land on +-1 exactly
+        raw = draw(st.lists(st.integers(0, 8).map(lambda i: i / 8), min_size=n, max_size=n))
+    elif kind == "small":
+        raw = draw(st.lists(st.integers(0, 5).map(float), min_size=n, max_size=n))
+    else:
+        raw = draw(st.lists(st.floats(0, 1, allow_nan=False), min_size=n, max_size=n))
+    try:
+        return canonicalize(raw, FLOAT)
+    except InputError:
+        return canonicalize([1.0] * n, FLOAT)
+
+
+class TestHalfSums:
+    """``_half_sums`` doubles its table in place and takes stacks of rows;
+    every sum is the literal doubling's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["float64", "ties", "int64", "object", "radical"])
+    def test_in_place_doubling_is_the_literal_doubling(self, rng, kind):
+        from radsum.engine import _half_sums
+
+        for k in range(17):
+            for _ in range(3):
+                signs = rng.integers(-1, 2, size=k).tolist()
+                if kind == "ties":
+                    values = [[0.5, 1 / 3, 0.2, 0.1][k % 4] * (s or 1) for s in signs]
+                elif kind == "radical":
+                    roots = from_squares([2, 3, 5, 2, 7, 6, 3, 10, 11, 5, 13, 1, 14, 15, 17, 2]).values
+                    values = [s * roots[i] for i, s in enumerate(signs)]
+                else:
+                    values = _edge_values(kind, signs)
+                keys, dtype = _keys_of("float64" if kind == "ties" else kind, values)
+                got, want = _half_sums(keys, dtype), _literal_half_sums(keys, dtype)
+                if kind == "radical":
+                    assert got.f.tolist() == want.f.tolist() and got.c.tolist() == want.c.tolist(), k
+                    continue
+                stack = _half_sums(np.array([keys] * 3, dtype=dtype).reshape(3, k), dtype)
+                assert stack.shape == (3, 1 << k)
+                for sums in (got, *stack):
+                    assert sums.dtype == want.dtype, k
+                    if sums.dtype == np.float64:
+                        assert sums.tobytes() == want.tobytes(), (k, values)  # +0.0 and -0.0 apart
+                    else:
+                        assert sums.tolist() == want.tolist(), k
+
+    @given(st.integers(1, 14), st.sampled_from(["one", "three", "past the chunk"]), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @example(4, "three", None).via("[0.5]*4")
+    @example(9, "three", None).via("[1/3]*9")
+    @example(10, "past the chunk", None).via("[0.2]*10")
+    def test_stacked_counts_are_the_engine_counts(self, n, size, data):
+        from radsum import explore
+        from radsum.engine import _count_raw, admissible_count, signed_sum_count
+
+        if data is None:  # the explicit examples: one tie row, repeated
+            rows = [canonicalize([{4: 0.5, 9: 1 / 3, 10: 0.2}[n]] * n, FLOAT)] * 3
+        else:
+            rows = [_stackable_rows(data.draw, n) for _ in range(1 if size == "one" else 3)]
+        expected = [admissible_count(w, 1.0)[0] for w in rows]
+        stack = np.array([w.values for w in rows])
+        assert _count_raw(stack, np.float64, 1.0, False).tolist() == expected
+        strict = [signed_sum_count(w.values, 1.0, FLOAT, strict=True)[0] for w in rows]
+        assert _count_raw(stack, np.float64, 1.0, True).tolist() == strict
+        if size == "past the chunk":
+            per_call = max(1, explore._STACK_PAIRS >> n)
+            many = [w.values for w in rows] * (per_call // len(rows) + 2)
+            assert explore._hit_counts(many, explore.DEFAULT_MITM_LIMIT) == expected * (per_call // len(rows) + 2)
+
+
 def _full_table(values, dtype):
     """The full-table recurrence the nonnegative tables replaced, kept as
     their oracle: both halves of every table, sorted and merged."""

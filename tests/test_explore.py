@@ -236,8 +236,16 @@ class TestMonteCarlo:
     def test_block_size_is_no_part_of_the_estimate(self, monkeypatch, draws):
         cases = [(pin_vector("generic", 7), 70001), (pin_vector("integer", 30), 20001), (pin_vector("generic", 40), 3)]
         expected = [monte_carlo(w, 1, samples=samples, seed=5) for w, samples in cases]
+        # nor the table size: samples*n is odd at n = 1, 17, 33 and 45, and
+        # a table holds at most 2^13 sums of 8193 samples
+        tables = [(pin_vector("generic", 1), 4097), (pin_vector("integer", 17), 3001),
+                  (pin_vector("generic", 33), 8193), (pin_vector("integer", 45), 1001)]
+        per_table = [monte_carlo(w, 1, samples=samples, seed=5) for w, samples in tables]
         monkeypatch.setattr(explore_mod, "_MC_DRAWS", draws)
         assert [monte_carlo(w, 1, samples=samples, seed=5) for w, samples in cases] == expected
+        for bits in (1, 4, 12, 16):
+            monkeypatch.setattr(explore_mod, "_MC_TABLE_BITS", bits)
+            assert [monte_carlo(w, 1, samples=samples, seed=5) for w, samples in tables] == per_table, bits
 
 
 class TestLemmaSweep:
