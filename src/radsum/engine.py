@@ -47,7 +47,8 @@ Enumeration strategies:
   settled, with their pattern counts, and extends the rest by ``s - v`` and
   ``s + v`` (exact mode merges equal sums, with counts; a float sum is one
   sign prefix).  Phase 1 stands alone for the event probabilities
-  ``Pr(A_k)``, all that ``hybrid_bound`` reads.  Phase 2 builds tail tables
+  ``Pr(A_k)``, all that ``hybrid_bound`` reads, and its last depth, n - 1,
+  counts its own joints in closed form.  Phase 2 builds tail tables
   only from a balanced depth D on, the D minimising ``sum_{d<D}
   settled_d*2^(D-d) + 2^(n-D)`` (Horowitz and Sahni's meet-in-the-middle
   balance).  A sum settled at a depth ``d >= D`` is counted in bulk by
@@ -57,7 +58,8 @@ Enumeration strategies:
   those weights.  Float tails are pulled back through them instead: each
   extension of a tail sum is a chain of monotone roundings, so the tail
   sums that land in a window form one interval of the table at D, and
-  counts and tie records are exactly those of the table at d.
+  counts and tie records are exactly those of the table at d; one search
+  covers every float sum that a table counts.
 
 Numeric behavior: in exact mode every comparison is tie-exact.  The key
 type depends on the weights alone, and one key setup and one window
@@ -1150,7 +1152,8 @@ class PartitionStats:
     mode, sign prefixes in float mode) and ``settled[d - 1]`` how many of
     them were decided there.  ``fallbacks`` counts the radical keys decided
     exactly because they fell within the error band of a decision boundary
-    (0 on the other paths).  Deterministic: no timings."""
+    (0 on the other paths), in the walk's tests and in the tail searches,
+    which depth n - 1 skips.  Deterministic: no timings."""
 
     path: str
     frontier: tuple[int, ...]
@@ -1213,9 +1216,10 @@ def _chain(u, steps: np.ndarray):
 
 
 def _pull_back(padded: np.ndarray, steps: np.ndarray, bound: np.ndarray, inclusive: bool) -> np.ndarray:
-    """``[i, m]``: how many of the sorted float tail sums ``padded[1:-1]``
-    (see ``_padded``) extend, by the signed weights in column m of
-    ``steps``, to a sum ``<= bound[i, 0]`` (``<`` when not inclusive).
+    """Per query, how many of the sorted float tail sums ``padded[1:-1]``
+    (see ``_padded``) extend, by the signed weights in the query's column
+    of ``steps``, to a sum ``<= bound`` (``<`` when not inclusive); the
+    queries are the entries of ``bound`` broadcast against ``steps[0]``.
 
     Each rounding is monotone, so the extension ``_chain`` is weakly
     increasing in the tail sum and the keys it sends below a bound are a
@@ -1224,49 +1228,82 @@ def _pull_back(padded: np.ndarray, steps: np.ndarray, bound: np.ndarray, inclusi
     the search is exact."""
     if not len(steps):
         return np.searchsorted(padded[1:-1], bound, side="right" if inclusive else "left")
-    return _refine_prefix_len(padded, steps[:, None], bound, inclusive)
-
-
-def _float_window(keys: np.ndarray, cum: np.ndarray, steps: np.ndarray, ss: np.ndarray, one: float):
-    """``(window, near)`` for float prefix sums ``ss`` against the tail table
-    that ``steps`` (see ``_pull_back``) pulls back from the searched
-    ``keys`` with cumulative counts ``cum``: per sum s, the tail patterns
-    whose sum r has ``fl(-1 - s) <= r <= fl(1 - s)``, and whether some r is
-    within ``BOUNDARY_TIE_TOL`` of either end.  The r nearest an end from
-    either side are the extensions of the keys next to the searched end, as
-    the extension is monotone.
-
-    Without steps, a table of at most two keys (the one-weight tail at depth
-    n - 1) is compared with every sum key by key instead: the nearest keys
-    on either side of an end are within the tolerance iff some key is, so
-    the same float tests decide the window and ``near``."""
-    tol = BOUNDARY_TIE_TOL
-    if not len(steps) and len(keys) <= 2:
-        lo, hi = -one - ss, one - ss
-        window, near = np.zeros(len(ss), dtype=cum.dtype), np.zeros(len(ss), dtype=bool)
-        for k, c in zip(keys, np.diff(cum)):
-            window += c * ((lo <= k) & (k <= hi))
-            near |= ((k >= lo - tol) & (k <= lo + tol)) | ((k >= hi - tol) & (k <= hi + tol))
-        return window, near
-    lo, hi = (-one - ss)[:, None], (one - ss)[:, None]
-    padded = _padded(keys)  # padded[i + 1] is keys[i]; the infinite ends are never near
-    start, stop = _pull_back(padded, steps, lo, False), _pull_back(padded, steps, hi, True)
-    window = (cum[stop] - cum[start]).sum(axis=1)
-    at = lambda i: _chain(padded[i], steps)
-    near = (at(start + 1) <= lo + tol) | (at(start) >= lo - tol) | (at(stop) >= hi - tol) | (at(stop + 1) <= hi + tol)
-    return window, near.any(axis=1)
+    return _refine_prefix_len(padded, steps, bound, inclusive)
 
 
 def _near_tails(keys: np.ndarray, steps: np.ndarray, ends: np.ndarray) -> list:
     """Per end, the sorted distinct tail sums within ``BOUNDARY_TIE_TOL`` of
     it, of the table ``steps`` pulls back from ``keys``."""
     ends, padded = ends[:, None], _padded(keys)
-    lo = _pull_back(padded, steps, ends - BOUNDARY_TIE_TOL, False)
-    hi = _pull_back(padded, steps, ends + BOUNDARY_TIE_TOL, True)
+    lo = _pull_back(padded, steps[:, None], ends - BOUNDARY_TIE_TOL, False)
+    hi = _pull_back(padded, steps[:, None], ends + BOUNDARY_TIE_TOL, True)
     return [
         np.unique(np.concatenate([_chain(keys[a:b], steps[:, m]) for m, (a, b) in enumerate(zip(*row))]))
         for row in zip(lo, hi)
     ]
+
+
+def _float_joints(keys, cum, vals, depth: int, sums: dict, one: float, joints: list, ties: Counter) -> None:
+    """Add to ``joints[d]`` the tail patterns within 1 of the float sums
+    ``sums[d]`` settled at each depth ``d <= depth``, and their "final" tie
+    rows to ``ties``, in one search of the table at ``depth`` (``keys``,
+    cumulative counts ``cum``): a column per sum s and sign pattern of
+    ``vals[d:depth]``, which pull the table back (``_pull_back``).  A column
+    counts the r with ``fl(-1 - s) <= r <= fl(1 - s)``; it is near if the r
+    next to an end, the extensions of the keys next to the searched end, lie
+    within ``BOUNDARY_TIE_TOL`` of it.  Shorter chains are padded with +0.0
+    rows: ``fl(u + 0.0) = u`` for every u but -0.0, and no key or chain
+    value is -0.0, as ``fl(a + b)`` is -0.0 only for ``a = b = -0.0``."""
+    rows, tol = depth - min(sums), BOUNDARY_TIE_TOL
+    blocks = {d: _sign_matrix(depth - d)[1:] * np.array(vals[d:depth])[:, None] for d in sums}
+    ends = list(itertools.accumulate((len(sums[d]) * m.shape[1] for d, m in blocks.items()), initial=0))
+    steps, query = np.zeros((rows, ends[-1])), np.empty(ends[-1])
+    for (d, m), a, b in zip(blocks.items(), ends, ends[1:]):
+        if len(m):
+            steps[rows - len(m) :, a:b] = np.tile(m, len(sums[d]))
+        query[a:b] = np.repeat(sums[d], m.shape[1])
+    lo, hi, padded = -one - query, one - query, _padded(keys)  # the infinite ends are never near
+    start, stop = _pull_back(padded, steps, lo, False), _pull_back(padded, steps, hi, True)
+    at = lambda i: _chain(padded[i], steps)
+    near = (at(start + 1) <= lo + tol) | (at(start) >= lo - tol) | (at(stop) >= hi - tol) | (at(stop + 1) <= hi + tol)
+    window = cum[stop] - cum[start]
+    for (d, m), a, b in zip(blocks.items(), ends, ends[1:]):
+        joints[d] += int(window[a:b].sum())
+        close = near[a:b].reshape(len(sums[d]), -1).any(axis=1)
+        if close.any():  # the near tails of a sum depend only on its value; they are rare
+            values, copies = np.unique(sums[d][close], return_counts=True)
+            tails = [_near_tails(keys, m, end) for end in (-one - values, one - values)]
+            for s, c, lo, hi in zip(values, copies.tolist(), *tails):
+                for v in (s + np.concatenate([lo, hi])).tolist():
+                    ties[d, "final", v] += c
+
+
+def _last_candidates(s: np.ndarray, gap: np.ndarray, x: float, ties: Counter, depth: int):
+    """``(at, window)``: the indices of the float sums ``s`` at depth n - 1
+    that ``_walk``'s closed form leaves open, and their windows over the
+    distinct tail sums {-x, x} ({0.0} when x = 0), tested as
+    ``_float_joints`` tests; their "final" tie rows go to ``ties``.  ``gap``
+    is ``|fl(|s| - b)|``, ``b = fl(1 - x)``.
+
+    Candidates have ``gap <= 4e-12`` or ``|s| >= 1 - 4e-12``.  Any other sum,
+    ``a = |s|``, counts ``2 - [a > b]`` tails and has no tie row: with ``u =
+    2^-53``, sorted Case-2 weights have ``x <= (1 + u)/2``, b is within u of
+    ``1 - x``, and ``|a - b| > 4e-12 - u``.  Both tails are over 1/3 above
+    ``fl(-1 - a) <= -1``.  ``hi = fl(1 - a)`` is within u of ``1 - a >
+    4e-12``, so -x is inside, over ``4e-12 - u`` below hi, and x is over
+    ``4e-12 - 3u`` from hi, inside iff ``a < b``, for every x down to 0 (b =
+    1).  Each margin exceeds 1e-12 plus the 4u by which ``fl(hi +- 1e-12)``
+    may round."""
+    at = ((gap <= 4e-12) | (s >= 1 - 4e-12) | (s <= 4e-12 - 1)).nonzero()[0]
+    if not len(at):
+        return at, at
+    tails, tail_counts = (np.array([-x, x]), np.array([1, 1])) if x else (np.zeros(1), np.array([2]))
+    ss, tol = s[at, None], BOUNDARY_TIE_TOL
+    lo, hi = -1.0 - ss, 1.0 - ss
+    near = ((tails >= lo - tol) & (tails <= lo + tol)) | ((tails >= hi - tol) & (tails <= hi + tol))
+    for i, j in zip(*near.nonzero()):
+        ties[depth, "final", float(ss[i, 0] + tails[j])] += 1
+    return at, ((lo <= tails) & (tails <= hi)) @ tail_counts
 
 
 @dataclass
@@ -1275,8 +1312,9 @@ class _Walk:
     threshold 1 in key units) and what the walk of the prefix sums found.
 
     ``probs`` are ``Pr(A_k)`` for k = 2..n.  ``prefixes[d]`` holds the sums
-    settled at depth d: the sums, their pattern counts (None in float mode,
-    where each sum is one sign prefix) and whether each crossed.  ``ties``
+    that crossed at a depth d < n - 1: the sums and their pattern counts
+    (None in float mode, where each sum is one sign prefix).  ``joints[k]``
+    counts the patterns of A_k within 1, k = n - 1 and n so far.  ``ties``
     counts the float tie rows by ``(depth, kind, value)``; phase 2 adds its
     own rows, and its own fallbacks to those of ``stats``."""
 
@@ -1285,6 +1323,7 @@ class _Walk:
     one: object
     probs: tuple
     prefixes: dict
+    joints: list
     ties: Counter
     stats: PartitionStats
 
@@ -1292,7 +1331,12 @@ class _Walk:
 def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     """Phase 1 of ``prefix_partition``, which alone gives the event
     probabilities ``Pr(A_k)``: the frontier of prefix sums walked depth by
-    depth, each depth settling the sums whose event it decides."""
+    depth, each depth settling the sums whose event it decides.  Depth n - 1
+    counts its joints without a table: a sum s alive there has ``|s| <= 1``,
+    as ``|s_{n-2}| <= 1 - x_{n-1}`` (``x_1 <= 1 - x_2`` by Case 2), so one of
+    ``s +- x_n`` is within 1 if ``|s| > 1 - x_n``, else both.  In exact mode,
+    on every key path, ``joint_{n-1} = Pr(A_{n-1})/2`` and ``joint_n =
+    Pr(A_n)``; float sums count the same but for ``_last_candidates``."""
     n, limit = w.n, _size_limit(limit, DEFAULT_FULL_LIMIT)
     if n < 2:
         raise InputError("prefix_partition requires n >= 2")
@@ -1306,7 +1350,7 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     radical = dtype if isinstance(dtype, _Radical) else None
     path = "radical" if radical else np.dtype(dtype).name
 
-    counts = [0] * (n + 1)
+    counts, joints = [0] * (n + 1), [0] * (n + 1)
     frontier, settled = [], []
     prefixes = {}
     ties = Counter()
@@ -1325,36 +1369,46 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
             inside, decided = _band_window(_zero(dtype), np.arange(2), s, b, False, radical, radical.spreads[depth])
             cross, fallbacks = inside == 0, fallbacks + decided
         elif depth >= 2:
-            b = one - vals[depth]
-            size = np.abs(s)
-            cross = size > b
-            if not exact:
-                tie = np.abs(size - b) <= BOUNDARY_TIE_TOL
-                if tie.any():
-                    for v, c in zip(*np.unique(s[tie], return_counts=True)):
-                        ties[depth, "prefix", float(v)] = int(c)
-        done = cross if depth < n - 1 else np.ones(len(s), dtype=bool)
-        settled.append(int(np.count_nonzero(done)))
-        if settled[-1]:
-            crossed = cross[done]
-            mm = mult[done] if exact else None
-            prefixes[depth] = (s[done], mm, crossed)
-            for k, sel in ((depth, crossed), (n, ~crossed)):
-                hits = int(mm[sel].sum()) if exact else int(np.count_nonzero(sel))
-                counts[k] += hits << (n - depth)
+            gap = np.abs(s)
+            gap -= one - vals[depth]  # fl(|s| - b) has the sign of |s| - b, as subnormals are kept
+            cross = gap > 0
+            if not exact and np.abs(gap, out=gap).min(initial=np.inf) <= BOUNDARY_TIE_TOL:
+                tie = gap <= BOUNDARY_TIE_TOL
+                for v, c in zip(*np.unique(s[tie], return_counts=True)):
+                    ties[depth, "prefix", float(v)] = int(c)
         if depth == n - 1:
             break
-        keep = ~cross
-        s = _extend(s[keep], vals[depth])
+        keep, v = ~cross, vals[depth]
+        kept = s[keep]
+        settled.append(len(s) - len(kept))
+        if settled[-1]:
+            mm = mult[cross] if exact else None
+            prefixes[depth] = (s[cross], mm)
+            counts[depth] += (int(mm.sum()) if exact else settled[-1]) << (n - depth)
         if exact:
-            s, mult = _merge_equal(s, np.concatenate([mult[keep], mult[keep]]))
+            s, mult = _merge_equal(_extend(kept, v), np.concatenate([mult[keep], mult[keep]]))
+        else:  # the kept sums minus, then plus, v, in one new array
+            s = np.empty(2 * len(kept))
+            np.subtract(kept, v, out=s[: len(kept)])
+            np.add(kept, v, out=s[len(kept) :])
+
+    # depth n - 1 in closed form (see the docstring)
+    settled.append(len(s))
+    for k, sel, within in ((n - 1, cross, 1), (n, ~cross, 2)):
+        hits = int(mult[sel].sum()) if exact else int(np.count_nonzero(sel))
+        counts[k] += hits << 1
+        joints[k] += hits * within
+    if not exact:  # at n = 2 nothing is tested and the one sum, x_1, is a candidate
+        at, inside = _last_candidates(s, gap if n > 2 else np.zeros(1), vals[-1], ties, n - 1)
+        for i, c in zip(inside.tolist(), cross[at].tolist()):
+            joints[n - 1 if c else n] += i - (1 if c else 2)
 
     mass = 2 * sum(counts)
     if mass != 1 << n:
         raise SoundnessError(f"partition mass {mass} != 2^{n}: events A_2..A_n do not cover")
     probs = tuple(_probability(2 * counts[k], 1 << n, w.mode) for k in range(2, n + 1))
     stats = PartitionStats(path, tuple(frontier), tuple(settled), fallbacks)
-    return _Walk(vals, dtype, one, probs, prefixes, ties, stats)
+    return _Walk(vals, dtype, one, probs, prefixes, joints, ties, stats)
 
 
 def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> PartitionReport:
@@ -1366,9 +1420,10 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
 
     Phase 1 (``_walk``) walks the frontier of prefix sums: each depth d
     settles the sums whose event it decides, counts their events and keeps
-    them, with their pattern counts, for phase 2.  Phase 2 counts the joint
-    mass ``|s + r| <= 1`` of each settled sum ``s`` over the tail sums ``r``
-    of the weights after it.  It builds tail tables only for the depths from
+    them, with their pattern counts, for phase 2; depth n - 1 counts its
+    joints in closed form.  Phase 2 counts the joint mass ``|s + r| <= 1``
+    of each other settled sum ``s`` over the tail sums ``r`` of the weights
+    after it.  It builds tail tables only for the depths from
     ``_balanced_depth``'s D on: a sum settled at ``d >= D`` searches the
     table at d, and one settled at ``d < D`` is counted against the table at
     D over every sign pattern m of the weights ``x_{d+1}..x_D`` in between.
@@ -1380,48 +1435,33 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     instead (``_pull_back``): G_m is monotone in u, so the u that land in
     the window ``[fl(-1 - s), fl(1 - s)]``, or within 1e-12 of its ends for
     the tie records, form one interval of the table at D.  Counts and tie
-    records are those of the table at d.
+    records are those of the table at d.  Raises ``SoundnessError`` unless
+    ``0 <= joint_k <= Pr(A_k)`` for every k.
     """
     walk = _walk(w, limit)
     n, exact, one, prefixes = w.n, w.mode == EXACT, walk.one, walk.prefixes
     vals, dtype, ties, fallbacks = walk.vals, walk.dtype, walk.ties, walk.stats.fallbacks
-    joint_count = [0] * (n + 1)
+    joint_count = walk.joints
 
     # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
     balanced = _balanced_depth(walk.stats.settled, n)
     tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype))
     for depth, table in tables:
+        here = [d for d in range(1 if depth == balanced else depth, depth + 1) if d in prefixes]
+        if not here:
+            continue
         tkeys, tcounts = _mirror(*table)
         cum = np.concatenate([[0], np.cumsum(tcounts)])
-        for d in range(1 if depth == balanced else depth, depth + 1):
-            if d not in prefixes:
-                continue
-            ss, mm, crossed = prefixes.pop(d)
-            if exact:
-                for v in vals[d:depth]:
-                    ss, mm = _merge_equal(_extend(ss, v), np.concatenate([mm, mm]))
-                # only depth n - 1 settles uncrossed sums, and it is never deferred
-                crossed = np.ones(len(ss), dtype=bool) if d < depth else crossed
-                window, decided = _window(tkeys, cum, ss, one, False, dtype)
-                fallbacks += decided
-                reach = n - depth
-            else:
-                steps = _sign_matrix(depth - d)[1:] * np.array(vals[d:depth])[:, None]
-                window, near = _float_window(tkeys, cum, steps, ss, one)
-                # the near tails of a sum depend only on its value
-                if near.any():
-                    sums, copies = np.unique(ss[near], return_counts=True)
-                    tails = [_near_tails(tkeys, steps, end) for end in (-one - sums, one - sums)]
-                    for s, c, lo, hi in zip(sums, copies.tolist(), *tails):
-                        for v in (s + np.concatenate([lo, hi])).tolist():
-                            ties[d, "final", v] += c
-                reach = n - d
-            # each query has 2^reach tails; an exact one stands for mm sign prefixes
-            if window.min() < 0 or window.max() > 1 << reach:
-                raise SoundnessError(f"a window of {window.max()} tails at depth {d} exceeds 2^{reach}")
-            joints = mm * window if exact else window
-            for k, sel in ((d, crossed), (n, ~crossed)):
-                joint_count[k] += int(joints[sel].sum())
+        if not exact:
+            _float_joints(tkeys, cum, vals, depth, {d: prefixes.pop(d)[0] for d in here}, one, joint_count, ties)
+            continue
+        for d in here:
+            ss, mm = prefixes.pop(d)
+            for v in vals[d:depth]:
+                ss, mm = _merge_equal(_extend(ss, v), np.concatenate([mm, mm]))
+            window, decided = _window(tkeys, cum, ss, one, False, dtype)
+            fallbacks += decided
+            joint_count[d] += int((mm * window).sum())
     if prefixes:
         raise SoundnessError(f"sums settled at depths {sorted(prefixes)} were never counted")
 
@@ -1429,6 +1469,9 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     ks = tuple(range(2, n + 1))
     ratio = lambda c: _probability(2 * c, 1 << n, w.mode)
     joints = tuple(ratio(joint_count[k]) for k in ks)
+    for k, p, j in zip(ks, walk.probs, joints):
+        if not 0 <= j <= p:
+            raise SoundnessError(f"joint mass {j} of A_{k} is negative or exceeds Pr(A_{k}) = {p}")
     conds = tuple((j / p if p else None) for p, j in zip(walk.probs, joints))
     return PartitionReport(
         n, w.mode, ks, walk.probs, joints, conds, ratio(sum(joint_count)), rows,

@@ -116,6 +116,33 @@ def tie_row_oracle(x, tol=1e-12) -> tuple:
     return tuple((kind, d, v, c) for (d, kind, v), c in sorted(rows.items()))
 
 
+def float_partition_oracle(x) -> tuple[tuple, tuple]:
+    """``(probs, joints)`` of the float partition for k = 2..n by a literal
+    walk of the sign tree, as ``tie_row_oracle`` walks it: a prefix settled
+    at d with sum s counts every tail sum r of ``x[d:]`` (accumulated from
+    the end, with repeats) and, for the joint, those with ``fl(-1 - s) <= r
+    <= fl(1 - s)``."""
+    n = len(x)
+    tails = {n: [0.0]}
+    for d in range(n - 1, 0, -1):
+        tails[d] = [r + sign * x[d] for r in tails[d + 1] for sign in (-1, 1)]
+    counts, joints = Counter(), Counter()
+
+    def visit(d, s):
+        crossed = d >= 2 and abs(s) > 1.0 - x[d]
+        if d < n - 1 and not crossed:
+            for sign in (-1, 1):
+                visit(d + 1, s + sign * x[d])
+            return
+        k = d if crossed else n
+        counts[k] += len(tails[d])
+        joints[k] += sum(-1.0 - s <= r <= 1.0 - s for r in tails[d])
+
+    visit(1, x[0])
+    ratio = lambda c: 2 * c / 2**n
+    return tuple(ratio(counts[k]) for k in range(2, n + 1)), tuple(ratio(joints[k]) for k in range(2, n + 1))
+
+
 class TestThresholdExamples:
     def test_single_weight(self):
         assert threshold_probability(canonicalize([1], EXACT), 1) == 1
@@ -1311,35 +1338,132 @@ class TestPrefixPartition:
         assert prefix_partition(w).boundary_ties == expected
         assert tie_row_oracle(w.values) == expected
 
-    @pytest.mark.parametrize("x", [0.0, 0.25, 0.3, 1 / math.sqrt(19), 0.7])
+    @pytest.mark.parametrize("x", [0.0, 1e-13, 0.25, 0.3, 1 / math.sqrt(19), 0.7])
     def test_one_weight_tail_window(self, x):
-        # Depth n - 1 counts its prefix sums s against the tail table {+-x}
-        # of the last weight without a search.  Queries put a key at, one ulp
-        # either side of, and 1e-12 +- 1 ulp from each end fl(+-1 - s); the
-        # window and the near flag are those of a literal loop over the keys.
-        from radsum.engine import BOUNDARY_TIE_TOL, _float_window, _mirror, _sign_matrix, _tail_distributions
+        # Depth n - 1 counts its sums s against the tail sums {+-x} of the
+        # last weight in closed form, and tests only the candidates near a
+        # boundary literally.  Queries sit at, one ulp either side of, and
+        # 1e-12 +- 1 ulp from fl(1 - x) and 1 + x, either side of the
+        # candidate bounds 4e-12 from fl(1 - x) and 1, and in the middle;
+        # windows and tie rows are those of a literal loop over the distinct
+        # tail sums.
+        from radsum.engine import BOUNDARY_TIE_TOL, _last_candidates
 
-        keys, counts = _mirror(*next(_tail_distributions([x], np.float64)))
-        cum = np.concatenate([[0], np.cumsum(counts)])
-        queries = [0.0, 5.0]
-        for k in keys.tolist():
-            for end in (1.0 - k, -1.0 - k):
-                for off in (0.0, BOUNDARY_TIE_TOL, -BOUNDARY_TIE_TOL):
-                    s = end + off
-                    queries += [np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)]
-        ss = np.array(queries)
-        steps = _sign_matrix(0)[1:] * np.array([])[:, None]  # no weights in between, as in prefix_partition
-        window, near = _float_window(keys, cum, steps, ss, 1.0)
-        tol = BOUNDARY_TIE_TOL
-        expected = []
-        for s in ss.tolist():
-            lo, hi = -1.0 - s, 1.0 - s
-            hits = sum(c for k, c in zip(keys.tolist(), counts.tolist()) if lo <= k <= hi)
-            close = any(lo - tol <= k <= lo + tol or hi - tol <= k <= hi + tol for k in keys.tolist())
-            expected.append((hits, close))
-        assert list(zip(window.tolist(), near.tolist())) == expected
-        assert near.any() and not near.all()
-        assert {0, 2} <= set(window.tolist())
+        tol, b = BOUNDARY_TIE_TOL, 1.0 - x
+        queries = [0.0, 0.5, b - 8e-12, b + 8e-12, 1 - 8e-12]
+        for end in (b, 1.0 + x):
+            for off in (0.0, tol, -tol):
+                q = end + off
+                queries += [math.nextafter(q, -math.inf), q, math.nextafter(q, math.inf)]
+        for end in (b - 4e-12, b + 4e-12, 1 - 4e-12):
+            queries += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+        queries += [-q for q in queries]
+        s = np.array(queries)
+        ties = Counter()
+        at, inside = _last_candidates(s, np.abs(np.abs(s) - b), x, ties, 7)
+        window = 2 - (np.abs(s) > b).astype(np.int64)
+        window[at] = inside
+        tails = {-x, x}  # one distinct sum when x = 0, counted twice
+        expected, rows = [], Counter()
+        for q in queries:
+            lo, hi = -1.0 - q, 1.0 - q
+            expected.append(sum(2 // len(tails) for r in tails if lo <= r <= hi))
+            for r in tails:
+                if lo - tol <= r <= lo + tol or hi - tol <= r <= hi + tol:
+                    rows[7, "final", q + r] += 1
+        assert window.tolist() == expected
+        assert ties == rows and rows
+        assert 0 < len(at) < len(queries)  # the closed form and the literal tests both ran
+
+    def test_partition_matches_literal_walk(self):
+        """Reports of every Case-2 class, of ``[1.0]*n`` and of vectors
+        ending in zero weights equal the literal walks: the float one with
+        its tie rows, the exact one over SqrtSums.  Depth n - 1 must run
+        both with candidates for its literal tests and without."""
+        from unittest import mock
+
+        from radsum import engine
+
+        real, seen = engine._last_candidates, Counter()
+
+        def spy(*args):
+            at, window = real(*args)
+            seen["with candidates" if len(at) else "without candidates"] += 1
+            return at, window
+
+        @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        def check(kind, n, seed):
+            gen = np.random.default_rng(seed)
+            if kind == "ones":
+                w = canonicalize([1.0] * n, FLOAT)
+            elif kind == "zero-last":
+                zeros = int(gen.integers(1, min(n, 3)))
+                w = canonicalize([int(v) for v in gen.integers(1, 5, size=n - zeros)] + [0] * zeros, FLOAT)
+            else:
+                w = case2_vector(kind, n if kind.startswith("float") else min(n, 8), seed)
+            if w is None or case_of(w) is not CaseTag.CASE2:
+                event("not Case 2")
+                return
+            before = seen["with candidates"]
+            with mock.patch.object(engine, "_last_candidates", spy):
+                rep = prefix_partition(w)
+            if w.mode == FLOAT:
+                event(f"{kind}: depth n - 1 {'with' if seen['with candidates'] > before else 'without'} candidates")
+                probs, joints = float_partition_oracle(w.values)
+                assert rep.boundary_ties == tie_row_oracle(w.values), w.values
+            else:
+                probs, joints = (tuple(table[k] for k in rep.ks) for table in self._partition_oracle(w))
+            assert (rep.probs, rep.joints) == (probs, joints), w.values
+            assert rep.total_prob == sum(joints)
+
+        for kind in [*CASE2_KINDS, "ones", "zero-last"]:
+            given(st.just(kind), st.integers(2, 12), st.integers(0, 2**32 - 1))(check)()
+        assert seen["with candidates"] and seen["without candidates"], seen
+
+    def test_zero_last_weights_tie_rows_pinned(self):
+        # -0.0 and +0.0 are one tail sum of the zero weights: each of the two
+        # prefixes with sum 1.0 at depth 5 has one tail sum near 1 - s, so
+        # the row counts 2, not 4
+        w = canonicalize([1] * 4 + [0, 0], FLOAT)
+        expected = (
+            ("final", 2, 1.0, 1), ("prefix", 3, -0.5, 1), ("prefix", 3, 0.5, 1), ("prefix", 4, -1.0, 1),
+            ("prefix", 4, 1.0, 1), ("final", 5, -1.0, 2), ("final", 5, 1.0, 2), ("prefix", 5, -1.0, 2),
+            ("prefix", 5, 1.0, 2),
+        )
+        rep = prefix_partition(w)
+        assert rep.boundary_ties == expected == tie_row_oracle(w.values)
+        assert (rep.probs, rep.joints) == ((0.5, 0.0, 0.0, 0.0, 0.5), (0.375, 0.0, 0.0, 0.0, 0.5))
+
+    def test_last_depth_conditionals_are_exact(self, rng):
+        # On every exact key path, a crossed sum at depth n - 1 keeps one of
+        # its two tails within 1 and an uncrossed one both: cond_{n-1} = 1/2
+        # and cond_n = 1, as the literal classification finds.
+        draws = {
+            "int64": lambda: random_case2(rng, int(rng.integers(3, 9))),
+            "object": lambda: random_case2(rng, int(rng.integers(6, 8)), spread=2**32),
+            "int64 over one radicand": lambda: one_radicand_vector(rng, int(rng.integers(3, 9)), hi=6),
+            "radical": lambda: from_squares([int(v) for v in rng.choice([1, 2, 3, 5, 6, 7], size=int(rng.integers(3, 8)))]),
+        }
+        for path, draw in draws.items():
+            hits = Counter()
+            for _ in range(60):
+                w = draw()
+                if case_of(w) is not CaseTag.CASE2:
+                    continue
+                n, rep = w.n, prefix_partition(w)
+                if rep.stats.path != path.split()[0]:  # large spreads reach Python ints only sometimes
+                    continue
+                probs, joints = self._partition_oracle(w)
+                assert rep.probs == tuple(probs[k] for k in rep.ks) and rep.joints == tuple(joints[k] for k in rep.ks)
+                if n > 2 and probs[n - 1]:
+                    assert joints[n - 1] == probs[n - 1] / 2 and rep.conds[-2] == Fraction(1, 2), (path, w.values)
+                    hits["A_{n-1}"] += 1
+                if probs[n]:
+                    assert rep.conds[-1] == 1, (path, w.values)
+                    hits["A_n"] += 1
+                if min(hits["A_{n-1}"], hits["A_n"]) >= 3:
+                    break
+            assert hits["A_{n-1}"] and hits["A_n"], (path, hits)
 
     def test_stats(self):
         # x = (1, 1, 1, 1)/2: depth 2 holds the sums {0, 2}; 2 crosses the
@@ -1390,15 +1514,31 @@ class TestPrefixPartition:
     @settings(max_examples=60, deadline=None)
     def test_result_does_not_depend_on_table_depth(self, kind, n, seed):
         """Every depth D the tail tables may start from gives the same
-        report; D = 2 (D = 1 at n = 2) defers nothing and is the plain walk."""
+        report; D = 2 (D = 1 at n = 2) defers nothing and is the plain walk.
+        From D = 3 on, one search counts the float sums of 1 to D - 2
+        deferred depths."""
+        from unittest import mock
+
+        from radsum import engine
+
         w = case2_vector(kind, n, seed)
         vectors = [w] if w is not None else []
         if kind == "float-ties":
-            vectors += [canonicalize([1.0] * 9, FLOAT), canonicalize([0.5] * 4, FLOAT)]
-        for w in vectors:
+            # sums of [1.0]*9 tie with the boundaries, and the first weight
+            # 1e-13 up moves the ties just off them: deferred columns with
+            # near rows
+            vectors += [canonicalize(raw, FLOAT) for raw in ([1.0] * n, [1.0] * 9, [1.0 + 1e-13] + [1.0] * 8, [0.5] * 4)]
+        real, near = engine._near_tails, Counter()
+
+        def spy(keys, steps, ends):
+            near["deferred" if len(steps) else "not deferred"] += 1
+            return real(keys, steps, ends)
+
+        for w in (w for w in vectors if case_of(w) is CaseTag.CASE2):
             reports = []
             for depth in range(1 if w.n == 2 else 2, w.n):
-                rep, sizes = self._partition_at(w, depth)
+                with mock.patch.object(engine, "_near_tails", spy):
+                    rep, sizes = self._partition_at(w, depth)
                 assert sizes == [w.n - depth]
                 reports.append(rep)
             first = reports[0]
@@ -1406,6 +1546,7 @@ class TestPrefixPartition:
                 for field in ("probs", "joints", "conds", "total_prob", "boundary_ties"):
                     assert getattr(rep, field) == getattr(first, field), (w.values, field)
                 assert (rep.stats.frontier, rep.stats.settled) == (first.stats.frontier, first.stats.settled)
+        assert near["deferred"] or kind != "float-ties", near
 
     @pytest.mark.parametrize("kind", ["float", "rational"])
     def test_tail_tables_stay_short(self, kind):
@@ -1425,6 +1566,31 @@ class TestPrefixPartition:
         monkeypatch.setattr(engine, "_window", lambda *a: (real(*a)[0] + 2**20, 0))
         with pytest.raises(SoundnessError, match="exceeds"):
             prefix_partition(random_case2(np.random.default_rng(0), 10))
+
+    @pytest.mark.parametrize("patch", ["exact, negative", "float, too wide", "float, last depth"])
+    def test_joint_outside_its_event_is_soundness_error(self, monkeypatch, patch):
+        # 0 <= joint_k <= Pr(A_k) is checked for every k, whichever window
+        # slipped: a tail search, the batched float search or a literal test
+        # of depth n - 1
+        from radsum import SoundnessError, engine
+
+        w = canonicalize([1.0] * 9, FLOAT)
+        if patch == "exact, negative":
+            real, w = engine._window, random_case2(np.random.default_rng(0), 10)
+            monkeypatch.setattr(engine, "_window", lambda *a: (real(*a)[0] - 2**20, 0))
+        elif patch == "float, too wide":
+            real = engine._float_joints
+            monkeypatch.setattr(engine, "_float_joints", lambda keys, cum, *a: real(keys, cum * 2**20, *a))
+        else:
+            real = engine._last_candidates
+
+            def wider(*args):
+                at, window = real(*args)
+                return at, window + 8
+
+            monkeypatch.setattr(engine, "_last_candidates", wider)
+        with pytest.raises(SoundnessError, match="negative or exceeds"):
+            prefix_partition(w)
 
     @pytest.mark.parametrize(
         "spread, lo, hi, path", [(2**27, 56, 58, "int64"), (2**32, 62, 80, "object")]
