@@ -435,8 +435,13 @@ def _concat(parts):
 
 
 def _extend(keys, v):
-    """The sums ``keys - v`` followed by ``keys + v``."""
-    return _concat([keys - v, keys + v])
+    """The sums ``keys - v`` followed by ``keys + v``, in one new array."""
+    if isinstance(keys, _Keys):
+        return _concat([keys - v, keys + v])
+    out = np.empty(2 * len(keys), dtype=keys.dtype)
+    np.subtract(keys, v, out=out[: len(keys)])
+    np.add(keys, v, out=out[len(keys) :])
+    return out
 
 
 # -- half-sum generation -----------------------------------------------------
@@ -1259,14 +1264,15 @@ def _float_joints(keys, cum, vals, depth: int, sums: dict, one: float, joints: l
     ends = list(itertools.accumulate((len(sums[d]) * m.shape[1] for d, m in blocks.items()), initial=0))
     steps, query = np.zeros((rows, ends[-1])), np.empty(ends[-1])
     for (d, m), a, b in zip(blocks.items(), ends, ends[1:]):
-        if len(m):
-            steps[rows - len(m) :, a:b] = np.tile(m, len(sums[d]))
+        steps[rows - len(m) :, a:b] = np.tile(m, len(sums[d]))  # no rows when d = depth
         query[a:b] = np.repeat(sums[d], m.shape[1])
     lo, hi, padded = -one - query, one - query, _padded(keys)  # the infinite ends are never near
     start, stop = _pull_back(padded, steps, lo, False), _pull_back(padded, steps, hi, True)
     at = lambda i: _chain(padded[i], steps)
     near = (at(start + 1) <= lo + tol) | (at(start) >= lo - tol) | (at(stop) >= hi - tol) | (at(stop + 1) <= hi + tol)
     window = cum[stop] - cum[start]
+    if window.min() < 0 or window.max() > cum[-1]:
+        raise SoundnessError(f"a tail window at depth {depth} is negative or exceeds its {cum[-1]} tails")
     for (d, m), a, b in zip(blocks.items(), ends, ends[1:]):
         joints[d] += int(window[a:b].sum())
         close = near[a:b].reshape(len(sums[d]), -1).any(axis=1)
@@ -1378,19 +1384,16 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
                     ties[depth, "prefix", float(v)] = int(c)
         if depth == n - 1:
             break
-        keep, v = ~cross, vals[depth]
+        keep = ~cross
         kept = s[keep]
         settled.append(len(s) - len(kept))
         if settled[-1]:
             mm = mult[cross] if exact else None
             prefixes[depth] = (s[cross], mm)
             counts[depth] += (int(mm.sum()) if exact else settled[-1]) << (n - depth)
+        s = _extend(kept, vals[depth])
         if exact:
-            s, mult = _merge_equal(_extend(kept, v), np.concatenate([mult[keep], mult[keep]]))
-        else:  # the kept sums minus, then plus, v, in one new array
-            s = np.empty(2 * len(kept))
-            np.subtract(kept, v, out=s[: len(kept)])
-            np.add(kept, v, out=s[len(kept) :])
+            s, mult = _merge_equal(s, np.concatenate([mult[keep], mult[keep]]))
 
     # depth n - 1 in closed form (see the docstring)
     settled.append(len(s))
@@ -1439,9 +1442,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     ``0 <= joint_k <= Pr(A_k)`` for every k.
     """
     walk = _walk(w, limit)
-    n, exact, one, prefixes = w.n, w.mode == EXACT, walk.one, walk.prefixes
-    vals, dtype, ties, fallbacks = walk.vals, walk.dtype, walk.ties, walk.stats.fallbacks
-    joint_count = walk.joints
+    n, exact, one, prefixes, fallbacks = w.n, w.mode == EXACT, walk.one, walk.prefixes, walk.stats.fallbacks
+    vals, dtype, ties, joint_count = walk.vals, walk.dtype, walk.ties, walk.joints
 
     # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
     balanced = _balanced_depth(walk.stats.settled, n)
@@ -1460,6 +1462,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
             for v in vals[d:depth]:
                 ss, mm = _merge_equal(_extend(ss, v), np.concatenate([mm, mm]))
             window, decided = _window(tkeys, cum, ss, one, False, dtype)
+            if window.min() < 0 or window.max() > cum[-1]:
+                raise SoundnessError(f"a tail window at depth {depth} is negative or exceeds its {cum[-1]} tails")
             fallbacks += decided
             joint_count[d] += int((mm * window).sum())
     if prefixes:

@@ -1567,18 +1567,52 @@ class TestPrefixPartition:
         with pytest.raises(SoundnessError, match="exceeds"):
             prefix_partition(random_case2(np.random.default_rng(0), 10))
 
-    @pytest.mark.parametrize("patch", ["exact, negative", "float, too wide", "float, last depth"])
+    @pytest.mark.parametrize("patch", ["exact", "float"])
+    def test_tail_window_outside_its_table_is_soundness_error(self, monkeypatch, patch):
+        # one column's window is checked against its table, so a slip on one
+        # sum is caught where it happens, however much room the event's joint
+        # mass leaves: an exact window one tail over the table, or a batched
+        # float column whose pulled-back end falls one key below its start
+        from radsum import SoundnessError, engine
+
+        if patch == "exact":
+            real, w = engine._window, random_case2(np.random.default_rng(0), 10)
+
+            def slip(keys, cum, *args):
+                window, decided = real(keys, cum, *args)
+                window = window.copy()
+                window[0] = cum[-1] + 1
+                return window, decided
+
+            monkeypatch.setattr(engine, "_window", slip)
+        else:
+            real, w, seen = engine._pull_back, case2_vector("float", 14, 7), {}
+
+            def slip(padded, steps, bound, inclusive):
+                got = real(padded, steps, bound, inclusive)
+                if not inclusive:
+                    seen["start"] = got
+                elif got.ndim == 1:  # the batched search, not _near_tails' per-column one
+                    i = int(seen["start"].argmax())
+                    assert seen["start"][i] > 0
+                    got = got.copy()
+                    got[i] = seen["start"][i] - 1
+                return got
+
+            monkeypatch.setattr(engine, "_pull_back", slip)
+        with pytest.raises(SoundnessError, match="tail window at depth"):
+            prefix_partition(w)
+
+    @pytest.mark.parametrize("patch", ["float, too wide", "float, last depth"])
     def test_joint_outside_its_event_is_soundness_error(self, monkeypatch, patch):
         # 0 <= joint_k <= Pr(A_k) is checked for every k, whichever window
-        # slipped: a tail search, the batched float search or a literal test
-        # of depth n - 1
+        # slipped: the batched float search over a table whose counts are
+        # scaled with their total, which no single column exceeds, or a
+        # literal test of depth n - 1
         from radsum import SoundnessError, engine
 
         w = canonicalize([1.0] * 9, FLOAT)
-        if patch == "exact, negative":
-            real, w = engine._window, random_case2(np.random.default_rng(0), 10)
-            monkeypatch.setattr(engine, "_window", lambda *a: (real(*a)[0] - 2**20, 0))
-        elif patch == "float, too wide":
+        if patch == "float, too wide":
             real = engine._float_joints
             monkeypatch.setattr(engine, "_float_joints", lambda keys, cum, *a: real(keys, cum * 2**20, *a))
         else:
@@ -1589,7 +1623,7 @@ class TestPrefixPartition:
                 return at, window + 8
 
             monkeypatch.setattr(engine, "_last_candidates", wider)
-        with pytest.raises(SoundnessError, match="negative or exceeds"):
+        with pytest.raises(SoundnessError, match="joint mass"):
             prefix_partition(w)
 
     @pytest.mark.parametrize(
