@@ -5,17 +5,14 @@ Enumeration strategies:
 * Signed-sum tables - every table of signed sums (a half, a tail) is
   symmetric about zero, so it is built in nonnegative form: its sorted
   distinct sums ``>= 0`` with their full-table pattern counts, one value at
-  a time by merging three sorted runs (``_nonneg_step``; equal sums merged
-  as they arise).  A half or whole table over int64 keys whose sums may
-  fill their lattice - multiples of ``g = gcd(v_i)`` up to ``sum|v_i|`` -
-  is instead a dense count per lattice point (``_dense_sums``, Bellman's
-  subset-sum table: one slice addition per value).  The rule reads the
-  input alone (``_lattice_sizes``): two bounds on the distinct sums must
-  reach the lattice length, so a dense table is never longer than the
-  distinct sums may be, and the ranges of the sums near the middle must
-  leave no gap.
-  ``_mirror`` unfolds the full table where a search needs it, in search
-  order: by value, and radical keys by their fixed-point parts.
+  a time (``_table_step``): sparse by merging three sorted runs
+  (``_nonneg_step``) or, for int64 keys, dense, one count per point of the
+  lattice of multiples of ``gcd(v_i)`` (Bellman's subset-sum table).  Each
+  step picks the form from the sums held: dense while the next lattice is
+  at most ``_DENSE_FLOOR`` points plus ``_DENSE_RATIO`` times the distinct
+  sums ``>= 0`` held, sparse past that, dense again once they catch up
+  (``_DENSE_RETURN``).  ``_mirror`` unfolds the full table where a search
+  needs it, in search order: by value, radical keys by fixed-point part.
 * ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
   Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
   pair sum ``l + r`` of the two raw halves (``_half_sums``) is compared
@@ -36,11 +33,11 @@ Enumeration strategies:
   path: it never reads the weights through ``_decompose``.  In float mode it
   sums both halves in plain Python, without the engine's half sums.
 * ``sum_distribution`` - in exact mode the table the meet-in-the-middle
-  halves use (``_merged_sums``), over all the weights.  In float mode the
-  nonnegative table of the sums ``fl(l + r)`` of the two raw halves, folded
-  by sign (``_float_nonneg_sums``): only the pairs with ``l > 0`` are added,
-  as ``fl(-l - r) = -fl(l + r)``, and a zero ``l`` adds the right sums ``r >=
-  0``.
+  halves use (``_nonneg_sums``, mirrored), over all the weights.  In float
+  mode the nonnegative table of the sums ``fl(l + r)`` of the two raw
+  halves, folded by sign (``_float_nonneg_sums``): only the pairs with ``l
+  > 0`` are added, as ``fl(-l - r) = -fl(l + r)``, and a zero ``l`` adds
+  the right sums ``r >= 0``.
 * ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
   breadth-first frontier of numpy arrays: each depth tests all undecided
   prefix sums in one vector operation, sets the crossing ones aside as
@@ -111,16 +108,34 @@ DEFAULT_FULL_LIMIT = 24
 DEFAULT_MITM_LIMIT = 40
 BOUNDARY_TIE_TOL = 1e-12
 _MAX_TIE_RECORDS = 200
-# A merged nonnegative table starts from the raw sums of its first _RAW_PREFIX
+# A sparse nonnegative table starts from the raw sums of its first _RAW_PREFIX
 # values.  Stepping from [0] instead was slower wherever a half table is still
 # built, and level at n = 38 (0 vs 8, medians of 30 alternating in-process
 # runs, 2-CPU x86, numpy 2.4; float entries standard normal, on no integer
-# lattice, and int64 entries in [70000, 99999], whose tables are merged, not
-# dense): admissible_count over merged halves, n = 16, 341 vs 143 us float
-# and 311 vs 117 us int64; n = 38, 48.3 vs 48.2 ms float and 24.5 vs 24.2 ms
-# int64; radical n = 12, 390 vs 175 us; exact sum_distribution, 2.22 vs 2.06
-# ms (int64, n = 16) and 562 vs 432 us (radical, n = 12).
+# lattice, and int64 entries in [70000, 99999], sparse at every step under
+# _table_step's rule): admissible_count over merged halves, n = 16, 341 vs 143
+# us float and 576 vs 203 us int64; n = 38, 48.3 vs 48.2 ms float and 38.2 vs
+# 38.2 ms int64 (int64 taken again under that rule); radical n = 12, 390 vs
+# 175 us; exact sum_distribution, 2.22 vs 2.06 ms (int64, n = 16) and 562 vs
+# 432 us (radical, n = 12).
 _RAW_PREFIX = 8
+# The dense/sparse rule of _table_step.  On a 2-CPU x86 box, numpy 2.4, a
+# sparse step costs about 22 us + 20-80 ns per key, a dense one 0.6-1.6 ns per
+# lattice point (a fit: floor near 14000 points, ratio near 36); a switch of
+# form costs more.  Times over the up-front rule it replaced, in process,
+# medians of 7-21 interleaved rounds: sum_distribution of 20 entries in
+# [1400, 1999] 1.34 / 1.16 / 1.02-1.05 / 0.99 at floors 2^13 to 2^16, of 24 in
+# [1, 20000] 1.36 at 2^15, 1.14 at 2^16; ratios 16 to 64 level.  Fresh pages
+# cost 1.3-3.4 us per 4 KiB: admissible_count of 38 and 40 entries in [70000,
+# 99999] took 1.40-1.55 times returning at 32, about 1.0 at 4 or 8, where 20
+# in [1, 50000] took 1.58 and 1.00-1.31.
+_DENSE_FLOOR = 1 << 16
+_DENSE_RATIO = 32
+_DENSE_RETURN = 8
+# Dense tables grow in place in zeroed buffers _GROWTH times as long, at least
+# the floor: 2 / 16 / 64 times took 20 entries in [1, 10000] 1.33 / 1.07 / 1.01
+# times, and the floor took mitm-query's p50 from +4.8% to -2.2%.
+_GROWTH = 16
 # Raw sums start with the running sums of the first _SIGN_ROWS values down a
 # cached sign matrix, one numpy call where doubling in place takes two per
 # value.  _half_sums in us, 4 -> 6 rows, medians of 9 interleaved rounds on a
@@ -498,17 +513,18 @@ def _pair_sums(values: Sequence, dtype) -> np.ndarray:
 
 def _has_zero(keys) -> int:
     """1 when a nonnegative table starts with the zero sum, which is its own
-    mirror image, else 0."""
-    return int(_sign_key(keys)[0] == 0)
+    mirror image, else 0 (so for an empty table, a miscount's)."""
+    return int(len(keys) > 0 and _sign_key(keys)[0] == 0)
 
 
-def _check_mass(keys, counts: np.ndarray, k: int) -> None:
-    """A nonnegative table of signed sums over ``k`` values stands for all
-    2^k sign patterns: each key's count twice, for it and its mirror image,
-    except the zero sum's."""
-    mass = 2 * int(counts.sum()) - _has_zero(keys) * int(counts[0])
+def _check_mass(keys, counts: np.ndarray, k: int):
+    """The nonnegative table ``(keys, counts)`` of signed sums over ``k``
+    values, checked to stand for all 2^k sign patterns: each key's count
+    twice, for it and its mirror image, except the zero sum's."""
+    mass = 2 * int(counts.sum()) - (int(counts[0]) if _has_zero(keys) else 0)
     if mass != 1 << k:
         raise SoundnessError(f"signed-sum table mass {mass} != 2^{k}")
+    return keys, counts
 
 
 def _nonneg_step(keys, counts: np.ndarray, v):
@@ -548,101 +564,63 @@ def _nonneg_step(keys, counts: np.ndarray, v):
 
 def _nonneg_sums(values: Sequence, dtype, count_dtype):
     """The nonnegative table (see ``_nonneg_step``) of the signed sums of
-    ``values``, each accumulated in index order.  Integer keys, all
-    multiples of ``g = gcd(v_i)``, whose sums may fill their lattice (see
-    ``_lattice_sizes``) take the dense table of ``_dense_sums``; all other
-    keys merge steps (``_step_sums``)."""
+    ``values``, each accumulated in index order, one ``_table_step`` per
+    value: dense while the next lattice is at most ``_DENSE_FLOOR`` points
+    plus ``_DENSE_RATIO`` (``_DENSE_RETURN`` for a sparse table) times the
+    distinct sums ``>= 0`` held, else sparse; int64 keys by increasing size.
+    A table starts from the merged raw sums of ``_RAW_PREFIX`` values, an
+    int64 one of more values dense below the floor (8 steps: 39 us, 28 raw)."""
     step = (math.gcd(*values) or 1) if dtype is np.int64 else 0
-    sizes = _lattice_sizes(values, step) if step else None
-    if sizes is not None:
-        keys, counts = _dense_sums(sizes, step, count_dtype)
+    values = sorted(values, key=abs) if step else values
+    if step and len(values) > _RAW_PREFIX and abs(values[0]) // step < _DENSE_FLOOR:
+        raw, keys, counts = 0, None, np.ones(1, dtype=count_dtype)
     else:
-        keys, counts = _step_sums(values, dtype, count_dtype)
-    _check_mass(keys, counts, len(values))
-    return keys, counts
+        raw, sums = _RAW_PREFIX, _half_sums(values[:_RAW_PREFIX], dtype)
+        sums = sums[_sign_key(sums) >= 0]
+        keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
+    span = sum(map(abs, values)) // step + 1 if step else 0
+    for v in values[raw:]:
+        keys, counts = _table_step(keys, counts, v, step, span)
+    return _check_mass(*_nonneg_form(keys, counts, step), len(values))
 
 
-def _lattice_sizes(values: Sequence[int], step: int) -> Optional[list[int]]:
-    """The sorted sizes ``|v_i|/step`` of the integers ``values``, all
-    multiples of ``step``, if their subset sums may fill their lattice
-    ``0..sum(sizes)``, else None; judged by three facts the sizes give
-    directly.
-
-    Two bounds on the distinct sums must each reach the lattice length, so
-    a dense table is never longer than the distinct sums may be.  Taken in
-    increasing order, the sums of the sizes so far are at most the ``S +
-    1`` points up to their total ``S``, and ``m`` further copies of one size
-    multiply their number by at most ``m + 1`` (so the bound is at most 2^k
-    for k sizes); one large size among small ones fails here.
-    And with each size written as ``q*b + e`` for the smallest nonzero size
-    ``b`` and the nearest ``q``, a subset sums to ``Q*b + E`` for its totals
-    ``Q`` of q and ``E`` of e, so there are at most ``(sum q + 1)*(sum |e|
-    + 1)`` sums; sizes near 1, 2, 3, ... times one size fail here.
-
-    A middle without gaps: split the sizes into the ``j`` smallest, whose
-    sums lie in ``0..S_j``, and the ``r`` others.  The sums of ``s`` of the
-    others lie between the sum of their ``s`` smallest and that of their
-    ``s`` largest, and the gap between these ranges for ``s`` and ``s + 1``
-    sizes shrinks towards ``s = r/2``.  For every ``j``, at ``s = (r -
-    1)//2``, the smallest sum of ``s + 1`` others must be at most ``S_j +
-    1`` above the largest sum of ``s``, so the sums of the first ``j`` can
-    close the gap.  Near-equal sizes, whose sums gather in separate
-    clusters, fail here, with or without a few small sizes before them."""
-    if sum(map(abs, values)) // step >= 1 << len(values):  # the bound never exceeds 2^k
-        return None
-    sizes = sorted(abs(v) // step for v in values)
-    nonzero = sizes[sizes.count(0) :]  # zero sizes add no sums
-    k, sums = len(nonzero), list(itertools.accumulate(nonzero, initial=0))
-    total = sums[k]
-    b = nonzero[0] if k else 1
-    bound, prev, multiples, residues = 1, 0, 0, 0
-    for a, s in zip(nonzero, sums[1:]):
-        if a != prev:  # the next m copies of a multiply the bound before them
-            base, prev, m = bound, a, 0
-        m += 1
-        bound = min(base * (m + 1), s + 1)
-        q = (2 * a + b) // (2 * b)
-        multiples += q
-        residues += abs(a - q * b)
-    if bound <= total or (multiples + 1) * (residues + 1) <= total:
-        return None
-    for j in range(k):
-        s = (k - j - 1) // 2
-        if sums[j + s + 1] - sums[j] > total - sums[k - s] + sums[j] + 1:
-            return None
-    return sizes
+def _table_step(keys, counts, v, step: int, span: int):
+    """The table one value ``v`` longer, in the form ``_nonneg_sums``' rule
+    picks: sparse, as ``_nonneg_step`` keeps it, or for int64 keys, all
+    multiples of ``step > 0``, dense: ``keys`` None and ``counts[j]`` the
+    patterns with sum ``(2j - top)*step``, ``top = len(counts) - 1``, a view
+    of a zeroed buffer, up to the ``span`` points of the finished lattice, in
+    which a step adds ``counts[j - a]`` into ``counts[j]``, ``a = |v|/step``.
+    Other keys (``step`` 0) stay sparse."""
+    if not step:
+        return _nonneg_step(keys, counts, v)
+    dense, size = keys is None, abs(v) // step
+    top = len(counts) - 1 if dense else int(keys[-1]) // step  # the largest sum, that of |v_i|
+    length = top + size + 1
+    if length > _DENSE_FLOOR:
+        held = np.count_nonzero(counts[(top + 1) // 2 :]) if dense else len(keys)
+        if length > _DENSE_FLOOR + (_DENSE_RATIO if dense else _DENSE_RETURN) * held:
+            return _nonneg_step(*_nonneg_form(keys, counts, step), v)
+    room = counts.base if dense and counts.base is not None else counts[:0]
+    if len(room) < length:  # a zeroed buffer with room to grow into
+        room = np.zeros(min(max(_GROWTH * length, _DENSE_FLOOR), span), dtype=counts.dtype)
+        if dense:
+            room[: top + 1] = counts
+        else:  # each key and its mirror image; the zero sum is its own
+            room[(top + keys // step) // 2] = room[(top - keys // step) // 2] = counts
+    out = room[:length]
+    out[size:] += out[: top + 1]  # numpy buffers the overlap
+    return None, out
 
 
-def _dense_sums(sizes: list[int], step: int, count_dtype):
-    """The nonnegative table of the signed sums of integers ``+-a*step`` for
-    the sorted sizes ``a`` in ``sizes``, by Bellman's subset-sum recurrence:
-    with ``span = sum(sizes)``, ``hist[j]`` counts the sign patterns with
-    sum ``(2j - span)*step``, and each size adds ``hist[j - a]`` into
-    ``hist[j]``.  The upper half of ``hist`` holds the sums >= 0.  The
-    counts do not depend on the order of the sizes, and in increasing order
-    each step touches the fewest entries."""
-    hist = np.zeros(sum(sizes) + 1, dtype=count_dtype)
-    hist[0] = 1
-    top = 0
-    for a in sizes:
-        hist[a : top + a + 1] += hist[: top + 1]  # numpy buffers the overlap
-        top += a
+def _nonneg_form(keys, counts, step: int):
+    """A ``_table_step`` table in nonnegative form."""
+    if keys is not None:
+        return keys, counts
+    top = len(counts) - 1
     half = (top + 1) // 2
-    index = np.flatnonzero(hist[half:])
-    return (2 * (index + half) - top) * step, hist[half:][index]
-
-
-def _step_sums(values: Sequence, dtype, count_dtype):
-    """The nonnegative table of the signed sums of ``values``: the raw sums
-    of the first ``_RAW_PREFIX`` values merged, then one ``_nonneg_step``
-    per value."""
-    k = min(len(values), _RAW_PREFIX)
-    sums = _half_sums(values[:k], dtype)
-    sums = sums[_sign_key(sums) >= 0]
-    keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
-    for v in values[k:]:
-        keys, counts = _nonneg_step(keys, counts, v)
-    return keys, counts
+    index = np.flatnonzero(counts[half:])
+    return (2 * (index + half) - top) * step, counts[half:][index]
 
 
 def _mirror(keys, counts: np.ndarray):
@@ -655,14 +633,6 @@ def _mirror(keys, counts: np.ndarray):
         order = np.argsort(keys.f, kind="stable")
         keys, counts = keys[order], counts[order]
     return keys, counts
-
-
-def _merged_sums(values: Sequence, dtype, count_dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct signed sums of ``values``, each accumulated in index
-    order, in search order (``_mirror``), and their pattern counts.  Float
-    sums merge only when they compare equal, so no later comparison of
-    ``fl(l + r)`` changes."""
-    return _mirror(*_nonneg_sums(values, dtype, count_dtype))
 
 
 # -- pair counting -----------------------------------------------------------
@@ -755,7 +725,7 @@ def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:
     split = len(values) - len(values) // 2
     count_dtype = _count_dtype(len(values))
     lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
-    rkeys, rcounts = _merged_sums(values[split:], dtype, count_dtype)
+    rkeys, rcounts = _mirror(*_nonneg_sums(values[split:], dtype, count_dtype))
     cum = np.concatenate([[0], np.cumsum(rcounts)])
     del rcounts  # the float window searches hold a padded copy of the keys instead
     window, _ = _window(rkeys, cum, lkeys, t, strict, dtype)
@@ -973,11 +943,12 @@ def _tail_distributions(vals: Sequence, dtype):
     """For k = len(vals)-1 down to 0: the nonnegative table (see
     ``_nonneg_step``) of the signed sums of ``vals[k:]``, accumulated from
     the end; the tail tables of ``prefix_partition``, one per depth."""
+    step = (math.gcd(*vals) or 1) if dtype is np.int64 else 0
+    span = sum(map(abs, vals)) // step + 1 if step else 0
     keys, counts = _zero(dtype), np.ones(1, dtype=_count_dtype(len(vals)))
     for size, v in enumerate(reversed(vals), 1):
-        keys, counts = _nonneg_step(keys, counts, v)
-        _check_mass(keys, counts, size)
-        yield keys, counts
+        keys, counts = _table_step(keys, counts, v, step, span)
+        yield _check_mass(*_nonneg_form(keys, counts, step), size)
 
 
 def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
@@ -1121,8 +1092,7 @@ def _float_nonneg_sums(values: Sequence[float]):
     if zeros:
         tail = right[right >= 0]
         keys, counts = _merge_equal(np.concatenate([keys, tail]), np.concatenate([counts, np.full(len(tail), zeros)]))
-    _check_mass(keys, counts, len(values))
-    return keys, counts
+    return _check_mass(keys, counts, len(values))
 
 
 def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDistribution:
@@ -1139,7 +1109,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
         return SumDistribution(keys, counts, n, FLOAT)
 
     vals, dtype, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
-    keys, counts = _merged_sums(vals, dtype, _count_dtype(n))
+    keys, counts = _mirror(*_nonneg_sums(vals, dtype, _count_dtype(n)))
     if isinstance(dtype, _Radical):
         keys, counts = _exact_order(keys, counts, dtype)
         return SumDistribution(keys.f, counts, n, EXACT, None, keys.c, dtype)
@@ -1202,13 +1172,13 @@ def _balanced_depth(settled: Sequence[int], n: int) -> int:
     settled_d*2^(D-d) + 2^(n-D)`` over ``1 <= D <= n-1`` (the smallest on a
     tie): the balance of Horowitz and Sahni's meet-in-the-middle, taken over
     the settled counts (``settled[d - 1]``) of the walk.  For n > 2 nothing
-    settles at depth 1, so D = 2 costs half of D = 1 and D is never 1."""
-
-    def cost(depth: int) -> int:
-        deferred = sum(c << (depth - d) for d, c in enumerate(settled[: depth - 1], 1))
-        return deferred + (1 << (n - depth))
-
-    return min(range(1, n), key=cost)
+    settles at depth 1, so D = 2 costs half of D = 1 and D is never 1.
+    Deferred costs run as ``deferred_{D+1} = 2*(deferred_D + settled_D)``."""
+    costs, deferred = [], 0
+    for depth in range(1, n):
+        costs.append(deferred + (1 << (n - depth)))
+        deferred = 2 * (deferred + settled[depth - 1])
+    return 1 + costs.index(min(costs))
 
 
 def _chain(u, steps: np.ndarray):

@@ -5,6 +5,7 @@ itertools.product sign patterns, written here and kept separate from both
 engine paths.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -303,10 +304,10 @@ class TestMergedHalves:
 
     @pytest.mark.parametrize("dtype, one", [(np.int64, 1), (object, 1), (np.float64, 1.0)])
     def test_merged_half_of_ones_is_binomial(self, dtype, one):
-        from radsum.engine import _merged_sums
+        from radsum.engine import _mirror, _nonneg_sums
 
         for k in (0, 1, 5, 8, 9, 20, 40):
-            keys, counts = _merged_sums([one] * k, dtype, np.int64)
+            keys, counts = _mirror(*_nonneg_sums([one] * k, dtype, np.int64))
             assert keys.tolist() == list(range(-k, k + 1, 2))
             assert counts.tolist() == [math.comb(k, j) for j in range(k + 1)]
 
@@ -478,6 +479,47 @@ def _full_table(values, dtype):
     return keys, counts
 
 
+@contextlib.contextmanager
+def _table_forms(dtypes=False):
+    """The form, "dense" or "sparse", of each table ``_table_step`` returns
+    while the block runs, with its count dtype when ``dtypes``."""
+    from unittest import mock
+
+    from radsum import engine
+
+    real, seen = engine._table_step, []
+
+    def spy(*args):
+        keys, counts = real(*args)
+        form = "dense" if keys is None else "sparse"
+        seen.append((form, counts.dtype) if dtypes else form)
+        return keys, counts
+
+    with mock.patch.object(engine, "_table_step", spy):
+        yield seen
+
+
+def _long_lattice_int64(draw, family, k):
+    """k int64 entries of structured families on lattices of up to about
+    2^20 points, each times a drawn sign in {-1, 0, 1}: near-equal sizes,
+    near multiples of one size, one size up to 2^20 among small ones, and a
+    common factor g > 1 of near-equal sizes.  A drawn jitter, 2 to 2^16,
+    sets how many distinct sums they have: from a few to nearly 2^k."""
+    signs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=k, max_size=k))
+    jitter, size = 1 << draw(st.integers(1, 16)), (1 << 20) // k
+    near = lambda: size + draw(st.integers(1 - min(jitter, size), jitter))
+    if family == "near":
+        sizes = [near() for _ in signs]
+    elif family == "multiples":
+        sizes = [(1 + i % 4) * (size // 3 + 1) + draw(st.integers(0, jitter)) for i in range(k)]
+    elif family == "lopsided":
+        sizes = [1 << draw(st.integers(0, 20))] + [draw(st.integers(1, jitter)) for _ in range(k - 1)]
+    else:
+        g = draw(st.integers(2, 12))
+        sizes = [g * near() for _ in signs]
+    return [s * a for s, a in zip(signs, sizes)]
+
+
 KEY_KINDS = ("float64", "int64", "object", "radical")
 
 
@@ -497,8 +539,7 @@ def _edge_values(kind, signs):
 
 def _wide_int64(signs):
     """int64 entries in the thousands, entry i times ``signs[i]``: up to 14
-    of them have fewer sign patterns than lattice points, so their tables
-    are merged, not dense."""
+    of them have fewer sign patterns than lattice points."""
     return [s * (2000 + 37 * i) for i, s in enumerate(signs)]
 
 
@@ -539,7 +580,7 @@ class TestNonnegativeTables:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_tables_match_full_recurrence(self, data):
-        from radsum.engine import _merged_sums, _mirror, _tail_distributions
+        from radsum.engine import _mirror, _nonneg_sums, _tail_distributions
 
         kind = data.draw(st.sampled_from(KEY_KINDS))
         n = data.draw(st.integers(0, 9 if kind == "radical" else 14))
@@ -553,7 +594,7 @@ class TestNonnegativeTables:
             if kind == "int64" and data.draw(st.booleans()):
                 values = _wide_int64(signs)
         keys, dtype = _keys_of(kind, values)
-        self._assert_same_table(_merged_sums(keys, dtype, np.int64), _full_table(keys, dtype), dtype)
+        self._assert_same_table(_mirror(*_nonneg_sums(keys, dtype, np.int64)), _full_table(keys, dtype), dtype)
         if n:
             *_, last = _tail_distributions(keys, dtype)
             self._assert_same_table(_mirror(*last), _full_table(keys[::-1], dtype), dtype)
@@ -561,10 +602,13 @@ class TestNonnegativeTables:
     @given(st.data())
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_dense_tables_match_full_recurrence(self, data):
-        # int64 keys on both sides of the dense rule: small entries, entries
-        # near 2^n/n (near-equal sizes), entries near 1-4 times 2^n/(3n),
-        # one large entry among small ones, and a common factor g > 1
-        from radsum.engine import _dense_sums, _lattice_sizes, _nonneg_sums, _step_sums
+        # int64 keys in both forms: small entries, entries near 2^n/n
+        # (near-equal sizes), entries near 1-4 times 2^n/(3n), one large
+        # entry among small ones, and a common factor g > 1; each form is
+        # forced through the rule's constants, for halves and for tails
+        from unittest import mock
+
+        from radsum import engine
 
         n = data.draw(st.integers(0, 14))
         family = data.draw(st.sampled_from(["small", "near", "multiples", "lopsided", "factor"]))
@@ -583,95 +627,153 @@ class TestNonnegativeTables:
             g = data.draw(st.integers(2, 12))
             values = [s * g * data.draw(st.integers(1, 40)) for s in signs]
         count_dtype = data.draw(st.sampled_from([np.int64, object]))
-        step = math.gcd(*values) or 1
-        event("dense" if _lattice_sizes(values, step) is not None else "merged")
-        keys, counts = _nonneg_sums(values, np.int64, count_dtype)
         full, full_counts = _full_table(values, np.int64)
-        assert keys.dtype == np.int64 and counts.dtype == np.dtype(count_dtype)
-        assert keys.tolist() == full[full >= 0].tolist()
-        assert counts.tolist() == full_counts[full >= 0].tolist()
-        # the merged builder forced on the same input gives the same table
-        merged = _step_sums(values, np.int64, count_dtype)
-        dense = _dense_sums(sorted(abs(v) // step for v in values), step, count_dtype)
-        for ours, theirs in zip(dense, merged):
-            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+        ran = set()
+        for form, floor in (("dense", 1 << 62), ("sparse", 0)):
+            with mock.patch.multiple(engine, _DENSE_FLOOR=floor, _DENSE_RATIO=0, _DENSE_RETURN=0):
+                with _table_forms() as forms:
+                    keys, counts = engine._nonneg_sums(values, np.int64, count_dtype)
+                    tails = list(engine._tail_distributions(values, np.int64))
+            assert set(forms) == ({form} if n else set())  # an empty table takes no step
+            ran.update(forms)
+            event(form)
+            assert keys.dtype == np.int64 and counts.dtype == np.dtype(count_dtype)
+            assert keys.tolist() == full[full >= 0].tolist()
+            assert counts.tolist() == full_counts[full >= 0].tolist()
+            for size, (keys, counts) in enumerate(tails, 1):
+                want, want_counts = _full_table(values[::-1][:size], np.int64)
+                assert keys.dtype == np.int64 and counts.dtype == np.int64
+                assert keys.tolist() == want[want >= 0].tolist()
+                assert counts.tolist() == want_counts[want >= 0].tolist()
+        assert ran == ({"dense", "sparse"} if n else set())
 
-    def test_dense_rule(self, monkeypatch):
-        """The dense table is built for int64 keys alone, and only where both
-        distinct-sum bounds reach the lattice length and the middle sums
-        leave no gap: never for float, radical or Python-int keys, one large
-        entry among small ones, near-equal entries, or entries near small
-        multiples of one size."""
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_dense_tables_stay_within_the_bound(self, data):
+        """The guard of the per-step rule: at every step of an int64 table,
+        a dense table is at most ``_DENSE_FLOOR + _DENSE_RATIO*held`` long,
+        for the distinct sums ``>= 0`` held before the step, over
+        structured sizes whose lattices run far past their sums (k <= 20)."""
+        from unittest import mock
+
         from radsum import engine
 
-        real = engine._dense_sums
-        seen = []
+        k = data.draw(st.integers(1, 20))
+        family = data.draw(st.sampled_from(["near", "multiples", "lopsided", "factor"]))
+        values = _long_lattice_int64(data.draw, family, k)
+        real, steps = engine._table_step, []
 
-        def spy(sizes, step, count_dtype):
-            keys, counts = real(sizes, step, count_dtype)
-            seen.append((sizes, counts.dtype))
-            return keys, counts
+        def spy(keys, counts, v, step, span):
+            held = len(engine._nonneg_form(keys, counts, step)[0])
+            out = real(keys, counts, v, step, span)
+            steps.append((out[0] is None, len(out[1]), held))
+            return out
 
-        monkeypatch.setattr(engine, "_dense_sums", spy)
-        # 64 ones: two halves of 32 ones, span 32, with object counts
-        n = 64
-        hits = sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) <= 8)
-        assert engine.admissible_count(canonicalize([1] * n, EXACT), 1, limit=n) == (hits, 2**n)
-        assert seen == [([1] * 32, np.dtype(object))] * 2
-        # the left half [2^30, 2^30, 1 x 30] has at most 3 * 31 distinct
-        # sums on a lattice of 2^31 + 31 points: merged; only the right half
-        # of 32 ones is dense.  |s| <= |v| = 2^30.5 holds for exactly the
-        # patterns with opposite signs on the two large entries.
-        seen.clear()
-        assert engine.admissible_count(canonicalize([2**30] * 2 + [1] * 62, EXACT), 1, limit=n) == (2**63, 2**64)
-        assert seen == [([1] * 32, np.dtype(object))]
-        # sizes 1, 1, 1, a: at most 4 * 2 distinct sums, on a lattice of
-        # a + 4 points; a factor g = 2 changes nothing
-        seen.clear()
-        for values in ([4, 1, -1, 1], [5, 1, -1, 1], [8, 2, -2, 2], [10, 2, -2, 2]):
+        with mock.patch.object(engine, "_table_step", spy):
             engine._nonneg_sums(values, np.int64, np.int64)
-        assert seen == [([1, 1, 1, 4], np.dtype(np.int64))] * 2
-        # 19 three times and 30 five times: at most 4 * 6 = 24 distinct sums
-        # (2^8 = 256 patterns) on a lattice of 208 points
-        seen.clear()
-        engine._nonneg_sums([19] * 3 + [30] * 5, np.int64, np.int64)
-        assert seen == []
-        # eight near-equal sizes: the sums of four smallest and of three
-        # largest meet for 10..17 (46 <= 51 + 1), not for 20..27 (86 > 79)
-        seen.clear()
-        engine._nonneg_sums([10 + i for i in range(8)], np.int64, np.int64)
-        engine._nonneg_sums([20 + i for i in range(8)], np.int64, np.int64)
-        assert seen == [([10 + i for i in range(8)], np.dtype(np.int64))]
-        seen.clear()
-        wide = [5000 + 37 * i for i in range(16)]  # more lattice points than patterns
-        radical = from_squares([2, 3, 5, 7, 11, 13, 17, 19])
-        for values, mode, t in (
-            ([1.0] * 16, FLOAT, 1.0),
-            ([2**62 + i for i in range(16)], EXACT, 2**62),
-            (wide, EXACT, 1000),
-            (radical.values, EXACT, 1),
-        ):
-            engine.signed_sum_count(values, t, mode)
-        sum_distribution(canonicalize(wide, EXACT))
-        sum_distribution(radical)
-        # one large entry among small ones, near-equal entries with and
-        # without small ones before them, and entries just above 1 and just
-        # below 2, 3 and 4 times one size, under the default limits: each
-        # has at most a few thousand distinct sums on a lattice of millions
-        # of points
-        sum_distribution(canonicalize([2**23 - 24] + [1] * 23, EXACT))
-        sum_distribution(canonicalize([699000 + i for i in range(24)], EXACT))
-        sum_distribution(canonicalize([1, 2, 3, 4] + [576000 + i for i in range(20)], EXACT))
-        near = [270000 + i for i in range(6)] + [c * 270000 - 1 - i for c in (2, 3, 4) for i in range(6)]
-        sum_distribution(canonicalize(near, EXACT))
-        assert seen == []
+            list(engine._tail_distributions(values, np.int64))
+        for dense, length, held in steps:
+            event("dense" if dense else "sparse")
+            if dense:
+                assert length <= engine._DENSE_FLOOR + engine._DENSE_RATIO * held, (values, length, held)
+
+    def test_dense_rule(self):
+        """Each step of an int64 table picks its form from the sums it holds:
+        dense below the floor, sparse where the lattice runs far past them,
+        and never dense for float, radical or Python-int keys; a table of at
+        most ``_RAW_PREFIX`` values is its raw sums and takes no step."""
+        from radsum import engine
+
+        with _table_forms(dtypes=True) as seen:
+            # 64 ones: two halves of 32 ones, span 32, with object counts
+            n = 64
+            hits = sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) <= 8)
+            assert engine.admissible_count(canonicalize([1] * n, EXACT), 1, limit=n) == (hits, 2**n)
+            assert seen == [("dense", np.dtype(object))] * 64
+            # the left half [2^30, 2^30, 1 x 30] is dense over its 30 ones (16
+            # sums >= 0 on 31 points) and sparse over the two large sizes, whose
+            # lattices pass 2^30 points; the right half of 32 ones is dense.
+            # |s| <= |v| = 2^30.5 holds for exactly the patterns with opposite
+            # signs on the two large entries.
+            seen.clear()
+            assert engine.admissible_count(canonicalize([2**30] * 2 + [1] * 62, EXACT), 1, limit=n) == (2**63, 2**64)
+            assert [form for form, _ in seen] == ["dense"] * 30 + ["sparse"] * 2 + ["dense"] * 32
+            # sizes 1, 1, 1, a (a factor g = 2 changes nothing), 19 three times
+            # and 30 five times, and eight near-equal sizes: at most
+            # _RAW_PREFIX values, so their raw sums, merged
+            seen.clear()
+            for values in ([4, 1, -1, 1], [5, 1, -1, 1], [8, 2, -2, 2], [10, 2, -2, 2], [19] * 3 + [30] * 5):
+                engine._nonneg_sums(values, np.int64, np.int64)
+            engine._nonneg_sums([10 + i for i in range(8)], np.int64, np.int64)
+            engine._nonneg_sums([20 + i for i in range(8)], np.int64, np.int64)
+            assert seen == []
+            # their tails step one value at a time, on lattices of at most 208
+            # points: dense
+            for values in ([4, 1, -1, 1], [10, 2, -2, 2], [19] * 3 + [30] * 5, [20 + i for i in range(8)]):
+                list(engine._tail_distributions(values, np.int64))
+            assert seen == [("dense", np.dtype(np.int64))] * (4 + 4 + 8 + 8)
+            seen.clear()
+            wide = [5000 + 37 * i for i in range(16)]  # more lattice points than patterns
+            radical = from_squares([2, 3, 5, 7, 11, 13, 17, 19])
+            for values, mode, t in (
+                ([1.0] * 16, FLOAT, 1.0),
+                ([2**62 + i for i in range(16)], EXACT, 2**62),
+                (wide, EXACT, 1000),
+                (radical.values, EXACT, 1),
+            ):
+                engine.signed_sum_count(values, t, mode)
+            sum_distribution(radical)
+            assert seen == []  # halves of 8 values and 8 radical values: raw sums
+            # float, Python-int and radical tables that do step stay sparse: 4
+            # steps per half of 12 Python ints, 4 for 12 radical values, 8 for
+            # 16 floats on no lattice
+            engine.signed_sum_count([2**62 + i for i in range(24)], 2**62, EXACT)
+            sum_distribution(from_squares([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]))
+            engine._nonneg_sums(np.random.default_rng(0).standard_normal(16).tolist(), np.float64, np.int64)
+            assert seen == [("sparse", np.dtype(np.int64))] * (8 + 4 + 8)
+            # 16 entries near 5000: dense while the lattice is at most the
+            # floor (62443 points after twelve) and just past it (67887 points,
+            # 150 sums >= 0 held), then sparse (73368 points, 189 held)
+            seen.clear()
+            sum_distribution(canonicalize(wide, EXACT))
+            assert [form for form, _ in seen] == ["dense"] * 13 + ["sparse"] * 3
+            # the bound itself: after a size 1 (one sum >= 0 held), a step onto
+            # _DENSE_FLOOR + _DENSE_RATIO lattice points is dense, onto one
+            # point more sparse
+            seen.clear()
+            edge = engine._DENSE_FLOOR + engine._DENSE_RATIO
+            for size in (edge - 2, edge - 1):
+                list(engine._tail_distributions([size, 1], np.int64))
+            assert [form for form, _ in seen] == ["dense"] * 3 + ["sparse"]
+            # and a sparse table (the one sum 0 to start a tail) turns dense
+            # within _DENSE_FLOOR + _DENSE_RETURN lattice points only
+            seen.clear()
+            edge = engine._DENSE_FLOOR + engine._DENSE_RETURN
+            for size in (edge - 1, edge):
+                list(engine._tail_distributions([1, size], np.int64))
+            assert [form for form, _ in seen] == ["dense"] * 2 + ["sparse"] * 2
+            # one large entry among small ones, near-equal entries with and
+            # without small ones before them, and entries just above 1 and just
+            # below 2, 3 and 4 times one size, under the default limits: each
+            # has at most a few thousand distinct sums on a lattice of millions
+            # of points, so every step onto that lattice is sparse.  Tables
+            # whose first size passes the floor start from their raw sums.
+            for values, forms in (
+                ([2**23 - 24] + [1] * 23, ["dense"] * 23 + ["sparse"]),
+                ([699000 + i for i in range(24)], ["sparse"] * 16),
+                ([1, 2, 3, 4] + [576000 + i for i in range(20)], ["dense"] * 4 + ["sparse"] * 20),
+                ([270000 + i for i in range(6)] + [c * 270000 - 1 - i for c in (2, 3, 4) for i in range(6)], ["sparse"] * 16),
+            ):
+                seen.clear()
+                sum_distribution(canonicalize(values, EXACT))
+                assert [form for form, _ in seen] == forms, values
 
     @pytest.mark.parametrize("raw_prefix", [0, 8])
     @pytest.mark.parametrize("kind", KEY_KINDS)
     def test_edge_weight_counts(self, monkeypatch, rng, kind, raw_prefix):
         # zero, negative and -0.0 raw weights; with no raw prefix every
-        # merged table is built by nonnegative steps.  The small int64
-        # entries take dense tables, the wide ones merged tables.
+        # sparse table is built by nonnegative steps.  int64 tables of more
+        # values than the raw prefix step dense or sparse by the rule.
         from radsum import engine
 
         monkeypatch.setattr(engine, "_RAW_PREFIX", raw_prefix)
@@ -712,8 +814,24 @@ class TestNonnegativeTables:
         signs = [int(s) for s in rng.integers(-1, 2, size=12)]
         values = _wide_int64(signs) if kind == "int64" else _edge_values(kind, signs)
         keys, dtype = _keys_of(kind, values)
-        engine._nonneg_sums(keys, dtype, np.int64)
-        list(engine._tail_distributions(keys, dtype))
+
+        def build():
+            merged.clear()
+            with _table_forms() as forms:
+                engine._nonneg_sums(keys, dtype, np.int64)
+                list(engine._tail_distributions(keys, dtype))
+            return forms
+
+        # one merge for the raw sums a table starts from, one per sparse
+        # step; an int64 table of more values than the raw prefix starts
+        # dense, and a dense step merges nothing
+        forms = build()
+        assert len(merged) == (kind != "int64") + forms.count("sparse")
+        if kind == "int64":  # every step forced sparse: the int64 table starts from its raw sums
+            for name in ("_DENSE_FLOOR", "_DENSE_RATIO", "_DENSE_RETURN"):
+                monkeypatch.setattr(engine, name, 0)
+            forms = build()
+            assert set(forms) == {"sparse"}
         assert len(merged) == (1 + 12 - min(12, raw_prefix)) + 12
 
     def test_mass_slip_is_soundness_error(self, monkeypatch):
@@ -736,27 +854,32 @@ class TestNonnegativeTables:
         w = canonicalize(np.random.default_rng(0).standard_normal(20).tolist(), FLOAT)
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(w, 1.0, limit=20)
-        # the first _RAW_PREFIX (8) weights take no step; the 2^9 patterns
-        # of entries in the hundreds cannot fill their lattice, so the table
-        # is merged, not dense
+        # the first _RAW_PREFIX (8) weights take no step; entries in the
+        # hundred thousands start past the dense floor, so the int64 table
+        # starts from their raw sums and its ninth step is sparse
         with pytest.raises(SoundnessError, match="mass"):
-            sum_distribution(canonicalize([301, 103, 207, 509, 401, 107, 211, 601, 307], EXACT))
+            sum_distribution(canonicalize([301001, 103001, 207001, 509001, 401001, 107001, 211001, 601001, 307001], EXACT))
 
     def test_dense_mass_slip_is_soundness_error(self, monkeypatch):
+        # a count lost in each dense step raises, for a whole table, for the
+        # halves of a count and for the tail tables of the exact walk
         from radsum import SoundnessError, engine
 
-        real = engine._dense_sums
+        real = engine._table_step
 
-        def slip(sizes, step, count_dtype):
-            keys, counts = real(sizes, step, count_dtype)
-            counts[-1] -= 1
+        def slip(*args):
+            keys, counts = real(*args)
+            if keys is None:
+                counts[-1] -= 1
             return keys, counts
 
-        monkeypatch.setattr(engine, "_dense_sums", slip)
+        monkeypatch.setattr(engine, "_table_step", slip)
         with pytest.raises(SoundnessError, match="mass"):
             sum_distribution(canonicalize([3, 1, 2, 5, 4, 1, 2, 6, 3], EXACT))
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(canonicalize([1] * 20, EXACT), 1, limit=20)
+        with pytest.raises(SoundnessError, match="mass"):
+            prefix_partition(canonicalize([1] * 9, EXACT))
 
 
 def _square_norm(head) -> list:
@@ -1483,6 +1606,23 @@ class TestPrefixPartition:
         # the band either.
         rep = prefix_partition(from_squares([1, 1, 2, 2, 3, 3]))
         assert rep.stats == PartitionStats("radical", (1, 2, 2, 3, 2), (0, 1, 0, 2, 2), 1)
+
+    @given(st.integers(2, 40).flatmap(lambda n: st.lists(
+        st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2**20)), min_size=n - 1, max_size=n - 1,
+    ).map(lambda settled: (n, settled))))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_balanced_depth_is_the_least_cost(self, case):
+        """The running deferred cost picks the depth that minimises ``sum_{d<D}
+        settled_d*2^(D-d) + 2^(n-D)`` summed afresh for each D, the smallest
+        on a tie."""
+        from radsum.engine import _balanced_depth
+
+        n, settled = case
+
+        def cost(depth):
+            return sum(c << (depth - d) for d, c in enumerate(settled[: depth - 1], 1)) + (1 << (n - depth))
+
+        assert _balanced_depth(settled, n) == min(range(1, n), key=cost)
 
     @staticmethod
     def _partition_at(w, depth=None):
