@@ -638,46 +638,36 @@ def _mirror(keys, counts: np.ndarray):
 # -- pair counting -----------------------------------------------------------
 
 
-def _refine_prefix_len(padded: np.ndarray, steps: np.ndarray, bound, inclusive: bool) -> np.ndarray:
-    """Per query, the count of the sorted unique values u of ``padded[1:-1]``
-    (``padded`` ends in -inf and +inf) with ``_chain(u, steps) <= bound``
-    (inclusive) or ``< bound`` (strict).  The queries are the entries of
-    ``bound`` broadcast against ``steps[0]``, which has their number of
-    dimensions; a query's column of ``steps`` holds its offsets, and its
-    chain is weakly increasing in u.
+def _refine_prefix_len(padded: np.ndarray, steps: np.ndarray, bound: np.ndarray, inclusive: bool) -> np.ndarray:
+    """Per query j, the count of the sorted unique values u of
+    ``padded[1:-1]`` (``padded`` ends in -inf and +inf) with ``_chain(u,
+    steps[:, j]) <= bound[j]`` (inclusive) or ``< bound[j]`` (strict).  The
+    queries are flat: ``bound`` is 1-D and ``steps`` holds a column of signed
+    weights per query, so each chain is weakly increasing in u.
 
-    searchsorted of ``bound - _chain(0, steps)``, a float estimate of where
-    the chain crosses ``bound``, can be off by a few distinct values
-    because of rounding; since the target set is a prefix, local
-    adjustment converges: a count c below the number of values moves up
-    when the value after it, ``padded[c + 1]``, passes, and a count above 0
-    moves down when the one before it fails.  A query that does not move
-    has converged, so after a first pass over all of them only the queries
-    that moved are stepped again."""
+    searchsorted of ``bound - _chain(0, steps)`` is exact without rows, and
+    else can be off by a few values because of rounding; since the target
+    set is a prefix, local steps converge: a count c below the number of
+    values moves up when ``padded[c + 1]`` passes, and a count above 0
+    moves down when ``padded[c]`` fails.  After a first pass over all
+    queries, only the queries that moved are stepped again."""
+    idx = np.searchsorted(padded[1:-1], bound - _chain(0.0, steps), side="right" if inclusive else "left")
+    if not len(steps):
+        return idx
     below, m = (np.less_equal if inclusive else np.less), len(padded) - 2
     moves = lambda i, rows, b: (
         (i < m) & below(_chain(padded[i + 1], rows), b),
         (i > 0) & ~below(_chain(padded[i], rows), b),
     )
-    idx = np.searchsorted(padded[1:-1], bound - _chain(0.0, steps), side="right" if inclusive else "left")
     up, down = moves(idx, steps, bound)
     idx += up
     idx -= down
-    at = (up | down).ravel().nonzero()[0]  # the queries that moved, by flat index
-    if len(at):
-        where = np.unravel_index(at, idx.shape)
-        # the moving queries' offsets and bounds; an axis of size 1 broadcasts
-        pick = lambda a: a[(..., *(w * (size > 1) for w, size in zip(where, a.shape[a.ndim - idx.ndim :])))]
-        rows, b = pick(steps), pick(bound) if np.ndim(bound) else np.full(len(at), bound)
-        flat = idx.reshape(-1)
-        i = flat[at]
-        while len(at):
-            up, down = moves(i, rows, b)
-            i += up
-            i -= down
-            flat[at] = i
-            moved = (up | down).nonzero()[0]
-            at, i, rows, b = at[moved], i[moved], rows[:, moved], b[moved]
+    at = (up | down).nonzero()[0]  # the queries that moved
+    while len(at):
+        up, down = moves(idx[at], steps[:, at], bound[at])
+        idx[at] += up
+        idx[at] -= down
+        at = at[(up | down).nonzero()[0]]
     return idx
 
 
@@ -962,9 +952,9 @@ def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
     if isinstance(dtype, _Radical):
         return _band_window(keys, cum, query, t, strict, dtype, dtype.spread)
     if dtype is np.float64:
-        padded = _padded(keys)
-        hi = _refine_prefix_len(padded, query[None], t, not strict)
-        lo = _refine_prefix_len(padded, query[None], -t, strict)
+        padded, bound = _padded(keys), np.full(len(query), t)
+        hi = _refine_prefix_len(padded, query[None], bound, not strict)
+        lo = _refine_prefix_len(padded, query[None], -bound, strict)
     else:
         hi = np.searchsorted(keys, t - query, side="left" if strict else "right")
         lo = np.searchsorted(keys, -t - query, side="right" if strict else "left")
@@ -1190,45 +1180,34 @@ def _chain(u, steps: np.ndarray):
     return u
 
 
-def _pull_back(padded: np.ndarray, steps: np.ndarray, bound: np.ndarray, inclusive: bool) -> np.ndarray:
-    """Per query, how many of the sorted float tail sums ``padded[1:-1]``
-    (see ``_padded``) extend, by the signed weights in the query's column
-    of ``steps``, to a sum ``<= bound`` (``<`` when not inclusive); the
-    queries are the entries of ``bound`` broadcast against ``steps[0]``.
-
-    Each rounding is monotone, so the extension ``_chain`` is weakly
-    increasing in the tail sum and the keys it sends below a bound are a
-    prefix of the keys: it is bracketed by searching ``bound`` minus the
-    chain from 0 and stepped to its exact end.  Without weights in between
-    the search is exact."""
-    if not len(steps):
-        return np.searchsorted(padded[1:-1], bound, side="right" if inclusive else "left")
-    return _refine_prefix_len(padded, steps, bound, inclusive)
-
-
 def _near_tails(keys: np.ndarray, steps: np.ndarray, ends: np.ndarray) -> list:
     """Per end, the sorted distinct tail sums within ``BOUNDARY_TIE_TOL`` of
     it, of the table ``steps`` pulls back from ``keys``."""
-    ends, padded = ends[:, None], _padded(keys)
-    lo = _pull_back(padded, steps[:, None], ends - BOUNDARY_TIE_TOL, False)
-    hi = _pull_back(padded, steps[:, None], ends + BOUNDARY_TIE_TOL, True)
-    return [
-        np.unique(np.concatenate([_chain(keys[a:b], steps[:, m]) for m, (a, b) in enumerate(zip(*row))]))
-        for row in zip(lo, hi)
-    ]
+    k, padded, tiled = steps.shape[1], _padded(keys), np.tile(steps, len(ends))  # a query per end and pattern
+    lo = _refine_prefix_len(padded, tiled, np.repeat(ends - BOUNDARY_TIE_TOL, k), False)
+    hi = _refine_prefix_len(padded, tiled, np.repeat(ends + BOUNDARY_TIE_TOL, k), True)
+    near = [_chain(keys[a:b], tiled[:, j]) for j, (a, b) in enumerate(zip(lo, hi))]
+    return [np.unique(np.concatenate(near[e : e + k])) for e in range(0, len(near), k)]
+
+
+def _check_window(window: np.ndarray, cum: np.ndarray, depth: int) -> np.ndarray:
+    """Tail windows at ``depth``, checked to lie in ``[0, cum[-1]]``."""
+    if window.min() < 0 or window.max() > cum[-1]:
+        raise SoundnessError(f"a tail window at depth {depth} is negative or exceeds its {cum[-1]} tails")
+    return window
 
 
 def _float_joints(keys, cum, vals, depth: int, sums: dict, one: float, joints: list, ties: Counter) -> None:
     """Add to ``joints[d]`` the tail patterns within 1 of the float sums
     ``sums[d]`` settled at each depth ``d <= depth``, and their "final" tie
     rows to ``ties``, in one search of the table at ``depth`` (``keys``,
-    cumulative counts ``cum``): a column per sum s and sign pattern of
-    ``vals[d:depth]``, which pull the table back (``_pull_back``).  A column
-    counts the r with ``fl(-1 - s) <= r <= fl(1 - s)``; it is near if the r
-    next to an end, the extensions of the keys next to the searched end, lie
-    within ``BOUNDARY_TIE_TOL`` of it.  Shorter chains are padded with +0.0
-    rows: ``fl(u + 0.0) = u`` for every u but -0.0, and no key or chain
-    value is -0.0, as ``fl(a + b)`` is -0.0 only for ``a = b = -0.0``."""
+    cumulative counts ``cum``): a flat ``_refine_prefix_len`` query per sum
+    s and sign pattern of ``vals[d:depth]``, which pull the table back.  A
+    column counts the r with ``fl(-1 - s) <= r <= fl(1 - s)``; it is near if
+    the r next to an end, the extensions of the keys next to the searched
+    end, lie within ``BOUNDARY_TIE_TOL`` of it.  Shorter chains are padded
+    with +0.0 rows: ``fl(u + 0.0) = u`` for every u but -0.0, and no key or
+    chain value is -0.0, as ``fl(a + b)`` is -0.0 only for ``a = b = -0.0``."""
     rows, tol = depth - min(sums), BOUNDARY_TIE_TOL
     blocks = {d: _sign_matrix(depth - d)[1:] * np.array(vals[d:depth])[:, None] for d in sums}
     ends = list(itertools.accumulate((len(sums[d]) * m.shape[1] for d, m in blocks.items()), initial=0))
@@ -1237,12 +1216,10 @@ def _float_joints(keys, cum, vals, depth: int, sums: dict, one: float, joints: l
         steps[rows - len(m) :, a:b] = np.tile(m, len(sums[d]))  # no rows when d = depth
         query[a:b] = np.repeat(sums[d], m.shape[1])
     lo, hi, padded = -one - query, one - query, _padded(keys)  # the infinite ends are never near
-    start, stop = _pull_back(padded, steps, lo, False), _pull_back(padded, steps, hi, True)
+    start, stop = _refine_prefix_len(padded, steps, lo, False), _refine_prefix_len(padded, steps, hi, True)
     at = lambda i: _chain(padded[i], steps)
     near = (at(start + 1) <= lo + tol) | (at(start) >= lo - tol) | (at(stop) >= hi - tol) | (at(stop + 1) <= hi + tol)
-    window = cum[stop] - cum[start]
-    if window.min() < 0 or window.max() > cum[-1]:
-        raise SoundnessError(f"a tail window at depth {depth} is negative or exceeds its {cum[-1]} tails")
+    window = _check_window(cum[stop] - cum[start], cum, depth)
     for (d, m), a, b in zip(blocks.items(), ends, ends[1:]):
         joints[d] += int(window[a:b].sum())
         close = near[a:b].reshape(len(sums[d]), -1).any(axis=1)
@@ -1405,11 +1382,11 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     over weights disjoint from the tail, which ``_Radical.band`` covers.  In
     float mode the table at d holds ``G_m(u) = fl(...fl(u +- x_D) ... +-
     x_{d+1})`` for the sums u of the table at D, so the tail is pulled back
-    instead (``_pull_back``): G_m is monotone in u, so the u that land in
-    the window ``[fl(-1 - s), fl(1 - s)]``, or within 1e-12 of its ends for
-    the tie records, form one interval of the table at D.  Counts and tie
-    records are those of the table at d.  Raises ``SoundnessError`` unless
-    ``0 <= joint_k <= Pr(A_k)`` for every k.
+    instead, by one flat ``_refine_prefix_len`` search: G_m is monotone in
+    u, so the u that land in the window ``[fl(-1 - s), fl(1 - s)]``, or
+    within 1e-12 of its ends for the tie records, form one interval of the
+    table at D.  Counts and tie records are those of the table at d.
+    Raises ``SoundnessError`` unless ``0 <= joint_k <= Pr(A_k)`` for every k.
     """
     walk = _walk(w, limit)
     n, exact, one, prefixes, fallbacks = w.n, w.mode == EXACT, walk.one, walk.prefixes, walk.stats.fallbacks
@@ -1432,10 +1409,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
             for v in vals[d:depth]:
                 ss, mm = _merge_equal(_extend(ss, v), np.concatenate([mm, mm]))
             window, decided = _window(tkeys, cum, ss, one, False, dtype)
-            if window.min() < 0 or window.max() > cum[-1]:
-                raise SoundnessError(f"a tail window at depth {depth} is negative or exceeds its {cum[-1]} tails")
             fallbacks += decided
-            joint_count[d] += int((mm * window).sum())
+            joint_count[d] += int((mm * _check_window(window, cum, depth)).sum())
     if prefixes:
         raise SoundnessError(f"sums settled at depths {sorted(prefixes)} were never counted")
 

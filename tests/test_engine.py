@@ -6,6 +6,7 @@ engine paths.
 """
 
 import contextlib
+import inspect
 import itertools
 import json
 import math
@@ -301,6 +302,54 @@ class TestMergedHalves:
                     expected = int(np.count_nonzero(sums < t if strict else sums <= t))
                     assert signed_sum_count(vals, t, FLOAT, strict) == (expected, 2 ** len(vals)), (vals, t)
                     assert merged_count(vals, t, FLOAT, strict) == expected, (vals, t)
+
+    def test_refine_prefix_len_matches_literal_count(self):
+        """Each flat query of ``_refine_prefix_len`` counts the keys u whose
+        chain, u plus its column of ``steps`` from the last row up, is
+        ``<= bound`` (``<`` when strict), as a loop in Python floats does.
+        Keys mix magnitudes from 2^-60 to 2^20 and offsets from 2^-30 to
+        2^30, so a key's chain can round onto its neighbours' and the first
+        searchsorted estimate is off; 0-3 rows, +0.0 rows among them as
+        ``_float_joints`` pads shorter chains, and bounds at a key's chain
+        and one ulp either side."""
+        from radsum.engine import _padded, _refine_prefix_len
+
+        seen = Counter()
+
+        def floats(*exponents):
+            mantissa, sign = st.integers(1, 2**20), st.sampled_from([-1.0, 1.0])
+            return st.builds(lambda m, e, s: s * m * 2.0**e, mantissa, st.sampled_from(exponents), sign)
+
+        def chain(u, column):
+            for c in reversed(column):
+                u += c
+            return u
+
+        @given(st.data())
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        def check(data):
+            keys = np.unique(data.draw(st.lists(st.just(0.0) | floats(-60, -30, 0), min_size=1, max_size=12)))
+            rows, queries = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 12))
+            steps = np.zeros((rows, queries))
+            for r in range(rows):
+                if data.draw(st.booleans()):  # else a +0.0 row
+                    steps[r] = data.draw(st.lists(floats(-30, 0, 10), min_size=queries, max_size=queries))
+            columns = steps.T.tolist()
+            at = [(data.draw(st.sampled_from(keys.tolist())), data.draw(st.integers(-1, 1))) for _ in columns]
+            bound = np.array([_ulps(chain(u, column), k) for (u, k), column in zip(at, columns)])
+            inclusive = data.draw(st.booleans())
+            below = (lambda a, b: a <= b) if inclusive else (lambda a, b: a < b)
+            count = lambda chains, b: sum(below(c, b) for c in chains)
+            want = [count((chain(u, column) for u in keys.tolist()), b) for column, b in zip(columns, bound)]
+            assert _refine_prefix_len(_padded(keys), steps, bound, inclusive).tolist() == want, (keys, steps, bound)
+            estimate = [count(keys.tolist(), b - chain(0.0, column)) for column, b in zip(columns, bound)]
+            for kind, hit in (("zero-row queries", not rows), ("moved queries", estimate != want)):
+                if hit:
+                    seen[kind] += 1
+                    event(kind)
+
+        check()
+        assert seen["zero-row queries"] and seen["moved queries"], seen
 
     @pytest.mark.parametrize("dtype, one", [(np.int64, 1), (object, 1), (np.float64, 1.0)])
     def test_merged_half_of_ones_is_binomial(self, dtype, one):
@@ -1726,20 +1775,22 @@ class TestPrefixPartition:
 
             monkeypatch.setattr(engine, "_window", slip)
         else:
-            real, w, seen = engine._pull_back, case2_vector("float", 14, 7), {}
+            real, w, seen = engine._refine_prefix_len, case2_vector("float", 14, 7), {}
 
             def slip(padded, steps, bound, inclusive):
                 got = real(padded, steps, bound, inclusive)
+                if inspect.currentframe().f_back.f_code.co_name != "_float_joints":
+                    return got  # _window's and _near_tails' searches are flat too
                 if not inclusive:
                     seen["start"] = got
-                elif got.ndim == 1:  # the batched search, not _near_tails' per-column one
+                else:
                     i = int(seen["start"].argmax())
                     assert seen["start"][i] > 0
                     got = got.copy()
                     got[i] = seen["start"][i] - 1
                 return got
 
-            monkeypatch.setattr(engine, "_pull_back", slip)
+            monkeypatch.setattr(engine, "_refine_prefix_len", slip)
         with pytest.raises(SoundnessError, match="tail window at depth"):
             prefix_partition(w)
 
