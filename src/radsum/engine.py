@@ -68,14 +68,15 @@ weights - every signed sum is ``s*sqrt(D)/L`` for an integer ``s`` (int64
 keys, Python ints past 2^62), and for any exact threshold ``|s|*sqrt(D)/L
 <= t`` becomes ``|s| <= c`` with the integer cut-off ``c =
 floor(t*L/sqrt(D))``: an ``isqrt`` for a rational ``t``, an exact ``SqrtSum``
-floor otherwise.  Only weights over
-several radicands take radical keys: an exact integer code of each signed
-sum, and an int64 fixed-point sum of its terms' exact floors, less than one
-unit per term from the sum (a static integer error bound, after Fortune and
-Van Wyk).  Square roots of distinct squarefree integers are linearly
-independent over Q, so equal codes are equal sums: keys merge by code, are
-searched by their fixed-point parts, and are decoded and decided exactly
-within that many units of a decision boundary.
+floor otherwise.  Only weights over several radicands take radical keys,
+one row ``(f, c)`` of an ``(N, 2)`` array per signed sum, which every table
+and walk step moves as one key: ``f`` a fixed-point sum of its terms' exact
+floors, less than one unit per term from the sum (a static integer error
+bound, after Fortune and Van Wyk), and ``c`` an exact integer code.  Square
+roots of distinct squarefree integers are linearly independent over Q, so
+equal codes are equal sums: rows merge by code, are searched by their
+fixed-point parts, and are decoded and decided exactly within that many
+units of a decision boundary.
 
 In float mode a signed sum is evaluated as ``fl(left_half + right_half)``
 with each half accumulated in index order, and every decision is that of
@@ -261,33 +262,6 @@ def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> int:
 # -- radical keys --------------------------------------------------------------
 
 
-class _Keys:
-    """Radical keys: int64 fixed-point approximations ``f`` of signed sums
-    and their exact integer codes ``c``, as parallel arrays (or the two
-    Python ints of one weight).  Both parts add like the sums they stand
-    for."""
-
-    __slots__ = ("f", "c")
-
-    def __init__(self, f, c):
-        self.f, self.c = f, c
-
-    def __len__(self) -> int:
-        return len(self.f)
-
-    def __getitem__(self, index) -> "_Keys":
-        return _Keys(self.f[index], self.c[index])
-
-    def __add__(self, other: "_Keys") -> "_Keys":
-        return _Keys(self.f + other.f, self.c + other.c)
-
-    def __sub__(self, other: "_Keys") -> "_Keys":
-        return _Keys(self.f - other.f, self.c - other.c)
-
-    def __neg__(self) -> "_Keys":
-        return _Keys(-self.f, -self.c)
-
-
 def _fixed(a: int, d: int, denom: int, shift: int) -> int:
     """``floor(a*sqrt(d)*2^shift/denom)``, exactly, for integers ``a``, ``d
     >= 0`` and ``denom >= 1``.  With ``N = a^2*d*4^shift`` (a negative
@@ -318,13 +292,14 @@ class _Radical:
     = sum_j a_ij/g_j*M_j``.  So codes add across disjoint sets of weights,
     and, as the radicals are linearly independent over Q (Besicovitch 1940),
     two sums over one set are equal iff their codes are.  Codes lie in
-    ``[-K, K]`` with ``K = M_m - 1``: int64 below 2^62, Python ints beyond.
+    ``[-K, K]`` with ``K = M_m - 1``.
 
-    A key's other part adds up the values' fixed-point parts ``f_i = sum_j
-    _fixed(a_ij, d_j, L_j, shift)``, each less than one unit (``2^-shift``)
-    per term below the value.  So a key over distinct weights is less than
-    ``units`` from its sum, in units, and at most ``size = sum|f_i| < 2^60
-    + units`` in size.
+    A key is one row ``(f, c)``, int64 for ``K < 2^62``, else Python ints:
+    ``c`` the code, and ``f`` the sum of the values' fixed-point parts ``f_i
+    = sum_j _fixed(a_ij, d_j, L_j, shift)``, each less than one unit
+    (``2^-shift``) per term below the value.  So ``f`` over distinct weights
+    is less than ``units`` from its sum, in units, and at most ``size =
+    sum|f_i| < 2^60 + units`` in size.
 
     Radicands are listed in order of first appearance from the last weight,
     the term order of a sum accumulated from the end, on which the float
@@ -336,7 +311,7 @@ class _Radical:
     steps: tuple  # g_j
     places: tuple  # M_0 .. M_m
     spreads: tuple  # K of the first k weights, k = 0 .. n
-    dtype: type  # of the codes
+    dtype: type  # of the key rows
     shift: int
     size: int  # sum of |f_i|
     units: int  # (weight, radicand) terms, at least 1
@@ -370,11 +345,11 @@ class _Radical:
         return SqrtSum(terms)
 
 
-def _radical_keys(values: Sequence[Value], parts=None) -> tuple[list[_Keys], _Radical]:
-    """Each value's radical key, and the basis of them all, from the
-    values' ``_decompose`` ``parts`` (decomposed here when None).  ``2^(60
-    - shift)`` is the least power of 2 above ``total/lcm = sum
-    (isqrt(a^2*d) + 1)/L``, a bound on ``sum|x_i|``."""
+def _radical_keys(values: Sequence[Value], parts=None) -> tuple[np.ndarray, _Radical]:
+    """The values' radical keys, rows ``(f_i, sigma_i)``, and the basis of
+    them all, from the values' ``_decompose`` ``parts`` (decomposed here
+    when None).  ``2^(60 - shift)`` is the least power of 2 above
+    ``total/lcm = sum (isqrt(a^2*d) + 1)/L``, a bound on ``sum|x_i|``."""
     parts = _decompose(values) if parts is None else parts
     lcm = math.lcm(*(denom for _, denom, _ in parts))
     total = sum(sum(math.isqrt(a * a * d) + 1 for a in column.values()) * (lcm // denom) for d, denom, column in parts)
@@ -396,7 +371,7 @@ def _radical_keys(values: Sequence[Value], parts=None) -> tuple[list[_Keys], _Ra
         np.int64 if places[-1] < 1 << 62 else object,
         shift, sum(map(abs, fixed)), max(sum(len(column) for _, _, column in parts), 1),
     )
-    return [_Keys(f, c) for f, c in zip(fixed, sigma)], radical
+    return np.array(list(zip(fixed, sigma)), dtype=radical.dtype).reshape(len(values), 2), radical
 
 
 def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
@@ -406,11 +381,11 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
     values over one radicand take integer keys, whatever the threshold, and
     the cut-off ``c`` of ``_int_cutoff`` clamped to ``sum|a_i|``, which bounds
     every partial sum, so sums and window ends fit int64 while ``sum|a_i| + c
-    < 2^62``.  Only weights over several radicands take radical keys, whose
-    ``dtype`` is their ``_Radical`` basis.  Float values must be finite,
-    with a float sum of ``|v_i|`` below 2^1023: the exact sum is then below
-    ``2^1023*(1 + n*2^-52)``, so no float partial sum or pair sum, each at
-    most ``(1 + n*2^-52)`` times it, overflows."""
+    < 2^62``.  Only weights over several radicands take radical keys,
+    ``(n, 2)`` rows whose ``dtype`` is their ``_Radical`` basis.  Float
+    values must be finite, with a float sum of ``|v_i|`` below 2^1023: the
+    exact sum is then below ``2^1023*(1 + n*2^-52)``, so no float partial
+    sum or pair sum, each at most ``(1 + n*2^-52)`` times it, overflows."""
     if mode == FLOAT:
         keys = [float(v) for v in values]
         if not sum(map(abs, keys)) < 2.0**1023:
@@ -429,33 +404,24 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
 
 
 def _zero(dtype):
-    """The empty sum as a key array of ``dtype``."""
-    if isinstance(dtype, _Radical):
-        return _Keys(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=dtype.dtype))
-    return np.zeros(1, dtype=dtype)
+    """The empty sum as a key array of ``dtype``: one row for radical keys."""
+    return np.zeros((1, 2), dtype=dtype.dtype) if isinstance(dtype, _Radical) else np.zeros(1, dtype=dtype)
 
 
-def _sign_key(keys):
-    """What a key's sign is read from, and keys are sorted by: the code of
-    radical keys, the key itself otherwise.  Negating a sum negates it
-    too."""
-    return keys.c if isinstance(keys, _Keys) else keys
+def _sign_key(keys: np.ndarray) -> np.ndarray:
+    """What a key's sign is read from, and keys are sorted by: the code
+    column of radical key rows, the keys themselves otherwise.  Negating a
+    sum negates it too."""
+    return keys[:, 1] if keys.ndim > 1 else keys
 
 
-def _concat(parts):
-    """The key arrays ``parts`` one after the other."""
-    if isinstance(parts[0], _Keys):
-        return _Keys(np.concatenate([p.f for p in parts]), np.concatenate([p.c for p in parts]))
-    return np.concatenate(parts)
-
-
-def _extend(keys, v):
-    """The sums ``keys - v`` followed by ``keys + v``, in one new array."""
-    if isinstance(keys, _Keys):
-        return _concat([keys - v, keys + v])
-    out = np.empty(2 * len(keys), dtype=keys.dtype)
-    np.subtract(keys, v, out=out[: len(keys)])
-    np.add(keys, v, out=out[len(keys) :])
+def _extend(keys: np.ndarray, v):
+    """The sums ``keys - v`` followed by ``keys + v``, in one new array, key
+    rows column by column: broadcast row-wise, a row ``v`` would cost a
+    two-element loop per row."""
+    out = np.empty((2 * len(keys), *keys.shape[1:]), dtype=keys.dtype)
+    np.subtract(keys, v, out=out[: len(keys)], order="F")
+    np.add(keys, v, out=out[len(keys) :], order="F")
     return out
 
 
@@ -479,9 +445,10 @@ def _half_sums(values: Sequence, dtype):
     +0, in the order repeated ``_extend`` gives: the first ``_SIGN_ROWS``
     values as running sums down the columns of a sign matrix (``fl(s +
     (-v))`` is ``fl(s - v)``), then each further value doubles the sums in
-    place, ``out[s:2s] = out[:s] + v`` and then ``out[:s] -= v``."""
+    place, ``out[s:2s] = out[:s] + v`` and then ``out[:s] -= v``; radical
+    key rows as the stack of their two columns."""
     if isinstance(dtype, _Radical):
-        return _Keys(_half_sums([v.f for v in values], np.int64), _half_sums([v.c for v in values], dtype.dtype))
+        return np.ascontiguousarray(_half_sums(np.asarray(values).T, dtype.dtype).T)
     values = np.asarray(values, dtype=dtype)
     *rows, k = values.shape
     h = min(k, _SIGN_ROWS)
@@ -540,26 +507,25 @@ def _nonneg_step(keys, counts: np.ndarray, v):
     which ``_merge_equal`` merges.  A ``p - v`` on 0 is reached from ``p``
     and ``-p``, so its count doubles, as does that of ``0 + v`` for a zero
     ``v``.  In float mode the negated sums are exact: ``fl(-a - b) = -fl(a
-    + b)``, and no sum is -0.0, as none starts from one.
+    + b)``, and no sum is -0.0, as none starts from one.  A radical key
+    row's sign is that of its code.
     """
-    if _sign_key(v) < 0:
-        v = -v
-    z, n, sign = _has_zero(keys), len(keys), _sign_key(v)
+    sign = v[1] if np.ndim(v) else v
+    if sign < 0:
+        v, sign = -v, -sign
+    z, n = _has_zero(keys), len(keys)
     positive = _sign_key(keys)[z:]
     m = int(positive.searchsorted(sign))  # the p - v < 0
     k = int(positive.searchsorted(sign, side="right"))  # ... and those on 0
-    radical = isinstance(keys, _Keys)
-    parts, offsets = ([keys.f, keys.c], [v.f, v.c]) if radical else ([keys], [v])
-    out = [np.empty(2 * n - z, dtype=a.dtype) for a in parts]
-    for o, a, x in zip(out, parts, offsets):  # the three runs, written in place
-        np.subtract(x, a[z : z + m][::-1], out=o[:m])
-        np.subtract(a[z + m :], x, out=o[m : n - z])
-        np.add(a, x, out=o[n - z :])
+    out = np.empty((2 * n - z, *keys.shape[1:]), dtype=keys.dtype)  # the three runs, written in place
+    np.subtract(v, keys[z : z + m][::-1], out=out[:m], order="F")  # column by column, as in _extend
+    np.subtract(keys[z + m :], v, out=out[m : n - z], order="F")
+    np.add(keys, v, out=out[n - z :], order="F")
     runs = np.concatenate([counts[z : z + m][::-1], counts[z + m :], counts])
     runs[m:k] *= 2
     if z and not sign:
         runs[n - z] *= 2
-    return _merge_equal(_Keys(*out) if radical else out[0], runs)
+    return _merge_equal(out, runs)
 
 
 def _nonneg_sums(values: Sequence, dtype, count_dtype):
@@ -576,7 +542,7 @@ def _nonneg_sums(values: Sequence, dtype, count_dtype):
         raw, keys, counts = 0, None, np.ones(1, dtype=count_dtype)
     else:
         raw, sums = _RAW_PREFIX, _half_sums(values[:_RAW_PREFIX], dtype)
-        sums = sums[_sign_key(sums) >= 0]
+        sums = sums.compress(_sign_key(sums) >= 0, axis=0)
         keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
     span = sum(map(abs, values)) // step + 1 if step else 0
     for v in values[raw:]:
@@ -628,10 +594,10 @@ def _mirror(keys, counts: np.ndarray):
     nonzero keys negated, in reverse order, then the nonnegative keys, and
     radical keys sorted by their fixed-point parts, which searches read."""
     z = _has_zero(keys)
-    keys, counts = _concat([-keys[z:][::-1], keys]), np.concatenate([counts[z:][::-1], counts])
-    if isinstance(keys, _Keys):
-        order = np.argsort(keys.f, kind="stable")
-        keys, counts = keys[order], counts[order]
+    keys, counts = np.concatenate([-keys[z:][::-1], keys]), np.concatenate([counts[z:][::-1], counts])
+    if keys.ndim > 1:
+        order = np.argsort(keys[:, 0], kind="stable")
+        keys, counts = keys.take(order, axis=0), counts[order]
     return keys, counts
 
 
@@ -917,16 +883,16 @@ def threshold_probability_naive(
 
 def _merge_equal(keys, counts: np.ndarray):
     """Sort ``keys`` by ``_sign_key``, adding up the counts of equal keys
-    (linear on the sorted runs of ``_nonneg_step``): radical keys are
+    (linear on the sorted runs of ``_nonneg_step``): radical key rows are
     sorted and merged by code."""
     order = _sign_key(keys).argsort(kind="stable")
-    keys, counts = keys[order], counts[order]
+    keys, counts = keys.take(order, axis=0), counts[order]
     sign = _sign_key(keys)
     first = np.empty(len(sign), dtype=bool)
     first[:1] = True
     np.not_equal(sign[1:], sign[:-1], out=first[1:])
     first = first.nonzero()[0]
-    return keys[first], np.add.reduceat(counts, first)
+    return keys.take(first, axis=0), np.add.reduceat(counts, first)
 
 
 def _tail_distributions(vals: Sequence, dtype):
@@ -948,20 +914,21 @@ def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
     exactly: by ``_band_window`` for radical keys over all the weights, by
     searches refined to test ``fl(q + r)`` for float keys, by plain
     ``searchsorted`` for exact integer keys.  An empty window (integer
-    cut-off -1) can come out negative."""
+    cut-off -1) can come out negative.  Float queries, ascending, are
+    searched reversed, so that each window end ascends."""
     if isinstance(dtype, _Radical):
         return _band_window(keys, cum, query, t, strict, dtype, dtype.spread)
     if dtype is np.float64:
-        padded, bound = _padded(keys), np.full(len(query), t)
-        hi = _refine_prefix_len(padded, query[None], bound, not strict)
-        lo = _refine_prefix_len(padded, query[None], -bound, strict)
+        padded, bound, steps = _padded(keys), np.full(len(query), t), query[None, ::-1]
+        hi = _refine_prefix_len(padded, steps, bound, not strict)[::-1]
+        lo = _refine_prefix_len(padded, steps, -bound, strict)[::-1]
     else:
         hi = np.searchsorted(keys, t - query, side="left" if strict else "right")
         lo = np.searchsorted(keys, -t - query, side="right" if strict else "left")
     return cum[hi] - cum[lo], 0
 
 
-def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, radical: _Radical, spread: int):
+def _band_window(keys: np.ndarray, cum: np.ndarray, query: np.ndarray, t, strict: bool, radical: _Radical, spread: int):
     """``(window, fallbacks)``: for each query key ``q``, the patterns of the
     radical ``keys``, sorted by their fixed-point parts, whose sums ``r`` have
     ``|q + r| <= t`` (``< t`` when strict), and the number of keys decided
@@ -972,22 +939,23 @@ def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, ra
     ``(lo, hi)`` is decoded and compared with ``t`` exactly (``spread`` is
     the kappa sum of the query's and the keys' weights together), and any
     other is certainly outside.  Queries are searched in key order, which
-    is faster, unless ``keys`` is one key (the empty tail of ``_walk``).
+    is faster, unless ``keys`` is one key (the empty tail of ``_walk``); it
+    searches int64 copies of the fixed-point columns.
     """
     lo, hi = radical.band(t)
-    f = keys.f
-    order = np.argsort(query.f, kind="stable") if len(keys) > 1 else slice(None)
-    query = query[order]
-    i1 = np.searchsorted(f, -hi - query.f, side="right")
-    i2 = np.searchsorted(f, -lo - query.f, side="left")
-    i3 = np.maximum(np.searchsorted(f, lo - query.f, side="right"), i2)
-    i4 = np.searchsorted(f, hi - query.f, side="left")
+    f = keys[:, 0].astype(np.int64)
+    order = np.argsort(query[:, 0], kind="stable") if len(keys) > 1 else slice(None)
+    qf, qc = query[:, 0][order].astype(np.int64), query[:, 1][order]
+    i1 = np.searchsorted(f, -hi - qf, side="right")
+    i2 = np.searchsorted(f, -lo - qf, side="left")
+    i3 = np.maximum(np.searchsorted(f, lo - qf, side="right"), i2)
+    i4 = np.searchsorted(f, hi - qf, side="left")
     window = cum[i3] - cum[i2]
     fallbacks = 0
     for q in np.flatnonzero((i2 > i1) | (i4 > i3)):
-        code = int(query.c[q])
+        code = int(qc[q])
         for k in itertools.chain(range(i1[q], i2[q]), range(i3[q], i4[q])):
-            s = radical.value(code + int(keys.c[k]), spread)
+            s = radical.value(code + int(keys[k, 1]), spread)
             if (-t < s < t) if strict else (-t <= s <= t):
                 window[q] += cum[k + 1] - cum[k]
         fallbacks += int(i2[q] - i1[q] + i4[q] - i3[q])
@@ -996,21 +964,22 @@ def _band_window(keys: _Keys, cum: np.ndarray, query: _Keys, t, strict: bool, ra
     return unsorted, fallbacks
 
 
-def _exact_order(keys: _Keys, counts: np.ndarray, radical: _Radical):
-    """Merged radical keys and their counts, sorted by their fixed-point
-    parts, put in the exact order of their sums.  A key is less than ``U =
-    radical.units`` from its sum, so sums out of order have keys less than
-    ``2U`` apart, and only runs of such neighbours are sorted by exact value.
-    The keys are then made nondecreasing by a running maximum, which keeps
-    each less than ``U`` from its sum: every earlier sum is smaller."""
-    close = np.diff(keys.f) < 2 * radical.units
+def _exact_order(keys: np.ndarray, counts: np.ndarray, radical: _Radical):
+    """``SumDistribution``'s ``(values, codes, counts)``: merged radical keys
+    and their counts, sorted by their fixed-point parts ``f``, put in the
+    exact order of their sums.  An ``f`` is less than ``U = radical.units``
+    from its sum, so sums out of order have ``f`` less than ``2U`` apart,
+    and only runs of such neighbours are sorted by the exact values of their
+    codes.  The ``f`` are then made nondecreasing by a running maximum, which
+    keeps each less than ``U`` from its sum: every earlier sum is smaller."""
+    close = np.diff(keys[:, 0]) < 2 * radical.units
     edges = np.flatnonzero(np.diff(np.concatenate([[False], close, [False]]).astype(np.int8)))
     order = np.arange(len(keys))
     for start, stop in zip(edges[::2], edges[1::2]):  # keys start..stop
         run = range(start, stop + 1)
-        order[start : stop + 1] = sorted(run, key=lambda i: radical.value(int(keys.c[i]), radical.spread))
-    keys, counts = keys[order], counts[order]
-    return _Keys(np.maximum.accumulate(keys.f), keys.c), counts
+        order[start : stop + 1] = sorted(run, key=lambda i: radical.value(int(keys[i, 1]), radical.spread))
+    keys, counts = keys.take(order, axis=0), counts[order]
+    return np.maximum.accumulate(keys[:, 0]).astype(np.int64), keys[:, 1].copy(), counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -1018,10 +987,10 @@ class SumDistribution:
     """Complete distribution of eps . x: ``values`` in strictly increasing
     order of the sums, with pattern ``counts`` summing to 2^n; symmetric
     about zero.  With ``scale = (L, D)`` a value is an integer ``s``
-    standing for ``s*sqrt(D)/L``.  With ``radical`` set, a value is an int64
-    fixed-point key, less than ``radical.units`` from ``2^radical.shift``
-    times its sum (nondecreasing), and ``codes`` holds the sums' exact
-    codes.  Otherwise a value is the float64 sum itself."""
+    standing for ``s*sqrt(D)/L``.  With ``radical`` set, ``values`` and
+    ``codes`` are the columns ``f`` and ``c`` of the sums' radical keys: a
+    value is int64, less than ``radical.units`` from ``2^radical.shift``
+    times its sum (nondecreasing).  Otherwise a value is the float64 sum."""
 
     values: np.ndarray
     counts: np.ndarray
@@ -1056,8 +1025,8 @@ class SumDistribution:
         table; used to cross-check the counting engines."""
         t = _normalize_threshold(t, self.mode)
         keys, dtype = self.values, self.values.dtype.type
-        if self.radical is not None:
-            keys, dtype = _Keys(keys, self.codes), self.radical
+        if self.radical is not None:  # the key rows again
+            keys, dtype = np.stack([keys, self.codes], axis=1), self.radical
         elif self.scale:  # |s| <= cut-off, clamped into the keys' range
             t, strict = min(_int_cutoff(t, *self.scale, strict), int(keys[-1])), False
         cum = np.concatenate([[0], np.cumsum(self.counts)])
@@ -1101,8 +1070,8 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     vals, dtype, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
     keys, counts = _mirror(*_nonneg_sums(vals, dtype, _count_dtype(n)))
     if isinstance(dtype, _Radical):
-        keys, counts = _exact_order(keys, counts, dtype)
-        return SumDistribution(keys.f, counts, n, EXACT, None, keys.c, dtype)
+        values, codes, counts = _exact_order(keys, counts, dtype)
+        return SumDistribution(values, counts, n, EXACT, None, codes, dtype)
     return SumDistribution(keys, counts, n, EXACT, scale)
 
 
@@ -1331,12 +1300,12 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
                     ties[depth, "prefix", float(v)] = int(c)
         if depth == n - 1:
             break
-        keep = ~cross
-        kept = s[keep]
+        keep = ~cross  # numpy masks rows one at a time; compress is slower on mostly-true 1-D masks
+        kept = s.compress(keep, axis=0) if radical else s[keep]
         settled.append(len(s) - len(kept))
         if settled[-1]:
             mm = mult[cross] if exact else None
-            prefixes[depth] = (s[cross], mm)
+            prefixes[depth] = (s.compress(cross, axis=0) if radical else s[cross], mm)
             counts[depth] += (int(mm.sum()) if exact else settled[-1]) << (n - depth)
         s = _extend(kept, vals[depth])
         if exact:

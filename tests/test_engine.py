@@ -481,8 +481,9 @@ class TestHalfSums:
                     values = _edge_values(kind, signs)
                 keys, dtype = _keys_of("float64" if kind == "ties" else kind, values)
                 got, want = _half_sums(keys, dtype), _literal_half_sums(keys, dtype)
-                if kind == "radical":
-                    assert got.f.tolist() == want.f.tolist() and got.c.tolist() == want.c.tolist(), k
+                if kind == "radical":  # whole (f, c) rows
+                    assert got.dtype == want.dtype and got.shape == want.shape == (1 << k, 2), k
+                    assert got.tolist() == want.tolist(), k
                     continue
                 stack = _half_sums(np.array([keys] * 3, dtype=dtype).reshape(3, k), dtype)
                 assert stack.shape == (3, 1 << k)
@@ -607,19 +608,20 @@ class TestNonnegativeTables:
 
     @staticmethod
     def _assert_same_table(table, expected, dtype):
-        from radsum.engine import _Keys
+        from radsum.engine import _Radical
 
         (keys, counts), (want, want_counts) = table, expected
-        if isinstance(keys, _Keys):
+        if isinstance(dtype, _Radical):
             # a full radical table comes in fixed-point order, the
             # recurrence's in code order: compare codes and counts in code
             # order
-            assert np.all(np.diff(keys.f) >= 0)
+            assert keys.shape == (len(keys), 2) and keys.dtype == want.dtype == dtype.dtype
+            assert np.all(np.diff(keys[:, 0]) >= 0)
             scale = Fraction(2) ** dtype.shift
-            for f, c in zip(keys.f.tolist(), keys.c.tolist()):
+            for f, c in keys.tolist():
                 assert f - dtype.units < dtype.value(c, dtype.spread) * scale < f + dtype.units
-            order = np.argsort(keys.c)
-            keys, counts, want = keys.c[order], counts[order], want.c
+            order = np.argsort(keys[:, 1])
+            keys, counts, want = keys[order, 1], counts[order], want[:, 1]
         assert counts.tolist() == want_counts.tolist()
         if dtype is np.float64:
             assert keys.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -2088,11 +2090,11 @@ def _exact_values(draw, max_size=8):
 
 
 def _dense_radical_keys(values):
-    """Radical keys and their basis from dense radicand columns, one
-    coefficient per (value, radicand) pair with zeros filled in: the
-    reference construction for ``_radical_keys``."""
+    """Radical keys, as ``(f, c)`` pairs of Python ints, and their basis
+    from dense radicand columns, one coefficient per (value, radicand) pair
+    with zeros filled in: the reference construction for ``_radical_keys``."""
     from radsum.algebraic import SqrtSum
-    from radsum.engine import _Keys, _Radical
+    from radsum.engine import _Radical
 
     exact = [SqrtSum.from_rational(v) for v in values]
     radicands = list(dict.fromkeys(d for v in reversed(exact) for d in v.terms))
@@ -2121,7 +2123,7 @@ def _dense_radical_keys(values):
         np.int64 if places[-1] < 1 << 62 else object,
         shift, sum(map(abs, fixed)), max(sum(len(v.terms) for v in exact), 1),
     )
-    return [_Keys(f, c) for f, c in zip(fixed, sigma)], radical
+    return [[f, c] for f, c in zip(fixed, sigma)], radical
 
 
 class TestDecomposition:
@@ -2152,9 +2154,8 @@ class TestDecomposition:
 
         keys, radical = _radical_keys(values)
         want_keys, want = _dense_radical_keys(values)
-        assert [(k.f, type(k.f), k.c, type(k.c)) for k in keys] == [
-            (k.f, type(k.f), k.c, type(k.c)) for k in want_keys
-        ]
+        assert keys.shape == (len(values), 2) and keys.dtype == radical.dtype
+        assert keys.tolist() == want_keys
         for field in dataclasses.fields(radical):
             got, expected = getattr(radical, field.name), getattr(want, field.name)
             assert got == expected, field.name
@@ -2207,6 +2208,10 @@ class TestMultiRadicand:
         _pell_squares(2 * Q * Q, P * P),
         _pell_squares(2 * Q * Q, P * P, 2 * Q * Q, P * P),
         _pell_squares(2 * Q * Q, P * P, 3, 5, 7),
+        # 2a^2 and 3b^2 for odd a, b in [2^30, 2^31): Case 2 over two
+        # radicands, with codes past 2^62 (object key rows)
+        [2 * a * a for a in (1719714833, 1487786135, 1413024939, 1642800811, 1887650859)]
+        + [3 * b * b for b in (2070247261, 1084855461, 1769936521, 1769757565, 1611503509)],
     ]
 
     @classmethod
@@ -2320,6 +2325,47 @@ class TestMultiRadicand:
                 for strict in (False, True):
                     expected = product_oracle(vals, t, strict) * 2**n
                     assert signed_sum_count(vals, t, EXACT, strict) == (expected, 2**n), (n, t, strict)
+
+    def test_wide_codes_take_object_rows(self):
+        # the last vector's codes pass 2^62: its key rows hold Python ints,
+        # and its distribution's fixed-point values stay int64
+        from radsum.engine import _radical_keys
+
+        w = from_squares(self.VECTORS[-1])
+        keys, radical = _radical_keys(w.values)
+        assert radical.dtype is object and keys.dtype == object and keys.shape == (10, 2)
+        assert radical.spread >= 1 << 62 and len(radical.radicands) == 2
+        dist = sum_distribution(w)
+        assert dist.values.dtype == np.int64 and dist.codes.dtype == object
+        assert case_of(w) is CaseTag.CASE2 and prefix_partition(w).stats.path == "radical"
+
+    def test_first_40_primes_cli_within_float_bracket(self, capsys):
+        # radsum exact on the first 40 primes at the default limit: the
+        # smallest fixed-point shift of unit-norm weights.  Two patterns lie
+        # within 1e-12 of the threshold, so the float counts at 1 -+ 1e-12
+        # bracket the exact count from both sides
+        from radsum import admissible_count, cli
+
+        q = [p for p in range(2, 174) if all(p % k for k in range(2, p))]
+        assert cli.main(["exact", "sq:" + ",".join(map(str, q)), "--no-timestamp"]) == 0
+        hits = Fraction(json.loads(capsys.readouterr().out)["result"]["probability"]["exact"]) * 2**40
+        assert hits == 747324762528
+        lo, hi = (admissible_count(from_squares(q, FLOAT), t)[0] for t in (1 - 1e-12, 1 + 1e-12))
+        assert lo <= hits <= hi and (lo, hi) == (747324762526, 747324762528)
+
+    def test_partition_cli_matches_literal_classification(self, capsys):
+        # radsum partition over eight radicands, the radical walk
+        from radsum import cli
+
+        squares = [101, 103, 107, 109, 113, 127, 131, 137]
+        assert cli.main(["partition", "sq:" + ",".join(map(str, squares)), "--no-timestamp"]) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["stats"]["path"] == "radical"
+        probs, joints = TestPrefixPartition._partition_oracle(from_squares(squares))
+        events = doc["events"]
+        assert [e["k"] for e in events] == list(range(2, 9))
+        assert [Fraction(e["prob"]["exact"]) for e in events] == [probs[k] for k in range(2, 9)]
+        assert [Fraction(e["joint"]["exact"]) for e in events] == [joints[k] for k in range(2, 9)]
 
     def test_unchanged_when_every_comparison_is_exact(self, monkeypatch):
         """With a band wider than any sum every radical key is decoded and
