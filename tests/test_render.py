@@ -17,6 +17,19 @@ from radsum.weights import EXACT, FLOAT
 
 DATA = Path(__file__).parent / "data"
 
+
+def _documents() -> dict:
+    """Each data file but the CLI corpus, by name, and the corpus split by
+    subcommand as ``<subcommand>_cli.json``, the names of the pinned-output
+    files it replaced."""
+    docs = {p.name: json.loads(p.read_text()) for p in sorted(DATA.glob("*.json")) if p.name != "cli_corpus.json"}
+    for label, entry in json.loads((DATA / "cli_corpus.json").read_text()).items():
+        docs.setdefault(f"{(entry['argv'] or ['no-subcommand'])[0]}_cli.json", {})[label] = entry
+    return docs
+
+
+DOCUMENTS = _documents()
+
 # text that needs escaping: quotes, backslashes, control characters,
 # non-ASCII and astral characters
 _text = st.text(
@@ -63,16 +76,17 @@ class TestJsonText:
     def test_matches_json_dumps(self, value):
         assert json_text(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
-    def test_pinned_documents(self, path):
-        # each pinned file, and each recorded CLI JSON document inside it,
-        # re-encodes to the same text
-        doc = json.loads(path.read_text())
+    @pytest.mark.parametrize("name", sorted(DOCUMENTS))
+    def test_pinned_documents(self, name):
+        # each document re-encodes to the same text, and each recorded CLI
+        # JSON document is json.dumps(indent=2) text
+        doc = DOCUMENTS[name]
         assert json_text(doc) == json.dumps(doc, indent=2)
-        for entry in doc.values():
-            out = entry.get("stdout") if isinstance(entry, dict) else entry
-            if isinstance(out, str) and out.startswith("{"):
-                assert json_text(json.loads(out)) + "\n" == out
+        for label, entry in doc.items():
+            out = entry.get("stdout") if isinstance(entry, dict) else None
+            if out and out.startswith("{"):
+                parsed = json.loads(out)
+                assert json_text(parsed) + "\n" == json.dumps(parsed, indent=2) + "\n" == out, label
 
     @pytest.mark.parametrize(
         "value",
