@@ -426,7 +426,10 @@ def _json_doc(cfg: RunConfig, result: dict) -> str:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
+        try:
+            cfg = parse_config(argv)
+        except SystemExit as exc:  # argparse's --help, printed
+            return exc.code
         code, text, warn = execute(cfg)
     except SizeLimitError as exc:
         print(f"radsum: error: {exc}", file=sys.stderr)

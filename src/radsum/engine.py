@@ -5,7 +5,7 @@ Enumeration strategies:
 * Signed-sum tables - every table of signed sums (a half, a tail) is
   symmetric about zero, so it is built in nonnegative form: its sorted
   distinct sums ``>= 0`` with their full-table pattern counts, one value at
-  a time (``_table_step``): sparse by merging three sorted runs
+  a time (``_table_steps``): sparse by merging three sorted runs
   (``_nonneg_step``) or, for int64 keys, dense, one count per point of the
   lattice of multiples of ``gcd(v_i)`` (Bellman's subset-sum table).  Each
   step picks the form from the sums held: dense while the next lattice is
@@ -20,8 +20,10 @@ Enumeration strategies:
   numpy calls.  Beyond that, and for radical keys at any size, every
   distinct nonnegative left sum counts its window of the full right table
   with two binary searches, weighted by its pattern count, doubled for the
-  mirror sum, whose window is the same.  Float keys past 14 weights are
-  first read as points of an integer lattice (``_float_lattice``): when a
+  mirror sum, whose window is the same; integer halves that both end dense
+  are counted dense, by two dot products (``_dense_count``).  Float keys
+  past 14 weights are first read as points of an integer lattice
+  (``_float_lattice``): when a
   static bound on the rounding of ``fl(l + r)`` leaves no lattice point
   within reach of the threshold, the count is that of the integer sums up
   to a cut-off, made on the int64 path; otherwise the merged float halves
@@ -114,13 +116,13 @@ _MAX_TIE_RECORDS = 200
 # built, and level at n = 38 (0 vs 8, medians of 30 alternating in-process
 # runs, 2-CPU x86, numpy 2.4; float entries standard normal, on no integer
 # lattice, and int64 entries in [70000, 99999], sparse at every step under
-# _table_step's rule): admissible_count over merged halves, n = 16, 341 vs 143
+# _table_steps' rule): admissible_count over merged halves, n = 16, 341 vs 143
 # us float and 576 vs 203 us int64; n = 38, 48.3 vs 48.2 ms float and 38.2 vs
 # 38.2 ms int64 (int64 taken again under that rule); radical n = 12, 390 vs
 # 175 us; exact sum_distribution, 2.22 vs 2.06 ms (int64, n = 16) and 562 vs
 # 432 us (radical, n = 12).
 _RAW_PREFIX = 8
-# The dense/sparse rule of _table_step.  On a 2-CPU x86 box, numpy 2.4, a
+# The dense/sparse rule of _table_steps.  On a 2-CPU x86 box, numpy 2.4, a
 # sparse step costs about 22 us + 20-80 ns per key, a dense one 0.6-1.6 ns per
 # lattice point (a fit: floor near 14000 points, ratio near 36); a switch of
 # form costs more.  Times over the up-front rule it replaced, in process,
@@ -485,10 +487,10 @@ def _has_zero(keys) -> int:
 
 
 def _check_mass(keys, counts: np.ndarray, k: int):
-    """The nonnegative table ``(keys, counts)`` of signed sums over ``k``
-    values, checked to stand for all 2^k sign patterns: each key's count
-    twice, for it and its mirror image, except the zero sum's."""
-    mass = 2 * int(counts.sum()) - (int(counts[0]) if _has_zero(keys) else 0)
+    """The table ``(keys, counts)`` of signed sums over ``k`` values, checked to
+    stand for all 2^k sign patterns: dense, its counts; nonnegative, each key's
+    count twice, for it and its mirror image, except the zero sum's."""
+    mass = int(counts.sum()) if keys is None else 2 * int(counts.sum()) - (int(counts[0]) if _has_zero(keys) else 0)
     if mass != 1 << k:
         raise SoundnessError(f"signed-sum table mass {mass} != 2^{k}")
     return keys, counts
@@ -528,15 +530,18 @@ def _nonneg_step(keys, counts: np.ndarray, v):
     return _merge_equal(out, runs)
 
 
-def _nonneg_sums(values: Sequence, dtype, count_dtype):
-    """The nonnegative table (see ``_nonneg_step``) of the signed sums of
-    ``values``, each accumulated in index order, one ``_table_step`` per
-    value: dense while the next lattice is at most ``_DENSE_FLOOR`` points
-    plus ``_DENSE_RATIO`` (``_DENSE_RETURN`` for a sparse table) times the
-    distinct sums ``>= 0`` held, else sparse; int64 keys by increasing size.
-    A table starts from the merged raw sums of ``_RAW_PREFIX`` values, an
-    int64 one of more values dense below the floor (8 steps: 39 us, 28 raw)."""
-    step = (math.gcd(*values) or 1) if dtype is np.int64 else 0
+def _lattice_step(values: Sequence, dtype) -> int:
+    """The step of a dense table of ``values``: ``gcd(v_i)`` (1 if all are 0)
+    for int64 keys, else 0, for tables that stay sparse."""
+    return (math.gcd(*values) or 1) if dtype is np.int64 else 0
+
+
+def _sum_table(values: Sequence, dtype, count_dtype, step: int):
+    """The table of the signed sums of ``values``, each accumulated in index
+    order, as ``_table_steps`` leaves it, its mass checked; int64 keys by
+    increasing size, on the multiples of ``step``.  A table starts from the
+    merged raw sums of ``_RAW_PREFIX`` values, an int64 one of more values
+    dense below the floor (8 steps: 39 us, 28 raw)."""
     values = sorted(values, key=abs) if step else values
     if step and len(values) > _RAW_PREFIX and abs(values[0]) // step < _DENSE_FLOOR:
         raw, keys, counts = 0, None, np.ones(1, dtype=count_dtype)
@@ -545,42 +550,55 @@ def _nonneg_sums(values: Sequence, dtype, count_dtype):
         sums = sums.compress(_sign_key(sums) >= 0, axis=0)
         keys, counts = _merge_equal(sums, np.ones(len(sums), dtype=count_dtype))
     span = sum(map(abs, values)) // step + 1 if step else 0
-    for v in values[raw:]:
-        keys, counts = _table_step(keys, counts, v, step, span)
-    return _check_mass(*_nonneg_form(keys, counts, step), len(values))
+    for keys, counts in _table_steps(keys, counts, values[raw:], step, span):
+        pass
+    return _check_mass(keys, counts, len(values))
 
 
-def _table_step(keys, counts, v, step: int, span: int):
-    """The table one value ``v`` longer, in the form ``_nonneg_sums``' rule
-    picks: sparse, as ``_nonneg_step`` keeps it, or for int64 keys, all
-    multiples of ``step > 0``, dense: ``keys`` None and ``counts[j]`` the
-    patterns with sum ``(2j - top)*step``, ``top = len(counts) - 1``, a view
-    of a zeroed buffer, up to the ``span`` points of the finished lattice, in
-    which a step adds ``counts[j - a]`` into ``counts[j]``, ``a = |v|/step``.
-    Other keys (``step`` 0) stay sparse."""
-    if not step:
-        return _nonneg_step(keys, counts, v)
-    dense, size = keys is None, abs(v) // step
-    top = len(counts) - 1 if dense else int(keys[-1]) // step  # the largest sum, that of |v_i|
-    length = top + size + 1
-    if length > _DENSE_FLOOR:
-        held = np.count_nonzero(counts[(top + 1) // 2 :]) if dense else len(keys)
-        if length > _DENSE_FLOOR + (_DENSE_RATIO if dense else _DENSE_RETURN) * held:
-            return _nonneg_step(*_nonneg_form(keys, counts, step), v)
-    room = counts.base if dense and counts.base is not None else counts[:0]
-    if len(room) < length:  # a zeroed buffer with room to grow into
-        room = np.zeros(min(max(_GROWTH * length, _DENSE_FLOOR), span), dtype=counts.dtype)
-        if dense:
-            room[: top + 1] = counts
-        else:  # each key and its mirror image; the zero sum is its own
-            room[(top + keys // step) // 2] = room[(top - keys // step) // 2] = counts
-    out = room[:length]
-    out[size:] += out[: top + 1]  # numpy buffers the overlap
-    return None, out
+def _nonneg_sums(values: Sequence, dtype, count_dtype):
+    """The nonnegative table (see ``_nonneg_step``) of the signed sums of
+    ``values``, on the lattice of their own gcd."""
+    step = _lattice_step(values, dtype)
+    return _nonneg_form(*_sum_table(values, dtype, count_dtype, step), step)
+
+
+def _table_steps(keys, counts, values, step: int, span: int):
+    """The table after each of ``values`` in turn: dense while the next
+    lattice is at most ``_DENSE_FLOOR`` points plus ``_DENSE_RATIO``
+    (``_DENSE_RETURN`` for a sparse table) times the distinct sums ``>= 0``
+    held, else sparse, as ``_nonneg_step`` keeps it.  Dense, on the
+    multiples of ``step > 0``: ``keys`` None and ``counts[j]`` the patterns
+    with sum ``(2j - top)*step``, ``top = len(counts) - 1``; a step writes
+    ``counts[j] + counts[j - |v|/step]`` into the other of two zeroed buffers
+    of up to ``span`` points and swaps them, so a yielded table lasts two
+    steps.  Other keys (``step`` 0) stay sparse."""
+    room = counts[:0]  # no buffers yet
+    for v in values:
+        dense = keys is None
+        if step:
+            size = abs(v) // step
+            top = len(counts) - 1 if dense else int(keys[-1]) // step  # the largest sum, that of |v_i|
+            length = top + size + 1
+        if not step or length > _DENSE_FLOOR and length > _DENSE_FLOOR + (
+            _DENSE_RATIO * np.count_nonzero(counts[(top + 1) // 2 :]) if dense else _DENSE_RETURN * len(keys)
+        ):
+            keys, counts = _nonneg_step(*_nonneg_form(keys, counts, step), v)
+        else:
+            if not dense or len(room) < length:  # two zeroed buffers with room to grow into
+                room, spare = np.zeros((2, min(max(_GROWTH * length, _DENSE_FLOOR), span)), dtype=counts.dtype)
+                if dense:
+                    room[: top + 1] = counts
+                else:  # each key and its mirror image; the zero sum is its own
+                    room[(top + keys // step) // 2] = room[(top - keys // step) // 2] = counts
+            keys, counts = None, spare[:length]
+            counts[:size] = room[:size]
+            np.add(room[size:length], room[: top + 1], out=counts[size:])
+            room, spare = spare, room
+        yield keys, counts
 
 
 def _nonneg_form(keys, counts, step: int):
-    """A ``_table_step`` table in nonnegative form."""
+    """A ``_table_steps`` table in nonnegative form."""
     if keys is not None:
         return keys, counts
     top = len(counts) - 1
@@ -677,16 +695,45 @@ def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:
     and each ``l > 0`` counts for ``-l`` too: the right sums are symmetric
     and ``fl(-a - b) = -fl(a + b)``, so ``-l`` has the window of ``l``.
     Float sums merge only when they compare equal, so every window decides
-    ``fl(l + r)`` itself."""
+    ``fl(l + r)`` itself.  Integer halves that both end dense on the lattice
+    of the gcd of all the values are counted by ``_dense_count``."""
     split = len(values) - len(values) // 2
-    count_dtype = _count_dtype(len(values))
-    lkeys, lcounts = _nonneg_sums(values[:split], dtype, count_dtype)
-    rkeys, rcounts = _mirror(*_nonneg_sums(values[split:], dtype, count_dtype))
+    count_dtype, step = _count_dtype(len(values)), _lattice_step(values, dtype)
+    lkeys, lcounts = _sum_table(values[:split], dtype, count_dtype, step)
+    rkeys, rcounts = _sum_table(values[split:], dtype, count_dtype, step)
+    if lkeys is None and rkeys is None:
+        return _dense_count(lcounts, rcounts, (t - strict) // step)
+    lkeys, lcounts = _nonneg_form(lkeys, lcounts, step)
+    rkeys, rcounts = _mirror(*_nonneg_form(rkeys, rcounts, step))
     cum = np.concatenate([[0], np.cumsum(rcounts)])
     del rcounts  # the float window searches hold a padded copy of the keys instead
     window, _ = _window(rkeys, cum, lkeys, t, strict, dtype)
     hits = lcounts * np.maximum(window, 0)
     return 2 * int(hits.sum()) - _has_zero(lkeys) * int(hits[0])
+
+
+def _dense_count(lcounts: np.ndarray, rcounts: np.ndarray, cut: int) -> int:
+    """The pattern pairs of two dense tables on one lattice step ``g`` with
+    ``|l + r| <= cut*g``.  With ``l = (2j - tl)*g`` at left index ``j`` and ``r
+    = (2i - tr)*g`` at right index ``i``, that is ``|2(i + j) - T| <= cut``, ``T
+    = tl + tr``: ``i + j`` in ``[lo, hi]``, ``lo = ceil((T - cut)/2) >= 0``
+    (``cut <= T``) and ``hi = floor((T + cut)/2)``.  With ``C(k)`` the right
+    patterns of index below ``k`` (0 for ``k <= 0``, all past ``tr``), ``j``
+    counts ``C(hi + 1 - j) - C(lo - j)``; summed over ``j``, an end ``a`` gives
+    ``C(tr + 1)`` times the left mass of the ``j < a - tr`` plus the dot product
+    of the left counts of the ``a - tr <= j < a`` with ``C(a - j)``, cumulative
+    counts read in reverse.  A negative ``cut``, an empty window, counts 0."""
+    tl, tr = len(lcounts) - 1, len(rcounts) - 1
+    cut = min(cut, tl + tr)
+    if cut < 0:
+        return 0
+    cum = np.concatenate([[0], np.cumsum(rcounts)])
+
+    def weighted(a):  # the sum over j of lcounts[j] * C(a - j)
+        j0, j1 = max(a - tr, 0), min(a, tl + 1)
+        return int(cum[-1]) * int(lcounts[:j0].sum()) + int(np.dot(lcounts[j0:j1], cum[a - j1 + 1 : a - j0 + 1][::-1]))
+
+    return weighted((tl + tr + cut) // 2 + 1) - weighted((tl + tr - cut + 1) // 2)
 
 
 def _float_lattice(values: Sequence[float], t: float) -> Optional[tuple[list[int], int]]:
@@ -899,11 +946,10 @@ def _tail_distributions(vals: Sequence, dtype):
     """For k = len(vals)-1 down to 0: the nonnegative table (see
     ``_nonneg_step``) of the signed sums of ``vals[k:]``, accumulated from
     the end; the tail tables of ``prefix_partition``, one per depth."""
-    step = (math.gcd(*vals) or 1) if dtype is np.int64 else 0
+    step = _lattice_step(vals, dtype)
     span = sum(map(abs, vals)) // step + 1 if step else 0
-    keys, counts = _zero(dtype), np.ones(1, dtype=_count_dtype(len(vals)))
-    for size, v in enumerate(reversed(vals), 1):
-        keys, counts = _table_step(keys, counts, v, step, span)
+    start = _zero(dtype), np.ones(1, dtype=_count_dtype(len(vals)))
+    for size, (keys, counts) in enumerate(_table_steps(*start, reversed(vals), step, span), 1):
         yield _check_mass(*_nonneg_form(keys, counts, step), size)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import THEOREM_FLOOR, crossing_point, g, h, minmax_bound
 from .engine import DEFAULT_MITM_LIMIT, _RAW_PAIRS_N, _count_raw, _half_sums, _key_setup
-from .engine import _normalize_threshold, _size_limit, admissible_count, signed_sum_count
+from .engine import _check_size, _normalize_threshold, _size_limit, admissible_count, signed_sum_count
 from .errors import InputError, SoundnessError, _check_int
 from .weights import FLOAT, WeightVector, _canonical_floats, canonicalize
 
@@ -337,7 +337,8 @@ def minimize_probability(
     becomes a ``WeightVector``, whose count ``admissible_count`` recomputes.
     """
     lim = _size_limit(limit, DEFAULT_MITM_LIMIT)
-    _check_int(n, "n", 2, lim)
+    _check_int(n, "n", 2)
+    _check_size(n, lim, DEFAULT_MITM_LIMIT, "meet-in-the-middle")
     _check_int(budget, "budget", 1)
     _check_int(seed, "seed", 0, _MAX_SEED)
 

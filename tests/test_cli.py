@@ -217,8 +217,7 @@ class TestDistributionAndLemmas:
         assert err == "radsum: error: argument --mode: invalid choice: 'float' (choose from 'exact')\n"
 
     def test_grid_points_is_hidden_and_ignored(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["lemmas", "--help"])
+        assert main(["lemmas", "--help"]) == 0
         help_text = capsys.readouterr().out
         assert "--k-max" in help_text and "grid" not in help_text
         plain = run_cli(capsys, "lemmas", "--k-max", "3", "--format", "json", "--no-timestamp")
@@ -379,6 +378,12 @@ class TestParserContract:
         flag = _LIMIT[sub]
         cfg = cli.parse_config([sub, *_REQUIRED[sub][0], flag, "7"])
         assert getattr(cfg, flag[2:].replace("-", "_")) == 7
+
+    @pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+    def test_help_returns_0(self, capsys, sub):
+        # argparse prints the help and exits; main returns its code instead
+        code, out, err = run_cli(capsys, sub, "--help")
+        assert (code, err) == (0, "") and out.startswith("usage:")
 
     def test_settable_values(self):
         subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")

@@ -531,21 +531,21 @@ def _full_table(values, dtype):
 
 @contextlib.contextmanager
 def _table_forms(dtypes=False):
-    """The form, "dense" or "sparse", of each table ``_table_step`` returns
+    """The form, "dense" or "sparse", of each table ``_table_steps`` yields
     while the block runs, with its count dtype when ``dtypes``."""
     from unittest import mock
 
     from radsum import engine
 
-    real, seen = engine._table_step, []
+    real, seen = engine._table_steps, []
 
     def spy(*args):
-        keys, counts = real(*args)
-        form = "dense" if keys is None else "sparse"
-        seen.append((form, counts.dtype) if dtypes else form)
-        return keys, counts
+        for keys, counts in real(*args):
+            form = "dense" if keys is None else "sparse"
+            seen.append((form, counts.dtype) if dtypes else form)
+            yield keys, counts
 
-    with mock.patch.object(engine, "_table_step", spy):
+    with mock.patch.object(engine, "_table_steps", spy):
         yield seen
 
 
@@ -712,15 +712,16 @@ class TestNonnegativeTables:
         k = data.draw(st.integers(1, 20))
         family = data.draw(st.sampled_from(["near", "multiples", "lopsided", "factor"]))
         values = _long_lattice_int64(data.draw, family, k)
-        real, steps = engine._table_step, []
+        real, steps = engine._table_steps, []
 
-        def spy(keys, counts, v, step, span):
+        def spy(keys, counts, values, step, span):
             held = len(engine._nonneg_form(keys, counts, step)[0])
-            out = real(keys, counts, v, step, span)
-            steps.append((out[0] is None, len(out[1]), held))
-            return out
+            for keys, counts in real(keys, counts, values, step, span):
+                steps.append((keys is None, len(counts), held))
+                held = len(engine._nonneg_form(keys, counts, step)[0])  # held at the next step
+                yield keys, counts
 
-        with mock.patch.object(engine, "_table_step", spy):
+        with mock.patch.object(engine, "_table_steps", spy):
             engine._nonneg_sums(values, np.int64, np.int64)
             list(engine._tail_distributions(values, np.int64))
         for dense, length, held in steps:
@@ -916,21 +917,93 @@ class TestNonnegativeTables:
         # halves of a count and for the tail tables of the exact walk
         from radsum import SoundnessError, engine
 
-        real = engine._table_step
+        real = engine._table_steps
 
         def slip(*args):
-            keys, counts = real(*args)
-            if keys is None:
-                counts[-1] -= 1
-            return keys, counts
+            for keys, counts in real(*args):
+                if keys is None:
+                    counts[-1] -= 1
+                yield keys, counts
 
-        monkeypatch.setattr(engine, "_table_step", slip)
+        monkeypatch.setattr(engine, "_table_steps", slip)
         with pytest.raises(SoundnessError, match="mass"):
             sum_distribution(canonicalize([3, 1, 2, 5, 4, 1, 2, 6, 3], EXACT))
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(canonicalize([1] * 20, EXACT), 1, limit=20)
         with pytest.raises(SoundnessError, match="mass"):
             prefix_partition(canonicalize([1] * 9, EXACT))
+
+    def test_dense_count_matches_sparse_route_and_naive(self):
+        """``_count_merged`` on int64 keys whose halves both end dense counts
+        in the dense form (``_dense_count``), and the count equals that of the
+        sparse route, every step forced sparse through the rule's constants,
+        and of the naive 2^n sweep.  Entries are multiples of a factor drawn
+        per half, zeros and negative entries included, so the halves' gcds
+        often differ; cut-offs -1, 0, ``sum|a_i|`` and one drawn between,
+        strict and not.  A half of up to ``_RAW_PREFIX`` values starts from
+        its raw sums, so with no raw prefix small n reach the dense count.
+        64 ones at limit 64 take it with Python-int counts."""
+        from unittest import mock
+
+        from radsum import WeightVector, engine
+
+        real, seen = engine._dense_count, Counter()
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        def check(data):
+            n = data.draw(st.integers(1, 18))
+            values = []
+            for size in (n - n // 2, n // 2):
+                factor = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
+                values += data.draw(st.lists(st.integers(-9, 9).map(factor.__mul__), min_size=size, max_size=size))
+            bound = sum(map(abs, values))
+            cut = data.draw(st.sampled_from([-1, 0, bound, data.draw(st.integers(0, bound))]))
+            strict = data.draw(st.booleans())
+            calls = []
+            spy = lambda *args: calls.append(args) or real(*args)
+            raw_prefix = data.draw(st.sampled_from([0, engine._RAW_PREFIX]))
+            with mock.patch.multiple(engine, _RAW_PREFIX=raw_prefix, _dense_count=spy):
+                dense = engine._count_merged(values, np.int64, cut, strict)
+            with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE_RATIO=0, _DENSE_RETURN=0, _dense_count=None):
+                sparse = engine._count_merged(values, np.int64, cut, strict)
+            exact = tuple(Fraction(abs(a)) for a in sorted(values, key=abs, reverse=True))
+            w = WeightVector(exact, tuple(a * a for a in exact), EXACT, Fraction(1))
+            naive = threshold_probability_naive(w, max(cut, 0), strict or cut < 0) * 2**n
+            route = "dense" if calls else "sparse"
+            seen[route] += 1
+            event(route)
+            assert dense == sparse == naive, (values, cut, strict, route)
+
+        check()
+        assert seen["dense"] and seen["sparse"], seen
+        dtypes = []
+        spy = lambda left, right, cut: dtypes.append((left.dtype, right.dtype)) or real(left, right, cut)
+        with mock.patch.object(engine, "_dense_count", spy):
+            p = threshold_probability(canonicalize([1] * 64, EXACT), 1, limit=64)
+        assert p == Fraction(sum(math.comb(64, k) for k in range(65) if abs(64 - 2 * k) <= 8), 2**64)
+        assert dtypes == [(np.dtype(object), np.dtype(object))]
+
+    def test_corrupt_dense_half_is_soundness_error(self, monkeypatch):
+        # one pattern added to the last table of the left half alone: each
+        # dense half's mass is checked before the dense count, under -O too
+        from radsum import SoundnessError, engine
+
+        real, halves = engine._table_steps, []
+
+        def corrupt(*args):
+            halves.append(args)
+            for keys, counts in real(*args):
+                yield keys, counts
+            if len(halves) == 1:  # resumed once more after the last table
+                assert keys is None
+                counts[0] += 1
+
+        w = canonicalize([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3], EXACT)
+        monkeypatch.setattr(engine, "_table_steps", corrupt)
+        with pytest.raises(SoundnessError, match="mass"):
+            threshold_probability(w, 1)
+        assert len(halves) == 1
 
 
 def _square_norm(head) -> list:

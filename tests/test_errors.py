@@ -52,7 +52,7 @@ INTEGER_ARGS = [
     ("samples", lambda v: monte_carlo(W, 1, samples=v, seed=0), [0]),
     ("seed-monte_carlo", lambda v: monte_carlo(W, 1, samples=10, seed=v), [-1, 2**64]),
     ("k_max", lemma_sweep, [1]),
-    ("n", lambda v: minimize_probability(v, 5, 0), [1, 41]),
+    ("n", lambda v: minimize_probability(v, 5, 0), [1]),
     ("budget", lambda v: minimize_probability(2, v, 0), [0]),
     ("seed-minimize_probability", lambda v: minimize_probability(2, 5, v), [-1, 2**64]),
     ("exponent", lambda v: exact_sqrt(2) ** v, [-1]),

@@ -15,6 +15,7 @@ from radsum import (
     EXACT,
     FLOAT,
     InputError,
+    SizeLimitError,
     canonicalize,
     from_squares,
     lemma_sweep,
@@ -419,8 +420,10 @@ class TestMinimizeProbability:
             minimize_probability(1, 100, 0)
         with pytest.raises(InputError):
             minimize_probability(2, 0, 0)
-        with pytest.raises(InputError):
+        with pytest.raises(SizeLimitError, match="n=99 exceeds the meet-in-the-middle limit 40"):
             minimize_probability(99, 100, 0)
+        with pytest.raises(SizeLimitError, match="limit 4$"):
+            minimize_probability(6, 100, 0, limit=4)
         for n, budget, seed in ((2.5, 10, 0), (True, 10, 0), (2, 2.5, 0), (2, True, 0), (2, 10, True)):
             with pytest.raises(InputError):
                 minimize_probability(n, budget, seed)
