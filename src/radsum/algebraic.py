@@ -9,13 +9,21 @@ equality is structural.  That makes sign determination decidable - an exact
 zero test by inspection, and for nonzero values interval arithmetic at
 escalating precision, which must terminate.
 
+A value is held as integers: one numerator per radicand, in term order, over
+one positive denominator, with no common factor.  Arithmetic, comparisons,
+``float``, ``floor``, ``str`` and ``hash`` run on those integers; ``terms``
+builds the ``Fraction`` coefficients only when asked.  The integer
+numerators are also what the engine's radical keys and the certificate's
+closed forms are built from.
+
 The set is closed under +, -, * and / (division clears radicals from the
 denominator by conjugating one prime at a time), which covers everything the
 bound formulas need once weights are square roots of rationals.
 
 Signs and comparisons are filtered (Shewchuk 1997): float sums with proven
 error bounds decide them, and an exact difference and sign are computed only
-when two sums agree to within those bounds.  The engine filters whole arrays
+when two sums agree to within those bounds.  A value is never mutated, so
+its float sum and bound are computed once and cached.  The engine filters whole arrays
 the same way with integers instead (Fortune and Van Wyk 1996): its radical
 keys are fixed-point sums of each term's exact floor, so a key is less than
 one unit per term from its sum, and only signed sums within that many units
@@ -31,7 +39,7 @@ import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import floor, gcd, isqrt, lcm, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from numbers import Rational
 from typing import Optional, Union
 
@@ -208,23 +216,60 @@ def _ordering(op):
     return _operand(lambda self, other: op(self._compare(other), 0))
 
 
-class SqrtSum:
-    """An exact real number sum(c_d * sqrt(d)) with canonical term dict."""
+# The float estimate of a SqrtSum not computed yet: None is an estimate, and
+# False stays itself through pickling and deepcopy.
+_UNSET = False
+_new = object.__new__
 
-    __slots__ = ("_terms",)
+
+def _canonical(nums: dict[int, int], den: int) -> "SqrtSum":
+    """The ``SqrtSum`` of integers already in canonical form (see the
+    class), taken as they are."""
+    v = _new(SqrtSum)
+    v._nums, v._den, v._est = nums, den, _UNSET
+    return v
+
+
+def _sqrt_sum(nums: dict[int, int], den: int) -> "SqrtSum":
+    """``sum(n*sqrt(d) for d, n in nums.items())/den`` for squarefree keys
+    in term order, nonzero integer numerators and an integer ``den >= 1``:
+    their common factor is divided out."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {d: n // g for d, n in nums.items()}
+        den //= g
+    return _canonical(nums, den)
+
+
+class SqrtSum:
+    """An exact real number ``sum(n_d*sqrt(d))/den`` in canonical form.
+
+    ``_nums`` maps each squarefree radicand ``d``, in term order, to a
+    nonzero integer numerator ``n_d``; ``_den >= 1`` is their one
+    denominator, and ``gcd(_den, *_nums.values()) == 1``, so the empty sum
+    is ``({}, 1)``.  A ``SqrtSum`` is never mutated, and ``_est`` caches its
+    ``_float_estimate``.
+    """
+
+    __slots__ = ("_nums", "_den", "_est")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        # Terms are assumed already canonical (squarefree keys, no zeros)
-        # when built internally; the public entry points are from_rational()
-        # and sqrt_rational().
-        self._terms: dict[int, Fraction] = terms or {}
+        # Terms are assumed already canonical (squarefree keys, no zeros);
+        # the public entry points are from_rational() and sqrt_rational().
+        terms = terms or {}
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._nums = {d: c.numerator * (den // c.denominator) for d, c in terms.items()}
+        self._den = den
+        self._est = _UNSET
 
     @classmethod
     def from_rational(cls, q: ExactLike) -> "SqrtSum":
         if isinstance(q, SqrtSum):
             return q
-        q = Fraction(q)
-        return cls({1: q} if q else {})
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        n = int(q.numerator)
+        return _canonical({1: n}, int(q.denominator)) if n else _canonical({}, 1)
 
     @classmethod
     def sqrt_rational(cls, q: Rational | int) -> "SqrtSum":
@@ -235,40 +280,49 @@ class SqrtSum:
         if q == 0:
             return cls()
         s, d = squarefree_decompose(q.numerator * q.denominator)
-        return cls({d: Fraction(s, q.denominator)})
+        return _sqrt_sum({d: s}, q.denominator)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {d: Fraction(n, den) for d, n in self._nums.items()}
 
     @property
     def is_rational(self) -> bool:
-        return all(d == 1 for d in self._terms)
+        nums = self._nums
+        return not nums or (len(nums) == 1 and 1 in nums)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._nums.get(1, 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
     @_operand
     def __add__(self, other) -> "SqrtSum":
-        terms = dict(self._terms)
-        for d, c in other._terms.items():
-            new = terms.get(d, Fraction(0)) + c
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        a, b = self._den, other._den
+        g = gcd(a, b)
+        ma, mb = b // g, a // g  # both sums over lcm(a, b) = a*ma = b*mb
+        nums = {d: n * ma for d, n in self._nums.items()}
+        for d, n in other._nums.items():
+            new = nums.get(d, 0) + n * mb
             if new:
-                terms[d] = new
+                nums[d] = new
             else:
-                terms.pop(d, None)
-        return SqrtSum(terms)
+                nums.pop(d, None)
+        return _sqrt_sum(nums, a * ma)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SqrtSum":
-        return SqrtSum({d: -c for d, c in self._terms.items()})
+        return _canonical({d: -n for d, n in self._nums.items()}, self._den)
 
     @_operand
     def __sub__(self, other) -> "SqrtSum":
@@ -280,9 +334,9 @@ class SqrtSum:
 
     @_operand
     def __mul__(self, other) -> "SqrtSum":
-        terms: dict[int, Fraction] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
+        nums: dict[int, int] = {}
+        for d1, n1 in self._nums.items():
+            for d2, n2 in other._nums.items():
                 # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd:
                 # both factors squarefree and coprime, so the product radicand
                 # is squarefree without any factoring.
@@ -291,20 +345,19 @@ class SqrtSum:
                 else:
                     g = gcd(d1, d2)
                     d = (d1 // g) * (d2 // g)
-                c = c1 * c2 * g
-                new = terms.get(d, Fraction(0)) + c
+                new = nums.get(d, 0) + n1 * n2 * g
                 if new:
-                    terms[d] = new
+                    nums[d] = new
                 else:
-                    terms.pop(d, None)
-        return SqrtSum(terms)
+                    nums.pop(d, None)
+        return _sqrt_sum(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "SqrtSum":
         _check_int(exponent, "exponent", 0)
         if not exponent:
-            return SqrtSum({1: Fraction(1)})
+            return _canonical({1: 1}, 1)
         # Square-and-multiply with no squaring past the top bit.  The result
         # starts at the first factor, not at 1: 1 * p builds the same terms
         # in the same order, so only the wasted products go.
@@ -321,30 +374,32 @@ class SqrtSum:
 
     def _conjugate_by_prime(self, p: int) -> "SqrtSum":
         """Negate every term whose radicand is divisible by the prime p."""
-        return SqrtSum(
-            {d: (-c if d % p == 0 else c) for d, c in self._terms.items()}
-        )
+        return _canonical({d: (-n if d % p == 0 else n) for d, n in self._nums.items()}, self._den)
+
+    def _reciprocal(self) -> "SqrtSum":
+        """1/self for a nonzero rational self."""
+        n = self._nums[1]
+        return _canonical({1: self._den if n > 0 else -self._den}, abs(n))
 
     def inverse(self) -> "SqrtSum":
-        if not self._terms:
+        if not self._nums:
             raise ZeroDivisionError("division by zero SqrtSum")
-        num = SqrtSum({1: Fraction(1)})
+        num = _canonical({1: 1}, 1)
         den = self
         while not den.is_rational:
-            d = next(r for r in den._terms if r != 1)
+            d = next(r for r in den._nums if r != 1)
             p = min(factorint(d))  # d >= 2: a radicand other than 1
             conj = den._conjugate_by_prime(p)
             num = num * conj
             den = den * conj  # removes p from every radicand
-        return num * SqrtSum({1: 1 / den.as_fraction()})
+        return num * den._reciprocal()
 
     @_operand
     def __truediv__(self, other) -> "SqrtSum":
         if other.is_rational:
-            q = other.as_fraction()
-            if not q:
+            if not other._nums:
                 raise ZeroDivisionError("division by zero SqrtSum")
-            return self * SqrtSum({1: 1 / q})
+            return self * other._reciprocal()
         return self * other.inverse()
 
     @_operand
@@ -365,11 +420,12 @@ class SqrtSum:
         doubling precision until the enclosing interval excludes zero;
         nonzero values guarantee termination.
         """
-        if not self._terms:
+        nums = self._nums
+        if not nums:
             return 0
-        if len(self._terms) == 1:
-            ((_, c),) = self._terms.items()
-            return 1 if c > 0 else -1
+        if len(nums) == 1:
+            ((_, n),) = nums.items()
+            return 1 if n > 0 else -1
         estimate = self._float_estimate()
         if estimate is not None:
             approx, err = estimate
@@ -380,21 +436,31 @@ class SqrtSum:
 
     def _float_estimate(self) -> Optional[tuple[float, float]]:
         """``(approx, err)``: the float sum of the terms and a bound on its
-        distance from the exact value, or None where no bound is proven.
+        distance from the exact value, or None where no bound is proven;
+        computed once per value.
 
-        Each of ``float(c)``, ``float(d)``, ``sqrt``, the product and each
-        addition is correctly rounded, so with ``u = 2^-53`` a term is off by
-        at most ``3.5u`` of its size and summing m terms adds at most
-        ``(m-1)u`` of ``S = sum|terms|`` (Shewchuk-style bound); ``(m+4)*2^-52*S``
-        covers both with room to spare.  The bound assumes no underflow or
-        overflow, so a coefficient that is not a normal float, an
-        ``OverflowError``, or ``S`` outside ``(1e-290, 1e290)`` yields None.
-        The empty sum is exactly ``(0.0, 0.0)``.
+        Each coefficient ``n/den`` (int true division, correctly rounded as
+        ``float(Fraction(n, den))`` is), ``float(d)``, ``sqrt``, the product
+        and each addition is correctly rounded, so with ``u = 2^-53`` a term
+        is off by at most ``3.5u`` of its size and summing m terms adds at
+        most ``(m-1)u`` of ``S = sum|terms|`` (Shewchuk-style bound);
+        ``(m+4)*2^-52*S`` covers both with room to spare.  The bound assumes
+        no underflow or overflow, so a coefficient that is not a normal
+        float, an ``OverflowError``, or ``S`` outside ``(1e-290, 1e290)``
+        yields None.  The empty sum is exactly ``(0.0, 0.0)``.
         """
+        estimate = self._est
+        if estimate is _UNSET:
+            estimate = self._est = self._estimate()
+        return estimate
+
+    def _estimate(self) -> Optional[tuple[float, float]]:
+        """``_float_estimate``, computed."""
         approx = size = 0.0
+        den = self._den
         try:
-            for d, c in self._terms.items():
-                fc = c.numerator / c.denominator  # float(c) without its wrapper
+            for d, n in self._nums.items():
+                fc = n / den
                 if not abs(fc) >= _FLOAT_MIN:
                     return None
                 term = fc * sqrt(d)
@@ -402,42 +468,39 @@ class SqrtSum:
                 size += abs(term)
         except OverflowError:
             return None
-        if self._terms and not 1e-290 < size < 1e290:
+        if self._nums and not 1e-290 < size < 1e290:
             return None
-        return approx, (len(self._terms) + 4) * 2.0**-52 * size
+        return approx, (len(self._nums) + 4) * 2.0**-52 * size
 
     def _intervals(self):
         """Integers ``(lo, hi, scale)`` with ``lo/scale <= value <=
         hi/scale`` at 64, 128, 256, ... fractional bits: ``isqrt`` brackets
-        of each ``sqrt(d)`` summed over the common denominator of the
-        coefficients.  The one refinement loop of ``sign``, ``__float__``
-        and ``__floor__``."""
-        denom = lcm(*(c.denominator for c in self._terms.values()))
+        of each ``sqrt(d)`` summed over the numerators.  The one refinement
+        loop of ``sign``, ``__float__`` and ``__floor__``."""
         prec = 64
         while True:
             lo = hi = 0
-            for d, c in self._terms.items():
+            for d, a in self._nums.items():
                 root = isqrt(d << (2 * prec))
-                a = c.numerator * (denom // c.denominator)
                 if a >= 0:
                     lo += a * root
                     hi += a * (root + 1)
                 else:
                     lo += a * (root + 1)
                     hi += a * root
-            yield lo, hi, denom << prec
+            yield lo, hi, self._den << prec
             prec *= 2
 
     @_operand
     def __eq__(self, other) -> bool:
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
         # Rational values must hash like their Fraction so that mixed
         # dict/set use stays consistent with __eq__.
         if self.is_rational:
-            return hash(self._terms.get(1, Fraction(0)))
-        return hash(frozenset(self._terms.items()))
+            return hash(self.as_fraction())
+        return hash((self._den, frozenset(self._nums.items())))
 
     def _compare(self, other: "SqrtSum") -> int:
         """The sign of ``self - other``: from the float estimates when they
@@ -464,7 +527,7 @@ class SqrtSum:
     __ge__ = _ordering(operator.ge)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     # -- conversion --------------------------------------------------------
 
@@ -492,20 +555,24 @@ class SqrtSum:
         value's own floor, else the floor both ends of a refined interval
         share, as they do once it is narrow: an irrational is no integer."""
         if self.is_rational:
-            return floor(self.as_fraction())
+            return self._nums.get(1, 0) // self._den
         return next(lo // s for lo, hi, s in self._intervals() if lo // s == hi // s)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
+        den = self._den
         parts = []
-        for d in sorted(self._terms):
-            c = self._terms[d]
+        for d in sorted(self._nums):
+            n = self._nums[d]
+            g = gcd(n, den)
+            n, q = n // g, den // g  # the coefficient's Fraction, reduced
+            c = str(n) if q == 1 else f"{n}/{q}"
             if d == 1:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(c)
+            elif c == "1":
                 parts.append(f"sqrt({d})")
-            elif c == -1:
+            elif c == "-1":
                 parts.append(f"-sqrt({d})")
             else:
                 parts.append(f"{c}*sqrt({d})")

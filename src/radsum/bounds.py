@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebraic import SqrtSum
+from .algebraic import SqrtSum, _sqrt_sum
 from .engine import (
     DEFAULT_FULL_LIMIT,
     DEFAULT_MITM_LIMIT,
@@ -102,34 +102,34 @@ def _g_h(k: int, x, q):
         h_r = (k D2 - (kQ-Q-P)(4Q+P) - 8PQ) / (2k D2),
         h_s*c = -(2(k+1)Q - P) Q cn / (k D2 cd),
 
-    each one ``Fraction`` of integers.  An irrational weight takes the
-    canonical SqrtSum({1: r, d: s*c}) that the literal definitions also
-    produce; a rational one folds r + s*c into one ``Fraction`` over
-    2k D2 cd, kept as a SqrtSum when x is one.  Float weights keep the
-    literal ``g``/``h``.
+    each a ratio of integers.  An irrational weight takes the canonical
+    SqrtSum of r + s*c*sqrt(d), numerators ``(r*cd, s)`` over ``den*cd``,
+    that the literal definitions also produce; a rational one folds r + s*c
+    into one ``Fraction`` over 2k D2 cd, kept as a SqrtSum when x is one.
+    Float weights keep the literal ``g``/``h``.
     """
     if isinstance(x, float):
         return g(k, x), h(k, x)
-    if isinstance(x, SqrtSum) and not x.is_rational:
-        ((d, c),) = x.terms.items()
+    if isinstance(x, SqrtSum):
+        ((d, cn),) = x._nums.items() or ((1, 0),)
+        cd = x._den
     else:
-        d, c = 1, x.as_fraction() if isinstance(x, SqrtSum) else x
-    P, Q, cn, cd = q.numerator, q.denominator, c.numerator, c.denominator
+        d, cn, cd = 1, x.numerator, x.denominator
+    P, Q = q.numerator, q.denominator
     D2 = (4 * Q - P) ** 2
     A, B = Q - k * P, 4 * Q + P
     # numerators of g_r, g_s*c over g_den (times cd), of h_r, h_s*c over h_den
     g_den, g_r, g_s = 2 * D2, D2 - A * B, -4 * A * Q * cn
     h_den, h_r = 2 * k * D2, k * D2 - (k * Q - Q - P) * B - 8 * P * Q
     h_s = -2 * (2 * (k + 1) * Q - P) * Q * cn
-    if d == 1:
-        gv, hv = Fraction(g_r * cd + g_s, g_den * cd), Fraction(h_r * cd + h_s, h_den * cd)
-        if not isinstance(x, SqrtSum):
-            return gv, hv
-        return SqrtSum.from_rational(gv), SqrtSum.from_rational(hv)
-    return tuple(
-        SqrtSum({t: v for t, v in ((1, Fraction(r, den)), (d, Fraction(s, den * cd))) if v})
-        for r, s, den in ((g_r, g_s, g_den), (h_r, h_s, h_den))
-    )
+    if not isinstance(x, SqrtSum):
+        return Fraction(g_r * cd + g_s, g_den * cd), Fraction(h_r * cd + h_s, h_den * cd)
+    out = []
+    for r, s, den in ((g_r, g_s, g_den), (h_r, h_s, h_den)):
+        nums = {1: r * cd}
+        nums[d] = nums.get(d, 0) + s  # one term when d == 1
+        out.append(_sqrt_sum({t: v for t, v in nums.items() if v}, den * cd))
+    return tuple(out)
 
 
 def _max_g_h(k: int, x, q, mode: str):

@@ -56,7 +56,8 @@ _GRAMMAR_HELP = (
 @dataclass
 class RunConfig:
     """Parsed run configuration, and the one place CLI defaults are
-    declared; ``dataclasses.asdict`` gives the document's ``config`` and
+    declared.  Every field is a scalar, so ``vars(cfg)``, a shallow dict of
+    the fields in declaration order, is the document's ``config``, and
     ``RunConfig(**that)`` rebuilds it."""
 
     subcommand: str
@@ -417,7 +418,7 @@ def execute(cfg: RunConfig) -> tuple[int, str, str]:
 
 
 def _json_doc(cfg: RunConfig, result: dict) -> str:
-    doc = {"command": cfg.subcommand, "config": dataclasses.asdict(cfg)}
+    doc = {"command": cfg.subcommand, "config": dict(vars(cfg))}
     if cfg.timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc["result"] = result

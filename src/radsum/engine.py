@@ -103,7 +103,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebraic import SqrtSum
+from .algebraic import SqrtSum, _sqrt_sum
 from .errors import InputError, SizeLimitError, SoundnessError, WrongCaseError, _check_int
 from .weights import CaseTag, EXACT, FLOAT, Value, WeightVector, case_of
 
@@ -226,19 +226,32 @@ def _decompose(values: Sequence[Value]) -> list[tuple[int, int, dict[int, int]]]
     """Exact values over their squarefree radicands ``d_j``, in order of
     first appearance from the last value: one ``(d_j, L_j, {i: a_ij})`` each,
     with ``values[i] == sum_j a_ij*sqrt(d_j)/L_j`` and only the nonzero
-    integers ``a_ij`` kept.  Each value's terms are read once; an int or
+    integers ``a_ij`` kept, and ``L_j`` the lcm of the reduced denominators
+    of column ``j``.  Each value's integers are read once; an int or
     Fraction is its own coefficient over ``d = 1``."""
     columns = {}
     for i in range(len(values) - 1, -1, -1):
-        v = values[i]  # a float or numpy integer is read exactly, as a SqrtSum
-        terms = ((1, v),) if isinstance(v, (int, Fraction)) else SqrtSum.from_rational(v).terms.items()
-        for d, c in terms:
-            if c:
-                columns.setdefault(d, {})[i] = c
+        v = values[i]
+        if type(v) is not SqrtSum:
+            if type(v) is Fraction or type(v) is int:
+                if v:
+                    columns.setdefault(1, {})[i] = (v.numerator, v.denominator)
+                continue
+            v = SqrtSum.from_rational(v)  # a float or numpy integer is read exactly
+        nums, den = v._nums, v._den
+        for d, a in nums.items():
+            column = columns.get(d)
+            if column is None:
+                column = columns[d] = {}
+            if len(nums) > 1:  # one term of a canonical sum may share a factor with den
+                g = math.gcd(a, den)
+                column[i] = (a // g, den // g)
+            else:
+                column[i] = (a, den)
     parts = []
     for d, column in columns.items():
-        denom = math.lcm(*(c.denominator for c in column.values()))
-        parts.append((d, denom, {i: c.numerator * (denom // c.denominator) for i, c in column.items()}))
+        denom = math.lcm(*[b for _, b in column.values()])
+        parts.append((d, denom, {i: a * (denom // b) for i, (a, b) in column.items()}))
     return parts
 
 
@@ -252,7 +265,7 @@ def _int_cutoff(t, denom: int, radicand: int, strict: bool) -> int:
     ``t`` takes an exact ``SqrtSum`` floor."""
     if isinstance(t, SqrtSum):
         if not t.is_rational:
-            y = t * SqrtSum({radicand: Fraction(denom, radicand)})
+            y = t * _sqrt_sum({radicand: denom}, radicand)
             c = math.floor(y)
             return c - 1 if strict and y == c else c
         t = t.as_fraction()
@@ -337,14 +350,15 @@ class _Radical:
         """The exact sum with ``code`` over weights whose kappas add up to
         ``spread``."""
         half = (code + spread) // 2
-        terms = {}
+        lcm = math.lcm(*self.denoms)
+        nums = {}
         for d, denom, step, place, radix in zip(
             self.radicands, self.denoms, self.steps, self.places, self.places[1:]
         ):
             coeff = step * (2 * (half % radix // place) - spread % radix // place)
             if coeff:
-                terms[d] = Fraction(coeff, denom)
-        return SqrtSum(terms)
+                nums[d] = coeff * (lcm // denom)
+        return _sqrt_sum(nums, lcm)
 
 
 def _radical_keys(values: Sequence[Value], parts=None) -> tuple[np.ndarray, _Radical]:
@@ -399,7 +413,7 @@ def _key_setup(values: Sequence, t, mode: str, strict: bool = False):
         return keys, radical, None, t, strict
     radicand, denom, column = parts[0] if parts else (1, 1, {})  # value i is ints[i]*sqrt(radicand)/denom
     ints = [column.get(i, 0) for i in range(len(values))]
-    bound = sum(abs(a) for a in ints)
+    bound = sum(map(abs, ints))
     cutoff = min(_int_cutoff(t, denom, radicand, strict), bound)
     dtype = np.int64 if bound + cutoff < 1 << 62 else object
     return ints, dtype, (denom, radicand), cutoff, False
@@ -716,24 +730,32 @@ def _dense_count(lcounts: np.ndarray, rcounts: np.ndarray, cut: int) -> int:
     """The pattern pairs of two dense tables on one lattice step ``g`` with
     ``|l + r| <= cut*g``.  With ``l = (2j - tl)*g`` at left index ``j`` and ``r
     = (2i - tr)*g`` at right index ``i``, that is ``|2(i + j) - T| <= cut``, ``T
-    = tl + tr``: ``i + j`` in ``[lo, hi]``, ``lo = ceil((T - cut)/2) >= 0``
-    (``cut <= T``) and ``hi = floor((T + cut)/2)``.  With ``C(k)`` the right
-    patterns of index below ``k`` (0 for ``k <= 0``, all past ``tr``), ``j``
-    counts ``C(hi + 1 - j) - C(lo - j)``; summed over ``j``, an end ``a`` gives
-    ``C(tr + 1)`` times the left mass of the ``j < a - tr`` plus the dot product
-    of the left counts of the ``a - tr <= j < a`` with ``C(a - j)``, cumulative
-    counts read in reverse.  A negative ``cut``, an empty window, counts 0."""
+    = tl + tr``: ``i + j`` in ``[T - hi, hi]``, ``hi = floor((T + cut)/2)``
+    (``cut <= T``).  With ``C(k)`` the right patterns of index below ``k`` (0
+    for ``k <= 0``, all ``R`` past ``tr``), ``j`` counts ``C(hi + 1 - j) - C(T -
+    hi - j)``.  Both tables are symmetric, so ``C(k) = R - C(tr + 1 - k)``, and
+    ``W(a) = sum_j lcounts[j]*C(a - j)`` has ``W(T + 1 - a) = L*R - W(a)``, ``L``
+    the left total: the count is ``2*W(hi + 1) - L*R``.  In ``W(a)`` the ``j <
+    a - tr`` give ``R`` times their left mass, and the others the dot product
+    of their left counts with ``C(a - j)``.  Only ``C(k)`` for ``k <= m =
+    tr//2 + 1`` is cumulated; a larger ``k`` reads ``R - C(tr + 1 - k)``.  A
+    negative ``cut``, an empty window, counts 0."""
     tl, tr = len(lcounts) - 1, len(rcounts) - 1
     cut = min(cut, tl + tr)
     if cut < 0:
         return 0
-    cum = np.concatenate([[0], np.cumsum(rcounts)])
-
-    def weighted(a):  # the sum over j of lcounts[j] * C(a - j)
-        j0, j1 = max(a - tr, 0), min(a, tl + 1)
-        return int(cum[-1]) * int(lcounts[:j0].sum()) + int(np.dot(lcounts[j0:j1], cum[a - j1 + 1 : a - j0 + 1][::-1]))
-
-    return weighted((tl + tr + cut) // 2 + 1) - weighted((tl + tr - cut + 1) // 2)
+    m = tr // 2 + 1
+    low = np.cumsum(rcounts[:m])  # low[k - 1] = C(k), 1 <= k <= m
+    rtotal = 2 * int(low[-1]) - (0 if tr % 2 else int(rcounts[m - 1]))  # R: an even tr has a middle index
+    a = (tl + tr + cut) // 2 + 1
+    j0, j1 = max(a - tr, 0), min(a, tl + 1)
+    js = min(max(a - m, j0), j1)  # C(a - j) is low[a - j - 1] for j >= js, else R - low[tr - a + j]
+    weighted = (
+        rtotal * int(lcounts[:js].sum())
+        - int(np.dot(lcounts[j0:js], low[tr - a + j0 : tr - a + js]))
+        + int(np.dot(lcounts[js:j1], low[a - j1 : a - js][::-1]))
+    )
+    return 2 * weighted - rtotal * int(lcounts.sum())
 
 
 def _float_lattice(values: Sequence[float], t: float) -> Optional[tuple[list[int], int]]:
@@ -1061,7 +1083,7 @@ class SumDistribution:
         else:
             denom, rad = self.scale
             values = [
-                SqrtSum({rad: Fraction(s, denom)}) if rad > 1 and s else Fraction(s, denom)
+                _sqrt_sum({rad: s}, denom) if rad > 1 and s else Fraction(s, denom)
                 for s in self.values.tolist()
             ]
         return tuple(zip(values, self.counts.tolist()))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .algebraic import SqrtSum, squarefree_decompose
+from .algebraic import SqrtSum, _sqrt_sum, squarefree_decompose
 from .errors import DegenerateVectorError, InputError, SoundnessError
 
 EXACT = "exact"
@@ -97,14 +97,14 @@ def _exact_term(entry, index: int) -> tuple[Fraction, int]:
             "pass ints/Fractions (or use float mode)"
         )
     if isinstance(entry, SqrtSum):
-        terms = entry.terms or {1: Fraction(0)}
+        terms = entry._nums.items() or ((1, 0),)
         if len(terms) > 1:
             raise InputError(
                 "invalid input: exact weights must have rational squares "
                 f"(entry at index {index} has multiple radical terms)"
             )
-        ((d, c),) = terms.items()
-        return Fraction(c), d
+        ((d, n),) = terms
+        return Fraction(n, entry._den), d
     if isinstance(entry, (int, Fraction)):
         return Fraction(entry), 1
     raise InputError(f"invalid input: unsupported exact entry type {type(entry).__name__}")
@@ -185,9 +185,9 @@ def _squarefree_times(s: int, d1: int, d2: int) -> tuple[int, int]:
 
 
 def _root(s: int, d: int, denom: int) -> ExactValue:
-    """``s*sqrt(d)/denom`` for squarefree ``d``, a Fraction when ``d == 1``."""
-    c = Fraction(s, denom)
-    return c if d == 1 else SqrtSum({d: c})
+    """``s*sqrt(d)/denom`` for squarefree ``d`` and ``s > 0``, a Fraction
+    when ``d == 1``."""
+    return Fraction(s, denom) if d == 1 else _sqrt_sum({d: s}, denom)
 
 
 def _exact_vector(qs: list[Fraction], root: Callable[[int], tuple[int, int, int]]) -> WeightVector:
@@ -198,12 +198,14 @@ def _exact_vector(qs: list[Fraction], root: Callable[[int], tuple[int, int, int]
     ``d`` squarefree; it is called for the nonzero squares only, in sorted
     order, after the total is factored.
     """
-    total = sum(qs)
-    if total == 0:
-        raise DegenerateVectorError("degenerate vector: all entries are zero")
-    # the integers q*lcm(denominators) sort like the qs, and compare in C
+    # the integers q*lcm(denominators) sort like the qs, compare in C and
+    # sum to the total's numerator over lcm
     lcm = math.lcm(*(q.denominator for q in qs))
     keys = [q.numerator * (lcm // q.denominator) for q in qs]
+    key_total = sum(keys)
+    if key_total == 0:
+        raise DegenerateVectorError("degenerate vector: all entries are zero")
+    total = Fraction(key_total, lcm)
     order = sorted(range(len(qs)), key=keys.__getitem__, reverse=True)
     # sqrt(q/total) = sqrt(q)*sqrt(total.num*total.den)/total.num
     tn = total.numerator
@@ -221,7 +223,7 @@ def _exact_vector(qs: list[Fraction], root: Callable[[int], tuple[int, int, int]
         raise InputError(f"invalid input: {exc}; use float mode") from None
     return WeightVector(
         values=tuple(values),
-        squares=tuple(qs[i] / total for i in order),
+        squares=tuple(Fraction(keys[i], key_total) for i in order),
         mode=EXACT,
         scale=norm,
     )
@@ -234,10 +236,10 @@ def from_squares(squares: Iterable, mode: str = EXACT) -> WeightVector:
     means x = (1/sqrt2, 1/sqrt2).
     """
     mode = _validate_mode(mode)
-    qs = [Fraction(q) for q in squares]
+    qs = [q if type(q) is Fraction else Fraction(q) for q in squares]
     if not qs:
         raise InputError("invalid input: empty squared-weight list")
-    if any(q < 0 for q in qs):
+    if any(q.numerator < 0 for q in qs):
         raise InputError("invalid input: squared weights must be nonnegative")
     if mode == EXACT:
 

@@ -1,8 +1,11 @@
 """Exact radical arithmetic: representation, field ops, ordering."""
 
+import copy
 import itertools
 import math
 import operator
+import pickle
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -298,7 +301,11 @@ class TestEqualityAndHashing:
 def interval_sign(v: SqrtSum) -> int:
     """Sign from isqrt brackets alone, at doubling precision: the reference
     for the float filter in SqrtSum.sign."""
-    terms = v.terms
+    return ref_sign(v.terms)
+
+
+def ref_sign(terms: dict) -> int:
+    """``interval_sign`` of the sum of ``c*sqrt(d)`` over a term dict."""
     if not terms:
         return 0
     prec = 32
@@ -544,3 +551,242 @@ class TestOrderingFilter:
             assert v.sign() == interval_sign(v) == -1
             self.check(v, scale * (exact_sqrt(2) - Fraction(3, 2)))
         assert (exact_sqrt(2) - 1)._float_estimate() is not None
+
+
+# -- a reference model ----------------------------------------------------------
+#
+# A value is a dict {radicand: Fraction}, canonical and in term order, and
+# every operation below is SqrtSum's arithmetic on one Fraction per term,
+# written out here: the model reads nothing of SqrtSum.
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for d, c in b.items():
+        new = out.get(d, 0) + c
+        if new:
+            out[d] = new
+        else:
+            out.pop(d, None)
+    return out
+
+
+def ref_neg(a: dict) -> dict:
+    return {d: -c for d, c in a.items()}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            g = d1 if d1 == d2 else math.gcd(d1, d2)
+            d = 1 if d1 == d2 else (d1 // g) * (d2 // g)
+            out = ref_add(out, {d: c1 * c2 * g})
+    return out
+
+
+def ref_pow(a: dict, e: int) -> dict:
+    """Square-and-multiply from the first factor, no squaring past the top bit."""
+    if not e:
+        return {1: Fraction(1)}
+    result, base = None, a
+    while True:
+        if e & 1:
+            result = base if result is None else ref_mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = ref_mul(base, base)
+
+
+def ref_is_rational(a: dict) -> bool:
+    return all(d == 1 for d in a)
+
+
+def ref_div(a: dict, b: dict) -> dict:
+    """``a/b``: by ``1/q`` for a rational ``b = q``, else by conjugating the
+    denominator one prime at a time until it is rational."""
+    if not b:
+        raise ZeroDivisionError
+    num, den = {1: Fraction(1)}, b
+    while not ref_is_rational(den):
+        p = min(factorint(next(d for d in den if d != 1)))
+        conj = {d: -c if d % p == 0 else c for d, c in den.items()}
+        num, den = ref_mul(num, conj), ref_mul(den, conj)
+    return ref_mul(a, ref_mul(num, {1: 1 / den[1]}))
+
+
+def ref_estimate(a: dict):
+    """The float sum of the terms and its error bound, or None."""
+    approx = size = 0.0
+    try:
+        for d, c in a.items():
+            fc = c.numerator / c.denominator
+            if not abs(fc) >= sys.float_info.min:
+                return None
+            term = fc * math.sqrt(d)
+            approx += term
+            size += abs(term)
+    except OverflowError:
+        return None
+    if a and not 1e-290 < size < 1e290:
+        return None
+    return approx, (len(a) + 4) * 2.0**-52 * size
+
+
+def ref_intervals(a: dict):
+    denom = math.lcm(*(c.denominator for c in a.values()))
+    prec = 64
+    while True:
+        lo = hi = 0
+        for d, c in a.items():
+            root = math.isqrt(d << (2 * prec))
+            n = c.numerator * (denom // c.denominator)
+            lo += n * (root if n >= 0 else root + 1)
+            hi += n * (root + 1 if n >= 0 else root)
+        yield lo, hi, denom << prec
+        prec *= 2
+
+
+def ref_float(a: dict) -> float:
+    estimate = ref_estimate(a)
+    if estimate is not None and estimate[1] <= 2.0**-48 * abs(estimate[0]):
+        return estimate[0]
+    for lo, hi, scale in ref_intervals(a):
+        if (lo > 0 or hi < 0) and (hi - lo) << 60 < min(abs(lo), abs(hi)):
+            return (lo + hi) / (2 * scale)
+
+
+def ref_floor(a: dict) -> int:
+    if ref_is_rational(a):
+        return math.floor(a.get(1, Fraction(0)))
+    return next(lo // s for lo, hi, s in ref_intervals(a) if lo // s == hi // s)
+
+
+def ref_str(a: dict) -> str:
+    if not a:
+        return "0"
+    parts = []
+    for d in sorted(a):
+        c = a[d]
+        parts.append(str(c) if d == 1 else {1: "", -1: "-"}.get(c, f"{c}*") + f"sqrt({d})")
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of what it raised."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+_RADICANDS = [1, 2, 3, 5, 6, 10, 2**61 - 1]
+_COEFFS = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-100, max_value=100, max_denominator=30)
+).map(Fraction)
+
+
+@st.composite
+def model_sums(draw) -> dict:
+    """A canonical term dict over up to 4 radicands, in a drawn order."""
+    radicands = draw(st.lists(st.sampled_from(_RADICANDS), max_size=4, unique=True))
+    return {d: c for d in radicands if (c := draw(_COEFFS))}
+
+
+@st.composite
+def model_pairs(draw) -> tuple[dict, dict]:
+    """Two sums: independent, one cancelling the other's terms, equal in
+    another term order, the other over a larger denominator, a rational
+    within ``10^-digits`` of the other, or ``q*sqrt(2)`` against a Pell
+    convergent ``p``; both scaled by one factor."""
+    a = draw(model_sums())
+    kinds = ["independent", "cancelling", "reordered", "rescaled", "near", "pell"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "independent":
+        b = draw(model_sums())
+    elif kind == "rescaled":  # often the same numerators over another denominator
+        b = ref_mul(a, {1: Fraction(1, draw(st.sampled_from([2, 3, 7])))})
+    elif kind == "cancelling":
+        b = ref_add(ref_neg(a), draw(model_sums()))
+    elif kind == "reordered":
+        b = dict(reversed(list(a.items())))
+    elif kind == "near":
+        q = rounded(decimal_value(SqrtSum(a)), draw(st.integers(0, 40)))
+        b = {1: q} if q else {}
+    else:
+        p, q = draw(st.sampled_from(PELL))
+        a, b = {2: Fraction(q)}, {1: Fraction(p + draw(st.integers(-1, 1)))}
+    scale = draw(st.sampled_from([1, 1, 10**20, Fraction(1, 10**20), 10**160]))
+    return ref_mul(a, {1: Fraction(scale)}), ref_mul(b, {1: Fraction(scale)})
+
+
+class TestAgainstFractionModel:
+    """Every operation, comparison and conversion of ``SqrtSum`` equals the
+    reference model's, term order and float bits included, on random sums
+    over up to 4 radicands; and no operation changes an operand."""
+
+    @staticmethod
+    def check(v: SqrtSum, ref: dict) -> None:
+        assert type(v) is SqrtSum
+        assert list(v.terms.items()) == list(ref.items())
+        assert all(type(c) is Fraction for c in v.terms.values())
+        assert str(v) == ref_str(ref)
+        assert outcome(float, v) == outcome(ref_float, ref)
+        assert math.floor(v) == ref_floor(ref)
+        assert v.sign() == ref_sign(ref) and bool(v) == bool(ref)
+        assert v.is_rational == ref_is_rational(ref)
+        if ref_is_rational(ref):
+            q = ref.get(1, Fraction(0))
+            assert v.as_fraction() == q and type(v.as_fraction()) is Fraction
+            assert v == q and hash(v) == hash(q)
+        else:
+            with pytest.raises(ValueError):
+                v.as_fraction()
+        assert hash(v) == hash(SqrtSum(dict(reversed(list(ref.items())))))
+
+    @given(model_pairs(), _COEFFS)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_the_model(self, pair, q):
+        a, b = pair
+        x, y = SqrtSum(a), SqrtSum(b)
+        before = [(v, list(v.terms.items()), str(v)) for v in (x, y)]
+        rq = {1: q} if q else {}
+        results = [
+            (x + y, ref_add(a, b)), (x - y, ref_add(a, ref_neg(b))), (x * y, ref_mul(a, b)),
+            (-x, ref_neg(a)), (abs(x), ref_neg(a) if ref_sign(a) < 0 else a),
+            (x + q, ref_add(a, rq)), (q + x, ref_add(a, rq)),
+            (x - q, ref_add(a, ref_neg(rq))), (q - x, ref_add(rq, ref_neg(a))),
+            (x * q, ref_mul(a, rq)), (q * x, ref_mul(a, rq)),
+        ]
+        results += [(x**e, ref_pow(a, e)) for e in range(4)]
+        for num, den, ref_num, ref_den in ((x, y, a, b), (x, q, a, rq), (q, x, rq, a)):
+            got = outcome(operator.truediv, num, den)
+            want = outcome(ref_div, ref_num, ref_den)
+            if want is ZeroDivisionError:
+                assert got is ZeroDivisionError
+            else:
+                results.append((got, want))
+        for v, ref in [(x, a), (y, b), *results]:
+            self.check(v, ref)
+        expected = ref_sign(ref_add(a, ref_neg(b)))
+        assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == (
+            expected < 0, expected <= 0, expected > 0, expected >= 0, expected == 0, expected != 0
+        )
+        assert (x == y) == (a == b)
+        if x == y:
+            assert hash(x) == hash(y)
+        expected = ref_sign(ref_add(a, ref_neg(rq)))
+        assert (x < q, x <= q, x > q, x >= q, x == q) == (
+            expected < 0, expected <= 0, expected > 0, expected >= 0, expected == 0
+        )
+        # no operand changed, its cached float estimate included; copies made
+        # before and after the estimate is cached have the same one
+        for v, items, text in before:
+            assert list(v.terms.items()) == items and str(v) == text
+            fresh = SqrtSum(dict(items))
+            copies = [copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))]
+            assert v._float_estimate() == fresh._float_estimate()
+            for twin in copies + [copy.deepcopy(v), pickle.loads(pickle.dumps(v))]:
+                assert list(twin.terms.items()) == items and twin == v
+                assert twin._float_estimate() == v._float_estimate()

@@ -643,6 +643,8 @@ class TestDeterminismAndConfig:
     def test_runconfig_roundtrip(self):
         cfg = RunConfig(subcommand="exact", weights="sq:1/2,1/2", strict=True, seed=5)
         assert RunConfig(**dataclasses.asdict(cfg)) == cfg
+        # the document's config is the shallow field dict, in field order
+        assert list(vars(cfg).items()) == list(dataclasses.asdict(cfg).items())
 
     def test_thread_env_ignored(self, capsys, monkeypatch):
         monkeypatch.delenv("RADSUM_THREADS", raising=False)
