@@ -36,22 +36,28 @@ Enumeration strategies:
   sums both halves in plain Python, without the engine's half sums.
 * ``sum_distribution`` - in exact mode the table the meet-in-the-middle
   halves use (``_nonneg_sums``, mirrored), over all the weights.  In float
-  mode the nonnegative table of the sums ``fl(l + r)`` of the two raw
-  halves, folded by sign (``_float_nonneg_sums``): only the pairs with ``l
-  > 0`` are added, as ``fl(-l - r) = -fl(l + r)``, and a zero ``l`` adds
-  the right sums ``r >= 0``.
+  mode the table of the sums ``fl(l + r)`` of the two raw halves, folded by
+  sign (``_float_sums``): only the pairs with ``l > 0``, and with half of
+  the zero ``l``, are added, as ``fl(-l - r) = -fl(l + r)``.  The table is
+  written once: the folded sums into the upper half of its buffer, sorted
+  there, compacted block by block and mirrored in place.
 * ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
   breadth-first frontier of numpy arrays: each depth tests all undecided
   prefix sums in one vector operation, sets the crossing ones aside as
   settled, with their pattern counts, and extends the rest by ``s - v`` and
   ``s + v`` (exact mode merges equal sums, with counts; a float sum is one
-  sign prefix).  Phase 1 stands alone for the event probabilities
+  sign prefix).  Every frontier sum lies in ``[-1, 1]``, so an int64
+  frontier turns dense once that lattice of multiples of ``gcd(v_i)`` is
+  short by the tables' rule: each depth reads its settled sums off the two
+  slices outside ``|s| <= 1 - v``, and adds the middle slice in, shifted by
+  ``-v`` and ``+v``.  Phase 1 stands alone for the event probabilities
   ``Pr(A_k)``, all that ``hybrid_bound`` reads, and its last depth, n - 1,
   counts its own joints in closed form.  Phase 2 builds tail tables
   only from a balanced depth D on, the D minimising ``sum_{d<D}
   settled_d*2^(D-d) + 2^(n-D)`` (Horowitz and Sahni's meet-in-the-middle
-  balance).  A sum settled at a depth ``d >= D`` is counted in bulk by
-  ``searchsorted`` into the table at d, mirrored, and its cumulative counts;
+  balance), and checks only those it searches.  A sum settled at a depth
+  ``d >= D`` is counted in bulk by ``searchsorted`` into the table at d,
+  mirrored, and its cumulative counts;
   one settled at ``d < D`` is counted against the table at D over every
   sign pattern of the weights between d and D.  Exact sums are extended by
   those weights.  Float tails are pulled back through them instead: each
@@ -154,6 +160,12 @@ _SIGN_ROWS = 6
 # 35 (121 -> 65); n = 14 161 -> 74 (131 -> 96); n = 15 201 -> 341 (211 ->
 # 389); n = 16 212 -> 695 (179 -> 591).
 _RAW_PAIRS_N = 14
+# Float sum_distribution compacts its sorted sums this many at a time, so
+# that no temporary outgrows a block, and a block's temporaries stay below
+# glibc's default 128 KiB mmap threshold.  n = 17 entries in [70000, 99999],
+# medians of 50 calls in fresh processes on a 2-CPU x86 box, numpy 2.4: 2^11
+# 1.76-1.79 ms, 2^13 1.59-1.66 ms, 2^15 1.59-1.60 ms.
+_COMPACT_BLOCK = 1 << 13
 
 
 # -- threshold normalization ------------------------------------------------
@@ -964,15 +976,18 @@ def _merge_equal(keys, counts: np.ndarray):
     return keys.take(first, axis=0), np.add.reduceat(counts, first)
 
 
-def _tail_distributions(vals: Sequence, dtype):
+def _tail_distributions(vals: Sequence, dtype, wanted=None):
     """For k = len(vals)-1 down to 0: the nonnegative table (see
     ``_nonneg_step``) of the signed sums of ``vals[k:]``, accumulated from
-    the end; the tail tables of ``prefix_partition``, one per depth."""
+    the end, its mass checked; the tail tables of ``prefix_partition``, one
+    per depth.  Given ``wanted``, the sizes ``len(vals) - k`` of the tables
+    searched, any other table is None: it is only stepped from, and the mass
+    check of a later table covers it."""
     step = _lattice_step(vals, dtype)
     span = sum(map(abs, vals)) // step + 1 if step else 0
     start = _zero(dtype), np.ones(1, dtype=_count_dtype(len(vals)))
     for size, (keys, counts) in enumerate(_table_steps(*start, reversed(vals), step, span), 1):
-        yield _check_mass(*_nonneg_form(keys, counts, step), size)
+        yield _check_mass(*_nonneg_form(keys, counts, step), size) if wanted is None or size in wanted else None
 
 
 def _window(keys, cum: np.ndarray, query, t, strict: bool, dtype):
@@ -1102,24 +1117,52 @@ class SumDistribution:
         return _probability(max(int(window[0]), 0), self.total, self.mode)
 
 
-def _float_nonneg_sums(values: Sequence[float]):
-    """The nonnegative table (see ``_nonneg_step``) of the float sums
-    ``fl(l + r)`` of ``_pair_sums``.  A left sum ``l > 0`` stands for ``-l``
-    too, as ``fl(-l - r) = -fl(l + r)`` and the right sums are symmetric, so
-    only the pairs with ``l > 0`` are added, each counted at ``|fl(l +
-    r)|``, twice where that is 0.  Each zero left sum adds the right sums
-    ``r >= 0`` once."""
+def _float_sums(values: Sequence[float]):
+    """The full table ``(keys, counts)`` of the float sums ``fl(l + r)`` of
+    ``_pair_sums``, in search order, written once into two buffers of 2^n
+    entries.  A left sum ``l`` stands for ``-l`` too, as ``fl(-l - r) =
+    -fl(l + r)`` and the right sums are symmetric, so only the pairs with ``l
+    > 0``, and with half of the zero ``l`` (mirror images of each other), are
+    added: 2^(n-1) pairs, each counted at ``|fl(l + r)|``, twice where that
+    is 0.  Those sums are written to the upper half of the keys and sorted
+    there.  Blocks of ``_COMPACT_BLOCK``, from the top down, move the last of
+    each run of equal sums up to the end of the buffers, and count the sums
+    from the positions of these run ends; the mirror image of the nonzero
+    sums goes below them.  A table under a quarter of its buffers is copied
+    out, so that a short table does not pin them."""
     split = len(values) - len(values) // 2
     left, right = _half_sums(values[:split], np.float64), _half_sums(values[split:], np.float64)
-    sums = np.add.outer(left[left > 0], right).ravel()
-    keys, counts = np.unique(np.abs(sums, out=sums), return_counts=True)
-    if len(keys) and keys[0] == 0:
-        counts[0] *= 2
-    zeros = int(np.count_nonzero(left == 0))
-    if zeros:
-        tail = right[right >= 0]
-        keys, counts = _merge_equal(np.concatenate([keys, tail]), np.concatenate([counts, np.full(len(tail), zeros)]))
-    return _check_mass(keys, counts, len(values))
+    left = np.concatenate([left[left > 0], np.zeros((len(left) - np.count_nonzero(left)) // 2)])
+    half = len(left) * len(right)
+    keys, counts = np.empty(2 * half), np.empty(2 * half, dtype=np.int64)
+    sums = keys[half:]
+    np.add(left[:, None], right, out=sums.reshape(len(left), len(right)))
+    np.abs(sums, out=sums)
+    sums.sort()
+    top, after = 2 * half, np.inf  # keys[top:] are compacted; after is the sum above the block
+    for stop in range(half, 0, -_COMPACT_BLOCK):
+        block = sums[max(stop - _COMPACT_BLOCK, 0) : stop]
+        last = np.empty(len(block), dtype=bool)
+        np.not_equal(block[:-1], block[1:], out=last[:-1])
+        last[-1], after = block[-1] != after, block[0]  # read before the block moves
+        ends = np.flatnonzero(last)
+        rest = len(block) - 1 - (ends[-1] if len(ends) else -1)
+        if rest:  # the sums past the block's last run end are in the run compacted last
+            counts[top] += rest
+        if len(ends):
+            top -= len(ends)
+            keys[top : top + len(ends)] = block[ends]
+            counts[top] = ends[0] + 1
+            np.subtract(ends[1:], ends[:-1], out=counts[top + 1 : top + len(ends)])
+    z = int(keys[top] == 0)
+    if z:
+        counts[top] *= 2
+    _check_mass(keys[top:], counts[top:], len(values))
+    start = 2 * top - 2 * half + z  # the mirror image of keys[top + z:] ends at top
+    np.negative(keys[top + z :][::-1], out=keys[start:top])
+    counts[start:top] = counts[top + z :][::-1]
+    keys, counts = keys[start:], counts[start:]
+    return (keys.copy(), counts.copy()) if 4 * len(keys) < 2 * half else (keys, counts)
 
 
 def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDistribution:
@@ -1132,8 +1175,7 @@ def sum_distribution(w: WeightVector, *, limit: Optional[int] = None) -> SumDist
     _check_size(n, limit, DEFAULT_FULL_LIMIT, "full-enumeration")
 
     if w.mode == FLOAT:
-        keys, counts = _mirror(*_float_nonneg_sums(w.values))
-        return SumDistribution(keys, counts, n, FLOAT)
+        return SumDistribution(*_float_sums(w.values), n, FLOAT)
 
     vals, dtype, scale, _, _ = _key_setup(w.values, Fraction(1), EXACT)
     keys, counts = _mirror(*_nonneg_sums(vals, dtype, _count_dtype(n)))
@@ -1318,6 +1360,16 @@ class _Walk:
     stats: PartitionStats
 
 
+def _dense_extend(kept: np.ndarray, v: int, out: np.ndarray) -> None:
+    """One step of a dense frontier: ``out``, ``2v`` points longer than
+    ``kept``, counts the sums ``s - v*g`` and ``s + v*g`` of the consecutive
+    lattice sums ``s`` that ``kept`` counts: ``kept`` added in at offsets 0
+    and ``2v``."""
+    out[: 2 * v] = 0
+    out[2 * v :] = kept
+    out[: len(kept)] += kept
+
+
 def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     """Phase 1 of ``prefix_partition``, which alone gives the event
     probabilities ``Pr(A_k)``: the frontier of prefix sums walked depth by
@@ -1348,10 +1400,40 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
 
     # Global sign flip maps each event onto itself, so fix eps_1 = +1 and
     # double every count.  In exact mode ``mult`` counts the sign prefixes
-    # merged into each sum; in float mode sums are never merged.
+    # merged into each sum; in float mode sums are never merged.  Every sum
+    # lies in [-one, one]; int64 sums lie on its lattice of the multiples j*g
+    # of g = gcd(vals), |j| <= top.  Once that lattice is short by the rule of
+    # _table_steps the frontier turns dense: ``dense[top + j]`` counts the sum
+    # j*g, and is 0 for |j| > reach; ``spare`` is 0 for |j| > stale.
     s = _zero(dtype) + vals[0]
     mult = np.ones(1, dtype=_count_dtype(n)) if exact else None
+    g = _lattice_step(vals, dtype)
+    top = one // g if g else 0
+    dense = None
     for depth in range(1, n):
+        if dense is None and g and 2 * top + 1 <= _DENSE_FLOOR + _DENSE_RATIO * len(s):
+            dense, spare = np.zeros((2, 2 * top + 1), dtype=mult.dtype)
+            dense[top + s // g] = mult
+            reach, stale = max(-int(s[0]), int(s[-1])) // g, 0
+        if dense is not None:  # |j*g| <= one - x_{d+1} iff |j| <= inner: the middle slice stays
+            inner = min((one - vals[depth]) // g, reach) if depth >= 2 else reach
+            low, high = dense[top - reach : top - inner], dense[top + inner + 1 : top + reach + 1]
+            mid = dense[top - inner : top + inner + 1]
+            frontier.append(int(np.count_nonzero(dense[top - reach : top + reach + 1])))
+            if depth == n - 1:
+                break
+            lo, hi = low.nonzero()[0], high.nonzero()[0]
+            settled.append(len(lo) + len(hi))
+            if settled[-1]:  # in ascending order, as the sparse walk holds them
+                mm = np.concatenate([low[lo], high[hi]])
+                prefixes[depth] = (np.concatenate([lo - reach, hi + inner + 1]) * g, mm)
+                counts[depth] += int(mm.sum()) << (n - depth)
+            v = vals[depth] // g
+            spare[top - stale : top - inner - v] = 0
+            spare[top + inner + v + 1 : top + stale + 1] = 0
+            _dense_extend(mid, v, spare[top - inner - v : top + inner + v + 1])
+            dense, spare, reach, stale = spare, dense, inner + v, reach
+            continue
         frontier.append(len(s))
         cross = np.zeros(len(s), dtype=bool)
         if depth >= 2 and radical:  # |s| > b iff the empty tail is outside its window
@@ -1379,12 +1461,15 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
         if exact:
             s, mult = _merge_equal(s, np.concatenate([mult[keep], mult[keep]]))
 
-    # depth n - 1 in closed form (see the docstring)
-    settled.append(len(s))
-    for k, sel, within in ((n - 1, cross, 1), (n, ~cross, 2)):
-        hits = int(mult[sel].sum()) if exact else int(np.count_nonzero(sel))
-        counts[k] += hits << 1
-        joints[k] += hits * within
+    # depth n - 1 in closed form (see the docstring): the crossed sums, then the others
+    settled.append(frontier[-1])
+    if dense is not None:
+        hits = int(low.sum()) + int(high.sum()), int(mid.sum())
+    else:
+        hits = [int(mult[sel].sum()) if exact else int(np.count_nonzero(sel)) for sel in (cross, ~cross)]
+    for k, h, within in zip((n - 1, n), hits, (1, 2)):
+        counts[k] += h << 1
+        joints[k] += h * within
     if not exact:  # at n = 2 nothing is tested and the one sum, x_1, is a candidate
         at, inside = _last_candidates(s, gap if n > 2 else np.zeros(1), vals[-1], ties, n - 1)
         for i, c in zip(inside.tolist(), cross[at].tolist()):
@@ -1431,7 +1516,8 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
 
     # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
     balanced = _balanced_depth(walk.stats.settled, n)
-    tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype))
+    wanted = {n - max(d, balanced) for d in prefixes}  # the sizes of the tables searched
+    tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype, wanted))
     for depth, table in tables:
         here = [d for d in range(1 if depth == balanced else depth, depth + 1) if d in prefixes]
         if not here:

@@ -352,23 +352,52 @@ class TestHybridBound:
     @pytest.mark.parametrize(
         "w",
         [
-            random_case2(np.random.default_rng(3), 10),
-            canonicalize([27, 7, 29, 18, 17, 3, 29, 24, 2], EXACT),
+            random_case2(np.random.default_rng(3), 10, spread=1000),
+            canonicalize([270001, 70001, 290001, 180001, 170001, 30001, 290001, 240001, 20001], EXACT),
             from_squares([1, 2, 3, 5, 6, 7, 1, 2, 3, 5]),
         ],
         ids=["rational", "one_radicand", "multi_radicand"],
     )
     def test_walk_slip_is_soundness_error(self, monkeypatch, w):
         # a frontier merge that loses one sum's count breaks the partition
-        # mass, which the walk checks for hybrid_bound as for prefix_partition
+        # mass, which the walk checks for hybrid_bound as for prefix_partition.
+        # The integer vectors' lattices (2*17230162 + 1 and 2*605147 + 1
+        # points) run far past their frontiers, so the walk stays sparse.
         from radsum import engine
 
         assert case_of(w) is CaseTag.CASE2
         real = engine._merge_equal
         monkeypatch.setattr(engine, "_merge_equal", lambda keys, counts: tuple(x[:-1] for x in real(keys, counts)))
+        monkeypatch.setattr(engine, "_dense_extend", None)
         for run in (hybrid_bound, prefix_partition):
             with pytest.raises(SoundnessError, match="partition mass"):
                 run(w)
+
+    @pytest.mark.parametrize(
+        "w",
+        [random_case2(np.random.default_rng(3), 10), canonicalize([27, 7, 29, 18, 17, 3, 29, 24, 2], EXACT)],
+        ids=["rational", "one_radicand"],
+    )
+    def test_dense_walk_slip_is_soundness_error(self, monkeypatch, w):
+        # the same for a dense frontier (lattices of 2*2917 + 1 and 2*60 + 1
+        # points): a step that loses one count breaks the partition mass
+        from radsum import engine
+
+        assert case_of(w) is CaseTag.CASE2
+        real, dropped = engine._dense_extend, []
+
+        def slip(kept, v, out):  # the first step of a walk drops one pattern
+            real(kept, v, out)
+            if not dropped:
+                dropped.append(out.nonzero()[0][-1])
+                out[dropped[-1]] -= 1
+
+        monkeypatch.setattr(engine, "_dense_extend", slip)
+        for run in (hybrid_bound, prefix_partition):
+            dropped.clear()
+            with pytest.raises(SoundnessError, match="partition mass"):
+                run(w)
+            assert dropped
 
 
 @st.composite

@@ -1300,6 +1300,65 @@ class TestSumDistribution:
         assert [c for _, c in d.entries] == [1, 4, 6, 4, 1]
         assert [v for v, _ in d.entries] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
+    @staticmethod
+    def _float_table_oracle(values):
+        """The construction the in-place float table replaced: ``np.unique``
+        of the folded pair sums ``|fl(l + r)|`` with ``l > 0``, the zero
+        ``l`` adding the right sums ``r >= 0``, mirrored by concatenation."""
+        from radsum.engine import _half_sums, _merge_equal
+
+        split = len(values) - len(values) // 2
+        left, right = _half_sums(values[:split], np.float64), _half_sums(values[split:], np.float64)
+        sums = np.add.outer(left[left > 0], right).ravel()
+        keys, counts = np.unique(np.abs(sums), return_counts=True)
+        if len(keys) and keys[0] == 0:
+            counts[0] *= 2
+        zeros = int(np.count_nonzero(left == 0))
+        if zeros:
+            tail = right[right >= 0]
+            tail_counts = np.full(len(tail), zeros)
+            keys, counts = _merge_equal(np.concatenate([keys, tail]), np.concatenate([counts, tail_counts]))
+        z = int(keys[0] == 0)
+        return np.concatenate([-keys[z:][::-1], keys]), np.concatenate([counts[z:][::-1], counts])
+
+    def test_float_table_matches_old_construction(self):
+        """Float ``values`` bitwise equal (sign bits included), ``counts`` and
+        both dtypes equal to those of the old construction for n = 1..18, on
+        generic, tie-heavy and zero-sum vectors; each array owns memory in
+        proportion to the distinct sums, its buffer at most 4 times its size.
+        Compaction blocks of 3 and 64 sums put runs across block edges."""
+        from unittest import mock
+
+        from radsum import engine
+        from radsum.engine import _half_sums
+
+        gen, seen = np.random.default_rng(40), Counter()
+        for n in range(1, 19):
+            vectors = [
+                gen.integers(70000, 100000, size=n).tolist(),
+                [1.0] * n,
+                gen.integers(1, 10, size=n).tolist(),
+                [3] * n,  # a zero left half sum from n = 3 on
+                [5, 3, 3, 5, 3, 3][:n] + [2] * (n - 6),  # 5 - 5 + 3 on the left, 3 on the right
+            ]
+            for raw in vectors:
+                values = list(canonicalize(raw, FLOAT).values)
+                split = n - n // 2
+                left, right = _half_sums(values[:split], np.float64), _half_sums(values[split:], np.float64)
+                seen["zero left sum"] += bool((left == 0).any())
+                seen["zero pair sum"] += bool((np.add.outer(left[left > 0], right) == 0).any())
+                want, want_counts = self._float_table_oracle(values)
+                for block in [engine._COMPACT_BLOCK] + [3, 64] * (n <= 10):
+                    with mock.patch.object(engine, "_COMPACT_BLOCK", block):
+                        d = sum_distribution(canonicalize(raw, FLOAT))
+                    assert d.values.dtype == want.dtype and d.counts.dtype == want_counts.dtype
+                    assert d.values.view(np.int64).tolist() == want.view(np.int64).tolist(), raw
+                    assert d.counts.tolist() == want_counts.tolist(), raw
+                    for array in (d.values, d.counts):
+                        owner = array if array.base is None else array.base
+                        assert owner.nbytes <= 4 * array.nbytes, (raw, owner.nbytes, array.nbytes)
+        assert seen["zero left sum"] and seen["zero pair sum"], seen
+
     def test_float_sums_are_literal_half_sums(self, rng):
         # every float sum is fl(l + r), each half accumulated in index order
         # from +0.0; the distribution, the naive count and the raw pair count
@@ -1760,9 +1819,9 @@ class TestPrefixPartition:
 
         sizes, real = [], engine._tail_distributions
 
-        def spy(vals, dtype):
+        def spy(vals, dtype, wanted):
             sizes.append(len(vals))
-            return real(vals, dtype)
+            return real(vals, dtype, wanted)
 
         with mock.patch.object(engine, "_tail_distributions", spy):
             if depth is None:
@@ -1935,6 +1994,84 @@ class TestPrefixPartition:
         dist = sum_distribution(w, limit=n)
         assert [c for _, c in dist.entries] == [math.comb(n, k) for k in range(n + 1)]
         assert dist.probability(1) == expected
+
+    def test_dense_walk_matches_sparse_walk(self):
+        """An int64 frontier turns dense once its lattice is short by the
+        rule of the tables, and its whole report, stats included, is that
+        of the sparse walk, forced through the rule's constants: for
+        rational, one-radicand and small-integer Case-2 vectors with n <=
+        20, and for integer weights over 2^16 + 32*m - 1 or + 1 lattice
+        points, m in {1, 2, 8, 64}, which the frontier turns dense once it
+        holds m or m + 1 sums.  Both the dense and the sparse walk run."""
+        from unittest import mock
+
+        from radsum import WeightVector, engine
+
+        real, seen = engine._dense_extend, Counter()
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def check(data):
+            kind = data.draw(st.sampled_from(["rational", "one-radicand", "small-integer", "switch"]))
+            n = data.draw(st.integers(2, 12 if kind == "switch" else 20))
+            if kind == "small-integer":
+                ints = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+                w = canonicalize(sorted(ints, reverse=True), EXACT)
+            elif kind == "switch":  # x_i = a_i/top, one a_i = 1: the lattice is the 2*top + 1 multiples of 1/top
+                held = data.draw(st.sampled_from([1, 2, 8, 64]))
+                top = (engine._DENSE_FLOOR + engine._DENSE_RATIO * held) // 2 - data.draw(st.integers(0, 1))
+                ints = data.draw(st.lists(st.integers(1, top // 2), min_size=n - 1, max_size=n - 1)) + [1]
+                exact = tuple(Fraction(a, top) for a in sorted(ints, reverse=True))
+                w = WeightVector(exact, tuple(x * x for x in exact), EXACT, Fraction(1))
+            elif kind == "rational":  # Case 2 is rare below 6 unit-norm rational weights
+                n, gen = max(n, 6), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+                w = random_case2(gen, n, spread=data.draw(st.sampled_from([9, 1000])))
+            else:
+                w = case2_vector(kind, n, data.draw(st.integers(0, 2**32 - 1)))
+            if w is None or case_of(w) is not CaseTag.CASE2:
+                event("not Case 2")
+                return
+            steps = []
+            with mock.patch.object(engine, "_dense_extend", lambda *a: steps.append(a[1]) or real(*a)):
+                dense = prefix_partition(w, limit=n)
+            with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE_RATIO=0, _dense_extend=None):
+                sparse = prefix_partition(w, limit=n)
+            branch = "dense" if steps else "sparse"
+            seen[branch] += 1
+            event(f"{kind}: {branch}")
+            assert dense == sparse, w.values
+
+        check()
+        assert seen["dense"] and seen["sparse"], seen
+
+    @pytest.mark.parametrize("n", [64, 100, 200])
+    def test_dense_walk_past_the_default_limits(self, n):
+        # small-integer vectors walk a dense frontier at n in the hundreds,
+        # with Python-int counts past n = 62, once the limits allow them
+        gen = np.random.default_rng(n)
+        w = canonicalize(sorted(gen.integers(1, 51, size=n).tolist(), reverse=True), EXACT)
+        assert case_of(w) is CaseTag.CASE2
+        rep = prefix_partition(w, limit=n)
+        assert rep.stats.path == "int64" and sum(rep.probs) == 1
+        assert rep.total_prob == threshold_probability(w, 1, limit=n)
+
+    def test_only_searched_tail_tables_are_checked(self, monkeypatch):
+        """Phase 2 puts in nonnegative form and checks only the tail tables
+        it searches, in the order they are built: the table at a depth d
+        that settled sums, or at the balanced depth D for sums settled at or
+        before it; never the one-weight table at depth n - 1 below D = n - 1."""
+        from radsum import engine
+
+        real, sizes = engine._check_mass, []
+        monkeypatch.setattr(engine, "_check_mass", lambda keys, counts, k: sizes.append(k) or real(keys, counts, k))
+        for kind in ("float", "rational", "one-radicand"):
+            w = next(w for seed in itertools.count(2026) if (w := case2_vector(kind, 16, seed)) is not None)
+            sizes.clear()
+            rep = prefix_partition(w)
+            balanced = engine._balanced_depth(rep.stats.settled, w.n)
+            searched = {w.n - max(d, balanced) for d, c in enumerate(rep.stats.settled[:-1], 1) if c}
+            assert balanced < w.n - 1 and 1 not in sizes, kind
+            assert sizes == sorted(searched), kind
 
     def test_float_matches_exact_on_dyadic(self):
         re_ = prefix_partition(from_squares([Fraction(1, 4)] * 4))
