@@ -52,8 +52,14 @@ Enumeration strategies:
   slices outside ``|s| <= 1 - v``, and adds the middle slice in, shifted by
   ``-v`` and ``+v``.  Phase 1 stands alone for the event probabilities
   ``Pr(A_k)``, all that ``hybrid_bound`` reads, and its last depth, n - 1,
-  counts its own joints in closed form.  Phase 2 builds tail tables
-  only from a balanced depth D on, the D minimising ``sum_{d<D}
+  counts its own joints in closed form.  Phase 2 counts the joints of the
+  other settled sums.  On int64 keys whose lattice is short by the
+  tables' rule it runs Bellman's recurrence backwards
+  (``_backward_joints``): the tail patterns ``W_d(u)`` after depth d that
+  keep ``u`` within 1 are one shifted add of ``W_{d+1}``, held on one
+  parity class of the lattice for ``u >= 0``, and each settled sum reads
+  its ``W_d``.  Other keys, and longer lattices, take tail tables: phase
+  2 builds them only from a balanced depth D on, the D minimising ``sum_{d<D}
   settled_d*2^(D-d) + 2^(n-D)`` (Horowitz and Sahni's meet-in-the-middle
   balance), and checks only those it searches.  A sum settled at a depth
   ``d >= D`` is counted in bulk by ``searchsorted`` into the table at d,
@@ -1243,11 +1249,18 @@ def _balanced_depth(settled: Sequence[int], n: int) -> int:
     the settled counts (``settled[d - 1]``) of the walk.  For n > 2 nothing
     settles at depth 1, so D = 2 costs half of D = 1 and D is never 1.
     Deferred costs run as ``deferred_{D+1} = 2*(deferred_D + settled_D)``."""
+    costs = _balanced_costs(settled, n)
+    return 1 + costs.index(min(costs))
+
+
+def _balanced_costs(settled: Sequence[int], n: int) -> list:
+    """``sum_{d<D} settled_d*2^(D-d) + 2^(n-D)`` for D = 1..n-1: about the
+    keys the sparse phase 2 steps through from D (see ``_balanced_depth``)."""
     costs, deferred = [], 0
     for depth in range(1, n):
         costs.append(deferred + (1 << (n - depth)))
         deferred = 2 * (deferred + settled[depth - 1])
-    return 1 + costs.index(min(costs))
+    return costs
 
 
 def _chain(u, steps: np.ndarray):
@@ -1360,13 +1373,15 @@ class _Walk:
     stats: PartitionStats
 
 
-def _dense_extend(kept: np.ndarray, v: int, out: np.ndarray) -> None:
-    """One step of a dense frontier: ``out``, ``2v`` points longer than
-    ``kept``, counts the sums ``s - v*g`` and ``s + v*g`` of the consecutive
-    lattice sums ``s`` that ``kept`` counts: ``kept`` added in at offsets 0
-    and ``2v``."""
-    out[: 2 * v] = 0
-    out[2 * v :] = kept
+def _dense_extend(kept: np.ndarray, shift: int, out: np.ndarray) -> None:
+    """One shifted add of a dense table: ``out``, ``shift`` points longer
+    than ``kept``, is ``kept`` added in at offsets 0 and ``shift``.  Where
+    ``kept`` counts consecutive lattice points s, ``out`` counts the ``s -
+    v*g`` and ``s + v*g``: ``shift = 2v`` on the multiples of g (the walk's
+    dense frontier), ``shift = v`` on one parity class of them
+    (``_backward_joints``)."""
+    out[:shift] = 0
+    out[shift:] = kept
     out[: len(kept)] += kept
 
 
@@ -1431,7 +1446,7 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
             v = vals[depth] // g
             spare[top - stale : top - inner - v] = 0
             spare[top + inner + v + 1 : top + stale + 1] = 0
-            _dense_extend(mid, v, spare[top - inner - v : top + inner + v + 1])
+            _dense_extend(mid, 2 * v, spare[top - inner - v : top + inner + v + 1])
             dense, spare, reach, stale = spare, dense, inner + v, reach
             continue
         frontier.append(len(s))
@@ -1483,6 +1498,90 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     return _Walk(vals, dtype, one, probs, prefixes, joints, ties, stats)
 
 
+def _backward_fits(walk: _Walk) -> bool:
+    """Whether phase 2 runs ``_backward_joints``: for int64 keys whose
+    lattice is short by the rule of ``_table_steps``, summed over the steps
+    of the recurrence, depths n - 1 down to the first that settled sums: at
+    most ``_DENSE_FLOOR`` points per step plus ``_DENSE_RATIO`` times the
+    keys of the sparse phase 2, the least of ``_balanced_costs``.  A step
+    to depth d holds about ``(top + A_d)/2`` points (see
+    ``_backward_joints``).  Other keys, and longer lattices, take the sparse
+    phase 2."""
+    if walk.dtype is not np.int64 or not walk.prefixes:
+        return False
+    vals, first = walk.vals, min(walk.prefixes)
+    n, g = len(vals), _lattice_step(vals, np.int64)
+    top = walk.one // g
+    points = sum((top + tail // g) // 2 for tail in itertools.accumulate(reversed(vals[first:])))
+    return points <= (n - first) * _DENSE_FLOOR + _DENSE_RATIO * min(_balanced_costs(walk.stats.settled, n))
+
+
+def _backward_joints(vals: list, one: int, prefixes: dict, joints: list) -> None:
+    """Phase 2 of ``prefix_partition`` on int64 keys: the joint count of
+    every settled sum by Bellman's recurrence, run backwards.
+
+    Let ``W_d(u)`` count the sign patterns r of the weights after depth d
+    with ``|u + r| <= one``.  Then ``W_n(u) = [|u| <= one]``, and, split by
+    the sign of ``x_{d+1}``, ``W_d(u) = W_{d+1}(u - x_{d+1}) + W_{d+1}(u +
+    x_{d+1})``; a sum s settled at depth d adds ``mult(s)*W_d(s)`` to its
+    joint.  In units of ``g = gcd(x_i)``, ``a_i = x_i/g``, ``u = j*g`` and
+    ``top = one // g``, ``W_d`` is held only where it can be read:
+
+    * on one parity class: a sum settled at d is ``j = +-a_1 ... +-a_d``,
+      so ``j = p_d (mod 2)`` with ``p_d = a_1 + ... + a_d``, and the
+      recurrence reads ``W_{d+1}`` at ``j +- a_{d+1}``, on the class of
+      ``p_{d+1}``.  Point k of the class is ``j = 2k + p_d``;
+    * for ``j >= 0``: r and -r are both patterns, so ``W_d(-j) = W_d(j)``.
+      The array holds ``W_d`` at k from -``margin`` on, index ``margin +
+      k``, and each step first refills the ``margin`` points below k = 0
+      with their mirror images (-j is at ``k' = -k - p_d``);
+    * up to ``top + A_d``, ``A_d = a_{d+1} + ... + a_n``, past which
+      ``W_d`` is 0, as ``|r| <= A_d``.
+
+    With ``c = (p_d + a)//2`` and ``c' = a - c`` for ``a = a_{d+1}``, ``j +
+    a`` is point ``k + c`` of the class of ``p_{d+1}`` and ``j - a`` point
+    ``k - c'``, so ``W_d[k] = W_{d+1}[k + c] + W_{d+1}[k - c']``:
+    ``_dense_extend`` of the held ``W_{d+1}`` by a, read from offset c.
+    Its ``k - c'`` term is read for ``k >= 0`` only while ``c' <=
+    margin``, and ``c' <= (a + 1)//2``.  It writes up to ``top + A_d``,
+    since ``k + c`` past the held ``W_{d+1}`` is past its support.
+
+    Mass identity: summed over its whole class, ``W_d`` counts for each
+    tail pattern r the points ``v = j + r/g`` with ``|v| <= top``, and v is
+    on the class of ``p_d + A_d = p_n``; so the sum is ``2^(n-d)*N``, N the
+    points of that class in ``[-top, top]``.  Each step doubles the mass
+    and carries every count it reads into ``W_d``, so a count dropped or
+    doubled at any depth moves the mass at the last depth: checked there,
+    as a ``SoundnessError``.  Counts are int64 while the mass stays below
+    2^63, else Python ints.
+    """
+    n, g = len(vals), _lattice_step(vals, np.int64)
+    a = [v // g for v in vals]
+    top, first = one // g, min(prefixes)
+    parity = [s & 1 for s in itertools.accumulate(a, initial=0)]
+    shifts = [(p + v) // 2 for p, v in zip(parity, a)]  # W_d[k] = out[margin + k + shifts[d]]
+    margin = (max(a[first:]) + 1) // 2
+    inside = (top - parity[n]) // 2 + 1  # the points k >= 0 of W_n within top
+    points = 2 * inside - 1 + parity[n]  # N
+    length = max(margin + inside, 2 * margin + 1)  # room for the first mirror
+    size = length + sum(a[first:]) - sum(shifts[first + 1 :])  # the last, longest out
+    buffers = np.zeros((2, size), dtype=_count_dtype(n + points.bit_length()))
+    held = buffers[0, :length]
+    held[margin : margin + inside] = 1
+    for step, depth in enumerate(range(n - 1, first - 1, -1), 1):
+        p, v = parity[depth + 1], a[depth]
+        held[:margin] = held[margin + 1 - p : 2 * margin + 1 - p][::-1]
+        out = buffers[step & 1, : len(held) + v]
+        _dense_extend(held, v, out)
+        held = out[shifts[depth] :]
+        if depth in prefixes:  # j = 2k + p_d, or its mirror image, is at margin + |j| // 2
+            ss, mm = prefixes.pop(depth)
+            joints[depth] += int(np.dot(mm, held[margin + np.abs(ss) // (2 * g)]))
+    mass = 2 * int(held[margin:].sum()) - (0 if parity[first] else int(held[margin]))
+    if mass != points << (n - first):
+        raise SoundnessError(f"backward recurrence mass {mass} != {points}*2^{n - first}")
+
+
 def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> PartitionReport:
     """Partition all 2^n sign sequences by the first prefix k in {2..n-1}
     with |s_k| > 1 - x_{k+1} (event A_k), defaulting to A_n.
@@ -1495,7 +1594,20 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     them, with their pattern counts, for phase 2; depth n - 1 counts its
     joints in closed form.  Phase 2 counts the joint mass ``|s + r| <= 1``
     of each other settled sum ``s`` over the tail sums ``r`` of the weights
-    after it.  It builds tail tables only for the depths from
+    after it, by one of two routes, which ``_backward_fits`` picks from the
+    keys, their lattice and the walk's settled counts alone; both give the
+    same report.
+
+    On int64 keys whose lattice is short by the rule of ``_table_steps``,
+    summed over the steps, ``_backward_joints`` runs Bellman's recurrence
+    backwards: the count ``W_d(u)`` of tail patterns after depth d with
+    ``|u + r| <= 1`` is ``W_{d+1}(u - x_{d+1}) + W_{d+1}(u + x_{d+1})``,
+    one shifted add per depth from n - 1 down to the first that settled
+    sums, and a sum s settled at d adds ``mult(s)*W_d(s)``.  Its mass
+    identity stands in for the tables' mass checks.
+
+    Radical, float and Python-int keys, and longer lattices, take the
+    sparse tail tables, built only for the depths from
     ``_balanced_depth``'s D on: a sum settled at ``d >= D`` searches the
     table at d, and one settled at ``d < D`` is counted against the table at
     D over every sign pattern m of the weights ``x_{d+1}..x_D`` in between.
@@ -1514,10 +1626,13 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     n, exact, one, prefixes, fallbacks = w.n, w.mode == EXACT, walk.one, walk.prefixes, walk.stats.fallbacks
     vals, dtype, ties, joint_count = walk.vals, walk.dtype, walk.ties, walk.joints
 
-    # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
-    balanced = _balanced_depth(walk.stats.settled, n)
-    wanted = {n - max(d, balanced) for d in prefixes}  # the sizes of the tables searched
-    tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype, wanted))
+    if _backward_fits(walk):
+        _backward_joints(vals, one, prefixes, joint_count)
+        tables = ()
+    else:  # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
+        balanced = _balanced_depth(walk.stats.settled, n)
+        wanted = {n - max(d, balanced) for d in prefixes}  # the sizes of the tables searched
+        tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype, wanted))
     for depth, table in tables:
         here = [d for d in range(1 if depth == balanced else depth, depth + 1) if d in prefixes]
         if not here:

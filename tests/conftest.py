@@ -74,10 +74,14 @@ CASE2_KINDS = ["float", "float-ties", "rational", "one-radicand", "multi-radican
 
 
 def case2_vector(kind: str, n: int, seed: int):
-    """A Case-2 vector of one input class (see ``CASE2_KINDS``), or None."""
+    """A Case-2 vector of one input class (see ``CASE2_KINDS``), or None.
+    "long-lattice" is the "float" draw in exact mode: integer keys on a
+    lattice of about 2^19 points, too long for a dense walk or the backward
+    recurrence of ``prefix_partition``."""
     gen = np.random.default_rng(seed)
-    if kind == "float":
-        w = canonicalize([int(v) for v in gen.integers(70000, 100000, size=n)], FLOAT)
+    if kind in ("float", "long-lattice"):
+        mode = FLOAT if kind == "float" else EXACT
+        w = canonicalize([int(v) for v in gen.integers(70000, 100000, size=n)], mode)
     elif kind == "float-ties":
         w = canonicalize([int(v) for v in gen.integers(1, 5, size=n)], FLOAT)
     elif kind == "rational":

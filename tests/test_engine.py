@@ -914,7 +914,9 @@ class TestNonnegativeTables:
 
     def test_dense_mass_slip_is_soundness_error(self, monkeypatch):
         # a count lost in each dense step raises, for a whole table, for the
-        # halves of a count and for the tail tables of the exact walk
+        # halves of a count and for the tail tables of the exact walk: six
+        # weights near 10^5 keep its phase 2 sparse, and its last three, the
+        # first ones stepped, take dense steps
         from radsum import SoundnessError, engine
 
         real = engine._table_steps
@@ -931,7 +933,7 @@ class TestNonnegativeTables:
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(canonicalize([1] * 20, EXACT), 1, limit=20)
         with pytest.raises(SoundnessError, match="mass"):
-            prefix_partition(canonicalize([1] * 9, EXACT))
+            prefix_partition(canonicalize([99991, 97003, 93001, 91007, 88001, 85003, 3, 2, 1], EXACT))
 
     def test_dense_count_matches_sparse_route_and_naive(self):
         """``_count_merged`` on int64 keys whose halves both end dense counts
@@ -1830,7 +1832,7 @@ class TestPrefixPartition:
                 return prefix_partition(w), sizes
 
     @given(
-        st.sampled_from(CASE2_KINDS),
+        st.sampled_from(["float", "float-ties", "long-lattice", "multi-radicand"]),
         st.integers(2, 12),
         st.integers(0, 2**32 - 1),
     )
@@ -1839,7 +1841,8 @@ class TestPrefixPartition:
         """Every depth D the tail tables may start from gives the same
         report; D = 2 (D = 1 at n = 2) defers nothing and is the plain walk.
         From D = 3 on, one search counts the float sums of 1 to D - 2
-        deferred depths."""
+        deferred depths.  Integer keys take the sparse phase 2 on a long
+        lattice only (shorter ones take the backward recurrence)."""
         from unittest import mock
 
         from radsum import engine
@@ -1888,7 +1891,7 @@ class TestPrefixPartition:
         real = engine._window
         monkeypatch.setattr(engine, "_window", lambda *a: (real(*a)[0] + 2**20, 0))
         with pytest.raises(SoundnessError, match="exceeds"):
-            prefix_partition(random_case2(np.random.default_rng(0), 10))
+            prefix_partition(case2_vector("long-lattice", 10, 0))
 
     @pytest.mark.parametrize("patch", ["exact", "float"])
     def test_tail_window_outside_its_table_is_soundness_error(self, monkeypatch, patch):
@@ -1899,7 +1902,7 @@ class TestPrefixPartition:
         from radsum import SoundnessError, engine
 
         if patch == "exact":
-            real, w = engine._window, random_case2(np.random.default_rng(0), 10)
+            real, w = engine._window, case2_vector("long-lattice", 10, 0)
 
             def slip(keys, cum, *args):
                 window, decided = real(keys, cum, *args)
@@ -2031,8 +2034,10 @@ class TestPrefixPartition:
             if w is None or case_of(w) is not CaseTag.CASE2:
                 event("not Case 2")
                 return
-            steps = []
-            with mock.patch.object(engine, "_dense_extend", lambda *a: steps.append(a[1]) or real(*a)):
+            steps = []  # phase 2 kept sparse, so that only the walk's steps are counted
+            with mock.patch.multiple(
+                engine, _dense_extend=lambda *a: steps.append(a[1]) or real(*a), _backward_fits=lambda walk: False
+            ):
                 dense = prefix_partition(w, limit=n)
             with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE_RATIO=0, _dense_extend=None):
                 sparse = prefix_partition(w, limit=n)
@@ -2046,14 +2051,118 @@ class TestPrefixPartition:
 
     @pytest.mark.parametrize("n", [64, 100, 200])
     def test_dense_walk_past_the_default_limits(self, n):
-        # small-integer vectors walk a dense frontier at n in the hundreds,
-        # with Python-int counts past n = 62, once the limits allow them
+        # small-integer vectors walk a dense frontier and count their joints
+        # by the backward recurrence at n in the hundreds, with Python-int
+        # counts past n = 62, once the limits allow them; at n = 64 the
+        # sparse phase 2 gives the same joints
+        from unittest import mock
+
+        from radsum import engine
+
         gen = np.random.default_rng(n)
         w = canonicalize(sorted(gen.integers(1, 51, size=n).tolist(), reverse=True), EXACT)
         assert case_of(w) is CaseTag.CASE2
-        rep = prefix_partition(w, limit=n)
+        real, runs = engine._backward_joints, []
+        with mock.patch.object(engine, "_backward_joints", lambda *a: runs.append(a) or real(*a)):
+            rep = prefix_partition(w, limit=n)
+        assert runs
         assert rep.stats.path == "int64" and sum(rep.probs) == 1
         assert rep.total_prob == threshold_probability(w, 1, limit=n)
+        if n == 64:
+            with mock.patch.object(engine, "_backward_fits", lambda walk: False):
+                assert prefix_partition(w, limit=n).joints == rep.joints
+
+    def test_backward_recurrence_matches_sparse_phase_2(self):
+        """Phase 2 by the backward recurrence gives the whole report, stats
+        and tie rows included, of the sparse phase 2, each forced through
+        ``_backward_fits``: for rational, one-radicand and small-integer
+        Case-2 vectors with n <= 20.  Each forced route runs; the event is
+        the route the rule picks, and both occur (rational weights of
+        spread 1000 lie on long lattices)."""
+        from unittest import mock
+
+        from radsum import engine
+
+        real_joints, real_tails, seen = engine._backward_joints, engine._tail_distributions, Counter()
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def check(data):
+            kind = data.draw(st.sampled_from(["rational", "one-radicand", "small-integer"]))
+            n = data.draw(st.integers(2, 20))
+            if kind == "small-integer":
+                ints = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+                w = canonicalize(sorted(ints, reverse=True), EXACT)
+            elif kind == "rational":  # Case 2 is rare below 6 unit-norm rational weights
+                n, gen = max(n, 6), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+                w = random_case2(gen, n, spread=data.draw(st.sampled_from([9, 1000])))
+            else:
+                w = case2_vector(kind, n, data.draw(st.integers(0, 2**32 - 1)))
+            if w is None or case_of(w) is not CaseTag.CASE2:
+                event("not Case 2")
+                return
+            walk = engine._walk(w, n)
+            if not walk.prefixes:  # nothing settles before depth n - 1: no phase 2
+                event("no phase 2")
+                return
+            ran = Counter()
+            with mock.patch.multiple(
+                engine,
+                _backward_fits=lambda walk: True,
+                _backward_joints=lambda *a: ran.update(["backward"]) or real_joints(*a),
+                _tail_distributions=None,
+            ):
+                backward = prefix_partition(w, limit=n)
+            with mock.patch.multiple(
+                engine,
+                _backward_fits=lambda walk: False,
+                _backward_joints=None,
+                _tail_distributions=lambda *a: ran.update(["sparse"]) or real_tails(*a),
+            ):
+                sparse = prefix_partition(w, limit=n)
+            assert ran == {"backward": 1, "sparse": 1}
+            branch = "backward" if engine._backward_fits(walk) else "sparse"
+            seen[branch] += 1
+            event(f"{kind}: the rule picks {branch}")
+            assert backward == sparse, w.values
+
+        check()
+        assert seen["backward"] and seen["sparse"], seen
+
+    @pytest.mark.parametrize("at", ["first step", "last step"])
+    @pytest.mark.parametrize(
+        "w, limit",
+        [(random_case2(np.random.default_rng(0), 10), None), (canonicalize([1] * 64, EXACT), 64)],
+        ids=["int64 counts", "Python-int counts"],
+    )
+    def test_backward_step_slip_is_soundness_error(self, monkeypatch, w, limit, at):
+        # one count dropped by one step of the backward recurrence, the first
+        # (to depth n - 1) or the last (to the first depth that settled
+        # sums), breaks its mass identity, which python -O does not strip as
+        # it would an assert; the walk's own dense steps are left alone
+        from unittest import mock
+
+        from radsum import SoundnessError, engine
+
+        walk = engine._walk(w, limit)
+        assert engine._backward_fits(walk)
+        target = 1 if at == "first step" else w.n - min(walk.prefixes)
+        real_joints, real_extend, steps = engine._backward_joints, engine._dense_extend, []
+
+        def slip(kept, shift, out):
+            real_extend(kept, shift, out)
+            steps.append(shift)
+            if len(steps) == target:
+                out[out.nonzero()[0][-1]] -= 1
+
+        def rigged(*args):
+            with mock.patch.object(engine, "_dense_extend", slip):
+                return real_joints(*args)
+
+        monkeypatch.setattr(engine, "_backward_joints", rigged)
+        with pytest.raises(SoundnessError, match="recurrence mass"):
+            prefix_partition(w, limit=limit)
+        assert len(steps) == w.n - min(walk.prefixes)
 
     def test_only_searched_tail_tables_are_checked(self, monkeypatch):
         """Phase 2 puts in nonnegative form and checks only the tail tables
@@ -2064,7 +2173,7 @@ class TestPrefixPartition:
 
         real, sizes = engine._check_mass, []
         monkeypatch.setattr(engine, "_check_mass", lambda keys, counts, k: sizes.append(k) or real(keys, counts, k))
-        for kind in ("float", "rational", "one-radicand"):
+        for kind in ("float", "long-lattice", "multi-radicand"):
             w = next(w for seed in itertools.count(2026) if (w := case2_vector(kind, 16, seed)) is not None)
             sizes.clear()
             rep = prefix_partition(w)
