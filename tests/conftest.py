@@ -76,8 +76,10 @@ CASE2_KINDS = ["float", "float-ties", "rational", "one-radicand", "multi-radican
 def case2_vector(kind: str, n: int, seed: int):
     """A Case-2 vector of one input class (see ``CASE2_KINDS``), or None.
     "long-lattice" is the "float" draw in exact mode: integer keys on a
-    lattice of about 2^19 points, too long for a dense walk or the backward
-    recurrence of ``prefix_partition``."""
+    lattice of about 2^19 points, too long for the backward recurrence of
+    ``prefix_partition``, and for a dense walk up to n = 18, whose
+    frontiers stay too small under the tables' rule for parity classes of
+    about 2^18 points."""
     gen = np.random.default_rng(seed)
     if kind in ("float", "long-lattice"):
         mode = FLOAT if kind == "float" else EXACT

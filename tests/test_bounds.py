@@ -361,8 +361,9 @@ class TestHybridBound:
     def test_walk_slip_is_soundness_error(self, monkeypatch, w):
         # a frontier merge that loses one sum's count breaks the partition
         # mass, which the walk checks for hybrid_bound as for prefix_partition.
-        # The integer vectors' lattices (2*17230162 + 1 and 2*605147 + 1
-        # points) run far past their frontiers, so the walk stays sparse.
+        # The parity classes of the integer vectors' lattices (17230162 + 1
+        # and 605147 + 1 points of 2*17230162 + 1 and 2*605147 + 1) run far
+        # past their frontiers, so the walk stays sparse.
         from radsum import engine
 
         assert case_of(w) is CaseTag.CASE2
@@ -375,12 +376,20 @@ class TestHybridBound:
 
     @pytest.mark.parametrize(
         "w",
-        [random_case2(np.random.default_rng(3), 10), canonicalize([27, 7, 29, 18, 17, 3, 29, 24, 2], EXACT)],
-        ids=["rational", "one_radicand"],
+        [
+            random_case2(np.random.default_rng(3), 10),
+            canonicalize([27, 7, 29, 18, 17, 3, 29, 24, 2], EXACT),
+            canonicalize([29, 28, 27, 24, 18, 17, 7, 3, 2], EXACT),
+        ],
+        ids=["rational", "one_radicand", "odd_class"],
     )
     def test_dense_walk_slip_is_soundness_error(self, monkeypatch, w):
-        # the same for a dense frontier (lattices of 2*2917 + 1 and 2*60 + 1
-        # points): a step that loses one count breaks the partition mass
+        # the same for a dense frontier, held on one parity class of its
+        # lattice (2917 + 1 points of 2*2917 + 1, and 60 + 1 of 2*60 + 1):
+        # a step that loses one count breaks the partition mass.  The first
+        # step writes the class of x_1 + x_2 in key units: that of top for
+        # the first two vectors, and for the last the odd class, 60 points
+        # off the class of top = 60
         from radsum import engine
 
         assert case_of(w) is CaseTag.CASE2

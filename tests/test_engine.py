@@ -1954,6 +1954,25 @@ class TestPrefixPartition:
         with pytest.raises(SoundnessError, match="joint mass"):
             prefix_partition(w)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("joint", ["one past its event", "negative"])
+    def test_joint_count_slip_is_soundness_error(self, monkeypatch, mode, joint):
+        # the report checks each joint count against its event's count: one
+        # pattern past it, or a count below 0, raises before the joint's
+        # probability is built.  The joint of A_n is all of A_n
+        from radsum import SoundnessError, engine
+
+        real = engine._walk
+
+        def slipped(w, limit):
+            walk = real(w, limit)
+            walk.joints[w.n] = walk.counts[w.n] + 1 if joint == "one past its event" else -1
+            return walk
+
+        monkeypatch.setattr(engine, "_walk", slipped)
+        with pytest.raises(SoundnessError, match="joint mass"):
+            prefix_partition(canonicalize([1] * 9, mode))
+
     @pytest.mark.parametrize(
         "spread, lo, hi, path", [(2**27, 56, 58, "int64"), (2**32, 62, 80, "object")]
     )
@@ -1999,33 +2018,85 @@ class TestPrefixPartition:
         assert dist.probability(1) == expected
 
     def test_dense_walk_matches_sparse_walk(self):
-        """An int64 frontier turns dense once its lattice is short by the
-        rule of the tables, and its whole report, stats included, is that
-        of the sparse walk, forced through the rule's constants: for
-        rational, one-radicand and small-integer Case-2 vectors with n <=
-        20, and for integer weights over 2^16 + 32*m - 1 or + 1 lattice
-        points, m in {1, 2, 8, 64}, which the frontier turns dense once it
-        holds m or m + 1 sums.  Both the dense and the sparse walk run."""
+        """An int64 frontier turns dense once a parity class of its lattice
+        is short by the rule of the tables, and its whole report, stats
+        included, is that of the sparse walk, forced through the rule's
+        constants: for rational, one-radicand and small-integer Case-2
+        vectors with n <= 20; for integer weights whose lattice classes hold
+        2^16 + 32*m or 2^16 + 32*m + 1 points, m in {1, 2, 8, 64}, which the
+        frontier turns dense once it holds m or m + 1 sums; and for weights
+        ``g*k_i/D`` with a gcd g > 1 on a prime D, drawn and fixed, n from
+        2, the fixed ones with both parities of ``a_1`` and of ``p_n = a_1 +
+        ... + a_n`` (``a_i`` the keys over their gcd).  The walk turns dense
+        at the first depth whose frontier meets the rule, ``top + 1`` points
+        at most ``_DENSE_FLOOR`` plus ``_DENSE_RATIO`` times its sums
+        (``top`` the threshold in key units over the gcd), and steps densely
+        from there on.  Both the dense and the sparse walk run, the dense
+        one on both classes of the lattice, that of ``top`` and the other,
+        and with a gcd > 1 on all four parities of ``a_1`` and ``p_n``.  No
+        walk step writes more than the ``top + 1`` points of a class, into
+        two buffers of that length."""
         from unittest import mock
 
         from radsum import WeightVector, engine
 
-        real, seen = engine._dense_extend, Counter()
+        real, seen, classes, parities = engine._dense_extend, Counter(), Counter(), Counter()
+
+        def over(g, top, ints):  # x_i = g*k_i/top, not normalized
+            exact = tuple(Fraction(g * a, top) for a in sorted(ints, reverse=True))
+            return WeightVector(exact, tuple(x * x for x in exact), EXACT, Fraction(1))
+
+        def compare(w, kind):
+            """Dense and sparse walks of ``w`` agree; the labels of the run."""
+            n = w.n
+            vals, dtype, _, one, _ = engine._key_setup(w.values, Fraction(1), EXACT)
+            g = engine._lattice_step(vals, dtype)
+            top = one // g if g else 0
+            outs = []  # phase 2 kept sparse, so that only the walk's steps are counted
+
+            def spy(kept, shift, out):
+                outs.append((len(out), out.base.shape))
+                real(kept, shift, out)
+
+            with mock.patch.multiple(engine, _dense_extend=spy, _backward_fits=lambda walk: False):
+                dense = prefix_partition(w, limit=n)
+            with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE_RATIO=0, _dense_extend=None):
+                sparse = prefix_partition(w, limit=n)
+            assert dense == sparse, w.values
+            assert all(size <= top + 1 and shape == (2, top + 1) for size, shape in outs), (top, outs)
+            floor, ratio = engine._DENSE_FLOOR, engine._DENSE_RATIO
+            rule = [d for d in range(1, n) if g and top + 1 <= floor + ratio * dense.stats.frontier[d - 1]]
+            assert len(outs) == (n - 1 - rule[0] if rule else 0), (rule, len(outs))
+            branch = "dense" if outs else "sparse"
+            seen[branch] += 1
+            labels = [f"{kind}: {branch}"]
+            if outs:  # the frontier is dense from depth n - 1 - len(outs) to n - 1, on the class of p_d
+                a = [v // g for v in vals]
+                p = list(itertools.accumulate(a))
+                for depth in range(n - 1 - len(outs), n):
+                    side = "the class of top" if (top - p[depth - 1]) % 2 == 0 else "the other class"
+                    classes[side] += 1
+                    labels.append(f"dense frontier on {side}")
+                if g > 1:
+                    parities[a[0] % 2, p[-1] % 2] += 1
+                    labels.append(f"gcd {g}: a_1 = {a[0] % 2}, p_n = {p[-1] % 2} (mod 2)")
+            return labels
 
         @given(st.data())
-        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
         def check(data):
-            kind = data.draw(st.sampled_from(["rational", "one-radicand", "small-integer", "switch"]))
-            n = data.draw(st.integers(2, 12 if kind == "switch" else 20))
+            kind = data.draw(st.sampled_from(["rational", "one-radicand", "small-integer", "switch", "gcd"]))
+            n = data.draw(st.integers(2, 12 if kind in ("switch", "gcd") else 20))
             if kind == "small-integer":
                 ints = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
                 w = canonicalize(sorted(ints, reverse=True), EXACT)
-            elif kind == "switch":  # x_i = a_i/top, one a_i = 1: the lattice is the 2*top + 1 multiples of 1/top
+            elif kind == "switch":  # one k_i = 1: a class of the lattice of 1/top holds top + 1 points
                 held = data.draw(st.sampled_from([1, 2, 8, 64]))
-                top = (engine._DENSE_FLOOR + engine._DENSE_RATIO * held) // 2 - data.draw(st.integers(0, 1))
-                ints = data.draw(st.lists(st.integers(1, top // 2), min_size=n - 1, max_size=n - 1)) + [1]
-                exact = tuple(Fraction(a, top) for a in sorted(ints, reverse=True))
-                w = WeightVector(exact, tuple(x * x for x in exact), EXACT, Fraction(1))
+                top = engine._DENSE_FLOOR + engine._DENSE_RATIO * held - 1 + data.draw(st.integers(0, 1))
+                w = over(1, top, data.draw(st.lists(st.integers(1, top // 2), min_size=n - 1, max_size=n - 1)) + [1])
+            elif kind == "gcd":  # g*k_i over a prime
+                g, top = data.draw(st.sampled_from([(2, 101), (3, 1009), (2, 65537)]))
+                w = over(g, top, data.draw(st.lists(st.integers(1, top // (2 * g)), min_size=n, max_size=n)))
             elif kind == "rational":  # Case 2 is rare below 6 unit-norm rational weights
                 n, gen = max(n, 6), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
                 w = random_case2(gen, n, spread=data.draw(st.sampled_from([9, 1000])))
@@ -2034,20 +2105,17 @@ class TestPrefixPartition:
             if w is None or case_of(w) is not CaseTag.CASE2:
                 event("not Case 2")
                 return
-            steps = []  # phase 2 kept sparse, so that only the walk's steps are counted
-            with mock.patch.multiple(
-                engine, _dense_extend=lambda *a: steps.append(a[1]) or real(*a), _backward_fits=lambda walk: False
-            ):
-                dense = prefix_partition(w, limit=n)
-            with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE_RATIO=0, _dense_extend=None):
-                sparse = prefix_partition(w, limit=n)
-            branch = "dense" if steps else "sparse"
-            seen[branch] += 1
-            event(f"{kind}: {branch}")
-            assert dense == sparse, w.values
+            for label in compare(w, kind):
+                event(label)
 
         check()
+        # gcd 2 and 3 at n = 2 and 3, and every parity of a_1 and p_n
+        fixed = [[5, 4], [6, 3], [5, 3, 1], [5, 2, 1], [6, 3, 1], [6, 2, 1], [9, 7, 4, 4, 2, 1], [12, 9, 6, 5, 5, 1]]
+        for ints in fixed:
+            for g, top in ((2, 101), (3, 1009)):
+                compare(over(g, top, ints), "gcd")
         assert seen["dense"] and seen["sparse"], seen
+        assert len(classes) == 2 and len(parities) == 4, (classes, parities)
 
     @pytest.mark.parametrize("n", [64, 100, 200])
     def test_dense_walk_past_the_default_limits(self, n):
