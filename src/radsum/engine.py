@@ -8,16 +8,20 @@ Enumeration strategies:
   a time (``_table_steps``): sparse by merging three sorted runs
   (``_nonneg_step``) or, for int64 keys, dense, one count per point of the
   lattice of multiples of ``gcd(v_i)`` (Bellman's subset-sum table).  Each
-  step picks the form from the sums held: dense while the next lattice is
-  at most ``_DENSE_FLOOR`` points plus ``_DENSE_RATIO`` times the distinct
-  sums ``>= 0`` held, sparse past that, dense again once they catch up
-  (``_DENSE_RETURN``).  ``_mirror`` unfolds the full table where a search
+  step picks the form from the sums held by the one dense-or-sparse rule,
+  ``_dense_fits``, which the walk's frontier and its backward recurrence
+  read too: dense while the next lattice is short against the distinct
+  sums ``>= 0`` held.  ``_mirror`` unfolds the full table where a search
   needs it, in search order: by value, radical keys by fixed-point part.
+* Pair sums - the raw sums ``l + r`` of two halves are folded by sign
+  (``_pair_sums``): flipping every sign negates each half sum exactly, so
+  the left sums whose last sign is -1 meet every right sum, one pattern of
+  each mirror pair, 2^(n-1) sums in all.
 * ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
   Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
-  pair sum ``l + r`` of the two raw halves (``_half_sums``) is compared
-  with the threshold: 2^14 sums cost less than the merged tables' fixed
-  numpy calls.  Beyond that, and for radical keys at any size, every
+  folded pair sum is compared with the threshold and counted twice: 2^13
+  sums cost less than the merged tables' fixed numpy calls.  Beyond that,
+  and for radical keys at any size, every
   distinct nonnegative left sum counts its window of the full right table
   with two binary searches, weighted by its pattern count, doubled for the
   mirror sum, whose window is the same; integer halves that both end dense
@@ -36,11 +40,10 @@ Enumeration strategies:
   sums both halves in plain Python, without the engine's half sums.
 * ``sum_distribution`` - in exact mode the table the meet-in-the-middle
   halves use (``_nonneg_sums``, mirrored), over all the weights.  In float
-  mode the table of the sums ``fl(l + r)`` of the two raw halves, folded by
-  sign (``_float_sums``): only the pairs with ``l > 0``, and with half of
-  the zero ``l``, are added, as ``fl(-l - r) = -fl(l + r)``.  The table is
-  written once: the folded sums into the upper half of its buffer, sorted
-  there, compacted block by block and mirrored in place.
+  mode the table of the sums ``fl(l + r)`` of the two raw halves
+  (``_float_sums``): the folded pair sums are written into the upper half
+  of its buffer, sorted there, compacted block by block and mirrored in
+  place.
 * ``prefix_partition`` - two phases.  Phase 1 (``_walk``) walks a
   breadth-first frontier of numpy arrays: each depth tests all undecided
   prefix sums in one vector operation, sets the crossing ones aside as
@@ -49,14 +52,14 @@ Enumeration strategies:
   sign prefix).  Every frontier sum lies in ``[-1, 1]``, and an int64 sum
   at depth d on one parity class of that lattice of multiples of ``g =
   gcd(v_i)``, that of ``(v_1 + ... + v_d)/g``; so an int64 frontier turns
-  dense once the class is short by the tables' rule, and holds that class
+  dense once the class is short by ``_dense_fits``, and holds that class
   alone: each depth reads its settled sums off the two slices outside
   ``|s| <= 1 - v``, and adds the middle slice in, shifted by ``-v`` and
   ``+v``, onto the next class.  Phase 1 stands alone for the event probabilities
   ``Pr(A_k)``, all that ``hybrid_bound`` reads, and its last depth, n - 1,
   counts its own joints in closed form.  Phase 2 counts the joints of the
-  other settled sums.  On int64 keys whose lattice is short by the
-  tables' rule it runs Bellman's recurrence backwards
+  other settled sums.  On int64 keys whose lattice is short by
+  ``_dense_fits`` it runs Bellman's recurrence backwards
   (``_backward_joints``): the tail patterns ``W_d(u)`` after depth d that
   keep ``u`` within 1 are one shifted add of ``W_{d+1}``, held on one
   parity class of the lattice for ``u >= 0``, and each settled sum reads
@@ -136,10 +139,10 @@ _MAX_TIE_RECORDS = 200
 # 175 us; exact sum_distribution, 2.22 vs 2.06 ms (int64, n = 16) and 562 vs
 # 432 us (radical, n = 12).
 _RAW_PREFIX = 8
-# The dense/sparse rule of _table_steps.  On a 2-CPU x86 box, numpy 2.4, a
-# sparse step costs about 22 us + 20-80 ns per key, a dense one 0.6-1.6 ns per
-# lattice point (a fit: floor near 14000 points, ratio near 36); a switch of
-# form costs more.  Times over the up-front rule it replaced, in process,
+# The dense/sparse rule, read by _dense_fits alone.  On a 2-CPU x86 box, numpy
+# 2.4, a sparse step costs about 22 us + 20-80 ns per key, a dense one 0.6-1.6
+# ns per lattice point (a fit: floor near 14000 points, ratio near 36); a switch
+# of form costs more.  Times over the up-front rule it replaced, in process,
 # medians of 7-21 interleaved rounds: sum_distribution of 20 entries in
 # [1400, 1999] 1.34 / 1.16 / 1.02-1.05 / 0.99 at floors 2^13 to 2^16, of 24 in
 # [1, 20000] 1.36 at 2^15, 1.14 at 2^16; ratios 16 to 64 level.  Fresh pages
@@ -149,9 +152,11 @@ _RAW_PREFIX = 8
 _DENSE_FLOOR = 1 << 16
 _DENSE_RATIO = 32
 _DENSE_RETURN = 8
-# Dense tables grow in place in zeroed buffers _GROWTH times as long, at least
-# the floor: 2 / 16 / 64 times took 20 entries in [1, 10000] 1.33 / 1.07 / 1.01
-# times, and the floor took mitm-query's p50 from +4.8% to -2.2%.
+# Dense tables grow in place in zeroed buffers _GROWTH times as long: 2 / 16 /
+# 64 times took 20 entries in [1, 10000] 1.33 / 1.07 / 1.01 times.  A lattice
+# that fits the rule with no sum held takes its whole span at once, which took
+# mitm-query's p50 from +4.8% to -2.2%; sizing every table so fails, as [2^30]*2
+# + [1]*62 would ask for a (2, 2^31 + 31) buffer of Python ints.
 _GROWTH = 16
 # Raw sums start with the running sums of the first _SIGN_ROWS values down a
 # cached sign matrix, one numpy call where doubling in place takes two per
@@ -160,13 +165,14 @@ _GROWTH = 16
 # int64 11.4 -> 7.0 / 15.5 -> 12.7; Python-int keys (past 2^62) are slower,
 # 15.6 -> 23.4 / 26.9 -> 36.7.
 _SIGN_ROWS = 6
-# Inputs of at most _RAW_PAIRS_N values are counted over all their 2^n pair
-# sums, larger ones over the merged halves, whose fixed cost is about 60 numpy
+# Inputs of at most _RAW_PAIRS_N values are counted over all their pair sums,
+# larger ones over the merged halves, whose fixed cost is about 60 numpy
 # calls.  admissible_count in us, merged halves -> raw pairs, float keys
 # (int64 keys), medians of 7 rounds of 100 calls on a 2-CPU x86 box, numpy
 # 2.4: n = 4 87 -> 15 (140 -> 56); n = 8 85 -> 17 (91 -> 40); n = 12 101 ->
 # 35 (121 -> 65); n = 14 161 -> 74 (131 -> 96); n = 15 201 -> 341 (211 ->
-# 389); n = 16 212 -> 695 (179 -> 591).
+# 389); n = 16 212 -> 695 (179 -> 591), over all 2^n pair sums, before the
+# sign fold halved them.
 _RAW_PAIRS_N = 14
 # Float sum_distribution compacts its sorted sums this many at a time, so
 # that no temporary outgrows a block, and a block's temporaries stay below
@@ -502,16 +508,24 @@ def _half_sums(values: Sequence, dtype):
     return out
 
 
-def _pair_sums(values: Sequence, dtype) -> np.ndarray:
-    """All 2^n signed sums ``l + r`` of the n values on the last axis of
-    ``values`` as keys of ``dtype`` (``fl(l + r)`` of floats), ``l`` a half
-    sum of the first ``n - n//2`` values and ``r`` one of the rest, ``l``
-    major."""
+def _pair_sums(values: Sequence, dtype, out=None) -> np.ndarray:
+    """The sums ``|l + r|`` (``|fl(l + r)|`` of floats) of one sign pattern
+    of each mirror pair, over the n values on the last axis of ``values``,
+    as keys of ``dtype``, written into ``out`` when given: ``l`` a half sum
+    of the first ``k = n - n//2`` values, from the first 2^(k-1) columns of
+    ``_half_sums``, whose last sign is -1, and ``r`` each one of the rest,
+    ``l`` major; 2^(n-1) sums, or the one empty sum for n = 0.  Column i
+    and column ``2^k - 1 - i`` are exact negations, as flipping every sign
+    negates each partial sum exactly (``fl(-a - b) = -fl(a + b)``, and ``fl(a
+    - a) = +0`` either way), and so are the right sums; so the other
+    patterns' sums are these."""
     values = np.asarray(values, dtype=dtype)
     *rows, n = values.shape
     split = n - n // 2
-    left, right = _half_sums(values[..., :split], dtype), _half_sums(values[..., split:], dtype)
-    return (left[..., :, None] + right[..., None, :]).reshape(*rows, 1 << n)
+    left = _half_sums(values[..., :split], dtype)[..., : (1 << split) // 2 or 1, None]
+    right = _half_sums(values[..., split:], dtype)[..., None, :]
+    sums = np.add(left, right, out=None if out is None else out.reshape(*rows, left.shape[-2], -1))
+    return np.abs(sums, out=sums).reshape(*rows, -1)
 
 
 def _has_zero(keys) -> int:
@@ -570,14 +584,24 @@ def _lattice_step(values: Sequence, dtype) -> int:
     return (math.gcd(*values) or 1) if dtype is np.int64 else 0
 
 
+def _dense_fits(points: int, held: int, sparse: bool = False, steps: int = 1) -> bool:
+    """The one dense-or-sparse rule of int64 tables, of the walk's frontier
+    and of its backward recurrence: whether a dense form of ``points``
+    lattice points fits where ``held`` distinct sums are held, that is
+    ``points`` at most ``_DENSE_FLOOR`` plus ``_DENSE_RATIO`` times
+    ``held`` (``_DENSE_RETURN`` times when they are held ``sparse``), the
+    floor counted once per step over ``steps`` steps."""
+    return points <= steps * _DENSE_FLOOR + (_DENSE_RETURN if sparse else _DENSE_RATIO) * held
+
+
 def _sum_table(values: Sequence, dtype, count_dtype, step: int):
     """The table of the signed sums of ``values``, each accumulated in index
     order, as ``_table_steps`` leaves it, its mass checked; int64 keys by
-    increasing size, on the multiples of ``step``.  A table starts from the
-    merged raw sums of ``_RAW_PREFIX`` values, an int64 one of more values
-    dense below the floor (8 steps: 39 us, 28 raw)."""
+    increasing size, on the multiples of ``step``.  An int64 table starts
+    dense, from the one sum 0, where its first step fits the rule; any other
+    from the merged raw sums of ``_RAW_PREFIX`` values."""
     values = sorted(values, key=abs) if step else values
-    if step and len(values) > _RAW_PREFIX and abs(values[0]) // step < _DENSE_FLOOR:
+    if step and values and _dense_fits(abs(values[0]) // step + 1, 1):
         raw, keys, counts = 0, None, np.ones(1, dtype=count_dtype)
     else:
         raw, sums = _RAW_PREFIX, _half_sums(values[:_RAW_PREFIX], dtype)
@@ -598,15 +622,15 @@ def _nonneg_sums(values: Sequence, dtype, count_dtype):
 
 def _table_steps(keys, counts, values, step: int, span: int):
     """The table after each of ``values`` in turn: dense while the next
-    lattice is at most ``_DENSE_FLOOR`` points plus ``_DENSE_RATIO``
-    (``_DENSE_RETURN`` for a sparse table) times the distinct sums ``>= 0``
-    held, else sparse, as ``_nonneg_step`` keeps it.  Dense, on the
-    multiples of ``step > 0``: ``keys`` None and ``counts[j]`` the patterns
-    with sum ``(2j - top)*step``, ``top = len(counts) - 1``; a step writes
-    ``counts[j] + counts[j - |v|/step]`` into the other of two zeroed buffers
-    of up to ``span`` points and swaps them, so a yielded table lasts two
-    steps: the add of ``_dense_extend``, in two passes over the zeros past
-    the table (measured there).  Other keys (``step`` 0) stay sparse."""
+    lattice fits ``_dense_fits`` against the distinct sums ``>= 0`` held,
+    else sparse, as ``_nonneg_step`` keeps it.  Dense, on the multiples of
+    ``step > 0``: ``keys`` None and ``counts[j]`` the patterns with sum
+    ``(2j - top)*step``, ``top = len(counts) - 1``; a step writes ``counts[j]
+    + counts[j - |v|/step]`` into the other of two zeroed buffers of up to
+    ``span`` points and swaps them, so a yielded table lasts two steps: the
+    add of ``_dense_extend``, in two passes over the zeros past the table
+    (measured there).  Other keys (``step`` 0) stay sparse."""
+    short = step and _dense_fits(span, 0)  # the whole lattice fits with no sum held: every step is dense
     room = counts[:0]  # no buffers yet
     for v in values:
         dense = keys is None
@@ -614,13 +638,12 @@ def _table_steps(keys, counts, values, step: int, span: int):
             size = abs(v) // step
             top = len(counts) - 1 if dense else int(keys[-1]) // step  # the largest sum, that of |v_i|
             length = top + size + 1
-        if not step or length > _DENSE_FLOOR and length > _DENSE_FLOOR + (
-            _DENSE_RATIO * np.count_nonzero(counts[(top + 1) // 2 :]) if dense else _DENSE_RETURN * len(keys)
+        if short or step and (
+            _dense_fits(length, 0)  # a dense table's held sums are counted only where they decide
+            or _dense_fits(length, np.count_nonzero(counts[(top + 1) // 2 :]) if dense else len(keys), not dense)
         ):
-            keys, counts = _nonneg_step(*_nonneg_form(keys, counts, step), v)
-        else:
             if not dense or len(room) < length:  # two zeroed buffers with room to grow into
-                room, spare = np.zeros((2, min(max(_GROWTH * length, _DENSE_FLOOR), span)), dtype=counts.dtype)
+                room, spare = np.zeros((2, span if short else min(_GROWTH * length, span)), dtype=counts.dtype)
                 if dense:
                     room[: top + 1] = counts
                 else:  # each key and its mirror image; the zero sum is its own
@@ -629,6 +652,8 @@ def _table_steps(keys, counts, values, step: int, span: int):
             counts[:size] = room[:size]
             np.add(room[size:length], room[: top + 1], out=counts[size:])
             room, spare = spare, room
+        else:
+            keys, counts = _nonneg_step(*_nonneg_form(keys, counts, step), v)
         yield keys, counts
 
 
@@ -714,14 +739,16 @@ def _count_pairs(values: Sequence, dtype, t, strict: bool) -> int:
 
 
 def _count_raw(values: Sequence, dtype, t, strict: bool):
-    """``_count_pairs`` over every pair sum ``_pair_sums``: ``|fl(l + r)|``
-    of float keys, ``|l + r|`` of integer keys, compared with ``t``; one
-    count per row of a stack.  Each half is accumulated in index order, as
-    the merged halves are, so the count is theirs.  Counts fit int32 for
-    n <= 30; summing booleans into int32 is twice as fast as into int64."""
+    """``_count_pairs`` over the folded pair sums ``_pair_sums``:
+    ``|fl(l + r)|`` of float keys, ``|l + r|`` of integer keys, compared
+    with ``t`` and counted twice, for each sum and its mirror image (once
+    for n = 0); one count per row of a stack.  Each half is accumulated in
+    index order, as the merged halves are, so the count is theirs.  Counts
+    fit int32 for n <= 30; summing booleans into int32 is twice as fast as
+    into int64."""
     sums = _pair_sums(values, dtype)
-    np.abs(sums, out=sums)
-    return (sums < t if strict else sums <= t).sum(axis=-1, dtype=np.int32)
+    hits = (sums < t if strict else sums <= t).sum(axis=-1, dtype=np.int32)
+    return 2 * hits if np.shape(values)[-1] else hits
 
 
 def _count_merged(values: Sequence, dtype, t, strict: bool) -> int:
@@ -1128,25 +1155,18 @@ class SumDistribution:
 
 def _float_sums(values: Sequence[float]):
     """The full table ``(keys, counts)`` of the float sums ``fl(l + r)`` of
-    ``_pair_sums``, in search order, written once into two buffers of 2^n
-    entries.  A left sum ``l`` stands for ``-l`` too, as ``fl(-l - r) =
-    -fl(l + r)`` and the right sums are symmetric, so only the pairs with ``l
-    > 0``, and with half of the zero ``l`` (mirror images of each other), are
-    added: 2^(n-1) pairs, each counted at ``|fl(l + r)|``, twice where that
-    is 0.  Those sums are written to the upper half of the keys and sorted
-    there.  Blocks of ``_COMPACT_BLOCK``, from the top down, move the last of
-    each run of equal sums up to the end of the buffers, and count the sums
-    from the positions of these run ends; the mirror image of the nonzero
-    sums goes below them.  A table under a quarter of its buffers is copied
-    out, so that a short table does not pin them."""
-    split = len(values) - len(values) // 2
-    left, right = _half_sums(values[:split], np.float64), _half_sums(values[split:], np.float64)
-    left = np.concatenate([left[left > 0], np.zeros((len(left) - np.count_nonzero(left)) // 2)])
-    half = len(left) * len(right)
+    the two raw halves, in search order, written once into two buffers of
+    2^n entries.  The 2^(n-1) folded pair sums ``|fl(l + r)|`` of
+    ``_pair_sums``, one per mirror pair, each counted once, twice where it
+    is 0, are written to the upper half of the keys and sorted there.
+    Blocks of ``_COMPACT_BLOCK``, from the top down, move the last of each
+    run of equal sums up to the end of the buffers, and count the sums from
+    the positions of these run ends; the mirror image of the nonzero sums
+    goes below them.  A table under a quarter of its buffers is copied out,
+    so that a short table does not pin them."""
+    half = 1 << len(values) >> 1
     keys, counts = np.empty(2 * half), np.empty(2 * half, dtype=np.int64)
-    sums = keys[half:]
-    np.add(left[:, None], right, out=sums.reshape(len(left), len(right)))
-    np.abs(sums, out=sums)
+    sums = _pair_sums(values, np.float64, out=keys[half:])
     sums.sort()
     top, after = 2 * half, np.inf  # keys[top:] are compacted; after is the sum above the block
     for stop in range(half, 0, -_COMPACT_BLOCK):
@@ -1164,8 +1184,7 @@ def _float_sums(values: Sequence[float]):
             counts[top] = ends[0] + 1
             np.subtract(ends[1:], ends[:-1], out=counts[top + 1 : top + len(ends)])
     z = int(keys[top] == 0)
-    if z:
-        counts[top] *= 2
+    counts[top] *= 1 + z  # both patterns of a mirror pair with sum 0 land on the zero key
     _check_mass(keys[top:], counts[top:], len(values))
     start = 2 * top - 2 * half + z  # the mirror image of keys[top + z:] ends at top
     np.negative(keys[top + z :][::-1], out=keys[start:top])
@@ -1433,7 +1452,7 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     # lies in [-one, one]; int64 sums lie on its lattice of the multiples j*g
     # of g = gcd(vals), |j| <= top, and those at depth d on one parity class
     # of it, j = p_d (mod 2), p_d = (x_1 + ... + x_d)/g.  Once the top + 1
-    # points that hold a class are short by the rule of _table_steps the
+    # points that hold a class fit _dense_fits against its sums the
     # frontier turns dense: ``dense[(j + top + 1) >> 1]`` counts the sum j*g
     # (the map takes either class onto 0..top), and ``dense[lo:hi]`` holds
     # the sums with |j| <= reach: no step reads outside it, and each writes
@@ -1446,7 +1465,7 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
     top = one // g if g else 0
     dense = None
     for depth in range(1, n):
-        if dense is None and g and top + 1 <= _DENSE_FLOOR + _DENSE_RATIO * len(s):
+        if dense is None and g and _dense_fits(top + 1, len(s)):
             dense, spare = np.zeros((2, top + 1), dtype=mult.dtype)
             dense[(s // g + top + 1) >> 1] = mult
             reach = max(-int(s[0]), int(s[-1])) // g
@@ -1522,20 +1541,18 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
 
 def _backward_fits(walk: _Walk) -> bool:
     """Whether phase 2 runs ``_backward_joints``: for int64 keys whose
-    lattice is short by the rule of ``_table_steps``, summed over the steps
-    of the recurrence, depths n - 1 down to the first that settled sums: at
-    most ``_DENSE_FLOOR`` points per step plus ``_DENSE_RATIO`` times the
-    keys of the sparse phase 2, the least of ``_balanced_costs``.  A step
-    to depth d holds about ``(top + A_d)/2`` points (see
-    ``_backward_joints``).  Other keys, and longer lattices, take the sparse
-    phase 2."""
+    lattice fits ``_dense_fits`` summed over the steps of the recurrence,
+    depths n - 1 down to the first that settled sums, against the keys of
+    the sparse phase 2, the least of ``_balanced_costs``.  A step to depth d
+    holds about ``(top + A_d)/2`` points (see ``_backward_joints``).  Other
+    keys, and longer lattices, take the sparse phase 2."""
     if walk.dtype is not np.int64 or not walk.prefixes:
         return False
     vals, first = walk.vals, min(walk.prefixes)
     n, g = len(vals), _lattice_step(vals, np.int64)
     top = walk.one // g
     points = sum((top + tail // g) // 2 for tail in itertools.accumulate(reversed(vals[first:])))
-    return points <= (n - first) * _DENSE_FLOOR + _DENSE_RATIO * min(_balanced_costs(walk.stats.settled, n))
+    return _dense_fits(points, min(_balanced_costs(walk.stats.settled, n)), steps=n - first)
 
 
 def _backward_joints(vals: list, one: int, prefixes: dict, joints: list) -> None:
@@ -1620,13 +1637,13 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     keys, their lattice and the walk's settled counts alone; both give the
     same report.
 
-    On int64 keys whose lattice is short by the rule of ``_table_steps``,
-    summed over the steps, ``_backward_joints`` runs Bellman's recurrence
-    backwards: the count ``W_d(u)`` of tail patterns after depth d with
-    ``|u + r| <= 1`` is ``W_{d+1}(u - x_{d+1}) + W_{d+1}(u + x_{d+1})``,
-    one shifted add per depth from n - 1 down to the first that settled
-    sums, and a sum s settled at d adds ``mult(s)*W_d(s)``.  Its mass
-    identity stands in for the tables' mass checks.
+    On int64 keys whose lattice fits ``_dense_fits`` summed over the steps,
+    ``_backward_joints`` runs Bellman's recurrence backwards: the count
+    ``W_d(u)`` of tail patterns after depth d with ``|u + r| <= 1`` is
+    ``W_{d+1}(u - x_{d+1}) + W_{d+1}(u + x_{d+1})``, one shifted add per
+    depth from n - 1 down to the first that settled sums, and a sum s
+    settled at d adds ``mult(s)*W_d(s)``.  Its mass identity stands in for
+    the tables' mass checks.
 
     Radical, float and Python-int keys, and longer lattices, take the
     sparse tail tables, built only for the depths from

@@ -46,12 +46,13 @@ from .weights import FLOAT, WeightVector, _canonical_floats, canonicalize
 _MC_DRAWS = 1 << 17
 _MC_TABLE_BITS = 16
 # The search counts a step's neighbors in stacked calls of at most
-# _STACK_PAIRS pair sums, whose arrays stay in cache.  minimize_probability
-# at budget 2000 in ms, n = 10 / 12 / 14, in process, interleaved, medians
-# of 6 rounds: one engine call per candidate 81 / 105 / 144; stacks of 2^13
-# 33 / 70 / 140, 2^14 31 / 56 / 137, 2^15 29 / 47 / 100, 2^16 31 / 49 / 87,
-# 2^17 29 / 57 / 105.  With an out-of-place abs in _count_raw, 2^16 sums
-# took 294-314 ms and 111776 minor page faults per search at n = 14.
+# _STACK_PAIRS folded pair sums, 2^(n-1) per row, whose arrays stay in cache.
+# minimize_probability at budget 2000 in ms, n = 10 / 12 / 14, in process,
+# interleaved, medians of 6 rounds, before the fold, at 2^n sums per row: one
+# engine call per candidate 81 / 105 / 144; stacks of 2^13 33 / 70 / 140,
+# 2^14 31 / 56 / 137, 2^15 29 / 47 / 100, 2^16 31 / 49 / 87, 2^17 29 / 57 /
+# 105.  With an out-of-place abs of the pair sums, 2^16 sums took 294-314 ms
+# and 111776 minor page faults per search at n = 14.
 _STACK_PAIRS = 1 << 15
 _INITIAL_STEP = 0.25
 _MIN_STEP = 1e-6
@@ -310,7 +311,7 @@ def _hit_counts(rows: list[tuple[float, ...]], limit: int) -> list[int]:
     if not rows or len(rows[0]) > _RAW_PAIRS_N:
         return [signed_sum_count(row, 1.0, FLOAT, limit=limit)[0] for row in rows]
     keys = np.array([_key_setup(row, 1.0, FLOAT)[0] for row in rows])
-    per_call = max(1, _STACK_PAIRS >> len(rows[0]))
+    per_call = max(1, _STACK_PAIRS >> (len(rows[0]) - 1))
     return [
         int(c)
         for i in range(0, len(keys), per_call)

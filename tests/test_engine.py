@@ -513,9 +513,76 @@ class TestHalfSums:
         strict = [signed_sum_count(w.values, 1.0, FLOAT, strict=True)[0] for w in rows]
         assert _count_raw(stack, np.float64, 1.0, True).tolist() == strict
         if size == "past the chunk":
-            per_call = max(1, explore._STACK_PAIRS >> n)
+            per_call = max(1, explore._STACK_PAIRS >> (n - 1))
             many = [w.values for w in rows] * (per_call // len(rows) + 2)
             assert explore._hit_counts(many, explore.DEFAULT_MITM_LIMIT) == expected * (per_call // len(rows) + 2)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_complement_columns_are_exact_negations(self, data):
+        """Column i of ``_half_sums`` and column ``2^k - 1 - i``, every sign
+        flipped, are exact negations, the fact ``_pair_sums`` folds by: float
+        sums bit for bit, with no -0.0 among them (``fl(a - a) = +0`` either
+        way), over +-0.0, subnormals and values near overflow, and int64 and
+        Python-int sums; one vector or a stack of rows."""
+        from radsum.engine import _half_sums
+
+        kind = data.draw(st.sampled_from(["float64", "int64", "object"]))
+        k, rows = data.draw(st.integers(0, 12)), data.draw(st.sampled_from([None, 1, 3]))
+        pick = {
+            "float64": st.one_of(
+                st.floats(-(2.0**1019), 2.0**1019, allow_nan=False),  # 12 of them sum below 2^1023
+                st.floats(-(2.0**-1020), 2.0**-1020, allow_nan=False),  # sums among the subnormals
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-310, 2.0**1019, -1.5e307]),
+                st.integers(-4, 4).map(float),
+            ),
+            "int64": st.integers(-(2**58), 2**58),
+            "object": st.integers(-(2**80), 2**80),
+        }[kind]
+        dtype = {"float64": np.float64, "int64": np.int64, "object": object}[kind]
+        values = [data.draw(st.lists(pick, min_size=k, max_size=k)) for _ in range(rows or 1)]
+        sums = _half_sums(np.array(values if rows else values[0], dtype=dtype).reshape(*([rows] if rows else []), k), dtype)
+        mirror = sums[..., ::-1]
+        if kind == "float64":
+            assert sums.tobytes() == (0.0 - mirror).tobytes(), values  # 0.0 - (+0.0) is +0.0
+            event("a zero sum" if (sums == 0).any() else "no zero sum")
+            event("a subnormal sum" if ((sums != 0) & (np.abs(sums) < 2.0**-1022)).any() else "no subnormal sum")
+        else:
+            assert sums.tolist() == (-mirror).tolist(), values
+
+    @pytest.mark.parametrize("kind", ["float64", "ties", "int64", "object"])
+    def test_folded_raw_counts_are_the_unfolded_counts(self, rng, kind):
+        """``_count_raw`` over the folded pair sums equals the count of every
+        pair sum ``|l + r|`` of the two unfolded halves (``np.add.outer``) for
+        n = 0..14, strict and not, at 0, 1 and thresholds on achieved sums and
+        one ulp either side; a stack of rows counts each row alike."""
+        from radsum.engine import _count_raw, _half_sums
+
+        dtype = {"float64": np.float64, "ties": np.float64, "int64": np.int64, "object": object}[kind]
+        for n in range(15):
+            rows = []
+            for _ in range(3):
+                signs = rng.integers(-1, 2, size=n).tolist()
+                if kind == "float64":
+                    rows.append([s * float(v) for s, v in zip(signs, rng.standard_normal(n))])
+                else:
+                    rows.append(_edge_values("float64" if kind == "ties" else kind, signs))
+            unfolded = []
+            for row in rows:
+                split = n - n // 2
+                left, right = _half_sums(row[:split], dtype), _half_sums(row[split:], dtype)
+                unfolded.append(np.abs(np.add.outer(left, right)).ravel())
+            picks = [unfolded[0][i] for i in rng.integers(0, 1 << n, size=2)]
+            if dtype is np.float64:
+                ts = [0.0, 1.0] + [x for p in picks for x in (float(p), math.nextafter(p, math.inf), math.nextafter(p, 0.0))]
+            else:
+                ts = [0, 1] + [int(p) + d for p in picks for d in (-1, 0, 1)]
+            stack = np.array(rows, dtype=dtype).reshape(3, n)
+            for t in ts:
+                for strict in (False, True):
+                    want = [int(np.count_nonzero(sums < t if strict else sums <= t)) for sums in unfolded]
+                    assert [int(_count_raw(row, dtype, t, strict)) for row in rows] == want, (rows, t, strict)
+                    assert _count_raw(stack, dtype, t, strict).tolist() == want, (rows, t, strict)
 
 
 def _full_table(values, dtype):
@@ -732,8 +799,10 @@ class TestNonnegativeTables:
     def test_dense_rule(self):
         """Each step of an int64 table picks its form from the sums it holds:
         dense below the floor, sparse where the lattice runs far past them,
-        and never dense for float, radical or Python-int keys; a table of at
-        most ``_RAW_PREFIX`` values is its raw sums and takes no step."""
+        and never dense for float, radical or Python-int keys.  An int64
+        table starts dense, from the one sum 0, wherever its first step fits
+        the rule, whatever its length; any other table of at most
+        ``_RAW_PREFIX`` values is its raw sums and takes no step."""
         from radsum import engine
 
         with _table_forms(dtypes=True) as seen:
@@ -752,15 +821,17 @@ class TestNonnegativeTables:
             assert [form for form, _ in seen] == ["dense"] * 30 + ["sparse"] * 2 + ["dense"] * 32
             # sizes 1, 1, 1, a (a factor g = 2 changes nothing), 19 three times
             # and 30 five times, and eight near-equal sizes: at most
-            # _RAW_PREFIX values, so their raw sums, merged
+            # _RAW_PREFIX values, on lattices of at most 208 points, so dense
+            # from the first step, one per value
             seen.clear()
             for values in ([4, 1, -1, 1], [5, 1, -1, 1], [8, 2, -2, 2], [10, 2, -2, 2], [19] * 3 + [30] * 5):
                 engine._nonneg_sums(values, np.int64, np.int64)
             engine._nonneg_sums([10 + i for i in range(8)], np.int64, np.int64)
             engine._nonneg_sums([20 + i for i in range(8)], np.int64, np.int64)
-            assert seen == []
+            assert seen == [("dense", np.dtype(np.int64))] * (4 * 4 + 8 * 3)
             # their tails step one value at a time, on lattices of at most 208
             # points: dense
+            seen.clear()
             for values in ([4, 1, -1, 1], [10, 2, -2, 2], [19] * 3 + [30] * 5, [20 + i for i in range(8)]):
                 list(engine._tail_distributions(values, np.int64))
             assert seen == [("dense", np.dtype(np.int64))] * (4 + 4 + 8 + 8)
@@ -775,7 +846,11 @@ class TestNonnegativeTables:
             ):
                 engine.signed_sum_count(values, t, mode)
             sum_distribution(radical)
-            assert seen == []  # halves of 8 values and 8 radical values: raw sums
+            # halves of 8 floats, Python ints and radical values, and 8 radical
+            # values: raw sums; the halves of ``wide``, on lattices of about
+            # 41000 points, dense from the first step
+            assert seen == [("dense", np.dtype(np.int64))] * 16
+            seen.clear()
             # float, Python-int and radical tables that do step stay sparse: 4
             # steps per half of 12 Python ints, 4 for 12 radical values, 8 for
             # 16 floats on no lattice
@@ -824,8 +899,8 @@ class TestNonnegativeTables:
     @pytest.mark.parametrize("kind", KEY_KINDS)
     def test_edge_weight_counts(self, monkeypatch, rng, kind, raw_prefix):
         # zero, negative and -0.0 raw weights; with no raw prefix every
-        # sparse table is built by nonnegative steps.  int64 tables of more
-        # values than the raw prefix step dense or sparse by the rule.
+        # sparse table is built by nonnegative steps.  int64 tables start
+        # dense or from their raw sums, and step dense or sparse, by the rule.
         from radsum import engine
 
         monkeypatch.setattr(engine, "_RAW_PREFIX", raw_prefix)
@@ -875,13 +950,12 @@ class TestNonnegativeTables:
             return forms
 
         # one merge for the raw sums a table starts from, one per sparse
-        # step; an int64 table of more values than the raw prefix starts
-        # dense, and a dense step merges nothing
+        # step; an int64 table whose first step fits the rule starts dense,
+        # and a dense step merges nothing
         forms = build()
         assert len(merged) == (kind != "int64") + forms.count("sparse")
         if kind == "int64":  # every step forced sparse: the int64 table starts from its raw sums
-            for name in ("_DENSE_FLOOR", "_DENSE_RATIO", "_DENSE_RETURN"):
-                monkeypatch.setattr(engine, name, 0)
+            monkeypatch.setattr(engine, "_dense_fits", lambda *args, **kwargs: False)
             forms = build()
             assert set(forms) == {"sparse"}
         assert len(merged) == (1 + 12 - min(12, raw_prefix)) + 12
@@ -938,13 +1012,13 @@ class TestNonnegativeTables:
     def test_dense_count_matches_sparse_route_and_naive(self):
         """``_count_merged`` on int64 keys whose halves both end dense counts
         in the dense form (``_dense_count``), and the count equals that of the
-        sparse route, every step forced sparse through the rule's constants,
-        and of the naive 2^n sweep.  Entries are multiples of a factor drawn
-        per half, zeros and negative entries included, so the halves' gcds
-        often differ; cut-offs -1, 0, ``sum|a_i|`` and one drawn between,
-        strict and not.  A half of up to ``_RAW_PREFIX`` values starts from
-        its raw sums, so with no raw prefix small n reach the dense count.
-        64 ones at limit 64 take it with Python-int counts."""
+        sparse route, every step forced sparse through ``_dense_fits``, and
+        of the naive 2^n sweep.  Entries are multiples of a factor drawn per
+        half, zeros and negative entries included, so the halves' gcds often
+        differ; cut-offs -1, 0, ``sum|a_i|`` and one drawn between, strict
+        and not.  Every half starts dense, short ones too, so only n = 1,
+        whose right half is empty, takes the sparse route unforced.  64 ones
+        at limit 64 take it with Python-int counts."""
         from unittest import mock
 
         from radsum import WeightVector, engine
@@ -964,10 +1038,9 @@ class TestNonnegativeTables:
             strict = data.draw(st.booleans())
             calls = []
             spy = lambda *args: calls.append(args) or real(*args)
-            raw_prefix = data.draw(st.sampled_from([0, engine._RAW_PREFIX]))
-            with mock.patch.multiple(engine, _RAW_PREFIX=raw_prefix, _dense_count=spy):
+            with mock.patch.object(engine, "_dense_count", spy):
                 dense = engine._count_merged(values, np.int64, cut, strict)
-            with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE_RATIO=0, _DENSE_RETURN=0, _dense_count=None):
+            with mock.patch.multiple(engine, _dense_fits=lambda *args, **kwargs: False, _dense_count=None):
                 sparse = engine._count_merged(values, np.int64, cut, strict)
             exact = tuple(Fraction(abs(a)) for a in sorted(values, key=abs, reverse=True))
             w = WeightVector(exact, tuple(a * a for a in exact), EXACT, Fraction(1))
@@ -1006,6 +1079,55 @@ class TestNonnegativeTables:
         with pytest.raises(SoundnessError, match="mass"):
             threshold_probability(w, 1)
         assert len(halves) == 1
+
+
+class TestDenseRule:
+    """``_dense_fits`` is the one dense-or-sparse rule of int64 tables, of
+    the walk's frontier and of its backward recurrence."""
+
+    def test_forced_sparse_changes_no_result(self):
+        """With ``_dense_fits`` forced false, int64 inputs give the same
+        counts, distributions and partition reports, and no table starts or
+        steps dense, and no ``_dense_count``, ``_dense_extend`` or
+        ``_backward_joints`` runs; unforced, each of them runs on these
+        inputs."""
+        from unittest import mock
+
+        from radsum import engine
+
+        gen = np.random.default_rng(44)
+        vectors = [
+            canonicalize(sorted(gen.integers(1, 51, size=20).tolist(), reverse=True), EXACT),
+            canonicalize([1] * 20, EXACT),
+            one_radicand_vector(gen, 16),
+            random_case2(gen, 12),
+            random_case2(gen, 16, spread=1000),
+        ]
+
+        def results():
+            out = []
+            for w in vectors:
+                for t in (0, Fraction(1, 2), 1):
+                    out += [engine.signed_sum_count(w.values, t, EXACT, strict) for strict in (False, True)]
+                d = sum_distribution(w)
+                out.append((d.values.tolist(), d.counts.tolist(), d.scale))
+                if case_of(w) is CaseTag.CASE2:
+                    out.append(prefix_partition(w))
+            return out
+
+        spied = ("_dense_count", "_dense_extend", "_backward_joints")
+        ran, real_steps = Counter(), engine._table_steps
+        spies = {name: (lambda real, name: lambda *a: ran.update([name]) or real(*a))(getattr(engine, name), name) for name in spied}
+        starts = lambda keys, *rest: ran.update(["dense start" if keys is None else "sparse start"]) or real_steps(keys, *rest)
+        with mock.patch.multiple(engine, _table_steps=starts, **spies), _table_forms() as forms:
+            want = results()
+        assert set(ran) == {*spied, "dense start", "sparse start"} and set(forms) == {"dense", "sparse"}, (ran, set(forms))
+        ran.clear()
+        absent = dict.fromkeys(spied)  # a call raises TypeError
+        with mock.patch.multiple(engine, _dense_fits=lambda *args, **kwargs: False, _table_steps=starts, **absent), _table_forms() as forms:
+            got = results()
+        assert set(ran) == {"sparse start"} and set(forms) == {"sparse"}, (ran, set(forms))
+        assert got == want
 
 
 def _square_norm(head) -> list:
@@ -2060,7 +2182,7 @@ class TestPrefixPartition:
 
             with mock.patch.multiple(engine, _dense_extend=spy, _backward_fits=lambda walk: False):
                 dense = prefix_partition(w, limit=n)
-            with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE_RATIO=0, _dense_extend=None):
+            with mock.patch.multiple(engine, _dense_fits=lambda *args, **kwargs: False, _dense_extend=None):
                 sparse = prefix_partition(w, limit=n)
             assert dense == sparse, w.values
             assert all(size <= top + 1 and shape == (2, top + 1) for size, shape in outs), (top, outs)
