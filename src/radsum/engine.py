@@ -18,15 +18,15 @@ Enumeration strategies:
   the left sums whose last sign is -1 meet every right sum, one pattern of
   each mirror pair, 2^(n-1) sums in all.
 * ``threshold_probability`` - meet-in-the-middle, chosen by size alone.
-  Up to ``_RAW_PAIRS_N`` (14) weights with float or integer keys, every
-  folded pair sum is compared with the threshold and counted twice: 2^13
+  Up to ``_RAW_PAIRS_N`` (15) weights with float or integer keys, every
+  folded pair sum is compared with the threshold and counted twice: 2^14
   sums cost less than the merged tables' fixed numpy calls.  Beyond that,
   and for radical keys at any size, every
   distinct nonnegative left sum counts its window of the full right table
   with two binary searches, weighted by its pattern count, doubled for the
   mirror sum, whose window is the same; integer halves that both end dense
   are counted dense, by two dot products (``_dense_count``).  Float keys
-  past 14 weights are first read as points of an integer lattice
+  past 15 weights are first read as points of an integer lattice
   (``_float_lattice``): when a
   static bound on the rounding of ``fl(l + r)`` leaves no lattice point
   within reach of the threshold, the count is that of the integer sums up
@@ -165,15 +165,18 @@ _GROWTH = 16
 # int64 11.4 -> 7.0 / 15.5 -> 12.7; Python-int keys (past 2^62) are slower,
 # 15.6 -> 23.4 / 26.9 -> 36.7.
 _SIGN_ROWS = 6
-# Inputs of at most _RAW_PAIRS_N values are counted over all their pair sums,
-# larger ones over the merged halves, whose fixed cost is about 60 numpy
-# calls.  admissible_count in us, merged halves -> raw pairs, float keys
-# (int64 keys), medians of 7 rounds of 100 calls on a 2-CPU x86 box, numpy
-# 2.4: n = 4 87 -> 15 (140 -> 56); n = 8 85 -> 17 (91 -> 40); n = 12 101 ->
-# 35 (121 -> 65); n = 14 161 -> 74 (131 -> 96); n = 15 201 -> 341 (211 ->
-# 389); n = 16 212 -> 695 (179 -> 591), over all 2^n pair sums, before the
-# sign fold halved them.
-_RAW_PAIRS_N = 14
+# Inputs of at most _RAW_PAIRS_N values are counted over their folded pair
+# sums, larger ones over the merged halves, whose fixed cost is about 60
+# numpy calls.  _count_pairs in us, merged halves -> raw pairs, medians of 12
+# alternating rounds of 5 calls on each of 10 vectors, on a 2-CPU x86 box,
+# numpy 2.4, for standard-normal floats / canonical decimals (float keys of
+# integers in [1, 999], merged on the lattice of _float_lattice) / int64
+# keys in [1, 999]: n = 13 200 -> 51 / 168 -> 59 / 112 -> 59; n = 14 221 ->
+# 65 / 173 -> 71 / 103 -> 64; n = 15 246 -> 97 / 183 -> 100 / 112 -> 87
+# (raw faster in 12/12 rounds each); n = 16 260 -> 135 / 190 -> 140 / 113 ->
+# 119 (int64 raw faster in 1/12).  Shorter inputs gain more, as the merged
+# cost is mostly fixed.
+_RAW_PAIRS_N = 15
 # Float sum_distribution compacts its sorted sums this many at a time, so
 # that no temporary outgrows a block, and a block's temporaries stay below
 # glibc's default 128 KiB mmap threshold.  n = 17 entries in [70000, 99999],
@@ -1259,32 +1262,6 @@ class PartitionReport:
     stats: Optional[PartitionStats] = None
 
 
-def _balanced_depth(settled: Sequence[int], n: int) -> int:
-    """The depth D from which ``prefix_partition`` builds tail tables.
-
-    The tables are built from the end, so those for depths D..n-1 cost
-    about 2^(n-D), the size of the largest; a prefix settled at a depth
-    d < D is counted instead against the table at D, over the 2^(D-d) sign
-    patterns of the weights in between.  D minimises ``sum_{d<D}
-    settled_d*2^(D-d) + 2^(n-D)`` over ``1 <= D <= n-1`` (the smallest on a
-    tie): the balance of Horowitz and Sahni's meet-in-the-middle, taken over
-    the settled counts (``settled[d - 1]``) of the walk.  For n > 2 nothing
-    settles at depth 1, so D = 2 costs half of D = 1 and D is never 1.
-    Deferred costs run as ``deferred_{D+1} = 2*(deferred_D + settled_D)``."""
-    costs = _balanced_costs(settled, n)
-    return 1 + costs.index(min(costs))
-
-
-def _balanced_costs(settled: Sequence[int], n: int) -> list:
-    """``sum_{d<D} settled_d*2^(D-d) + 2^(n-D)`` for D = 1..n-1: about the
-    keys the sparse phase 2 steps through from D (see ``_balanced_depth``)."""
-    costs, deferred = [], 0
-    for depth in range(1, n):
-        costs.append(deferred + (1 << (n - depth)))
-        deferred = 2 * (deferred + settled[depth - 1])
-    return costs
-
-
 def _chain(u, steps: np.ndarray):
     """``fl(...fl(u + steps[-1]) ... + steps[0])``: tail sums ``u`` extended
     by the weights before them, accumulated from the end as the tail tables
@@ -1376,7 +1353,8 @@ def _last_candidates(s: np.ndarray, gap: np.ndarray, x: float, ties: Counter, de
 @dataclass
 class _Walk:
     """Phase 1 of ``prefix_partition``: the weights as keys (``one`` is the
-    threshold 1 in key units) and what the walk of the prefix sums found.
+    threshold 1 in key units), the step ``g`` of their lattice (0 off int64
+    keys) with ``top = one // g``, and what the walk of the prefix sums found.
 
     ``probs`` are ``Pr(A_k)`` for k = 2..n, ``2*counts[k]/2^n``.
     ``prefixes[d]`` holds the sums that crossed at a depth d < n - 1: the
@@ -1389,6 +1367,8 @@ class _Walk:
     vals: list
     dtype: object
     one: object
+    g: int
+    top: int
     probs: tuple
     counts: list
     prefixes: dict
@@ -1536,26 +1516,51 @@ def _walk(w: WeightVector, limit: Optional[int]) -> _Walk:
         raise SoundnessError(f"partition mass {mass} != 2^{n}: events A_2..A_n do not cover")
     probs = tuple(_probability(2 * counts[k], 1 << n, w.mode) for k in range(2, n + 1))
     stats = PartitionStats(path, tuple(frontier), tuple(settled), fallbacks)
-    return _Walk(vals, dtype, one, probs, counts, prefixes, joints, ties, stats)
+    return _Walk(vals, dtype, one, g, top, probs, counts, prefixes, joints, ties, stats)
 
 
-def _backward_fits(walk: _Walk) -> bool:
-    """Whether phase 2 runs ``_backward_joints``: for int64 keys whose
-    lattice fits ``_dense_fits`` summed over the steps of the recurrence,
-    depths n - 1 down to the first that settled sums, against the keys of
-    the sparse phase 2, the least of ``_balanced_costs``.  A step to depth d
-    holds about ``(top + A_d)/2`` points (see ``_backward_joints``).  Other
-    keys, and longer lattices, take the sparse phase 2."""
-    if walk.dtype is not np.int64 or not walk.prefixes:
-        return False
-    vals, first = walk.vals, min(walk.prefixes)
-    n, g = len(vals), _lattice_step(vals, np.int64)
-    top = walk.one // g
-    points = sum((top + tail // g) // 2 for tail in itertools.accumulate(reversed(vals[first:])))
-    return _dense_fits(points, min(_balanced_costs(walk.stats.settled, n)), steps=n - first)
+def _balanced_costs(settled: Sequence[int], n: int) -> list:
+    """``sum_{d<D} settled_d*2^(D-d) + 2^(n-D)`` for D = 1..n-1: about the
+    keys the sparse phase 2 steps through from D (see ``_phase2_depth``).
+    Deferred costs run as ``deferred_{D+1} = 2*(deferred_D + settled_D)``."""
+    costs, deferred = [], 0
+    for depth in range(1, n):
+        costs.append(deferred + (1 << (n - depth)))
+        deferred = 2 * (deferred + settled[depth - 1])
+    return costs
 
 
-def _backward_joints(vals: list, one: int, prefixes: dict, joints: list) -> None:
+def _phase2_depth(walk: _Walk) -> Optional[int]:
+    """The one plan of phase 2 of ``prefix_partition``: None where it runs
+    ``_backward_joints``, else the depth D from which it builds tail tables.
+
+    The tables are built from the end, so those for depths D..n-1 cost
+    about 2^(n-D), the size of the largest; a prefix settled at a depth
+    d < D is counted instead against the table at D, over the 2^(D-d) sign
+    patterns of the weights in between.  D minimises ``_balanced_costs``
+    over ``1 <= D <= n-1`` (the smallest on a tie): the balance of Horowitz
+    and Sahni's meet-in-the-middle, taken over the settled counts
+    (``settled[d - 1]``) of the walk.  For n > 2 nothing settles at depth
+    1, so D = 2 costs half of D = 1 and D is never 1.
+
+    The recurrence runs on int64 keys (``walk.g`` > 0) whose lattice fits
+    ``_dense_fits`` summed over its steps, depths n - 1 down to the first
+    that settled sums, against the least cost: a step to depth d holds
+    about ``(top + A_d)/2`` points (see ``_backward_joints``).  Other keys,
+    longer lattices and walks that settled nothing before depth n - 1 take
+    the tables."""
+    vals, g, n = walk.vals, walk.g, len(walk.vals)
+    costs = _balanced_costs(walk.stats.settled, n)
+    least = min(costs)
+    if g and walk.prefixes:
+        first = min(walk.prefixes)
+        points = sum((walk.top + tail // g) // 2 for tail in itertools.accumulate(reversed(vals[first:])))
+        if _dense_fits(points, least, steps=n - first):
+            return None
+    return 1 + costs.index(least)
+
+
+def _backward_joints(walk: _Walk, joints: list) -> None:
     """Phase 2 of ``prefix_partition`` on int64 keys: the joint count of
     every settled sum by Bellman's recurrence, run backwards.
 
@@ -1594,9 +1599,9 @@ def _backward_joints(vals: list, one: int, prefixes: dict, joints: list) -> None
     as a ``SoundnessError``.  Counts are int64 while the mass stays below
     2^63, else Python ints.
     """
-    n, g = len(vals), _lattice_step(vals, np.int64)
+    vals, g, top, prefixes = walk.vals, walk.g, walk.top, walk.prefixes
+    n, first = len(vals), min(prefixes)
     a = [v // g for v in vals]
-    top, first = one // g, min(prefixes)
     parity = [s & 1 for s in itertools.accumulate(a, initial=0)]
     shifts = [(p + v) // 2 for p, v in zip(parity, a)]  # W_d[k] = out[margin + k + shifts[d]]
     margin = (max(a[first:]) + 1) // 2
@@ -1633,9 +1638,9 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     them, with their pattern counts, for phase 2; depth n - 1 counts its
     joints in closed form.  Phase 2 counts the joint mass ``|s + r| <= 1``
     of each other settled sum ``s`` over the tail sums ``r`` of the weights
-    after it, by one of two routes, which ``_backward_fits`` picks from the
-    keys, their lattice and the walk's settled counts alone; both give the
-    same report.
+    after it, by one of two routes, which ``_phase2_depth`` plans from the
+    walk alone (its keys, their lattice and its settled counts); both give
+    the same report.
 
     On int64 keys whose lattice fits ``_dense_fits`` summed over the steps,
     ``_backward_joints`` runs Bellman's recurrence backwards: the count
@@ -1646,10 +1651,10 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     the tables' mass checks.
 
     Radical, float and Python-int keys, and longer lattices, take the
-    sparse tail tables, built only for the depths from
-    ``_balanced_depth``'s D on: a sum settled at ``d >= D`` searches the
-    table at d, and one settled at ``d < D`` is counted against the table at
-    D over every sign pattern m of the weights ``x_{d+1}..x_D`` in between.
+    sparse tail tables, built only for the depths from the planner's D on:
+    a sum settled at ``d >= D`` searches the table at d, and one settled at
+    ``d < D`` is counted against the table at D over every sign pattern m of
+    the weights ``x_{d+1}..x_D`` in between.
     With exact keys the sum is extended by those weights, merged as the
     frontier merges; a radical key extended so is still a fixed-point sum
     over weights disjoint from the tail, which ``_Radical.band`` covers.  In
@@ -1665,11 +1670,10 @@ def prefix_partition(w: WeightVector, *, limit: Optional[int] = None) -> Partiti
     n, exact, one, prefixes, fallbacks = w.n, w.mode == EXACT, walk.one, walk.prefixes, walk.stats.fallbacks
     vals, dtype, ties, joint_count = walk.vals, walk.dtype, walk.ties, walk.joints
 
-    if _backward_fits(walk):
-        _backward_joints(vals, one, prefixes, joint_count)
+    if (balanced := _phase2_depth(walk)) is None:
+        _backward_joints(walk, joint_count)
         tables = ()
     else:  # the table at ``depth`` covers coordinates depth+1..n (0-based vals[depth:])
-        balanced = _balanced_depth(walk.stats.settled, n)
         wanted = {n - max(d, balanced) for d in prefixes}  # the sizes of the tables searched
         tables = zip(range(n - 1, balanced - 1, -1), _tail_distributions(vals[balanced:], dtype, wanted))
     for depth, table in tables:

@@ -546,7 +546,7 @@ class TestCertificateSerialization:
         assert ks == [2, 3]
         assert doc["intermediates"]["per_k"][0]["max"]["exact"] == "7/18"
 
-    def test_verify_rejects_tampered_floor(self):
+    def test_tampered_floor_is_soundness_error(self):
         cert = case1_certificate(canonicalize([3, 4], EXACT))
         import dataclasses
 
@@ -554,7 +554,7 @@ class TestCertificateSerialization:
         with pytest.raises(SoundnessError, match="floor"):
             verify_certificate(bad)
 
-    def test_verify_rejects_bound_above_exact(self):
+    def test_bound_above_exact_is_soundness_error(self):
         cert = theorem_bound(canonicalize([3, 4], EXACT), exact_check=True)
         import dataclasses
 

@@ -46,6 +46,7 @@ from radsum import (
     threshold_probability_naive,
 )
 from radsum.algebraic import SqrtSum
+from radsum.engine import _RAW_PAIRS_N
 
 
 def product_oracle(values, t, strict=False) -> Fraction:
@@ -385,10 +386,10 @@ class TestMergedHalves:
 
 @st.composite
 def _raw_cut_inputs(draw):
-    """``(values, kind)``: n <= 14 raw weights, generic,
+    """``(values, kind)``: n <= ``_RAW_PAIRS_N`` raw weights, generic,
     integer-valued, dyadic and all-ones floats, and integers that take int64
     or Python-int keys."""
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, _RAW_PAIRS_N))
     kind = draw(st.sampled_from(["generic", "integer", "dyadic", "ones", "int64", "object"]))
     if kind == "ones":
         return [1.0] * n, kind
@@ -554,12 +555,13 @@ class TestHalfSums:
     def test_folded_raw_counts_are_the_unfolded_counts(self, rng, kind):
         """``_count_raw`` over the folded pair sums equals the count of every
         pair sum ``|l + r|`` of the two unfolded halves (``np.add.outer``) for
-        n = 0..14, strict and not, at 0, 1 and thresholds on achieved sums and
-        one ulp either side; a stack of rows counts each row alike."""
+        n = 0.._RAW_PAIRS_N, strict and not, at 0, 1 and thresholds on
+        achieved sums and one ulp either side; a stack of rows counts each row
+        alike."""
         from radsum.engine import _count_raw, _half_sums
 
         dtype = {"float64": np.float64, "ties": np.float64, "int64": np.int64, "object": object}[kind]
-        for n in range(15):
+        for n in range(_RAW_PAIRS_N + 1):
             rows = []
             for _ in range(3):
                 signs = rng.integers(-1, 2, size=n).tolist()
@@ -1604,6 +1606,15 @@ class TestDistributionProbability:
             assert "entries" not in dist.__dict__
 
 
+def _tables_at_balanced_depth(walk):
+    """``_phase2_depth`` forced onto the tail tables: the balanced depth D,
+    ``1 +`` the first argmin of ``_balanced_costs``, whatever the keys."""
+    from radsum import engine
+
+    costs = engine._balanced_costs(walk.stats.settled, len(walk.vals))
+    return 1 + costs.index(min(costs))
+
+
 class TestPrefixPartition:
     def test_uniform_four_worked_example(self):
         rep = prefix_partition(from_squares([Fraction(1, 4)] * 4))
@@ -1919,17 +1930,24 @@ class TestPrefixPartition:
     ).map(lambda settled: (n, settled))))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_balanced_depth_is_the_least_cost(self, case):
-        """The running deferred cost picks the depth that minimises ``sum_{d<D}
-        settled_d*2^(D-d) + 2^(n-D)`` summed afresh for each D, the smallest
-        on a tie."""
-        from radsum.engine import _balanced_depth
+        """The running deferred cost of ``_balanced_costs`` at each depth D is
+        ``sum_{d<D} settled_d*2^(D-d) + 2^(n-D)`` summed afresh, and on a
+        walk off int64 keys (``g == 0``) ``_phase2_depth`` picks the D that
+        minimises it, the smallest on a tie."""
+        from radsum import engine
 
         n, settled = case
 
         def cost(depth):
             return sum(c << (depth - d) for d, c in enumerate(settled[: depth - 1], 1)) + (1 << (n - depth))
 
-        assert _balanced_depth(settled, n) == min(range(1, n), key=cost)
+        assert engine._balanced_costs(settled, n) == [cost(depth) for depth in range(1, n)]
+        walk = engine._Walk(
+            vals=[1.0] * n, dtype=np.float64, one=1.0, g=0, top=0, probs=(), counts=[],
+            prefixes={d: None for d, c in enumerate(settled[:-1], 1) if c}, joints=[], ties=Counter(),
+            stats=PartitionStats("float64", (), tuple(settled), 0),
+        )
+        assert engine._phase2_depth(walk) == min(range(1, n), key=cost)
 
     @staticmethod
     def _partition_at(w, depth=None):
@@ -1950,7 +1968,7 @@ class TestPrefixPartition:
         with mock.patch.object(engine, "_tail_distributions", spy):
             if depth is None:
                 return prefix_partition(w), sizes
-            with mock.patch.object(engine, "_balanced_depth", lambda settled, n: depth):
+            with mock.patch.object(engine, "_phase2_depth", lambda walk: depth):
                 return prefix_partition(w), sizes
 
     @given(
@@ -1963,8 +1981,8 @@ class TestPrefixPartition:
         """Every depth D the tail tables may start from gives the same
         report; D = 2 (D = 1 at n = 2) defers nothing and is the plain walk.
         From D = 3 on, one search counts the float sums of 1 to D - 2
-        deferred depths.  Integer keys take the sparse phase 2 on a long
-        lattice only (shorter ones take the backward recurrence)."""
+        deferred depths.  A forced D sends the long lattice's int64 keys to
+        the tables too."""
         from unittest import mock
 
         from radsum import engine
@@ -2180,7 +2198,7 @@ class TestPrefixPartition:
                 outs.append((len(out), out.base.shape))
                 real(kept, shift, out)
 
-            with mock.patch.multiple(engine, _dense_extend=spy, _backward_fits=lambda walk: False):
+            with mock.patch.multiple(engine, _dense_extend=spy, _phase2_depth=_tables_at_balanced_depth):
                 dense = prefix_partition(w, limit=n)
             with mock.patch.multiple(engine, _dense_fits=lambda *args, **kwargs: False, _dense_extend=None):
                 sparse = prefix_partition(w, limit=n)
@@ -2259,16 +2277,16 @@ class TestPrefixPartition:
         assert rep.stats.path == "int64" and sum(rep.probs) == 1
         assert rep.total_prob == threshold_probability(w, 1, limit=n)
         if n == 64:
-            with mock.patch.object(engine, "_backward_fits", lambda walk: False):
+            with mock.patch.object(engine, "_phase2_depth", _tables_at_balanced_depth):
                 assert prefix_partition(w, limit=n).joints == rep.joints
 
     def test_backward_recurrence_matches_sparse_phase_2(self):
         """Phase 2 by the backward recurrence gives the whole report, stats
-        and tie rows included, of the sparse phase 2, each forced through
-        ``_backward_fits``: for rational, one-radicand and small-integer
-        Case-2 vectors with n <= 20.  Each forced route runs; the event is
-        the route the rule picks, and both occur (rational weights of
-        spread 1000 lie on long lattices)."""
+        and tie rows included, of the sparse phase 2 at the balanced depth,
+        each forced through ``_phase2_depth``: for rational, one-radicand
+        and small-integer Case-2 vectors with n <= 20.  Each forced route
+        runs; the event is the route the planner picks, and both occur
+        (rational weights of spread 1000 lie on long lattices)."""
         from unittest import mock
 
         from radsum import engine
@@ -2298,20 +2316,20 @@ class TestPrefixPartition:
             ran = Counter()
             with mock.patch.multiple(
                 engine,
-                _backward_fits=lambda walk: True,
+                _phase2_depth=lambda walk: None,
                 _backward_joints=lambda *a: ran.update(["backward"]) or real_joints(*a),
                 _tail_distributions=None,
             ):
                 backward = prefix_partition(w, limit=n)
             with mock.patch.multiple(
                 engine,
-                _backward_fits=lambda walk: False,
+                _phase2_depth=_tables_at_balanced_depth,
                 _backward_joints=None,
                 _tail_distributions=lambda *a: ran.update(["sparse"]) or real_tails(*a),
             ):
                 sparse = prefix_partition(w, limit=n)
             assert ran == {"backward": 1, "sparse": 1}
-            branch = "backward" if engine._backward_fits(walk) else "sparse"
+            branch = "backward" if engine._phase2_depth(walk) is None else "sparse"
             seen[branch] += 1
             event(f"{kind}: the rule picks {branch}")
             assert backward == sparse, w.values
@@ -2335,7 +2353,7 @@ class TestPrefixPartition:
         from radsum import SoundnessError, engine
 
         walk = engine._walk(w, limit)
-        assert engine._backward_fits(walk)
+        assert engine._phase2_depth(walk) is None
         target = 1 if at == "first step" else w.n - min(walk.prefixes)
         real_joints, real_extend, steps = engine._backward_joints, engine._dense_extend, []
 
@@ -2367,7 +2385,7 @@ class TestPrefixPartition:
             w = next(w for seed in itertools.count(2026) if (w := case2_vector(kind, 16, seed)) is not None)
             sizes.clear()
             rep = prefix_partition(w)
-            balanced = engine._balanced_depth(rep.stats.settled, w.n)
+            balanced = engine._phase2_depth(engine._walk(w, None))
             searched = {w.n - max(d, balanced) for d, c in enumerate(rep.stats.settled[:-1], 1) if c}
             assert balanced < w.n - 1 and 1 not in sizes, kind
             assert sizes == sorted(searched), kind
