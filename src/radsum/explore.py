@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import THEOREM_FLOOR, crossing_point, g, h, minmax_bound
-from .engine import DEFAULT_MITM_LIMIT, _RAW_PAIRS_N, _count_raw, _half_sums, _key_setup
+from .engine import DEFAULT_MITM_LIMIT, _RAW_PAIRS_N, _count_raw, _half_sums
 from .engine import _check_size, _normalize_threshold, _size_limit, admissible_count, signed_sum_count
 from .errors import InputError, SoundnessError, _check_int
 from .weights import FLOAT, WeightVector, _canonical_floats, canonicalize
@@ -310,7 +310,7 @@ def _hit_counts(rows: list[tuple[float, ...]], limit: int) -> list[int]:
     float operations of its own call; past it one engine call per row."""
     if not rows or len(rows[0]) > _RAW_PAIRS_N:
         return [signed_sum_count(row, 1.0, FLOAT, limit=limit)[0] for row in rows]
-    keys = np.array([_key_setup(row, 1.0, FLOAT)[0] for row in rows])
+    keys = np.array(rows, dtype=np.float64)
     per_call = max(1, _STACK_PAIRS >> (len(rows[0]) - 1))
     return [
         int(c)

@@ -49,6 +49,9 @@ class TestSquarefreeDecompose:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             squarefree_decompose(0)
+        with pytest.raises(ValueError) as raised:
+            factorint(0)
+        assert str(raised.value) == "factorint requires n >= 1, got 0"
 
     def test_factors_a_13_digit_prime_within_the_budget(self):
         n = 9439773459413196600373401704310476485109  # a random odd 40-digit number
@@ -153,6 +156,8 @@ class TestFieldOperations:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             1 / SqrtSum()
+        with pytest.raises(ZeroDivisionError, match="^division by zero SqrtSum$"):
+            SqrtSum().inverse()
 
     def test_pow(self):
         v = exact_sqrt(Fraction(11, 100))

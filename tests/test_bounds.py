@@ -527,6 +527,38 @@ class TestDecompositionCheck:
         with pytest.raises(WrongCaseError):
             decomposition_check(from_squares([Fraction(1, 4)] * 4))
 
+    @pytest.mark.parametrize("link", ["decomposition", "second-moment", "fourth-moment"])
+    def test_each_broken_link_is_soundness_error(self, capsys, monkeypatch, link):
+        """Each link of the chain raises alone, and ``decomp-check`` exits 3,
+        when the one probability it reads is rigged to 0: LHS, or the tail
+        count at ``1 + x1 - x2`` (second moment) or ``1 + x1 + x2`` (fourth)."""
+        from radsum import cli
+
+        w = canonicalize([100, 60, 36, 27], EXACT)  # x = (4/5, 12/25, 36/125, 27/125)
+        real = decomposition_check(w)
+        if link == "decomposition":
+            monkeypatch.setattr(bounds, "threshold_probability", lambda w, limit=None: Fraction(0))
+            message = f"decomposition failed: LHS 0 < RHS {real.rhs}"
+        else:
+            rigged_t, real_count = (real.t_minus if link == "second-moment" else real.t_plus), bounds.signed_sum_count
+
+            def rigged(values, t, mode, **kw):
+                count, total = real_count(values, t, mode, **kw)
+                return (0 if t == rigged_t else count), total
+
+            monkeypatch.setattr(bounds, "signed_sum_count", rigged)
+            message = (
+                f"second-moment link failed: Pr(|r| <= 1+x1-x2) = 0 < term2 = {real.term2}"
+                if link == "second-moment"
+                else f"fourth-moment link failed: Pr(|r| <= 1+x1+x2) = 0 < term4 = {real.term4}"
+            )
+        with pytest.raises(SoundnessError) as raised:
+            decomposition_check(w)
+        assert str(raised.value) == message
+        assert cli.main(["decomp-check", "sq:10000,3600,1296,729", "--no-timestamp"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "SOUNDNESS FAILURE" in captured.err and message in captured.err
+
 
 class TestCertificateSerialization:
     def test_case1_json_fields(self):

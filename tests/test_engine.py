@@ -2372,6 +2372,24 @@ class TestPrefixPartition:
             prefix_partition(w, limit=limit)
         assert len(steps) == w.n - min(walk.prefixes)
 
+    @pytest.mark.parametrize("route", ["backward recurrence", "tail tables"])
+    def test_uncounted_settled_sums_are_soundness_error(self, monkeypatch, route):
+        # a phase 2 that counts no joint, a recurrence that does nothing or
+        # tail tables that never come, leaves every settled sum uncounted
+        from radsum import SoundnessError, engine
+
+        if route == "backward recurrence":
+            w = random_case2(np.random.default_rng(0), 10)
+            monkeypatch.setattr(engine, "_backward_joints", lambda walk, joints: None)
+        else:
+            w = next(w for seed in itertools.count(2026) if (w := case2_vector("float", 16, seed)) is not None)
+            monkeypatch.setattr(engine, "_tail_distributions", lambda *a: iter(()))
+        walk = engine._walk(w, None)
+        assert walk.prefixes and (engine._phase2_depth(walk) is None) == (route == "backward recurrence")
+        with pytest.raises(SoundnessError) as raised:
+            prefix_partition(w)
+        assert str(raised.value) == f"sums settled at depths {sorted(walk.prefixes)} were never counted"
+
     def test_only_searched_tail_tables_are_checked(self, monkeypatch):
         """Phase 2 puts in nonnegative form and checks only the tail tables
         it searches, in the order they are built: the table at a depth d
@@ -2699,6 +2717,21 @@ class TestDecomposition:
             calls.clear()
             engine._key_setup(from_squares(squares).values, Fraction(1), EXACT)
             assert len(calls) == 1, squares
+
+    def test_numpy_integers_and_floats_are_read_exactly(self):
+        # exact mode takes numpy integers and dyadic floats at their exact
+        # values: the counts of the same values as Fractions
+        from radsum.engine import signed_sum_count
+
+        rng = np.random.default_rng(46)
+        for n in (3, 8, 13):
+            ints = sorted(rng.integers(1, 40, n), reverse=True)
+            dyadics = [float(a) / 64 for a in ints]
+            for values, t in ((ints, 17), (dyadics, Fraction(17, 64)), (dyadics, 1)):
+                assert type(values[0]) in (np.int64, float)
+                for strict in (False, True):
+                    want = signed_sum_count([Fraction(v) for v in values], t, EXACT, strict)
+                    assert signed_sum_count(values, t, EXACT, strict) == want, (values, t, strict)
 
 
 def _pell_solution(limit):

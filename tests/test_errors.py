@@ -2,6 +2,7 @@
 source tree."""
 
 import ast
+import marshal
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +74,13 @@ def test_integer_arguments_take_plain_ints_in_range(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("bound", [g, h])
+def test_bool_is_not_a_bound_argument(bound):
+    with pytest.raises(InputError) as raised:
+        bound(2, True)
+    assert str(raised.value) == "invalid input: bool is not a bound argument"
+
+
 def test_integer_messages_name_the_range():
     with pytest.raises(InputError, match=r"size limit must be an integer >= 0, got -1$"):
         threshold_probability(W, limit=-1)
@@ -139,11 +147,28 @@ def test_threshold_messages_carry_the_value():
 # -- source discipline -----------------------------------------------------------
 
 
-def test_no_assert_statements_in_the_package():
-    """Invariants are ``SoundnessError``s: ``python -O`` strips asserts."""
-    found = []
+def _optimize_dependent_lines(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that ``python -O`` compiles away or that read
+    how it was run: ``assert``s, ``__debug__`` and ``sys.flags``."""
+    return sorted({
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
+        or (isinstance(node, ast.Attribute) and node.attr == "flags" and getattr(node.value, "id", None) == "sys")
+        or (isinstance(node, ast.ImportFrom) and node.module == "sys" and any(a.name == "flags" for a in node.names))
+    })
+
+
+def test_python_O_runs_the_code_the_tests_run():
+    """Invariants are ``SoundnessError``s, which ``python -O`` keeps: every
+    package module compiles to the same bytecode at ``optimize=1`` as at 0,
+    and none reads ``sys.flags``, so each test proves its checks under
+    ``-O`` too."""
+    changed = []
     for path in sorted(Path(radsum.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert found == []
+        source = path.read_text(encoding="utf-8")
+        plain, optimized = (marshal.dumps(compile(source, str(path), "exec", optimize=o)) for o in (0, 1))
+        lines = _optimize_dependent_lines(ast.parse(source, filename=str(path)))
+        if plain != optimized or lines:
+            changed.append(f"{path.name} (lines {lines})")
+    assert changed == [], "python -O runs other code in: " + "; ".join(changed)

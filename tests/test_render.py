@@ -72,6 +72,7 @@ class TestRenderNumber:
 class TestJsonText:
     @given(_values)
     @example([math.nan, math.inf, -math.inf, -0.0, 5e-324, -(10**50), True, None, [], (), {}, "\u00e9\"\\"])
+    @example("\u00e9\"\\")
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_matches_json_dumps(self, value):
         assert json_text(value) == json.dumps(value, indent=2)

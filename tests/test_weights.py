@@ -78,6 +78,12 @@ class TestCanonicalizeErrors:
         with pytest.raises(InputError):
             canonicalize([1], "decimal")
 
+    @pytest.mark.parametrize("entry", ["1", 1j], ids=["str", "complex"])
+    def test_unsupported_exact_entry_type(self, entry):
+        with pytest.raises(InputError) as raised:
+            canonicalize([1, entry], EXACT)
+        assert str(raised.value) == f"invalid input: unsupported exact entry type {type(entry).__name__}"
+
 
 class TestCanonicalizeProperties:
     @given(
@@ -231,6 +237,11 @@ class TestWeightVectorOrder:
         with pytest.raises(InputError, match="sorted descending"):
             WeightVector(w.values[::-1], w.squares[::-1], w.mode, w.scale)
 
+    def test_direct_construction_needs_a_value(self):
+        with pytest.raises(InputError) as raised:
+            WeightVector((), (), EXACT, Fraction(1))
+        assert str(raised.value) == "weight vector must have n >= 1"
+
 
 class TestFromSquares:
     def test_normalizes_square_sum(self):
@@ -245,6 +256,30 @@ class TestFromSquares:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             from_squares([Fraction(1, 2), Fraction(-1, 2)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputError) as raised:
+            from_squares([])
+        assert str(raised.value) == "invalid input: empty squared-weight list"
+
+    def test_unfactorable_square_asks_for_float_mode(self, capsys, monkeypatch):
+        # the product of two primes near 10^12, which no other test factors
+        # (``squarefree_decompose`` is cached), is past a lowered budget
+        from radsum import algebraic
+        from radsum.cli import main
+
+        def prime_from(p):
+            while not algebraic._is_probable_prime(p, algebraic._Budget()):
+                p += 1
+            return p
+
+        semiprime = prime_from(10**12 + 7**5) * prime_from(10**12 + 11**5)
+        monkeypatch.setattr(algebraic, "_RHO_BUDGET", 20_000)
+        with pytest.raises(InputError, match=r"effort budget.*; use float mode$"):
+            from_squares([semiprime, 1])
+        assert main(["exact", f"sq:{semiprime},1", "--no-timestamp"]) == 1
+        assert capsys.readouterr().err.endswith("; use float mode\n")
+        assert main(["exact", f"sq:{semiprime},1", "--mode", "float", "--no-timestamp"]) == 0
 
     @given(st.lists(st.fractions(min_value=0, max_value=60, max_denominator=50), min_size=1, max_size=10))
     @settings(max_examples=150, deadline=None)
